@@ -40,12 +40,12 @@ for shards in (1, 4):
     print(f"shards={shards}: {result.final_srp.leaf_count} leaves, "
           f"{result.iterations} iterations, {time.perf_counter() - t0:.2f}s")
 
-# Per-iteration bookkeeping: pruning conserves the total count and the
-# merged table is exactly one key per non-empty cell.
+# Per-iteration bookkeeping: pruning conserves the total count, and the
+# merged table holds one key per non-empty cell.
 for i, st in enumerate(result.stats):
     print(f"  iter {i}: split {st.split_cells:4d} cells, "
           f"{st.working_points:6d} working + {st.passed_points:6d} passed, "
-          f"{st.merged_table_keys} table keys")
+          f"{st.nonempty_cells} non-empty cells")
 
 # On a smaller burst, check the headline equivalence directly: the
 # builder's tree is the sequential chain's tree, and reversing the

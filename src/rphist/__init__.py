@@ -17,6 +17,7 @@ from .distributed import (
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
+    graft,
     prune,
     reconstruct_path,
     truncate_path,

@@ -15,6 +15,12 @@ which cells are split, so the result coincides with the tree the
 sequential chain reaches when run to the same threshold; the
 sequential path itself is recovered afterwards by backtracking (merging
 the cherry whose parent has the least priority, repeatedly).
+
+For the SEB priority one build from the root serves every tributary:
+the cells with count above a threshold are the same whatever the launch
+state, and fewer for a higher threshold.  So a single build at the
+lowest threshold of a run is grafted onto each launch state for each
+threshold (:func:`graft`) instead of rebuilding per tributary.
 """
 
 from __future__ import annotations
@@ -27,8 +33,15 @@ import numpy as np
 
 from .errors import DepthExhausted
 from .geometry import Box, volume_at_depth
-from .pqmc import PqmcConfig, PqmcPath, Priority, SplitRecord, splittable_leaves
-from .srp import SRP, assign_leaves
+from .pqmc import (
+    SEB_PRIORITY,
+    PqmcConfig,
+    PqmcPath,
+    Priority,
+    SplitRecord,
+    splittable_leaves,
+)
+from .srp import SRP
 from .tree import ROOT, RPTree, cell_bounds, depth
 
 CountTable = dict[int, int]
@@ -56,13 +69,11 @@ class TaggedDataset:
     root_box: Box
 
     @classmethod
-    def from_points(cls, points, root_box: Box, shard_count: int = 1,
-                    initial_tree: RPTree | None = None) -> "TaggedDataset":
-        """Tag points with their containing cell and cut into shards.
+    def from_points(cls, points, root_box: Box, shard_count: int = 1) -> "TaggedDataset":
+        """Tag every point with the root cell and cut into shards.
 
-        Without an initial tree every point is tagged with the root
-        cell.  Shards are contiguous row ranges; the assignment never
-        changes afterwards.
+        Shards are contiguous row ranges; the assignment never changes
+        afterwards.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.size == 0:
@@ -70,11 +81,6 @@ class TaggedDataset:
         if shard_count < 1:
             raise ValueError("need at least one shard")
         labels = np.full(len(points), ROOT, dtype=np.int64)
-        if initial_tree is not None:
-            for leaf, idx in assign_leaves(initial_tree, points).items():
-                if leaf > _INT64_SAFE_MAX and labels.dtype != object:
-                    labels = labels.astype(object)
-                labels[idx] = leaf
         shards = []
         for rows in np.array_split(np.arange(len(points)), shard_count):
             shards.append(Shard(labels[rows].copy(), points[rows].copy()))
@@ -224,7 +230,6 @@ class IterationStats:
     split_cells: int
     working_points: int
     passed_points: int
-    merged_table_keys: int
     nonempty_cells: int
 
 
@@ -243,14 +248,16 @@ class BuildResult:
 def build_threshold_tree(points, root_box: Box, priority: Priority,
                          threshold: float, cfg: PqmcConfig,
                          shard_count: int = 1, workers: int = 1,
-                         initial_tree: RPTree | None = None,
                          use_prune: bool = True) -> BuildResult:
     """Split every over-threshold cell per iteration until none is left.
 
-    The returned SRP is the unique tree in which every leaf either has
-    priority at or below the threshold or is empty; it equals the
-    terminal state of the sequential chain run with ``max_psi =
-    threshold`` and no leaf budget.
+    The build starts from the root cell.  The returned SRP is the unique
+    tree in which every leaf either has priority at or below the
+    threshold or is empty; it equals the terminal state of the
+    sequential chain run from the root with ``max_psi = threshold`` and
+    no leaf budget.  For the SEB priority, :func:`graft` derives from it
+    the terminal state for any launch state and any threshold at or
+    above this one.
 
     Raises
     ------
@@ -260,7 +267,7 @@ def build_threshold_tree(points, root_box: Box, priority: Priority,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         points = points.reshape(0, root_box.dim)
-    ds = TaggedDataset.from_points(points, root_box, shard_count, initial_tree)
+    ds = TaggedDataset.from_points(points, root_box, shard_count)
     n_total = ds.total_points()
     passed: CountTable = {}
     stats: list[IterationStats] = []
@@ -281,12 +288,11 @@ def build_threshold_tree(points, root_box: Box, priority: Priority,
             split_cells=len(split_set),
             working_points=sum(table.values()),
             passed_points=sum(passed.values()),
-            merged_table_keys=len(table),
             nonempty_cells=len(table),
         ))
     leaf_counts = dict(passed)
     leaf_counts.update(table)
-    final = assemble_srp(root_box, leaf_counts, initial_tree)
+    final = assemble_srp(root_box, leaf_counts)
     return BuildResult(final, passed, iterations, priority, float(threshold),
                        tuple(stats))
 
@@ -302,14 +308,11 @@ def _check_exhaustion(table: CountTable, root_box: Box, priority: Priority,
             )
 
 
-def assemble_srp(root_box: Box, leaf_counts: CountTable,
-                 initial_tree: RPTree | None = None) -> SRP:
+def assemble_srp(root_box: Box, leaf_counts: CountTable) -> SRP:
     """SRP from the non-empty leaf cells of a finished build.
 
     Ancestors get the sum of their children's counts; a split side that
-    received no points is materialized as a count-0 leaf.  When the
-    build refined an initial tree, that tree's nodes are kept even where
-    they hold no data.
+    received no points is materialized as a count-0 leaf.
     """
     nodes: set[int] = {ROOT}
     counts: CountTable = {}
@@ -319,8 +322,6 @@ def assemble_srp(root_box: Box, leaf_counts: CountTable,
         while node not in nodes:
             nodes.add(node)
             node >>= 1
-    if initial_tree is not None:
-        nodes |= initial_tree.nodes
     for node in list(nodes):
         if node > ROOT:
             sibling = node ^ 1
@@ -332,6 +333,43 @@ def assemble_srp(root_box: Box, leaf_counts: CountTable,
             counts.setdefault(node, 0)
     n = counts.get(ROOT, 0)
     return SRP(RPTree(root_box, frozenset(nodes)), counts, n)
+
+
+def graft(base: BuildResult, launch: SRP, threshold: float) -> BuildResult:
+    """Terminal state of the SEB chain from ``launch`` run to ``threshold``.
+
+    SEB priority is a count, and counts never increase down the tree, so
+    the cells with count above ``threshold`` form a subtree from the
+    root that every chain splits, whatever its launch state.  The
+    terminal tree is therefore the launch tree plus both children of
+    every internal node of ``base`` (a root build at a threshold no
+    higher than ``threshold``) whose count exceeds ``threshold``.  The
+    counts come from both SRPs, which agree on the nodes they share.
+    The result has no iterations or passed counts of its own.
+
+    Raises
+    ------
+    ValueError
+        If ``threshold`` is below the base build's threshold, the base
+        build does not use the SEB priority, or ``launch`` holds other
+        data than ``base``.
+    """
+    src = base.final_srp
+    if base.priority != SEB_PRIORITY:
+        raise ValueError("grafting needs a build with the SEB priority")
+    if threshold < base.threshold:
+        raise ValueError(f"threshold {threshold} is below the base build's "
+                         f"{base.threshold}")
+    if launch.tree.root_box != src.tree.root_box or launch.n != src.n:
+        raise ValueError("launch state and base build hold different data")
+    nodes = set(launch.tree.nodes)
+    for p in src.tree.internal():
+        if src.counts[p] > threshold:
+            nodes.update((2 * p, 2 * p + 1))
+    counts = {v: src.counts[v] if v in src.counts else launch.counts[v]
+              for v in nodes}
+    final = SRP(RPTree(src.tree.root_box, frozenset(nodes)), counts, src.n)
+    return BuildResult(final, {}, 0, base.priority, float(threshold))
 
 
 def backtrack(result: BuildResult, stop_state: SRP | None = None) -> list[SRP]:

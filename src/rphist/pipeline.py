@@ -2,12 +2,15 @@
 
 The pipeline bounds the data with a padded box, carves away empty space
 with a short support-carving chain, launches one SEB chain per spread
-launch state and per entry of the stopping-threshold grid (through the
-sharded threshold builder and path reconstruction by default, or the
-plain sequential chain in sequential mode), and hands every state of
-every tributary to the smoothing stage.  The selected histogram is
+launch state and per entry of the stopping-threshold grid, and hands
+every state of every tributary to the smoothing stage.  By default the
+tributaries come from one sharded threshold build from the root at the
+lowest threshold of the grid: each tributary's terminal tree is grafted
+from it and its path reconstructed.  Sequential mode runs the plain
+sequential chain per tributary instead.  The selected histogram is
 written as versioned JSON next to a manifest with the configuration,
-per-candidate diagnostics and stage timings.
+per-candidate diagnostics, the threshold build's iteration stats and
+stage timings.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributed import build_threshold_tree, reconstruct_path, truncate_path
+from .distributed import (
+    BuildResult,
+    build_threshold_tree,
+    graft,
+    reconstruct_path,
+    truncate_path,
+)
 from .errors import PointOutsideRootBox
 from .geometry import DEFAULT_PAD, bounding_box
 from .io import histogram_to_json, ingest_csv, save_histogram
@@ -144,6 +153,16 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     timings["carve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    base = None
+    if not cfg.sequential:
+        base = build_threshold_tree(
+            points, root_box, SEB_PRIORITY, float(min(cfg.maxpts)),
+            PqmcConfig(max_depth=cfg.max_depth),
+            shard_count=cfg.shards, workers=cfg.workers,
+        )
+    timings["tributary_build"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     paths = []
     candidates = []
     k = 0
@@ -159,12 +178,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             if cfg.sequential:
                 path = run_pqmc(state, points, SEB_PRIORITY, seb_cfg)
             else:
-                result = build_threshold_tree(
-                    points, root_box, SEB_PRIORITY, float(maxpts), seb_cfg,
-                    shard_count=cfg.shards, workers=cfg.workers,
-                    initial_tree=state.tree,
-                )
-                path = reconstruct_path(result, initial=state)
+                path = reconstruct_path(graft(base, state, float(maxpts)),
+                                        initial=state)
                 path = truncate_path(path, cfg.maxlvs, SEB_PRIORITY,
                                      float(maxpts), seb_cfg)
             paths.append(path)
@@ -176,7 +191,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                 "success": path.success,
             })
             k += 1
-    timings["tributaries"] = time.perf_counter() - t0
+    timings["tributary_paths"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     estimate = select(paths, SmoothingConfig(cfg.tau_grid()))
@@ -187,13 +202,26 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         t0 = time.perf_counter()
         save_histogram(hist, cfg.out)
         timings["export"] = time.perf_counter() - t0
-        _write_manifest(cfg, hist, estimate, candidates, timings,
+        _write_manifest(cfg, hist, estimate, candidates, base, timings,
                         skipped_rows, dropped_points)
     return hist, estimate
 
 
+def _build_report(base: BuildResult | None) -> dict | None:
+    if base is None:
+        return None
+    return {
+        "threshold": base.threshold,
+        "iterations": base.iterations,
+        "split_cells": [st.split_cells for st in base.stats],
+        "working_points": [st.working_points for st in base.stats],
+        "passed_points": [st.passed_points for st in base.stats],
+    }
+
+
 def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
-                    candidates, timings, skipped_rows, dropped_points) -> None:
+                    candidates, base: BuildResult | None, timings,
+                    skipped_rows, dropped_points) -> None:
     manifest = {
         "config": {
             "input_path": cfg.input_path,
@@ -219,6 +247,7 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
         "dropped_points": dropped_points,
         "root_box": histogram_to_json(hist)["root_box"],
         "candidates": candidates,
+        "build": _build_report(base),
         "selected": {
             "tau": estimate.tau,
             "leaf_count": estimate.srp.leaf_count,

@@ -234,7 +234,6 @@ def test_criterion_8_ten_dimensional_run(tmp_path):
     assert res.stats
     for st in res.stats:
         assert st.working_points + st.passed_points == 1_000_000
-        assert st.merged_table_keys == st.nonempty_cells
     elapsed = time.perf_counter() - t0
     assert elapsed < 1200.0
     report(8, f"10-D n=1e6 pipeline done: {hist.leaf_count} leaves, mass=1 "

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rphist.distributed import (
     Shard,
@@ -10,13 +13,21 @@ from rphist.distributed import (
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
+    graft,
     prune,
     reconstruct_path,
     truncate_path,
 )
 from rphist.errors import DepthExhausted
 from rphist.geometry import Box, bounding_box
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY, SPC_PRIORITY, run_pqmc
+from rphist.pqmc import (
+    PqmcConfig,
+    SEB_PRIORITY,
+    SPC_PRIORITY,
+    carve_path,
+    launch_states,
+    run_pqmc,
+)
 from rphist.srp import ingest
 from rphist.tree import RPTree
 
@@ -167,7 +178,6 @@ def test_build_conservation_every_iteration():
     assert res.stats, "expected at least one iteration"
     for st in res.stats:
         assert st.working_points + st.passed_points == len(pts)
-        assert st.merged_table_keys == st.nonempty_cells
 
 
 def test_build_depth_exhausted():
@@ -270,8 +280,9 @@ def test_reconstruct_path_from_launch_state():
         if seq.had_ties:
             continue
         found += 1
-        res = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG,
-                                   initial_tree=launch.tree, shard_count=2)
+        base = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG,
+                                    shard_count=2)
+        res = graft(base, launch, threshold)
         assert res.final_srp == seq.final
         par = reconstruct_path(res, initial=launch)
         assert par.records == seq.records
@@ -298,11 +309,71 @@ def test_reconstruct_never_merges_into_the_launch_state():
     assert min(cl + cr for cl, cr in
                ((r.left_count, r.right_count) for r in seq.records)) > 3
 
-    res = build_threshold_tree(pts, box, SEB_PRIORITY, 10.0, CFG,
-                               initial_tree=launch_tree, shard_count=2)
-    par = reconstruct_path(res, initial=launch)
+    base = build_threshold_tree(pts, box, SEB_PRIORITY, 10.0, CFG, shard_count=2)
+    par = reconstruct_path(graft(base, launch, 10.0), initial=launch)
     assert par.records == seq.records
     assert par.final == seq.final
+
+
+@st.composite
+def tied_grid_sample(draw):
+    """Integer-grid points in 1-3 dimensions with many repeats of one row,
+    carve-path launch states, and a threshold grid from a base threshold."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 60))
+    side = draw(st.integers(2, 6))
+    grid = draw(arrays(np.int64, (n, d), elements=st.integers(0, side - 1)))
+    copies = draw(st.integers(0, 25))
+    pts = np.vstack([grid, np.repeat(grid[:1], copies, axis=0)]).astype(float)
+    # thresholds below the largest row multiplicity exhaust the depth cap
+    most_repeated = int(np.unique(pts, axis=0, return_counts=True)[1].max())
+    base_threshold = draw(st.integers(max(1, most_repeated - 2), len(pts)))
+    higher = draw(st.lists(st.integers(base_threshold, len(pts)), max_size=2))
+    thresholds = sorted({base_threshold, *higher})
+    carve_leaves = draw(st.integers(1, 8))
+    return pts, float(base_threshold), [float(t) for t in thresholds], carve_leaves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tied_grid_sample())
+def test_graft_equals_sequential_terminal_state_on_tied_data(sample):
+    pts, base_threshold, thresholds, carve_leaves = sample
+    max_depth = 40  # repeated rows hit the cap fast instead of machine precision
+    box = bounding_box(pts)
+    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth,
+                                       tie_break="lowest_label"), root_box=box)
+    launches = launch_states(carve, 3)
+    cfg = PqmcConfig(max_depth=max_depth)
+    bases = []
+    for shards in (1, 2, 3):
+        try:
+            bases.append(build_threshold_tree(pts, box, SEB_PRIORITY, base_threshold,
+                                              cfg, shard_count=shards))
+        except DepthExhausted:
+            assume(False)
+    for launch in launches:
+        for threshold in thresholds:
+            grafted = [graft(base, launch, threshold).final_srp for base in bases]
+            for tie_break in ("lowest_label", "random"):
+                seq = run_pqmc(launch, pts, SEB_PRIORITY,
+                               PqmcConfig(max_psi=threshold, max_depth=max_depth,
+                                          tie_break=tie_break))
+                for srp in grafted:
+                    assert srp.tree.nodes == seq.final.tree.nodes
+                    assert srp == seq.final
+
+
+def test_graft_rejects_lower_threshold_and_other_priority():
+    rng = np.random.default_rng(38)
+    pts = rng.uniform(0, 1, size=(40, 2))
+    launch = ingest(RPTree(unit_box(2)), pts)
+    base = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 5.0, CFG)
+    with pytest.raises(ValueError):
+        graft(base, launch, 4.0)
+    assert graft(base, launch, 5.0).final_srp == base.final_srp
+    spc = build_threshold_tree(pts, unit_box(2), SPC_PRIORITY, 0.5, CFG)
+    with pytest.raises(ValueError):
+        graft(spc, launch, 5.0)
 
 
 def test_truncate_path():

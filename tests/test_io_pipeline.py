@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,10 +285,34 @@ def test_pipeline_manifest(tmp_path):
     assert man["n"] == 500
     assert len(man["candidates"]) == 2
     assert man["selected"]["leaf_count"] == hist.leaf_count
-    assert set(man["timings_s"]) >= {"ingest", "carve", "tributaries", "smoothing"}
+    assert set(man["timings_s"]) >= {"ingest", "carve", "tributary_build",
+                                     "tributary_paths", "smoothing"}
+    build = man["build"]
+    assert build["threshold"] == 30.0
+    assert build["iterations"] == len(build["split_cells"]) > 0
+    for key in ("working_points", "passed_points"):
+        assert len(build[key]) == build["iterations"]
+    assert all(w + p == 500 for w, p in zip(build["working_points"],
+                                            build["passed_points"]))
     assert hist.total_mass() == pytest.approx(1.0, abs=1e-9)
     back = load_histogram(out)
     assert back.leaf_count == hist.leaf_count
+    seq_out = tmp_path / "seq.json"
+    run_pipeline(replace(cfg, sequential=True, out=str(seq_out)), points=pts)
+    seq_man = json.loads((tmp_path / "seq.json.manifest.json").read_text())
+    assert seq_man["build"] is None
+
+
+def test_pipeline_default_mode_output_pinned(tmp_path):
+    # the constant was computed with one threshold build per tributary;
+    # grafting every tributary from one root build must give the same bytes
+    pts = np.random.default_rng(2024).standard_normal((3000, 2))
+    out = tmp_path / "h.json"
+    cfg = RunConfig(dim=2, carve_leaves=20, tributaries=3, maxpts=(20, 100, 300),
+                    shards=2, seed=5, out=str(out))
+    run_pipeline(cfg, points=pts)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "46402be5499d0416c3d12c4b3dbb2d3b75668d6a265fca582a20d0aa80e4fee7")
 
 
 def test_runconfig_validation():
