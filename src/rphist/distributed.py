@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DepthExhausted
 from .geometry import Box, volume_at_depth
 from .pqmc import (
     SEB_PRIORITY,
@@ -130,26 +129,14 @@ def cells_to_split(c: CountTable, root_box: Box, priority: Priority,
     actually be split (depth cap and machine bisectability)."""
     n = n_total if n_total is not None else sum(c.values())
     root_volume = root_box.volume
-    out = set()
+    labels = []
     for label, count in c.items():
         d = depth(label)
         psi = priority.value(count, volume_at_depth(root_volume, d), n)
-        if psi <= threshold:
-            continue
-        if d >= cfg.max_depth:
-            continue
-        lo, hi, axis, mid = cell_bounds(root_box, label)
-        if lo[axis] < mid < hi[axis]:
-            out.add(label)
-    return out
-
-
-def _split_planes(root_box: Box, split_set) -> dict[int, tuple[int, float]]:
-    planes = {}
-    for label in split_set:
-        lo, hi, axis, mid = cell_bounds(root_box, label)
-        planes[label] = (axis, mid)
-    return planes
+        if psi > threshold and d < cfg.max_depth:
+            labels.append(label)
+    splittable = cell_bounds(root_box, labels).splittable.tolist()
+    return {label for label, ok in zip(labels, splittable) if ok}
 
 
 def apply_splits(ds: TaggedDataset, split_set: set[int],
@@ -162,7 +149,9 @@ def apply_splits(ds: TaggedDataset, split_set: set[int],
     """
     if not split_set:
         return ds
-    planes = _split_planes(ds.root_box, split_set)
+    labels = list(split_set)
+    cells = cell_bounds(ds.root_box, labels)
+    planes = dict(zip(labels, zip(cells.axis.tolist(), cells.mid.tolist())))
     widen = max(split_set) > _INT64_SAFE_MAX
 
     def retag(shard: Shard) -> Shard:
@@ -257,12 +246,8 @@ def build_threshold_tree(points, root_box: Box, priority: Priority,
     sequential chain run from the root with ``max_psi = threshold`` and
     no leaf budget.  For the SEB priority, :func:`graft` derives from it
     the terminal state for any launch state and any threshold at or
-    above this one.
-
-    Raises
-    ------
-    DepthExhausted
-        If over-threshold cells remain but none of them can be split.
+    above this one.  An over-threshold cell that cannot be split (depth
+    cap or machine precision) stays a leaf, as in the sequential chain.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
@@ -276,7 +261,6 @@ def build_threshold_tree(points, root_box: Box, priority: Priority,
     while True:
         split_set = cells_to_split(table, root_box, priority, threshold, cfg, n_total)
         if not split_set:
-            _check_exhaustion(table, root_box, priority, threshold, n_total)
             break
         iterations += 1
         if use_prune:
@@ -295,17 +279,6 @@ def build_threshold_tree(points, root_box: Box, priority: Priority,
     final = assemble_srp(root_box, leaf_counts)
     return BuildResult(final, passed, iterations, priority, float(threshold),
                        tuple(stats))
-
-
-def _check_exhaustion(table: CountTable, root_box: Box, priority: Priority,
-                      threshold: float, n_total: int) -> None:
-    root_volume = root_box.volume
-    for label, count in table.items():
-        psi = priority.value(count, volume_at_depth(root_volume, depth(label)), n_total)
-        if psi > threshold:
-            raise DepthExhausted(
-                f"cell {label} has priority {psi} > {threshold} but cannot be split"
-            )
 
 
 def assemble_srp(root_box: Box, leaf_counts: CountTable) -> SRP:

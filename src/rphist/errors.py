@@ -50,11 +50,6 @@ class EmptyCandidateSet(RphistError):
     """MAP selection received no candidate states."""
 
 
-class DepthExhausted(RphistError):
-    """The threshold builder has over-threshold cells left but none of
-    them can be split (depth cap or machine-precision exhaustion)."""
-
-
 class UnknownReference(RphistError):
     """An evaluation reference density name was not recognized."""
 

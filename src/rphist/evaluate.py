@@ -19,6 +19,9 @@ from .errors import DimensionMismatch, UnknownReference
 from .geometry import Box
 from .srp import Histogram
 
+#: Leaves whose Monte-Carlo draws :func:`l1_error` makes in one batch.
+MC_CHUNK_LEAVES = 64
+
 
 class GaussianReference:
     """Standard multivariate Gaussian (zero mean, identity covariance)."""
@@ -117,14 +120,20 @@ def l1_error(h: Histogram, reference, mc_per_leaf: int = 256,
     outside = 1.0 - reference.box_prob(h.root_box)
     total = outside
     var_sum = 0.0
-    for leaf in h.leaves:
-        lows = leaf.box.lows()
-        highs = leaf.box.highs()
-        draws = rng.uniform(lows, highs, size=(mc_per_leaf, h.root_box.dim))
-        dev = np.abs(leaf.height - reference.pdf(draws))
-        total += leaf.volume * float(dev.mean())
-        se = leaf.volume * float(dev.std(ddof=1)) / math.sqrt(mc_per_leaf)
-        var_sum += se * se
+    d = h.root_box.dim
+    for start in range(0, h.leaf_count, MC_CHUNK_LEAVES):
+        # one draw of (leaves, mc, d): the same stream as leaf by leaf
+        chunk = h.leaves[start:start + MC_CHUNK_LEAVES]
+        lows = np.array([[iv.lo for iv in leaf.box.intervals] for leaf in chunk])
+        highs = np.array([[iv.hi for iv in leaf.box.intervals] for leaf in chunk])
+        draws = rng.uniform(lows[:, None], highs[:, None], (len(chunk), mc_per_leaf, d))
+        pdf = reference.pdf(draws.reshape(-1, d)).reshape(len(chunk), mc_per_leaf)
+        dev = np.abs(np.array([[leaf.height] for leaf in chunk]) - pdf)
+        for leaf, mean, std in zip(chunk, dev.mean(axis=1).tolist(),
+                                   dev.std(axis=1, ddof=1).tolist()):
+            total += leaf.volume * mean
+            se = leaf.volume * std / math.sqrt(mc_per_leaf)
+            var_sum += se * se
     return EvalReport(
         l1_estimate=float(total),
         l1_std_error=float(math.sqrt(var_sum)),

@@ -1,7 +1,8 @@
 """Interval and box arithmetic for regular midpoint bisection.
 
 Boxes are axis-aligned interval vectors.  A split always happens at the
-midpoint of the first widest coordinate, and the left child gets a
+midpoint of the first widest coordinate (:func:`split_plane`, the one
+place that rule is written), and the left child gets a
 half-open upper facet on the split coordinate so that sibling boxes are
 disjoint and a point on the splitting hyperplane lands in the right
 child.
@@ -47,8 +48,8 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        # lo + (hi - lo)/2 cannot overflow for finite operands
-        return self.lo + (self.hi - self.lo) / 2.0
+        # the split rule's midpoint, for a one-coordinate box
+        return float(split_plane(np.array([[self.lo]]), np.array([[self.hi]]))[1][0])
 
     def contains(self, x: float) -> bool:
         above = x > self.lo if self.lo_open else x >= self.lo
@@ -91,10 +92,7 @@ class Box:
 
     @property
     def volume(self) -> float:
-        v = 1.0
-        for iv in self.intervals:
-            v *= iv.width
-        return v
+        return float(bounds_volume(self.lows()[None], self.highs()[None])[0])
 
     def lows(self) -> np.ndarray:
         return np.array([iv.lo for iv in self.intervals])
@@ -103,24 +101,49 @@ class Box:
         return np.array([iv.hi for iv in self.intervals])
 
 
+def split_plane(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The split rule, for a batch of boxes given by ``(L, d)`` bounds.
+
+    A box splits at the midpoint ``lo + (hi - lo)/2`` (no overflow for
+    finite operands) of its first widest coordinate.  Returns ``(axis,
+    mid, ok)`` of shape ``(L,)``; ``ok`` is False where the midpoint is
+    not strictly inside, i.e. the box cannot be bisected in machine
+    arithmetic (zero width or float exhaustion).
+    """
+    axis = (hi - lo).argmax(axis=1)
+    rows = np.arange(len(axis))
+    a = lo[rows, axis]
+    b = hi[rows, axis]
+    mid = a + (b - a) / 2.0
+    return axis, mid, (a < mid) & (mid < b)
+
+
+def bounds_volume(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Volume of each box in a batch of ``(L, d)`` bounds: the widths'
+    product, left to right, so every caller gets the same float."""
+    vol = np.ones(len(lo))
+    for j in range(lo.shape[1]):
+        vol *= hi[:, j] - lo[:, j]
+    return vol
+
+
+def _plane(b: Box) -> tuple[int, float, bool]:
+    axis, mid, ok = split_plane(b.lows()[None], b.highs()[None])
+    return int(axis[0]), float(mid[0]), bool(ok[0])
+
+
 def widest_coordinate(b: Box) -> int:
     """Index of the first coordinate of maximum width (0-based).
 
     Ties are broken towards the smallest index, so the split coordinate
     of a box is a deterministic function of the box.
     """
-    best, best_w = 0, b.intervals[0].width
-    for i, iv in enumerate(b.intervals[1:], start=1):
-        if iv.width > best_w:
-            best, best_w = i, iv.width
-    return best
+    return _plane(b)[0]
 
 
 def can_bisect(b: Box) -> bool:
     """True iff the widest coordinate has a midpoint strictly inside it."""
-    iv = b.intervals[widest_coordinate(b)]
-    mid = iv.midpoint
-    return iv.lo < mid < iv.hi
+    return _plane(b)[2]
 
 
 def bisect(b: Box) -> tuple[Box, Box]:
@@ -137,10 +160,9 @@ def bisect(b: Box) -> tuple[Box, Box]:
         If the midpoint is not strictly between the bounds in machine
         arithmetic (zero-width coordinate or float exhaustion).
     """
-    i = widest_coordinate(b)
+    i, mid, ok = _plane(b)
     iv = b.intervals[i]
-    mid = iv.midpoint
-    if not (iv.lo < mid < iv.hi):
+    if not ok:
         raise NotBisectable(
             f"coordinate {i} of width {iv.width!r} cannot be split at {mid!r}"
         )

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError
-from .geometry import Box
+from .geometry import Box, bounds_volume
 from .srp import Histogram, HistogramLeaf
-from .tree import RPTree
+from .tree import RPTree, cell_bounds, cell_boxes
 
 HISTOGRAM_FORMAT = "rphist-histogram"
 HISTOGRAM_VERSION = 1
@@ -121,13 +121,13 @@ def load_histogram(path) -> Histogram:
         raise ParseError(f"{path}: unsupported version {obj.get('version')}")
     root_box = _box_from_json(obj["root_box"])
     labels = [int(rec["label"]) for rec in obj["leaves"]]
-    tree = RPTree.from_leaves(root_box, labels)
+    RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
     n = int(obj["n"])
+    lo, hi, *_ = cell_bounds(root_box, labels)
+    boxes = cell_boxes(root_box, lo, hi)
     leaves = []
-    for rec in obj["leaves"]:
-        label = int(rec["label"])
-        box = tree.cell_box(label)
-        vol = box.volume
+    for rec, label, box, vol in zip(obj["leaves"], labels, boxes,
+                                    bounds_volume(lo, hi).tolist()):
         count = int(rec["count"])
         leaves.append(HistogramLeaf(label, box, count, vol, count / (n * vol)))
     if sum(leaf.count for leaf in leaves) != n:

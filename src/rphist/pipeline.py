@@ -253,6 +253,10 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
             "leaf_count": estimate.srp.leaf_count,
             "penalized_score": estimate.penalized_score,
             "cv_score": estimate.cv_score,
+            "cv_curve": [{"tau": pt.tau, "cv_score": pt.cv_score,
+                          "leaf_count": pt.leaf_count} for pt in estimate.cv_curve],
+            "tau_at_grid_edge": estimate.tau in (estimate.cv_curve[0].tau,
+                                                 estimate.cv_curve[-1].tau),
         },
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DEFAULT_PAD, Box, bounding_box, volume_at_depth
+from .geometry import DEFAULT_PAD, Box, bounding_box, split_plane, volume_at_depth
 from .srp import SRP, assign_leaves, ingest
 from .tree import RPTree, cell_bounds, depth
 
@@ -140,16 +140,9 @@ class PqmcPath:
 def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
     """Leaves that the chain may split: non-empty, within the depth cap,
     and bisectable in machine arithmetic."""
-    out = set()
-    for label in s.tree.leaves():
-        if s.counts.get(label, 0) <= 0:
-            continue
-        if depth(label) >= cfg.max_depth:
-            continue
-        lo, hi, axis, mid = cell_bounds(s.tree.root_box, label)
-        if lo[axis] < mid < hi[axis]:
-            out.add(label)
-    return out
+    labels = [v for v in s.nonempty_leaves() if depth(v) < cfg.max_depth]
+    splittable = cell_bounds(s.tree.root_box, labels).splittable.tolist()
+    return {v for v, ok in zip(labels, splittable) if ok}
 
 
 class _LeafPool:
@@ -171,19 +164,16 @@ class _LeafPool:
                 raise ValueError(
                     f"initial SRP count at leaf {label} does not match the data"
                 )
-            lo, hi, axis, mid = cell_bounds(s0.tree.root_box, label)
-            self._admit(label, idx, lo, hi, axis, mid)
+        cells = cell_bounds(s0.tree.root_box, list(assignment))
+        for (label, idx), *cell in zip(assignment.items(), *cells):
+            self._admit(label, idx, *cell)
 
     def _psi(self, count: int, label: int) -> float:
         vol = volume_at_depth(self.root_volume, depth(label))
         return self.priority.value(count, vol, self.n)
 
-    def _admit(self, label, idx, lo, hi, axis, mid):
-        if len(idx) == 0:
-            return
-        if depth(label) >= self.cfg.max_depth:
-            return
-        if not (lo[axis] < mid < hi[axis]):
+    def _admit(self, label, idx, lo, hi, axis, mid, splittable):
+        if len(idx) == 0 or depth(label) >= self.cfg.max_depth or not splittable:
             return
         self.info[label] = (idx, lo, hi, axis, mid)
         heapq.heappush(self.heap, (-self._psi(len(idx), label), label))
@@ -208,25 +198,16 @@ class _LeafPool:
     def split(self, label: int) -> SplitRecord:
         idx, lo, hi, axis, mid = self.info.pop(label)
         right = self.points[idx, axis] >= mid
-        idx_r = idx[right]
-        idx_l = idx[~right]
-        lo_r = list(lo)
-        lo_r[axis] = mid
-        hi_l = list(hi)
-        hi_l[axis] = mid
-        self._admit(2 * label, idx_l, lo, hi_l, *_split_plane_of(lo, hi_l))
-        self._admit(2 * label + 1, idx_r, lo_r, hi, *_split_plane_of(lo_r, hi))
+        kid_idx = (idx[~right], idx[right])
+        kid_lo = np.array([lo, lo])
+        kid_hi = np.array([hi, hi])
+        kid_hi[0, axis] = mid  # left child
+        kid_lo[1, axis] = mid  # right child
+        for kid in zip((2 * label, 2 * label + 1), kid_idx, kid_lo, kid_hi,
+                       *split_plane(kid_lo, kid_hi)):
+            self._admit(*kid)
         self.leaf_count += 1
-        return SplitRecord(label, len(idx_l), len(idx_r))
-
-
-def _split_plane_of(lo, hi):
-    axis, best = 0, hi[0] - lo[0]
-    for i in range(1, len(lo)):
-        w = hi[i] - lo[i]
-        if w > best:
-            axis, best = i, w
-    return axis, lo[axis] + (hi[axis] - lo[axis]) / 2.0
+        return SplitRecord(label, len(kid_idx[0]), len(kid_idx[1]))
 
 
 def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
+from .geometry import bounds_volume
 from .pqmc import PqmcPath
 from .srp import SRP, log_likelihood
 from .tree import cell_bounds
@@ -45,13 +46,24 @@ class SmoothingConfig:
 
 
 @dataclass(frozen=True)
+class CurvePoint:
+    """The MAP state at one grid ``tau``: its CV score and leaf count."""
+
+    tau: float
+    cv_score: float
+    leaf_count: int
+
+
+@dataclass(frozen=True)
 class ScoredEstimate:
-    """A selected SRP state with its smoothing diagnostics."""
+    """A selected SRP state with its smoothing diagnostics; ``cv_curve``
+    has one point per grid ``tau`` from :func:`select`, none otherwise."""
 
     srp: SRP
     tau: float
     penalized_score: float
     cv_score: float
+    cv_curve: tuple[CurvePoint, ...] = ()
 
 
 def penalized_score(s: SRP, tau: float) -> float:
@@ -85,23 +97,14 @@ def _cv_from_terms(a: float, b: float, n: int) -> float:
 
 def _leaf_cv_terms(s: SRP) -> tuple[float, float]:
     """(sum c^2/v, sum c(c-1)/v) over the leaves of an SRP."""
+    labels = s.nonempty_leaves()
+    lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
     a = b = 0.0
-    for label in s.tree.leaves():
-        c = s.counts.get(label, 0)
-        if c == 0:
-            continue
-        vol = _cell_volume(s.tree.root_box, label)
+    for label, vol in zip(labels, bounds_volume(lo, hi).tolist()):
+        c = s.counts[label]
         a += c * c / vol
         b += c * (c - 1) / vol
     return a, b
-
-
-def _cell_volume(root_box, label) -> float:
-    lo, hi, _, _ = cell_bounds(root_box, label)
-    vol = 1.0
-    for x, y in zip(lo, hi):
-        vol *= y - x
-    return vol
 
 
 @dataclass(frozen=True)
@@ -142,24 +145,20 @@ def path_profile(path: PqmcPath) -> PathProfile:
     def ll_term(c, vol):
         return c * np.log(c / (n * vol)) if c > 0 else 0.0
 
-    for t, rec in enumerate(path.records, start=1):
-        lo, hi, axis, mid = cell_bounds(root_box, rec.label)
-        vol = 1.0
-        for x, y in zip(lo, hi):
-            vol *= y - x
-        vol_l = vol / (hi[axis] - lo[axis]) * (mid - lo[axis])
-        vol_r = vol / (hi[axis] - lo[axis]) * (hi[axis] - mid)
+    lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in path.records])
+    rows = np.arange(len(axis))
+    width = hi[rows, axis] - lo[rows, axis]
+    vol = bounds_volume(lo, hi)
+    vol_l = vol / width * (mid - lo[rows, axis])
+    vol_r = vol / width * (hi[rows, axis] - mid)
+    for t, (rec, v, vl, vr) in enumerate(
+            zip(path.records, vol.tolist(), vol_l.tolist(), vol_r.tolist()), start=1):
         cl, cr = rec.left_count, rec.right_count
         c = cl + cr
         m[t] = m[t - 1] + 1
-        ll[t] = ll[t - 1] + ll_term(cl, vol_l) + ll_term(cr, vol_r) - ll_term(c, vol)
-        a[t] = a[t - 1] + cl * cl / vol_l + cr * cr / vol_r - c * c / vol
-        b[t] = (
-            b[t - 1]
-            + cl * (cl - 1) / vol_l
-            + cr * (cr - 1) / vol_r
-            - c * (c - 1) / vol
-        )
+        ll[t] = ll[t - 1] + ll_term(cl, vl) + ll_term(cr, vr) - ll_term(c, v)
+        a[t] = a[t - 1] + cl * cl / vl + cr * cr / vr - c * c / v
+        b[t] = b[t - 1] + cl * (cl - 1) / vl + cr * (cr - 1) / vr - c * (c - 1) / v
     return PathProfile(path, m, ll, a, b)
 
 
@@ -214,9 +213,11 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
         raise EmptyCandidateSet("no candidate paths")
     profiles = [path_profile(p) for p in paths]
     best = None  # (cv, tau, pi, t, score)
+    curve = []
     for tau in cfg.tau_grid:
         pi, t, score = _best_state(profiles, tau)
         cv = profiles[pi].cv(t)
+        curve.append(CurvePoint(float(tau), cv, int(profiles[pi].m[t])))
         if best is None or cv < best[0]:
             best = (cv, tau, pi, t, score)
     cv, tau, pi, t, score = best
@@ -225,4 +226,5 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
         tau=float(tau),
         penalized_score=score,
         cv_score=cv,
+        cv_curve=tuple(curve),
     )

@@ -18,8 +18,8 @@ from .errors import (
     EmptySample,
     PointOutsideRootBox,
 )
-from .geometry import Box, contains
-from .tree import ROOT, RPTree, cell_bounds
+from .geometry import Box, bounds_volume, contains, split_plane
+from .tree import ROOT, RPTree, cell_bounds, cell_boxes
 
 
 def assign_leaves(tree: RPTree, points: np.ndarray) -> dict[int, np.ndarray]:
@@ -31,28 +31,20 @@ def assign_leaves(tree: RPTree, points: np.ndarray) -> dict[int, np.ndarray]:
     lie inside the root box.
     """
     points = np.asarray(points, dtype=float)
+    internal = tree.internal()
+    cells = cell_bounds(tree.root_box, internal)
+    planes = dict(zip(internal, zip(cells.axis.tolist(), cells.mid.tolist())))
     out: dict[int, np.ndarray] = {}
-    lo = [iv.lo for iv in tree.root_box.intervals]
-    hi = [iv.hi for iv in tree.root_box.intervals]
-    stack = [(ROOT, lo, hi, np.arange(len(points)))]
+    stack = [(ROOT, np.arange(len(points)))]
     while stack:
-        label, lo, hi, idx = stack.pop()
-        if tree.is_leaf(label):
+        label, idx = stack.pop()
+        if label not in planes:
             out[label] = idx
             continue
-        axis, best = 0, hi[0] - lo[0]
-        for i in range(1, len(lo)):
-            w = hi[i] - lo[i]
-            if w > best:
-                axis, best = i, w
-        mid = lo[axis] + (hi[axis] - lo[axis]) / 2.0
+        axis, mid = planes[label]
         right = points[idx, axis] >= mid
-        lo_r = list(lo)
-        lo_r[axis] = mid
-        hi_l = list(hi)
-        hi_l[axis] = mid
-        stack.append((2 * label, lo, hi_l, idx[~right]))
-        stack.append((2 * label + 1, lo_r, hi, idx[right]))
+        stack.append((2 * label, idx[~right]))
+        stack.append((2 * label + 1, idx[right]))
     return out
 
 
@@ -176,10 +168,11 @@ def histogram(s: SRP) -> Histogram:
     """The SRP histogram: density ``count / (n * volume)`` per leaf cell."""
     if s.n < 1:
         raise EmptySample("cannot form a histogram from zero points")
+    labels = s.tree.leaves()
+    lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
+    boxes = cell_boxes(s.tree.root_box, lo, hi)
     leaves = []
-    for label in s.tree.leaves():
-        box = s.tree.cell_box(label)
-        vol = box.volume
+    for label, box, vol in zip(labels, boxes, bounds_volume(lo, hi).tolist()):
         c = s.counts.get(label, 0)
         leaves.append(HistogramLeaf(label, box, c, vol, c / (s.n * vol)))
     return Histogram(s.tree.root_box, s.n, tuple(leaves))
@@ -200,21 +193,16 @@ def density_at(h: Histogram, p) -> float:
         return 0.0
     by_label = {leaf.label: leaf for leaf in h.leaves}
     label = ROOT
-    lo = [iv.lo for iv in h.root_box.intervals]
-    hi = [iv.hi for iv in h.root_box.intervals]
+    lo = h.root_box.lows()[None]
+    hi = h.root_box.highs()[None]
     while label not in by_label:
-        axis, best = 0, hi[0] - lo[0]
-        for i in range(1, len(lo)):
-            w = hi[i] - lo[i]
-            if w > best:
-                axis, best = i, w
-        mid = lo[axis] + (hi[axis] - lo[axis]) / 2.0
+        (axis,), (mid,), _ = split_plane(lo, hi)
         if p[axis] >= mid:
             label = 2 * label + 1
-            lo[axis] = mid
+            lo[0, axis] = mid
         else:
             label = 2 * label
-            hi[axis] = mid
+            hi[0, axis] = mid
     return by_label[label].height
 
 
@@ -226,14 +214,10 @@ def log_likelihood(s: SRP) -> float:
     """
     if s.n < 1:
         raise EmptySample("log-likelihood of an empty sample")
+    labels = s.nonempty_leaves()
+    lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
     total = 0.0
-    for label in s.tree.leaves():
-        c = s.counts.get(label, 0)
-        if c == 0:
-            continue
-        lo, hi, _, _ = cell_bounds(s.tree.root_box, label)
-        vol = 1.0
-        for a, b in zip(lo, hi):
-            vol *= b - a
+    for label, vol in zip(labels, bounds_volume(lo, hi).tolist()):
+        c = s.counts[label]
         total += c * np.log(c / (s.n * vol))
     return float(total)

@@ -7,17 +7,24 @@ left and 1 for right), so ancestors are right shifts and the depth is
 the bit length minus one.  Labels are plain Python ints and therefore
 unbounded; nothing caps the depth at a machine word.
 
-A tree stores only its label set.  Cell boxes are recomputed from labels
-on demand, which keeps memory at O(#nodes) independent of the dimension
-and matches the representation used by the distributed builder.
+A tree stores only its label set, which keeps memory at O(#nodes)
+independent of the dimension and matches the representation used by
+the distributed builder.  A cell's bounds are a pure function of its
+label and the root box; :func:`cell_bounds` computes them for a whole
+batch of labels at once, descending one tree level per numpy step, and
+every caller (histogram, likelihood, cross-validation, the builders)
+asks for all the cells it needs in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NotACherry, NotALeaf, NotBisectable, RootHasNoParent
-from .geometry import Box, bisect
+from .geometry import Box, Interval, split_plane
 
 ROOT = 1
 
@@ -41,50 +48,75 @@ def depth(n: int) -> int:
     return n.bit_length() - 1
 
 
-def path_bits(n: int):
-    """Yield the child-direction bits of a label, most significant first.
+class CellBounds(NamedTuple):
+    """Geometry of a batch of cells, one row per label (see :func:`cell_bounds`)."""
 
-    0 means left, 1 means right; the leading 1 of the label is skipped.
-    """
-    for shift in range(n.bit_length() - 2, -1, -1):
-        yield (n >> shift) & 1
+    lo: np.ndarray  # (L, d) lower bounds
+    hi: np.ndarray  # (L, d) upper bounds
+    axis: np.ndarray  # (L,) the cell's own split coordinate
+    mid: np.ndarray  # (L,) the midpoint it splits at
+    splittable: np.ndarray  # (L,) whether that split is valid in floats
 
 
-def cell_bounds(root_box: Box, n: int) -> tuple[list, list, int, float]:
-    """Fast path walk: bounds of the cell of label ``n``.
+def cell_bounds(root_box: Box, labels) -> CellBounds:
+    """Bounds and own split planes (:func:`geometry.split_plane`) of the
+    cells of a batch of labels, one row per label.
 
-    Returns ``(lows, highs, split_axis, split_mid)`` where the last two
-    describe the bisection of this cell (the first widest coordinate and
-    its midpoint).  Works on plain float lists to stay cheap inside the
-    builders; use :func:`cell_box` when a full Box is needed.
+    All cells descend from the root together, one tree level per numpy
+    step, with the float operations of :func:`geometry.bisect`, so each
+    bound is bit-identical to bisecting box by box along the label's
+    path.  The path bits are read from each label's binary digits, so
+    labels of any size, 2**63 and above included, take the same steps.
 
     Raises
     ------
     NotBisectable
-        If some box along the path cannot be split in machine arithmetic.
+        If some box along a path cannot be split in machine arithmetic.
     """
-    lo = [iv.lo for iv in root_box.intervals]
-    hi = [iv.hi for iv in root_box.intervals]
-    axis, mid = _split_plane(lo, hi)
-    for bit in path_bits(n):
-        if not (lo[axis] < mid < hi[axis]):
-            raise NotBisectable(f"cannot bisect along the path to {n}")
-        if bit:
-            lo[axis] = mid
-        else:
-            hi[axis] = mid
-        axis, mid = _split_plane(lo, hi)
-    return lo, hi, axis, mid
+    labels = [int(v) for v in labels]
+    if labels and min(labels) < ROOT:
+        raise ValueError(f"invalid node label {min(labels)}")
+    n, d = len(labels), root_box.dim
+    paths = [bin(v)[3:] for v in labels]  # child directions, root first
+    depths = np.array([len(p) for p in paths], dtype=np.int64)
+    order = np.argsort(-depths, kind="stable")  # deepest first
+    top = int(depths.max(initial=0))
+    text = "".join(paths[i].ljust(top, "0") for i in order.tolist())
+    right = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n, top) == ord("1")
+    # rows still descending at each level: a prefix, since deepest come first
+    alive = np.count_nonzero(depths[:, None] > np.arange(top), axis=0).tolist()
+    # row i holds lo | hi; a left step moves an upper bound, a right step a lower one
+    bounds = np.tile(np.concatenate([root_box.lows(), root_box.highs()]), (n, 1))
+    lo, hi, flat = bounds[:, :d], bounds[:, d:], bounds.reshape(-1)
+    start = np.arange(n) * (2 * d)
+    for level, c in enumerate(alive):
+        axis, mid, ok = split_plane(lo[:c], hi[:c])
+        if not ok.all():
+            bad = labels[order[np.argmin(ok)]]
+            raise NotBisectable(f"cannot bisect along the path to {bad}")
+        flat.put(start[:c] + axis + d * ~right[:c, level], mid)
+    back = np.argsort(order)
+    lo, hi = lo[back], hi[back]
+    return CellBounds(lo, hi, *split_plane(lo, hi))
 
 
-def _split_plane(lo, hi):
-    axis, best = 0, hi[0] - lo[0]
-    for i in range(1, len(lo)):
-        w = hi[i] - lo[i]
-        if w > best:
-            axis, best = i, w
-    a, b = lo[axis], hi[axis]
-    return axis, a + (b - a) / 2.0
+def cell_boxes(root_box: Box, lo: np.ndarray, hi: np.ndarray) -> list[Box]:
+    """Boxes of cells with bounds ``lo``, ``hi`` (:func:`cell_bounds`).
+
+    As in :func:`geometry.bisect`, an end shared with the root box keeps
+    its openness; a moved upper end is open, a moved lower end closed.
+    Cells share equal intervals, as bisected boxes share untouched ones.
+    """
+    root, made = root_box.intervals, {}
+
+    def interval(j, a, b):
+        if (j, a, b) not in made:
+            iv = root[j]
+            made[j, a, b] = Interval(a, b, iv.lo_open and a == iv.lo, iv.hi_open or b != iv.hi)
+        return made[j, a, b]
+
+    return [Box(tuple(interval(j, a, b) for j, (a, b) in enumerate(zip(row_lo, row_hi))))
+            for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
 
 
 @dataclass(frozen=True)
@@ -151,12 +183,8 @@ class RPTree:
         return sum(1 for n in self.nodes if 2 * n not in self.nodes)
 
     def cell_box(self, n: int) -> Box:
-        """Box of the cell addressed by ``n``, rebuilt from the root box.
-
-        Defined for any label, member of the tree or not; the box is the
-        result of bisecting along the bit path of ``n``, taking the left
-        child on 0 and the right child on 1.
-        """
+        """Box of the cell addressed by ``n``, member of the tree or not:
+        the root box bisected along the bits of ``n`` (0 left, 1 right)."""
         return cell_box(self.root_box, n)
 
     def split(self, n: int) -> "RPTree":
@@ -175,8 +203,5 @@ class RPTree:
 
 def cell_box(root_box: Box, n: int) -> Box:
     """Box of label ``n`` under ``root_box`` (see :meth:`RPTree.cell_box`)."""
-    box = root_box
-    for bit in path_bits(n):
-        left, right = bisect(box)
-        box = right if bit else left
-    return box
+    lo, hi, *_ = cell_bounds(root_box, [n])
+    return cell_boxes(root_box, lo, hi)[0]

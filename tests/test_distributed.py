@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,7 +18,6 @@ from rphist.distributed import (
     reconstruct_path,
     truncate_path,
 )
-from rphist.errors import DepthExhausted
 from rphist.geometry import Box, bounding_box
 from rphist.pqmc import (
     PqmcConfig,
@@ -180,12 +179,36 @@ def test_build_conservation_every_iteration():
         assert st.working_points + st.passed_points == len(pts)
 
 
-def test_build_depth_exhausted():
+def test_build_depth_capped_equals_sequential_terminal_state():
+    # over-threshold cells at the depth cap stay leaves, as in the chain
     rng = np.random.default_rng(36)
     pts = rng.uniform(0, 1, size=(50, 2))
     cfg = PqmcConfig(max_depth=2)
-    with pytest.raises(DepthExhausted):
-        build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 2.0, cfg)
+    res = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 2.0, cfg)
+    s0 = ingest(RPTree(unit_box(2)), pts)
+    seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_depth=2))
+    assert res.final_srp == seq.final
+    assert max(res.final_srp.counts[v] for v in res.final_srp.tree.leaves()) > 2.0
+
+
+def test_build_on_duplicate_rows_equals_sequential_terminal_state():
+    # 200 copies of one row can never be separated: the cell holding them
+    # is split until machine precision runs out and then stays a leaf
+    rng = np.random.default_rng(37)
+    pts = np.vstack([rng.standard_normal((5000, 2)),
+                     np.repeat([[0.3, -0.7]], 200, axis=0)])
+    box = bounding_box(pts)
+    carve = carve_path(pts, PqmcConfig(max_leaves=20, tie_break="lowest_label"),
+                       root_box=box)
+    base = build_threshold_tree(pts, box, SEB_PRIORITY, 50.0, CFG, shard_count=2)
+    leaves = base.final_srp.tree.leaves()
+    assert max(leaves).bit_length() > 100
+    assert max(base.final_srp.counts[v] for v in leaves) == 200
+    for threshold in (50.0, 500.0):
+        for launch in launch_states(carve, 3):
+            seq = run_pqmc(launch, pts, SEB_PRIORITY,
+                           PqmcConfig(max_psi=threshold, tie_break="lowest_label"))
+            assert graft(base, launch, threshold).final_srp == seq.final
 
 
 def test_build_big_labels_escape_hatch():
@@ -344,13 +367,8 @@ def test_graft_equals_sequential_terminal_state_on_tied_data(sample):
                                        tie_break="lowest_label"), root_box=box)
     launches = launch_states(carve, 3)
     cfg = PqmcConfig(max_depth=max_depth)
-    bases = []
-    for shards in (1, 2, 3):
-        try:
-            bases.append(build_threshold_tree(pts, box, SEB_PRIORITY, base_threshold,
-                                              cfg, shard_count=shards))
-        except DepthExhausted:
-            assume(False)
+    bases = [build_threshold_tree(pts, box, SEB_PRIORITY, base_threshold, cfg,
+                                  shard_count=shards) for shards in (1, 2, 3)]
     for launch in launches:
         for threshold in thresholds:
             grafted = [graft(base, launch, threshold).final_srp for base in bases]

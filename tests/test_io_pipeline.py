@@ -285,6 +285,15 @@ def test_pipeline_manifest(tmp_path):
     assert man["n"] == 500
     assert len(man["candidates"]) == 2
     assert man["selected"]["leaf_count"] == hist.leaf_count
+    curve = man["selected"]["cv_curve"]
+    assert [pt["tau"] for pt in curve] == pytest.approx(list(cfg.tau_grid()))
+    chosen = [pt for pt in curve if pt["tau"] == est.tau]
+    assert len(chosen) == 1
+    assert chosen[0]["cv_score"] == man["selected"]["cv_score"] == min(
+        pt["cv_score"] for pt in curve)
+    assert chosen[0]["leaf_count"] == hist.leaf_count
+    assert all(pt["leaf_count"] >= 1 for pt in curve)
+    assert man["selected"]["tau_at_grid_edge"] is False  # tau 0.259 on this data
     assert set(man["timings_s"]) >= {"ingest", "carve", "tributary_build",
                                      "tributary_paths", "smoothing"}
     build = man["build"]
@@ -298,9 +307,12 @@ def test_pipeline_manifest(tmp_path):
     back = load_histogram(out)
     assert back.leaf_count == hist.leaf_count
     seq_out = tmp_path / "seq.json"
-    run_pipeline(replace(cfg, sequential=True, out=str(seq_out)), points=pts)
+    run_pipeline(replace(cfg, sequential=True, out=str(seq_out), tau_steps=2),
+                 points=pts)
     seq_man = json.loads((tmp_path / "seq.json.manifest.json").read_text())
     assert seq_man["build"] is None
+    assert len(seq_man["selected"]["cv_curve"]) == 2
+    assert seq_man["selected"]["tau_at_grid_edge"] is True
 
 
 def test_pipeline_default_mode_output_pinned(tmp_path):

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rphist.errors import NotACherry, NotALeaf, RootHasNoParent
-from rphist.geometry import Interval, contains
-from rphist.tree import RPTree, children, depth, parent
+from rphist.errors import NotACherry, NotALeaf, NotBisectable, RootHasNoParent
+from rphist.geometry import (
+    Box,
+    Interval,
+    bisect,
+    bounds_volume,
+    can_bisect,
+    contains,
+    split_plane,
+    volume_at_depth,
+    widest_coordinate,
+)
+from rphist.tree import RPTree, cell_bounds, cell_boxes, children, depth, parent
 
 from conftest import unit_box
 
@@ -130,3 +142,109 @@ def test_deep_tree_beyond_word_size():
     assert depth(label) == 80
     assert label > 2**64
     assert t.cell_box(label).volume == pytest.approx(2.0**-80, rel=1e-9)
+
+
+@st.composite
+def root_boxes(draw, max_dim=4):
+    """Root boxes with exact 2:1 and equal width ratios, widths down to
+    the smallest subnormal, and bounds away from the origin."""
+    d = draw(st.integers(1, max_dim))
+    base = draw(st.one_of(st.sampled_from([1.0, 3.0, 1e-300, 5e-324, 1e-320]),
+                          st.floats(1e-3, 1e3)))
+    lows, highs = [], []
+    for _ in range(d):
+        lo = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+        width = base * draw(st.sampled_from([1.0, 2.0, 0.5]))
+        lows.append(lo)
+        highs.append(lo + width)
+    return Box.from_bounds(lows, highs)
+
+
+def walk(root: Box, label: int):
+    """Reference: bisect box by box along the label's path."""
+    box = root
+    for bit in bin(label)[3:]:
+        left, right = bisect(box)
+        box = right if bit == "1" else left
+    return box
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(root_boxes(), st.lists(st.integers(1, 2**90), min_size=1, max_size=4))
+def test_cell_bounds_equals_box_by_box_bisection(root, labels):
+    boxes = []
+    for label in labels:
+        try:
+            boxes.append(walk(root, label))
+        except NotBisectable:
+            boxes.append(None)
+    if None in boxes:
+        with pytest.raises(NotBisectable):
+            cell_bounds(root, labels)
+    keep = [i for i, box in enumerate(boxes) if box is not None]
+    cells = cell_bounds(root, [labels[i] for i in keep])
+    volumes = bounds_volume(cells.lo, cells.hi)
+    for row, box in enumerate(boxes[i] for i in keep):
+        assert bits(cells.lo[row]) == bits(box.lows())
+        assert bits(cells.hi[row]) == bits(box.highs())
+        assert cells.axis[row] == widest_coordinate(box)
+        assert bits(cells.mid[row]) == bits(box.intervals[cells.axis[row]].midpoint)
+        assert cells.splittable[row] == can_bisect(box)
+        assert bits(volumes[row]) == bits(box.volume)
+    assert cell_boxes(root, cells.lo, cells.hi) == [boxes[i] for i in keep]
+
+
+def test_cell_bounds_raises_on_a_subnormal_width():
+    root = Box.from_bounds([0.0, 0.0], [5e-324, 5e-324])
+    cells = cell_bounds(root, [1])
+    assert not cells.splittable[0]
+    for labels in ([2], [3, 1], [1, 2**70]):
+        with pytest.raises(NotBisectable):
+            cell_bounds(root, labels)
+
+
+def test_cell_bounds_empty_batch_and_invalid_label():
+    cells = cell_bounds(unit_box(3), [])
+    assert cells.lo.shape == (0, 3) and cells.mid.shape == (0,)
+    with pytest.raises(ValueError):
+        cell_bounds(unit_box(3), [2, 0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.data())
+def test_split_plane_is_the_first_widest_midpoint(d, data):
+    coords = st.floats(-1e6, 1e6)
+    lo = np.array(data.draw(st.lists(coords, min_size=d, max_size=d)))
+    hi = lo + np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5, 1e-9]),
+                                          min_size=d, max_size=d)))
+    axis, mid, ok = split_plane(lo[None], hi[None])
+    best = 0
+    for i in range(1, d):
+        if hi[i] - lo[i] > hi[best] - lo[best]:
+            best = i
+    a, b = float(lo[best]), float(hi[best])
+    assert axis[0] == best
+    assert bits(mid[0]) == bits(a + (b - a) / 2.0)
+    assert ok[0] == (a < a + (b - a) / 2.0 < b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.data())
+def test_volume_at_depth_agrees_with_the_bounds_product(d, data):
+    # Priorities use volume_at_depth; the histogram, likelihood and CV use
+    # the product of the cell bounds, which carries the rounding of every
+    # midpoint.  Six halvings per coordinate of a width >= 1 within 10 of
+    # the origin keep that rounding below 1e-12.
+    lows = data.draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d))
+    widths = data.draw(st.lists(st.floats(1, 10), min_size=d, max_size=d))
+    root = Box.from_bounds(lows, [a + w for a, w in zip(lows, widths)])
+    labels = data.draw(st.lists(st.integers(1, 2 ** (6 * d + 1) - 1),
+                                min_size=1, max_size=20))
+    cells = cell_bounds(root, labels)
+    for label, vol in zip(labels, bounds_volume(cells.lo, cells.hi)):
+        assert vol == pytest.approx(volume_at_depth(root.volume, depth(label)),
+                                    rel=1e-12)
