@@ -13,7 +13,6 @@ from .distributed import (
     TaggedDataset,
     apply_splits,
     assemble_srp,
-    backtrack,
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
@@ -23,7 +22,7 @@ from .distributed import (
     truncate_path,
 )
 from .evaluate import EvalReport, GaussianReference, UniformReference, l1_error, make_reference
-from .geometry import Box, Interval, bisect, bounding_box, contains, midpoint, widest_coordinate, width
+from .geometry import Box, Interval, bisect, bounding_box, contains, widest_coordinate
 from .io import export_plot_data, ingest_csv, load_histogram, load_tree, save_histogram, save_tree
 from .pipeline import RunConfig, run_pipeline
 from .pqmc import (
@@ -33,7 +32,6 @@ from .pqmc import (
     SEB_PRIORITY,
     SPC_PRIORITY,
     carve_path,
-    joint_exploration,
     launch_states,
     run_pqmc,
     splittable_leaves,

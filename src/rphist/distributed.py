@@ -1,26 +1,28 @@
-"""Data-parallel threshold splitting over sharded tagged points.
+"""Data-parallel count-threshold splitting over sharded tagged points.
 
 The working representation is the tagged dataset: every point is paired
 with the integer label of the cell it currently lies in, and the pairs
 are spread over shards that never exchange points.  One iteration
 counts points per cell (a per-shard reduce merged by addition), picks
-every cell whose priority exceeds the threshold, and retags the points
-of those cells to the child cell on their side of the splitting
-hyperplane (a purely shard-local map).  Cells at or below the threshold
-can be retired early together with their counts ("pruning"), which
-shrinks the working set without changing the result.
+every cell whose count exceeds the threshold, and retags the points of
+those cells to the child cell on their side of the splitting hyperplane
+(a purely shard-local map).  Cells at or below the threshold are
+retired together with their counts ("pruning"): counts never grow down
+the tree, so they could not be split later, and the working set shrinks
+without changing the result.
 
-The terminal tree only depends on the threshold, not on the order in
-which cells are split, so the result coincides with the tree the
-sequential chain reaches when run to the same threshold; the
-sequential path itself is recovered afterwards by backtracking (merging
-the cherry whose parent has the least priority, repeatedly).
+This is the SEB chain, whose priority is a cell's count.  Its terminal
+tree only depends on the threshold, not on the order in which cells are
+split, so the result coincides with the tree the sequential chain
+reaches when run to the same threshold; the sequential path itself is
+recovered afterwards by reversing a coarsening walk that repeatedly
+merges the cherry with the least parent count (:func:`reconstruct_path`).
 
-For the SEB priority one build from the root serves every tributary:
-the cells with count above a threshold are the same whatever the launch
-state, and fewer for a higher threshold.  So a single build at the
-lowest threshold of a run is grafted onto each launch state for each
-threshold (:func:`graft`) instead of rebuilding per tributary.
+One build from the root serves every tributary: the cells with count
+above a threshold are the same whatever the launch state, and fewer for
+a higher threshold.  So a single build at the lowest threshold of a run
+is grafted onto each launch state for each threshold (:func:`graft`)
+instead of rebuilding per tributary.
 """
 
 from __future__ import annotations
@@ -31,19 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, volume_at_depth
-from .pqmc import (
-    SEB_PRIORITY,
-    PqmcConfig,
-    PqmcPath,
-    Priority,
-    SplitRecord,
-    splittable_leaves,
-)
+from .geometry import Box
+from .pqmc import PqmcConfig, PqmcPath, SplitRecord, splittable_leaves
 from .srp import SRP
 from .tree import ROOT, RPTree, cell_bounds, depth
 
 CountTable = dict[int, int]
+SplitPlanes = dict[int, tuple[int, float]]
 
 # labels above this need more than 63 bits in the child generation
 _INT64_SAFE_MAX = 2**61
@@ -122,37 +118,32 @@ def _map_shards(fn, shards, workers: int):
     return [fn(shard) for shard in shards]
 
 
-def cells_to_split(c: CountTable, root_box: Box, priority: Priority,
-                   threshold: float, cfg: PqmcConfig,
-                   n_total: int | None = None) -> set[int]:
-    """Cells whose priority strictly exceeds the threshold and that can
-    actually be split (depth cap and machine bisectability)."""
-    n = n_total if n_total is not None else sum(c.values())
-    root_volume = root_box.volume
-    labels = []
-    for label, count in c.items():
-        d = depth(label)
-        psi = priority.value(count, volume_at_depth(root_volume, d), n)
-        if psi > threshold and d < cfg.max_depth:
-            labels.append(label)
-    splittable = cell_bounds(root_box, labels).splittable.tolist()
-    return {label for label, ok in zip(labels, splittable) if ok}
+def cells_to_split(c: CountTable, root_box: Box, threshold: float,
+                   cfg: PqmcConfig) -> SplitPlanes:
+    """Cells whose count strictly exceeds the threshold and that can
+    actually be split (depth cap and machine bisectability), each with
+    its split plane ``(axis, mid)``."""
+    labels = [label for label, count in c.items()
+              if count > threshold and depth(label) < cfg.max_depth]
+    cells = cell_bounds(root_box, labels)
+    return {label: (axis, mid) for label, axis, mid, ok in
+            zip(labels, cells.axis.tolist(), cells.mid.tolist(),
+                cells.splittable.tolist()) if ok}
 
 
-def apply_splits(ds: TaggedDataset, split_set: set[int],
+def apply_splits(ds: TaggedDataset, planes: SplitPlanes,
                  workers: int = 1) -> TaggedDataset:
     """Retag the points of every split cell to the child on their side.
 
-    A point below the splitting hyperplane (coordinate < midpoint) goes
-    to the left child ``2a``; a point at or above it goes to the right
-    child ``2a + 1``.  Purely shard-local; other pairs are unchanged.
+    ``planes`` maps each cell to split to its plane ``(axis, mid)``, as
+    :func:`cells_to_split` returns them.  A point below the plane
+    (coordinate < mid) goes to the left child ``2a``; a point at or
+    above it goes to the right child ``2a + 1``.  Purely shard-local;
+    other pairs are unchanged.
     """
-    if not split_set:
+    if not planes:
         return ds
-    labels = list(split_set)
-    cells = cell_bounds(ds.root_box, labels)
-    planes = dict(zip(labels, zip(cells.axis.tolist(), cells.mid.tolist())))
-    widen = max(split_set) > _INT64_SAFE_MAX
+    widen = max(planes) > _INT64_SAFE_MAX
 
     def retag(shard: Shard) -> Shard:
         labels = shard.labels
@@ -181,22 +172,18 @@ def apply_splits(ds: TaggedDataset, split_set: set[int],
 
 
 def prune(ds: TaggedDataset, c: CountTable, threshold: float,
-          priority: Priority, passed: CountTable,
-          n_total: int | None = None, workers: int = 1) -> tuple[TaggedDataset, CountTable]:
-    """Retire every cell at or below the threshold.
+          passed: CountTable, workers: int = 1) -> tuple[TaggedDataset, CountTable]:
+    """Retire every cell whose count is at or below the threshold.
 
     The retired cells' pairs are deleted from the working dataset and
-    their counts move into ``passed``; the threshold never changes, so
-    they could not have been split later anyway.  Working plus passed
-    counts always conserve the total.
+    their counts move into ``passed``; the threshold never changes and
+    counts never grow down the tree, so they could not have been split
+    later anyway.  Working plus passed counts always conserve the total.
     """
-    n = n_total if n_total is not None else sum(c.values())
-    root_volume = ds.root_box.volume
     done = set()
     new_passed = dict(passed)
     for label, count in c.items():
-        psi = priority.value(count, volume_at_depth(root_volume, depth(label)), n)
-        if psi <= threshold:
+        if count <= threshold:
             done.add(label)
             new_passed[label] = new_passed.get(label, 0) + count
     if not done:
@@ -229,47 +216,34 @@ class BuildResult:
     final_srp: SRP
     passed_counts: CountTable
     iterations: int
-    priority: Priority
     threshold: float
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
 
 
-def build_threshold_tree(points, root_box: Box, priority: Priority,
-                         threshold: float, cfg: PqmcConfig,
-                         shard_count: int = 1, workers: int = 1,
-                         use_prune: bool = True) -> BuildResult:
-    """Split every over-threshold cell per iteration until none is left.
+def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
+                         shard_count: int = 1, workers: int = 1) -> BuildResult:
+    """Split every cell with count above the threshold, per iteration,
+    until none is left.
 
     The build starts from the root cell.  The returned SRP is the unique
-    tree in which every leaf either has priority at or below the
-    threshold or is empty; it equals the terminal state of the
-    sequential chain run from the root with ``max_psi = threshold`` and
-    no leaf budget.  For the SEB priority, :func:`graft` derives from it
-    the terminal state for any launch state and any threshold at or
-    above this one.  An over-threshold cell that cannot be split (depth
-    cap or machine precision) stays a leaf, as in the sequential chain.
+    tree in which every leaf has count at or below the threshold; it
+    equals the terminal state of the sequential SEB chain run from the
+    root with ``max_psi = threshold`` and no leaf budget, and
+    :func:`graft` derives from it the terminal state for any launch
+    state and any threshold at or above this one.  An over-threshold
+    cell that cannot be split (depth cap or machine precision) stays a
+    leaf, as in the sequential chain.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.size == 0:
-        points = points.reshape(0, root_box.dim)
     ds = TaggedDataset.from_points(points, root_box, shard_count)
-    n_total = ds.total_points()
     passed: CountTable = {}
     stats: list[IterationStats] = []
-    iterations = 0
     table = count_by_cell(ds, workers)
-    while True:
-        split_set = cells_to_split(table, root_box, priority, threshold, cfg, n_total)
-        if not split_set:
-            break
-        iterations += 1
-        if use_prune:
-            ds, passed = prune(ds, table, threshold, priority, passed,
-                               n_total=n_total, workers=workers)
-        ds = apply_splits(ds, split_set, workers)
+    while planes := cells_to_split(table, root_box, threshold, cfg):
+        ds, passed = prune(ds, table, threshold, passed, workers)
+        ds = apply_splits(ds, planes, workers)
         table = count_by_cell(ds, workers)
         stats.append(IterationStats(
-            split_cells=len(split_set),
+            split_cells=len(planes),
             working_points=sum(table.values()),
             passed_points=sum(passed.values()),
             nonempty_cells=len(table),
@@ -277,8 +251,7 @@ def build_threshold_tree(points, root_box: Box, priority: Priority,
     leaf_counts = dict(passed)
     leaf_counts.update(table)
     final = assemble_srp(root_box, leaf_counts)
-    return BuildResult(final, passed, iterations, priority, float(threshold),
-                       tuple(stats))
+    return BuildResult(final, passed, len(stats), float(threshold), tuple(stats))
 
 
 def assemble_srp(root_box: Box, leaf_counts: CountTable) -> SRP:
@@ -311,25 +284,22 @@ def assemble_srp(root_box: Box, leaf_counts: CountTable) -> SRP:
 def graft(base: BuildResult, launch: SRP, threshold: float) -> BuildResult:
     """Terminal state of the SEB chain from ``launch`` run to ``threshold``.
 
-    SEB priority is a count, and counts never increase down the tree, so
-    the cells with count above ``threshold`` form a subtree from the
-    root that every chain splits, whatever its launch state.  The
-    terminal tree is therefore the launch tree plus both children of
-    every internal node of ``base`` (a root build at a threshold no
-    higher than ``threshold``) whose count exceeds ``threshold``.  The
-    counts come from both SRPs, which agree on the nodes they share.
-    The result has no iterations or passed counts of its own.
+    Counts never increase down the tree, so the cells with count above
+    ``threshold`` form a subtree from the root that every chain splits,
+    whatever its launch state.  The terminal tree is therefore the
+    launch tree plus both children of every internal node of ``base`` (a
+    root build at a threshold no higher than ``threshold``) whose count
+    exceeds ``threshold``.  The counts come from both SRPs, which agree
+    on the nodes they share.  The result has no iterations or passed
+    counts of its own.
 
     Raises
     ------
     ValueError
-        If ``threshold`` is below the base build's threshold, the base
-        build does not use the SEB priority, or ``launch`` holds other
-        data than ``base``.
+        If ``threshold`` is below the base build's threshold, or
+        ``launch`` holds other data than ``base``.
     """
     src = base.final_srp
-    if base.priority != SEB_PRIORITY:
-        raise ValueError("grafting needs a build with the SEB priority")
     if threshold < base.threshold:
         raise ValueError(f"threshold {threshold} is below the base build's "
                          f"{base.threshold}")
@@ -342,88 +312,64 @@ def graft(base: BuildResult, launch: SRP, threshold: float) -> BuildResult:
     counts = {v: src.counts[v] if v in src.counts else launch.counts[v]
               for v in nodes}
     final = SRP(RPTree(src.tree.root_box, frozenset(nodes)), counts, src.n)
-    return BuildResult(final, {}, 0, base.priority, float(threshold))
+    return BuildResult(final, {}, 0, float(threshold))
 
 
-def backtrack(result: BuildResult, stop_state: SRP | None = None) -> list[SRP]:
-    """Coarsening sequence from the final SRP down to the trivial tree.
+def _merge_walk(result: BuildResult, stop_state: SRP) -> list[SplitRecord]:
+    """Merge records of the coarsening walk from the build's final SRP
+    down to ``stop_state``, in merge order.
 
-    Each step merges the cherry whose parent has least priority (ties
-    towards the lowest parent label); the parent's priority is computed
-    from its children's summed counts and its label-derived volume.
-    Reversing the output gives the sequential forward path.  With a
-    ``stop_state`` the merging never coarsens below that tree and stops
-    on reaching it (used to reconstruct chains launched from a
-    non-trivial state).
-    """
-    return [srp for srp, _ in _merge_walk(result, stop_state)]
-
-
-def _merge_walk(result: BuildResult, stop_state: SRP | None,
-                materialize: bool = True):
-    """Yield (SRP, merge record) pairs along the coarsening walk.
-
-    The record describes the merge that produced the state from its
-    predecessor; the first state (the build's final SRP) carries None.
-    With ``materialize=False`` the states are not built (record-only
-    walk for path reconstruction).
+    Each step merges the cherry whose parent has the least count, ties
+    towards the lowest parent label.  The walk never merges a cherry of
+    ``stop_state`` and must end on exactly its tree.
     """
     srp = result.final_srp
-    priority = result.priority
-    n = srp.n
-    root_volume = srp.tree.root_box.volume
     nodes = set(srp.tree.nodes)
     counts = srp.counts
-    frozen_internal = frozenset(stop_state.tree.internal()) if stop_state is not None else frozenset()
-    target_nodes = len(stop_state.tree.nodes) if stop_state is not None else 1
-
-    def parent_psi(p: int) -> float:
-        return priority.value(counts.get(p, 0),
-                              volume_at_depth(root_volume, depth(p)), n)
+    frozen_internal = frozenset(stop_state.tree.internal())
+    target_nodes = len(stop_state.tree.nodes)
 
     def is_leaf(v: int) -> bool:
         return 2 * v not in nodes
 
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple[int, int]] = []
     for p in srp.tree.internal():
-        if p in frozen_internal:
-            continue
-        if is_leaf(2 * p) and is_leaf(2 * p + 1):
-            heapq.heappush(heap, (parent_psi(p), p))
-    yield srp, None
+        if p not in frozen_internal and is_leaf(2 * p) and is_leaf(2 * p + 1):
+            heapq.heappush(heap, (counts.get(p, 0), p))
+    records = []
     while len(nodes) > target_nodes:
         if not heap:
             raise ValueError("no mergeable cherry left; inconsistent stop state")
-        psi, p = heapq.heappop(heap)
+        _, p = heapq.heappop(heap)
         left, right = 2 * p, 2 * p + 1
         nodes.discard(left)
         nodes.discard(right)
-        state = None
-        if materialize:
-            state = SRP(RPTree(srp.tree.root_box, frozenset(nodes)), counts, n)
-        yield state, SplitRecord(p, counts.get(left, 0), counts.get(right, 0))
+        records.append(SplitRecord(p, counts.get(left, 0), counts.get(right, 0)))
         if p > ROOT:
             q = p >> 1
             if q not in frozen_internal and is_leaf(2 * q) and is_leaf(2 * q + 1):
-                heapq.heappush(heap, (parent_psi(q), q))
-    if stop_state is not None and nodes != set(stop_state.tree.nodes):
+                heapq.heappush(heap, (counts.get(q, 0), q))
+    if nodes != set(stop_state.tree.nodes):
         raise ValueError("backtracking did not reach the stop state")
+    return records
 
 
 def reconstruct_path(result: BuildResult, initial: SRP | None = None) -> PqmcPath:
-    """The sequential forward path implied by a threshold build.
+    """The sequential SEB path implied by a threshold build.
 
-    Backtracks from the final SRP to ``initial`` (the trivial root SRP
-    when omitted) and reverses the merges into split records.  On data
-    where all step priorities are distinct this is exactly the path the
-    sequential chain takes; under ties it is one valid realization.
+    Coarsens the final SRP down to ``initial`` (the trivial root SRP
+    when omitted) by repeatedly merging the cherry with the least parent
+    count, and reverses those merges into split records, so the counts
+    of the split cells never increase along the path, as in the chain.
+    On data where all split counts are distinct this is exactly the path
+    the sequential chain takes; under ties it is one valid realization.
+    ``path.states()`` materializes every state.
     """
     if initial is None:
         root_counts = {ROOT: result.final_srp.n}
         initial = SRP(RPTree(result.final_srp.tree.root_box), root_counts,
                       result.final_srp.n)
-    records = [rec for _, rec in _merge_walk(result, initial, materialize=False)
-               if rec is not None]
+    records = _merge_walk(result, initial)
     records.reverse()
     return PqmcPath(
         initial=initial,
@@ -434,13 +380,13 @@ def reconstruct_path(result: BuildResult, initial: SRP | None = None) -> PqmcPat
     )
 
 
-def truncate_path(path: PqmcPath, max_leaves: int | None, priority: Priority,
-                  threshold: float, cfg: PqmcConfig) -> PqmcPath:
+def truncate_path(path: PqmcPath, max_leaves: int | None, threshold: float,
+                  cfg: PqmcConfig) -> PqmcPath:
     """Cut a path at a leaf budget and re-derive its success flag.
 
     Mirrors the sequential stopping rule: the chain would have halted on
     reaching ``max_leaves`` leaves, successful only if no splittable
-    leaf above the threshold remains at that point.
+    leaf with count above the threshold remains at that point.
     """
     m0 = path.initial.leaf_count
     if max_leaves is None or m0 + path.split_count <= max_leaves:
@@ -449,14 +395,7 @@ def truncate_path(path: PqmcPath, max_leaves: int | None, priority: Priority,
     kept = PqmcPath(path.initial, path.records[:keep], "max_leaves",
                     path.success, path.had_ties)
     final = kept.final
-    n = final.n
-    root_volume = final.tree.root_box.volume
-    success = True
-    for v in splittable_leaves(final, cfg):
-        psi = priority.value(final.counts.get(v, 0),
-                             volume_at_depth(root_volume, depth(v)), n)
-        if psi > threshold:
-            success = False
-            break
+    success = all(final.counts.get(v, 0) <= threshold
+                  for v in splittable_leaves(final, cfg))
     return PqmcPath(kept.initial, kept.records, "max_leaves", success,
                     kept.had_ties)

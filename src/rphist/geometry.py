@@ -57,16 +57,6 @@ class Interval:
         return above and below
 
 
-def width(iv: Interval) -> float:
-    """Width ``hi - lo`` of an interval."""
-    return iv.width
-
-
-def midpoint(iv: Interval) -> float:
-    """Midpoint of an interval, computed as ``lo + (hi - lo)/2``."""
-    return iv.midpoint
-
-
 @dataclass(frozen=True)
 class Box:
     """An axis-aligned box: an ordered tuple of intervals, one per coordinate."""

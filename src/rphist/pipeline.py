@@ -29,7 +29,7 @@ from .distributed import (
     reconstruct_path,
     truncate_path,
 )
-from .errors import PointOutsideRootBox
+from .errors import InsufficientData, PointOutsideRootBox
 from .geometry import DEFAULT_PAD, bounding_box
 from .io import histogram_to_json, ingest_csv, save_histogram
 from .pqmc import (
@@ -119,7 +119,9 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     Points come from ``cfg.input_path`` unless passed directly.  With a
     fixed seed and config the written histogram JSON is byte-identical
     across runs; the manifest also records wall-clock timings and is
-    therefore not.
+    therefore not.  Fewer than two points inside the root box raise
+    :class:`~rphist.errors.InsufficientData` before anything is built
+    or written.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -138,6 +140,9 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         if cfg.strict:
             raise PointOutsideRootBox(f"{dropped_points} points outside the root box")
         points = points[inside]
+    if len(points) < 2:
+        raise InsufficientData(f"need at least 2 points inside the root box, "
+                               f"got {len(points)}")
     timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -156,7 +161,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     base = None
     if not cfg.sequential:
         base = build_threshold_tree(
-            points, root_box, SEB_PRIORITY, float(min(cfg.maxpts)),
+            points, root_box, float(min(cfg.maxpts)),
             PqmcConfig(max_depth=cfg.max_depth),
             shard_count=cfg.shards, workers=cfg.workers,
         )
@@ -180,8 +185,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             else:
                 path = reconstruct_path(graft(base, state, float(maxpts)),
                                         initial=state)
-                path = truncate_path(path, cfg.maxlvs, SEB_PRIORITY,
-                                     float(maxpts), seb_cfg)
+                path = truncate_path(path, cfg.maxlvs, float(maxpts), seb_cfg)
             paths.append(path)
             candidates.append({
                 "maxpts": int(maxpts),

@@ -19,7 +19,7 @@ smoothing stage scores.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -295,21 +295,3 @@ def tributary_seed(base_seed: int, index: int) -> int:
     ss = np.random.SeedSequence([int(base_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-def joint_exploration(points, carve_cfg: PqmcConfig, seb_cfg: PqmcConfig,
-                      c: int, root_box: Box | None = None,
-                      pad: float = DEFAULT_PAD) -> list[PqmcPath]:
-    """Carve, then launch one SEB chain per spread-out carve state.
-
-    Returns the ``c`` tributary paths; their states are the candidate
-    set for smoothing.  Tributary ``i`` runs with the seed
-    ``tributary_seed(seb_cfg.rng_seed, i)``, so any single tributary can
-    be replayed with a standalone :func:`run_pqmc` call.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    carve = carve_path(points, carve_cfg, root_box=root_box, pad=pad)
-    paths = []
-    for i, state in enumerate(launch_states(carve, c)):
-        cfg_i = replace(seb_cfg, rng_seed=tributary_seed(seb_cfg.rng_seed, i))
-        paths.append(run_pqmc(state, points, SEB_PRIORITY, cfg_i))
-    return paths

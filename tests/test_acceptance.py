@@ -15,15 +15,15 @@ from rphist.distributed import (
     TaggedDataset,
     apply_splits,
     assemble_srp,
-    backtrack,
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
+    reconstruct_path,
 )
 from rphist.evaluate import GaussianReference, l1_error
 from rphist.geometry import bounding_box
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY
+from rphist.pqmc import PqmcConfig
 from rphist.smoothing import cv_score
 from rphist.srp import histogram, ingest
 from rphist.tree import RPTree
@@ -62,7 +62,7 @@ def test_criterion_2_normalization_and_conservation():
         box = bounding_box(pts)
         threshold = float(rng.integers(1, max(2, n // 4)))
         shards = int(rng.integers(1, 5))
-        res = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG,
+        res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=shards)
         srp = res.final_srp
         leaf_total = sum(srp.counts.get(v, 0) for v in srp.tree.leaves())
@@ -92,13 +92,13 @@ def test_criterion_3_sequential_parallel_equivalence():
         if inst is None:
             continue
         pts, box, threshold, seq = inst
-        res = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG,
+        res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=int(1 + instances % 4))
         if res.final_srp != seq.final:
             mismatches += 1
-        rev = list(reversed(backtrack(res)))
+        path = reconstruct_path(res).states()
         states = seq.states()
-        if len(rev) != len(states) or any(a != b for a, b in zip(rev, states)):
+        if len(path) != len(states) or any(a != b for a, b in zip(path, states)):
             mismatches += 1
         instances += 1
     assert mismatches == 0
@@ -117,19 +117,19 @@ def test_criterion_4_order_invariance():
         pts = random_points(rng, n, d)
         box = bounding_box(pts)
         threshold = float(rng.integers(2, max(3, n // 8)))
-        reference = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG)
+        reference = build_threshold_tree(pts, box, threshold, CFG)
         for order in range(10):
             order_rng = np.random.default_rng(instance * 100 + order)
             ds = TaggedDataset.from_points(pts, box, shard_count=2)
             while True:
                 table = count_by_cell(ds)
-                eligible = cells_to_split(table, box, SEB_PRIORITY, threshold, CFG)
+                eligible = cells_to_split(table, box, threshold, CFG)
                 if not eligible:
                     break
                 pool = sorted(eligible)
                 k = int(order_rng.integers(1, len(pool) + 1))
                 pick = order_rng.choice(len(pool), size=k, replace=False)
-                ds = apply_splits(ds, {pool[i] for i in pick})
+                ds = apply_splits(ds, {pool[i]: eligible[pool[i]] for i in pick})
             final = assemble_srp(box, count_by_cell(ds))
             assert final == reference.final_srp
     elapsed = time.perf_counter() - t0
@@ -159,7 +159,7 @@ def test_criterion_6_shard_invariance():
     for shards, workers in ((1, 1), (2, 2), (4, 4), (8, 4)):
         t1 = time.perf_counter()
         results[shards] = build_threshold_tree(
-            pts, box, SEB_PRIORITY, 500.0, CFG, shard_count=shards,
+            pts, box, 500.0, CFG, shard_count=shards,
             workers=workers,
         )
         times[shards] = time.perf_counter() - t1
@@ -229,7 +229,7 @@ def test_criterion_8_ten_dimensional_run(tmp_path):
     assert sum(leaf.count for leaf in hist.leaves) == 1_000_000
     # prune-phase conservation at the same scale
     box = bounding_box(pts)
-    res = build_threshold_tree(pts, box, SEB_PRIORITY, 2000.0, CFG,
+    res = build_threshold_tree(pts, box, 2000.0, CFG,
                                shard_count=4, workers=2)
     assert res.stats
     for st in res.stats:

@@ -9,7 +9,6 @@ from rphist.distributed import (
     TaggedDataset,
     apply_splits,
     assemble_srp,
-    backtrack,
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
@@ -65,24 +64,25 @@ def test_count_by_cell_shard_invariant():
 
 def test_cells_to_split_threshold_strict():
     table = {1: 10}
-    assert cells_to_split(table, unit_box(2), SEB_PRIORITY, 5.0, CFG) == {1}
-    assert cells_to_split(table, unit_box(2), SEB_PRIORITY, 10.0, CFG) == set()
+    # the unit square's root splits its first coordinate at 0.5
+    assert cells_to_split(table, unit_box(2), 5.0, CFG) == {1: (0, 0.5)}
+    assert cells_to_split(table, unit_box(2), 10.0, CFG) == {}
 
 
 def test_cells_to_split_depth_capped():
     table = {4: 10, 5: 10}  # depth 2
     cfg = PqmcConfig(max_depth=2)
-    assert cells_to_split(table, unit_box(2), SEB_PRIORITY, 1.0, cfg) == set()
+    assert cells_to_split(table, unit_box(2), 1.0, cfg) == {}
 
 
 def test_apply_splits_empty_set_is_identity():
     ds = fig7_dataset()
-    assert apply_splits(ds, set()) is ds
+    assert apply_splits(ds, {}) is ds
 
 
 def test_apply_splits_retags_only_split_cells():
     ds = fig7_dataset(1)
-    out = apply_splits(ds, {2})
+    out = apply_splits(ds, {2: (1, 0.5)})
     labels = list(out.shards[0].labels)
     # cell 2 is [0, 0.5) x [0, 1], split on y at 0.5: below -> 4, at/above -> 5
     assert labels == [4, 5, 6, 7, 6, 5]
@@ -91,17 +91,17 @@ def test_apply_splits_retags_only_split_cells():
 def test_apply_splits_point_on_hyperplane_goes_right():
     pts = np.array([[0.5, 0.25], [0.49, 0.25]])
     ds = TaggedDataset.from_points(pts, unit_box(2))
-    out = apply_splits(ds, {1})
+    out = apply_splits(ds, {1: (0, 0.5)})
     assert list(out.shards[0].labels) == [3, 2]
 
 
 def test_prune_moves_counts():
     ds = fig7_dataset()
     table = count_by_cell(ds)
-    kept, passed = prune(ds, table, 10.0, SEB_PRIORITY, {})
+    kept, passed = prune(ds, table, 10.0, {})
     assert kept.total_points() == 0
     assert passed == {2: 3, 6: 2, 7: 1}
-    same, passed2 = prune(ds, table, 0.5, SEB_PRIORITY, {})
+    same, passed2 = prune(ds, table, 0.5, {})
     assert passed2 == {}
     assert same.total_points() == 6
 
@@ -109,7 +109,7 @@ def test_prune_moves_counts():
 def test_build_trivial_when_threshold_at_n():
     rng = np.random.default_rng(32)
     pts = rng.uniform(0, 1, size=(20, 2))
-    res = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 20.0, CFG)
+    res = build_threshold_tree(pts, unit_box(2), 20.0, CFG)
     assert res.iterations == 0
     assert res.final_srp.leaf_count == 1
     assert res.final_srp.counts[1] == 20
@@ -117,7 +117,7 @@ def test_build_trivial_when_threshold_at_n():
 
 def test_build_fig7_style_matches_sequential():
     pts = fig7_dataset(1).shards[0].points
-    res = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 2.0, CFG)
+    res = build_threshold_tree(pts, unit_box(2), 2.0, CFG)
     s0 = ingest(RPTree(unit_box(2)), pts)
     seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, tie_break="lowest_label"))
     assert res.final_srp == seq.final
@@ -135,13 +135,13 @@ def test_build_threshold_equals_sequential_random():
             continue
         found += 1
         pts, box, threshold, seq = inst
-        res = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG,
+        res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=3)
         assert res.final_srp == seq.final
-        rev = list(reversed(backtrack(res)))
+        path = reconstruct_path(res).states()
         states = seq.states()
-        assert len(rev) == len(states)
-        for a, b in zip(rev, states):
+        assert len(path) == len(states)
+        for a, b in zip(path, states):
             assert a == b
 
 
@@ -150,7 +150,7 @@ def test_build_shard_invariance_small():
     pts = random_points(rng, 2000, 2)
     box = bounding_box(pts)
     results = [
-        build_threshold_tree(pts, box, SEB_PRIORITY, 50.0, CFG, shard_count=s)
+        build_threshold_tree(pts, box, 50.0, CFG, shard_count=s)
         for s in (1, 2, 4, 8)
     ]
     for r in results[1:]:
@@ -159,24 +159,35 @@ def test_build_shard_invariance_small():
         assert r.iterations == results[0].iterations
 
 
-def test_build_without_prune_same_result():
-    rng = np.random.default_rng(34)
-    pts = random_points(rng, 1500, 2)
-    box = bounding_box(pts)
-    a = build_threshold_tree(pts, box, SEB_PRIORITY, 40.0, CFG, use_prune=True)
-    b = build_threshold_tree(pts, box, SEB_PRIORITY, 40.0, CFG, use_prune=False)
-    assert a.final_srp == b.final_srp
-    assert b.passed_counts == {}
-
-
 def test_build_conservation_every_iteration():
     rng = np.random.default_rng(35)
     pts = random_points(rng, 3000, 3)
     box = bounding_box(pts)
-    res = build_threshold_tree(pts, box, SEB_PRIORITY, 25.0, CFG, shard_count=4)
+    res = build_threshold_tree(pts, box, 25.0, CFG, shard_count=4)
     assert res.stats, "expected at least one iteration"
     for st in res.stats:
         assert st.working_points + st.passed_points == len(pts)
+
+
+def test_build_computes_cell_bounds_once_per_iteration(monkeypatch):
+    # cells_to_split hands its split planes to apply_splits, so each
+    # iteration needs one batch, plus the final one that finds no cell
+    import rphist.distributed as distributed
+
+    calls = 0
+    real = distributed.cell_bounds
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distributed, "cell_bounds", counted)
+    rng = np.random.default_rng(39)
+    pts = random_points(rng, 2000, 2)
+    res = build_threshold_tree(pts, bounding_box(pts), 20.0, CFG, shard_count=2)
+    assert res.iterations > 3
+    assert calls == res.iterations + 1
 
 
 def test_build_depth_capped_equals_sequential_terminal_state():
@@ -184,7 +195,7 @@ def test_build_depth_capped_equals_sequential_terminal_state():
     rng = np.random.default_rng(36)
     pts = rng.uniform(0, 1, size=(50, 2))
     cfg = PqmcConfig(max_depth=2)
-    res = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 2.0, cfg)
+    res = build_threshold_tree(pts, unit_box(2), 2.0, cfg)
     s0 = ingest(RPTree(unit_box(2)), pts)
     seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_depth=2))
     assert res.final_srp == seq.final
@@ -200,7 +211,7 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     box = bounding_box(pts)
     carve = carve_path(pts, PqmcConfig(max_leaves=20, tie_break="lowest_label"),
                        root_box=box)
-    base = build_threshold_tree(pts, box, SEB_PRIORITY, 50.0, CFG, shard_count=2)
+    base = build_threshold_tree(pts, box, 50.0, CFG, shard_count=2)
     leaves = base.final_srp.tree.leaves()
     assert max(leaves).bit_length() > 100
     assert max(base.final_srp.counts[v] for v in leaves) == 200
@@ -215,7 +226,7 @@ def test_build_big_labels_escape_hatch():
     # two points closer than 2**-64 apart force splits past 64-bit labels
     pts = np.array([[0.0, 0.0], [2.0**-70, 0.0]])
     box = Box.from_bounds([0.0, -0.5], [1.0, 0.5])
-    res = build_threshold_tree(pts, box, SEB_PRIORITY, 1.0, CFG)
+    res = build_threshold_tree(pts, box, 1.0, CFG)
     leaves = res.final_srp.tree.leaves()
     assert max(leaves) > 2**64
     nonempty = [v for v in leaves if res.final_srp.counts[v] == 1]
@@ -233,7 +244,7 @@ def test_prune_on_object_dtype_labels():
     ds = TaggedDataset((Shard(labels, pts),), unit_box(2))
     table = count_by_cell(ds)
     assert table == {deep: 2, 3: 1}
-    kept, passed = prune(ds, table, 1.0, SEB_PRIORITY, {})
+    kept, passed = prune(ds, table, 1.0, {})
     assert passed == {3: 1}
     assert list(kept.shards[0].labels) == [deep, deep]
 
@@ -242,18 +253,19 @@ def test_order_invariance_random_schedulers():
     rng = np.random.default_rng(37)
     pts = random_points(rng, 800, 2)
     box = bounding_box(pts)
-    reference = build_threshold_tree(pts, box, SEB_PRIORITY, 30.0, CFG)
+    reference = build_threshold_tree(pts, box, 30.0, CFG)
     for trial in range(6):
         order_rng = np.random.default_rng(1000 + trial)
         ds = TaggedDataset.from_points(pts, box, shard_count=2)
         while True:
             table = count_by_cell(ds)
-            eligible = cells_to_split(table, box, SEB_PRIORITY, 30.0, CFG)
+            eligible = cells_to_split(table, box, 30.0, CFG)
             if not eligible:
                 break
             pool = sorted(eligible)
             k = int(order_rng.integers(1, len(pool) + 1))
-            chosen = {pool[i] for i in order_rng.choice(len(pool), size=k, replace=False)}
+            chosen = {pool[i]: eligible[pool[i]]
+                      for i in order_rng.choice(len(pool), size=k, replace=False)}
             ds = apply_splits(ds, chosen)
         final = assemble_srp(box, count_by_cell(ds))
         assert final == reference.final_srp
@@ -261,8 +273,8 @@ def test_order_invariance_random_schedulers():
 
 def test_backtrack_root_only():
     pts = np.array([[0.5, 0.5]])
-    res = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 5.0, CFG)
-    seq = backtrack(res)
+    res = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
+    seq = reconstruct_path(res).states()
     assert len(seq) == 1
     assert seq[0] == res.final_srp
 
@@ -274,8 +286,9 @@ def test_backtrack_merge_order_ascending_parent_priority():
         inst = tie_free_instance(seed)
         seed += 1
     pts, box, threshold, _ = inst
-    res = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG)
-    states = backtrack(res)
+    res = build_threshold_tree(pts, box, threshold, CFG)
+    # merge order is the reversed path: from the final SRP down to the root
+    states = reconstruct_path(res).states()[::-1]
     merged_counts = []
     for before, after in zip(states, states[1:]):
         gone = before.tree.nodes - after.tree.nodes
@@ -303,7 +316,7 @@ def test_reconstruct_path_from_launch_state():
         if seq.had_ties:
             continue
         found += 1
-        base = build_threshold_tree(pts, box, SEB_PRIORITY, threshold, CFG,
+        base = build_threshold_tree(pts, box, threshold, CFG,
                                     shard_count=2)
         res = graft(base, launch, threshold)
         assert res.final_srp == seq.final
@@ -332,7 +345,7 @@ def test_reconstruct_never_merges_into_the_launch_state():
     assert min(cl + cr for cl, cr in
                ((r.left_count, r.right_count) for r in seq.records)) > 3
 
-    base = build_threshold_tree(pts, box, SEB_PRIORITY, 10.0, CFG, shard_count=2)
+    base = build_threshold_tree(pts, box, 10.0, CFG, shard_count=2)
     par = reconstruct_path(graft(base, launch, 10.0), initial=launch)
     assert par.records == seq.records
     assert par.final == seq.final
@@ -367,7 +380,7 @@ def test_graft_equals_sequential_terminal_state_on_tied_data(sample):
                                        tie_break="lowest_label"), root_box=box)
     launches = launch_states(carve, 3)
     cfg = PqmcConfig(max_depth=max_depth)
-    bases = [build_threshold_tree(pts, box, SEB_PRIORITY, base_threshold, cfg,
+    bases = [build_threshold_tree(pts, box, base_threshold, cfg,
                                   shard_count=shards) for shards in (1, 2, 3)]
     for launch in launches:
         for threshold in thresholds:
@@ -381,17 +394,14 @@ def test_graft_equals_sequential_terminal_state_on_tied_data(sample):
                     assert srp == seq.final
 
 
-def test_graft_rejects_lower_threshold_and_other_priority():
+def test_graft_rejects_lower_threshold():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = ingest(RPTree(unit_box(2)), pts)
-    base = build_threshold_tree(pts, unit_box(2), SEB_PRIORITY, 5.0, CFG)
+    base = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
     with pytest.raises(ValueError):
         graft(base, launch, 4.0)
     assert graft(base, launch, 5.0).final_srp == base.final_srp
-    spc = build_threshold_tree(pts, unit_box(2), SPC_PRIORITY, 0.5, CFG)
-    with pytest.raises(ValueError):
-        graft(spc, launch, 5.0)
 
 
 def test_truncate_path():
@@ -401,10 +411,10 @@ def test_truncate_path():
         found = tie_free_instance(seed)
         seed += 1
     pts, box, threshold, seq = found
-    cut = truncate_path(seq, 3, SEB_PRIORITY, threshold, CFG)
+    cut = truncate_path(seq, 3, threshold, CFG)
     assert cut.final.leaf_count == min(3, seq.final.leaf_count)
     if seq.final.leaf_count > 3:
         assert cut.stop_reason == "max_leaves"
         assert not cut.success  # over-threshold splittable leaves remain
-    whole = truncate_path(seq, None, SEB_PRIORITY, threshold, CFG)
+    whole = truncate_path(seq, None, threshold, CFG)
     assert whole is seq

@@ -12,9 +12,7 @@ from rphist.geometry import (
     bounding_box,
     can_bisect,
     contains,
-    midpoint,
     widest_coordinate,
-    width,
 )
 
 from conftest import unit_box
@@ -22,19 +20,19 @@ from conftest import unit_box
 
 @pytest.mark.parametrize("lo,hi,expected", [(0, 1, 1), (-2, 3, 5), (0.5, 0.5, 0)])
 def test_width(lo, hi, expected):
-    assert width(Interval(lo, hi)) == expected
+    assert Interval(lo, hi).width == expected
 
 
 @pytest.mark.parametrize("lo,hi,expected", [(0, 1, 0.5), (-1, 1, 0), (2, 6, 4)])
 def test_midpoint(lo, hi, expected):
-    assert midpoint(Interval(lo, hi)) == expected
+    assert Interval(lo, hi).midpoint == expected
 
 
 def test_midpoint_no_overflow():
     # naive (lo + hi)/2 would overflow here; lo + (hi - lo)/2 must not
     big = 0.9 * np.finfo(float).max
-    assert math.isfinite(midpoint(Interval(0.5 * big, big)))
-    assert midpoint(Interval(0.5 * big, big)) == pytest.approx(0.75 * big)
+    assert math.isfinite(Interval(0.5 * big, big).midpoint)
+    assert Interval(0.5 * big, big).midpoint == pytest.approx(0.75 * big)
 
 
 def test_interval_validation():
@@ -75,7 +73,7 @@ def test_bisect_exhaustion():
     a = 1.0
     b = np.nextafter(a, 2.0)
     iv = Interval(a, b)
-    assert midpoint(iv) == a  # the midpoint collapses onto the lower bound
+    assert iv.midpoint == a  # the midpoint collapses onto the lower bound
     box = Box((iv, Interval(0.0, np.nextafter(0.0, 1.0))))
     assert not can_bisect(box)
     with pytest.raises(NotBisectable):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rphist.cli import main as cli_main
-from rphist.errors import EmptyInput, ParseError
+from rphist.errors import EmptyInput, InsufficientData, ParseError
 from rphist.evaluate import GaussianReference, UniformReference, l1_error, make_reference
 from rphist.geometry import Box, bounding_box
 from rphist.io import (
@@ -272,6 +272,24 @@ def test_pipeline_strict_rejects_bad_rows(tmp_path):
     cfg = RunConfig(input_path=str(f), dim=2, strict=True, maxpts=(5,))
     with pytest.raises(ParseError):
         run_pipeline(cfg)
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}")
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_pipeline_needs_two_points(tmp_path, sequential):
+    # one point has no cross-validation score (it would be written as NaN)
+    out = tmp_path / "h.json"
+    cfg = RunConfig(dim=2, maxpts=(5,), sequential=sequential, out=str(out))
+    with pytest.raises(InsufficientData):
+        run_pipeline(cfg, points=[[0.3, 0.4]])
+    assert list(tmp_path.iterdir()) == []
+    hist, _ = run_pipeline(cfg, points=[[0.3, 0.4], [0.5, 0.1]])
+    assert hist.n == 2
+    manifest = (tmp_path / "h.json.manifest.json").read_text()
+    json.loads(manifest, parse_constant=_reject_constant)
 
 
 def test_pipeline_manifest(tmp_path):

@@ -8,11 +8,9 @@ from rphist.pqmc import (
     PqmcConfig,
     SEB_PRIORITY,
     carve_path,
-    joint_exploration,
     launch_states,
     run_pqmc,
     splittable_leaves,
-    tributary_seed,
 )
 from rphist.srp import ingest
 from rphist.tree import RPTree, depth
@@ -216,30 +214,6 @@ def test_launch_states_degenerate_cases():
     assert [s.leaf_count for s in launch_states(carve, 1)] == [1]
     everything = launch_states(carve, 99)
     assert len(everything) == len(carve)
-
-
-def test_joint_exploration_root_tributary_replayable():
-    rng = np.random.default_rng(22)
-    pts = random_points(rng, 600, 2)
-    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=10, rng_seed=5)
-    seb_cfg = PqmcConfig(max_psi=30.0, rng_seed=5)
-    paths = joint_exploration(pts, carve_cfg, seb_cfg, c=3)
-    assert len(paths) == 3
-    root_box = paths[0].initial.tree.root_box
-    s0 = ingest(RPTree(root_box), pts)
-    replay_cfg = PqmcConfig(max_psi=30.0, rng_seed=tributary_seed(5, 0))
-    replay = run_pqmc(s0, pts, SEB_PRIORITY, replay_cfg)
-    assert paths[0].records == replay.records
-    assert paths[0].initial == replay.initial
-
-
-def test_joint_exploration_c1_is_plain_seb():
-    rng = np.random.default_rng(23)
-    pts = random_points(rng, 300, 2)
-    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=10, rng_seed=9)
-    seb_cfg = PqmcConfig(max_psi=25.0, rng_seed=9)
-    (path,) = joint_exploration(pts, carve_cfg, seb_cfg, c=1)
-    assert path.initial.leaf_count == 1
 
 
 def test_spc_zero_threshold_keeps_splitting():
