@@ -8,6 +8,7 @@ depths survive), which makes fixed-seed pipeline runs byte-identical.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +28,55 @@ def ingest_csv(path, d: int, strict: bool = True) -> tuple[np.ndarray, int]:
     """Read points from a CSV of ``d`` comma-separated finite decimals.
 
     Blank lines and ``#`` comments are ignored; a non-numeric first row
-    is treated as a header.  Malformed rows raise :class:`ParseError`
-    with their line number in strict mode and are skipped otherwise.
-    Returns ``(points, skipped_rows)``.
+    is treated as a header, and a leading UTF-8 byte-order mark is
+    dropped.  Malformed rows raise :class:`ParseError` with their line
+    number in strict mode and are skipped otherwise.  Returns
+    ``(points, skipped_rows)``.
+
+    The file is parsed in one streamed ``np.loadtxt`` pass, which is
+    kept only if every data row holds ``d`` finite values.  Otherwise
+    the per-row parser reads the file again to name or skip the bad
+    rows; it gives the same result as the fast pass on every file the
+    fast pass accepts.
     """
     if d < 1:
         raise DimensionMismatch("dimension must be >= 1")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = _data_lines(fh)
+        first = next(lines, None)  # loadtxt warns on empty input
+        if first is not None:
+            try:
+                points = np.loadtxt(chain([first], lines), delimiter=",",
+                                    comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                points = None
+            if (points is not None and len(points) and points.shape[1] == d
+                    and np.isfinite(points).all()):
+                return points, 0
+    return _ingest_rows(path, d, strict)
+
+
+def _data_lines(fh):
+    """Stripped lines of ``fh`` without blanks, ``#`` comments and the
+    leading rows that hold no number (headers)."""
+    header = True
+    for raw in fh:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header:
+            if not _any_number(f.strip() for f in line.split(",")):
+                continue
+            header = False
+        yield line
+
+
+def _ingest_rows(path, d: int, strict: bool) -> tuple[np.ndarray, int]:
+    """Row-by-row parse of :func:`ingest_csv`, which names bad lines."""
     rows: list[list[float]] = []
     skipped = 0
     saw_data = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -10,12 +10,14 @@ from it and its path reconstructed.  Sequential mode runs the plain
 sequential chain per tributary instead.  The selected histogram is
 written as versioned JSON next to a manifest with the configuration,
 per-candidate diagnostics, the threshold build's iteration stats and
-stage timings.
+stage timings.  A selected tau at either end of the tau grid is logged
+as a warning.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +51,8 @@ from .smoothing import (
     select,
 )
 from .srp import Histogram, histogram, inside_mask
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -201,13 +205,20 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     estimate = select(paths, SmoothingConfig(cfg.tau_grid()))
     hist = histogram(estimate.srp)
     timings["smoothing"] = time.perf_counter() - t0
+    grid_ends = (estimate.cv_curve[0].tau, estimate.cv_curve[-1].tau)
+    tau_at_grid_edge = estimate.tau in grid_ends
+    if tau_at_grid_edge:
+        logger.warning("selected tau %g is at the %s end of the tau grid "
+                       "[%g, %g]; the CV optimum may lie outside it",
+                       estimate.tau, "lower" if estimate.tau == grid_ends[0]
+                       else "upper", *grid_ends)
 
     if cfg.out is not None:
         t0 = time.perf_counter()
         save_histogram(hist, cfg.out)
         timings["export"] = time.perf_counter() - t0
-        _write_manifest(cfg, hist, estimate, candidates, base, timings,
-                        skipped_rows, dropped_points)
+        _write_manifest(cfg, hist, estimate, tau_at_grid_edge, candidates,
+                        base, timings, skipped_rows, dropped_points)
     return hist, estimate
 
 
@@ -224,8 +235,8 @@ def _build_report(base: BuildResult | None) -> dict | None:
 
 
 def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
-                    candidates, base: BuildResult | None, timings,
-                    skipped_rows, dropped_points) -> None:
+                    tau_at_grid_edge: bool, candidates, base: BuildResult | None,
+                    timings, skipped_rows, dropped_points) -> None:
     manifest = {
         "config": {
             "input_path": cfg.input_path,
@@ -259,8 +270,7 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
             "cv_score": estimate.cv_score,
             "cv_curve": [{"tau": pt.tau, "cv_score": pt.cv_score,
                           "leaf_count": pt.leaf_count} for pt in estimate.cv_curve],
-            "tau_at_grid_edge": estimate.tau in (estimate.cv_curve[0].tau,
-                                                 estimate.cv_curve[-1].tau),
+            "tau_at_grid_edge": tau_at_grid_edge,
         },
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }

@@ -19,6 +19,7 @@ smoothing stage scores.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,7 +148,9 @@ def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
 
 class _LeafPool:
     """Working state of one chain run: point indices and cell geometry
-    per splittable leaf, with a max-priority heap keyed on (psi, label)."""
+    per splittable leaf, with a max-heap of the distinct priorities and,
+    per priority, the ascending list of its leaves (a tied pop is then
+    one draw and one list pop)."""
 
     def __init__(self, s0: SRP, points: np.ndarray, priority: Priority, cfg: PqmcConfig):
         self.points = points
@@ -156,7 +159,8 @@ class _LeafPool:
         self.n = s0.n
         self.root_volume = s0.tree.root_box.volume
         self.info: dict[int, tuple] = {}
-        self.heap: list[tuple[float, int]] = []
+        self.heap: list[float] = []  # negated distinct priorities
+        self.buckets: dict[float, list[int]] = {}
         self.leaf_count = s0.leaf_count
         assignment = assign_leaves(s0.tree, points)
         for label, idx in assignment.items():
@@ -169,30 +173,39 @@ class _LeafPool:
             self._admit(label, idx, *cell)
 
     def _psi(self, count: int, label: int) -> float:
-        vol = volume_at_depth(self.root_volume, depth(label))
+        vol = 0.0
+        if self.priority.kind == SPC:  # SEB ignores the volume
+            vol = volume_at_depth(self.root_volume, depth(label))
         return self.priority.value(count, vol, self.n)
 
     def _admit(self, label, idx, lo, hi, axis, mid, splittable):
         if len(idx) == 0 or depth(label) >= self.cfg.max_depth or not splittable:
             return
         self.info[label] = (idx, lo, hi, axis, mid)
-        heapq.heappush(self.heap, (-self._psi(len(idx), label), label))
+        key = -self._psi(len(idx), label)
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            self.buckets[key] = [label]
+            heapq.heappush(self.heap, key)
+        else:
+            insort(bucket, label)
 
     def max_priority(self) -> float | None:
-        return -self.heap[0][0] if self.heap else None
+        return -self.heap[0] if self.heap else None
 
     def pop_argmax(self, rng: np.random.Generator) -> tuple[int, bool]:
-        """Pop one leaf of maximal priority.  Returns (label, tied)."""
-        top_psi, label = heapq.heappop(self.heap)
-        tied = bool(self.heap) and self.heap[0][0] == top_psi
+        """Pop one leaf of maximal priority: the lowest label, or a
+        uniform draw among the tied ones.  Returns (label, tied)."""
+        key = self.heap[0]
+        bucket = self.buckets[key]
+        tied = len(bucket) > 1
+        pick = 0
         if tied and self.cfg.tie_break == "random":
-            pool = [label]
-            while self.heap and self.heap[0][0] == top_psi:
-                pool.append(heapq.heappop(self.heap)[1])
-            pick = int(rng.integers(len(pool)))
-            label = pool.pop(pick)
-            for other in pool:
-                heapq.heappush(self.heap, (top_psi, other))
+            pick = int(rng.integers(len(bucket)))
+        label = bucket.pop(pick)
+        if not bucket:
+            del self.buckets[key]
+            heapq.heappop(self.heap)
         return label, tied
 
     def split(self, label: int) -> SplitRecord:

@@ -1,13 +1,28 @@
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rphist
 from rphist.cli import main as cli_main
 from rphist.errors import EmptyInput, InsufficientData, ParseError
-from rphist.evaluate import GaussianReference, UniformReference, l1_error, make_reference
+from rphist.evaluate import (
+    GaussianReference,
+    UniformReference,
+    l1_error,
+    make_reference,
+    normal_cdf,
+)
 from rphist.geometry import Box, bounding_box
 from rphist.io import (
     export_plot_data,
@@ -62,6 +77,147 @@ def test_ingest_csv_empty(tmp_path):
     f.write_text("# nothing here\n")
     with pytest.raises(EmptyInput):
         ingest_csv(f, 2)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_ingest_csv_byte_order_mark_keeps_first_row(tmp_path, strict):
+    # spreadsheet exports start with a UTF-8 BOM; it is not part of row 1
+    f = tmp_path / "pts.csv"
+    f.write_bytes("\ufeff0.1,0.2\n0.3,0.4\n".encode("utf-8"))
+    pts, skipped = ingest_csv(f, 2, strict=strict)
+    assert pts.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert skipped == 0
+    # the same on the per-row path, which a bad row sends the file to
+    f.write_bytes("\ufeff0.1,0.2\n0.5\n0.3,0.4\n".encode("utf-8"))
+    if strict:
+        with pytest.raises(ParseError, match=":2:"):
+            ingest_csv(f, 2, strict=strict)
+    else:
+        pts, skipped = ingest_csv(f, 2, strict=strict)
+        assert pts.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert skipped == 1
+
+
+def test_ingest_csv_clean_file_is_one_pass(tmp_path, monkeypatch):
+    f = tmp_path / "pts.csv"
+    f.write_text("# generated\nx,y\n\n 0.1 , 0.2 \r\n-3e-320,1.7976931348623157e308\n")
+
+    def per_row(*args):
+        raise AssertionError("the per-row parser ran on a clean file")
+
+    monkeypatch.setattr(rphist.io, "_ingest_rows", per_row)
+    pts, skipped = ingest_csv(f, 2)
+    assert pts.tolist() == [[0.1, 0.2], [-3e-320, 1.7976931348623157e308]]
+    assert skipped == 0
+
+
+def _reference_ingest(path, d, strict):
+    """The row-by-row parser that ``ingest_csv`` used alone before it got
+    its ``np.loadtxt`` pass; it reads a BOM as part of the first row."""
+    rows = []
+    skipped = 0
+    saw_data = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            try:
+                values = [float(f) for f in fields]
+                if len(values) != d:
+                    raise ValueError(f"expected {d} fields, got {len(values)}")
+                if not all(np.isfinite(values)):
+                    raise ValueError("non-finite value")
+            except ValueError as exc:
+                if not saw_data and not any(_parses(f) for f in fields):
+                    continue  # header row
+                if strict:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                skipped += 1
+                continue
+            saw_data = True
+            rows.append(values)
+    if not rows:
+        raise EmptyInput(f"no data rows in {path}")
+    return np.array(rows, dtype=float), skipped
+
+
+def _parses(field):
+    try:
+        float(field)
+        return True
+    except ValueError:
+        return False
+
+
+def _outcome(parse, path, d, strict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "no data" warning
+        try:
+            pts, skipped = parse(path, d, strict)
+        except (ParseError, EmptyInput) as exc:
+            return type(exc).__name__, str(exc)
+    return pts.shape, pts.dtype, pts.tobytes(), skipped
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.3e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["0", "-0", "+.5", "5.", "1E+05", "4.9e-324", "1e-400"]),
+)
+_ODD = st.sampled_from(["nan", "inf", "-Infinity", "1e400", "1_000", "\u0661\u0662",
+                        "0x10", "1d5", "", "abc", "x", "1 2", "2#x", "2 # note",
+                        '"1"'])
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _csv_texts(draw, d):
+    messy = draw(st.booleans())
+
+    def field():
+        value = draw(st.one_of(_NUMBERS, _ODD) if messy and draw(st.booleans())
+                     else _NUMBERS)
+        return draw(_PAD) + value + draw(_PAD)
+
+    def data_row():
+        width = d
+        if messy and draw(st.integers(0, 5)) == 0:
+            width = draw(st.sampled_from([max(1, d - 1), d + 1]))
+        row = ",".join(field() for _ in range(width))
+        return row + ("," if messy and draw(st.integers(0, 9)) == 0 else "")
+
+    header = st.lists(st.text("xyzabc _", max_size=4), min_size=1,
+                      max_size=d + 1).map(",".join)
+    other = st.one_of(st.just(""), _PAD, st.text("ab #", max_size=6).map("#".__add__))
+    lines = draw(st.lists(st.one_of(header, other), max_size=3))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(other))
+        elif kind == 1 and messy:
+            lines.append(draw(header))
+        else:
+            lines.append(data_row())
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    text += draw(st.sampled_from(["", "\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.data())
+def test_ingest_csv_agrees_with_per_row_rule(tmp_path_factory, d, data):
+    text = data.draw(_csv_texts(d))
+    f = tmp_path_factory.mktemp("csv") / "pts.csv"
+    # the one intended difference: a leading BOM no longer belongs to row 1
+    f.write_bytes(text.removeprefix("\ufeff").encode("utf-8"))
+    expected = [_outcome(_reference_ingest, f, d, strict) for strict in (True, False)]
+    f.write_bytes(text.encode("utf-8"))
+    got = [_outcome(ingest_csv, f, d, strict) for strict in (True, False)]
+    assert got == expected
 
 
 # ----------------------------------------------------- histogram JSON format
@@ -189,6 +345,27 @@ def test_make_reference_unknown():
 
     with pytest.raises(UnknownReference):
         make_reference("cauchy", 2)
+
+
+@pytest.mark.parametrize("x, phi", [
+    (0.0, 0.5),
+    (1.96, 0.9750021048517795),
+    (-1.96, 0.024997895148220435),
+    (-6.0, 9.86587645037698e-10),
+])
+def test_normal_cdf_known_values(x, phi):
+    assert normal_cdf(x) == pytest.approx(phi, rel=1e-14, abs=0.0)
+
+
+def test_import_does_not_load_scipy():
+    # importing scipy used to double the start-up time of every run
+    src = str(Path(rphist.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rphist; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- pipeline
@@ -343,6 +520,39 @@ def test_pipeline_default_mode_output_pinned(tmp_path):
     run_pipeline(cfg, points=pts)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "46402be5499d0416c3d12c4b3dbb2d3b75668d6a265fca582a20d0aa80e4fee7")
+
+
+def test_pipeline_warns_when_tau_at_grid_edge(caplog):
+    pts = random_points(np.random.default_rng(42), 500, 2)
+    cfg = RunConfig(dim=2, tributaries=2, maxpts=(30,), carve_leaves=5, seed=9)
+    with caplog.at_level(logging.WARNING, logger="rphist.pipeline"):
+        _, est = run_pipeline(cfg, points=pts)
+    assert cfg.tau_min < est.tau < cfg.tau_max  # 0.259, as in the manifest test
+    assert caplog.records == []
+    edge_cfg = replace(cfg, tau_steps=2)  # both grid points are ends
+    with caplog.at_level(logging.WARNING, logger="rphist.pipeline"):
+        _, est = run_pipeline(edge_cfg, points=pts)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    end = "lower" if est.tau == edge_cfg.tau_min else "upper"
+    assert f"selected tau {est.tau:g} is at the {end} end" in record.getMessage()
+    assert est.tau == edge_cfg.tau_max  # checked on this data: the upper end
+
+
+def test_pipeline_sequential_mode_output_pinned(tmp_path):
+    # integer-grid points with duplicate rows: about two thirds of the
+    # chain's pops are tied.  The leaf budget stops chains among tied
+    # leaves, so the output depends on the pick order and the draws of
+    # random tie-breaking.  The constant was computed with a pool that
+    # popped and re-pushed every tied leaf on each step.
+    pts = np.random.default_rng(2025).integers(0, 30, (3000, 2)).astype(float)
+    out = tmp_path / "h.json"
+    cfg = RunConfig(dim=2, carve_leaves=20, tributaries=3, maxpts=(8, 30, 100),
+                    maxlvs=500, max_depth=24, seed=5, sequential=True,
+                    tie_break="random", out=str(out))
+    run_pipeline(cfg, points=pts)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5544f65ecb70295a6a76b5f45de63cbaf9f2f061671c1acd92faccfd8589458e")
 
 
 def test_runconfig_validation():
