@@ -22,10 +22,9 @@ box = bounding_box(points)
 s0 = ingest(RPTree(box), points)
 
 for leaves in (20, 40):
-    seb = run_pqmc(s0, points, SEB_PRIORITY,
-                   PqmcConfig(max_leaves=leaves, rng_seed=1))
-    carve = carve_path(points, PqmcConfig(max_psi=0.0, max_leaves=leaves,
-                                          rng_seed=1), root_box=box)
+    seb = run_pqmc(s0, points, SEB_PRIORITY, PqmcConfig(max_leaves=leaves))
+    carve = carve_path(points, PqmcConfig(max_psi=0.0, max_leaves=leaves),
+                       root_box=box)
 
     def empty_fraction(srp):
         return sum(1 for v in srp.tree.leaves() if srp.counts[v] == 0) / srp.leaf_count

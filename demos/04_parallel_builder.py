@@ -7,10 +7,11 @@ it knows the next one, but the tree reached once every cell is at or
 below a fixed threshold does not depend on the split order.  So the
 builder tags each point with its current cell, counts cells with a
 per-shard reduce, splits every over-threshold cell at once with a
-shard-local map, and retires settled cells early.  Coarsening the result
-again (merge the cherry with the least parent count, repeatedly) and
-reversing the merges recovers the exact sequential path without
-touching the data again.
+shard-local map, and retires settled cells early.  Sorting the
+resulting tree's internal nodes by (-count, label) recovers the exact
+sequential path, ties included, without touching the data again: a
+parent always has at least its children's count and a smaller label,
+so the chain pops cells in exactly that order.
 """
 
 import time
@@ -31,7 +32,7 @@ from rphist import (
 rng = np.random.default_rng(3)
 points = rng.standard_normal((200_000, 2))
 box = bounding_box(points)
-cfg = PqmcConfig(tie_break="lowest_label")
+cfg = PqmcConfig()
 
 # The same terminal tree regardless of how the work is sharded.
 for shards in (1, 4):
@@ -48,19 +49,18 @@ for i, st in enumerate(result.stats):
           f"{st.working_points:6d} working + {st.passed_points:6d} passed, "
           f"{st.nonempty_cells} non-empty cells")
 
-# On a smaller burst, check the headline equivalence directly: the
-# builder's tree is the sequential chain's tree, and the reconstructed
-# path reproduces the sequential path state for state.
-# Exact path equality needs all step priorities distinct (under ties
-# any tie-break realization is a valid path), so verify that first.
-small = points[:3000]
+# On a smaller burst of rounded (so often tied) points, check the
+# headline equivalence directly: the builder's tree is the sequential
+# chain's tree, and the reconstructed path is the sequential path,
+# split for split, with the same tie flag.
+small = np.round(points[:3000], 1)
 small_box = bounding_box(small)
 seq = run_pqmc(ingest(RPTree(small_box), small), small, SEB_PRIORITY,
-               PqmcConfig(max_psi=150.0, tie_break="lowest_label"))
-print("sequential chain saw priority ties:", seq.had_ties)
-par = build_threshold_tree(small, small_box, 150.0, cfg, shard_count=4)
-print("terminal trees equal:", par.final_srp == seq.final)
-path = reconstruct_path(par).states()
-print("paths equal state for state:",
-      all(a == b for a, b in zip(path, seq.states()))
-      and len(path) == len(seq))
+               PqmcConfig(max_psi=30.0))
+par = build_threshold_tree(small, small_box, 30.0, cfg, shard_count=4)
+path = reconstruct_path(par)
+print(f"sequential chain: {seq.split_count} splits, priority ties: {seq.had_ties}")
+assert par.final_srp == seq.final, "terminal trees differ"
+assert path.records == seq.records, "paths differ"
+assert path.had_ties == seq.had_ties, "tie flags differ"
+print("terminal trees, paths and tie flags equal")

@@ -27,7 +27,6 @@ cfg = RunConfig(
     carve_leaves=100,
     tributaries=5,
     maxpts=(50, 500, 1500),
-    seed=7,
     out="/tmp/rphist_demo_gauss.json",
 )
 hist, estimate = run_pipeline(cfg, points=points)
@@ -50,6 +49,6 @@ print(f"L1 error vs truth: {report.l1_estimate:.4f} "
 
 # The same run is available from the command line:
 #   rphist build --input points.csv --dim 2 --shards 4 --carve-leaves 100 \
-#       --tributaries 5 --maxpts 50,500,1500 --seed 7 --out hist.json
+#       --tributaries 5 --maxpts 50,500,1500 --out hist.json
 #   rphist eval --hist hist.json --reference gaussian --mc 256 --seed 1
 #   rphist plot --hist hist.json --out rects.csv

@@ -2,8 +2,8 @@
 
 Build optimally smoothed histogram density estimates by priority-queued
 bisection of a root box, either sequentially or through a sharded
-threshold-splitting builder whose output provably reconstructs the
-sequential refinement path.
+threshold-splitting builder whose internal nodes, sorted, are exactly
+the sequential refinement path.
 """
 
 from . import errors
@@ -16,7 +16,6 @@ from .distributed import (
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
-    graft,
     prune,
     reconstruct_path,
     truncate_path,
@@ -35,7 +34,6 @@ from .pqmc import (
     launch_states,
     run_pqmc,
     splittable_leaves,
-    tributary_seed,
 )
 from .smoothing import (
     ScoredEstimate,

@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--tau-min", type=float, default=0.1)
     b.add_argument("--tau-max", type=float, default=1e5)
     b.add_argument("--tau-steps", type=int, default=30)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=int, default=0,
+                   help="ignored: the build draws no random numbers")
     b.add_argument("--out", required=True, help="histogram JSON output path")
     b.add_argument("--pad", type=float, default=1e-9,
                    help="relative root-box padding per side")
@@ -42,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the sequential chain instead of the sharded builder")
     b.add_argument("--strict", action="store_true",
                    help="fail on malformed rows or out-of-box points")
-    b.add_argument("--deterministic-ties", action="store_true",
-                   help="break priority ties by lowest label instead of at random")
 
     e = sub.add_parser("eval", help="L1 error of a histogram vs a reference")
     e.add_argument("--hist", required=True, help="histogram JSON file")
@@ -72,11 +71,9 @@ def _cmd_build(args) -> int:
         tau_min=args.tau_min,
         tau_max=args.tau_max,
         tau_steps=args.tau_steps,
-        seed=args.seed,
         out=args.out,
         strict=args.strict,
         sequential=args.sequential,
-        tie_break="lowest_label" if args.deterministic_ties else "random",
         max_depth=args.max_depth,
     )
     hist, estimate = run_pipeline(cfg)

@@ -14,20 +14,20 @@ without changing the result.
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
 split, so the result coincides with the tree the sequential chain
-reaches when run to the same threshold; the sequential path itself is
-recovered afterwards by reversing a coarsening walk that repeatedly
-merges the cherry with the least parent count (:func:`reconstruct_path`).
+reaches when run to the same threshold.  The sequential path itself is
+a sort: a parent's count is no smaller and its label is smaller than
+its children's, so a chain that pops the largest count, ties towards
+the lowest label, splits the cells in ascending ``(-count, label)``
+order (:func:`reconstruct_path`).
 
 One build from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
-is grafted onto each launch state for each threshold (:func:`graft`)
-instead of rebuilding per tributary.
+yields the path from each launch state for each threshold instead of
+rebuilding per tributary.
 """
-
 from __future__ import annotations
 
-import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -229,8 +229,8 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     tree in which every leaf has count at or below the threshold; it
     equals the terminal state of the sequential SEB chain run from the
     root with ``max_psi = threshold`` and no leaf budget, and
-    :func:`graft` derives from it the terminal state for any launch
-    state and any threshold at or above this one.  An over-threshold
+    :func:`reconstruct_path` derives from it the path from any launch
+    state to any threshold at or above this one.  An over-threshold
     cell that cannot be split (depth cap or machine precision) stays a
     leaf, as in the sequential chain.
     """
@@ -281,17 +281,21 @@ def assemble_srp(root_box: Box, leaf_counts: CountTable) -> SRP:
     return SRP(RPTree(root_box, frozenset(nodes)), counts, n)
 
 
-def graft(base: BuildResult, launch: SRP, threshold: float) -> BuildResult:
-    """Terminal state of the SEB chain from ``launch`` run to ``threshold``.
+def reconstruct_path(base: BuildResult, launch: SRP | None = None,
+                     threshold: float | None = None) -> PqmcPath:
+    """The sequential SEB path from ``launch`` to ``threshold``, read off
+    a root build.
 
     Counts never increase down the tree, so the cells with count above
     ``threshold`` form a subtree from the root that every chain splits,
-    whatever its launch state.  The terminal tree is therefore the
-    launch tree plus both children of every internal node of ``base`` (a
-    root build at a threshold no higher than ``threshold``) whose count
-    exceeds ``threshold``.  The counts come from both SRPs, which agree
-    on the nodes they share.  The result has no iterations or passed
-    counts of its own.
+    whatever its launch state.  The chain from ``launch`` (the root SRP
+    when omitted) therefore splits every internal node of ``base`` (a
+    root build at a threshold no higher than ``threshold``, its own when
+    omitted) that has count above ``threshold`` and is not internal in
+    ``launch``.  It splits them in ascending ``(-count, label)`` order,
+    which is the order the chain pops them in, ties included; the child
+    counts come from ``base``.  ``path.states()`` materializes every
+    state.
 
     Raises
     ------
@@ -300,102 +304,65 @@ def graft(base: BuildResult, launch: SRP, threshold: float) -> BuildResult:
         ``launch`` holds other data than ``base``.
     """
     src = base.final_srp
+    if threshold is None:
+        threshold = base.threshold
     if threshold < base.threshold:
         raise ValueError(f"threshold {threshold} is below the base build's "
                          f"{base.threshold}")
+    if launch is None:
+        launch = SRP(RPTree(src.tree.root_box), {ROOT: src.n}, src.n)
     if launch.tree.root_box != src.tree.root_box or launch.n != src.n:
         raise ValueError("launch state and base build hold different data")
-    nodes = set(launch.tree.nodes)
-    for p in src.tree.internal():
-        if src.counts[p] > threshold:
-            nodes.update((2 * p, 2 * p + 1))
-    counts = {v: src.counts[v] if v in src.counts else launch.counts[v]
-              for v in nodes}
-    final = SRP(RPTree(src.tree.root_box, frozenset(nodes)), counts, src.n)
-    return BuildResult(final, {}, 0, float(threshold))
+    counts = src.counts
+    frozen = set(launch.tree.internal())
+    split = sorted((p for p in src.tree.internal()
+                    if counts[p] > threshold and p not in frozen),
+                   key=lambda p: (-counts[p], p))
+    records = tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1])
+                    for p in split)
+    return PqmcPath(launch, records, "max_psi", True,
+                    _first_tie(launch, records) < len(records))
 
 
-def _merge_walk(result: BuildResult, stop_state: SRP) -> list[SplitRecord]:
-    """Merge records of the coarsening walk from the build's final SRP
-    down to ``stop_state``, in merge order.
+def _first_tie(initial: SRP, records) -> int:
+    """Step of the first tied pop of a whole SEB path, or ``len(records)``.
 
-    Each step merges the cherry whose parent has the least count, ties
-    towards the lowest parent label.  The walk never merges a cherry of
-    ``stop_state`` and must end on exactly its tree.
+    The pop at step ``i`` is tied when a later record of the same count
+    is already a leaf then: a leaf of ``initial``, or a child of a cell
+    split before step ``i``.  Records of equal count are adjacent.
     """
-    srp = result.final_srp
-    nodes = set(srp.tree.nodes)
-    counts = srp.counts
-    frozen_internal = frozenset(stop_state.tree.internal())
-    target_nodes = len(stop_state.tree.nodes)
-
-    def is_leaf(v: int) -> bool:
-        return 2 * v not in nodes
-
-    heap: list[tuple[int, int]] = []
-    for p in srp.tree.internal():
-        if p not in frozen_internal and is_leaf(2 * p) and is_leaf(2 * p + 1):
-            heapq.heappush(heap, (counts.get(p, 0), p))
-    records = []
-    while len(nodes) > target_nodes:
-        if not heap:
-            raise ValueError("no mergeable cherry left; inconsistent stop state")
-        _, p = heapq.heappop(heap)
-        left, right = 2 * p, 2 * p + 1
-        nodes.discard(left)
-        nodes.discard(right)
-        records.append(SplitRecord(p, counts.get(left, 0), counts.get(right, 0)))
-        if p > ROOT:
-            q = p >> 1
-            if q not in frozen_internal and is_leaf(2 * q) and is_leaf(2 * q + 1):
-                heapq.heappush(heap, (counts.get(q, 0), q))
-    if nodes != set(stop_state.tree.nodes):
-        raise ValueError("backtracking did not reach the stop state")
-    return records
-
-
-def reconstruct_path(result: BuildResult, initial: SRP | None = None) -> PqmcPath:
-    """The sequential SEB path implied by a threshold build.
-
-    Coarsens the final SRP down to ``initial`` (the trivial root SRP
-    when omitted) by repeatedly merging the cherry with the least parent
-    count, and reverses those merges into split records, so the counts
-    of the split cells never increase along the path, as in the chain.
-    On data where all split counts are distinct this is exactly the path
-    the sequential chain takes; under ties it is one valid realization.
-    ``path.states()`` materializes every state.
-    """
-    if initial is None:
-        root_counts = {ROOT: result.final_srp.n}
-        initial = SRP(RPTree(result.final_srp.tree.root_box), root_counts,
-                      result.final_srp.n)
-    records = _merge_walk(result, initial)
-    records.reverse()
-    return PqmcPath(
-        initial=initial,
-        records=tuple(records),
-        stop_reason="max_psi",
-        success=True,
-        had_ties=False,
-    )
+    step = {rec.label: i for i, rec in enumerate(records)}
+    first = len(records)
+    count = ready = None  # ready: earliest step a later same-count cell is a leaf
+    for i in range(len(records) - 1, -1, -1):
+        rec = records[i]
+        c = rec.left_count + rec.right_count
+        if c != count:
+            count, ready = c, len(records)
+        elif ready <= i:
+            first = i
+        v = rec.label
+        ready = min(ready, 0 if v in initial.tree.nodes else step[v >> 1] + 1)
+    return first
 
 
 def truncate_path(path: PqmcPath, max_leaves: int | None, threshold: float,
                   cfg: PqmcConfig) -> PqmcPath:
-    """Cut a path at a leaf budget and re-derive its success flag.
+    """Cut a whole SEB path at a leaf budget and re-derive its flags.
 
     Mirrors the sequential stopping rule: the chain would have halted on
     reaching ``max_leaves`` leaves, successful only if no splittable
-    leaf with count above the threshold remains at that point.
+    leaf with count above the threshold remains at that point and the
+    launch state was within the budget, and tied only if one of the kept
+    pops was.
     """
     m0 = path.initial.leaf_count
     if max_leaves is None or m0 + path.split_count <= max_leaves:
         return path
     keep = max(0, max_leaves - m0)
-    kept = PqmcPath(path.initial, path.records[:keep], "max_leaves",
-                    path.success, path.had_ties)
-    final = kept.final
-    success = all(final.counts.get(v, 0) <= threshold
-                  for v in splittable_leaves(final, cfg))
-    return PqmcPath(kept.initial, kept.records, "max_leaves", success,
-                    kept.had_ties)
+    kept = PqmcPath(path.initial, path.records[:keep], "max_leaves", False,
+                    path.had_ties and _first_tie(path.initial, path.records) < keep)
+    kept.success = m0 <= max_leaves and all(
+        kept.final.counts.get(v, 0) <= threshold
+        for v in splittable_leaves(kept.final, cfg))
+    return kept

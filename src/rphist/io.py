@@ -2,7 +2,7 @@
 
 Histogram JSON is versioned and fully deterministic (sorted keys,
 leaves in ascending label order, labels as decimal strings so arbitrary
-depths survive), which makes fixed-seed pipeline runs byte-identical.
+depths survive), which makes repeated pipeline runs byte-identical.
 """
 
 from __future__ import annotations

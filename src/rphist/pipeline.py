@@ -5,9 +5,10 @@ with a short support-carving chain, launches one SEB chain per spread
 launch state and per entry of the stopping-threshold grid, and hands
 every state of every tributary to the smoothing stage.  By default the
 tributaries come from one sharded threshold build from the root at the
-lowest threshold of the grid: each tributary's terminal tree is grafted
-from it and its path reconstructed.  Sequential mode runs the plain
-sequential chain per tributary instead.  The selected histogram is
+lowest threshold of the grid: each tributary's path is one sort of its
+internal nodes.  Sequential mode runs the plain sequential chain per
+tributary instead; both modes give the same histogram, ties included,
+and no step of either draws a random number.  The selected histogram is
 written as versioned JSON next to a manifest with the configuration,
 per-candidate diagnostics, the threshold build's iteration stats and
 stage timings.  A selected tau at either end of the tau grid is logged
@@ -27,7 +28,6 @@ import numpy as np
 from .distributed import (
     BuildResult,
     build_threshold_tree,
-    graft,
     reconstruct_path,
     truncate_path,
 )
@@ -40,7 +40,6 @@ from .pqmc import (
     carve_path,
     launch_states,
     run_pqmc,
-    tributary_seed,
 )
 from .smoothing import (
     DEFAULT_TAU_MAX,
@@ -77,11 +76,9 @@ class RunConfig:
     tau_min: float = DEFAULT_TAU_MIN
     tau_max: float = DEFAULT_TAU_MAX
     tau_steps: int = DEFAULT_TAU_STEPS
-    seed: int = 0
     out: str | None = None
     strict: bool = False
     sequential: bool = False
-    tie_break: str = "random"
     max_depth: int = 1000
 
     def __post_init__(self):
@@ -120,10 +117,10 @@ class RunConfig:
 def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate]:
     """Run the full pipeline and return the selected histogram.
 
-    Points come from ``cfg.input_path`` unless passed directly.  With a
-    fixed seed and config the written histogram JSON is byte-identical
-    across runs; the manifest also records wall-clock timings and is
-    therefore not.  Fewer than two points inside the root box raise
+    Points come from ``cfg.input_path`` unless passed directly.  The
+    same points and config give byte-identical histogram JSON in either
+    mode; the manifest also records wall-clock timings and is therefore
+    not.  Fewer than two points inside the root box raise
     :class:`~rphist.errors.InsufficientData` before anything is built
     or written.
     """
@@ -154,8 +151,6 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         max_psi=0.0,
         max_leaves=cfg.effective_carve_leaves,
         max_depth=cfg.max_depth,
-        rng_seed=cfg.seed,
-        tie_break=cfg.tie_break,
     )
     carve = carve_path(points, carve_cfg, root_box=root_box)
     launches = launch_states(carve, cfg.tributaries)
@@ -174,21 +169,17 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     t0 = time.perf_counter()
     paths = []
     candidates = []
-    k = 0
     for maxpts in cfg.maxpts:
         for i, state in enumerate(launches):
             seb_cfg = PqmcConfig(
                 max_psi=float(maxpts),
                 max_leaves=cfg.maxlvs,
                 max_depth=cfg.max_depth,
-                rng_seed=tributary_seed(cfg.seed, k),
-                tie_break=cfg.tie_break,
             )
             if cfg.sequential:
                 path = run_pqmc(state, points, SEB_PRIORITY, seb_cfg)
             else:
-                path = reconstruct_path(graft(base, state, float(maxpts)),
-                                        initial=state)
+                path = reconstruct_path(base, state, float(maxpts))
                 path = truncate_path(path, cfg.maxlvs, float(maxpts), seb_cfg)
             paths.append(path)
             candidates.append({
@@ -198,7 +189,6 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                 "final_leaves": path.final.leaf_count,
                 "success": path.success,
             })
-            k += 1
     timings["tributary_paths"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -251,10 +241,8 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
             "tau_min": cfg.tau_min,
             "tau_max": cfg.tau_max,
             "tau_steps": cfg.tau_steps,
-            "seed": cfg.seed,
             "strict": cfg.strict,
             "sequential": cfg.sequential,
-            "tie_break": cfg.tie_break,
             "max_depth": cfg.max_depth,
         },
         "n": hist.n,

@@ -19,7 +19,6 @@ smoothing stage scores.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,29 +56,24 @@ SPC_PRIORITY = Priority(SPC)
 
 @dataclass(frozen=True)
 class PqmcConfig:
-    """Stopping thresholds and tie handling for a splitting chain.
+    """Stopping thresholds of a splitting chain.
 
     ``max_psi`` stops the chain once the largest splittable priority is
     no bigger than it; ``None`` or ``0.0`` disables that stop (a zero
     threshold can never bind for SEB, and for SPC the zero-threshold
     carve is defined to run until the leaf budget).  ``max_leaves=None``
-    removes the leaf budget.  Ties at the maximum priority are broken
-    uniformly at random (seeded) or towards the lowest label.
+    removes the leaf budget.
     """
 
     max_psi: float | None = None
     max_leaves: int | None = None
     max_depth: int = 1000
-    rng_seed: int = 0
-    tie_break: str = "random"
 
     def __post_init__(self):
         if self.max_leaves is not None and self.max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.tie_break not in ("random", "lowest_label"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
     @property
     def priority_stop_active(self) -> bool:
@@ -148,9 +142,8 @@ def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
 
 class _LeafPool:
     """Working state of one chain run: point indices and cell geometry
-    per splittable leaf, with a max-heap of the distinct priorities and,
-    per priority, the ascending list of its leaves (a tied pop is then
-    one draw and one list pop)."""
+    per splittable leaf, and a heap of ``(-priority, label)`` keys, so
+    the top is the largest priority with ties towards the lowest label."""
 
     def __init__(self, s0: SRP, points: np.ndarray, priority: Priority, cfg: PqmcConfig):
         self.points = points
@@ -159,8 +152,7 @@ class _LeafPool:
         self.n = s0.n
         self.root_volume = s0.tree.root_box.volume
         self.info: dict[int, tuple] = {}
-        self.heap: list[float] = []  # negated distinct priorities
-        self.buckets: dict[float, list[int]] = {}
+        self.heap: list[tuple[float, int]] = []
         self.leaf_count = s0.leaf_count
         assignment = assign_leaves(s0.tree, points)
         for label, idx in assignment.items():
@@ -182,31 +174,16 @@ class _LeafPool:
         if len(idx) == 0 or depth(label) >= self.cfg.max_depth or not splittable:
             return
         self.info[label] = (idx, lo, hi, axis, mid)
-        key = -self._psi(len(idx), label)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [label]
-            heapq.heappush(self.heap, key)
-        else:
-            insort(bucket, label)
+        heapq.heappush(self.heap, (-self._psi(len(idx), label), label))
 
     def max_priority(self) -> float | None:
-        return -self.heap[0] if self.heap else None
+        return -self.heap[0][0] if self.heap else None
 
-    def pop_argmax(self, rng: np.random.Generator) -> tuple[int, bool]:
-        """Pop one leaf of maximal priority: the lowest label, or a
-        uniform draw among the tied ones.  Returns (label, tied)."""
-        key = self.heap[0]
-        bucket = self.buckets[key]
-        tied = len(bucket) > 1
-        pick = 0
-        if tied and self.cfg.tie_break == "random":
-            pick = int(rng.integers(len(bucket)))
-        label = bucket.pop(pick)
-        if not bucket:
-            del self.buckets[key]
-            heapq.heappop(self.heap)
-        return label, tied
+    def pop_argmax(self) -> tuple[int, bool]:
+        """Pop the lowest-labelled leaf of maximal priority.  Returns
+        (label, tied), tied when another leaf has the same priority."""
+        key, label = heapq.heappop(self.heap)
+        return label, bool(self.heap) and self.heap[0][0] == key
 
     def split(self, label: int) -> SplitRecord:
         idx, lo, hi, axis, mid = self.info.pop(label)
@@ -227,7 +204,7 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     """Run one priority-queued splitting chain from ``s0``.
 
     At every step the splittable leaf with the largest priority is
-    split (ties per ``cfg.tie_break``) until no splittable leaf remains,
+    split (ties towards the lowest label) until no splittable leaf remains,
     the leaf count reaches ``cfg.max_leaves``, or the largest priority
     is at most ``cfg.max_psi``.  Termination is guaranteed: the leaf
     count strictly increases and splittability is depth-bounded.
@@ -236,7 +213,6 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     if len(points) != s0.n:
         raise ValueError(f"SRP holds {s0.n} points but {len(points)} were passed")
     pool = _LeafPool(s0, points, priority, cfg)
-    rng = np.random.default_rng(cfg.rng_seed)
     records: list[SplitRecord] = []
     had_ties = False
     stop_reason = "exhausted"
@@ -250,7 +226,7 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
         if cfg.priority_stop_active and pool.max_priority() <= cfg.max_psi:
             stop_reason = "max_psi"
             break
-        label, tied = pool.pop_argmax(rng)
+        label, tied = pool.pop_argmax()
         had_ties = had_ties or tied
         records.append(pool.split(label))
     priority_ok = (
@@ -301,10 +277,4 @@ def launch_states(carve: PqmcPath, c: int) -> list[SRP]:
     last = total - 1
     steps = sorted({(i * last) // (c - 1) for i in range(c)})
     return [carve.state(t) for t in steps]
-
-
-def tributary_seed(base_seed: int, index: int) -> int:
-    """Deterministic per-tributary RNG seed derived from the base seed."""
-    ss = np.random.SeedSequence([int(base_seed), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
 

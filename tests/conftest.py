@@ -53,14 +53,14 @@ def random_srp(rng: np.random.Generator, n_max: int = 200, d_max: int = 3,
     box = bounding_box(pts)
     s0 = ingest(RPTree(box), pts)
     splits = int(rng.integers(0, max_splits + 1))
-    cfg = PqmcConfig(max_leaves=1 + splits, rng_seed=int(rng.integers(2**32)))
+    cfg = PqmcConfig(max_leaves=1 + splits)
     path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
     return path.final, pts
 
 
-def tie_free_instance(seed: int):
-    """One (points, box, threshold, sequential path) instance whose whole
-    sequential chain never saw a priority tie, or None."""
+def seb_instance(seed: int):
+    """One (points, box, threshold, sequential path) instance: an SEB
+    chain from the root run to a random threshold on random data."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 4))
     n = int(rng.integers(64, 4097))
@@ -68,8 +68,5 @@ def tie_free_instance(seed: int):
     threshold = float(rng.integers(max(2, n // 64), max(3, n // 4)))
     box = bounding_box(pts)
     s0 = ingest(RPTree(box), pts)
-    cfg = PqmcConfig(max_psi=threshold, tie_break="lowest_label")
-    path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
-    if path.had_ties:
-        return None
+    path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=threshold))
     return pts, box, threshold, path

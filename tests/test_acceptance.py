@@ -28,10 +28,10 @@ from rphist.smoothing import cv_score
 from rphist.srp import histogram, ingest
 from rphist.tree import RPTree
 
-from conftest import fig2_points, random_points, random_srp, tie_free_instance, unit_box
+from conftest import fig2_points, random_points, random_srp, seb_instance, unit_box
 from test_smoothing import brute_force_cv
 
-CFG = PqmcConfig(tie_break="lowest_label")
+CFG = PqmcConfig()
 
 
 def report(num: int, detail: str) -> None:
@@ -83,29 +83,27 @@ def test_criterion_2_normalization_and_conservation():
 def test_criterion_3_sequential_parallel_equivalence():
     t0 = time.perf_counter()
     instances = 0
-    seed = 0
     mismatches = 0
-    while instances < 50:
-        assert seed < 500, "could not generate enough strict-priority instances"
-        inst = tie_free_instance(seed)
-        seed += 1
-        if inst is None:
-            continue
-        pts, box, threshold, seq = inst
+    tied = 0
+    for seed in range(50):
+        pts, box, threshold, seq = seb_instance(seed)
+        tied += seq.had_ties
         res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=int(1 + instances % 4))
         if res.final_srp != seq.final:
             mismatches += 1
-        path = reconstruct_path(res).states()
-        states = seq.states()
+        path = reconstruct_path(res)
+        if path.had_ties != seq.had_ties:
+            mismatches += 1
+        path, states = path.states(), seq.states()
         if len(path) != len(states) or any(a != b for a, b in zip(path, states)):
             mismatches += 1
         instances += 1
     assert mismatches == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
-    report(3, f"{instances} strict-priority instances, trees and paths "
-              f"identical, {elapsed:.1f}s")
+    report(3, f"{instances} instances ({tied} with tied pops), trees, paths "
+              f"and tie flags identical, {elapsed:.1f}s")
 
 
 def test_criterion_4_order_invariance():
@@ -187,7 +185,7 @@ def test_criterion_7_desk_scale_reproduction(tmp_path):
     out = tmp_path / "gauss2d.json"
     cfg = RunConfig(
         dim=2, shards=4, workers=2, carve_leaves=100, tributaries=5,
-        maxpts=(50, 500, 1500), seed=7, out=str(out),
+        maxpts=(50, 500, 1500), out=str(out),
     )
     hist, estimate = run_pipeline(cfg, points=pts)
     manifest = json.loads((tmp_path / "gauss2d.json.manifest.json").read_text())
@@ -221,7 +219,7 @@ def test_criterion_8_ten_dimensional_run(tmp_path):
     out = tmp_path / "gauss10d.json"
     cfg = RunConfig(
         dim=10, shards=4, workers=2, carve_leaves=100, tributaries=3,
-        maxpts=(2000,), seed=11, out=str(out),
+        maxpts=(2000,), out=str(out),
     )
     hist, estimate = run_pipeline(cfg, points=pts)
     assert hist.n == 1_000_000

@@ -12,7 +12,6 @@ from rphist.distributed import (
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
-    graft,
     prune,
     reconstruct_path,
     truncate_path,
@@ -29,9 +28,9 @@ from rphist.pqmc import (
 from rphist.srp import ingest
 from rphist.tree import RPTree
 
-from conftest import random_points, tie_free_instance, unit_box
+from conftest import random_points, seb_instance, unit_box
 
-CFG = PqmcConfig(tie_break="lowest_label")
+CFG = PqmcConfig()
 
 
 def fig7_dataset(shard_count=2) -> TaggedDataset:
@@ -119,29 +118,23 @@ def test_build_fig7_style_matches_sequential():
     pts = fig7_dataset(1).shards[0].points
     res = build_threshold_tree(pts, unit_box(2), 2.0, CFG)
     s0 = ingest(RPTree(unit_box(2)), pts)
-    seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, tie_break="lowest_label"))
+    seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0))
     assert res.final_srp == seq.final
     for v in res.final_srp.tree.leaves():
         assert res.final_srp.counts[v] <= 2 or res.final_srp.counts[v] == 0
 
 
 def test_build_threshold_equals_sequential_random():
-    found = 0
-    seed = 0
-    while found < 8:
-        inst = tie_free_instance(seed)
-        seed += 1
-        if inst is None:
-            continue
-        found += 1
-        pts, box, threshold, seq = inst
+    for seed in range(8):
+        pts, box, threshold, seq = seb_instance(seed)
         res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=3)
         assert res.final_srp == seq.final
-        path = reconstruct_path(res).states()
-        states = seq.states()
-        assert len(path) == len(states)
-        for a, b in zip(path, states):
+        path = reconstruct_path(res)
+        assert path.had_ties == seq.had_ties
+        states = path.states()
+        assert len(states) == len(seq)
+        for a, b in zip(states, seq.states()):
             assert a == b
 
 
@@ -209,7 +202,7 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     pts = np.vstack([rng.standard_normal((5000, 2)),
                      np.repeat([[0.3, -0.7]], 200, axis=0)])
     box = bounding_box(pts)
-    carve = carve_path(pts, PqmcConfig(max_leaves=20, tie_break="lowest_label"),
+    carve = carve_path(pts, PqmcConfig(max_leaves=20),
                        root_box=box)
     base = build_threshold_tree(pts, box, 50.0, CFG, shard_count=2)
     leaves = base.final_srp.tree.leaves()
@@ -218,8 +211,11 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     for threshold in (50.0, 500.0):
         for launch in launch_states(carve, 3):
             seq = run_pqmc(launch, pts, SEB_PRIORITY,
-                           PqmcConfig(max_psi=threshold, tie_break="lowest_label"))
-            assert graft(base, launch, threshold).final_srp == seq.final
+                           PqmcConfig(max_psi=threshold))
+            path = reconstruct_path(base, launch, threshold)
+            assert path.final == seq.final
+            assert path.records == seq.records
+            assert path.had_ties == seq.had_ties
 
 
 def test_build_big_labels_escape_hatch():
@@ -233,7 +229,7 @@ def test_build_big_labels_escape_hatch():
     assert len(nonempty) == 2
     s0 = ingest(RPTree(box), pts)
     seq = run_pqmc(s0, pts, SEB_PRIORITY,
-                   PqmcConfig(max_psi=1.0, tie_break="lowest_label"))
+                   PqmcConfig(max_psi=1.0))
     assert res.final_srp == seq.final
 
 
@@ -280,12 +276,7 @@ def test_backtrack_root_only():
 
 
 def test_backtrack_merge_order_ascending_parent_priority():
-    inst = None
-    seed = 0
-    while inst is None:
-        inst = tie_free_instance(seed)
-        seed += 1
-    pts, box, threshold, _ = inst
+    pts, box, threshold, _ = seb_instance(0)
     res = build_threshold_tree(pts, box, threshold, CFG)
     # merge order is the reversed path: from the final SRP down to the root
     states = reconstruct_path(res).states()[::-1]
@@ -299,37 +290,27 @@ def test_backtrack_merge_order_ascending_parent_priority():
 
 def test_reconstruct_path_from_launch_state():
     # tributary from a carved state: parallel rebuild equals sequential
-    found = 0
-    seed = 100
-    while found < 3:
-        inst = tie_free_instance(seed)
-        seed += 1
-        if inst is None:
-            continue
-        pts, box, threshold, _ = inst
+    for seed in range(100, 103):
+        pts, box, threshold, _ = seb_instance(seed)
         s0 = ingest(RPTree(box), pts)
         carve = run_pqmc(s0, pts, SPC_PRIORITY,
-                         PqmcConfig(max_leaves=4, tie_break="lowest_label"))
+                         PqmcConfig(max_leaves=4))
         launch = carve.final
         seq = run_pqmc(launch, pts, SEB_PRIORITY,
-                       PqmcConfig(max_psi=threshold, tie_break="lowest_label"))
-        if seq.had_ties:
-            continue
-        found += 1
+                       PqmcConfig(max_psi=threshold))
         base = build_threshold_tree(pts, box, threshold, CFG,
                                     shard_count=2)
-        res = graft(base, launch, threshold)
-        assert res.final_srp == seq.final
-        par = reconstruct_path(res, initial=launch)
+        par = reconstruct_path(base, launch, threshold)
+        assert par.final == seq.final
         assert par.records == seq.records
         assert par.initial == seq.initial
+        assert par.had_ties == seq.had_ties
 
 
 def test_reconstruct_never_merges_into_the_launch_state():
     # adversarial layout: the launch state contains a cherry whose parent
-    # count (3) is far below every count the tributary splits (>= 12), so
-    # an unrestricted least-priority backtrack would merge that cherry
-    # first and leave the tributary's path entirely
+    # count (3) is far below every count the tributary splits (>= 12); the
+    # path must start from the launch state and never split its nodes again
     rng = np.random.default_rng(5)  # seed picked to keep all counts distinct
     left = rng.uniform([0.0, 0.0], [0.24, 0.49], size=(3, 2))
     right = rng.uniform([0.5, 0.0], [1.0, 1.0], size=(100, 2))
@@ -340,13 +321,13 @@ def test_reconstruct_never_merges_into_the_launch_state():
     assert launch.counts[2] == 3 and launch.counts[3] == 100
 
     seq = run_pqmc(launch, pts, SEB_PRIORITY,
-                   PqmcConfig(max_psi=10.0, tie_break="lowest_label"))
+                   PqmcConfig(max_psi=10.0))
     assert not seq.had_ties, "layout should give distinct counts"
     assert min(cl + cr for cl, cr in
                ((r.left_count, r.right_count) for r in seq.records)) > 3
 
     base = build_threshold_tree(pts, box, 10.0, CFG, shard_count=2)
-    par = reconstruct_path(graft(base, launch, 10.0), initial=launch)
+    par = reconstruct_path(base, launch, 10.0)
     assert par.records == seq.records
     assert par.final == seq.final
 
@@ -370,47 +351,91 @@ def tied_grid_sample(draw):
     return pts, float(base_threshold), [float(t) for t in thresholds], carve_leaves
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(tied_grid_sample())
-def test_graft_equals_sequential_terminal_state_on_tied_data(sample):
+def _tied_grid_paths(sample, max_leaves):
+    """(reconstructed, sequential) path pairs for every launch state,
+    threshold and base-build shard count of a tied-grid sample."""
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40  # repeated rows hit the cap fast instead of machine precision
     box = bounding_box(pts)
-    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth,
-                                       tie_break="lowest_label"), root_box=box)
-    launches = launch_states(carve, 3)
+    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth),
+                       root_box=box)
     cfg = PqmcConfig(max_depth=max_depth)
     bases = [build_threshold_tree(pts, box, base_threshold, cfg,
                                   shard_count=shards) for shards in (1, 2, 3)]
-    for launch in launches:
+    for launch in launch_states(carve, 3):
         for threshold in thresholds:
-            grafted = [graft(base, launch, threshold).final_srp for base in bases]
-            for tie_break in ("lowest_label", "random"):
-                seq = run_pqmc(launch, pts, SEB_PRIORITY,
-                               PqmcConfig(max_psi=threshold, max_depth=max_depth,
-                                          tie_break=tie_break))
-                for srp in grafted:
-                    assert srp.tree.nodes == seq.final.tree.nodes
-                    assert srp == seq.final
+            seb_cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
+                                 max_depth=max_depth)
+            seq = run_pqmc(launch, pts, SEB_PRIORITY, seb_cfg)
+            for base in bases:
+                path = reconstruct_path(base, launch, threshold)
+                yield truncate_path(path, max_leaves, threshold, seb_cfg), seq
 
 
-def test_graft_rejects_lower_threshold():
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tied_grid_sample())
+def test_reconstruct_path_equals_sequential_on_tied_data(sample):
+    for path, seq in _tied_grid_paths(sample, None):
+        assert path.final.tree.nodes == seq.final.tree.nodes
+        assert path.final == seq.final
+        assert path.records == seq.records
+        assert path.had_ties == seq.had_ties
+        assert path.success and seq.success
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 6),
+       st.one_of(st.none(), st.integers(1, 60)))
+def test_tie_flag_equals_sequential_on_tied_data(seed, side, threshold, max_leaves):
+    # up to a few hundred rows on a small integer grid, so counts often tie
+    # (about one path in five has a tied pop)
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, side, (int(rng.integers(10, 300)), 2)).astype(float)
+    sample = (pts, float(threshold), [float(threshold), threshold + 3.0],
+              int(rng.integers(1, 8)))
+    for path, seq in _tied_grid_paths(sample, max_leaves):
+        assert path.records == seq.records
+        assert path.had_ties == seq.had_ties
+        assert path.success == seq.success
+
+
+def test_reconstruct_path_rejects_lower_threshold():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = ingest(RPTree(unit_box(2)), pts)
     base = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
     with pytest.raises(ValueError):
-        graft(base, launch, 4.0)
-    assert graft(base, launch, 5.0).final_srp == base.final_srp
+        reconstruct_path(base, launch, 4.0)
+    with pytest.raises(ValueError):
+        reconstruct_path(base, ingest(RPTree(unit_box(2)), pts[:-1]), 5.0)
+    assert reconstruct_path(base, launch, 5.0).final == base.final_srp
+
+
+def test_tie_flag_counts_only_cells_already_leaves():
+    # four points in the four quarters of the unit square at threshold 1:
+    # the root (count 4) has no rival, then halves 2 and 3 (count 2 each)
+    # are both leaves, so popping 2 is tied
+    pts = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
+    base = build_threshold_tree(pts, unit_box(2), 1.0, CFG)
+    path = reconstruct_path(base)
+    assert [r.label for r in path.records] == [1, 2, 3]
+    assert path.had_ties
+    seq = run_pqmc(ingest(RPTree(unit_box(2)), pts), pts, SEB_PRIORITY,
+                   PqmcConfig(max_psi=1.0))
+    assert path.records == seq.records and seq.had_ties
+    # cut before the tied pop: the root pop alone had no rival
+    assert not truncate_path(path, 2, 1.0, CFG).had_ties
+    assert truncate_path(path, 3, 1.0, CFG).had_ties
+    # a parent and its only non-empty child share a count but never tie:
+    # the child becomes a leaf only when the parent is popped
+    lone = np.array([[0.1, 0.1], [0.2, 0.2]])
+    path = reconstruct_path(build_threshold_tree(lone, unit_box(2), 1.0, CFG))
+    assert [r.left_count + r.right_count for r in path.records] == [2] * 5
+    assert not path.had_ties
 
 
 def test_truncate_path():
-    found = None
-    seed = 0
-    while found is None:
-        found = tie_free_instance(seed)
-        seed += 1
-    pts, box, threshold, seq = found
+    pts, box, threshold, seq = seb_instance(0)
     cut = truncate_path(seq, 3, threshold, CFG)
     assert cut.final.leaf_count == min(3, seq.final.leaf_count)
     if seq.final.leaf_count > 3:
@@ -418,3 +443,13 @@ def test_truncate_path():
         assert not cut.success  # over-threshold splittable leaves remain
     whole = truncate_path(seq, None, threshold, CFG)
     assert whole is seq
+    # a launch state already over the budget fails, as in the chain, even
+    # with no leaf left over the threshold
+    launch = seq.final
+    cfg = PqmcConfig(max_psi=threshold, max_leaves=2)
+    base = build_threshold_tree(pts, box, threshold, CFG)
+    over = truncate_path(reconstruct_path(base, launch, threshold), 2,
+                         threshold, cfg)
+    chain = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
+    assert over.records == chain.records == ()
+    assert over.success is chain.success is False

@@ -385,24 +385,12 @@ def test_pipeline_reproduces_fig2(tmp_path):
         input_path=str(fig2_csv(tmp_path)),
         dim=2, pad=0.0, carve_leaves=1, tributaries=1,
         maxpts=(4,), maxlvs=3, tau_min=1e9, tau_max=1e9, tau_steps=1,
-        tie_break="lowest_label", seed=0, sequential=True,
-        out=str(tmp_path / "h.json"),
+        sequential=True, out=str(tmp_path / "h.json"),
     )
-    hist, est = run_pipeline(cfg)
-    heights = {leaf.label: leaf.height for leaf in hist.leaves}
-    assert heights == {3: 1.0, 4: 0.8, 5: 1.2}
-    # the sharded builder reaches the same histogram up to the (tied)
-    # label layout: identical height/mass profile
-    cfg_par = RunConfig(
-        input_path=str(fig2_csv(tmp_path)),
-        dim=2, pad=0.0, carve_leaves=1, tributaries=1,
-        maxpts=(4,), maxlvs=3, tau_min=1e9, tau_max=1e9, tau_steps=1,
-        tie_break="lowest_label", seed=0, sequential=False,
-        out=str(tmp_path / "h2.json"),
-    )
-    hist2, _ = run_pipeline(cfg_par)
-    assert sorted(lf.height for lf in hist2.leaves) == [0.8, 1.0, 1.2]
-    assert sorted(lf.count for lf in hist2.leaves) == [2, 3, 5]
+    for mode_cfg in (cfg, replace(cfg, sequential=False)):
+        hist, est = run_pipeline(mode_cfg)
+        heights = {leaf.label: leaf.height for leaf in hist.leaves}
+        assert heights == {3: 1.0, 4: 0.8, 5: 1.2}
 
 
 def test_pipeline_deterministic_bytes(tmp_path):
@@ -414,7 +402,7 @@ def test_pipeline_deterministic_bytes(tmp_path):
     for name in ("a.json", "b.json"):
         cfg = RunConfig(
             input_path=str(csv), dim=2, tributaries=3, maxpts=(20, 60),
-            carve_leaves=8, seed=123, out=str(tmp_path / name),
+            carve_leaves=8, out=str(tmp_path / name),
         )
         run_pipeline(cfg)
         outs.append((tmp_path / name).read_bytes())
@@ -422,25 +410,40 @@ def test_pipeline_deterministic_bytes(tmp_path):
 
 
 def test_pipeline_sequential_parallel_agree(tmp_path):
-    from conftest import tie_free_instance
+    from conftest import seb_instance
 
-    inst = None
-    seed = 0
-    while inst is None:
-        inst = tie_free_instance(seed)
-        seed += 1
-    pts, box, threshold, _ = inst
+    pts, box, threshold, _ = seb_instance(0)
     results = []
     for sequential in (False, True):
         cfg = RunConfig(
             dim=pts.shape[1], tributaries=1, carve_leaves=1,
-            maxpts=(int(threshold),), seed=3, sequential=sequential,
-            tie_break="lowest_label", shards=3,
+            maxpts=(int(threshold),), sequential=sequential, shards=3,
             out=str(tmp_path / f"{'seq' if sequential else 'par'}.json"),
         )
         hist, est = run_pipeline(cfg, points=pts)
         results.append((tmp_path / cfg.out).read_bytes())
     assert results[0] == results[1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([None, 6, 20]),
+       st.integers(2, 12))
+def test_pipeline_modes_agree_on_tied_grid_data(tmp_path_factory, seed, shards,
+                                                maxlvs, side):
+    # integer-grid rows, many of them repeated: SEB counts tie on most pops
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, side, (int(rng.integers(20, 300)), 2)).astype(float)
+    pts = np.vstack([pts, np.repeat(pts[:1], int(rng.integers(0, 40)), axis=0)])
+    out = tmp_path_factory.mktemp("modes")
+    outputs = []
+    for sequential in (False, True):
+        cfg = RunConfig(dim=2, carve_leaves=min(5, maxlvs or 5), tributaries=3,
+                        maxpts=(3, 10, 40), maxlvs=maxlvs, max_depth=30,
+                        shards=shards, sequential=sequential, tau_steps=5,
+                        out=str(out / f"{sequential}.json"))
+        run_pipeline(cfg, points=pts)
+        outputs.append((out / f"{sequential}.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_pipeline_strict_rejects_bad_rows(tmp_path):
@@ -474,7 +477,7 @@ def test_pipeline_manifest(tmp_path):
     pts = random_points(rng, 500, 2)
     out = tmp_path / "h.json"
     cfg = RunConfig(dim=2, tributaries=2, maxpts=(30,), carve_leaves=5,
-                    seed=9, out=str(out))
+                    out=str(out))
     hist, est = run_pipeline(cfg, points=pts)
     man = json.loads((tmp_path / "h.json.manifest.json").read_text())
     assert man["n"] == 500
@@ -511,20 +514,21 @@ def test_pipeline_manifest(tmp_path):
 
 
 def test_pipeline_default_mode_output_pinned(tmp_path):
-    # the constant was computed with one threshold build per tributary;
-    # grafting every tributary from one root build must give the same bytes
+    # the constant is the sequential chain's output on this data, with
+    # ties popped towards the lowest label; the default mode sorts one
+    # root build into every tributary's path and must give the same bytes
     pts = np.random.default_rng(2024).standard_normal((3000, 2))
     out = tmp_path / "h.json"
     cfg = RunConfig(dim=2, carve_leaves=20, tributaries=3, maxpts=(20, 100, 300),
-                    shards=2, seed=5, out=str(out))
+                    shards=2, out=str(out))
     run_pipeline(cfg, points=pts)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "46402be5499d0416c3d12c4b3dbb2d3b75668d6a265fca582a20d0aa80e4fee7")
+        "4aa6a6102de32b52eb06f52628557ae15cac2fc521d820b3e87a4cd4ba6348e7")
 
 
 def test_pipeline_warns_when_tau_at_grid_edge(caplog):
     pts = random_points(np.random.default_rng(42), 500, 2)
-    cfg = RunConfig(dim=2, tributaries=2, maxpts=(30,), carve_leaves=5, seed=9)
+    cfg = RunConfig(dim=2, tributaries=2, maxpts=(30,), carve_leaves=5)
     with caplog.at_level(logging.WARNING, logger="rphist.pipeline"):
         _, est = run_pipeline(cfg, points=pts)
     assert cfg.tau_min < est.tau < cfg.tau_max  # 0.259, as in the manifest test
@@ -542,17 +546,16 @@ def test_pipeline_warns_when_tau_at_grid_edge(caplog):
 def test_pipeline_sequential_mode_output_pinned(tmp_path):
     # integer-grid points with duplicate rows: about two thirds of the
     # chain's pops are tied.  The leaf budget stops chains among tied
-    # leaves, so the output depends on the pick order and the draws of
-    # random tie-breaking.  The constant was computed with a pool that
-    # popped and re-pushed every tied leaf on each step.
+    # leaves, so the output depends on the pick order.  The constant was
+    # computed with per-priority lists of tied leaves, each popped
+    # lowest label first.
     pts = np.random.default_rng(2025).integers(0, 30, (3000, 2)).astype(float)
     out = tmp_path / "h.json"
     cfg = RunConfig(dim=2, carve_leaves=20, tributaries=3, maxpts=(8, 30, 100),
-                    maxlvs=500, max_depth=24, seed=5, sequential=True,
-                    tie_break="random", out=str(out))
+                    maxlvs=500, max_depth=24, sequential=True, out=str(out))
     run_pipeline(cfg, points=pts)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5544f65ecb70295a6a76b5f45de63cbaf9f2f061671c1acd92faccfd8589458e")
+        "0158a094157268b608f866e2285ca9eef4bc6b766484245b535d7ccc7636182b")
 
 
 def test_runconfig_validation():
@@ -597,12 +600,29 @@ def test_cli_build_eval_plot(tmp_path, capsys):
     assert "rectangles" in capsys.readouterr().out
 
 
+def test_cli_build_seed_is_ignored(tmp_path):
+    pts = np.random.default_rng(46).integers(0, 8, (400, 2))
+    csv = tmp_path / "pts.csv"
+    csv.write_text("\n".join(f"{a},{b}" for a, b in pts) + "\n")
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.json"
+        assert cli_main(["build", "--input", str(csv), "--dim", "2",
+                         "--maxpts", "5,20", "--carve-leaves", "4",
+                         "--max-depth", "30", "--seed", seed,
+                         "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert "seed" not in config and "tie_break" not in config
+    assert outputs[0] == outputs[1]
+
+
 def test_pipeline_one_dimensional(tmp_path):
     rng = np.random.default_rng(44)
     pts = rng.standard_normal((5000, 1))
     out = tmp_path / "h1.json"
     cfg = RunConfig(dim=1, tributaries=2, maxpts=(100,), carve_leaves=5,
-                    seed=1, out=str(out))
+                    out=str(out))
     hist, est = run_pipeline(cfg, points=pts)
     assert hist.root_box.dim == 1
     assert hist.total_mass() == pytest.approx(1.0, abs=1e-9)

@@ -82,7 +82,7 @@ def test_run_pqmc_matches_naive_oracle():
         [0.3, 0.35], [0.35, 0.05], [0.4, 0.3], [0.45, 0.45],
     ])
     s0 = ingest(RPTree(unit_box(2)), pts)
-    cfg = PqmcConfig(max_psi=2.0, tie_break="lowest_label")
+    cfg = PqmcConfig(max_psi=2.0)
     path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
     expected = naive_seb_path(s0, pts, 2.0, None)
     assert len(path) == len(expected)
@@ -97,7 +97,7 @@ def test_run_pqmc_oracle_on_random_data():
         box = bounding_box(pts)
         s0 = ingest(RPTree(box), pts)
         maxlvs = int(rng.integers(2, 20))
-        cfg = PqmcConfig(max_leaves=maxlvs, tie_break="lowest_label")
+        cfg = PqmcConfig(max_leaves=maxlvs)
         path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
         expected = naive_seb_path(s0, pts, None, maxlvs)
         assert [s.tree.nodes for s in path.states()] == [s.tree.nodes for s in expected]
@@ -120,7 +120,6 @@ def test_stop_disjunction_holds_on_every_run():
         cfg = PqmcConfig(
             max_psi=float(rng.integers(0, 20)),
             max_leaves=int(rng.integers(1, 40)),
-            rng_seed=int(rng.integers(2**32)),
         )
         path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
         final = path.final
@@ -144,14 +143,10 @@ def test_run_pqmc_deterministic_reruns():
     rng = np.random.default_rng(16)
     pts = random_points(rng, 500, 2)
     s0 = ingest(RPTree(bounding_box(pts)), pts)
-    cfg = PqmcConfig(max_psi=20.0, tie_break="lowest_label")
+    cfg = PqmcConfig(max_psi=20.0)
     a = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
     b = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
     assert a.records == b.records
-    cfg_rand = PqmcConfig(max_psi=20.0, tie_break="random", rng_seed=77)
-    c = run_pqmc(s0, pts, SEB_PRIORITY, cfg_rand)
-    d = run_pqmc(s0, pts, SEB_PRIORITY, cfg_rand)
-    assert c.records == d.records
 
 
 def test_carve_requires_zero_threshold():
@@ -162,7 +157,7 @@ def test_carve_requires_zero_threshold():
 def test_carve_single_split_on_uniform_data():
     rng = np.random.default_rng(17)
     pts = rng.uniform(0, 1, size=(64, 2))
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=2, tie_break="lowest_label")
+    cfg = PqmcConfig(max_psi=0.0, max_leaves=2)
     path = carve_path(pts, cfg)
     assert len(path) == 2
     assert path.records[0].label == 1
@@ -171,8 +166,8 @@ def test_carve_single_split_on_uniform_data():
 def test_carve_prefix_property():
     rng = np.random.default_rng(18)
     pts = random_points(rng, 500, 2)
-    cfg20 = PqmcConfig(max_psi=0.0, max_leaves=20, tie_break="lowest_label")
-    cfg40 = PqmcConfig(max_psi=0.0, max_leaves=40, tie_break="lowest_label")
+    cfg20 = PqmcConfig(max_psi=0.0, max_leaves=20)
+    cfg40 = PqmcConfig(max_psi=0.0, max_leaves=40)
     p20 = carve_path(pts, cfg20)
     p40 = carve_path(pts, cfg40)
     assert p40.state(p20.split_count) == p20.final
@@ -184,10 +179,10 @@ def test_carve_creates_more_empty_leaves_than_seb():
     x = rng.uniform(0, 1, 400)
     pts = np.column_stack([x, x + rng.normal(0, 0.01, 400)])
     box = bounding_box(pts)
-    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=20, rng_seed=1)
+    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=20)
     carve = carve_path(pts, carve_cfg, root_box=box)
     s0 = ingest(RPTree(box), pts)
-    seb = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=20, rng_seed=1))
+    seb = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=20))
     def empty_fraction(s):
         leaves = s.tree.leaves()
         return sum(1 for v in leaves if s.counts.get(v, 0) == 0) / len(leaves)
@@ -198,7 +193,7 @@ def test_carve_creates_more_empty_leaves_than_seb():
 def test_launch_states_even_spacing():
     rng = np.random.default_rng(20)
     pts = random_points(rng, 2000, 2)
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=41, tie_break="lowest_label")
+    cfg = PqmcConfig(max_psi=0.0, max_leaves=41)
     carve = carve_path(pts, cfg)
     assert carve.split_count == 40
     states = launch_states(carve, 5)
@@ -209,7 +204,7 @@ def test_launch_states_even_spacing():
 def test_launch_states_degenerate_cases():
     rng = np.random.default_rng(21)
     pts = random_points(rng, 100, 2)
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=4, tie_break="lowest_label")
+    cfg = PqmcConfig(max_psi=0.0, max_leaves=4)
     carve = carve_path(pts, cfg)
     assert [s.leaf_count for s in launch_states(carve, 1)] == [1]
     everything = launch_states(carve, 99)
@@ -225,7 +220,7 @@ def test_spc_zero_threshold_keeps_splitting():
     rng = np.random.default_rng(45)
     pts = rng.uniform(0, 1, size=(50, 2))
     s0 = ingest(RPTree(unit_box(2)), pts)
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=8, rng_seed=2)
+    cfg = PqmcConfig(max_psi=0.0, max_leaves=8)
     path = run_pqmc(s0, pts, SPC_PRIORITY, cfg)
     assert path.final.leaf_count == 8
     assert path.stop_reason == "max_leaves"
@@ -235,7 +230,7 @@ def test_carve_identical_points_stops_by_exhaustion():
     # coincident points can never be separated; the chain must stop on
     # machine-precision exhaustion instead of hitting the leaf budget
     pts = np.tile([[0.25, 0.25]], (5, 1))
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=10_000, max_depth=80, rng_seed=0)
+    cfg = PqmcConfig(max_psi=0.0, max_leaves=10_000, max_depth=80)
     path = carve_path(pts, cfg, root_box=unit_box(2))
     assert path.stop_reason == "exhausted"
     assert path.final.leaf_count < 10_000
@@ -263,7 +258,5 @@ def test_priority_value_ranges():
 def test_config_validation():
     with pytest.raises(ValueError):
         PqmcConfig(max_leaves=0)
-    with pytest.raises(ValueError):
-        PqmcConfig(tie_break="bogus")
     with pytest.raises(ValueError):
         PqmcConfig(max_depth=0)

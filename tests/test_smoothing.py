@@ -68,7 +68,7 @@ def test_penalized_score_monotone_in_tau(fig2_srp):
 def _grown_path(rng, n=300, maxlvs=20):
     pts = random_points(rng, n, 2)
     s0 = ingest(RPTree(bounding_box(pts)), pts)
-    cfg = PqmcConfig(max_leaves=maxlvs, rng_seed=int(rng.integers(2**32)))
+    cfg = PqmcConfig(max_leaves=maxlvs)
     return run_pqmc(s0, pts, SEB_PRIORITY, cfg), pts
 
 
