@@ -40,7 +40,6 @@ from .smoothing import (
     SmoothingConfig,
     cv_score,
     default_tau_grid,
-    map_estimate,
     penalized_score,
     select,
 )

@@ -23,13 +23,17 @@ order (:func:`reconstruct_path`).
 One build from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
-yields the path from each launch state for each threshold instead of
-rebuilding per tributary.
+is sorted once (:attr:`BuildResult.seb_order`), and the path from each
+launch state to each threshold is a prefix of that order with the
+launch state's internal nodes filtered out, instead of a rebuild or a
+sort per tributary.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -219,6 +223,16 @@ class BuildResult:
     threshold: float
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
 
+    @cached_property
+    def seb_order(self) -> tuple[list[int], tuple[SplitRecord, ...]]:
+        """The final SRP's internal nodes as split records in ascending
+        ``(-count, label)`` order, the order the SEB chain pops them in,
+        with the parallel list of negated parent counts (ascending)."""
+        counts = self.final_srp.counts
+        split = sorted(self.final_srp.tree.internal(), key=lambda p: (-counts[p], p))
+        return ([-counts[p] for p in split],
+                tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split))
+
 
 def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
                          shard_count: int = 1, workers: int = 1) -> BuildResult:
@@ -297,6 +311,10 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None,
     counts come from ``base``.  ``path.states()`` materializes every
     state.
 
+    The base build is sorted once (:attr:`BuildResult.seb_order`), so a
+    call takes the prefix of that order with count above ``threshold``
+    and drops the nodes internal in ``launch``.
+
     Raises
     ------
     ValueError
@@ -313,13 +331,10 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None,
         launch = SRP(RPTree(src.tree.root_box), {ROOT: src.n}, src.n)
     if launch.tree.root_box != src.tree.root_box or launch.n != src.n:
         raise ValueError("launch state and base build hold different data")
-    counts = src.counts
-    frozen = set(launch.tree.internal())
-    split = sorted((p for p in src.tree.internal()
-                    if counts[p] > threshold and p not in frozen),
-                   key=lambda p: (-counts[p], p))
-    records = tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1])
-                    for p in split)
+    neg_counts, order = base.seb_order
+    nodes = launch.tree.nodes
+    records = tuple(rec for rec in order[:bisect_left(neg_counts, -threshold)]
+                    if 2 * rec.label not in nodes)
     return PqmcPath(launch, records, "max_psi", True,
                     _first_tie(launch, records) < len(records))
 

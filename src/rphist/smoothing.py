@@ -6,6 +6,12 @@ Candidate SRP states come from chain paths.  For a smoothing parameter
 picked by minimizing Stone's leave-one-out cross-validation score, a
 nearly unbiased estimate of the expected L2 loss, which for a fixed
 partition has the closed form used in :func:`cv_score`.
+
+A split changes the log-likelihood and the two CV leaf sums by amounts
+that depend on the split alone.  So :func:`select` computes those
+deltas once per distinct split of all paths (:func:`node_table`), and
+each path's per-state profile is a gather from that table plus a
+cumulative sum (:func:`path_profile`), in either builder mode.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from .geometry import bounds_volume
-from .pqmc import PqmcPath
+from .pqmc import PqmcPath, SplitRecord
 from .srp import SRP, log_likelihood
 from .tree import cell_bounds
 
@@ -57,13 +63,13 @@ class CurvePoint:
 @dataclass(frozen=True)
 class ScoredEstimate:
     """A selected SRP state with its smoothing diagnostics; ``cv_curve``
-    has one point per grid ``tau`` from :func:`select`, none otherwise."""
+    has one point per grid ``tau``."""
 
     srp: SRP
     tau: float
     penalized_score: float
     cv_score: float
-    cv_curve: tuple[CurvePoint, ...] = ()
+    cv_curve: tuple[CurvePoint, ...]
 
 
 def penalized_score(s: SRP, tau: float) -> float:
@@ -108,12 +114,77 @@ def _leaf_cv_terms(s: SRP) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class NodeTable:
+    """Score deltas of every split of a set of paths, one row per record.
+
+    A split of a cell changes the log-likelihood and the two CV leaf
+    sums by amounts that depend on the cell and its two child counts
+    alone, so one table serves every path that makes the split.  Each
+    of ``log_lik``, ``cv_a`` and ``cv_b`` is ``(N, 3)``: the left and
+    right child's term and the negated parent term.  ``launch`` holds
+    the ``(log_lik, cv_a, cv_b)`` of each distinct launch state.
+    """
+
+    row: dict[SplitRecord, int]
+    log_lik: np.ndarray
+    cv_a: np.ndarray
+    cv_b: np.ndarray
+    launch: dict[SRP, tuple[float, float, float]]
+
+
+def node_table(paths: list[PqmcPath]) -> NodeTable:
+    """The :class:`NodeTable` of paths on one root box and sample size,
+    from one :func:`cell_bounds` batch over their distinct records.
+
+    Every term is formed elementwise with the float operations of a
+    record-by-record walk, so profiles gathered from the table are
+    bit-identical to that walk.
+    """
+    s0 = paths[0].initial
+    n, root_box = s0.n, s0.tree.root_box
+    row: dict[SplitRecord, int] = {}
+    launch: dict[SRP, tuple[float, float, float]] = {}
+    for path in paths:
+        for rec in path.records:
+            row.setdefault(rec, len(row))
+        s = path.initial
+        if s not in launch:
+            launch[s] = (log_likelihood(s) if n >= 1 else 0.0, *_leaf_cv_terms(s))
+    recs = list(row)
+    lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in recs])
+    rows = np.arange(len(axis))
+    width = hi[rows, axis] - lo[rows, axis]
+    vol = bounds_volume(lo, hi)
+    vol_l = vol / width * (mid - lo[rows, axis])
+    vol_r = vol / width * (hi[rows, axis] - mid)
+    cl = np.array([rec.left_count for rec in recs], dtype=float)
+    cr = np.array([rec.right_count for rec in recs], dtype=float)
+    c = cl + cr
+
+    def ll_term(c, vol):  # c log(c / (n vol)), 0 for an empty cell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(c > 0, c * np.log(c / (n * vol)), 0.0)
+
+    def deltas(left, right, parent):
+        return np.stack([left, right, -parent], axis=1)
+
+    return NodeTable(
+        row,
+        deltas(ll_term(cl, vol_l), ll_term(cr, vol_r), ll_term(c, vol)),
+        deltas(cl * cl / vol_l, cr * cr / vol_r, c * c / vol),
+        deltas(cl * (cl - 1) / vol_l, cr * (cr - 1) / vol_r, c * (c - 1) / vol),
+        launch,
+    )
+
+
+@dataclass(frozen=True)
 class PathProfile:
-    """Per-state score ingredients along one path, computed incrementally.
+    """Per-state score ingredients along one path.
 
     Arrays indexed by the state's position ``t``: leaf count, data
     log-likelihood, and the two leaf sums entering the closed-form CV
-    score.  One profile walk makes scoring a whole tau grid cheap.
+    score, gathered from a :class:`NodeTable`.  One profile makes
+    scoring a whole tau grid cheap.
     """
 
     path: PqmcPath
@@ -129,37 +200,28 @@ class PathProfile:
         return _cv_from_terms(float(self.cv_a[t]), float(self.cv_b[t]), n)
 
 
-def path_profile(path: PqmcPath) -> PathProfile:
-    s0 = path.initial
-    n = s0.n
-    root_box = s0.tree.root_box
-    steps = len(path)
-    m = np.empty(steps)
-    ll = np.empty(steps)
-    a = np.empty(steps)
-    b = np.empty(steps)
-    m[0] = s0.leaf_count
-    ll[0] = log_likelihood(s0) if n >= 1 else 0.0
-    a[0], b[0] = _leaf_cv_terms(s0)
+def path_profile(path: PqmcPath, table: NodeTable) -> PathProfile:
+    """The profile of ``path``, gathered from ``table``, a
+    :func:`node_table` over paths that include it.
 
-    def ll_term(c, vol):
-        return c * np.log(c / (n * vol)) if c > 0 else 0.0
+    State ``t`` adds the left and right child's terms of record ``t``
+    and subtracts its parent's, in that order, to state ``t - 1``: one
+    cumulative sum over the interleaved sequence
+    ``[x0, left_1, right_1, -parent_1, left_2, ...]``, read at every
+    third entry, so the sums round exactly as a record-by-record walk.
+    """
+    ll0, a0, b0 = table.launch[path.initial]
+    idx = [table.row[rec] for rec in path.records]
 
-    lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in path.records])
-    rows = np.arange(len(axis))
-    width = hi[rows, axis] - lo[rows, axis]
-    vol = bounds_volume(lo, hi)
-    vol_l = vol / width * (mid - lo[rows, axis])
-    vol_r = vol / width * (hi[rows, axis] - mid)
-    for t, (rec, v, vl, vr) in enumerate(
-            zip(path.records, vol.tolist(), vol_l.tolist(), vol_r.tolist()), start=1):
-        cl, cr = rec.left_count, rec.right_count
-        c = cl + cr
-        m[t] = m[t - 1] + 1
-        ll[t] = ll[t - 1] + ll_term(cl, vl) + ll_term(cr, vr) - ll_term(c, v)
-        a[t] = a[t - 1] + cl * cl / vl + cr * cr / vr - c * c / v
-        b[t] = b[t - 1] + cl * (cl - 1) / vl + cr * (cr - 1) / vr - c * (c - 1) / v
-    return PathProfile(path, m, ll, a, b)
+    def walk(x0, deltas):
+        seq = np.empty(3 * len(idx) + 1)
+        seq[0] = x0
+        seq[1:] = deltas[idx].ravel()
+        return np.cumsum(seq)[::3]
+
+    m = path.initial.leaf_count + np.arange(len(path), dtype=float)
+    return PathProfile(path, m, walk(ll0, table.log_lik),
+                       walk(a0, table.cv_a), walk(b0, table.cv_b))
 
 
 def _best_state(profiles: list[PathProfile], tau: float):
@@ -192,26 +254,20 @@ def _best_state(profiles: list[PathProfile], tau: float):
     return pi, t, score
 
 
-def map_estimate(paths: list[PqmcPath], tau: float) -> ScoredEstimate:
-    """The state with the highest penalized score at this ``tau``."""
-    if not paths:
-        raise EmptyCandidateSet("no candidate paths")
-    profiles = [path_profile(p) for p in paths]
-    pi, t, score = _best_state(profiles, tau)
-    return ScoredEstimate(
-        srp=profiles[pi].path.state(t),
-        tau=float(tau),
-        penalized_score=score,
-        cv_score=profiles[pi].cv(t),
-    )
-
-
 def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
     """Two-stage smoothing: MAP per grid ``tau``, then the candidate with
     the smallest cross-validation score (ties go to the smaller tau)."""
     if not paths:
         raise EmptyCandidateSet("no candidate paths")
-    profiles = [path_profile(p) for p in paths]
+
+    def data(p):
+        return p.initial.tree.root_box, p.initial.n
+
+    groups: dict[tuple, list[PqmcPath]] = {}
+    for p in paths:
+        groups.setdefault(data(p), []).append(p)
+    tables = {key: node_table(group) for key, group in groups.items()}
+    profiles = [path_profile(p, tables[data(p)]) for p in paths]
     best = None  # (cv, tau, pi, t, score)
     curve = []
     for tau in cfg.tau_grid:

@@ -339,13 +339,17 @@ def tied_grid_sample(draw):
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 60))
     side = draw(st.integers(2, 6))
-    grid = draw(arrays(np.int64, (n, d), elements=st.integers(0, side - 1)))
+    grid = draw(arrays(np.int64, (n, d), elements=st.integers(0, side - 1),
+                       fill=st.nothing()))
     copies = draw(st.integers(0, 25))
     pts = np.vstack([grid, np.repeat(grid[:1], copies, axis=0)]).astype(float)
-    # thresholds below the largest row multiplicity exhaust the depth cap
+    # thresholds below the largest row multiplicity exhaust the depth cap;
+    # thresholds up to a quarter of the rows leave several same-count cells
     most_repeated = int(np.unique(pts, axis=0, return_counts=True)[1].max())
-    base_threshold = draw(st.integers(max(1, most_repeated - 2), len(pts)))
-    higher = draw(st.lists(st.integers(base_threshold, len(pts)), max_size=2))
+    floor = max(1, most_repeated - 2)
+    top = max(floor, len(pts) // 4)
+    base_threshold = draw(st.integers(floor, top))
+    higher = draw(st.lists(st.integers(base_threshold, top), max_size=2))
     thresholds = sorted({base_threshold, *higher})
     carve_leaves = draw(st.integers(1, 8))
     return pts, float(base_threshold), [float(t) for t in thresholds], carve_leaves

@@ -1,20 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from rphist.geometry import bounding_box, contains
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY, run_pqmc
+from rphist.geometry import bounding_box, bounds_volume, contains
+from rphist.pqmc import (
+    PqmcConfig,
+    PqmcPath,
+    SEB_PRIORITY,
+    carve_path,
+    launch_states,
+    run_pqmc,
+)
 from rphist.smoothing import (
     SmoothingConfig,
+    _leaf_cv_terms,
     cv_score,
     default_tau_grid,
-    map_estimate,
+    node_table,
     path_profile,
     penalized_score,
     select,
 )
 from rphist.srp import ingest, log_likelihood, root_srp
-from rphist.tree import RPTree
+from rphist.tree import RPTree, cell_bounds
 
 from conftest import fig2_points, random_points, random_srp, unit_box
 
@@ -74,10 +85,8 @@ def _grown_path(rng, n=300, maxlvs=20):
 
 def test_map_estimate_single_state():
     s = root_srp(unit_box(2), 4)
-    from rphist.pqmc import PqmcPath
-
     path = PqmcPath(s, (), "exhausted", True, False)
-    est = map_estimate([path], 1.0)
+    est = select([path], SmoothingConfig((1.0,)))
     assert est.srp == s
     assert est.tau == 1.0
 
@@ -85,9 +94,9 @@ def test_map_estimate_single_state():
 def test_map_estimate_extreme_taus():
     rng = np.random.default_rng(24)
     path, pts = _grown_path(rng)
-    tiny = map_estimate([path], 1e-9)
+    tiny = select([path], SmoothingConfig((1e-9,)))
     assert tiny.srp.leaf_count == 1  # the penalty dominates
-    huge = map_estimate([path], 1e12)
+    huge = select([path], SmoothingConfig((1e12,)))
     best_ll = max(log_likelihood(s) for s in path.states())
     assert log_likelihood(huge.srp) == pytest.approx(best_ll, abs=1e-9)
 
@@ -96,7 +105,7 @@ def test_map_estimate_matches_brute_force_argmax():
     rng = np.random.default_rng(25)
     path, _ = _grown_path(rng, n=200, maxlvs=12)
     for tau in (0.3, 2.0, 50.0):
-        est = map_estimate([path], tau)
+        est = select([path], SmoothingConfig((tau,)))
         direct = max(penalized_score(s, tau) for s in path.states())
         assert est.penalized_score == pytest.approx(direct, abs=1e-9)
 
@@ -104,14 +113,14 @@ def test_map_estimate_matches_brute_force_argmax():
 def test_map_estimate_invariant_under_path_reordering():
     rng = np.random.default_rng(26)
     paths = [_grown_path(rng, n=150, maxlvs=10)[0] for _ in range(4)]
-    a = map_estimate(paths, 5.0)
-    b = map_estimate(list(reversed(paths)), 5.0)
+    a = select(paths, SmoothingConfig((5.0,)))
+    b = select(list(reversed(paths)), SmoothingConfig((5.0,)))
     assert a.srp == b.srp
 
 
 def test_map_estimate_empty():
     with pytest.raises(EmptyCandidateSet):
-        map_estimate([], 1.0)
+        select([], SmoothingConfig((1.0,)))
 
 
 def test_cv_score_root_only_uniform():
@@ -153,19 +162,86 @@ def test_cv_closed_form_equals_brute_force_random():
 def test_path_profile_matches_direct_scores():
     rng = np.random.default_rng(28)
     path, pts = _grown_path(rng, n=250, maxlvs=15)
-    prof = path_profile(path)
+    prof = path_profile(path, node_table([path]))
     for t, s in enumerate(path.states()):
         assert prof.m[t] == s.leaf_count
         assert prof.log_lik[t] == pytest.approx(log_likelihood(s), abs=1e-9)
         assert prof.cv(t) == pytest.approx(cv_score(s), abs=1e-9)
 
 
+def _profile_by_walk(path):
+    """Reference profile: the record-by-record walk that
+    :func:`path_profile` replaces, kept to hold it bit-identical."""
+    s0 = path.initial
+    n = s0.n
+    root_box = s0.tree.root_box
+    steps = len(path)
+    m = np.empty(steps)
+    ll = np.empty(steps)
+    a = np.empty(steps)
+    b = np.empty(steps)
+    m[0] = s0.leaf_count
+    ll[0] = log_likelihood(s0) if n >= 1 else 0.0
+    a[0], b[0] = _leaf_cv_terms(s0)
+
+    def ll_term(c, vol):
+        return c * np.log(c / (n * vol)) if c > 0 else 0.0
+
+    lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in path.records])
+    rows = np.arange(len(axis))
+    width = hi[rows, axis] - lo[rows, axis]
+    vol = bounds_volume(lo, hi)
+    vol_l = vol / width * (mid - lo[rows, axis])
+    vol_r = vol / width * (hi[rows, axis] - mid)
+    for t, (rec, v, vl, vr) in enumerate(
+            zip(path.records, vol.tolist(), vol_l.tolist(), vol_r.tolist()), start=1):
+        cl, cr = rec.left_count, rec.right_count
+        c = cl + cr
+        m[t] = m[t - 1] + 1
+        ll[t] = ll[t - 1] + ll_term(cl, vl) + ll_term(cr, vr) - ll_term(c, v)
+        a[t] = a[t - 1] + cl * cl / vl + cr * cr / vr - c * c / v
+        b[t] = b[t - 1] + cl * (cl - 1) / vl + cr * (cr - 1) / vr - c * (c - 1) / v
+    return m, ll, a, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 6),
+       st.integers(1, 12), st.one_of(st.none(), st.integers(1, 40)))
+def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves):
+    # integer-grid rows plus copies of one row: tied counts and empty children
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, side, (int(rng.integers(5, 150)), d))
+    pts = np.vstack([grid, np.repeat(grid[:1], rng.integers(0, 10), axis=0)])
+    pts = pts.astype(float)
+    box = bounding_box(pts)
+    max_depth = 40
+    carve = carve_path(pts, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
+                                       max_depth=max_depth), root_box=box)
+    base = build_threshold_tree(pts, box, float(threshold), PqmcConfig(max_depth=max_depth))
+    paths = []
+    for launch in launch_states(carve, 3):
+        for psi in (threshold, threshold + 4):
+            cfg = PqmcConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
+            whole = reconstruct_path(base, launch, float(psi))
+            paths += [whole, truncate_path(whole, max_leaves, float(psi), cfg),
+                      run_pqmc(launch, pts, SEB_PRIORITY, cfg)]
+    shared = node_table(paths)
+    for path in paths:
+        want = _profile_by_walk(path)
+        for prof in (path_profile(path, node_table([path])),
+                     path_profile(path, shared)):
+            got = (prof.m, prof.log_lik, prof.cv_a, prof.cv_b)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_select_single_tau():
     rng = np.random.default_rng(29)
     path, _ = _grown_path(rng)
     est = select([path], SmoothingConfig((2.5,)))
-    direct = map_estimate([path], 2.5)
-    assert est.srp == direct.srp
+    states = path.states()
+    scores = [penalized_score(s, 2.5) for s in states]
+    assert est.srp == states[int(np.argmax(scores))]
+    assert est.penalized_score == pytest.approx(max(scores), abs=1e-9)
     assert est.tau == 2.5
 
 
@@ -180,7 +256,8 @@ def test_select_tie_prefers_smaller_tau():
 def test_selected_leaf_count_nondecreasing_in_tau():
     rng = np.random.default_rng(31)
     path, _ = _grown_path(rng, n=500, maxlvs=30)
-    counts = [map_estimate([path], t).srp.leaf_count for t in default_tau_grid()]
+    counts = [select([path], SmoothingConfig((t,))).srp.leaf_count
+              for t in default_tau_grid()]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
