@@ -7,22 +7,10 @@ the sequential refinement path.
 """
 
 from . import errors
-from .distributed import (
-    BuildResult,
-    CountTable,
-    TaggedDataset,
-    apply_splits,
-    assemble_srp,
-    build_threshold_tree,
-    cells_to_split,
-    count_by_cell,
-    prune,
-    reconstruct_path,
-    truncate_path,
-)
+from .distributed import BuildResult, build_threshold_tree, reconstruct_path, truncate_path
 from .evaluate import EvalReport, GaussianReference, UniformReference, l1_error, make_reference
 from .geometry import Box, Interval, bisect, bounding_box, contains, widest_coordinate
-from .io import export_plot_data, ingest_csv, load_histogram, load_tree, save_histogram, save_tree
+from .io import export_plot_data, ingest_csv, load_histogram, save_histogram
 from .pipeline import RunConfig, run_pipeline
 from .pqmc import (
     PqmcConfig,

@@ -1,15 +1,18 @@
 """Data-parallel count-threshold splitting over sharded tagged points.
 
-The working representation is the tagged dataset: every point is paired
-with the integer label of the cell it currently lies in, and the pairs
-are spread over shards that never exchange points.  One iteration
-counts points per cell (a per-shard reduce merged by addition), picks
-every cell whose count exceeds the threshold, and retags the points of
-those cells to the child cell on their side of the splitting hyperplane
-(a purely shard-local map).  Cells at or below the threshold are
-retired together with their counts ("pruning"): counts never grow down
-the tree, so they could not be split later, and the working set shrinks
-without changing the result.
+The working representation is the tagged dataset: a list of working
+cells, each with its label and bounds, and the points, spread over
+shards that never exchange points, each tagged with the index of the
+working cell it lies in.  One iteration counts points per cell (a
+``bincount`` per shard, merged by adding the arrays), retires every
+cell whose count is at or below the threshold ("pruning"), and moves
+the points of every cell it splits to the child on their side of the
+splitting hyperplane (a purely shard-local map).  Counts never grow
+down the tree, so a retired cell could not have been split later, and
+the working set shrinks without changing the result.  A child's bounds
+come from its parent's, so only the root cell is located from its
+label, and the counts of every node are known as the loop goes: the
+terminal SRP is their table.
 
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
@@ -31,41 +34,41 @@ sort per tributary.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, split_plane
 from .pqmc import PqmcConfig, PqmcPath, SplitRecord, splittable_leaves
 from .srp import SRP
 from .tree import ROOT, RPTree, cell_bounds, depth
 
-CountTable = dict[int, int]
-SplitPlanes = dict[int, tuple[int, float]]
-
-# labels above this need more than 63 bits in the child generation
-_INT64_SAFE_MAX = 2**61
+SplitCells = dict[int, int]  # label -> index of a working cell to split
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One shard of tagged points: parallel arrays of labels and rows."""
+    """One shard of tagged points: each row's working-cell index."""
 
-    labels: np.ndarray
+    index: np.ndarray
     points: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
 class TaggedDataset:
-    """Sharded (cell label, point) pairs: the tree stored implicitly."""
+    """Working cells and the sharded points that lie in them.
 
+    Cell ``i`` has label ``labels[i]`` (a Python int of any size) and
+    bounds ``lo[i]``, ``hi[i]``; a point tagged ``i`` lies in it.
+    """
+
+    labels: list[int]
+    lo: np.ndarray
+    hi: np.ndarray
     shards: tuple[Shard, ...]
-    root_box: Box
 
     @classmethod
     def from_points(cls, points, root_box: Box, shard_count: int = 1) -> "TaggedDataset":
@@ -79,128 +82,96 @@ class TaggedDataset:
             points = points.reshape(0, root_box.dim)
         if shard_count < 1:
             raise ValueError("need at least one shard")
-        labels = np.full(len(points), ROOT, dtype=np.int64)
-        shards = []
-        for rows in np.array_split(np.arange(len(points)), shard_count):
-            shards.append(Shard(labels[rows].copy(), points[rows].copy()))
-        return cls(tuple(shards), root_box)
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    def total_points(self) -> int:
-        return sum(len(s) for s in self.shards)
+        root = cell_bounds(root_box, [ROOT])
+        shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows)
+                       for rows in np.array_split(points, shard_count))
+        return cls([ROOT], root.lo, root.hi, shards)
 
 
-def _shard_counts(shard: Shard) -> CountTable:
-    if len(shard) == 0:
-        return {}
-    labels, counts = np.unique(shard.labels, return_counts=True)
-    return {int(a): int(c) for a, c in zip(labels, counts)}
+def _map_shards(fn, shards, pool: Executor | None):
+    if pool is None:
+        return [fn(shard) for shard in shards]
+    return list(pool.map(fn, shards))
 
 
-def count_by_cell(ds: TaggedDataset, workers: int = 1) -> CountTable:
-    """Exact per-cell multiplicities: per-shard tables merged by addition.
+def count_by_cell(ds: TaggedDataset, pool: Executor | None = None) -> np.ndarray:
+    """Exact point count of every working cell, in cell order: one
+    ``bincount`` per shard, merged by addition.
 
-    Addition is associative and commutative, so the merged table does
-    not depend on the shard count or merge order; only non-empty cells
-    appear as keys.
+    Addition is associative and commutative, so the counts do not
+    depend on the shard count or merge order.
     """
-    partials = _map_shards(_shard_counts, ds.shards, workers)
-    table: CountTable = {}
-    for part in partials:
-        for label, c in part.items():
-            table[label] = table.get(label, 0) + c
-    return table
+    k = len(ds.labels)
+    return np.sum(_map_shards(lambda s: np.bincount(s.index, minlength=k),
+                              ds.shards, pool), axis=0)
 
 
-def _map_shards(fn, shards, workers: int):
-    if workers > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, shards))
-    return [fn(shard) for shard in shards]
+def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
+                   cfg: PqmcConfig) -> SplitCells:
+    """Working cells whose count strictly exceeds the threshold and that
+    can actually be split (depth cap and machine bisectability), as
+    ``{label: index}``."""
+    ok = split_plane(ds.lo, ds.hi)[2] & (counts > threshold)
+    return {ds.labels[i]: i for i in np.flatnonzero(ok).tolist()
+            if depth(ds.labels[i]) < cfg.max_depth}
 
 
-def cells_to_split(c: CountTable, root_box: Box, threshold: float,
-                   cfg: PqmcConfig) -> SplitPlanes:
-    """Cells whose count strictly exceeds the threshold and that can
-    actually be split (depth cap and machine bisectability), each with
-    its split plane ``(axis, mid)``."""
-    labels = [label for label, count in c.items()
-              if count > threshold and depth(label) < cfg.max_depth]
-    cells = cell_bounds(root_box, labels)
-    return {label: (axis, mid) for label, axis, mid, ok in
-            zip(labels, cells.axis.tolist(), cells.mid.tolist(),
-                cells.splittable.tolist()) if ok}
+def apply_splits(ds: TaggedDataset, split: SplitCells,
+                 pool: Executor | None = None) -> TaggedDataset:
+    """Split the chosen working cells and move their points to the
+    child on their side.
 
-
-def apply_splits(ds: TaggedDataset, planes: SplitPlanes,
-                 workers: int = 1) -> TaggedDataset:
-    """Retag the points of every split cell to the child on their side.
-
-    ``planes`` maps each cell to split to its plane ``(axis, mid)``, as
-    :func:`cells_to_split` returns them.  A point below the plane
-    (coordinate < mid) goes to the left child ``2a``; a point at or
-    above it goes to the right child ``2a + 1``.  Purely shard-local;
-    other pairs are unchanged.
+    ``split`` holds any subset of the cells :func:`cells_to_split`
+    returns.  A chosen cell with label ``a`` becomes its left child
+    ``2a`` and right child ``2a + 1``, in its place in the cell order;
+    the other cells stay as they are.  A point below the plane
+    (coordinate < mid) goes left, a point at or above it right.  Each
+    child's bounds are its parent's with one end moved to the plane.
+    Purely shard-local.
     """
-    if not planes:
+    if not split:
         return ds
-    widen = max(planes) > _INT64_SAFE_MAX
+    axis, mid, _ = split_plane(ds.lo, ds.hi)
+    chosen = np.zeros(len(ds.labels), dtype=bool)
+    chosen[list(split.values())] = True
+    width = chosen + 1
+    first = np.cumsum(width) - width  # new index of the cell or its left child
 
     def retag(shard: Shard) -> Shard:
-        labels = shard.labels
-        if len(labels) == 0:
-            return shard
-        if widen and labels.dtype != object:
-            labels = labels.astype(object)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        axis_u = np.full(len(uniq), -1, dtype=np.int64)
-        mid_u = np.zeros(len(uniq))
-        for i, label in enumerate(uniq):
-            plane = planes.get(int(label))
-            if plane is not None:
-                axis_u[i], mid_u[i] = plane
-        rows = np.nonzero(axis_u[inv] >= 0)[0]
-        if len(rows) == 0:
-            return Shard(labels, shard.points)
-        ax = axis_u[inv[rows]]
-        md = mid_u[inv[rows]]
-        side = shard.points[rows, ax] >= md
-        new_labels = labels.copy()
-        new_labels[rows] = 2 * labels[rows] + side
-        return Shard(new_labels, shard.points)
+        i = shard.index
+        side = chosen[i] & (shard.points[np.arange(len(i)), axis[i]] >= mid[i])
+        return Shard(first[i] + side, shard.points)
 
-    return TaggedDataset(tuple(_map_shards(retag, ds.shards, workers)), ds.root_box)
+    rows = np.flatnonzero(chosen)
+    lo = np.repeat(ds.lo, width, axis=0)
+    hi = np.repeat(ds.hi, width, axis=0)
+    hi[first[rows], axis[rows]] = mid[rows]
+    lo[first[rows] + 1, axis[rows]] = mid[rows]
+    labels = [child for a, two in zip(ds.labels, chosen.tolist())
+              for child in ((2 * a, 2 * a + 1) if two else (a,))]
+    return TaggedDataset(labels, lo, hi, tuple(_map_shards(retag, ds.shards, pool)))
 
 
-def prune(ds: TaggedDataset, c: CountTable, threshold: float,
-          passed: CountTable, workers: int = 1) -> tuple[TaggedDataset, CountTable]:
-    """Retire every cell whose count is at or below the threshold.
+def prune(ds: TaggedDataset, keep: np.ndarray,
+          pool: Executor | None = None) -> TaggedDataset:
+    """Retire the working cells where ``keep`` is False, with their points.
 
-    The retired cells' pairs are deleted from the working dataset and
-    their counts move into ``passed``; the threshold never changes and
-    counts never grow down the tree, so they could not have been split
-    later anyway.  Working plus passed counts always conserve the total.
+    The build retires every cell whose count is at or below the
+    threshold: the threshold never changes and counts never grow down
+    the tree, so it could not have been split later anyway.  The kept
+    cells keep their order.
     """
-    done = set()
-    new_passed = dict(passed)
-    for label, count in c.items():
-        if count <= threshold:
-            done.add(label)
-            new_passed[label] = new_passed.get(label, 0) + count
-    if not done:
-        return ds, new_passed
+    if keep.all():
+        return ds
+    index = np.cumsum(keep) - 1
 
     def drop(shard: Shard) -> Shard:
-        if len(shard) == 0:
-            return shard
-        keep = ~np.isin(shard.labels, list(done))
-        return Shard(shard.labels[keep], shard.points[keep])
+        mask = keep[shard.index]
+        return Shard(index[shard.index[mask]], shard.points[mask])
 
-    shards = tuple(_map_shards(drop, ds.shards, workers))
-    return TaggedDataset(shards, ds.root_box), new_passed
+    labels = [a for a, k in zip(ds.labels, keep.tolist()) if k]
+    return TaggedDataset(labels, ds.lo[keep], ds.hi[keep],
+                         tuple(_map_shards(drop, ds.shards, pool)))
 
 
 @dataclass(frozen=True)
@@ -218,7 +189,6 @@ class BuildResult:
     """Outcome of a threshold build: the terminal SRP plus diagnostics."""
 
     final_srp: SRP
-    passed_counts: CountTable
     iterations: int
     threshold: float
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
@@ -246,53 +216,43 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     :func:`reconstruct_path` derives from it the path from any launch
     state to any threshold at or above this one.  An over-threshold
     cell that cannot be split (depth cap or machine precision) stays a
-    leaf, as in the sequential chain.
+    leaf, as in the sequential chain.  With several workers and shards,
+    one thread pool maps the shards of every step.
     """
     ds = TaggedDataset.from_points(points, root_box, shard_count)
-    passed: CountTable = {}
+    node_counts: dict[int, int] = {}
     stats: list[IterationStats] = []
-    table = count_by_cell(ds, workers)
-    while planes := cells_to_split(table, root_box, threshold, cfg):
-        ds, passed = prune(ds, table, threshold, passed, workers)
-        ds = apply_splits(ds, planes, workers)
-        table = count_by_cell(ds, workers)
-        stats.append(IterationStats(
-            split_cells=len(planes),
-            working_points=sum(table.values()),
-            passed_points=sum(passed.values()),
-            nonempty_cells=len(table),
-        ))
-    leaf_counts = dict(passed)
-    leaf_counts.update(table)
-    final = assemble_srp(root_box, leaf_counts)
-    return BuildResult(final, passed, len(stats), float(threshold), tuple(stats))
+    passed = 0
+    threads = workers > 1 and shard_count > 1
+    with (ThreadPoolExecutor(workers) if threads else nullcontext()) as pool:
+        counts = count_by_cell(ds, pool)
+        while True:
+            node_counts.update(zip(ds.labels, counts.tolist()))
+            keep = counts > threshold
+            passed += int(counts[~keep].sum())
+            ds, counts = prune(ds, keep, pool), counts[keep]
+            split = cells_to_split(ds, counts, threshold, cfg)
+            if not split:
+                break
+            ds = apply_splits(ds, split, pool)
+            counts = count_by_cell(ds, pool)
+            stats.append(IterationStats(
+                split_cells=len(split),
+                working_points=int(counts.sum()),
+                passed_points=passed,
+                nonempty_cells=int(np.count_nonzero(counts)),
+            ))
+    final = assemble_srp(root_box, node_counts)
+    return BuildResult(final, len(stats), float(threshold), tuple(stats))
 
 
-def assemble_srp(root_box: Box, leaf_counts: CountTable) -> SRP:
-    """SRP from the non-empty leaf cells of a finished build.
+def assemble_srp(root_box: Box, node_counts: dict[int, int]) -> SRP:
+    """SRP from the node-count table of a finished build.
 
-    Ancestors get the sum of their children's counts; a split side that
-    received no points is materialized as a count-0 leaf.
+    The table holds the root and both children of every split cell,
+    each with its count; a side that received no points has count 0.
     """
-    nodes: set[int] = {ROOT}
-    counts: CountTable = {}
-    for label, c in leaf_counts.items():
-        counts[label] = counts.get(label, 0) + c
-        node = label
-        while node not in nodes:
-            nodes.add(node)
-            node >>= 1
-    for node in list(nodes):
-        if node > ROOT:
-            sibling = node ^ 1
-            nodes.add(sibling)
-    for node in sorted(nodes, key=lambda v: -v.bit_length()):
-        if 2 * node in nodes:
-            counts[node] = counts.get(2 * node, 0) + counts.get(2 * node + 1, 0)
-        else:
-            counts.setdefault(node, 0)
-    n = counts.get(ROOT, 0)
-    return SRP(RPTree(root_box, frozenset(nodes)), counts, n)
+    return SRP(RPTree(root_box, frozenset(node_counts)), node_counts, node_counts[ROOT])
 
 
 def reconstruct_path(base: BuildResult, launch: SRP | None = None,

@@ -26,10 +26,6 @@ class NotALeaf(RphistError):
     """split() targeted a node that is not a leaf of the tree."""
 
 
-class NotACherry(RphistError):
-    """merge() targeted a node whose children are not both leaves."""
-
-
 class PointOutsideRootBox(RphistError):
     """Strict ingest found a data point outside the root box."""
 

@@ -127,9 +127,9 @@ def l1_error(h: Histogram, reference, mc_per_leaf: int = 256,
     d = h.root_box.dim
     for start in range(0, h.leaf_count, MC_CHUNK_LEAVES):
         # one draw of (leaves, mc, d): the same stream as leaf by leaf
-        chunk = h.leaves[start:start + MC_CHUNK_LEAVES]
-        lows = np.array([[iv.lo for iv in leaf.box.intervals] for leaf in chunk])
-        highs = np.array([[iv.hi for iv in leaf.box.intervals] for leaf in chunk])
+        stop = start + MC_CHUNK_LEAVES
+        chunk = h.leaves[start:stop]
+        lows, highs = h.lo[start:stop], h.hi[start:stop]
         draws = rng.uniform(lows[:, None], highs[:, None], (len(chunk), mc_per_leaf, d))
         pdf = reference.pdf(draws.reshape(-1, d)).reshape(len(chunk), mc_per_leaf)
         dev = np.abs(np.array([[leaf.height] for leaf in chunk]) - pdf)

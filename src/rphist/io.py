@@ -1,4 +1,4 @@
-"""File formats: CSV point ingestion, histogram JSON, tree text, plot CSV.
+"""File formats: CSV point ingestion, histogram JSON, plot CSV.
 
 Histogram JSON is versioned and fully deterministic (sorted keys,
 leaves in ascending label order, labels as decimal strings so arbitrary
@@ -16,12 +16,10 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, ParseError
 from .geometry import Box, bounds_volume
 from .srp import Histogram, HistogramLeaf
-from .tree import RPTree, cell_bounds, cell_boxes
+from .tree import RPTree, cell_bounds
 
 HISTOGRAM_FORMAT = "rphist-histogram"
 HISTOGRAM_VERSION = 1
-TREE_FORMAT = "rptree"
-TREE_VERSION = 1
 
 
 def ingest_csv(path, d: int, strict: bool = True) -> tuple[np.ndarray, int]:
@@ -164,40 +162,13 @@ def load_histogram(path) -> Histogram:
     RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
     n = int(obj["n"])
     lo, hi, *_ = cell_bounds(root_box, labels)
-    boxes = cell_boxes(root_box, lo, hi)
     leaves = []
-    for rec, label, box, vol in zip(obj["leaves"], labels, boxes,
-                                    bounds_volume(lo, hi).tolist()):
+    for rec, label, vol in zip(obj["leaves"], labels, bounds_volume(lo, hi).tolist()):
         count = int(rec["count"])
-        leaves.append(HistogramLeaf(label, box, count, vol, count / (n * vol)))
+        leaves.append(HistogramLeaf(label, count, vol, count / (n * vol)))
     if sum(leaf.count for leaf in leaves) != n:
         raise ParseError(f"{path}: leaf counts do not sum to n")
-    return Histogram(root_box, n, tuple(leaves))
-
-
-def save_tree(tree: RPTree, path) -> None:
-    """Text serialization: a root-box header, then one decimal leaf
-    label per line in ascending order."""
-    lines = [f"{TREE_FORMAT} {TREE_VERSION}", str(tree.dim)]
-    for iv in tree.root_box.intervals:
-        lines.append(f"{iv.lo!r} {iv.hi!r}")
-    lines.extend(str(label) for label in tree.leaves())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_tree(path) -> RPTree:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith(TREE_FORMAT):
-        raise ParseError(f"{path}: not a {TREE_FORMAT} file")
-    try:
-        d = int(lines[1])
-        bounds = [line.split() for line in lines[2:2 + d]]
-        box = Box.from_bounds([float(b[0]) for b in bounds],
-                              [float(b[1]) for b in bounds])
-        labels = [int(line) for line in lines[2 + d:] if line.strip()]
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return RPTree.from_leaves(box, labels)
+    return Histogram(root_box, n, tuple(leaves), lo, hi)
 
 
 def export_plot_data(h: Histogram, path) -> str:
@@ -208,15 +179,17 @@ def export_plot_data(h: Histogram, path) -> str:
     """
     out = Path(path)
     rows = []
+    order = sorted(range(h.leaf_count), key=lambda i: h.leaves[i].label)
     if h.root_box.dim == 2:
         rows.append("x0,y0,x1,y1,height")
-        for leaf in sorted(h.leaves, key=lambda leaf: leaf.label):
-            (x, y) = leaf.box.intervals
-            rows.append(f"{x.lo!r},{y.lo!r},{x.hi!r},{y.hi!r},{leaf.height!r}")
+        lo, hi = h.lo.tolist(), h.hi.tolist()
+        for i in order:
+            (x0, y0), (x1, y1) = lo[i], hi[i]
+            rows.append(f"{x0!r},{y0!r},{x1!r},{y1!r},{h.leaves[i].height!r}")
         mode = "rectangles"
     else:
         rows.append("label,count,volume,height")
-        for leaf in sorted(h.leaves, key=lambda leaf: leaf.label):
+        for leaf in (h.leaves[i] for i in order):
             rows.append(f"{leaf.label},{leaf.count},{leaf.volume!r},{leaf.height!r}")
         mode = "table"
     out.write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +81,7 @@ class PqmcConfig:
         return self.max_psi is not None and self.max_psi > 0.0
 
 
-@dataclass(frozen=True)
-class SplitRecord:
+class SplitRecord(NamedTuple):
     """One chain transition: leaf ``label`` split into counts (left, right)."""
 
     label: int

@@ -19,7 +19,7 @@ from .errors import (
     PointOutsideRootBox,
 )
 from .geometry import Box, bounds_volume, contains, split_plane
-from .tree import ROOT, RPTree, cell_bounds, cell_boxes
+from .tree import ROOT, RPTree, cell_bounds
 
 
 def assign_leaves(tree: RPTree, points: np.ndarray) -> dict[int, np.ndarray]:
@@ -142,7 +142,6 @@ def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
 @dataclass(frozen=True)
 class HistogramLeaf:
     label: int
-    box: Box
     count: int
     volume: float
     height: float
@@ -150,11 +149,17 @@ class HistogramLeaf:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Piecewise-constant density over the leaf cells of an SRP."""
+    """Piecewise-constant density over the leaf cells of an SRP.
+
+    ``lo[i]`` and ``hi[i]`` are the bounds of ``leaves[i]``'s cell
+    (:func:`~rphist.tree.cell_bounds`).
+    """
 
     root_box: Box
     n: int
     leaves: tuple[HistogramLeaf, ...] = field(repr=False)
+    lo: np.ndarray = field(repr=False, compare=False)
+    hi: np.ndarray = field(repr=False, compare=False)
 
     @property
     def leaf_count(self) -> int:
@@ -170,12 +175,11 @@ def histogram(s: SRP) -> Histogram:
         raise EmptySample("cannot form a histogram from zero points")
     labels = s.tree.leaves()
     lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
-    boxes = cell_boxes(s.tree.root_box, lo, hi)
     leaves = []
-    for label, box, vol in zip(labels, boxes, bounds_volume(lo, hi).tolist()):
+    for label, vol in zip(labels, bounds_volume(lo, hi).tolist()):
         c = s.counts.get(label, 0)
-        leaves.append(HistogramLeaf(label, box, c, vol, c / (s.n * vol)))
-    return Histogram(s.tree.root_box, s.n, tuple(leaves))
+        leaves.append(HistogramLeaf(label, c, vol, c / (s.n * vol)))
+    return Histogram(s.tree.root_box, s.n, tuple(leaves), lo, hi)
 
 
 def density_at(h: Histogram, p) -> float:

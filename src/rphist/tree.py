@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotACherry, NotALeaf, NotBisectable, RootHasNoParent
+from .errors import NotALeaf, NotBisectable, RootHasNoParent
 from .geometry import Box, Interval, split_plane
 
 ROOT = 1
@@ -100,32 +100,13 @@ def cell_bounds(root_box: Box, labels) -> CellBounds:
     return CellBounds(lo, hi, *split_plane(lo, hi))
 
 
-def cell_boxes(root_box: Box, lo: np.ndarray, hi: np.ndarray) -> list[Box]:
-    """Boxes of cells with bounds ``lo``, ``hi`` (:func:`cell_bounds`).
-
-    As in :func:`geometry.bisect`, an end shared with the root box keeps
-    its openness; a moved upper end is open, a moved lower end closed.
-    Cells share equal intervals, as bisected boxes share untouched ones.
-    """
-    root, made = root_box.intervals, {}
-
-    def interval(j, a, b):
-        if (j, a, b) not in made:
-            iv = root[j]
-            made[j, a, b] = Interval(a, b, iv.lo_open and a == iv.lo, iv.hi_open or b != iv.hi)
-        return made[j, a, b]
-
-    return [Box(tuple(interval(j, a, b) for j, (a, b) in enumerate(zip(row_lo, row_hi))))
-            for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
-
-
 @dataclass(frozen=True)
 class RPTree:
     """A regular paving: root box plus a prefix-closed label set.
 
     Every node has zero or two children present, so the leaf boxes
-    partition the root box.  Trees are immutable; :meth:`split` and
-    :meth:`merge` return new trees.
+    partition the root box.  Trees are immutable; :meth:`split` returns
+    a new tree.
     """
 
     root_box: Box
@@ -193,15 +174,13 @@ class RPTree:
             raise NotALeaf(f"node {n} is not a leaf")
         return RPTree(self.root_box, self.nodes | {2 * n, 2 * n + 1})
 
-    def merge(self, n: int) -> "RPTree":
-        """New tree with the cherry at ``n`` collapsed back into a leaf."""
-        left, right = 2 * n, 2 * n + 1
-        if not (self.is_leaf(left) and self.is_leaf(right)):
-            raise NotACherry(f"node {n} is not a cherry")
-        return RPTree(self.root_box, self.nodes - {left, right})
-
 
 def cell_box(root_box: Box, n: int) -> Box:
-    """Box of label ``n`` under ``root_box`` (see :meth:`RPTree.cell_box`)."""
-    lo, hi, *_ = cell_bounds(root_box, [n])
-    return cell_boxes(root_box, lo, hi)[0]
+    """Box of label ``n`` under ``root_box`` (see :meth:`RPTree.cell_box`).
+
+    As in :func:`geometry.bisect`, an end shared with the root box keeps
+    its openness; a moved upper end is open, a moved lower end closed.
+    """
+    (lo,), (hi,), *_ = cell_bounds(root_box, [n])
+    return Box(tuple(Interval(a, b, iv.lo_open and a == iv.lo, iv.hi_open or b != iv.hi)
+                     for iv, a, b in zip(root_box.intervals, lo.tolist(), hi.tolist())))

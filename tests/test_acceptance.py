@@ -119,16 +119,18 @@ def test_criterion_4_order_invariance():
         for order in range(10):
             order_rng = np.random.default_rng(instance * 100 + order)
             ds = TaggedDataset.from_points(pts, box, shard_count=2)
+            node_counts = {}
             while True:
-                table = count_by_cell(ds)
-                eligible = cells_to_split(table, box, threshold, CFG)
+                counts = count_by_cell(ds)
+                node_counts.update(zip(ds.labels, counts.tolist()))
+                eligible = cells_to_split(ds, counts, threshold, CFG)
                 if not eligible:
                     break
                 pool = sorted(eligible)
                 k = int(order_rng.integers(1, len(pool) + 1))
                 pick = order_rng.choice(len(pool), size=k, replace=False)
                 ds = apply_splits(ds, {pool[i]: eligible[pool[i]] for i in pick})
-            final = assemble_srp(box, count_by_cell(ds))
+            final = assemble_srp(box, node_counts)
             assert final == reference.final_srp
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -165,7 +167,7 @@ def test_criterion_6_shard_invariance():
     for shards in (2, 4, 8):
         r = results[shards]
         assert r.final_srp == base.final_srp
-        assert r.passed_counts == base.passed_counts
+        assert r.stats == base.stats
         assert r.iterations == base.iterations
     ratio = times[4] / times[1]
     cores = os.cpu_count() or 1

@@ -26,7 +26,7 @@ from rphist.pqmc import (
     run_pqmc,
 )
 from rphist.srp import ingest
-from rphist.tree import RPTree
+from rphist.tree import RPTree, cell_bounds
 
 from conftest import random_points, seb_instance, unit_box
 
@@ -34,44 +34,55 @@ CFG = PqmcConfig()
 
 
 def fig7_dataset(shard_count=2) -> TaggedDataset:
-    """Six points in the three-cell paving {2, 6, 7}: three tagged A=2,
-    two tagged B=6, one tagged C=7."""
-    labels = np.array([2, 2, 6, 7, 6, 2], dtype=np.int64)
+    """Six points in the three-cell paving {2, 6, 7}: three in A=2, two
+    in B=6, one in C=7, tagged with the cells' indices 0, 1 and 2."""
+    labels = [2, 6, 7]
+    index = np.array([0, 0, 1, 2, 1, 0])
     pts = np.array([
         [0.1, 0.2], [0.3, 0.8], [0.6, 0.1],
         [0.7, 0.9], [0.9, 0.3], [0.2, 0.5],
     ])
-    shards = []
-    for rows in np.array_split(np.arange(6), shard_count):
-        shards.append(Shard(labels[rows], pts[rows]))
-    return TaggedDataset(tuple(shards), unit_box(2))
+    cells = cell_bounds(unit_box(2), labels)
+    shards = tuple(Shard(index[rows], pts[rows])
+                   for rows in np.array_split(np.arange(6), shard_count))
+    return TaggedDataset(labels, cells.lo, cells.hi, shards)
+
+
+def cell_of_each_point(ds: TaggedDataset) -> list[int]:
+    return [ds.labels[i] for s in ds.shards for i in s.index.tolist()]
 
 
 def test_count_by_cell_fig7():
-    assert count_by_cell(fig7_dataset()) == {2: 3, 6: 2, 7: 1}
+    assert count_by_cell(fig7_dataset()).tolist() == [3, 2, 1]
 
 
 def test_count_by_cell_empty():
     ds = TaggedDataset.from_points(np.empty((0, 2)), unit_box(2))
-    assert count_by_cell(ds) == {}
+    assert count_by_cell(ds).tolist() == [0]
 
 
 def test_count_by_cell_shard_invariant():
     for s in (1, 3, 6):
-        assert count_by_cell(fig7_dataset(s)) == {2: 3, 6: 2, 7: 1}
+        assert count_by_cell(fig7_dataset(s)).tolist() == [3, 2, 1]
 
 
 def test_cells_to_split_threshold_strict():
-    table = {1: 10}
-    # the unit square's root splits its first coordinate at 0.5
-    assert cells_to_split(table, unit_box(2), 5.0, CFG) == {1: (0, 0.5)}
-    assert cells_to_split(table, unit_box(2), 10.0, CFG) == {}
+    ds = TaggedDataset.from_points(np.full((10, 2), 0.3), unit_box(2))
+    counts = count_by_cell(ds)
+    assert counts.tolist() == [10]
+    assert cells_to_split(ds, counts, 5.0, CFG) == {1: 0}
+    assert cells_to_split(ds, counts, 10.0, CFG) == {}
+    # fig7: A (count 3) alone exceeds 2, and keeps its own index
+    ds = fig7_dataset()
+    assert cells_to_split(ds, count_by_cell(ds), 2.0, CFG) == {2: 0}
+    assert cells_to_split(ds, count_by_cell(ds), 1.0, CFG) == {2: 0, 6: 1}
 
 
 def test_cells_to_split_depth_capped():
-    table = {4: 10, 5: 10}  # depth 2
-    cfg = PqmcConfig(max_depth=2)
-    assert cells_to_split(table, unit_box(2), 1.0, cfg) == {}
+    ds = fig7_dataset()  # A is at depth 1, B and C at depth 2
+    counts = count_by_cell(ds)
+    assert cells_to_split(ds, counts, 0.0, PqmcConfig(max_depth=2)) == {2: 0}
+    assert cells_to_split(ds, counts, 0.0, PqmcConfig(max_depth=1)) == {}
 
 
 def test_apply_splits_empty_set_is_identity():
@@ -81,28 +92,44 @@ def test_apply_splits_empty_set_is_identity():
 
 def test_apply_splits_retags_only_split_cells():
     ds = fig7_dataset(1)
-    out = apply_splits(ds, {2: (1, 0.5)})
-    labels = list(out.shards[0].labels)
+    out = apply_splits(ds, {2: 0})
     # cell 2 is [0, 0.5) x [0, 1], split on y at 0.5: below -> 4, at/above -> 5
-    assert labels == [4, 5, 6, 7, 6, 5]
+    assert out.labels == [4, 5, 6, 7]
+    assert cell_of_each_point(out) == [4, 5, 6, 7, 6, 5]
+    assert out.shards[0].index.tolist() == [0, 1, 2, 3, 2, 1]
+    # the children's bounds are their parent's, cut at the plane
+    ref = cell_bounds(unit_box(2), out.labels)
+    assert np.array_equal(out.lo, ref.lo) and np.array_equal(out.hi, ref.hi)
+    # splitting every cell at once, in one or several shards, agrees
+    both = {2: 0, 6: 1, 7: 2}
+    for shards in (1, 2, 6):
+        out = apply_splits(fig7_dataset(shards), both)
+        assert out.labels == [4, 5, 12, 13, 14, 15]
+        assert cell_of_each_point(out) == [4, 5, 12, 14, 13, 5]
+        assert count_by_cell(out).tolist() == [1, 2, 1, 1, 1, 0]
 
 
 def test_apply_splits_point_on_hyperplane_goes_right():
     pts = np.array([[0.5, 0.25], [0.49, 0.25]])
     ds = TaggedDataset.from_points(pts, unit_box(2))
-    out = apply_splits(ds, {1: (0, 0.5)})
-    assert list(out.shards[0].labels) == [3, 2]
+    out = apply_splits(ds, cells_to_split(ds, count_by_cell(ds), 1.0, CFG))
+    assert cell_of_each_point(out) == [3, 2]
 
 
 def test_prune_moves_counts():
-    ds = fig7_dataset()
-    table = count_by_cell(ds)
-    kept, passed = prune(ds, table, 10.0, {})
-    assert kept.total_points() == 0
-    assert passed == {2: 3, 6: 2, 7: 1}
-    same, passed2 = prune(ds, table, 0.5, {})
-    assert passed2 == {}
-    assert same.total_points() == 6
+    for shards in (1, 2, 6):
+        ds = fig7_dataset(shards)
+        counts = count_by_cell(ds)
+        keep = counts > 1.0
+        kept = prune(ds, keep)
+        assert kept.labels == [2, 6]
+        assert count_by_cell(kept).tolist() == counts[keep].tolist()
+        assert cell_of_each_point(kept) == [2, 2, 6, 6, 2]
+        assert np.array_equal(kept.lo, ds.lo[keep])
+        assert prune(ds, counts > 0.5) is ds
+        gone = prune(ds, counts > 10.0)
+        assert gone.labels == [] and cell_of_each_point(gone) == []
+        assert count_by_cell(gone).tolist() == []
 
 
 def test_build_trivial_when_threshold_at_n():
@@ -148,7 +175,7 @@ def test_build_shard_invariance_small():
     ]
     for r in results[1:]:
         assert r.final_srp == results[0].final_srp
-        assert r.passed_counts == results[0].passed_counts
+        assert r.stats == results[0].stats
         assert r.iterations == results[0].iterations
 
 
@@ -162,9 +189,9 @@ def test_build_conservation_every_iteration():
         assert st.working_points + st.passed_points == len(pts)
 
 
-def test_build_computes_cell_bounds_once_per_iteration(monkeypatch):
-    # cells_to_split hands its split planes to apply_splits, so each
-    # iteration needs one batch, plus the final one that finds no cell
+def test_build_computes_cell_bounds_once(monkeypatch):
+    # only the root is located from its label: a child's bounds come
+    # from its parent's
     import rphist.distributed as distributed
 
     calls = 0
@@ -180,7 +207,29 @@ def test_build_computes_cell_bounds_once_per_iteration(monkeypatch):
     pts = random_points(rng, 2000, 2)
     res = build_threshold_tree(pts, bounding_box(pts), 20.0, CFG, shard_count=2)
     assert res.iterations > 3
-    assert calls == res.iterations + 1
+    assert calls == 1
+
+
+def test_build_opens_at_most_one_thread_pool(monkeypatch):
+    import rphist.distributed as distributed
+
+    pools = []
+    real = distributed.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(distributed, "ThreadPoolExecutor", counted)
+    rng = np.random.default_rng(41)
+    pts = random_points(rng, 2000, 2)
+    box = bounding_box(pts)
+    serial = build_threshold_tree(pts, box, 20.0, CFG, shard_count=3)
+    assert pools == []
+    threaded = build_threshold_tree(pts, box, 20.0, CFG, shard_count=3, workers=2)
+    assert threaded.iterations > 3 and len(pools) == 1
+    assert threaded.final_srp == serial.final_srp
+    assert threaded.stats == serial.stats
 
 
 def test_build_depth_capped_equals_sequential_terminal_state():
@@ -233,16 +282,21 @@ def test_build_big_labels_escape_hatch():
     assert res.final_srp == seq.final
 
 
-def test_prune_on_object_dtype_labels():
-    deep = 2**100 + 5
-    labels = np.array([deep, deep, 3], dtype=object)
-    pts = np.zeros((3, 2))
-    ds = TaggedDataset((Shard(labels, pts),), unit_box(2))
-    table = count_by_cell(ds)
-    assert table == {deep: 2, 3: 1}
-    kept, passed = prune(ds, table, 1.0, {})
-    assert passed == {3: 1}
-    assert list(kept.shards[0].labels) == [deep, deep]
+def test_build_labels_past_64_bits_equal_sequential():
+    # rows 2**-70 apart split cells far past 64-bit labels, and a row
+    # repeated 3 times is split until the floats run out
+    rng = np.random.default_rng(40)
+    pts = np.vstack([rng.uniform(0, 1, size=(40, 2)),
+                     [[0.0, 0.0], [2.0**-70, 0.0], [0.0, 2.0**-68]],
+                     np.repeat([[0.3, 0.7]], 3, axis=0)])
+    box = Box.from_bounds([0.0, -0.5], [1.0, 1.0])
+    seq = run_pqmc(ingest(RPTree(box), pts), pts, SEB_PRIORITY,
+                   PqmcConfig(max_psi=1.0))
+    assert max(seq.final.tree.leaves()) > 2**64
+    for shards in (1, 3):
+        res = build_threshold_tree(pts, box, 1.0, CFG, shard_count=shards)
+        assert res.final_srp == seq.final
+        assert reconstruct_path(res).records == seq.records
 
 
 def test_order_invariance_random_schedulers():
@@ -253,9 +307,11 @@ def test_order_invariance_random_schedulers():
     for trial in range(6):
         order_rng = np.random.default_rng(1000 + trial)
         ds = TaggedDataset.from_points(pts, box, shard_count=2)
+        node_counts = {}
         while True:
-            table = count_by_cell(ds)
-            eligible = cells_to_split(table, box, 30.0, CFG)
+            counts = count_by_cell(ds)
+            node_counts.update(zip(ds.labels, counts.tolist()))
+            eligible = cells_to_split(ds, counts, 30.0, CFG)
             if not eligible:
                 break
             pool = sorted(eligible)
@@ -263,7 +319,7 @@ def test_order_invariance_random_schedulers():
             chosen = {pool[i]: eligible[pool[i]]
                       for i in order_rng.choice(len(pool), size=k, replace=False)}
             ds = apply_splits(ds, chosen)
-        final = assemble_srp(box, count_by_cell(ds))
+        final = assemble_srp(box, node_counts)
         assert final == reference.final_srp
 
 

@@ -28,9 +28,7 @@ from rphist.io import (
     export_plot_data,
     ingest_csv,
     load_histogram,
-    load_tree,
     save_histogram,
-    save_tree,
 )
 from rphist.pipeline import RunConfig, run_pipeline
 from rphist.srp import histogram, ingest, root_srp
@@ -257,26 +255,6 @@ def test_histogram_json_rejects_broken_paving(tmp_path, fig2_srp):
     out.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
         load_histogram(out)
-
-
-def test_tree_text_roundtrip(tmp_path):
-    tree = RPTree(unit_box(2)).split(1).split(2).split(5)
-    f = tmp_path / "t.rptree"
-    save_tree(tree, f)
-    assert load_tree(f) == tree
-
-
-def test_tree_text_roundtrip_deep_label(tmp_path):
-    tree = RPTree(unit_box(1))
-    label = 1
-    for _ in range(70):
-        tree = tree.split(label)
-        label *= 2
-    f = tmp_path / "deep.rptree"
-    save_tree(tree, f)
-    back = load_tree(f)
-    assert back == tree
-    assert max(back.leaves()) > 2**64
 
 
 # ------------------------------------------------------------ plot export

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rphist.errors import NotACherry, NotALeaf, NotBisectable, RootHasNoParent
+from rphist.errors import NotALeaf, NotBisectable, RootHasNoParent
 from rphist.geometry import (
     Box,
     Interval,
@@ -15,7 +15,7 @@ from rphist.geometry import (
     volume_at_depth,
     widest_coordinate,
 )
-from rphist.tree import RPTree, cell_bounds, cell_boxes, children, depth, parent
+from rphist.tree import RPTree, cell_bounds, cell_box, children, depth, parent
 
 from conftest import unit_box
 
@@ -70,10 +70,11 @@ def test_split_and_merge_examples():
     assert t3.nodes == frozenset({1, 2, 3, 4, 5})
     with pytest.raises(NotALeaf):
         t2.split(4)
-    assert t2.merge(1).nodes == frozenset({1})
-    assert t3.merge(2) == t2
-    with pytest.raises(NotACherry):
-        t3.merge(1)
+    with pytest.raises(NotALeaf):
+        t3.split(2)
+    # removing a split's two children gives the tree back
+    assert RPTree(t.root_box, t2.nodes - {2, 3}) == t
+    assert RPTree(t.root_box, t3.nodes - {4, 5}) == t2
 
 
 def test_leaves():
@@ -90,7 +91,9 @@ def test_split_then_merge_is_identity_over_random_edits():
         leaves = t.leaves()
         v = int(leaves[rng.integers(len(leaves))])
         t2 = t.split(v)
-        assert t2.merge(v) == t
+        assert t2.nodes - t.nodes == {2 * v, 2 * v + 1}
+        assert RPTree(t.root_box, t2.nodes - {2 * v, 2 * v + 1}) == t
+        assert t2.leaves() == sorted(set(t.leaves()) - {v} | {2 * v, 2 * v + 1})
         if rng.random() < 0.7:
             t = t2
 
@@ -195,7 +198,7 @@ def test_cell_bounds_equals_box_by_box_bisection(root, labels):
         assert bits(cells.mid[row]) == bits(box.intervals[cells.axis[row]].midpoint)
         assert cells.splittable[row] == can_bisect(box)
         assert bits(volumes[row]) == bits(box.volume)
-    assert cell_boxes(root, cells.lo, cells.hi) == [boxes[i] for i in keep]
+    assert [cell_box(root, labels[i]) for i in keep] == [boxes[i] for i in keep]
 
 
 def test_cell_bounds_raises_on_a_subnormal_width():
