@@ -14,6 +14,7 @@ warm-up stage before SEB refinement.
 import numpy as np
 
 from rphist import PqmcConfig, RPTree, SEB_PRIORITY, bounding_box, carve_path, ingest, run_pqmc
+from rphist.tree import cell_bounds
 
 rng = np.random.default_rng(7)
 x = rng.uniform(0, 1, 2000)
@@ -45,10 +46,9 @@ try:
     for ax, path, title in ((axes[0], seb, "SEB, 40 leaves"),
                             (axes[1], carve, "carving, 40 leaves")):
         srp = path.final
-        for v in srp.tree.leaves():
-            b = srp.tree.cell_box(v)
-            (xi, yi) = b.intervals
-            ax.add_patch(Rectangle((xi.lo, yi.lo), xi.width, yi.width,
+        cells = cell_bounds(srp.tree.root_box, srp.tree.leaves())
+        for (x0, y0), (x1, y1) in zip(cells.lo.tolist(), cells.hi.tolist()):
+            ax.add_patch(Rectangle((x0, y0), x1 - x0, y1 - y0,
                                    fill=False, linewidth=0.7))
         ax.plot(points[:, 0], points[:, 1], ".", markersize=1)
         ax.set_title(title)

@@ -9,7 +9,7 @@ the sequential refinement path.
 from . import errors
 from .distributed import BuildResult, build_threshold_tree, reconstruct_path, truncate_path
 from .evaluate import EvalReport, GaussianReference, UniformReference, l1_error, make_reference
-from .geometry import Box, Interval, bisect, bounding_box, contains, widest_coordinate
+from .geometry import Box, bounding_box
 from .io import export_plot_data, ingest_csv, load_histogram, save_histogram
 from .pipeline import RunConfig, run_pipeline
 from .pqmc import (
@@ -27,11 +27,11 @@ from .smoothing import (
     ScoredEstimate,
     SmoothingConfig,
     cv_score,
-    default_tau_grid,
     penalized_score,
     select,
+    tau_grid,
 )
 from .srp import SRP, Histogram, density_at, histogram, ingest, log_likelihood, root_srp
-from .tree import RPTree, cell_box, children, depth, parent
+from .tree import RPTree, children, depth, parent
 
 __version__ = "0.1.0"

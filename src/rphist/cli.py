@@ -20,25 +20,25 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="estimate a density from CSV points")
     b.add_argument("--input", required=True, help="CSV file of points")
     b.add_argument("--dim", type=int, required=True, help="point dimension")
-    b.add_argument("--shards", type=int, default=1)
-    b.add_argument("--workers", type=int, default=1,
+    b.add_argument("--shards", type=int, default=RunConfig.shards)
+    b.add_argument("--workers", type=int, default=RunConfig.workers,
                    help="worker threads for the sharded builder")
     b.add_argument("--carve-leaves", type=int, default=None,
                    help="leaf budget of the carving chain (default maxlvs/10)")
-    b.add_argument("--tributaries", type=int, default=5)
-    b.add_argument("--maxpts", default="50,500,1500",
+    b.add_argument("--tributaries", type=int, default=RunConfig.tributaries)
+    b.add_argument("--maxpts", default=",".join(map(str, RunConfig.maxpts)),
                    help="comma-separated SEB stopping thresholds")
     b.add_argument("--maxlvs", type=int, default=None,
                    help="leaf budget per tributary (default unlimited)")
-    b.add_argument("--tau-min", type=float, default=0.1)
-    b.add_argument("--tau-max", type=float, default=1e5)
-    b.add_argument("--tau-steps", type=int, default=30)
+    b.add_argument("--tau-min", type=float, default=RunConfig.tau_min)
+    b.add_argument("--tau-max", type=float, default=RunConfig.tau_max)
+    b.add_argument("--tau-steps", type=int, default=RunConfig.tau_steps)
     b.add_argument("--seed", type=int, default=0,
                    help="ignored: the build draws no random numbers")
     b.add_argument("--out", required=True, help="histogram JSON output path")
-    b.add_argument("--pad", type=float, default=1e-9,
+    b.add_argument("--pad", type=float, default=RunConfig.pad,
                    help="relative root-box padding per side")
-    b.add_argument("--max-depth", type=int, default=1000)
+    b.add_argument("--max-depth", type=int, default=RunConfig.max_depth)
     b.add_argument("--sequential", action="store_true",
                    help="use the sequential chain instead of the sharded builder")
     b.add_argument("--strict", action="store_true",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnknownReference
 from .geometry import Box
-from .srp import Histogram
+from .srp import Histogram, inside_mask
 
 #: Leaves whose Monte-Carlo draws :func:`l1_error` makes in one batch.
 MC_CHUNK_LEAVES = 64
@@ -46,8 +46,8 @@ class GaussianReference:
         if box.dim != self.dim:
             raise DimensionMismatch(f"box dim {box.dim} != reference dim {self.dim}")
         p = 1.0
-        for iv in box.intervals:
-            p *= normal_cdf(iv.hi) - normal_cdf(iv.lo)
+        for lo, hi in zip(box.lo, box.hi):
+            p *= normal_cdf(hi) - normal_cdf(lo)
         return p
 
 
@@ -66,20 +66,17 @@ class UniformReference:
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.ones(len(points), dtype=bool)
-        for i, iv in enumerate(self.box.intervals):
-            inside &= (points[:, i] >= iv.lo) & (points[:, i] <= iv.hi)
-        return np.where(inside, self._height, 0.0)
+        return np.where(inside_mask(self.box, points), self._height, 0.0)
 
     def box_prob(self, box: Box) -> float:
         if box.dim != self.dim:
             raise DimensionMismatch(f"box dim {box.dim} != reference dim {self.dim}")
         p = 1.0
-        for mine, other in zip(self.box.intervals, box.intervals):
-            overlap = min(mine.hi, other.hi) - max(mine.lo, other.lo)
+        for lo, hi, other_lo, other_hi in zip(self.box.lo, self.box.hi, box.lo, box.hi):
+            overlap = min(hi, other_hi) - max(lo, other_lo)
             if overlap <= 0:
                 return 0.0
-            p *= overlap / mine.width
+            p *= overlap / (hi - lo)
         return p
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError
-from .geometry import Box, bounds_volume
-from .srp import Histogram, HistogramLeaf
-from .tree import RPTree, cell_bounds
+from .geometry import Box
+from .srp import Histogram
+from .tree import RPTree
 
 HISTOGRAM_FORMAT = "rphist-histogram"
 HISTOGRAM_VERSION = 1
@@ -111,8 +111,7 @@ def _any_number(fields) -> bool:
 
 
 def _box_to_json(box: Box) -> dict:
-    return {"lo": [iv.lo for iv in box.intervals],
-            "hi": [iv.hi for iv in box.intervals]}
+    return {"lo": list(box.lo), "hi": list(box.hi)}
 
 
 def _box_from_json(obj) -> Box:
@@ -161,14 +160,10 @@ def load_histogram(path) -> Histogram:
     labels = [int(rec["label"]) for rec in obj["leaves"]]
     RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
     n = int(obj["n"])
-    lo, hi, *_ = cell_bounds(root_box, labels)
-    leaves = []
-    for rec, label, vol in zip(obj["leaves"], labels, bounds_volume(lo, hi).tolist()):
-        count = int(rec["count"])
-        leaves.append(HistogramLeaf(label, count, vol, count / (n * vol)))
-    if sum(leaf.count for leaf in leaves) != n:
+    counts = [int(rec["count"]) for rec in obj["leaves"]]
+    if sum(counts) != n:
         raise ParseError(f"{path}: leaf counts do not sum to n")
-    return Histogram(root_box, n, tuple(leaves), lo, hi)
+    return Histogram.from_counts(root_box, n, labels, counts)
 
 
 def export_plot_data(h: Histogram, path) -> str:

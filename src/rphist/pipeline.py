@@ -48,6 +48,7 @@ from .smoothing import (
     ScoredEstimate,
     SmoothingConfig,
     select,
+    tau_grid,
 )
 from .srp import Histogram, histogram, inside_mask
 
@@ -99,6 +100,7 @@ class RunConfig:
                 raise ValueError("carve_leaves cannot exceed maxlvs")
         if self.tau_steps < 1 or self.tau_min <= 0 or self.tau_max < self.tau_min:
             raise ValueError("invalid tau grid")
+        SmoothingConfig(self.tau_grid())  # raises unless strictly increasing
 
     @property
     def effective_carve_leaves(self) -> int:
@@ -109,9 +111,7 @@ class RunConfig:
         return 100
 
     def tau_grid(self) -> tuple[float, ...]:
-        if self.tau_steps == 1:
-            return (self.tau_min,)
-        return tuple(np.geomspace(self.tau_min, self.tau_max, self.tau_steps))
+        return tau_grid(self.tau_min, self.tau_max, self.tau_steps)
 
 
 def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate]:

@@ -31,9 +31,12 @@ DEFAULT_TAU_MAX = 1e5
 DEFAULT_TAU_STEPS = 30
 
 
-def default_tau_grid() -> tuple[float, ...]:
-    """Geometric grid of smoothing parameters, 30 points on [0.1, 1e5]."""
-    return tuple(np.geomspace(DEFAULT_TAU_MIN, DEFAULT_TAU_MAX, DEFAULT_TAU_STEPS))
+def tau_grid(tau_min: float = DEFAULT_TAU_MIN, tau_max: float = DEFAULT_TAU_MAX,
+             steps: int = DEFAULT_TAU_STEPS) -> tuple[float, ...]:
+    """Geometric grid of ``steps`` smoothing parameters on ``[tau_min,
+    tau_max]``; one step gives ``(tau_min,)``.  The default is 30 points
+    on [0.1, 1e5]."""
+    return tuple(np.geomspace(tau_min, tau_max, steps))
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class SmoothingConfig:
     tau_grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.tau_grid) or default_tau_grid()
+        grid = tuple(float(t) for t in self.tau_grid) or tau_grid()
         object.__setattr__(self, "tau_grid", grid)
         if any(t <= 0 for t in self.tau_grid):
             raise InvalidTau("all grid values must be positive")

@@ -18,7 +18,7 @@ from .errors import (
     EmptySample,
     PointOutsideRootBox,
 )
-from .geometry import Box, bounds_volume, contains, split_plane
+from .geometry import Box, bounds_volume, split_plane
 from .tree import ROOT, RPTree, cell_bounds
 
 
@@ -91,14 +91,11 @@ def root_srp(root_box: Box, n_points: int = 0) -> SRP:
 
 
 def inside_mask(box: Box, points: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows of ``points`` lying inside ``box``."""
+    """Boolean mask of the rows of ``points`` lying in the closed ``box``."""
     points = np.asarray(points, dtype=float)
-    inside = np.ones(len(points), dtype=bool)
-    for i, iv in enumerate(box.intervals):
-        lo_ok = points[:, i] > iv.lo if iv.lo_open else points[:, i] >= iv.lo
-        hi_ok = points[:, i] < iv.hi if iv.hi_open else points[:, i] <= iv.hi
-        inside &= lo_ok & hi_ok
-    return inside
+    inside = points >= box.lows()
+    inside &= points <= box.highs()  # in place: one (n, d) temporary fewer
+    return inside.all(axis=1)
 
 
 def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
@@ -168,32 +165,38 @@ class Histogram:
     def total_mass(self) -> float:
         return sum(leaf.height * leaf.volume for leaf in self.leaves)
 
+    @classmethod
+    def from_counts(cls, root_box: Box, n: int, labels, counts) -> "Histogram":
+        """Histogram of ``n`` points with ``counts[i]`` in leaf ``labels[i]``:
+        the cell of each label under ``root_box`` carries the density
+        ``count / (n * volume)``."""
+        if n < 1:
+            raise EmptySample("cannot form a histogram from zero points")
+        lo, hi, *_ = cell_bounds(root_box, labels)
+        leaves = tuple(HistogramLeaf(label, c, vol, c / (n * vol)) for label, c, vol
+                       in zip(labels, counts, bounds_volume(lo, hi).tolist()))
+        return cls(root_box, n, leaves, lo, hi)
+
 
 def histogram(s: SRP) -> Histogram:
     """The SRP histogram: density ``count / (n * volume)`` per leaf cell."""
-    if s.n < 1:
-        raise EmptySample("cannot form a histogram from zero points")
     labels = s.tree.leaves()
-    lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
-    leaves = []
-    for label, vol in zip(labels, bounds_volume(lo, hi).tolist()):
-        c = s.counts.get(label, 0)
-        leaves.append(HistogramLeaf(label, c, vol, c / (s.n * vol)))
-    return Histogram(s.tree.root_box, s.n, tuple(leaves), lo, hi)
+    return Histogram.from_counts(s.tree.root_box, s.n, labels,
+                                 [s.counts.get(label, 0) for label in labels])
 
 
 def density_at(h: Histogram, p) -> float:
     """Histogram density at a point; 0 outside the root box.
 
     A point on an internal splitting hyperplane belongs to the right
-    child, consistent with the half-open left-child rule.
+    child (:func:`~rphist.geometry.split_plane`).
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size != h.root_box.dim:
         raise DimensionMismatch(
             f"point has {p.size} coordinates, histogram has {h.root_box.dim}"
         )
-    if not contains(h.root_box, p):
+    if not inside_mask(h.root_box, p[None])[0]:
         return 0.0
     by_label = {leaf.label: leaf for leaf in h.leaves}
     label = ROOT

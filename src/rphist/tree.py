@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotALeaf, NotBisectable, RootHasNoParent
-from .geometry import Box, Interval, split_plane
+from .geometry import Box, split_plane
 
 ROOT = 1
 
@@ -63,9 +63,10 @@ def cell_bounds(root_box: Box, labels) -> CellBounds:
     cells of a batch of labels, one row per label.
 
     All cells descend from the root together, one tree level per numpy
-    step, with the float operations of :func:`geometry.bisect`, so each
-    bound is bit-identical to bisecting box by box along the label's
-    path.  The path bits are read from each label's binary digits, so
+    step: a left step moves the split coordinate's upper bound to the
+    midpoint, a right step its lower bound.  So each bound is
+    bit-identical to splitting box by box along the label's path.  The
+    path bits are read from each label's binary digits, so
     labels of any size, 2**63 and above included, take the same steps.
 
     Raises
@@ -163,24 +164,9 @@ class RPTree:
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if 2 * n not in self.nodes)
 
-    def cell_box(self, n: int) -> Box:
-        """Box of the cell addressed by ``n``, member of the tree or not:
-        the root box bisected along the bits of ``n`` (0 left, 1 right)."""
-        return cell_box(self.root_box, n)
-
     def split(self, n: int) -> "RPTree":
         """New tree with leaf ``n`` split into its two children."""
         if not self.is_leaf(n):
             raise NotALeaf(f"node {n} is not a leaf")
         return RPTree(self.root_box, self.nodes | {2 * n, 2 * n + 1})
 
-
-def cell_box(root_box: Box, n: int) -> Box:
-    """Box of label ``n`` under ``root_box`` (see :meth:`RPTree.cell_box`).
-
-    As in :func:`geometry.bisect`, an end shared with the root box keeps
-    its openness; a moved upper end is open, a moved lower end closed.
-    """
-    (lo,), (hi,), *_ = cell_bounds(root_box, [n])
-    return Box(tuple(Interval(a, b, iv.lo_open and a == iv.lo, iv.hi_open or b != iv.hi)
-                     for iv, a, b in zip(root_box.intervals, lo.tolist(), hi.tolist())))

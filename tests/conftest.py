@@ -12,6 +12,14 @@ def unit_box(d: int) -> Box:
     return Box.from_bounds([0.0] * d, [1.0] * d)
 
 
+def cell_membership(root_box: Box, lo: np.ndarray, hi: np.ndarray,
+                    points) -> np.ndarray:
+    """``(P, L)`` membership of points in cells with ``(L, d)`` bounds
+    under ``root_box``: closed below, open above except on a root face."""
+    pts = np.asarray(points, dtype=float)[:, None]
+    return ((pts >= lo) & ((pts < hi) | (hi == root_box.highs()))).all(axis=2)
+
+
 @pytest.fixture
 def fig2_tree() -> RPTree:
     """Unit square split into the three-leaf paving {1,2,3,4,5}."""

@@ -6,40 +6,60 @@ import pytest
 from rphist.errors import DimensionMismatch, EmptyInput, NotBisectable
 from rphist.geometry import (
     Box,
-    Interval,
     ZERO_WIDTH_FLOOR,
-    bisect,
     bounding_box,
-    can_bisect,
-    contains,
-    widest_coordinate,
+    bounds_volume,
+    split_plane,
 )
+from rphist.srp import assign_leaves, ingest, inside_mask
+from rphist.tree import RPTree, cell_bounds
 
 from conftest import unit_box
 
 
+def plane(box: Box) -> tuple[int, float, bool]:
+    """``split_plane`` of one box."""
+    (axis,), (mid,), (ok,) = split_plane(box.lows()[None], box.highs()[None])
+    return int(axis), float(mid), bool(ok)
+
+
+def rows(box: Box, labels) -> list[tuple[list[float], list[float]]]:
+    """``(lo, hi)`` of the cells of ``labels`` under ``box``."""
+    cells = cell_bounds(box, labels)
+    return list(zip(cells.lo.tolist(), cells.hi.tolist()))
+
+
 @pytest.mark.parametrize("lo,hi,expected", [(0, 1, 1), (-2, 3, 5), (0.5, 0.5, 0)])
 def test_width(lo, hi, expected):
-    assert Interval(lo, hi).width == expected
+    assert Box.from_bounds([lo], [hi]).volume == expected
 
 
 @pytest.mark.parametrize("lo,hi,expected", [(0, 1, 0.5), (-1, 1, 0), (2, 6, 4)])
 def test_midpoint(lo, hi, expected):
-    assert Interval(lo, hi).midpoint == expected
+    assert plane(Box.from_bounds([lo], [hi]))[1] == expected
 
 
 def test_midpoint_no_overflow():
     # naive (lo + hi)/2 would overflow here; lo + (hi - lo)/2 must not
     big = 0.9 * np.finfo(float).max
-    assert math.isfinite(Interval(0.5 * big, big).midpoint)
-    assert Interval(0.5 * big, big).midpoint == pytest.approx(0.75 * big)
+    mid = plane(Box.from_bounds([0.5 * big], [big]))[1]
+    assert math.isfinite(mid)
+    assert mid == pytest.approx(0.75 * big)
 
 
-def test_interval_validation():
+def test_from_bounds_validation():
     with pytest.raises(ValueError):
-        Interval(1.0, 0.0)
+        Box.from_bounds([1.0], [0.0])
     with pytest.raises(ValueError):
-        Interval(0.5, 0.5, hi_open=True)
+        Box.from_bounds([0.0, math.nan], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        Box.from_bounds([], [])
+    with pytest.raises(DimensionMismatch):
+        Box.from_bounds([0.0, 0.0], [1.0])
+    box = Box.from_bounds(np.array([0, -1]), [2, 1])
+    assert box == Box((0.0, -1.0), (2.0, 1.0))
+    assert all(type(x) is float for x in box.lo + box.hi)
+    assert box.dim == 2 and box.volume == 4.0
 
 
 @pytest.mark.parametrize("bounds,expected", [
@@ -49,61 +69,58 @@ def test_interval_validation():
 ])
 def test_widest_coordinate(bounds, expected):
     box = Box.from_bounds([b[0] for b in bounds], [b[1] for b in bounds])
-    assert widest_coordinate(box) == expected
+    assert plane(box)[0] == expected
 
 
 def test_bisect_unit_square():
-    left, right = bisect(unit_box(2))
-    assert left.intervals[0] == Interval(0.0, 0.5, False, True)
-    assert left.intervals[1] == Interval(0.0, 1.0)
-    assert right.intervals[0] == Interval(0.5, 1.0)
-    assert right.intervals[1] == Interval(0.0, 1.0)
+    assert rows(unit_box(2), [2, 3]) == [([0.0, 0.0], [0.5, 1.0]),
+                                         ([0.5, 0.0], [1.0, 1.0])]
 
 
 def test_bisect_left_child_splits_other_axis():
-    left, _ = bisect(unit_box(2))
-    ll, lr = bisect(left)
     # the half-wide child is taller than wide, so the second axis splits
-    assert ll.intervals[0] == Interval(0.0, 0.5, False, True)
-    assert ll.intervals[1] == Interval(0.0, 0.5, False, True)
-    assert lr.intervals[1] == Interval(0.5, 1.0)
+    assert cell_bounds(unit_box(2), [2]).axis[0] == 1
+    assert rows(unit_box(2), [4, 5]) == [([0.0, 0.0], [0.5, 0.5]),
+                                         ([0.0, 0.5], [0.5, 1.0])]
 
 
 def test_bisect_exhaustion():
     a = 1.0
     b = np.nextafter(a, 2.0)
-    iv = Interval(a, b)
-    assert iv.midpoint == a  # the midpoint collapses onto the lower bound
-    box = Box((iv, Interval(0.0, np.nextafter(0.0, 1.0))))
-    assert not can_bisect(box)
+    assert plane(Box.from_bounds([a], [b]))[1:] == (a, False)  # mid collapses onto lo
+    box = Box.from_bounds([a, 0.0], [b, np.nextafter(0.0, 1.0)])
+    assert not cell_bounds(box, [1]).splittable[0]
     with pytest.raises(NotBisectable):
-        bisect(box)
+        cell_bounds(box, [2])
 
 
 def test_zero_width_widest_coordinate_not_bisectable():
     box = Box.from_bounds([0.0, 0.0], [0.0, 0.0])
+    assert plane(box) == (0, 0.0, False)
     with pytest.raises(NotBisectable):
-        bisect(box)
+        cell_bounds(box, [3])
 
 
 def test_contains_half_open_boundary():
-    left, right = bisect(unit_box(2))
-    assert not contains(left, (0.5, 0.2))
-    assert contains(right, (0.5, 0.2))
-    assert contains(unit_box(2), (1.0, 1.0))
+    tree = RPTree(unit_box(2)).split(1)
+    leaves = assign_leaves(tree, np.array([[0.5, 0.2]]))  # on the plane x = 0.5
+    assert leaves[2].tolist() == [] and leaves[3].tolist() == [0]
+    corners = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0 + 1e-12], [-1e-300, 0.5]])
+    assert inside_mask(unit_box(2), corners).tolist() == [True, True, False, False]
     with pytest.raises(DimensionMismatch):
-        contains(unit_box(2), (0.5,))
+        ingest(tree, [(0.5,)])
 
 
 def test_child_membership_is_exclusive_and_exhaustive():
     box = unit_box(2)
-    left, right = bisect(box)
     xs = np.linspace(0.0, 1.0, 9)  # includes the 0.5 splitting hyperplane
-    for x in xs:
-        for y in xs:
-            p = (x, y)
-            assert contains(box, p)
-            assert contains(left, p) != contains(right, p)
+    pts = np.array([(x, y) for x in xs for y in xs])
+    assert inside_mask(box, pts).all()
+    leaf_of = {int(i): v for v, idx in assign_leaves(RPTree(box).split(1), pts).items()
+               for i in idx}
+    assert sorted(leaf_of) == list(range(len(pts)))
+    # left child [0, 0.5) x [0, 1], right child [0.5, 1] x [0, 1]
+    assert all(leaf_of[i] == (3 if x >= 0.5 else 2) for i, (x, _) in enumerate(pts))
 
 
 def test_volume_additivity():
@@ -112,17 +129,18 @@ def test_volume_additivity():
         d = int(rng.integers(1, 6))
         lo = rng.uniform(-10, 10, d)
         box = Box.from_bounds(lo, lo + rng.uniform(0.1, 10, d))
-        left, right = bisect(box)
-        assert left.volume + right.volume == pytest.approx(box.volume, rel=1e-12)
+        cells = cell_bounds(box, [2, 3])
+        left, right = bounds_volume(cells.lo, cells.hi)
+        assert left + right == pytest.approx(box.volume, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_repeated_bisection_volume(d):
     box = unit_box(d)
     for k in range(1, 11):
-        for _ in range(d):
-            box = bisect(box)[0]
-        assert box.volume == pytest.approx(2.0 ** (-d * k), rel=1e-9)
+        cells = cell_bounds(box, [2 ** (d * k)])  # the leftmost cell, d*k deep
+        assert bounds_volume(cells.lo, cells.hi)[0] == pytest.approx(2.0 ** (-d * k),
+                                                                     rel=1e-9)
 
 
 def test_widest_coordinate_permutation_covariant():
@@ -132,7 +150,7 @@ def test_widest_coordinate_permutation_covariant():
         widths = rng.permutation(np.arange(1, d + 1, dtype=float))  # tie-free
         box = Box.from_bounds(np.zeros(d), widths)
         rev = Box.from_bounds(np.zeros(d), widths[::-1])
-        assert widest_coordinate(rev) == d - 1 - widest_coordinate(box)
+        assert plane(rev)[0] == d - 1 - plane(box)[0]
 
 
 def test_bounding_box_exact():
@@ -156,9 +174,8 @@ def test_bounding_box_strict_interior():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-3, 3, size=(40, 3))
     box = bounding_box(pts, pad=1e-9)
-    for i, iv in enumerate(box.intervals):
-        assert iv.lo < pts[:, i].min()
-        assert iv.hi > pts[:, i].max()
+    assert (box.lows() < pts.min(axis=0)).all()
+    assert (box.highs() > pts.max(axis=0)).all()
 
 
 def test_bounding_box_empty_input():

@@ -14,8 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rphist
+import rphist.cli
 from rphist.cli import main as cli_main
-from rphist.errors import EmptyInput, InsufficientData, ParseError
+from rphist.errors import (
+    DimensionMismatch,
+    EmptyInput,
+    EmptySample,
+    InsufficientData,
+    ParseError,
+)
 from rphist.evaluate import (
     GaussianReference,
     UniformReference,
@@ -31,6 +38,7 @@ from rphist.io import (
     save_histogram,
 )
 from rphist.pipeline import RunConfig, run_pipeline
+from rphist.smoothing import tau_grid
 from rphist.srp import histogram, ingest, root_srp
 from rphist.tree import RPTree
 
@@ -254,6 +262,33 @@ def test_histogram_json_rejects_broken_paving(tmp_path, fig2_srp):
     obj["leaves"] = obj["leaves"][1:]  # drop a leaf: labels no longer pave
     out.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
+        load_histogram(out)
+
+
+def one_count_more(obj):
+    obj["leaves"][0]["count"] += 1
+
+
+def no_points(obj):
+    obj["n"] = 0
+    for leaf in obj["leaves"]:
+        leaf["count"] = 0
+
+
+@pytest.mark.parametrize("edit,error", [
+    (one_count_more, ParseError),
+    (no_points, EmptySample),
+    (lambda obj: obj["root_box"].update(lo=[0.0, 2.0]), ValueError),
+    (lambda obj: obj["root_box"].update(lo=[0.0, float("nan")]), ValueError),
+    (lambda obj: obj["root_box"].update(lo=[0.0]), DimensionMismatch),
+])
+def test_histogram_json_rejects_bad_counts_or_root_box(tmp_path, fig2_srp, edit, error):
+    out = tmp_path / "h.json"
+    save_histogram(histogram(fig2_srp), out)
+    obj = json.loads(out.read_text())
+    edit(obj)
+    out.write_text(json.dumps(obj))
+    with pytest.raises(error):
         load_histogram(out)
 
 
@@ -547,6 +582,14 @@ def test_runconfig_validation():
         RunConfig(tau_min=-1.0)
 
 
+def test_runconfig_rejects_a_degenerate_tau_grid():
+    # 30 equal taus: caught when the config is made, before any work
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RunConfig(tau_min=1.0, tau_max=1.0)
+    assert RunConfig(tau_min=1.0, tau_max=1.0, tau_steps=1).tau_grid() == (1.0,)
+    assert RunConfig().tau_grid() == tau_grid() == tuple(np.geomspace(0.1, 1e5, 30))
+
+
 # -------------------------------------------------------------------- CLI
 
 def test_cli_build_eval_plot(tmp_path, capsys):
@@ -576,6 +619,33 @@ def test_cli_build_eval_plot(tmp_path, capsys):
     assert rc == 0
     assert plot.read_text().startswith("x0,y0,x1,y1,height")
     assert "rectangles" in capsys.readouterr().out
+
+
+def test_cli_build_rejects_a_degenerate_tau_grid(tmp_path):
+    csv = tmp_path / "pts.csv"
+    csv.write_text("\n".join(f"{x},{y}" for x, y in fig2_points()) + "\n")
+    out = tmp_path / "hist.json"
+    src = str(Path(rphist.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rphist.cli", "build", "--input", str(csv), "--dim", "2",
+         "--tau-min", "1", "--tau-max", "1", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert "strictly increasing" in proc.stderr
+    assert list(tmp_path.iterdir()) == [csv]
+
+
+def test_cli_build_defaults_are_the_runconfig_defaults(monkeypatch):
+    seen = []
+
+    def fake_run_pipeline(cfg):
+        seen.append(cfg)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(rphist.cli, "run_pipeline", fake_run_pipeline)
+    with pytest.raises(SystemExit):
+        cli_main(["build", "--input", "p.csv", "--dim", "2", "--out", "o.json"])
+    assert seen == [RunConfig(input_path="p.csv", dim=2, out="o.json")]
 
 
 def test_cli_build_seed_is_ignored(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rphist.geometry import bounding_box, can_bisect
+from rphist.geometry import bounding_box
 from rphist.pqmc import (
     PqmcConfig,
     SEB_PRIORITY,
@@ -13,7 +13,7 @@ from rphist.pqmc import (
     splittable_leaves,
 )
 from rphist.srp import ingest
-from rphist.tree import RPTree, depth
+from rphist.tree import RPTree, cell_bounds, depth
 
 from conftest import fig2_points, random_points, unit_box
 
@@ -29,7 +29,7 @@ def naive_seb_path(s0, pts, max_psi, max_leaves, max_depth=1000):
         cand = []
         for v in s.tree.leaves():
             c = s.counts.get(v, 0)
-            if c > 0 and depth(v) < max_depth and can_bisect(s.tree.cell_box(v)):
+            if c > 0 and depth(v) < max_depth and cell_bounds(s.tree.root_box, [v]).splittable[0]:
                 cand.append((c, v))
         if not cand:
             break

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from rphist.geometry import bounding_box, bounds_volume, contains
+from rphist.geometry import bounding_box, bounds_volume
 from rphist.pqmc import (
     PqmcConfig,
     PqmcPath,
@@ -18,33 +18,33 @@ from rphist.smoothing import (
     SmoothingConfig,
     _leaf_cv_terms,
     cv_score,
-    default_tau_grid,
     node_table,
     path_profile,
     penalized_score,
     select,
+    tau_grid,
 )
 from rphist.srp import ingest, log_likelihood, root_srp
 from rphist.tree import RPTree, cell_bounds
 
-from conftest import fig2_points, random_points, random_srp, unit_box
+from conftest import cell_membership, fig2_points, random_points, random_srp, unit_box
 
 FIG2_LOG_LIK = 0.10067756775344439
 
 
 def brute_force_cv(srp, pts) -> float:
     """Leave-one-out oracle: hold the partition, find each point's leaf
-    by box membership, and recompute its left-out density directly."""
+    by cell membership, and recompute its left-out density directly."""
     n = srp.n
     leaves = srp.tree.leaves()
-    boxes = {v: srp.tree.cell_box(v) for v in leaves}
-    vols = {v: boxes[v].volume for v in leaves}
+    cells = cell_bounds(srp.tree.root_box, leaves)
+    vols = dict(zip(leaves, bounds_volume(cells.lo, cells.hi).tolist()))
     integral_f_sq = sum(
         (srp.counts.get(v, 0) / (n * vols[v])) ** 2 * vols[v] for v in leaves
     )
     loo_sum = 0.0
-    for p in pts:
-        leaf = next(v for v in leaves if contains(boxes[v], p))
+    for row in cell_membership(srp.tree.root_box, cells.lo, cells.hi, pts):
+        leaf = leaves[int(np.flatnonzero(row)[0])]
         loo_sum += (srp.counts[leaf] - 1) / ((n - 1) * vols[leaf])
     return integral_f_sq - 2.0 / n * loo_sum
 
@@ -145,8 +145,10 @@ def test_cv_score_singleton_leaves_nonnegative():
     tree = RPTree(unit_box(2)).split(1)
     s = ingest(tree, pts)
     assert all(s.counts[v] <= 1 for v in s.tree.leaves())
+    cells = cell_bounds(s.tree.root_box, s.tree.leaves())
     expected = sum(
-        s.counts[v] / (s.n**2 * s.tree.cell_box(v).volume) for v in s.tree.leaves()
+        s.counts[v] / (s.n**2 * vol)
+        for v, vol in zip(s.tree.leaves(), bounds_volume(cells.lo, cells.hi))
     )
     assert cv_score(s) == pytest.approx(expected)
     assert cv_score(s) >= 0.0
@@ -257,7 +259,7 @@ def test_selected_leaf_count_nondecreasing_in_tau():
     rng = np.random.default_rng(31)
     path, _ = _grown_path(rng, n=500, maxlvs=30)
     counts = [select([path], SmoothingConfig((t,))).srp.leaf_count
-              for t in default_tau_grid()]
+              for t in tau_grid()]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 

@@ -4,20 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rphist.errors import NotALeaf, NotBisectable, RootHasNoParent
-from rphist.geometry import (
-    Box,
-    Interval,
-    bisect,
-    bounds_volume,
-    can_bisect,
-    contains,
-    split_plane,
-    volume_at_depth,
-    widest_coordinate,
-)
-from rphist.tree import RPTree, cell_bounds, cell_box, children, depth, parent
+from rphist.geometry import Box, bounds_volume, split_plane, volume_at_depth
+from rphist.srp import assign_leaves
+from rphist.tree import RPTree, cell_bounds, children, depth, parent
 
-from conftest import unit_box
+from conftest import cell_membership, unit_box
 
 
 def test_parent():
@@ -51,15 +42,12 @@ def test_label_identities_on_big_labels():
         assert parent(right) == n
 
 
-def test_cell_box_examples():
-    t = RPTree(unit_box(2))
-    assert t.cell_box(1) == unit_box(2)
-    b3 = t.cell_box(3)
-    assert b3.intervals[0] == Interval(0.5, 1.0)
-    assert b3.intervals[1] == Interval(0.0, 1.0)
-    b5 = t.cell_box(5)
-    assert b5.intervals[0] == Interval(0.0, 0.5, False, True)
-    assert b5.intervals[1] == Interval(0.5, 1.0)
+def test_cell_bounds_examples():
+    cells = cell_bounds(unit_box(2), [1, 3, 5])
+    assert cells.lo.tolist() == [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+    assert cells.hi.tolist() == [[1.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
+    assert cells.axis.tolist() == [0, 1, 0]
+    assert cells.mid.tolist() == [0.5, 0.5, 0.25]
 
 
 def test_split_and_merge_examples():
@@ -106,24 +94,34 @@ def _random_tree(rng, d=2, n_splits=25) -> RPTree:
     return t
 
 
+def leaf_volumes(t: RPTree) -> np.ndarray:
+    cells = cell_bounds(t.root_box, t.leaves())
+    return bounds_volume(cells.lo, cells.hi)
+
+
 def test_leaf_volumes_partition_root():
     rng = np.random.default_rng(5)
     for d in (1, 2, 4):
         t = _random_tree(rng, d=d)
-        total = sum(t.cell_box(v).volume for v in t.leaves())
-        assert total == pytest.approx(t.root_box.volume, rel=1e-9)
+        assert leaf_volumes(t).sum() == pytest.approx(t.root_box.volume, rel=1e-9)
 
 
 def test_exactly_one_leaf_contains_each_point():
     rng = np.random.default_rng(6)
     t = _random_tree(rng, d=2, n_splits=30)
-    boxes = [t.cell_box(v) for v in t.leaves()]
+    leaves = t.leaves()
+    cells = cell_bounds(t.root_box, leaves)
     pts = rng.uniform(0, 1, size=(200, 2))
-    # include points exactly on split hyperplanes
-    pts = np.vstack([pts, [[0.5, 0.5]], [[0.25, 0.75]], [[0.5, 0.0]]])
-    for p in pts:
-        hits = sum(contains(b, p) for b in boxes)
-        assert hits == 1
+    # include points exactly on split hyperplanes and on the root's faces
+    pts = np.vstack([pts, [[0.5, 0.5]], [[0.25, 0.75]], [[0.5, 0.0]], [[1.0, 1.0]],
+                     cells.lo, cells.hi])
+    inside = cell_membership(t.root_box, cells.lo, cells.hi, pts)
+    assert (inside.sum(axis=1) == 1).all()
+    got = np.full(len(pts), -1)
+    for leaf, idx in assign_leaves(t, pts).items():
+        assert (got[idx] == -1).all()
+        got[idx] = leaves.index(leaf)
+    assert got.tolist() == inside.argmax(axis=1).tolist()
 
 
 def test_from_leaves_roundtrip_and_validation():
@@ -144,7 +142,8 @@ def test_deep_tree_beyond_word_size():
         label = 2 * label
     assert depth(label) == 80
     assert label > 2**64
-    assert t.cell_box(label).volume == pytest.approx(2.0**-80, rel=1e-9)
+    cells = cell_bounds(t.root_box, [label])
+    assert bounds_volume(cells.lo, cells.hi)[0] == pytest.approx(2.0**-80, rel=1e-9)
 
 
 @st.composite
@@ -163,13 +162,19 @@ def root_boxes(draw, max_dim=4):
     return Box.from_bounds(lows, highs)
 
 
-def walk(root: Box, label: int):
-    """Reference: bisect box by box along the label's path."""
-    box = root
+def walk(root: Box, label: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: split box by box along the label's path, one ``(1, d)``
+    row per level."""
+    lo, hi = root.lows()[None], root.highs()[None]
     for bit in bin(label)[3:]:
-        left, right = bisect(box)
-        box = right if bit == "1" else left
-    return box
+        (axis,), (mid,), (ok,) = split_plane(lo, hi)
+        if not ok:
+            raise NotBisectable(f"cannot bisect along the path to {label}")
+        if bit == "1":
+            lo[0, axis] = mid
+        else:
+            hi[0, axis] = mid
+    return lo, hi
 
 
 def bits(x) -> bytes:
@@ -191,14 +196,14 @@ def test_cell_bounds_equals_box_by_box_bisection(root, labels):
     keep = [i for i, box in enumerate(boxes) if box is not None]
     cells = cell_bounds(root, [labels[i] for i in keep])
     volumes = bounds_volume(cells.lo, cells.hi)
-    for row, box in enumerate(boxes[i] for i in keep):
-        assert bits(cells.lo[row]) == bits(box.lows())
-        assert bits(cells.hi[row]) == bits(box.highs())
-        assert cells.axis[row] == widest_coordinate(box)
-        assert bits(cells.mid[row]) == bits(box.intervals[cells.axis[row]].midpoint)
-        assert cells.splittable[row] == can_bisect(box)
-        assert bits(volumes[row]) == bits(box.volume)
-    assert [cell_box(root, labels[i]) for i in keep] == [boxes[i] for i in keep]
+    for row, (lo, hi) in enumerate(boxes[i] for i in keep):
+        (axis,), (mid,), (ok,) = split_plane(lo, hi)
+        assert bits(cells.lo[row]) == bits(lo[0])
+        assert bits(cells.hi[row]) == bits(hi[0])
+        assert cells.axis[row] == axis
+        assert bits(cells.mid[row]) == bits(mid)
+        assert cells.splittable[row] == ok
+        assert bits(volumes[row]) == bits(bounds_volume(lo, hi))
 
 
 def test_cell_bounds_raises_on_a_subnormal_width():
