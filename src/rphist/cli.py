@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .evaluate import l1_error, make_reference
@@ -43,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the sequential chain instead of the sharded builder")
     b.add_argument("--strict", action="store_true",
                    help="fail on malformed rows or out-of-box points")
+    b.add_argument("--verbose", action="store_true",
+                   help="log each stage's time and the chains or builds it ran")
 
     e = sub.add_parser("eval", help="L1 error of a histogram vs a reference")
     e.add_argument("--hist", required=True, help="histogram JSON file")
@@ -58,6 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
+    if args.verbose:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("rphist").setLevel(logging.INFO)
     cfg = RunConfig(
         input_path=args.input,
         dim=args.dim,

@@ -27,16 +27,18 @@ One build from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
 is sorted once (:attr:`BuildResult.seb_order`), and the path from each
-launch state to each threshold is a prefix of that order with the
-launch state's internal nodes filtered out, instead of a rebuild or a
-sort per tributary.
+launch state is that order with the launch state's internal nodes
+filtered out, instead of a rebuild or a sort per tributary.  The chain
+pops in non-increasing count order, so the path to a higher threshold
+is a prefix of the path to a lower one (:func:`cut_path`), whether it
+was read off a build or run by the sequential chain.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -321,6 +323,45 @@ def _first_tie(initial: SRP, records) -> int:
     return first
 
 
+def cut_path(path: PqmcPath, threshold: float, cfg: PqmcConfig) -> PqmcPath:
+    """The SEB path to ``threshold``, cut from a whole SEB path.
+
+    ``path`` is an SEB path (from :func:`~rphist.pqmc.run_pqmc` or
+    :func:`reconstruct_path`) to a threshold no higher than
+    ``threshold``, from the same launch state and under the leaf budget
+    ``cfg.max_leaves``.  A child's count never exceeds its parent's, so
+    the chain pops in non-increasing count order, and the chain to
+    ``threshold`` takes the same pops until the first one whose count is
+    at or below ``threshold``: its path is the prefix of records with
+    count above ``threshold``.
+
+    A shorter prefix stopped on the threshold, successfully, and was
+    tied only if one of its pops was: every splittable leaf with count
+    above ``threshold`` is popped before the prefix ends.  A prefix as
+    long as the whole path keeps its stop reason and tie flag; if that
+    path stopped on the leaf budget, its success is re-derived for
+    ``threshold``.
+    """
+    records = path.records
+    k = bisect_left(records, -threshold, key=lambda r: -(r.left_count + r.right_count))
+    if k < len(records):
+        return PqmcPath(path.initial, records[:k], "max_psi", True,
+                        path.had_ties and _first_tie(path.initial, records[:k]) < k)
+    if path.stop_reason != "max_leaves" or path.success:
+        return path
+    return replace(path, success=_budget_success(path, cfg.max_leaves, threshold, cfg))
+
+
+def _budget_success(path: PqmcPath, max_leaves: int, threshold: float,
+                    cfg: PqmcConfig) -> bool:
+    """Success of a chain that stopped on the leaf budget at ``path.final``:
+    the launch state was within the budget and no splittable leaf with
+    count above the threshold remains."""
+    final = path.final
+    return path.initial.leaf_count <= max_leaves and all(
+        final.counts.get(v, 0) <= threshold for v in splittable_leaves(final, cfg))
+
+
 def truncate_path(path: PqmcPath, max_leaves: int | None, threshold: float,
                   cfg: PqmcConfig) -> PqmcPath:
     """Cut a whole SEB path at a leaf budget and re-derive its flags.
@@ -332,12 +373,15 @@ def truncate_path(path: PqmcPath, max_leaves: int | None, threshold: float,
     pops was.
     """
     m0 = path.initial.leaf_count
-    if max_leaves is None or m0 + path.split_count <= max_leaves:
+    if max_leaves is None or m0 + path.split_count < max_leaves:
         return path
+    if m0 + path.split_count == max_leaves:
+        # the chain checks the budget before the threshold
+        if path.stop_reason != "max_psi":
+            return path
+        return replace(path, stop_reason="max_leaves")
     keep = max(0, max_leaves - m0)
     kept = PqmcPath(path.initial, path.records[:keep], "max_leaves", False,
                     path.had_ties and _first_tie(path.initial, path.records) < keep)
-    kept.success = m0 <= max_leaves and all(
-        kept.final.counts.get(v, 0) <= threshold
-        for v in splittable_leaves(kept.final, cfg))
+    kept.success = _budget_success(kept, max_leaves, threshold, cfg)
     return kept

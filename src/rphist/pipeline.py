@@ -3,16 +3,18 @@
 The pipeline bounds the data with a padded box, carves away empty space
 with a short support-carving chain, launches one SEB chain per spread
 launch state and per entry of the stopping-threshold grid, and hands
-every state of every tributary to the smoothing stage.  By default the
-tributaries come from one sharded threshold build from the root at the
-lowest threshold of the grid: each tributary's path is one sort of its
-internal nodes.  Sequential mode runs the plain sequential chain per
-tributary instead; both modes give the same histogram, ties included,
-and no step of either draws a random number.  The selected histogram is
+every state of every tributary to the smoothing stage.  Each launch
+state gets one whole SEB path to the lowest threshold of the grid, and
+the path to every threshold is a prefix cut from it.  By default the
+whole paths come from one sharded threshold build from the root, sorted
+once; sequential mode runs one plain sequential chain per launch state
+instead.  Both modes give the same histogram, ties included, and no
+step of either draws a random number.  The selected histogram is
 written as versioned JSON next to a manifest with the configuration,
-per-candidate diagnostics, the threshold build's iteration stats and
-stage timings.  A selected tau at either end of the tau grid is logged
-as a warning.
+per-candidate diagnostics, the threshold build's iteration stats (the
+chains' split counts and tie flags in sequential mode) and stage
+timings.  A selected tau at either end of the tau grid is logged as a
+warning; each stage's time is logged at INFO.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .distributed import (
-    BuildResult,
     build_threshold_tree,
+    cut_path,
     reconstruct_path,
     truncate_path,
 )
@@ -125,76 +128,89 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     or written.
     """
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     skipped_rows = 0
-    if points is None:
-        if cfg.input_path is None:
-            raise ValueError("need either points or cfg.input_path")
-        points, skipped_rows = ingest_csv(cfg.input_path, cfg.dim, strict=cfg.strict)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != cfg.dim:
-        raise ValueError(f"points have dim {points.shape[1]}, config says {cfg.dim}")
-    root_box = bounding_box(points, cfg.pad)
-    inside = inside_mask(root_box, points)
-    dropped_points = int((~inside).sum())
-    if dropped_points:
-        if cfg.strict:
-            raise PointOutsideRootBox(f"{dropped_points} points outside the root box")
-        points = points[inside]
-    if len(points) < 2:
-        raise InsufficientData(f"need at least 2 points inside the root box, "
-                               f"got {len(points)}")
-    timings["ingest"] = time.perf_counter() - t0
+    with _stage(timings, "ingest"):
+        if points is None:
+            if cfg.input_path is None:
+                raise ValueError("need either points or cfg.input_path")
+            points, skipped_rows = ingest_csv(cfg.input_path, cfg.dim, strict=cfg.strict)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != cfg.dim:
+            raise ValueError(f"points have dim {points.shape[1]}, config says {cfg.dim}")
+        root_box = bounding_box(points, cfg.pad)
+        inside = inside_mask(root_box, points)
+        dropped_points = int((~inside).sum())
+        if dropped_points:
+            if cfg.strict:
+                raise PointOutsideRootBox(f"{dropped_points} points outside the root box")
+            points = points[inside]
+        if len(points) < 2:
+            raise InsufficientData(f"need at least 2 points inside the root box, "
+                                   f"got {len(points)}")
 
-    t0 = time.perf_counter()
-    carve_cfg = PqmcConfig(
-        max_psi=0.0,
-        max_leaves=cfg.effective_carve_leaves,
-        max_depth=cfg.max_depth,
-    )
-    carve = carve_path(points, carve_cfg, root_box=root_box)
-    launches = launch_states(carve, cfg.tributaries)
-    timings["carve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    base = None
-    if not cfg.sequential:
-        base = build_threshold_tree(
-            points, root_box, float(min(cfg.maxpts)),
-            PqmcConfig(max_depth=cfg.max_depth),
-            shard_count=cfg.shards, workers=cfg.workers,
+    with _stage(timings, "carve"):
+        carve_cfg = PqmcConfig(
+            max_psi=0.0,
+            max_leaves=cfg.effective_carve_leaves,
+            max_depth=cfg.max_depth,
         )
-    timings["tributary_build"] = time.perf_counter() - t0
+        carve = carve_path(points, carve_cfg, root_box=root_box)
+        launches = launch_states(carve, cfg.tributaries)
 
-    t0 = time.perf_counter()
-    paths = []
-    candidates = []
-    for maxpts in cfg.maxpts:
-        for i, state in enumerate(launches):
+    # One whole SEB path per launch state, to the lowest threshold; the
+    # path to every higher threshold is a prefix of it.
+    low = float(min(cfg.maxpts))
+    with _stage(timings, "tributary_build"):
+        if cfg.sequential:
+            chain_cfg = PqmcConfig(max_psi=low, max_leaves=cfg.maxlvs,
+                                   max_depth=cfg.max_depth)
+            wholes = [run_pqmc(state, points, SEB_PRIORITY, chain_cfg)
+                      for state in launches]
+            logger.info("%d sequential SEB chains to threshold %g: %d splits",
+                        len(wholes), low, sum(w.split_count for w in wholes))
+            build = {"threshold": low,
+                     "splits": [w.split_count for w in wholes],
+                     "had_ties": [w.had_ties for w in wholes]}
+        else:
+            base = build_threshold_tree(
+                points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
+                shard_count=cfg.shards, workers=cfg.workers,
+            )
+            wholes = [reconstruct_path(base, state) for state in launches]
+            logger.info("1 threshold build to threshold %g (%d iterations) "
+                        "for %d launch states", low, base.iterations, len(wholes))
+            build = {"threshold": base.threshold,
+                     "iterations": base.iterations,
+                     "split_cells": [st.split_cells for st in base.stats],
+                     "working_points": [st.working_points for st in base.stats],
+                     "passed_points": [st.passed_points for st in base.stats]}
+
+    with _stage(timings, "tributary_paths"):
+        paths = []
+        candidates = []
+        for maxpts in cfg.maxpts:
             seb_cfg = PqmcConfig(
                 max_psi=float(maxpts),
                 max_leaves=cfg.maxlvs,
                 max_depth=cfg.max_depth,
             )
-            if cfg.sequential:
-                path = run_pqmc(state, points, SEB_PRIORITY, seb_cfg)
-            else:
-                path = reconstruct_path(base, state, float(maxpts))
+            for i, (state, whole) in enumerate(zip(launches, wholes)):
+                path = cut_path(whole, float(maxpts), seb_cfg)
                 path = truncate_path(path, cfg.maxlvs, float(maxpts), seb_cfg)
-            paths.append(path)
-            candidates.append({
-                "maxpts": int(maxpts),
-                "tributary": i,
-                "launch_leaves": state.leaf_count,
-                "final_leaves": path.final.leaf_count,
-                "success": path.success,
-            })
-    timings["tributary_paths"] = time.perf_counter() - t0
+                paths.append(path)
+                candidates.append({
+                    "maxpts": int(maxpts),
+                    "tributary": i,
+                    "launch_leaves": state.leaf_count,
+                    "final_leaves": path.final.leaf_count,
+                    "success": path.success,
+                })
+        logger.info("%d tributary paths cut from %d whole paths",
+                    len(paths), len(wholes))
 
-    t0 = time.perf_counter()
-    estimate = select(paths, SmoothingConfig(cfg.tau_grid()))
-    hist = histogram(estimate.srp)
-    timings["smoothing"] = time.perf_counter() - t0
+    with _stage(timings, "smoothing"):
+        estimate = select(paths, SmoothingConfig(cfg.tau_grid()))
+        hist = histogram(estimate.srp)
     grid_ends = (estimate.cv_curve[0].tau, estimate.cv_curve[-1].tau)
     tau_at_grid_edge = estimate.tau in grid_ends
     if tau_at_grid_edge:
@@ -204,28 +220,24 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                        else "upper", *grid_ends)
 
     if cfg.out is not None:
-        t0 = time.perf_counter()
-        save_histogram(hist, cfg.out)
-        timings["export"] = time.perf_counter() - t0
+        with _stage(timings, "export"):
+            save_histogram(hist, cfg.out)
         _write_manifest(cfg, hist, estimate, tau_at_grid_edge, candidates,
-                        base, timings, skipped_rows, dropped_points)
+                        build, timings, skipped_rows, dropped_points)
     return hist, estimate
 
 
-def _build_report(base: BuildResult | None) -> dict | None:
-    if base is None:
-        return None
-    return {
-        "threshold": base.threshold,
-        "iterations": base.iterations,
-        "split_cells": [st.split_cells for st in base.stats],
-        "working_points": [st.working_points for st in base.stats],
-        "passed_points": [st.passed_points for st in base.stats],
-    }
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Time the block as stage ``name`` and log the time at INFO."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+    logger.info("stage %s: %.3f s", name, timings[name])
 
 
 def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
-                    tau_at_grid_edge: bool, candidates, base: BuildResult | None,
+                    tau_at_grid_edge: bool, candidates, build: dict,
                     timings, skipped_rows, dropped_points) -> None:
     manifest = {
         "config": {
@@ -250,7 +262,7 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
         "dropped_points": dropped_points,
         "root_box": histogram_to_json(hist)["root_box"],
         "candidates": candidates,
-        "build": _build_report(base),
+        "build": build,
         "selected": {
             "tau": estimate.tau,
             "leaf_count": estimate.srp.leaf_count,

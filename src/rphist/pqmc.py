@@ -13,7 +13,9 @@ priorities are provided:
 
 A carving run followed by SEB chains launched from states spread along
 the carve path ("tributaries") yields the candidate states that the
-smoothing stage scores.
+smoothing stage scores.  A chain keeps each leaf's points and priority;
+the bounds and split planes of new leaves are found in one batch when
+one of them first reaches the top of the queue.
 """
 
 from __future__ import annotations
@@ -141,9 +143,18 @@ def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
 
 
 class _LeafPool:
-    """Working state of one chain run: point indices and cell geometry
-    per splittable leaf, and a heap of ``(-priority, label)`` keys, so
-    the top is the largest priority with ties towards the lowest label."""
+    """Working state of one chain run: the point indices of every leaf the
+    chain may still split, and a heap of ``(-priority, label)`` keys, so
+    the top is the largest priority with ties towards the lowest label.
+
+    A leaf enters the heap with its points and priority alone.  Its bounds
+    and split plane are found when a leaf without them first reaches the
+    top: one :func:`split_plane` call then covers every leaf admitted
+    since the last one, each child's bounds written from its parent's.
+    A leaf that cannot be bisected is dropped when it reaches the top, so
+    :meth:`max_priority` and the tie check after a pop see the heap of
+    the splittable leaves alone.
+    """
 
     def __init__(self, s0: SRP, points: np.ndarray, priority: Priority, cfg: PqmcConfig):
         self.points = points
@@ -151,7 +162,10 @@ class _LeafPool:
         self.cfg = cfg
         self.n = s0.n
         self.root_volume = s0.tree.root_box.volume
-        self.info: dict[int, tuple] = {}
+        # label -> [point indices], extended by [lo | hi, axis, mid, splittable]
+        # once planed, for every leaf in the heap
+        self.leaves: dict[int, list] = {}
+        self.pending: list[tuple] = []  # (leaf, side, parent's lo | hi, axis, mid)
         self.heap: list[tuple[float, int]] = []
         self.leaf_count = s0.leaf_count
         assignment = assign_leaves(s0.tree, points)
@@ -160,9 +174,9 @@ class _LeafPool:
                 raise ValueError(
                     f"initial SRP count at leaf {label} does not match the data"
                 )
-        cells = cell_bounds(s0.tree.root_box, list(assignment))
-        for (label, idx), *cell in zip(assignment.items(), *cells):
-            self._admit(label, idx, *cell)
+        labels = [v for v, idx in assignment.items() if self._admit(v, idx) is not None]
+        lo, hi, *plane = cell_bounds(s0.tree.root_box, labels)
+        self._set_planes([self.leaves[v] for v in labels], np.hstack([lo, hi]), *plane)
 
     def _psi(self, count: int, label: int) -> float:
         vol = 0.0
@@ -170,34 +184,66 @@ class _LeafPool:
             vol = volume_at_depth(self.root_volume, depth(label))
         return self.priority.value(count, vol, self.n)
 
-    def _admit(self, label, idx, lo, hi, axis, mid, splittable):
-        if len(idx) == 0 or depth(label) >= self.cfg.max_depth or not splittable:
-            return
-        self.info[label] = (idx, lo, hi, axis, mid)
+    def _admit(self, label: int, idx: np.ndarray) -> list | None:
+        if len(idx) == 0 or depth(label) >= self.cfg.max_depth:
+            return None
+        leaf = self.leaves[label] = [idx]
         heapq.heappush(self.heap, (-self._psi(len(idx), label), label))
+        return leaf
+
+    @staticmethod
+    def _set_planes(leaves, bounds, axis, mid, splittable) -> None:
+        for leaf, *plane in zip(leaves, bounds, axis.tolist(), mid.tolist(),
+                                splittable.tolist()):
+            leaf += plane
+
+    def _plan_pending(self) -> None:
+        """Bounds and split planes of every leaf admitted since the last
+        call: a left child's upper bound on its parent's split coordinate
+        moves to the parent's midpoint, a right child's lower bound."""
+        leaves, side, bounds, axis, mid = zip(*self.pending)
+        self.pending = []
+        bounds = np.array(bounds)
+        d = bounds.shape[1] // 2
+        # side 0 (left) moves column d + axis (hi), side 1 column axis (lo)
+        bounds[np.arange(len(leaves)), np.array(axis) + d * (1 - np.array(side))] = mid
+        self._set_planes(leaves, bounds, *split_plane(bounds[:, :d], bounds[:, d:]))
+
+    def _top(self) -> tuple[float, int] | None:
+        """The heap's top key once the top leaf is known to be splittable."""
+        while self.heap:
+            label = self.heap[0][1]
+            leaf = self.leaves[label]
+            if len(leaf) == 1:
+                self._plan_pending()
+            if leaf[4]:
+                return self.heap[0]
+            heapq.heappop(self.heap)
+            del self.leaves[label]
+        return None
 
     def max_priority(self) -> float | None:
-        return -self.heap[0][0] if self.heap else None
+        top = self._top()
+        return None if top is None else -top[0]
 
     def pop_argmax(self) -> tuple[int, bool]:
-        """Pop the lowest-labelled leaf of maximal priority.  Returns
-        (label, tied), tied when another leaf has the same priority."""
+        """Pop the lowest-labelled splittable leaf of maximal priority, once
+        :meth:`max_priority` has found one.  Returns (label, tied), tied
+        when another splittable leaf has the same priority."""
         key, label = heapq.heappop(self.heap)
-        return label, bool(self.heap) and self.heap[0][0] == key
+        top = self._top()
+        return label, top is not None and top[0] == key
 
     def split(self, label: int) -> SplitRecord:
-        idx, lo, hi, axis, mid = self.info.pop(label)
+        idx, bounds, axis, mid, _ = self.leaves.pop(label)
         right = self.points[idx, axis] >= mid
-        kid_idx = (idx[~right], idx[right])
-        kid_lo = np.array([lo, lo])
-        kid_hi = np.array([hi, hi])
-        kid_hi[0, axis] = mid  # left child
-        kid_lo[1, axis] = mid  # right child
-        for kid in zip((2 * label, 2 * label + 1), kid_idx, kid_lo, kid_hi,
-                       *split_plane(kid_lo, kid_hi)):
-            self._admit(*kid)
+        kids = (idx[~right], idx[right])
+        for side, kid in enumerate(kids):
+            leaf = self._admit(2 * label + side, kid)
+            if leaf is not None:
+                self.pending.append((leaf, side, bounds, axis, mid))
         self.leaf_count += 1
-        return SplitRecord(label, len(kid_idx[0]), len(kid_idx[1]))
+        return SplitRecord(label, len(kids[0]), len(kids[1]))
 
 
 def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
@@ -217,7 +263,7 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     had_ties = False
     stop_reason = "exhausted"
     while True:
-        if not pool.heap:
+        if pool.max_priority() is None:
             stop_reason = "exhausted"
             break
         if cfg.max_leaves is not None and pool.leaf_count >= cfg.max_leaves:

@@ -12,6 +12,7 @@ from rphist.distributed import (
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
+    cut_path,
     prune,
     reconstruct_path,
     truncate_path,
@@ -457,6 +458,40 @@ def test_tie_flag_equals_sequential_on_tied_data(seed, side, threshold, max_leav
         assert path.records == seq.records
         assert path.had_ties == seq.had_ties
         assert path.success == seq.success
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tied_grid_sample())
+def test_cut_path_equals_sequential_on_tied_data(sample):
+    # one chain per launch state to the lowest threshold, cut at every
+    # threshold, against a chain per threshold; budgets below, at and
+    # above the launch state's leaf count, and none
+    pts, low, _, carve_leaves = sample
+    max_depth = 40
+    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth),
+                       root_box=bounding_box(pts))
+    for launch in launch_states(carve, 3):
+        m0 = launch.leaf_count
+        unbudgeted = run_pqmc(launch, pts, SEB_PRIORITY,
+                              PqmcConfig(max_psi=low, max_depth=max_depth))
+        # a path only depends on which of the counts it pops exceed the
+        # threshold: the counts themselves stand for every threshold
+        thresholds = sorted({low, *(float(r.left_count + r.right_count)
+                                    for r in unbudgeted.records)})
+        for max_leaves in (None, max(1, m0 - 1), m0, m0 + 1, m0 + 4):
+            whole = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(
+                max_psi=low, max_leaves=max_leaves, max_depth=max_depth))
+            for threshold in thresholds:
+                cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
+                                 max_depth=max_depth)
+                seq = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
+                for cut in (cut_path(whole, threshold, cfg),
+                            cut_path(unbudgeted, threshold, cfg)):
+                    path = truncate_path(cut, max_leaves, threshold, cfg)
+                    assert path.records == seq.records
+                    assert path.success == seq.success
+                    assert path.had_ties == seq.had_ties
+                    assert path.stop_reason == seq.stop_reason
 
 
 def test_reconstruct_path_rejects_lower_threshold():

@@ -38,6 +38,7 @@ from rphist.io import (
     save_histogram,
 )
 from rphist.pipeline import RunConfig, run_pipeline
+from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, launch_states, run_pqmc
 from rphist.smoothing import tau_grid
 from rphist.srp import histogram, ingest, root_srp
 from rphist.tree import RPTree
@@ -521,7 +522,16 @@ def test_pipeline_manifest(tmp_path):
     run_pipeline(replace(cfg, sequential=True, out=str(seq_out), tau_steps=2),
                  points=pts)
     seq_man = json.loads((tmp_path / "seq.json.manifest.json").read_text())
-    assert seq_man["build"] is None
+    # one chain per launch state, to the lowest threshold
+    whole = [run_pqmc(state, pts, SEB_PRIORITY,
+                      PqmcConfig(max_psi=30.0, max_depth=cfg.max_depth))
+             for state in launch_states(
+                 carve_path(pts, PqmcConfig(max_psi=0.0, max_leaves=5),
+                            root_box=bounding_box(pts, cfg.pad)), 2)]
+    assert seq_man["build"] == {"threshold": 30.0,
+                                "splits": [p.split_count for p in whole],
+                                "had_ties": [p.had_ties for p in whole]}
+    assert set(seq_man["timings_s"]) >= {"tributary_build", "tributary_paths"}
     assert len(seq_man["selected"]["cv_curve"]) == 2
     assert seq_man["selected"]["tau_at_grid_edge"] is True
 
@@ -663,6 +673,33 @@ def test_cli_build_seed_is_ignored(tmp_path):
         config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
         assert "seed" not in config and "tie_break" not in config
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_cli_build_verbose_logs_each_stage(tmp_path, caplog, sequential):
+    pts = random_points(np.random.default_rng(47), 300, 2)
+    csv = tmp_path / "pts.csv"
+    csv.write_text("\n".join(f"{a!r},{b!r}" for a, b in pts.tolist()) + "\n")
+    argv = ["build", "--input", str(csv), "--dim", "2", "--maxpts", "10,40",
+            "--carve-leaves", "4", "--tributaries", "2", "--out", str(tmp_path / "h.json"),
+            *(["--sequential"] if sequential else [])]
+    rphist_logger = logging.getLogger("rphist")
+    level = rphist_logger.level
+    try:
+        assert cli_main(argv) == 0
+        assert [r for r in caplog.records if r.levelno == logging.INFO] == []
+        assert cli_main([*argv, "--verbose"]) == 0
+    finally:
+        rphist_logger.setLevel(level)
+    info = [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO and r.name == "rphist.pipeline"]
+    for stage in ("ingest", "carve", "tributary_build", "tributary_paths",
+                  "smoothing", "export"):
+        assert sum(m.startswith(f"stage {stage}: ") for m in info) == 1
+    source = ("2 sequential SEB chains to threshold 10: " if sequential
+              else "1 threshold build to threshold 10 ")
+    assert sum(m.startswith(source) for m in info) == 1
+    assert "4 tributary paths cut from 2 whole paths" in info
 
 
 def test_pipeline_one_dimensional(tmp_path):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rphist.geometry import bounding_box
+from rphist.geometry import Box, bounding_box, volume_at_depth
 from rphist.pqmc import (
     PqmcConfig,
     SEB_PRIORITY,
+    SPC_PRIORITY,
     carve_path,
     launch_states,
     run_pqmc,
@@ -18,30 +19,46 @@ from rphist.tree import RPTree, cell_bounds, depth
 from conftest import fig2_points, random_points, unit_box
 
 
-def naive_seb_path(s0, pts, max_psi, max_leaves, max_depth=1000):
-    """Independent step-by-step simulation: recompute splittable leaves
-    and their counts from scratch at every step, argmax by (count, -label)."""
+def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
+    """Independent step-by-step simulation: recompute the splittable leaves
+    and their priorities from scratch at every step, split the largest
+    priority, ties towards the lowest label.  Returns the states, the stop
+    reason, the success flag and whether any pop was tied."""
     pts = np.asarray(pts, dtype=float)
-    states = [s0]
-    tree = s0.tree
+    root_volume = s0.tree.root_box.volume
+    states, had_ties = [s0], False
     while True:
         s = states[-1]
-        cand = []
+        cand = {}
         for v in s.tree.leaves():
             c = s.counts.get(v, 0)
             if c > 0 and depth(v) < max_depth and cell_bounds(s.tree.root_box, [v]).splittable[0]:
-                cand.append((c, v))
-        if not cand:
+                cand[v] = priority.value(c, volume_at_depth(root_volume, depth(v)), s.n)
+        best = max(cand.values(), default=None)
+        if best is None:
+            stop = "exhausted"
             break
         if max_leaves is not None and s.leaf_count >= max_leaves:
+            stop = "max_leaves"
             break
-        best = max(c for c, _ in cand)
-        if max_psi is not None and max_psi > 0 and best <= max_psi:
+        if max_psi and best <= max_psi:
+            stop = "max_psi"
             break
-        v = min(v for c, v in cand if c == best)
-        tree = s.tree.split(v)
-        states.append(ingest(tree, pts))
-    return states
+        tied = [v for v, psi in cand.items() if psi == best]
+        had_ties = had_ties or len(tied) > 1
+        states.append(ingest(s.tree.split(min(tied)), pts))
+    success = ((max_leaves is None or s.leaf_count <= max_leaves)
+               and (not max_psi or best is None or best <= max_psi))
+    return states, stop, success, had_ties
+
+
+def assert_matches_naive(s0, pts, priority, cfg):
+    path = run_pqmc(s0, pts, priority, cfg)
+    states, stop, success, had_ties = naive_path(
+        s0, pts, priority, cfg.max_psi, cfg.max_leaves, cfg.max_depth)
+    assert path.states() == states
+    assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
+    return path
 
 
 def test_splittable_leaves_fig2(fig2_srp):
@@ -82,12 +99,7 @@ def test_run_pqmc_matches_naive_oracle():
         [0.3, 0.35], [0.35, 0.05], [0.4, 0.3], [0.45, 0.45],
     ])
     s0 = ingest(RPTree(unit_box(2)), pts)
-    cfg = PqmcConfig(max_psi=2.0)
-    path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
-    expected = naive_seb_path(s0, pts, 2.0, None)
-    assert len(path) == len(expected)
-    for got, want in zip(path.states(), expected):
-        assert got == want
+    assert_matches_naive(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0))
 
 
 def test_run_pqmc_oracle_on_random_data():
@@ -97,10 +109,37 @@ def test_run_pqmc_oracle_on_random_data():
         box = bounding_box(pts)
         s0 = ingest(RPTree(box), pts)
         maxlvs = int(rng.integers(2, 20))
-        cfg = PqmcConfig(max_leaves=maxlvs)
-        path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
-        expected = naive_seb_path(s0, pts, None, maxlvs)
-        assert [s.tree.nodes for s in path.states()] == [s.tree.nodes for s in expected]
+        assert_matches_naive(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=maxlvs))
+
+
+# 1-D rows one ulp (2**-52) apart at 1.0, each repeated: the cells around
+# them run out of floats with counts 3 and 2 while the cells of the pair at
+# 0.3 still split.  With the pair at 1.7 too, splittable cells tie; without
+# it, a pop ties only with a cell that cannot be split, which is no tie.
+ULP_ROWS = [1.0] * 3 + [1.0 + 2.0**-52] * 2 + [0.3] * 2
+
+
+@pytest.mark.parametrize("rows", [ULP_ROWS, ULP_ROWS + [1.7] * 2])
+@pytest.mark.parametrize("priority, cfg", [
+    (SEB_PRIORITY, PqmcConfig(max_psi=1.0)),
+    (SEB_PRIORITY, PqmcConfig(max_psi=1.0, max_leaves=58)),
+    (SEB_PRIORITY, PqmcConfig(max_psi=1.0, max_depth=6)),
+    (SPC_PRIORITY, PqmcConfig(max_psi=0.0)),
+    (SPC_PRIORITY, PqmcConfig(max_psi=0.0, max_leaves=70, max_depth=8)),
+])
+def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, cfg):
+    box = Box.from_bounds([0.0], [2.0])
+    pts = np.array(rows)[:, None]
+    s0 = ingest(RPTree(box), pts)
+    path = assert_matches_naive(s0, pts, priority, cfg)
+    if cfg.max_depth > 100 and cfg.max_leaves is None:
+        # cells over the threshold are left that cannot be split, and one
+        # of them reached the top of the queue before the last pop
+        assert path.stop_reason == "exhausted" and path.success
+        final = path.final
+        assert max(final.counts[v] for v in final.tree.leaves()
+                   if not cell_bounds(box, [v]).splittable[0]) == 3
+        assert min(r.left_count + r.right_count for r in path.records) == 2
 
 
 def test_path_leaf_counts_increase_one_per_step():
