@@ -5,6 +5,13 @@ plus the reference mass outside the root box.  Since the histogram is
 exactly constant on each leaf, stratified Monte Carlo with uniform
 draws per leaf only has to average the reference's variation, and the
 outside mass comes from the reference's closed-form box probability.
+
+The estimate is a pure function of the histogram, the reference,
+``mc_per_leaf`` and ``seed``.  The draws come leaf by leaf, in the
+histogram's leaf order, from one generator seeded by ``seed``; a chunk
+of leaves takes one C-order block of it, scaled to the cells in place,
+which gives the doubles ``Generator.uniform`` gives.  So the result
+does not depend on :data:`MC_CHUNK_LEAVES`.
 """
 
 from __future__ import annotations
@@ -110,6 +117,12 @@ def l1_error(h: Histogram, reference, mc_per_leaf: int = 256,
     ``|height - f(x)|`` over ``mc_per_leaf`` uniform draws in the leaf;
     the reference mass outside the root box is added exactly.  The
     standard error combines the per-leaf sample variances.
+
+    Raises
+    ------
+    OverflowError
+        If some leaf's width ``hi - lo`` is not finite: no uniform draw
+        in such a cell exists.
     """
     if getattr(reference, "dim", h.root_box.dim) != h.root_box.dim:
         raise DimensionMismatch(
@@ -117,24 +130,30 @@ def l1_error(h: Histogram, reference, mc_per_leaf: int = 256,
         )
     if mc_per_leaf < 2:
         raise ValueError("need at least two draws per leaf")
+    widths = h.hi - h.lo
+    if not np.isfinite(widths).all():
+        raise OverflowError("a leaf's width exceeds the float range")
+    heights = np.array([leaf.height for leaf in h.leaves])
+    volumes = np.array([leaf.volume for leaf in h.leaves])
+    means, stds = np.empty_like(heights), np.empty_like(heights)
     rng = np.random.default_rng(seed)
     outside = 1.0 - reference.box_prob(h.root_box)
-    total = outside
-    var_sum = 0.0
     d = h.root_box.dim
     for start in range(0, h.leaf_count, MC_CHUNK_LEAVES):
-        # one draw of (leaves, mc, d): the same stream as leaf by leaf
-        stop = start + MC_CHUNK_LEAVES
-        chunk = h.leaves[start:stop]
-        lows, highs = h.lo[start:stop], h.hi[start:stop]
-        draws = rng.uniform(lows[:, None], highs[:, None], (len(chunk), mc_per_leaf, d))
-        pdf = reference.pdf(draws.reshape(-1, d)).reshape(len(chunk), mc_per_leaf)
-        dev = np.abs(np.array([[leaf.height] for leaf in chunk]) - pdf)
-        for leaf, mean, std in zip(chunk, dev.mean(axis=1).tolist(),
-                                   dev.std(axis=1, ddof=1).tolist()):
-            total += leaf.volume * mean
-            se = leaf.volume * std / math.sqrt(mc_per_leaf)
-            var_sum += se * se
+        stop = min(start + MC_CHUNK_LEAVES, h.leaf_count)
+        # lo + width * u, as Generator.uniform computes it, from the same
+        # C-order stream: (leaves, mc, d), whatever the chunk size
+        draws = rng.random((stop - start, mc_per_leaf, d))
+        draws *= widths[start:stop, None]
+        draws += h.lo[start:stop, None]
+        pdf = reference.pdf(draws.reshape(-1, d)).reshape(stop - start, mc_per_leaf)
+        dev = np.abs(heights[start:stop, None] - pdf)
+        means[start:stop] = dev.mean(axis=1)
+        stds[start:stop] = dev.std(axis=1, ddof=1)
+    se = volumes * stds / math.sqrt(mc_per_leaf)
+    # cumsum adds left to right: the sums a per-leaf running total gives
+    total = np.cumsum(np.append(outside, volumes * means))[-1]
+    var_sum = np.cumsum(np.append(0.0, se * se))[-1]
     return EvalReport(
         l1_estimate=float(total),
         l1_std_error=float(math.sqrt(var_sum)),

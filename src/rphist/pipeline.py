@@ -202,7 +202,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                     "maxpts": int(maxpts),
                     "tributary": i,
                     "launch_leaves": state.leaf_count,
-                    "final_leaves": path.final.leaf_count,
+                    "final_leaves": path.initial.leaf_count + path.split_count,
                     "success": path.success,
                 })
         logger.info("%d tributary paths cut from %d whole paths",

@@ -392,7 +392,8 @@ def test_reconstruct_never_merges_into_the_launch_state():
 @st.composite
 def tied_grid_sample(draw):
     """Integer-grid points in 1-3 dimensions with many repeats of one row,
-    carve-path launch states, and a threshold grid from a base threshold."""
+    carve-path launch states, and a base threshold with one or two
+    thresholds above it."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 60))
     side = draw(st.integers(2, 6))
@@ -406,7 +407,10 @@ def tied_grid_sample(draw):
     floor = max(1, most_repeated - 2)
     top = max(floor, len(pts) // 4)
     base_threshold = draw(st.integers(floor, top))
-    higher = draw(st.lists(st.integers(base_threshold, top), max_size=2))
+    # at least one path to a threshold above the base build's, which then
+    # stops before the base build's last splits; no path splits at len(pts)
+    higher = draw(st.lists(st.integers(base_threshold + 1, len(pts)), min_size=1,
+                           max_size=2))
     thresholds = sorted({base_threshold, *higher})
     carve_leaves = draw(st.integers(1, 8))
     return pts, float(base_threshold), [float(t) for t in thresholds], carve_leaves

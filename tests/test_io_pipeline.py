@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from rphist.errors import (
     ParseError,
 )
 from rphist.evaluate import (
+    EvalReport,
     GaussianReference,
     UniformReference,
     l1_error,
@@ -352,6 +354,36 @@ def test_l1_gaussian_sane():
     assert 0.0 < rep.l1_estimate < 0.6
     assert rep.l1_std_error < 0.05
     assert 0.0 <= rep.outside_mass < 0.05
+
+
+@pytest.mark.parametrize("d, n, max_psi, reference, mc, seed, expected", [
+    (2, 2000, 40.0, GaussianReference(2), 64, 3,
+     EvalReport(0.284079518557413, 0.00401611212906433, 64, 0.0018538849755072029)),
+    (10, 3000, 20.0, GaussianReference(10), 32, 4,
+     EvalReport(1.5690084826858477, 0.13964303738684572, 32, 0.0056486154510446696)),
+    (2, 2000, 40.0, UniformReference(Box.from_bounds([-1.0, -2.0], [0.5, 6.0])), 64, 5,
+     EvalReport(1.2146998783478982, 0.008545384419875767, 64, 0.3612306776702121)),
+], ids=["gaussian2d", "gaussian10d", "uniform2d"])
+def test_l1_error_pinned_for_every_chunk_size(monkeypatch, d, n, max_psi, reference,
+                                              mc, seed, expected):
+    # the reports were computed with one rng.uniform(lo, hi) draw per leaf
+    # and coordinate.  78 leaves in 2-D; 222 in 10-D, not a multiple of the
+    # default chunk (64).  The uniform reference sticks out of the root box.
+    pts = np.random.default_rng(d).standard_normal((n, d))
+    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    h = histogram(run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=max_psi)).final)
+    for chunk in (1, 64, 10_000):
+        monkeypatch.setattr("rphist.evaluate.MC_CHUNK_LEAVES", chunk)
+        assert l1_error(h, reference, mc, seed) == expected
+
+
+@pytest.mark.parametrize("bound", [1e308, math.inf])
+def test_l1_error_rejects_non_finite_cell_width(bound):
+    # hi - lo overflows (or is inf - -inf): no uniform draw in the cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = histogram(root_srp(Box.from_bounds([-bound], [bound]), 3))
+        with pytest.raises(OverflowError):
+            l1_error(h, GaussianReference(1))
 
 
 def test_make_reference_unknown():
