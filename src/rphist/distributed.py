@@ -196,14 +196,12 @@ class BuildResult:
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
 
     @cached_property
-    def seb_order(self) -> tuple[list[int], tuple[SplitRecord, ...]]:
+    def seb_order(self) -> tuple[SplitRecord, ...]:
         """The final SRP's internal nodes as split records in ascending
-        ``(-count, label)`` order, the order the SEB chain pops them in,
-        with the parallel list of negated parent counts (ascending)."""
+        ``(-count, label)`` order, the order the SEB chain pops them in."""
         counts = self.final_srp.counts
         split = sorted(self.final_srp.tree.internal(), key=lambda p: (-counts[p], p))
-        return ([-counts[p] for p in split],
-                tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split))
+        return tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split)
 
 
 def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
@@ -257,48 +255,35 @@ def assemble_srp(root_box: Box, node_counts: dict[int, int]) -> SRP:
     return SRP(RPTree(root_box, frozenset(node_counts)), node_counts, node_counts[ROOT])
 
 
-def reconstruct_path(base: BuildResult, launch: SRP | None = None,
-                     threshold: float | None = None) -> PqmcPath:
-    """The sequential SEB path from ``launch`` to ``threshold``, read off
-    a root build.
+def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
+    """The sequential SEB path from ``launch`` to the threshold of
+    ``base``, a root build, read off that build.
 
     Counts never increase down the tree, so the cells with count above
-    ``threshold`` form a subtree from the root that every chain splits,
+    the threshold form a subtree from the root that every chain splits,
     whatever its launch state.  The chain from ``launch`` (the root SRP
-    when omitted) therefore splits every internal node of ``base`` (a
-    root build at a threshold no higher than ``threshold``, its own when
-    omitted) that has count above ``threshold`` and is not internal in
-    ``launch``.  It splits them in ascending ``(-count, label)`` order,
-    which is the order the chain pops them in, ties included; the child
-    counts come from ``base``.  ``path.states()`` materializes every
-    state.
-
-    The base build is sorted once (:attr:`BuildResult.seb_order`), so a
-    call takes the prefix of that order with count above ``threshold``
-    and drops the nodes internal in ``launch``.
+    when omitted) therefore splits every internal node of ``base`` that
+    is not internal in ``launch``.  It splits them in ascending
+    ``(-count, label)`` order, which is the order the chain pops them
+    in, ties included; the child counts come from ``base``.  The base
+    build is sorted once (:attr:`BuildResult.seb_order`), so a call
+    drops the nodes internal in ``launch`` from that order.  The path
+    to a higher threshold is cut from this one (:func:`cut_path`).
 
     Raises
     ------
     ValueError
-        If ``threshold`` is below the base build's threshold, or
-        ``launch`` holds other data than ``base``.
+        If ``launch`` holds other data than ``base``.
     """
     src = base.final_srp
-    if threshold is None:
-        threshold = base.threshold
-    if threshold < base.threshold:
-        raise ValueError(f"threshold {threshold} is below the base build's "
-                         f"{base.threshold}")
     if launch is None:
         launch = SRP(RPTree(src.tree.root_box), {ROOT: src.n}, src.n)
     if launch.tree.root_box != src.tree.root_box or launch.n != src.n:
         raise ValueError("launch state and base build hold different data")
-    neg_counts, order = base.seb_order
     nodes = launch.tree.nodes
-    records = tuple(rec for rec in order[:bisect_left(neg_counts, -threshold)]
-                    if 2 * rec.label not in nodes)
+    records = tuple(rec for rec in base.seb_order if 2 * rec.label not in nodes)
     return PqmcPath(launch, records, "max_psi", True,
-                    _first_tie(launch, records) < len(records))
+                    _first_tie(launch, records) < len(records), base.threshold)
 
 
 def _first_tie(initial: SRP, records) -> int:
@@ -340,13 +325,17 @@ def cut_path(path: PqmcPath, threshold: float, cfg: PqmcConfig) -> PqmcPath:
     above ``threshold`` is popped before the prefix ends.  A prefix as
     long as the whole path keeps its stop reason and tie flag; if that
     path stopped on the leaf budget, its success is re-derived for
-    ``threshold``.
+    ``threshold``.  A threshold below the one ``path`` ran to raises
+    ValueError.
     """
+    if path.threshold is not None and threshold < path.threshold:
+        raise ValueError(f"threshold {threshold} is below the path's {path.threshold}")
     records = path.records
     k = bisect_left(records, -threshold, key=lambda r: -(r.left_count + r.right_count))
     if k < len(records):
         return PqmcPath(path.initial, records[:k], "max_psi", True,
-                        path.had_ties and _first_tie(path.initial, records[:k]) < k)
+                        path.had_ties and _first_tie(path.initial, records[:k]) < k,
+                        threshold)
     if path.stop_reason != "max_leaves" or path.success:
         return path
     return replace(path, success=_budget_success(path, cfg.max_leaves, threshold, cfg))
@@ -382,6 +371,7 @@ def truncate_path(path: PqmcPath, max_leaves: int | None, threshold: float,
         return replace(path, stop_reason="max_leaves")
     keep = max(0, max_leaves - m0)
     kept = PqmcPath(path.initial, path.records[:keep], "max_leaves", False,
-                    path.had_ties and _first_tie(path.initial, path.records) < keep)
+                    path.had_ties and _first_tie(path.initial, path.records) < keep,
+                    path.threshold)
     kept.success = _budget_success(kept, max_leaves, threshold, cfg)
     return kept

@@ -148,8 +148,8 @@ def load_histogram(path) -> Histogram:
     """Load a histogram, revalidating the labels against the root box.
 
     The leaf labels must form a paving (prefix consistent, zero or two
-    children everywhere); boxes are rebuilt from the labels rather than
-    trusted from the file.
+    children everywhere), each listed once; boxes are rebuilt from the
+    labels rather than trusted from the file.
     """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if obj.get("format") != HISTOGRAM_FORMAT:
@@ -158,6 +158,8 @@ def load_histogram(path) -> Histogram:
         raise ParseError(f"{path}: unsupported version {obj.get('version')}")
     root_box = _box_from_json(obj["root_box"])
     labels = [int(rec["label"]) for rec in obj["leaves"]]
+    if len(set(labels)) < len(labels):
+        raise ParseError(f"{path}: a leaf label is listed more than once")
     RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
     n = int(obj["n"])
     counts = [int(rec["count"]) for rec in obj["leaves"]]

@@ -8,13 +8,15 @@ state gets one whole SEB path to the lowest threshold of the grid, and
 the path to every threshold is a prefix cut from it.  By default the
 whole paths come from one sharded threshold build from the root, sorted
 once; sequential mode runs one plain sequential chain per launch state
-instead.  Both modes give the same histogram, ties included, and no
-step of either draws a random number.  The selected histogram is
-written as versioned JSON next to a manifest with the configuration,
-per-candidate diagnostics, the threshold build's iteration stats (the
-chains' split counts and tie flags in sequential mode) and stage
-timings.  A selected tau at either end of the tau grid is logged as a
-warning; each stage's time is logged at INFO.
+instead, over the cell table of the carve, so that each cell is
+partitioned once per run.  Both modes give the same histogram, ties
+included, and no step of either draws a random number.  The selected
+histogram is written as versioned JSON next to a manifest with the
+configuration, per-candidate diagnostics, the threshold build's
+iteration stats (the chains' split counts, tie flags and partitioned
+cells in sequential mode) and stage timings.  A selected tau at either
+end of the tau grid is logged as a warning; each stage's time is
+logged at INFO.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .distributed import (
     reconstruct_path,
     truncate_path,
 )
-from .errors import InsufficientData, PointOutsideRootBox
+from .errors import InsufficientData
 from .geometry import DEFAULT_PAD, bounding_box
 from .io import histogram_to_json, ingest_csv, save_histogram
 from .pqmc import (
+    CellTable,
     PqmcConfig,
     SEB_PRIORITY,
     carve_path,
@@ -53,7 +56,7 @@ from .smoothing import (
     select,
     tau_grid,
 )
-from .srp import Histogram, histogram, inside_mask
+from .srp import Histogram, histogram, points_in_box
 
 logger = logging.getLogger(__name__)
 
@@ -138,12 +141,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         if points.shape[1] != cfg.dim:
             raise ValueError(f"points have dim {points.shape[1]}, config says {cfg.dim}")
         root_box = bounding_box(points, cfg.pad)
-        inside = inside_mask(root_box, points)
-        dropped_points = int((~inside).sum())
-        if dropped_points:
-            if cfg.strict:
-                raise PointOutsideRootBox(f"{dropped_points} points outside the root box")
-            points = points[inside]
+        kept = points_in_box(root_box, points, cfg.strict)
+        dropped_points, points = len(points) - len(kept), kept
         if len(points) < 2:
             raise InsufficientData(f"need at least 2 points inside the root box, "
                                    f"got {len(points)}")
@@ -154,7 +153,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             max_leaves=cfg.effective_carve_leaves,
             max_depth=cfg.max_depth,
         )
-        carve = carve_path(points, carve_cfg, root_box=root_box)
+        table = CellTable(points, root_box)
+        carve = carve_path(table, carve_cfg)
         launches = launch_states(carve, cfg.tributaries)
 
     # One whole SEB path per launch state, to the lowest threshold; the
@@ -164,14 +164,18 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         if cfg.sequential:
             chain_cfg = PqmcConfig(max_psi=low, max_leaves=cfg.maxlvs,
                                    max_depth=cfg.max_depth)
-            wholes = [run_pqmc(state, points, SEB_PRIORITY, chain_cfg)
+            wholes = [run_pqmc(state, table, SEB_PRIORITY, chain_cfg)
                       for state in launches]
-            logger.info("%d sequential SEB chains to threshold %g: %d splits",
-                        len(wholes), low, sum(w.split_count for w in wholes))
             build = {"threshold": low,
                      "splits": [w.split_count for w in wholes],
+                     "partitioned_cells": table.partitioned,
                      "had_ties": [w.had_ties for w in wholes]}
+            del table  # the paths hold every count that smoothing needs
+            logger.info("%d sequential SEB chains to threshold %g: %d splits, "
+                        "%d cells partitioned", len(wholes), low,
+                        sum(build["splits"]), build["partitioned_cells"])
         else:
+            del table  # the sharded build tags its own points
             base = build_threshold_tree(
                 points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
                 shard_count=cfg.shards, workers=cfg.workers,

@@ -13,23 +13,25 @@ priorities are provided:
 
 A carving run followed by SEB chains launched from states spread along
 the carve path ("tributaries") yields the candidate states that the
-smoothing stage scores.  A chain keeps each leaf's points and priority;
-the bounds and split planes of new leaves are found in one batch when
-one of them first reaches the top of the queue.
+smoothing stage scores.  The carve and the chains of a run share one
+:class:`CellTable`, which partitions each cell once per run; a chain
+itself keeps only a heap of its leaves' priorities and its leaf count.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NotBisectable
 from .geometry import DEFAULT_PAD, Box, bounding_box, split_plane, volume_at_depth
-from .srp import SRP, assign_leaves, ingest
-from .tree import RPTree, cell_bounds, depth
+from .srp import SRP, points_in_box, root_srp
+from .tree import ROOT, RPTree, cell_bounds, depth
 
 SEB = "seb"
 SPC = "spc"
@@ -97,7 +99,8 @@ class PqmcPath:
 
     ``states()`` materializes every intermediate SRP; ``state(t)``
     materializes a single one.  The compact form keeps long paths cheap:
-    consecutive states differ by exactly one split.
+    consecutive states differ by exactly one split.  ``threshold`` is the
+    ``max_psi`` the chain ran to, if its priority stop was active.
     """
 
     initial: SRP
@@ -105,6 +108,7 @@ class PqmcPath:
     stop_reason: str
     success: bool
     had_ties: bool
+    threshold: float | None = None
 
     def __len__(self) -> int:
         return len(self.records) + 1
@@ -142,108 +146,129 @@ def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
     return {v for v, ok in zip(labels, splittable) if ok}
 
 
-class _LeafPool:
-    """Working state of one chain run: the point indices of every leaf the
-    chain may still split, and a heap of ``(-priority, label)`` keys, so
-    the top is the largest priority with ties towards the lowest label.
+class CellTable:
+    """The cells that the chains of one run split, over one point set.
 
-    A leaf enters the heap with its points and priority alone.  Its bounds
-    and split plane are found when a leaf without them first reaches the
-    top: one :func:`split_plane` call then covers every leaf admitted
-    since the last one, each child's bounds written from its parent's.
-    A leaf that cannot be bisected is dropped when it reaches the top, so
-    :meth:`max_priority` and the tie check after a pop see the heap of
-    the splittable leaves alone.
+    Each cell is a contiguous range of one permutation of the point
+    indices.  The first split of a cell, by whichever chain, partitions
+    its range in place, left child first; the children's ranges nest in
+    it, so no later split moves a cell.  Per-cell state is flat arrays
+    indexed by cell id: the root is id 1 and a split cell's children get
+    the next two ids, left first, so an id's parity is its side.  Bounds
+    and split planes are found when first needed, in one
+    :func:`split_plane` batch over every cell created since the last
+    (ids from ``planned`` on), each child's bounds from its parent's.
     """
 
-    def __init__(self, s0: SRP, points: np.ndarray, priority: Priority, cfg: PqmcConfig):
-        self.points = points
-        self.priority = priority
-        self.cfg = cfg
-        self.n = s0.n
-        self.root_volume = s0.tree.root_box.volume
-        # label -> [point indices], extended by [lo | hi, axis, mid, splittable]
-        # once planed, for every leaf in the heap
-        self.leaves: dict[int, list] = {}
-        self.pending: list[tuple] = []  # (leaf, side, parent's lo | hi, axis, mid)
-        self.heap: list[tuple[float, int]] = []
+    def __init__(self, points, root_box: Box):
+        self.points = points_in_box(root_box, points)
+        self.root_box = root_box
+        self.n = len(self.points)
+        self.perm = np.arange(self.n)
+        self.start = array("q", [0, 0])
+        self.count = array("q", [0, self.n])
+        self.kid = array("q", [0, 0])  # the left child's id, 0 until split
+        self.parent = array("q", [0])  # per pair of children: the parent's id
+        # bounds, split coordinate, midpoint and bisectability of ids < planned
+        self.bounds = np.concatenate([root_box.lows(), root_box.highs()])[None].repeat(2, 0)
+        axis, mid, ok = split_plane(self.bounds[:, :root_box.dim], self.bounds[:, root_box.dim:])
+        self.axis, self.mid = array("q", axis.tolist()), array("d", mid.tolist())
+        self.ok = array("b", ok.tolist())
+        self.planned = 2
+        self.partitioned = 0
+
+    def cell(self, label: int) -> int:
+        """Id of cell ``label``; raises :class:`NotBisectable` if an
+        ancestor cannot be split."""
+        i = ROOT
+        for bit in bin(label)[3:]:  # child directions, root first
+            if not self.kid[i] and not self.splittable(i):
+                raise NotBisectable(f"cannot bisect along the path to {label}")
+            i = self.split(i) + (bit == "1")
+        return i
+
+    def splittable(self, i: int) -> bool:
+        if i >= self.planned:
+            self._plan()
+        return bool(self.ok[i])
+
+    def _plan(self) -> None:
+        size = len(self.count)
+        ids = np.arange(self.planned, size)
+        par = np.frombuffer(self.parent, np.int64)[ids >> 1]
+        rows = self.bounds[par]
+        d = rows.shape[1] // 2
+        # a left (even) id moves the parent's column d + axis (hi), a right one axis (lo)
+        cols = np.frombuffer(self.axis, np.int64)[par] + d * (1 - ids % 2)
+        rows[np.arange(len(ids)), cols] = np.frombuffer(self.mid)[par]
+        if len(self.bounds) < size:
+            self.bounds = np.concatenate([self.bounds, np.empty((size, 2 * d))])
+        self.bounds[self.planned:size] = rows
+        axis, mid, ok = split_plane(rows[:, :d], rows[:, d:])
+        self.axis.frombytes(axis.astype(np.int64).tobytes())
+        self.mid.frombytes(mid.tobytes())
+        self.ok.frombytes(ok.astype(np.int8).tobytes())
+        self.planned = size
+
+    def split(self, i: int) -> int:
+        """Id of the left child of splittable cell ``i``."""
+        if self.kid[i]:
+            return self.kid[i]
+        s, c = self.start[i], self.count[i]
+        idx = self.perm[s:s + c]
+        right = self.points[idx, self.axis[i]] >= self.mid[i]
+        left = idx[~right]
+        idx[len(left):] = idx[right]
+        idx[:len(left)] = left
+        kid = self.kid[i] = len(self.count)
+        self.start.extend((s, s + len(left)))
+        self.count.extend((len(left), c - len(left)))
+        self.kid.extend((0, 0))
+        self.parent.append(i)
+        self.partitioned += 1
+        return kid
+
+
+class _LeafPool:
+    """One chain's leaf count and heap of ``(-priority, label, cell id)``
+    keys over the leaves it may still split: the top is the largest
+    priority, ties towards the lowest label.  A leaf that cannot be
+    bisected is dropped when it reaches the top, so the top and the tie
+    check after a pop see the splittable leaves alone."""
+
+    def __init__(self, s0: SRP, table: CellTable, priority: Priority, cfg: PqmcConfig):
+        self.table, self.priority, self.cfg = table, priority, cfg
+        self.root_volume = table.root_box.volume
+        self.heap: list[tuple[float, int, int]] = []
         self.leaf_count = s0.leaf_count
-        assignment = assign_leaves(s0.tree, points)
-        for label, idx in assignment.items():
-            if len(idx) != s0.counts.get(label, 0):
-                raise ValueError(
-                    f"initial SRP count at leaf {label} does not match the data"
-                )
-        labels = [v for v, idx in assignment.items() if self._admit(v, idx) is not None]
-        lo, hi, *plane = cell_bounds(s0.tree.root_box, labels)
-        self._set_planes([self.leaves[v] for v in labels], np.hstack([lo, hi]), *plane)
+        for label in s0.tree.leaves():
+            cell = table.cell(label)
+            if table.count[cell] != s0.counts.get(label, 0):
+                raise ValueError(f"initial SRP count at leaf {label} does not match the data")
+            self._admit(label, cell)
 
-    def _psi(self, count: int, label: int) -> float:
-        vol = 0.0
-        if self.priority.kind == SPC:  # SEB ignores the volume
-            vol = volume_at_depth(self.root_volume, depth(label))
-        return self.priority.value(count, vol, self.n)
+    def _admit(self, label: int, cell: int) -> None:
+        count = self.table.count[cell]
+        if count and depth(label) < self.cfg.max_depth:
+            vol = 0.0 if self.priority.kind == SEB else volume_at_depth(self.root_volume, depth(label))
+            heapq.heappush(self.heap, (-self.priority.value(count, vol, self.table.n), label, cell))
 
-    def _admit(self, label: int, idx: np.ndarray) -> list | None:
-        if len(idx) == 0 or depth(label) >= self.cfg.max_depth:
-            return None
-        leaf = self.leaves[label] = [idx]
-        heapq.heappush(self.heap, (-self._psi(len(idx), label), label))
-        return leaf
-
-    @staticmethod
-    def _set_planes(leaves, bounds, axis, mid, splittable) -> None:
-        for leaf, *plane in zip(leaves, bounds, axis.tolist(), mid.tolist(),
-                                splittable.tolist()):
-            leaf += plane
-
-    def _plan_pending(self) -> None:
-        """Bounds and split planes of every leaf admitted since the last
-        call: a left child's upper bound on its parent's split coordinate
-        moves to the parent's midpoint, a right child's lower bound."""
-        leaves, side, bounds, axis, mid = zip(*self.pending)
-        self.pending = []
-        bounds = np.array(bounds)
-        d = bounds.shape[1] // 2
-        # side 0 (left) moves column d + axis (hi), side 1 column axis (lo)
-        bounds[np.arange(len(leaves)), np.array(axis) + d * (1 - np.array(side))] = mid
-        self._set_planes(leaves, bounds, *split_plane(bounds[:, :d], bounds[:, d:]))
-
-    def _top(self) -> tuple[float, int] | None:
-        """The heap's top key once the top leaf is known to be splittable."""
-        while self.heap:
-            label = self.heap[0][1]
-            leaf = self.leaves[label]
-            if len(leaf) == 1:
-                self._plan_pending()
-            if leaf[4]:
-                return self.heap[0]
+    def top(self) -> tuple[float, int, int] | None:
+        while self.heap and not self.table.splittable(self.heap[0][2]):
             heapq.heappop(self.heap)
-            del self.leaves[label]
-        return None
+        return self.heap[0] if self.heap else None
 
-    def max_priority(self) -> float | None:
-        top = self._top()
-        return None if top is None else -top[0]
-
-    def pop_argmax(self) -> tuple[int, bool]:
-        """Pop the lowest-labelled splittable leaf of maximal priority, once
-        :meth:`max_priority` has found one.  Returns (label, tied), tied
-        when another splittable leaf has the same priority."""
-        key, label = heapq.heappop(self.heap)
-        top = self._top()
-        return label, top is not None and top[0] == key
-
-    def split(self, label: int) -> SplitRecord:
-        idx, bounds, axis, mid, _ = self.leaves.pop(label)
-        right = self.points[idx, axis] >= mid
-        kids = (idx[~right], idx[right])
-        for side, kid in enumerate(kids):
-            leaf = self._admit(2 * label + side, kid)
-            if leaf is not None:
-                self.pending.append((leaf, side, bounds, axis, mid))
+    def split_top(self) -> tuple[SplitRecord, bool]:
+        """Split the top leaf; tied when another splittable leaf had the
+        same priority."""
+        key, label, cell = heapq.heappop(self.heap)
+        top = self.top()
+        kid = self.table.split(cell)
+        self._admit(2 * label, kid)
+        self._admit(2 * label + 1, kid + 1)
         self.leaf_count += 1
-        return SplitRecord(label, len(kids[0]), len(kids[1]))
+        count = self.table.count
+        return SplitRecord(label, count[kid], count[kid + 1]), top is not None and top[0] == key
 
 
 def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
@@ -254,40 +279,34 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     the leaf count reaches ``cfg.max_leaves``, or the largest priority
     is at most ``cfg.max_psi``.  Termination is guaranteed: the leaf
     count strictly increases and splittability is depth-bounded.
+    ``points`` is the data of ``s0``, or a run's shared :class:`CellTable`
+    over it; a ValueError says that they do not give the counts of ``s0``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) != s0.n:
-        raise ValueError(f"SRP holds {s0.n} points but {len(points)} were passed")
-    pool = _LeafPool(s0, points, priority, cfg)
+    table = points if isinstance(points, CellTable) else CellTable(points, s0.tree.root_box)
+    if table.n != s0.n or table.root_box != s0.tree.root_box:
+        raise ValueError(f"SRP holds {s0.n} points in {s0.tree.root_box}, "
+                         f"the cell table {table.n} in {table.root_box}")
+    pool = _LeafPool(s0, table, priority, cfg)
     records: list[SplitRecord] = []
     had_ties = False
-    stop_reason = "exhausted"
     while True:
-        if pool.max_priority() is None:
+        top = pool.top()
+        if top is None:
             stop_reason = "exhausted"
             break
         if cfg.max_leaves is not None and pool.leaf_count >= cfg.max_leaves:
             stop_reason = "max_leaves"
             break
-        if cfg.priority_stop_active and pool.max_priority() <= cfg.max_psi:
+        if cfg.priority_stop_active and -top[0] <= cfg.max_psi:
             stop_reason = "max_psi"
             break
-        label, tied = pool.pop_argmax()
+        record, tied = pool.split_top()
+        records.append(record)
         had_ties = had_ties or tied
-        records.append(pool.split(label))
-    priority_ok = (
-        not cfg.priority_stop_active
-        or pool.max_priority() is None
-        or pool.max_priority() <= cfg.max_psi
-    )
+    priority_ok = not cfg.priority_stop_active or top is None or -top[0] <= cfg.max_psi
     leaves_ok = cfg.max_leaves is None or pool.leaf_count <= cfg.max_leaves
-    return PqmcPath(
-        initial=s0,
-        records=tuple(records),
-        stop_reason=stop_reason,
-        success=priority_ok and leaves_ok,
-        had_ties=had_ties,
-    )
+    return PqmcPath(s0, tuple(records), stop_reason, priority_ok and leaves_ok, had_ties,
+                    cfg.max_psi if cfg.priority_stop_active else None)
 
 
 def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,
@@ -296,15 +315,14 @@ def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,
 
     Runs the SPC priority until the leaf budget ``cfg.max_leaves`` is
     reached or no splittable leaf remains; ``cfg.max_psi`` must be 0 or
-    None (the zero-threshold carve never stops on priority).
+    None (the zero-threshold carve never stops on priority).  A
+    :class:`CellTable` as ``points`` brings its own root box.
     """
     if cfg.max_psi not in (None, 0, 0.0):
         raise ValueError("the carve chain requires max_psi = 0 (or None)")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if root_box is None:
-        root_box = bounding_box(points, pad)
-    s0 = ingest(RPTree(root_box), points, strict=True)
-    return run_pqmc(s0, points, SPC_PRIORITY, cfg)
+    if not isinstance(points, CellTable):
+        points = CellTable(points, bounding_box(points, pad) if root_box is None else root_box)
+    return run_pqmc(root_srp(points.root_box, points.n), points, SPC_PRIORITY, cfg)
 
 
 def launch_states(carve: PqmcPath, c: int) -> list[SRP]:

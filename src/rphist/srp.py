@@ -98,6 +98,26 @@ def inside_mask(box: Box, points: np.ndarray) -> np.ndarray:
     return inside.all(axis=1)
 
 
+def points_in_box(box: Box, points, strict: bool = True) -> np.ndarray:
+    """The rows of ``points`` in the closed ``box`` as an ``(n, d)`` float
+    array; strict mode raises :class:`PointOutsideRootBox` instead."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:
+        points = points.reshape(0, box.dim)
+    if points.shape[1] != box.dim:
+        raise DimensionMismatch(
+            f"points have dimension {points.shape[1]}, root box {box.dim}"
+        )
+    inside = inside_mask(box, points)
+    dropped = int((~inside).sum())
+    if dropped and strict:
+        bad = int(np.nonzero(~inside)[0][0])
+        raise PointOutsideRootBox(
+            f"{dropped} points outside the root box (first at row {bad})"
+        )
+    return points[inside] if dropped else points
+
+
 def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
     """Count points into a tree, filling every node of the SRP.
 
@@ -107,21 +127,7 @@ def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
     silently dropped (callers wanting a report can pre-filter with
     :func:`inside_mask`).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.size == 0:
-        points = points.reshape(0, tree.dim)
-    if points.shape[1] != tree.dim:
-        raise DimensionMismatch(
-            f"points have dimension {points.shape[1]}, root box {tree.dim}"
-        )
-    inside = inside_mask(tree.root_box, points)
-    dropped = int((~inside).sum())
-    if dropped and strict:
-        bad = int(np.nonzero(~inside)[0][0])
-        raise PointOutsideRootBox(
-            f"{dropped} points outside the root box (first at row {bad})"
-        )
-    kept = points[inside]
+    kept = points_in_box(tree.root_box, points, strict)
     leaf_idx = assign_leaves(tree, kept)
     counts: dict[int, int] = {}
     for leaf, idx in leaf_idx.items():

@@ -262,7 +262,7 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
         for launch in launch_states(carve, 3):
             seq = run_pqmc(launch, pts, SEB_PRIORITY,
                            PqmcConfig(max_psi=threshold))
-            path = reconstruct_path(base, launch, threshold)
+            path = cut_path(reconstruct_path(base, launch), threshold, CFG)
             assert path.final == seq.final
             assert path.records == seq.records
             assert path.had_ties == seq.had_ties
@@ -357,7 +357,7 @@ def test_reconstruct_path_from_launch_state():
                        PqmcConfig(max_psi=threshold))
         base = build_threshold_tree(pts, box, threshold, CFG,
                                     shard_count=2)
-        par = reconstruct_path(base, launch, threshold)
+        par = reconstruct_path(base, launch)
         assert par.final == seq.final
         assert par.records == seq.records
         assert par.initial == seq.initial
@@ -384,7 +384,7 @@ def test_reconstruct_never_merges_into_the_launch_state():
                ((r.left_count, r.right_count) for r in seq.records)) > 3
 
     base = build_threshold_tree(pts, box, 10.0, CFG, shard_count=2)
-    par = reconstruct_path(base, launch, 10.0)
+    par = reconstruct_path(base, launch)
     assert par.records == seq.records
     assert par.final == seq.final
 
@@ -433,7 +433,7 @@ def _tied_grid_paths(sample, max_leaves):
                                  max_depth=max_depth)
             seq = run_pqmc(launch, pts, SEB_PRIORITY, seb_cfg)
             for base in bases:
-                path = reconstruct_path(base, launch, threshold)
+                path = cut_path(reconstruct_path(base, launch), threshold, seb_cfg)
                 yield truncate_path(path, max_leaves, threshold, seb_cfg), seq
 
 
@@ -498,16 +498,20 @@ def test_cut_path_equals_sequential_on_tied_data(sample):
                     assert path.stop_reason == seq.stop_reason
 
 
-def test_reconstruct_path_rejects_lower_threshold():
+def test_cut_path_rejects_lower_threshold():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = ingest(RPTree(unit_box(2)), pts)
     base = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
+    whole = reconstruct_path(base, launch)
+    assert whole.final == base.final_srp
+    seq = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=5.0))
+    for path in (whole, seq, cut_path(whole, 8.0, CFG)):
+        with pytest.raises(ValueError):
+            cut_path(path, 4.0, CFG)
+    assert cut_path(whole, 5.0, CFG) is whole
     with pytest.raises(ValueError):
-        reconstruct_path(base, launch, 4.0)
-    with pytest.raises(ValueError):
-        reconstruct_path(base, ingest(RPTree(unit_box(2)), pts[:-1]), 5.0)
-    assert reconstruct_path(base, launch, 5.0).final == base.final_srp
+        reconstruct_path(base, ingest(RPTree(unit_box(2)), pts[:-1]))
 
 
 def test_tie_flag_counts_only_cells_already_leaves():
@@ -547,7 +551,7 @@ def test_truncate_path():
     launch = seq.final
     cfg = PqmcConfig(max_psi=threshold, max_leaves=2)
     base = build_threshold_tree(pts, box, threshold, CFG)
-    over = truncate_path(reconstruct_path(base, launch, threshold), 2,
+    over = truncate_path(reconstruct_path(base, launch), 2,
                          threshold, cfg)
     chain = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
     assert over.records == chain.records == ()

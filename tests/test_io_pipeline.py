@@ -42,7 +42,7 @@ from rphist.io import (
 from rphist.pipeline import RunConfig, run_pipeline
 from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, launch_states, run_pqmc
 from rphist.smoothing import tau_grid
-from rphist.srp import histogram, ingest, root_srp
+from rphist.srp import Histogram, histogram, ingest, root_srp
 from rphist.tree import RPTree
 
 from conftest import fig2_points, random_points, unit_box
@@ -265,6 +265,20 @@ def test_histogram_json_rejects_broken_paving(tmp_path, fig2_srp):
     obj["leaves"] = obj["leaves"][1:]  # drop a leaf: labels no longer pave
     out.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
+        load_histogram(out)
+
+
+def test_histogram_json_rejects_repeated_label(tmp_path):
+    # leaves 2 (count 1), 2 (count 1) and 3 (count 2) sum to n = 4 and
+    # their labels form a paving once deduplicated, but cell 2 would be
+    # counted twice
+    out = tmp_path / "h.json"
+    save_histogram(Histogram.from_counts(unit_box(2), 4, [2, 3], [2, 2]), out)
+    obj = json.loads(out.read_text())
+    first, second = obj["leaves"]
+    obj["leaves"] = [dict(first, count=1), dict(first, count=1), second]
+    out.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="listed more than once"):
         load_histogram(out)
 
 
@@ -554,14 +568,17 @@ def test_pipeline_manifest(tmp_path):
     run_pipeline(replace(cfg, sequential=True, out=str(seq_out), tau_steps=2),
                  points=pts)
     seq_man = json.loads((tmp_path / "seq.json.manifest.json").read_text())
-    # one chain per launch state, to the lowest threshold
+    # one chain per launch state, to the lowest threshold; each cell that
+    # the carve or a chain splits is partitioned once
+    carve = carve_path(pts, PqmcConfig(max_psi=0.0, max_leaves=5),
+                       root_box=bounding_box(pts, cfg.pad))
     whole = [run_pqmc(state, pts, SEB_PRIORITY,
                       PqmcConfig(max_psi=30.0, max_depth=cfg.max_depth))
-             for state in launch_states(
-                 carve_path(pts, PqmcConfig(max_psi=0.0, max_leaves=5),
-                            root_box=bounding_box(pts, cfg.pad)), 2)]
+             for state in launch_states(carve, 2)]
+    split = {r.label for p in [carve, *whole] for r in p.records}
     assert seq_man["build"] == {"threshold": 30.0,
                                 "splits": [p.split_count for p in whole],
+                                "partitioned_cells": len(split),
                                 "had_ties": [p.had_ties for p in whole]}
     assert set(seq_man["timings_s"]) >= {"tributary_build", "tributary_paths"}
     assert len(seq_man["selected"]["cv_curve"]) == 2

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from rphist.errors import PointOutsideRootBox
 from rphist.geometry import Box, bounding_box, volume_at_depth
 from rphist.pqmc import (
+    CellTable,
     PqmcConfig,
     SEB_PRIORITY,
     SPC_PRIORITY,
@@ -13,7 +18,7 @@ from rphist.pqmc import (
     run_pqmc,
     splittable_leaves,
 )
-from rphist.srp import ingest
+from rphist.srp import SRP, ingest, root_srp
 from rphist.tree import RPTree, cell_bounds, depth
 
 from conftest import fig2_points, random_points, unit_box
@@ -140,6 +145,75 @@ def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, c
         assert max(final.counts[v] for v in final.tree.leaves()
                    if not cell_bounds(box, [v]).splittable[0]) == 3
         assert min(r.left_count + r.right_count for r in path.records) == 2
+
+
+@st.composite
+def shared_table_sample(draw):
+    """Rows on a 4-step grid with one row repeated (SEB ties and duplicate
+    rows) in the box of the grid; a carve budget and a chain config whose
+    leaf budget or depth cap may bind.  The grid step is 1, or one ulp of
+    1.0, where a cell one step wide cannot be bisected."""
+    d = draw(st.integers(1, 2))
+    grid = draw(arrays(np.int64, (draw(st.integers(2, 30)), d),
+                       elements=st.integers(0, 3), fill=st.nothing()))
+    pts = np.vstack([grid, np.repeat(grid[:1], draw(st.integers(0, 8)), axis=0)])
+    lo, step = draw(st.sampled_from([(0.0, 1.0), (1.0, 2.0**-52)]))
+    pts = lo + pts * step
+    box = Box.from_bounds([lo] * d, [lo + 4 * step] * d)
+    cfg = PqmcConfig(max_psi=float(draw(st.integers(1, 6))),
+                     max_leaves=draw(st.one_of(st.none(), st.integers(1, 30))),
+                     max_depth=draw(st.sampled_from([3, 8, 20])))
+    return pts, box, draw(st.integers(1, 10)), cfg
+
+
+def outcome(path):
+    return path.records, path.had_ties, path.stop_reason, path.success
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(shared_table_sample())
+def test_shared_table_chains_equal_fresh_tables_and_naive(sample):
+    # the carve and the chains from its launch states share one table;
+    # a second table is shared by the chains alone, run in reverse order
+    pts, box, carve_leaves, cfg = sample
+    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=carve_leaves, max_depth=cfg.max_depth)
+    table = CellTable(pts, box)
+    carve = carve_path(table, carve_cfg)
+    launches = launch_states(carve, 3)
+    shared = [run_pqmc(s0, table, SEB_PRIORITY, cfg) for s0 in launches]
+    backwards = CellTable(pts, box)
+    reverse = [run_pqmc(s0, backwards, SEB_PRIORITY, cfg) for s0 in launches[::-1]]
+    assert [outcome(p) for p in reverse[::-1]] == [outcome(p) for p in shared]
+    runs = [(carve, root_srp(box, len(pts)), SPC_PRIORITY, carve_cfg)]
+    runs += [(path, s0, SEB_PRIORITY, cfg) for path, s0 in zip(shared, launches)]
+    for path, s0, priority, c in runs:
+        assert outcome(path) == outcome(run_pqmc(s0, pts, priority, c))
+        states, stop, success, had_ties = naive_path(
+            s0, pts, priority, c.max_psi, c.max_leaves, c.max_depth)
+        assert path.states() == states
+        assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
+    # every cell that the carve or a chain split was partitioned once
+    assert table.partitioned == len({r.label for p in [carve, *shared] for r in p.records})
+
+
+def test_run_pqmc_rejects_counts_the_data_do_not_give():
+    pts = fig2_points()
+    s = ingest(RPTree(unit_box(2)).split(1), pts)
+    counts = {**s.counts, 2: s.counts[2] + 1, 3: s.counts[3] - 1}
+    with pytest.raises(ValueError, match="leaf 2 does not match"):
+        run_pqmc(SRP(s.tree, counts, s.n), pts, SEB_PRIORITY, PqmcConfig())
+
+
+def test_run_pqmc_rejects_a_table_of_other_data(fig2_srp):
+    pts = fig2_points()
+    other = pts * [1.0, 0.5]  # ten points again, all in the lower half
+    for table in (CellTable(other, unit_box(2)),
+                  CellTable(pts[:-1], unit_box(2)),
+                  CellTable(pts, Box.from_bounds([0.0, 0.0], [1.0, 2.0]))):
+        with pytest.raises(ValueError):
+            run_pqmc(fig2_srp, table, SEB_PRIORITY, PqmcConfig())
+    with pytest.raises(PointOutsideRootBox):
+        CellTable(pts + 0.5, unit_box(2))
 
 
 def test_path_leaf_counts_increase_one_per_step():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
+from rphist.distributed import build_threshold_tree, cut_path, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from rphist.geometry import bounding_box, bounds_volume
 from rphist.pqmc import (
@@ -224,7 +224,7 @@ def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves
     for launch in launch_states(carve, 3):
         for psi in (threshold, threshold + 4):
             cfg = PqmcConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
-            whole = reconstruct_path(base, launch, float(psi))
+            whole = cut_path(reconstruct_path(base, launch), float(psi), cfg)
             paths += [whole, truncate_path(whole, max_leaves, float(psi), cfg),
                       run_pqmc(launch, pts, SEB_PRIORITY, cfg)]
     shared = node_table(paths)
