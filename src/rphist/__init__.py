@@ -7,7 +7,7 @@ the sequential refinement path.
 """
 
 from . import errors
-from .distributed import BuildResult, build_threshold_tree, reconstruct_path, truncate_path
+from .distributed import BuildResult, build_threshold_tree, reconstruct_path
 from .evaluate import EvalReport, GaussianReference, UniformReference, l1_error, make_reference
 from .geometry import Box, bounding_box
 from .io import export_plot_data, ingest_csv, load_histogram, save_histogram

@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sequential", action="store_true",
                    help="use the sequential chain instead of the sharded builder")
     b.add_argument("--strict", action="store_true",
-                   help="fail on malformed rows or out-of-box points")
+                   help="fail on malformed CSV rows instead of skipping them")
     b.add_argument("--verbose", action="store_true",
                    help="log each stage's time and the chains or builds it ran")
 

@@ -30,21 +30,21 @@ is sorted once (:attr:`BuildResult.seb_order`), and the path from each
 launch state is that order with the launch state's internal nodes
 filtered out, instead of a rebuild or a sort per tributary.  The chain
 pops in non-increasing count order, so the path to a higher threshold
-is a prefix of the path to a lower one (:func:`cut_path`), whether it
-was read off a build or run by the sequential chain.
+or under a leaf budget is a prefix of the path to a lower one
+(:func:`truncate_path`), whether read off a build or run sequentially.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import Box, split_plane
-from .pqmc import PqmcConfig, PqmcPath, SplitRecord, splittable_leaves
+from .pqmc import PqmcConfig, PqmcPath, SplitRecord
 from .srp import SRP
 from .tree import ROOT, RPTree, cell_bounds, depth
 
@@ -267,8 +267,13 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
     ``(-count, label)`` order, which is the order the chain pops them
     in, ties included; the child counts come from ``base``.  The base
     build is sorted once (:attr:`BuildResult.seb_order`), so a call
-    drops the nodes internal in ``launch`` from that order.  The path
-    to a higher threshold is cut from this one (:func:`cut_path`).
+    drops the nodes internal in ``launch`` from that order and finds
+    its first tied pop.  The threshold of ``base`` stands for the
+    priority of the next pop: it decides every flag as that priority
+    would, except that the path reports ``max_psi`` where the chain
+    reports ``exhausted`` (every non-empty leaf left is at the depth
+    cap or cannot be bisected).  The path to a higher threshold or
+    under a leaf budget is cut from this one (:func:`truncate_path`).
 
     Raises
     ------
@@ -282,8 +287,8 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
         raise ValueError("launch state and base build hold different data")
     nodes = launch.tree.nodes
     records = tuple(rec for rec in base.seb_order if 2 * rec.label not in nodes)
-    return PqmcPath(launch, records, "max_psi", True,
-                    _first_tie(launch, records) < len(records), base.threshold)
+    return PqmcPath(launch, records, base.threshold, None, base.threshold,
+                    _first_tie(launch, records))
 
 
 def _first_tie(initial: SRP, records) -> int:
@@ -308,70 +313,27 @@ def _first_tie(initial: SRP, records) -> int:
     return first
 
 
-def cut_path(path: PqmcPath, threshold: float, cfg: PqmcConfig) -> PqmcPath:
-    """The SEB path to ``threshold``, cut from a whole SEB path.
+def truncate_path(whole: PqmcPath, threshold: float, max_leaves: int | None) -> PqmcPath:
+    """The SEB path to ``threshold`` under the leaf budget ``max_leaves``,
+    cut from ``whole``, the SEB path from the same launch state to a
+    threshold no higher, under no leaf budget or this one.
 
-    ``path`` is an SEB path (from :func:`~rphist.pqmc.run_pqmc` or
-    :func:`reconstruct_path`) to a threshold no higher than
-    ``threshold``, from the same launch state and under the leaf budget
-    ``cfg.max_leaves``.  A child's count never exceeds its parent's, so
-    the chain pops in non-increasing count order, and the chain to
-    ``threshold`` takes the same pops until the first one whose count is
-    at or below ``threshold``: its path is the prefix of records with
-    count above ``threshold``.
-
-    A shorter prefix stopped on the threshold, successfully, and was
-    tied only if one of its pops was: every splittable leaf with count
-    above ``threshold`` is popped before the prefix ends.  A prefix as
-    long as the whole path keeps its stop reason and tie flag; if that
-    path stopped on the leaf budget, its success is re-derived for
-    ``threshold``.  A threshold below the one ``path`` ran to raises
-    ValueError.
+    A child's count never exceeds its parent's, so the chain pops in
+    non-increasing count order: it takes the pops of ``whole`` with
+    count above ``threshold``, as many as the budget leaves room for.
+    Its next pop is the first record it does not keep, or that of
+    ``whole``, and its pops tie as in ``whole``.  A lower threshold or
+    another budget than ``whole`` ran under raises ValueError.
     """
-    if path.threshold is not None and threshold < path.threshold:
-        raise ValueError(f"threshold {threshold} is below the path's {path.threshold}")
-    records = path.records
-    k = bisect_left(records, -threshold, key=lambda r: -(r.left_count + r.right_count))
-    if k < len(records):
-        return PqmcPath(path.initial, records[:k], "max_psi", True,
-                        path.had_ties and _first_tie(path.initial, records[:k]) < k,
-                        threshold)
-    if path.stop_reason != "max_leaves" or path.success:
-        return path
-    return replace(path, success=_budget_success(path, cfg.max_leaves, threshold, cfg))
-
-
-def _budget_success(path: PqmcPath, max_leaves: int, threshold: float,
-                    cfg: PqmcConfig) -> bool:
-    """Success of a chain that stopped on the leaf budget at ``path.final``:
-    the launch state was within the budget and no splittable leaf with
-    count above the threshold remains."""
-    final = path.final
-    return path.initial.leaf_count <= max_leaves and all(
-        final.counts.get(v, 0) <= threshold for v in splittable_leaves(final, cfg))
-
-
-def truncate_path(path: PqmcPath, max_leaves: int | None, threshold: float,
-                  cfg: PqmcConfig) -> PqmcPath:
-    """Cut a whole SEB path at a leaf budget and re-derive its flags.
-
-    Mirrors the sequential stopping rule: the chain would have halted on
-    reaching ``max_leaves`` leaves, successful only if no splittable
-    leaf with count above the threshold remains at that point and the
-    launch state was within the budget, and tied only if one of the kept
-    pops was.
-    """
-    m0 = path.initial.leaf_count
-    if max_leaves is None or m0 + path.split_count < max_leaves:
-        return path
-    if m0 + path.split_count == max_leaves:
-        # the chain checks the budget before the threshold
-        if path.stop_reason != "max_psi":
-            return path
-        return replace(path, stop_reason="max_leaves")
-    keep = max(0, max_leaves - m0)
-    kept = PqmcPath(path.initial, path.records[:keep], "max_leaves", False,
-                    path.had_ties and _first_tie(path.initial, path.records) < keep,
-                    path.threshold)
-    kept.success = _budget_success(kept, max_leaves, threshold, cfg)
-    return kept
+    if whole.threshold is not None and threshold < whole.threshold:
+        raise ValueError(f"threshold {threshold} is below the path's {whole.threshold}")
+    if whole.max_leaves not in (None, max_leaves):
+        raise ValueError(f"leaf budget {max_leaves} differs from the path's {whole.max_leaves}")
+    records = whole.records
+    keep = bisect_left(records, -threshold, key=lambda r: -(r.left_count + r.right_count))
+    if max_leaves is not None:
+        keep = min(keep, max(0, max_leaves - whole.initial.leaf_count))
+    top = whole.top if keep == len(records) else float(
+        records[keep].left_count + records[keep].right_count)
+    return PqmcPath(whole.initial, records[:keep], threshold, max_leaves, top,
+                    min(whole.first_tie, keep))

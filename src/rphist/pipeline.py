@@ -12,11 +12,11 @@ instead, over the cell table of the carve, so that each cell is
 partitioned once per run.  Both modes give the same histogram, ties
 included, and no step of either draws a random number.  The selected
 histogram is written as versioned JSON next to a manifest with the
-configuration, per-candidate diagnostics, the threshold build's
-iteration stats (the chains' split counts, tie flags and partitioned
-cells in sequential mode) and stage timings.  A selected tau at either
-end of the tau grid is logged as a warning; each stage's time is
-logged at INFO.
+configuration, per-candidate diagnostics, each whole path's tie flag,
+the threshold build's iteration stats (the chains' split counts and
+partitioned cells in sequential mode) and stage timings.  A selected
+tau at either end of the tau grid is logged as a warning; each stage's
+time is logged at INFO.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributed import (
-    build_threshold_tree,
-    cut_path,
-    reconstruct_path,
-    truncate_path,
-)
+from .distributed import build_threshold_tree, reconstruct_path, truncate_path
 from .errors import InsufficientData
 from .geometry import DEFAULT_PAD, bounding_box
 from .io import histogram_to_json, ingest_csv, save_histogram
@@ -56,7 +51,7 @@ from .smoothing import (
     select,
     tau_grid,
 )
-from .srp import Histogram, histogram, points_in_box
+from .srp import Histogram, histogram
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +62,8 @@ class RunConfig:
 
     ``maxpts`` is the grid of SEB stopping thresholds (one tributary
     system per entry); ``carve_leaves`` defaults to a tenth of
-    ``maxlvs``.  ``strict`` makes out-of-box points and malformed CSV
-    rows fatal instead of dropped-with-report.
+    ``maxlvs``.  ``strict`` makes malformed CSV rows fatal instead of
+    skipped-with-report.
     """
 
     input_path: str | None = None
@@ -126,7 +121,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     Points come from ``cfg.input_path`` unless passed directly.  The
     same points and config give byte-identical histogram JSON in either
     mode; the manifest also records wall-clock timings and is therefore
-    not.  Fewer than two points inside the root box raise
+    not.  The root box bounds every point.  Fewer than two points raise
     :class:`~rphist.errors.InsufficientData` before anything is built
     or written.
     """
@@ -141,11 +136,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         if points.shape[1] != cfg.dim:
             raise ValueError(f"points have dim {points.shape[1]}, config says {cfg.dim}")
         root_box = bounding_box(points, cfg.pad)
-        kept = points_in_box(root_box, points, cfg.strict)
-        dropped_points, points = len(points) - len(kept), kept
         if len(points) < 2:
-            raise InsufficientData(f"need at least 2 points inside the root box, "
-                                   f"got {len(points)}")
+            raise InsufficientData(f"need at least 2 points, got {len(points)}")
 
     with _stage(timings, "carve"):
         carve_cfg = PqmcConfig(
@@ -157,8 +149,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         carve = carve_path(table, carve_cfg)
         launches = launch_states(carve, cfg.tributaries)
 
-    # One whole SEB path per launch state, to the lowest threshold; the
-    # path to every higher threshold is a prefix of it.
+    # One whole SEB path per launch state, to the lowest threshold under
+    # the leaf budget; the path to every higher threshold is a prefix of it.
     low = float(min(cfg.maxpts))
     with _stage(timings, "tributary_build"):
         if cfg.sequential:
@@ -168,8 +160,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                       for state in launches]
             build = {"threshold": low,
                      "splits": [w.split_count for w in wholes],
-                     "partitioned_cells": table.partitioned,
-                     "had_ties": [w.had_ties for w in wholes]}
+                     "partitioned_cells": table.partitioned}
             del table  # the paths hold every count that smoothing needs
             logger.info("%d sequential SEB chains to threshold %g: %d splits, "
                         "%d cells partitioned", len(wholes), low,
@@ -180,7 +171,9 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                 points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
                 shard_count=cfg.shards, workers=cfg.workers,
             )
-            wholes = [reconstruct_path(base, state) for state in launches]
+            # the build has no leaf budget; the sequential chains run under it
+            wholes = [truncate_path(reconstruct_path(base, state), low, cfg.maxlvs)
+                      for state in launches]
             logger.info("1 threshold build to threshold %g (%d iterations) "
                         "for %d launch states", low, base.iterations, len(wholes))
             build = {"threshold": base.threshold,
@@ -188,25 +181,20 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                      "split_cells": [st.split_cells for st in base.stats],
                      "working_points": [st.working_points for st in base.stats],
                      "passed_points": [st.passed_points for st in base.stats]}
+        build["had_ties"] = [w.had_ties for w in wholes]
 
     with _stage(timings, "tributary_paths"):
         paths = []
         candidates = []
         for maxpts in cfg.maxpts:
-            seb_cfg = PqmcConfig(
-                max_psi=float(maxpts),
-                max_leaves=cfg.maxlvs,
-                max_depth=cfg.max_depth,
-            )
             for i, (state, whole) in enumerate(zip(launches, wholes)):
-                path = cut_path(whole, float(maxpts), seb_cfg)
-                path = truncate_path(path, cfg.maxlvs, float(maxpts), seb_cfg)
+                path = truncate_path(whole, float(maxpts), cfg.maxlvs)
                 paths.append(path)
                 candidates.append({
                     "maxpts": int(maxpts),
                     "tributary": i,
                     "launch_leaves": state.leaf_count,
-                    "final_leaves": path.initial.leaf_count + path.split_count,
+                    "final_leaves": path.leaf_count,
                     "success": path.success,
                 })
         logger.info("%d tributary paths cut from %d whole paths",
@@ -227,7 +215,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         with _stage(timings, "export"):
             save_histogram(hist, cfg.out)
         _write_manifest(cfg, hist, estimate, tau_at_grid_edge, candidates,
-                        build, timings, skipped_rows, dropped_points)
+                        build, timings, skipped_rows)
     return hist, estimate
 
 
@@ -242,7 +230,7 @@ def _stage(timings: dict[str, float], name: str):
 
 def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
                     tau_at_grid_edge: bool, candidates, build: dict,
-                    timings, skipped_rows, dropped_points) -> None:
+                    timings, skipped_rows) -> None:
     manifest = {
         "config": {
             "input_path": cfg.input_path,
@@ -263,7 +251,6 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
         },
         "n": hist.n,
         "skipped_rows": skipped_rows,
-        "dropped_points": dropped_points,
         "root_box": histogram_to_json(hist)["root_box"],
         "candidates": candidates,
         "build": build,

@@ -16,6 +16,8 @@ the carve path ("tributaries") yields the candidate states that the
 smoothing stage scores.  The carve and the chains of a run share one
 :class:`CellTable`, which partitions each cell once per run; a chain
 itself keeps only a heap of its leaves' priorities and its leaf count.
+A path's stop reason, success and tie flags are read off what it
+keeps, so a path cut from a longer one needs no chain of its own.
 """
 
 from __future__ import annotations
@@ -99,16 +101,19 @@ class PqmcPath:
 
     ``states()`` materializes every intermediate SRP; ``state(t)``
     materializes a single one.  The compact form keeps long paths cheap:
-    consecutive states differ by exactly one split.  ``threshold`` is the
-    ``max_psi`` the chain ran to, if its priority stop was active.
+    consecutive states differ by exactly one split.  The flags derive
+    from the ``threshold`` (``max_psi`` if the priority stop was active)
+    and ``max_leaves`` the chain ran under, ``top``, the priority of its
+    next pop (None if no splittable leaf is left), and ``first_tie``,
+    the step of its first tied pop (``len(records)`` if none).
     """
 
     initial: SRP
     records: tuple[SplitRecord, ...]
-    stop_reason: str
-    success: bool
-    had_ties: bool
-    threshold: float | None = None
+    threshold: float | None
+    max_leaves: int | None
+    top: float | None
+    first_tie: int
 
     def __len__(self) -> int:
         return len(self.records) + 1
@@ -136,6 +141,33 @@ class PqmcPath:
 
     def states(self) -> list[SRP]:
         return [self.state(t) for t in range(len(self))]
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the chain stopped, checked in the chain's order: no
+        splittable leaf left, the leaf budget, the threshold."""
+        if self.top is None:
+            return "exhausted"
+        if self.max_leaves is not None and self.leaf_count >= self.max_leaves:
+            return "max_leaves"
+        return "max_psi"
+
+    @property
+    def success(self) -> bool:
+        """Whether the chain stopped with no splittable leaf above its
+        threshold and within its leaf budget."""
+        return ((self.threshold is None or self.top is None or self.top <= self.threshold)
+                and (self.max_leaves is None or self.leaf_count <= self.max_leaves))
+
+    @property
+    def had_ties(self) -> bool:
+        """Whether another splittable leaf had the priority of some pop."""
+        return self.first_tie < len(self.records)
+
+    @property
+    def leaf_count(self) -> int:
+        """Leaves of the final state."""
+        return self.initial.leaf_count + len(self.records)
 
 
 def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
@@ -287,26 +319,20 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
         raise ValueError(f"SRP holds {s0.n} points in {s0.tree.root_box}, "
                          f"the cell table {table.n} in {table.root_box}")
     pool = _LeafPool(s0, table, priority, cfg)
+    threshold = cfg.max_psi if cfg.priority_stop_active else None
     records: list[SplitRecord] = []
-    had_ties = False
-    while True:
-        top = pool.top()
-        if top is None:
-            stop_reason = "exhausted"
-            break
-        if cfg.max_leaves is not None and pool.leaf_count >= cfg.max_leaves:
-            stop_reason = "max_leaves"
-            break
-        if cfg.priority_stop_active and -top[0] <= cfg.max_psi:
-            stop_reason = "max_psi"
+    first_tie = None
+    while (top := pool.top()) is not None:
+        if ((cfg.max_leaves is not None and pool.leaf_count >= cfg.max_leaves)
+                or (threshold is not None and -top[0] <= threshold)):
             break
         record, tied = pool.split_top()
+        if tied and first_tie is None:
+            first_tie = len(records)
         records.append(record)
-        had_ties = had_ties or tied
-    priority_ok = not cfg.priority_stop_active or top is None or -top[0] <= cfg.max_psi
-    leaves_ok = cfg.max_leaves is None or pool.leaf_count <= cfg.max_leaves
-    return PqmcPath(s0, tuple(records), stop_reason, priority_ok and leaves_ok, had_ties,
-                    cfg.max_psi if cfg.priority_stop_active else None)
+    return PqmcPath(s0, tuple(records), threshold, cfg.max_leaves,
+                    None if top is None else -top[0],
+                    len(records) if first_tie is None else first_tie)
 
 
 def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,

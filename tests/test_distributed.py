@@ -12,7 +12,6 @@ from rphist.distributed import (
     build_threshold_tree,
     cells_to_split,
     count_by_cell,
-    cut_path,
     prune,
     reconstruct_path,
     truncate_path,
@@ -20,6 +19,7 @@ from rphist.distributed import (
 from rphist.geometry import Box, bounding_box
 from rphist.pqmc import (
     PqmcConfig,
+    PqmcPath,
     SEB_PRIORITY,
     SPC_PRIORITY,
     carve_path,
@@ -262,7 +262,7 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
         for launch in launch_states(carve, 3):
             seq = run_pqmc(launch, pts, SEB_PRIORITY,
                            PqmcConfig(max_psi=threshold))
-            path = cut_path(reconstruct_path(base, launch), threshold, CFG)
+            path = truncate_path(reconstruct_path(base, launch), threshold, None)
             assert path.final == seq.final
             assert path.records == seq.records
             assert path.had_ties == seq.had_ties
@@ -433,8 +433,7 @@ def _tied_grid_paths(sample, max_leaves):
                                  max_depth=max_depth)
             seq = run_pqmc(launch, pts, SEB_PRIORITY, seb_cfg)
             for base in bases:
-                path = cut_path(reconstruct_path(base, launch), threshold, seb_cfg)
-                yield truncate_path(path, max_leaves, threshold, seb_cfg), seq
+                yield truncate_path(reconstruct_path(base, launch), threshold, max_leaves), seq
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -489,9 +488,8 @@ def test_cut_path_equals_sequential_on_tied_data(sample):
                 cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
                                  max_depth=max_depth)
                 seq = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
-                for cut in (cut_path(whole, threshold, cfg),
-                            cut_path(unbudgeted, threshold, cfg)):
-                    path = truncate_path(cut, max_leaves, threshold, cfg)
+                for path in (truncate_path(whole, threshold, max_leaves),
+                             truncate_path(unbudgeted, threshold, max_leaves)):
                     assert path.records == seq.records
                     assert path.success == seq.success
                     assert path.had_ties == seq.had_ties
@@ -506,12 +504,54 @@ def test_cut_path_rejects_lower_threshold():
     whole = reconstruct_path(base, launch)
     assert whole.final == base.final_srp
     seq = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=5.0))
-    for path in (whole, seq, cut_path(whole, 8.0, CFG)):
+    for path in (whole, seq, truncate_path(whole, 8.0, None)):
         with pytest.raises(ValueError):
-            cut_path(path, 4.0, CFG)
-    assert cut_path(whole, 5.0, CFG) is whole
+            truncate_path(path, 4.0, None)
+    assert truncate_path(whole, 5.0, None) == whole
     with pytest.raises(ValueError):
         reconstruct_path(base, ingest(RPTree(unit_box(2)), pts[:-1]))
+
+
+def test_cut_path_rejects_another_budget():
+    # a chain stopped on its leaf budget lacks the pops that a larger
+    # budget, or none, would take
+    rng = np.random.default_rng(38)
+    pts = rng.uniform(0, 1, size=(40, 2))
+    launch = ingest(RPTree(unit_box(2)), pts)
+    budgeted = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_leaves=6))
+    assert budgeted.stop_reason == "max_leaves" and not budgeted.success
+    for max_leaves in (None, 5, 7):
+        with pytest.raises(ValueError):
+            truncate_path(budgeted, 2.0, max_leaves)
+    assert truncate_path(budgeted, 2.0, 6) == budgeted
+    # a whole path with no budget can be cut at any
+    whole = reconstruct_path(build_threshold_tree(pts, unit_box(2), 2.0, CFG), launch)
+    cut = truncate_path(whole, 2.0, 6)
+    assert (cut.records, cut.stop_reason, cut.success, cut.had_ties) == (
+        budgeted.records, budgeted.stop_reason, budgeted.success, budgeted.had_ties)
+
+
+def test_budget_cut_materializes_no_state(monkeypatch):
+    # the flags of a cut come from the whole path's records, next pop and
+    # first tie; no state of the path is built
+    pts, box, threshold, seq = seb_instance(0)
+    whole = reconstruct_path(build_threshold_tree(pts, box, threshold, CFG))
+    m = len(seq)
+    chains = {(t, b): run_pqmc(seq.initial, pts, SEB_PRIORITY,
+                               PqmcConfig(max_psi=t, max_leaves=b))
+              for t in (threshold, 2 * threshold) for b in (2, m // 2, m, m + 1)}
+    assert {c.success for c in chains.values()} == {True, False}
+
+    def no_state(self, t):
+        raise AssertionError("the cut materialized a state")
+
+    monkeypatch.setattr(PqmcPath, "state", no_state)
+    for (t, b), chain in chains.items():
+        for path in (truncate_path(seq, t, b), truncate_path(whole, t, b)):
+            assert path.records == chain.records
+            assert path.success == chain.success
+            assert path.had_ties == chain.had_ties
+            assert path.stop_reason == chain.stop_reason
 
 
 def test_tie_flag_counts_only_cells_already_leaves():
@@ -527,8 +567,8 @@ def test_tie_flag_counts_only_cells_already_leaves():
                    PqmcConfig(max_psi=1.0))
     assert path.records == seq.records and seq.had_ties
     # cut before the tied pop: the root pop alone had no rival
-    assert not truncate_path(path, 2, 1.0, CFG).had_ties
-    assert truncate_path(path, 3, 1.0, CFG).had_ties
+    assert not truncate_path(path, 1.0, 2).had_ties
+    assert truncate_path(path, 1.0, 3).had_ties
     # a parent and its only non-empty child share a count but never tie:
     # the child becomes a leaf only when the parent is popped
     lone = np.array([[0.1, 0.1], [0.2, 0.2]])
@@ -539,20 +579,18 @@ def test_tie_flag_counts_only_cells_already_leaves():
 
 def test_truncate_path():
     pts, box, threshold, seq = seb_instance(0)
-    cut = truncate_path(seq, 3, threshold, CFG)
+    cut = truncate_path(seq, threshold, 3)
     assert cut.final.leaf_count == min(3, seq.final.leaf_count)
     if seq.final.leaf_count > 3:
         assert cut.stop_reason == "max_leaves"
         assert not cut.success  # over-threshold splittable leaves remain
-    whole = truncate_path(seq, None, threshold, CFG)
-    assert whole is seq
+    assert truncate_path(seq, threshold, None) == seq
     # a launch state already over the budget fails, as in the chain, even
     # with no leaf left over the threshold
     launch = seq.final
     cfg = PqmcConfig(max_psi=threshold, max_leaves=2)
     base = build_threshold_tree(pts, box, threshold, CFG)
-    over = truncate_path(reconstruct_path(base, launch), 2,
-                         threshold, cfg)
+    over = truncate_path(reconstruct_path(base, launch), threshold, 2)
     chain = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
     assert over.records == chain.records == ()
     assert over.success is chain.success is False

@@ -495,7 +495,7 @@ def test_pipeline_modes_agree_on_tied_grid_data(tmp_path_factory, seed, shards,
     pts = rng.integers(0, side, (int(rng.integers(20, 300)), 2)).astype(float)
     pts = np.vstack([pts, np.repeat(pts[:1], int(rng.integers(0, 40)), axis=0)])
     out = tmp_path_factory.mktemp("modes")
-    outputs = []
+    outputs, manifests = [], []
     for sequential in (False, True):
         cfg = RunConfig(dim=2, carve_leaves=min(5, maxlvs or 5), tributaries=3,
                         maxpts=(3, 10, 40), maxlvs=maxlvs, max_depth=30,
@@ -503,7 +503,29 @@ def test_pipeline_modes_agree_on_tied_grid_data(tmp_path_factory, seed, shards,
                         out=str(out / f"{sequential}.json"))
         run_pipeline(cfg, points=pts)
         outputs.append((out / f"{sequential}.json").read_bytes())
+        manifests.append(json.loads((out / f"{sequential}.json.manifest.json").read_text()))
     assert outputs[0] == outputs[1]
+    default, seq = manifests
+    assert default["candidates"] == seq["candidates"]
+    assert default["build"]["had_ties"] == seq["build"]["had_ties"]
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_pipeline_checks_points_against_the_root_box_once(monkeypatch, sequential):
+    # the root box is the points' padded bounding box: only the cell
+    # table checks that they lie in it
+    calls = []
+    inside_mask = rphist.srp.inside_mask
+
+    def counted(box, points):
+        calls.append(len(points))
+        return inside_mask(box, points)
+
+    monkeypatch.setattr(rphist.srp, "inside_mask", counted)
+    pts = random_points(np.random.default_rng(3), 200, 2)
+    run_pipeline(RunConfig(dim=2, tributaries=2, maxpts=(20,), carve_leaves=5,
+                           sequential=sequential), points=pts)
+    assert calls == [200]
 
 
 def test_pipeline_strict_rejects_bad_rows(tmp_path):

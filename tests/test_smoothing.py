@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rphist.distributed import build_threshold_tree, cut_path, reconstruct_path, truncate_path
+from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from rphist.geometry import bounding_box, bounds_volume
 from rphist.pqmc import (
@@ -85,7 +85,7 @@ def _grown_path(rng, n=300, maxlvs=20):
 
 def test_map_estimate_single_state():
     s = root_srp(unit_box(2), 4)
-    path = PqmcPath(s, (), "exhausted", True, False)
+    path = PqmcPath(s, (), None, None, None, 0)
     est = select([path], SmoothingConfig((1.0,)))
     assert est.srp == s
     assert est.tau == 1.0
@@ -224,8 +224,8 @@ def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves
     for launch in launch_states(carve, 3):
         for psi in (threshold, threshold + 4):
             cfg = PqmcConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
-            whole = cut_path(reconstruct_path(base, launch), float(psi), cfg)
-            paths += [whole, truncate_path(whole, max_leaves, float(psi), cfg),
+            whole = truncate_path(reconstruct_path(base, launch), float(psi), None)
+            paths += [whole, truncate_path(whole, float(psi), max_leaves),
                       run_pqmc(launch, pts, SEB_PRIORITY, cfg)]
     shared = node_table(paths)
     for path in paths:
