@@ -2,17 +2,19 @@
 
 The working representation is the tagged dataset: a list of working
 cells, each with its label and bounds, and the points, spread over
-shards that never exchange points, each tagged with the index of the
-working cell it lies in.  One iteration counts points per cell (a
-``bincount`` per shard, merged by adding the arrays), retires every
-cell whose count is at or below the threshold ("pruning"), and moves
-the points of every cell it splits to the child on their side of the
-splitting hyperplane (a purely shard-local map).  Counts never grow
-down the tree, so a retired cell could not have been split later, and
-the working set shrinks without changing the result.  A child's bounds
-come from its parent's, so only the root cell is located from its
-label, and the counts of every node are known as the loop goes: the
-terminal SRP is their table.
+shards that never exchange points, each tagged with a cell index.  One
+iteration retires every cell whose count is at or below the threshold
+("pruning") and splits the others; one shard-local step per shard then
+moves each point to the child on its side of the splitting hyperplane
+and counts the points per new cell (a ``bincount``; the shards' counts
+are merged by adding the arrays).  Counts never grow down the tree, so
+a retired cell could not have been split later.  Its points are parked,
+not copied out: its index maps past the last working cell, so a
+point's new tag is one gather, ``first[i] + side``, and a shard drops
+its parked points only once its working points fall below half of its
+rows.  A child's bounds come from its parent's, so only the root cell
+is located from its label, and the counts of every node are known as
+the loop goes: the terminal SRP is their table.
 
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
@@ -26,16 +28,15 @@ order (:func:`reconstruct_path`).
 One build from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
-is sorted once (:attr:`BuildResult.seb_order`), and the path from each
-launch state is that order with the launch state's internal nodes
-filtered out, instead of a rebuild or a sort per tributary.  The chain
-pops in non-increasing count order, so the path to a higher threshold
-or under a leaf budget is a prefix of the path to a lower one
+is sorted once into arrays (:attr:`BuildResult.seb_order`), and the
+path from each launch state is the rows of that order that the launch
+state has not split, instead of a rebuild or a sort per tributary.  The
+chain pops in non-increasing count order, so the path to a higher
+threshold or under a leaf budget is a prefix of the path to a lower one
 (:func:`truncate_path`), whether read off a build or run sequentially.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -44,19 +45,24 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Box, split_plane
-from .pqmc import PqmcConfig, PqmcPath, SplitRecord
+from .pqmc import PqmcConfig, PqmcPath
 from .srp import SRP
-from .tree import ROOT, RPTree, cell_bounds, depth
+from .tree import ROOT, RPTree, cell_bounds
 
 SplitCells = dict[int, int]  # label -> index of a working cell to split
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One shard of tagged points: each row's working-cell index."""
+    """One shard of tagged points and its point count per working cell.
+
+    ``index[j]`` is the tag of row ``j`` of ``points``; the tags are read
+    through the dataset's ``remap``.
+    """
 
     index: np.ndarray
     points: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,16 @@ class TaggedDataset:
     """Working cells and the sharded points that lie in them.
 
     Cell ``i`` has label ``labels[i]`` (a Python int of any size) and
-    bounds ``lo[i]``, ``hi[i]``; a point tagged ``i`` lies in it.
+    bounds ``lo[i]``, ``hi[i]``.  A point tagged ``t`` lies in working
+    cell ``remap[t]``; ``remap[t] == len(labels)`` parks it: its cell has
+    retired.  ``remap`` is the identity right after a split step.
     """
 
     labels: list[int]
     lo: np.ndarray
     hi: np.ndarray
     shards: tuple[Shard, ...]
+    remap: np.ndarray
 
     @classmethod
     def from_points(cls, points, root_box: Box, shard_count: int = 1) -> "TaggedDataset":
@@ -79,33 +88,25 @@ class TaggedDataset:
         Shards are contiguous row ranges; the assignment never changes
         afterwards.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
         if points.size == 0:
             points = points.reshape(0, root_box.dim)
         if shard_count < 1:
             raise ValueError("need at least one shard")
         root = cell_bounds(root_box, [ROOT])
-        shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows)
+        shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows, np.array([len(rows)]))
                        for rows in np.array_split(points, shard_count))
-        return cls([ROOT], root.lo, root.hi, shards)
+        return cls([ROOT], root.lo, root.hi, shards, np.arange(2))
 
 
-def _map_shards(fn, shards, pool: Executor | None):
-    if pool is None:
-        return [fn(shard) for shard in shards]
-    return list(pool.map(fn, shards))
-
-
-def count_by_cell(ds: TaggedDataset, pool: Executor | None = None) -> np.ndarray:
-    """Exact point count of every working cell, in cell order: one
-    ``bincount`` per shard, merged by addition.
+def count_by_cell(ds: TaggedDataset) -> np.ndarray:
+    """Exact point count of every working cell, in cell order: the
+    shards' counts merged by addition.
 
     Addition is associative and commutative, so the counts do not
     depend on the shard count or merge order.
     """
-    k = len(ds.labels)
-    return np.sum(_map_shards(lambda s: np.bincount(s.index, minlength=k),
-                              ds.shards, pool), axis=0)
+    return np.sum([s.counts for s in ds.shards], axis=0)
 
 
 def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
@@ -114,14 +115,14 @@ def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
     can actually be split (depth cap and machine bisectability), as
     ``{label: index}``."""
     ok = split_plane(ds.lo, ds.hi)[2] & (counts > threshold)
-    return {ds.labels[i]: i for i in np.flatnonzero(ok).tolist()
-            if depth(ds.labels[i]) < cfg.max_depth}
+    limit = 1 << cfg.max_depth  # a label below it is above the depth cap
+    return {a: i for i in np.flatnonzero(ok).tolist() if (a := ds.labels[i]) < limit}
 
 
 def apply_splits(ds: TaggedDataset, split: SplitCells,
                  pool: Executor | None = None) -> TaggedDataset:
-    """Split the chosen working cells and move their points to the
-    child on their side.
+    """Split the chosen working cells, move their points to the child on
+    their side, and count the points per new cell.
 
     ``split`` holds any subset of the cells :func:`cells_to_split`
     returns.  A chosen cell with label ``a`` becomes its left child
@@ -129,34 +130,56 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     the other cells stay as they are.  A point below the plane
     (coordinate < mid) goes left, a point at or above it right.  Each
     child's bounds are its parent's with one end moved to the plane.
-    Purely shard-local.
+
+    Each shard takes one step, mapped over the shards by ``pool``: a
+    point of cell ``c`` (its tag through ``ds.remap``) is retagged
+    ``first[c] + side``, its new cell's index or past the end if
+    parked.  A point of a cell not split compares against ``+inf``, so
+    its side is 0 (points are finite).  A shard whose working points
+    fall below half of its rows drops its parked points.
     """
     if not split:
         return ds
+    k = len(ds.labels)
     axis, mid, _ = split_plane(ds.lo, ds.hi)
-    chosen = np.zeros(len(ds.labels), dtype=bool)
+    chosen = np.zeros(k + 1, dtype=bool)  # the last entry: parked
     chosen[list(split.values())] = True
     width = chosen + 1
-    first = np.cumsum(width) - width  # new index of the cell or its left child
+    first = np.cumsum(width) - width  # the parked entry gets the new cell count
+    cells = int(first[k])
+    tag_first = first[ds.remap]
+    tag_axis = np.append(axis, 0)[ds.remap]
+    tag_mid = np.where(chosen, np.append(mid, 0.0), np.inf)[ds.remap]
 
-    def retag(shard: Shard) -> Shard:
-        i = shard.index
-        side = chosen[i] & (shard.points[np.arange(len(i)), axis[i]] >= mid[i])
-        return Shard(first[i] + side, shard.points)
+    def step(shard: Shard) -> Shard:
+        i, points = shard.index, shard.points
+        at = np.arange(0, points.size, points.shape[1])  # row starts, then coordinates
+        at += tag_axis[i]
+        side = points.reshape(-1)[at] >= tag_mid[i]
+        del at
+        tag = tag_first[i]
+        tag += side
+        counts = np.bincount(tag, minlength=cells + 1)
+        if 2 * counts[cells] > len(tag):
+            work = tag < cells
+            tag, points = tag[work], points[work]
+        return Shard(tag, points, counts[:cells])
 
     rows = np.flatnonzero(chosen)
-    lo = np.repeat(ds.lo, width, axis=0)
-    hi = np.repeat(ds.hi, width, axis=0)
+    lo = np.repeat(ds.lo, width[:k], axis=0)
+    hi = np.repeat(ds.hi, width[:k], axis=0)
     hi[first[rows], axis[rows]] = mid[rows]
     lo[first[rows] + 1, axis[rows]] = mid[rows]
     labels = [child for a, two in zip(ds.labels, chosen.tolist())
               for child in ((2 * a, 2 * a + 1) if two else (a,))]
-    return TaggedDataset(labels, lo, hi, tuple(_map_shards(retag, ds.shards, pool)))
+    shards = tuple((map if pool is None else pool.map)(step, ds.shards))
+    return TaggedDataset(labels, lo, hi, shards, np.arange(cells + 1))
 
 
-def prune(ds: TaggedDataset, keep: np.ndarray,
-          pool: Executor | None = None) -> TaggedDataset:
-    """Retire the working cells where ``keep`` is False, with their points.
+def prune(ds: TaggedDataset, keep: np.ndarray) -> TaggedDataset:
+    """Retire the working cells where ``keep`` is False, parking their
+    points: no point moves, ``remap`` sends the retired cells past the
+    end.
 
     The build retires every cell whose count is at or below the
     threshold: the threshold never changes and counts never grow down
@@ -165,15 +188,11 @@ def prune(ds: TaggedDataset, keep: np.ndarray,
     """
     if keep.all():
         return ds
-    index = np.cumsum(keep) - 1
-
-    def drop(shard: Shard) -> Shard:
-        mask = keep[shard.index]
-        return Shard(index[shard.index[mask]], shard.points[mask])
-
+    kept = int(np.count_nonzero(keep))
+    move = np.append(np.where(keep, np.cumsum(keep) - 1, kept), kept)
     labels = [a for a, k in zip(ds.labels, keep.tolist()) if k]
-    return TaggedDataset(labels, ds.lo[keep], ds.hi[keep],
-                         tuple(_map_shards(drop, ds.shards, pool)))
+    shards = tuple(Shard(s.index, s.points, s.counts[keep]) for s in ds.shards)
+    return TaggedDataset(labels, ds.lo[keep], ds.hi[keep], shards, move[ds.remap])
 
 
 @dataclass(frozen=True)
@@ -186,6 +205,30 @@ class IterationStats:
     nonempty_cells: int
 
 
+@dataclass(frozen=True, eq=False)
+class SebOrder:
+    """A root build's internal nodes in ascending ``(-count, label)``
+    order, the order the SEB chain pops them in, as a
+    :class:`~rphist.pqmc.SplitTable`.
+
+    Row ``r`` splits the cell ``labels[r]``, of count ``count[r]``, into
+    children of counts ``left[r]`` and ``right[r]``; ``parent[r]`` is the
+    row of its parent, ``len(labels)`` for the root.  ``row`` maps a label
+    to its row.  The labels are one Python list, as they can pass 2**63.
+    """
+
+    labels: list[int]
+    count: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    parent: np.ndarray
+    row: dict[int, int]
+
+    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children's counts of the splits at ``rows``."""
+        return self.left[rows], self.right[rows]
+
+
 @dataclass(frozen=True)
 class BuildResult:
     """Outcome of a threshold build: the terminal SRP plus diagnostics."""
@@ -196,12 +239,18 @@ class BuildResult:
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
 
     @cached_property
-    def seb_order(self) -> tuple[SplitRecord, ...]:
-        """The final SRP's internal nodes as split records in ascending
-        ``(-count, label)`` order, the order the SEB chain pops them in."""
+    def seb_order(self) -> SebOrder:
+        """The final SRP's internal nodes in the SEB chain's pop order."""
+        internal = self.final_srp.tree.internal()  # ascending labels: the sort is stable
         counts = self.final_srp.counts
-        split = sorted(self.final_srp.tree.internal(), key=lambda p: (-counts[p], p))
-        return tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split)
+        left = np.array([counts[2 * p] for p in internal], dtype=np.int64)
+        right = np.array([counts[2 * p + 1] for p in internal], dtype=np.int64)
+        order = np.argsort(-(left + right), kind="stable")
+        labels = [internal[i] for i in order.tolist()]
+        row = {p: r for r, p in enumerate(labels)}
+        parent = np.array([row.get(p >> 1, len(labels)) for p in labels], dtype=np.intp)
+        left, right = left[order], right[order]
+        return SebOrder(labels, left + right, left, right, parent, row)
 
 
 def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
@@ -217,7 +266,8 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     state to any threshold at or above this one.  An over-threshold
     cell that cannot be split (depth cap or machine precision) stays a
     leaf, as in the sequential chain.  With several workers and shards,
-    one thread pool maps the shards of every step.
+    one thread pool maps the shards of every step, one map per
+    iteration.
     """
     ds = TaggedDataset.from_points(points, root_box, shard_count)
     node_counts: dict[int, int] = {}
@@ -225,17 +275,17 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     passed = 0
     threads = workers > 1 and shard_count > 1
     with (ThreadPoolExecutor(workers) if threads else nullcontext()) as pool:
-        counts = count_by_cell(ds, pool)
+        counts = count_by_cell(ds)
         while True:
             node_counts.update(zip(ds.labels, counts.tolist()))
             keep = counts > threshold
             passed += int(counts[~keep].sum())
-            ds, counts = prune(ds, keep, pool), counts[keep]
+            ds, counts = prune(ds, keep), counts[keep]
             split = cells_to_split(ds, counts, threshold, cfg)
             if not split:
                 break
             ds = apply_splits(ds, split, pool)
-            counts = count_by_cell(ds, pool)
+            counts = count_by_cell(ds)
             stats.append(IterationStats(
                 split_cells=len(split),
                 working_points=int(counts.sum()),
@@ -266,14 +316,15 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
     is not internal in ``launch``.  It splits them in ascending
     ``(-count, label)`` order, which is the order the chain pops them
     in, ties included; the child counts come from ``base``.  The base
-    build is sorted once (:attr:`BuildResult.seb_order`), so a call
-    drops the nodes internal in ``launch`` from that order and finds
-    its first tied pop.  The threshold of ``base`` stands for the
-    priority of the next pop: it decides every flag as that priority
-    would, except that the path reports ``max_psi`` where the chain
-    reports ``exhausted`` (every non-empty leaf left is at the depth
-    cap or cannot be bisected).  The path to a higher threshold or
-    under a leaf budget is cut from this one (:func:`truncate_path`).
+    build is sorted once (:attr:`BuildResult.seb_order`), so the path is
+    the rows of that order left by a mask of the nodes internal in
+    ``launch``, and a call finds its first tied pop over those rows.
+    The threshold of ``base`` stands for the priority of the next pop:
+    it decides every flag as that priority would, except that the path
+    reports ``max_psi`` where the chain reports ``exhausted`` (every
+    non-empty leaf left is at the depth cap or cannot be bisected).  The
+    path to a higher threshold or under a leaf budget is cut from this
+    one (:func:`truncate_path`).
 
     Raises
     ------
@@ -285,32 +336,39 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
         launch = SRP(RPTree(src.tree.root_box), {ROOT: src.n}, src.n)
     if launch.tree.root_box != src.tree.root_box or launch.n != src.n:
         raise ValueError("launch state and base build hold different data")
+    order = base.seb_order
     nodes = launch.tree.nodes
-    records = tuple(rec for rec in base.seb_order if 2 * rec.label not in nodes)
-    return PqmcPath(launch, records, base.threshold, None, base.threshold,
-                    _first_tie(launch, records))
+    keep = np.ones(len(order.labels), dtype=bool)
+    keep[[r for v in nodes if 2 * v in nodes and (r := order.row.get(v)) is not None]] = False
+    rows = np.flatnonzero(keep)
+    return PqmcPath(launch, order, rows, base.threshold, None, base.threshold,
+                    _first_tie(order, rows))
 
 
-def _first_tie(initial: SRP, records) -> int:
-    """Step of the first tied pop of a whole SEB path, or ``len(records)``.
+def _first_tie(order: SebOrder, rows: np.ndarray) -> int:
+    """Step of the first tied pop of the whole SEB path through ``rows``
+    of ``order``, or ``len(rows)``.
 
-    The pop at step ``i`` is tied when a later record of the same count
-    is already a leaf then: a leaf of ``initial``, or a child of a cell
-    split before step ``i``.  Records of equal count are adjacent.
+    The pop at step ``i`` is tied when a later pop of the same count is
+    already a leaf then: a leaf of the launch state (its parent is not
+    on the path), or a child of a cell split before step ``i``.  Pops of
+    equal count are adjacent, so this is a suffix minimum, over each run
+    of equal count, of the step from which each cell is a leaf.
     """
-    step = {rec.label: i for i, rec in enumerate(records)}
-    first = len(records)
-    count = ready = None  # ready: earliest step a later same-count cell is a leaf
-    for i in range(len(records) - 1, -1, -1):
-        rec = records[i]
-        c = rec.left_count + rec.right_count
-        if c != count:
-            count, ready = c, len(records)
-        elif ready <= i:
-            first = i
-        v = rec.label
-        ready = min(ready, 0 if v in initial.tree.nodes else step[v >> 1] + 1)
-    return first
+    m = len(rows)
+    if m < 2:
+        return m
+    step = np.full(len(order.labels) + 1, -1)
+    step[rows] = np.arange(m)
+    ready = step[order.parent[rows]] + 1  # the step from which the cell is a leaf
+    count = order.count[rows]
+    run = np.concatenate([[0], np.cumsum(count[1:] != count[:-1])])
+    # offset each run below the runs after it, so one running minimum
+    # from the end restarts at every run
+    lift = run * (m + 1)
+    least = np.minimum.accumulate((ready + lift)[::-1])[::-1] - lift
+    tied = (run[1:] == run[:-1]) & (least[1:] <= np.arange(m - 1))
+    return int(np.argmax(tied)) if tied.any() else m
 
 
 def truncate_path(whole: PqmcPath, threshold: float, max_leaves: int | None) -> PqmcPath:
@@ -320,20 +378,21 @@ def truncate_path(whole: PqmcPath, threshold: float, max_leaves: int | None) -> 
 
     A child's count never exceeds its parent's, so the chain pops in
     non-increasing count order: it takes the pops of ``whole`` with
-    count above ``threshold``, as many as the budget leaves room for.
-    Its next pop is the first record it does not keep, or that of
-    ``whole``, and its pops tie as in ``whole``.  A lower threshold or
-    another budget than ``whole`` ran under raises ValueError.
+    count above ``threshold`` (a ``searchsorted``), as many as the budget
+    leaves room for.  Its next pop is the first row it does not keep, or
+    that of ``whole``, and its pops tie as in ``whole``.  A lower
+    threshold or another budget than ``whole`` ran under raises
+    ValueError.
     """
     if whole.threshold is not None and threshold < whole.threshold:
         raise ValueError(f"threshold {threshold} is below the path's {whole.threshold}")
     if whole.max_leaves not in (None, max_leaves):
         raise ValueError(f"leaf budget {max_leaves} differs from the path's {whole.max_leaves}")
-    records = whole.records
-    keep = bisect_left(records, -threshold, key=lambda r: -(r.left_count + r.right_count))
+    left, right = whole.splits.split_counts(whole.rows)
+    count = left + right
+    keep = int(np.searchsorted(-count, -threshold))
     if max_leaves is not None:
         keep = min(keep, max(0, max_leaves - whole.initial.leaf_count))
-    top = whole.top if keep == len(records) else float(
-        records[keep].left_count + records[keep].right_count)
-    return PqmcPath(whole.initial, records[:keep], threshold, max_leaves, top,
-                    min(whole.first_tie, keep))
+    top = whole.top if keep == len(count) else float(count[keep])
+    return PqmcPath(whole.initial, whole.splits, whole.rows[:keep], threshold, max_leaves,
+                    top, min(whole.first_tie, keep))

@@ -8,7 +8,6 @@ depths survive), which makes repeated pipeline runs byte-identical.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,42 +30,36 @@ def ingest_csv(path, d: int, strict: bool = True) -> tuple[np.ndarray, int]:
     number in strict mode and are skipped otherwise.  Returns
     ``(points, skipped_rows)``.
 
-    The file is parsed in one streamed ``np.loadtxt`` pass, which is
-    kept only if every data row holds ``d`` finite values.  Otherwise
-    the per-row parser reads the file again to name or skip the bad
-    rows; it gives the same result as the fast pass on every file the
-    fast pass accepts.
+    The leading blank, comment and header lines are skipped line by
+    line; the open file, from its first data row on, goes to one
+    ``np.loadtxt`` pass, which is kept only if every data row holds
+    ``d`` finite values.  Otherwise the per-row parser reads the file
+    again to name or skip the bad rows; it gives the same result as the
+    fast pass on every file the fast pass accepts.  The fast pass skips
+    empty lines but takes a comment or whitespace-only line after the
+    first data row for a malformed row, so such a file is read by the
+    per-row parser, with the same result.
     """
     if d < 1:
         raise DimensionMismatch("dimension must be >= 1")
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = _data_lines(fh)
-        first = next(lines, None)  # loadtxt warns on empty input
-        if first is not None:
+        while True:
+            start = fh.tell()
+            raw = fh.readline()
+            line = raw.strip()
+            if not raw or (line and not line.startswith("#")
+                           and _any_number(f.strip() for f in line.split(","))):
+                break
+        if raw:  # loadtxt warns on empty input
+            fh.seek(start)
             try:
-                points = np.loadtxt(chain([first], lines), delimiter=",",
-                                    comments=None, ndmin=2, dtype=float)
+                points = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
             except ValueError:
                 points = None
             if (points is not None and len(points) and points.shape[1] == d
                     and np.isfinite(points).all()):
                 return points, 0
     return _ingest_rows(path, d, strict)
-
-
-def _data_lines(fh):
-    """Stripped lines of ``fh`` without blanks, ``#`` comments and the
-    leading rows that hold no number (headers)."""
-    header = True
-    for raw in fh:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header:
-            if not _any_number(f.strip() for f in line.split(",")):
-                continue
-            header = False
-        yield line
 
 
 def _ingest_rows(path, d: int, strict: bool) -> tuple[np.ndarray, int]:

@@ -161,12 +161,11 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             build = {"threshold": low,
                      "splits": [w.split_count for w in wholes],
                      "partitioned_cells": table.partitioned}
-            del table  # the paths hold every count that smoothing needs
             logger.info("%d sequential SEB chains to threshold %g: %d splits, "
                         "%d cells partitioned", len(wholes), low,
                         sum(build["splits"]), build["partitioned_cells"])
         else:
-            del table  # the sharded build tags its own points
+            del table, carve  # the carve path holds the table; the build tags its own points
             base = build_threshold_tree(
                 points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
                 shard_count=cfg.shards, workers=cfg.workers,

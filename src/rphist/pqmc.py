@@ -15,9 +15,11 @@ A carving run followed by SEB chains launched from states spread along
 the carve path ("tributaries") yields the candidate states that the
 smoothing stage scores.  The carve and the chains of a run share one
 :class:`CellTable`, which partitions each cell once per run; a chain
-itself keeps only a heap of its leaves' priorities and its leaf count.
-A path's stop reason, success and tie flags are read off what it
-keeps, so a path cut from a longer one needs no chain of its own.
+itself keeps only a heap of the priorities of the leaves it may pop,
+the leaves it parks at or below its threshold, and its leaf count.  A
+path is the ids of the cells it split, rows of that table.  A path's
+stop reason, success and tie flags are read off what it keeps, so a
+path cut from a longer one needs no chain of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import heapq
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -95,9 +97,26 @@ class SplitRecord(NamedTuple):
     right_count: int
 
 
-@dataclass
+class SplitTable(Protocol):
+    """Splits that paths name by row: row ``r`` splits the cell
+    ``labels[r]``, and ``split_counts(rows)`` gives the children's counts
+    of a batch of rows."""
+
+    labels: list[int]
+
+    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+
+
+@dataclass(eq=False)
 class PqmcPath:
-    """A chain sample path, stored as the initial SRP plus split records.
+    """A chain sample path, stored as the initial SRP plus its splits, as
+    rows of a :class:`SplitTable`.
+
+    ``splits`` is that table: the :class:`CellTable` the chain ran on,
+    whose rows are cell ids, or a root build's sorted internal nodes
+    (:class:`rphist.distributed.SebOrder`).  Paths cut from one path
+    share its table.  ``records`` is the same splits as
+    :class:`SplitRecord` tuples, built on first use.
 
     ``states()`` materializes every intermediate SRP; ``state(t)``
     materializes a single one.  The compact form keeps long paths cheap:
@@ -105,34 +124,53 @@ class PqmcPath:
     from the ``threshold`` (``max_psi`` if the priority stop was active)
     and ``max_leaves`` the chain ran under, ``top``, the priority of its
     next pop (None if no splittable leaf is left), and ``first_tie``,
-    the step of its first tied pop (``len(records)`` if none).
+    the step of its first tied pop (``len(rows)`` if none).  Two paths
+    are equal when their launch state, records and these fields are.
     """
 
     initial: SRP
-    records: tuple[SplitRecord, ...]
+    splits: SplitTable
+    rows: np.ndarray
     threshold: float | None
     max_leaves: int | None
     top: float | None
     first_tie: int
 
+    @cached_property
+    def records(self) -> tuple[SplitRecord, ...]:
+        return tuple(SplitRecord(*split) for split in self._splits(len(self.rows)))
+
+    def _splits(self, t: int):
+        """``(label, left count, right count)`` of the first ``t`` splits."""
+        rows = self.rows[:t]
+        left, right = self.splits.split_counts(rows)
+        labels = self.splits.labels
+        return zip([labels[r] for r in rows.tolist()], left.tolist(), right.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PqmcPath):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in
+                   ("initial", "records", "threshold", "max_leaves", "top", "first_tie"))
+
     def __len__(self) -> int:
-        return len(self.records) + 1
+        return len(self.rows) + 1
 
     @property
     def split_count(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     def state(self, t: int) -> SRP:
         if not 0 <= t < len(self):
             raise IndexError(f"state {t} of a path of length {len(self)}")
         nodes = set(self.initial.tree.nodes)
         counts = dict(self.initial.counts)
-        for rec in self.records[:t]:
-            left, right = 2 * rec.label, 2 * rec.label + 1
-            nodes.add(left)
-            nodes.add(right)
-            counts[left] = rec.left_count
-            counts[right] = rec.right_count
+        for label, left, right in self._splits(t):
+            child = 2 * label
+            nodes.add(child)
+            nodes.add(child + 1)
+            counts[child] = left
+            counts[child + 1] = right
         return SRP(RPTree(self.initial.tree.root_box, frozenset(nodes)), counts, self.initial.n)
 
     @cached_property
@@ -162,12 +200,12 @@ class PqmcPath:
     @property
     def had_ties(self) -> bool:
         """Whether another splittable leaf had the priority of some pop."""
-        return self.first_tie < len(self.records)
+        return self.first_tie < len(self.rows)
 
     @property
     def leaf_count(self) -> int:
         """Leaves of the final state."""
-        return self.initial.leaf_count + len(self.records)
+        return self.initial.leaf_count + len(self.rows)
 
 
 def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
@@ -190,6 +228,11 @@ class CellTable:
     and split planes are found when first needed, in one
     :func:`split_plane` batch over every cell created since the last
     (ids from ``planned`` on), each child's bounds from its parent's.
+
+    The table is also the table of splits of the chains' paths
+    (:class:`PqmcPath`): a path's rows are the ids of the cells it
+    split, ``labels[i]`` is the label of cell ``i`` and
+    :meth:`split_counts` gives its children's counts.
     """
 
     def __init__(self, points, root_box: Box):
@@ -201,6 +244,7 @@ class CellTable:
         self.count = array("q", [0, self.n])
         self.kid = array("q", [0, 0])  # the left child's id, 0 until split
         self.parent = array("q", [0])  # per pair of children: the parent's id
+        self.labels = [0, ROOT]
         # bounds, split coordinate, midpoint and bisectability of ids < planned
         self.bounds = np.concatenate([root_box.lows(), root_box.highs()])[None].repeat(2, 0)
         axis, mid, ok = split_plane(self.bounds[:, :root_box.dim], self.bounds[:, root_box.dim:])
@@ -223,6 +267,18 @@ class CellTable:
         if i >= self.planned:
             self._plan()
         return bool(self.ok[i])
+
+    def splittable_ids(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`splittable` of each cell of ``ids``."""
+        if len(ids) and ids.max() >= self.planned:
+            self._plan()
+        return np.frombuffer(self.ok, np.int8)[ids] != 0
+
+    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children's counts of the split cells ``rows``."""
+        count = np.frombuffer(self.count, np.int64)
+        kid = np.frombuffer(self.kid, np.int64)[rows]
+        return count[kid], count[kid + 1]
 
     def _plan(self) -> None:
         size = len(self.count)
@@ -257,21 +313,32 @@ class CellTable:
         self.count.extend((len(left), c - len(left)))
         self.kid.extend((0, 0))
         self.parent.append(i)
+        label = self.labels[i]
+        self.labels += (2 * label, 2 * label + 1)
         self.partitioned += 1
         return kid
 
 
 class _LeafPool:
     """One chain's leaf count and heap of ``(-priority, label, cell id)``
-    keys over the leaves it may still split: the top is the largest
+    keys over the leaves it may still pop: the top is the largest
     priority, ties towards the lowest label.  A leaf that cannot be
     bisected is dropped when it reaches the top, so the top and the tie
-    check after a pop see the splittable leaves alone."""
+    check after a pop see the splittable leaves alone.
+
+    Under an active threshold, a leaf whose priority is at or below it
+    is never popped: it is parked, with its priority, outside the heap.
+    Only when the heap runs dry does :meth:`top` look at the parked
+    leaves, for the largest priority of a splittable one, which is the
+    priority the chain stops at."""
 
     def __init__(self, s0: SRP, table: CellTable, priority: Priority, cfg: PqmcConfig):
-        self.table, self.priority, self.cfg = table, priority, cfg
+        self.table, self.priority = table, priority
+        self.threshold = cfg.max_psi if cfg.priority_stop_active else None
+        self.limit = 1 << cfg.max_depth  # a label below it is above the depth cap
         self.root_volume = table.root_box.volume
         self.heap: list[tuple[float, int, int]] = []
+        self.parked_priority, self.parked_cell = array("d"), array("q")
         self.leaf_count = s0.leaf_count
         for label in s0.tree.leaves():
             cell = table.cell(label)
@@ -281,26 +348,41 @@ class _LeafPool:
 
     def _admit(self, label: int, cell: int) -> None:
         count = self.table.count[cell]
-        if count and depth(label) < self.cfg.max_depth:
-            vol = 0.0 if self.priority.kind == SEB else volume_at_depth(self.root_volume, depth(label))
-            heapq.heappush(self.heap, (-self.priority.value(count, vol, self.table.n), label, cell))
+        if count and label < self.limit:
+            vol = (0.0 if self.priority.kind == SEB
+                   else volume_at_depth(self.root_volume, label.bit_length() - 1))
+            value = self.priority.value(count, vol, self.table.n)
+            if self.threshold is not None and value <= self.threshold:
+                self.parked_priority.append(value)
+                self.parked_cell.append(cell)
+            else:
+                heapq.heappush(self.heap, (-value, label, cell))
 
-    def top(self) -> tuple[float, int, int] | None:
+    def _peek(self) -> float | None:
+        """The top of the heap, after dropping the leaves that cannot be split."""
         while self.heap and not self.table.splittable(self.heap[0][2]):
             heapq.heappop(self.heap)
-        return self.heap[0] if self.heap else None
+        return -self.heap[0][0] if self.heap else None
 
-    def split_top(self) -> tuple[SplitRecord, bool]:
-        """Split the top leaf; tied when another splittable leaf had the
-        same priority."""
+    def top(self) -> float | None:
+        """The largest priority of a splittable leaf, None if none is left."""
+        top = self._peek()
+        if top is None and self.parked_cell:
+            ok = self.table.splittable_ids(np.frombuffer(self.parked_cell, np.int64))
+            if ok.any():
+                top = float(np.frombuffer(self.parked_priority)[ok].max())
+        return top
+
+    def split_top(self) -> tuple[int, bool]:
+        """Split the top leaf; return its cell id and whether another
+        splittable leaf had the same priority (a parked leaf never has)."""
         key, label, cell = heapq.heappop(self.heap)
-        top = self.top()
+        tied = self._peek() == -key
         kid = self.table.split(cell)
         self._admit(2 * label, kid)
         self._admit(2 * label + 1, kid + 1)
         self.leaf_count += 1
-        count = self.table.count
-        return SplitRecord(label, count[kid], count[kid + 1]), top is not None and top[0] == key
+        return cell, tied
 
 
 def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
@@ -313,26 +395,26 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     count strictly increases and splittability is depth-bounded.
     ``points`` is the data of ``s0``, or a run's shared :class:`CellTable`
     over it; a ValueError says that they do not give the counts of ``s0``.
+    The path's rows are the ids of the cells it split in the table.
     """
     table = points if isinstance(points, CellTable) else CellTable(points, s0.tree.root_box)
     if table.n != s0.n or table.root_box != s0.tree.root_box:
         raise ValueError(f"SRP holds {s0.n} points in {s0.tree.root_box}, "
                          f"the cell table {table.n} in {table.root_box}")
     pool = _LeafPool(s0, table, priority, cfg)
-    threshold = cfg.max_psi if cfg.priority_stop_active else None
-    records: list[SplitRecord] = []
+    threshold = pool.threshold
+    rows = array("q")
     first_tie = None
     while (top := pool.top()) is not None:
         if ((cfg.max_leaves is not None and pool.leaf_count >= cfg.max_leaves)
-                or (threshold is not None and -top[0] <= threshold)):
+                or (threshold is not None and top <= threshold)):
             break
-        record, tied = pool.split_top()
+        cell, tied = pool.split_top()
         if tied and first_tie is None:
-            first_tie = len(records)
-        records.append(record)
-    return PqmcPath(s0, tuple(records), threshold, cfg.max_leaves,
-                    None if top is None else -top[0],
-                    len(records) if first_tie is None else first_tie)
+            first_tie = len(rows)
+        rows.append(cell)
+    return PqmcPath(s0, table, np.array(rows, dtype=np.intp), threshold, cfg.max_leaves,
+                    top, len(rows) if first_tie is None else first_tie)
 
 
 def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,

@@ -8,10 +8,14 @@ nearly unbiased estimate of the expected L2 loss, which for a fixed
 partition has the closed form used in :func:`cv_score`.
 
 A split changes the log-likelihood and the two CV leaf sums by amounts
-that depend on the split alone.  So :func:`select` computes those
-deltas once per distinct split of all paths (:func:`node_table`), and
-each path's per-state profile is a gather from that table plus a
-cumulative sum (:func:`path_profile`), in either builder mode.
+that depend on the split alone.  A path names its splits by rows of a
+table of splits (a root build's sorted internal nodes, or the cell
+table a sequential chain ran on), which paths cut from one another and
+the tributaries of one build share.  So :func:`select` computes those
+deltas once per row of those tables that some path takes
+(:func:`node_table`), and each path's per-state profile is a gather
+from that table plus a cumulative sum (:func:`path_profile`), in
+either builder mode.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from .geometry import bounds_volume
-from .pqmc import PqmcPath, SplitRecord
+from .pqmc import PqmcPath, SplitTable
 from .srp import SRP, log_likelihood
 from .tree import cell_bounds
 
@@ -118,17 +122,19 @@ def _leaf_cv_terms(s: SRP) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NodeTable:
-    """Score deltas of every split of a set of paths, one row per record.
+    """Score deltas of every split of a set of paths, one row per split.
 
     A split of a cell changes the log-likelihood and the two CV leaf
     sums by amounts that depend on the cell and its two child counts
     alone, so one table serves every path that makes the split.  Each
     of ``log_lik``, ``cv_a`` and ``cv_b`` is ``(N, 3)``: the left and
-    right child's term and the negated parent term.  ``launch`` holds
-    the ``(log_lik, cv_a, cv_b)`` of each distinct launch state.
+    right child's term and the negated parent term.  ``row`` maps each
+    table of splits that the paths take rows of to an array that sends
+    those rows to rows of the deltas.  ``launch`` holds the ``(log_lik,
+    cv_a, cv_b)`` of each distinct launch state.
     """
 
-    row: dict[SplitRecord, int]
+    row: dict[SplitTable, np.ndarray]
     log_lik: np.ndarray
     cv_a: np.ndarray
     cv_b: np.ndarray
@@ -137,7 +143,8 @@ class NodeTable:
 
 def node_table(paths: list[PqmcPath]) -> NodeTable:
     """The :class:`NodeTable` of paths on one root box and sample size,
-    from one :func:`cell_bounds` batch over their distinct records.
+    from one :func:`cell_bounds` batch over the rows their tables of
+    splits hold that some path takes.
 
     Every term is formed elementwise with the float operations of a
     record-by-record walk, so profiles gathered from the table are
@@ -145,23 +152,33 @@ def node_table(paths: list[PqmcPath]) -> NodeTable:
     """
     s0 = paths[0].initial
     n, root_box = s0.n, s0.tree.root_box
-    row: dict[SplitRecord, int] = {}
+    taken: dict[SplitTable, np.ndarray] = {}  # rows some path takes, per table
     launch: dict[SRP, tuple[float, float, float]] = {}
     for path in paths:
-        for rec in path.records:
-            row.setdefault(rec, len(row))
+        if path.splits not in taken:
+            taken[path.splits] = np.zeros(len(path.splits.labels), dtype=bool)
+        taken[path.splits][path.rows] = True
         s = path.initial
         if s not in launch:
             launch[s] = (log_likelihood(s) if n >= 1 else 0.0, *_leaf_cv_terms(s))
-    recs = list(row)
-    lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in recs])
+    row: dict[SplitTable, np.ndarray] = {}
+    labels: list[int] = []
+    left, right = [], []
+    for splits, mask in taken.items():
+        rows = np.flatnonzero(mask)
+        row[splits] = np.cumsum(mask) - 1 + len(labels)
+        labels += [splits.labels[r] for r in rows.tolist()]
+        cl, cr = splits.split_counts(rows)
+        left.append(cl)
+        right.append(cr)
+    lo, hi, axis, mid, _ = cell_bounds(root_box, labels)
     rows = np.arange(len(axis))
     width = hi[rows, axis] - lo[rows, axis]
     vol = bounds_volume(lo, hi)
     vol_l = vol / width * (mid - lo[rows, axis])
     vol_r = vol / width * (hi[rows, axis] - mid)
-    cl = np.array([rec.left_count for rec in recs], dtype=float)
-    cr = np.array([rec.right_count for rec in recs], dtype=float)
+    cl = np.concatenate(left, dtype=float)
+    cr = np.concatenate(right, dtype=float)
     c = cl + cr
 
     def ll_term(c, vol):  # c log(c / (n vol)), 0 for an empty cell
@@ -214,7 +231,7 @@ def path_profile(path: PqmcPath, table: NodeTable) -> PathProfile:
     third entry, so the sums round exactly as a record-by-record walk.
     """
     ll0, a0, b0 = table.launch[path.initial]
-    idx = [table.row[rec] for rec in path.records]
+    idx = table.row[path.splits][path.rows]
 
     def walk(x0, deltas):
         seq = np.empty(3 * len(idx) + 1)

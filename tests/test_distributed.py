@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rphist.distributed as distributed
 from rphist.distributed import (
+    IterationStats,
     Shard,
     TaggedDataset,
     apply_splits,
@@ -22,6 +26,7 @@ from rphist.pqmc import (
     PqmcPath,
     SEB_PRIORITY,
     SPC_PRIORITY,
+    SplitRecord,
     carve_path,
     launch_states,
     run_pqmc,
@@ -44,13 +49,15 @@ def fig7_dataset(shard_count=2) -> TaggedDataset:
         [0.7, 0.9], [0.9, 0.3], [0.2, 0.5],
     ])
     cells = cell_bounds(unit_box(2), labels)
-    shards = tuple(Shard(index[rows], pts[rows])
+    shards = tuple(Shard(index[rows], pts[rows], np.bincount(index[rows], minlength=3))
                    for rows in np.array_split(np.arange(6), shard_count))
-    return TaggedDataset(labels, cells.lo, cells.hi, shards)
+    return TaggedDataset(labels, cells.lo, cells.hi, shards, np.arange(4))
 
 
-def cell_of_each_point(ds: TaggedDataset) -> list[int]:
-    return [ds.labels[i] for s in ds.shards for i in s.index.tolist()]
+def cell_of_each_point(ds: TaggedDataset) -> list[int | None]:
+    """The label of each stored point's working cell, None if parked."""
+    labels = ds.labels + [None]
+    return [labels[c] for s in ds.shards for c in ds.remap[s.index].tolist()]
 
 
 def test_count_by_cell_fig7():
@@ -125,12 +132,35 @@ def test_prune_moves_counts():
         kept = prune(ds, keep)
         assert kept.labels == [2, 6]
         assert count_by_cell(kept).tolist() == counts[keep].tolist()
-        assert cell_of_each_point(kept) == [2, 2, 6, 6, 2]
+        # no point moves: the point of the retired cell 7 is parked
+        assert cell_of_each_point(kept) == [2, 2, 6, None, 6, 2]
+        assert all(a.points is b.points and a.index is b.index
+                   for a, b in zip(kept.shards, ds.shards))
         assert np.array_equal(kept.lo, ds.lo[keep])
         assert prune(ds, counts > 0.5) is ds
         gone = prune(ds, counts > 10.0)
-        assert gone.labels == [] and cell_of_each_point(gone) == []
+        assert gone.labels == [] and cell_of_each_point(gone) == [None] * 6
         assert count_by_cell(gone).tolist() == []
+        # the next split leaves the parked point parked, unless its shard
+        # (of one point, with 6 shards) then holds no working point
+        out = apply_splits(kept, {2: 0})
+        assert out.labels == [4, 5, 6]
+        parked = [] if shards == 6 else [None]
+        assert cell_of_each_point(out) == [4, 5, 6, *parked, 6, 5]
+        assert count_by_cell(out).tolist() == [1, 2, 2]
+
+
+def test_apply_splits_compacts_a_shard_below_half():
+    # only B (label 6) is kept: two of the six points stay working
+    for shards, rows in ((1, [2]), (2, [1, 1]), (6, [0, 0, 1, 0, 1, 0])):
+        ds = prune(fig7_dataset(shards), np.array([False, True, False]))
+        out = apply_splits(ds, {6: 0})
+        assert out.labels == [12, 13]
+        assert count_by_cell(out).tolist() == [1, 1]
+        # every shard held fewer working points than half its rows
+        assert [len(s.points) for s in out.shards] == rows
+        assert cell_of_each_point(out) == [12, 13]
+        assert np.array_equal(out.remap, np.arange(3))
 
 
 def test_build_trivial_when_threshold_at_n():
@@ -594,3 +624,138 @@ def test_truncate_path():
     chain = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
     assert over.records == chain.records == ()
     assert over.success is chain.success is False
+
+
+def _stats_of(final, threshold: float) -> tuple[IterationStats, ...]:
+    """The iteration stats of a root build, read off its terminal SRP.
+
+    Iteration ``t`` splits the internal nodes at depth ``t - 1``.  Then
+    the working cells are the nodes at depth ``t`` and the leaves above
+    the threshold that could not be split, and the points passed are
+    those of the leaves at or below the threshold up to depth ``t - 1``.
+    """
+    internal = final.tree.internal()
+    leaves = final.tree.leaves()
+    stats = []
+    for t in range(1, max((v.bit_length() for v in internal), default=0) + 1):
+        working = [final.counts[v] for v in final.tree.nodes if v.bit_length() == t + 1]
+        working += [final.counts[v] for v in leaves
+                    if final.counts[v] > threshold and v.bit_length() <= t]
+        stats.append(IterationStats(
+            split_cells=sum(1 for v in internal if v.bit_length() == t),
+            working_points=sum(working),
+            passed_points=sum(final.counts[v] for v in leaves
+                              if final.counts[v] <= threshold and v.bit_length() <= t),
+            nonempty_cells=sum(1 for c in working if c),
+        ))
+    return tuple(stats)
+
+
+@st.composite
+def tied_rows_sample(draw):
+    """Rows on a 4-step grid in 1-3 dimensions with one row repeated, in
+    the box of the grid, and a threshold.  With step 1 a cell of copies
+    splits past 63-bit labels, to the depth cap or until the floats run
+    out; with an ulp of 1.0 as the step it runs out after a few splits."""
+    d = draw(st.integers(1, 3))
+    grid = draw(arrays(np.int64, (draw(st.integers(1, 80)), d),
+                       elements=st.integers(0, 3), fill=st.nothing()))
+    pts = np.vstack([grid, np.repeat(grid[:1], draw(st.integers(0, 30)), axis=0)])
+    lo, step = draw(st.sampled_from([(0.0, 1.0), (1.0, 2.0**-52)]))
+    box = Box.from_bounds([lo] * d, [lo + 4 * step] * d)
+    return lo + pts * step, box, float(draw(st.integers(1, 12)))
+
+
+def test_build_equals_sequential_chain_on_tied_rows():
+    # every shard and worker count gives the sequential chain's terminal
+    # state and the stats read off it; count the builds that compact a
+    # shard, leave a shard with no working point, and split past 2**63
+    seen = {"compacted": 0, "shard_without_work": 0, "labels_past_2**63": 0}
+    hit: set = set()
+    real = distributed.apply_splits
+
+    def spy(ds, split, pool=None):
+        out = real(ds, split, pool)
+        for before, after in zip(ds.shards, out.shards):
+            if len(after.points) < len(before.points):
+                hit.add("compacted")
+            if len(before.points) and not after.counts.any():
+                hit.add("shard_without_work")
+        return out
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(tied_rows_sample())
+    def check(sample):
+        pts, box, threshold = sample
+        cfg = PqmcConfig(max_depth=80)
+        seq = run_pqmc(ingest(RPTree(box), pts), pts, SEB_PRIORITY,
+                       PqmcConfig(max_psi=threshold, max_depth=80))
+        stats = _stats_of(seq.final, threshold)
+        hit.clear()
+        with mock.patch.object(distributed, "apply_splits", spy):
+            for shards in (1, 2, 5):
+                for workers in (1, 2):
+                    res = build_threshold_tree(pts, box, threshold, cfg,
+                                               shard_count=shards, workers=workers)
+                    assert res.final_srp == seq.final
+                    assert res.stats == stats
+        if max(seq.final.tree.nodes) >= 2**63:
+            hit.add("labels_past_2**63")
+        for key in hit:
+            seen[key] += 1
+
+    check()
+    print(seen)
+    assert min(seen.values()) > 0
+
+
+def _seb_records(base, launch):
+    """The SEB path from ``launch`` as split records: the base build's
+    internal nodes sorted by ``(-count, label)``, without those internal
+    in ``launch`` (the record-by-record form that the rows replace)."""
+    counts = base.final_srp.counts
+    split = sorted(base.final_srp.tree.internal(), key=lambda p: (-counts[p], p))
+    return tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split
+                 if 2 * p not in launch.tree.nodes)
+
+
+def _first_tie_by_loop(initial, records) -> int:
+    """Reference for the first tied pop of a whole SEB path: the loop over
+    records that the vectorized form replaces."""
+    step = {rec.label: i for i, rec in enumerate(records)}
+    first = len(records)
+    count = ready = None  # ready: earliest step a later same-count cell is a leaf
+    for i in range(len(records) - 1, -1, -1):
+        rec = records[i]
+        c = rec.left_count + rec.right_count
+        if c != count:
+            count, ready = c, len(records)
+        elif ready <= i:
+            first = i
+        v = rec.label
+        ready = min(ready, 0 if v in initial.tree.nodes else step[v >> 1] + 1)
+    return first
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tied_grid_sample())
+def test_row_paths_equal_record_paths_on_tied_data(sample):
+    # the rows of a reconstructed path, its cuts and its first tied pop
+    # against the records and the loop they replace
+    pts, base_threshold, thresholds, carve_leaves = sample
+    max_depth = 40
+    box = bounding_box(pts)
+    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth),
+                       root_box=box)
+    base = build_threshold_tree(pts, box, base_threshold, PqmcConfig(max_depth=max_depth),
+                                shard_count=2)
+    for launch in launch_states(carve, 3):
+        whole = reconstruct_path(base, launch)
+        records = _seb_records(base, launch)
+        assert whole.records == records
+        assert whole.first_tie == _first_tie_by_loop(launch, records)
+        for threshold in thresholds:
+            for max_leaves in (None, launch.leaf_count + 2):
+                cut = truncate_path(whole, threshold, max_leaves)
+                assert cut.records == records[:cut.split_count]
+                assert all(r.left_count + r.right_count > threshold for r in cut.records)

@@ -170,30 +170,55 @@ def outcome(path):
     return path.records, path.had_ties, path.stop_reason, path.success
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(shared_table_sample())
-def test_shared_table_chains_equal_fresh_tables_and_naive(sample):
+def test_shared_table_chains_equal_fresh_tables_and_naive():
     # the carve and the chains from its launch states share one table;
-    # a second table is shared by the chains alone, run in reverse order
-    pts, box, carve_leaves, cfg = sample
-    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=carve_leaves, max_depth=cfg.max_depth)
-    table = CellTable(pts, box)
-    carve = carve_path(table, carve_cfg)
-    launches = launch_states(carve, 3)
-    shared = [run_pqmc(s0, table, SEB_PRIORITY, cfg) for s0 in launches]
-    backwards = CellTable(pts, box)
-    reverse = [run_pqmc(s0, backwards, SEB_PRIORITY, cfg) for s0 in launches[::-1]]
-    assert [outcome(p) for p in reverse[::-1]] == [outcome(p) for p in shared]
-    runs = [(carve, root_srp(box, len(pts)), SPC_PRIORITY, carve_cfg)]
-    runs += [(path, s0, SEB_PRIORITY, cfg) for path, s0 in zip(shared, launches)]
-    for path, s0, priority, c in runs:
-        assert outcome(path) == outcome(run_pqmc(s0, pts, priority, c))
-        states, stop, success, had_ties = naive_path(
-            s0, pts, priority, c.max_psi, c.max_leaves, c.max_depth)
-        assert path.states() == states
-        assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
-    # every cell that the carve or a chain split was partitioned once
-    assert table.partitioned == len({r.label for p in [carve, *shared] for r in p.records})
+    # a second table is shared by the chains alone, run in reverse order.
+    # A chain parks the leaves at or below its threshold outside its heap:
+    # count the stops decided by the parked leaves, at the largest
+    # splittable parked priority or with no parked leaf splittable
+    stops = {"parked_top": 0, "parked_exhausted": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shared_table_sample())
+    def check(sample):
+        pts, box, carve_leaves, cfg = sample
+        carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=carve_leaves, max_depth=cfg.max_depth)
+        table = CellTable(pts, box)
+        carve = carve_path(table, carve_cfg)
+        launches = launch_states(carve, 3)
+        shared = [run_pqmc(s0, table, SEB_PRIORITY, cfg) for s0 in launches]
+        backwards = CellTable(pts, box)
+        reverse = [run_pqmc(s0, backwards, SEB_PRIORITY, cfg) for s0 in launches[::-1]]
+        assert [outcome(p) for p in reverse[::-1]] == [outcome(p) for p in shared]
+        runs = [(carve, root_srp(box, len(pts)), SPC_PRIORITY, carve_cfg)]
+        runs += [(path, s0, SEB_PRIORITY, cfg) for path, s0 in zip(shared, launches)]
+        for path, s0, priority, c in runs:
+            fresh = run_pqmc(s0, pts, priority, c)
+            assert outcome(path) == outcome(fresh)
+            assert (path.top, path.first_tie) == (fresh.top, fresh.first_tie)
+            states, stop, success, had_ties = naive_path(
+                s0, pts, priority, c.max_psi, c.max_leaves, c.max_depth)
+            assert path.states() == states
+            assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
+            # the next pop's priority: the largest over the final splittable leaves
+            final, vol = path.final, box.volume
+            assert path.top == max((priority.value(final.counts[v], volume_at_depth(vol, depth(v)),
+                                                   final.n)
+                                    for v in splittable_leaves(final, c)), default=None)
+        for path in shared:
+            final = path.final
+            if path.top is not None and path.top <= cfg.max_psi:
+                stops["parked_top"] += 1
+            elif path.top is None and any(
+                    0 < final.counts.get(v, 0) <= cfg.max_psi and depth(v) < cfg.max_depth
+                    for v in final.tree.leaves()):
+                stops["parked_exhausted"] += 1
+        # every cell that the carve or a chain split was partitioned once
+        assert table.partitioned == len({r.label for p in [carve, *shared] for r in p.records})
+
+    check()
+    print(stops)
+    assert min(stops.values()) > 0
 
 
 def test_run_pqmc_rejects_counts_the_data_do_not_give():

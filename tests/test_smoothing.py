@@ -8,7 +8,6 @@ from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from rphist.geometry import bounding_box, bounds_volume
 from rphist.pqmc import (
     PqmcConfig,
-    PqmcPath,
     SEB_PRIORITY,
     carve_path,
     launch_states,
@@ -85,7 +84,7 @@ def _grown_path(rng, n=300, maxlvs=20):
 
 def test_map_estimate_single_state():
     s = root_srp(unit_box(2), 4)
-    path = PqmcPath(s, (), None, None, None, 0)
+    path = run_pqmc(s, np.full((4, 2), 0.5), SEB_PRIORITY, PqmcConfig(max_leaves=1))
     est = select([path], SmoothingConfig((1.0,)))
     assert est.srp == s
     assert est.tau == 1.0
