@@ -5,10 +5,16 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 from .evaluate import l1_error, make_reference
 from .io import export_plot_data, load_histogram
 from .pipeline import RunConfig, run_pipeline
+
+
+def thresholds(text: str) -> tuple[int, ...]:
+    """The ``--maxpts`` grid: comma-separated integers."""
+    return tuple(int(p) for p in text.split(",") if p.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -19,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="estimate a density from CSV points")
-    b.add_argument("--input", required=True, help="CSV file of points")
+    b.add_argument("--input", dest="input_path", required=True, help="CSV file of points")
     b.add_argument("--dim", type=int, required=True, help="point dimension")
     b.add_argument("--shards", type=int, default=RunConfig.shards)
     b.add_argument("--workers", type=int, default=RunConfig.workers,
@@ -27,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--carve-leaves", type=int, default=None,
                    help="leaf budget of the carving chain (default maxlvs/10)")
     b.add_argument("--tributaries", type=int, default=RunConfig.tributaries)
-    b.add_argument("--maxpts", default=",".join(map(str, RunConfig.maxpts)),
+    b.add_argument("--maxpts", type=thresholds, default=RunConfig.maxpts,
                    help="comma-separated SEB stopping thresholds")
     b.add_argument("--maxlvs", type=int, default=None,
                    help="leaf budget per tributary (default unlimited)")
@@ -64,24 +70,7 @@ def _cmd_build(args) -> int:
     if args.verbose:
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("rphist").setLevel(logging.INFO)
-    cfg = RunConfig(
-        input_path=args.input,
-        dim=args.dim,
-        shards=args.shards,
-        workers=args.workers,
-        pad=args.pad,
-        carve_leaves=args.carve_leaves,
-        tributaries=args.tributaries,
-        maxpts=tuple(int(p) for p in args.maxpts.split(",") if p.strip()),
-        maxlvs=args.maxlvs,
-        tau_min=args.tau_min,
-        tau_max=args.tau_max,
-        tau_steps=args.tau_steps,
-        out=args.out,
-        strict=args.strict,
-        sequential=args.sequential,
-        max_depth=args.max_depth,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     hist, estimate = run_pipeline(cfg)
     print(f"n={hist.n} leaves={hist.leaf_count} tau={estimate.tau:.6g} "
           f"cv={estimate.cv_score:.6g} -> {args.out}")

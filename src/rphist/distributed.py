@@ -1,20 +1,20 @@
 """Data-parallel count-threshold splitting over sharded tagged points.
 
 The working representation is the tagged dataset: a list of working
-cells, each with its label and bounds, and the points, spread over
-shards that never exchange points, each tagged with a cell index.  One
-iteration retires every cell whose count is at or below the threshold
-("pruning") and splits the others; one shard-local step per shard then
-moves each point to the child on its side of the splitting hyperplane
-and counts the points per new cell (a ``bincount``; the shards' counts
-are merged by adding the arrays).  Counts never grow down the tree, so
-a retired cell could not have been split later.  Its points are parked,
-not copied out: its index maps past the last working cell, so a
-point's new tag is one gather, ``first[i] + side``, and a shard drops
-its parked points only once its working points fall below half of its
-rows.  A child's bounds come from its parent's, so only the root cell
-is located from its label, and the counts of every node are known as
-the loop goes: the terminal SRP is their table.
+cells, ids in a :class:`~rphist.pqmc.CellStore`, and the points, spread
+over shards that never exchange points, each tagged with a working
+cell's index.  One iteration retires every cell whose count is at or
+below the threshold ("pruning") and splits the others; one shard-local
+step per shard then moves each point to the child on its side of the
+splitting hyperplane and counts the points per new cell (a
+``bincount``; the shards' counts are merged by adding the arrays).
+Counts never grow down the tree, so a retired cell could not have been
+split later.  Its points are parked, not copied out: its index maps
+past the last working cell, so a point's new tag is one gather,
+``first[i] + side``, and a shard drops its parked points only once its
+working points fall below half of its rows.  Each iteration adds the
+children it made, with their counts, to the store in one batch, which
+plans each cell's bounds and split plane once, from its parent's.
 
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
@@ -23,20 +23,24 @@ reaches when run to the same threshold.  The sequential path itself is
 a sort: a parent's count is no smaller and its label is smaller than
 its children's, so a chain that pops the largest count, ties towards
 the lowest label, splits the cells in ascending ``(-count, label)``
-order (:func:`reconstruct_path`).
+order (:func:`reconstruct_path`).  In a build that is ascending
+``(-count, id)``: each iteration splits cells of one depth, left to
+right, and an over-threshold cell that cannot be split is never split,
+so the ids rise with the labels.
 
 One build from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
-is sorted once into arrays (:attr:`BuildResult.seb_order`), and the
-path from each launch state is the rows of that order that the launch
-state has not split, instead of a rebuild or a sort per tributary.  The
-chain pops in non-increasing count order, so the path to a higher
-threshold or under a leaf budget is a prefix of the path to a lower one
+is sorted once (:attr:`BuildResult.seb_order`), and the path from each
+launch state is the ids of that order that the launch state has not
+split, instead of a rebuild or a sort per tributary.  The chain pops in
+non-increasing count order, so the path to a higher threshold or under
+a leaf budget is a prefix of the path to a lower one
 (:func:`truncate_path`), whether read off a build or run sequentially.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -44,10 +48,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box, split_plane
-from .pqmc import PqmcConfig, PqmcPath
-from .srp import SRP
-from .tree import ROOT, RPTree, cell_bounds
+from .geometry import Box
+from .pqmc import CellStore, PqmcConfig, PqmcPath
+from .srp import SRP, root_srp
+# cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
+from .tree import ROOT, RPTree, cell_bounds  # noqa: F401
 
 SplitCells = dict[int, int]  # label -> index of a working cell to split
 
@@ -69,17 +74,22 @@ class Shard:
 class TaggedDataset:
     """Working cells and the sharded points that lie in them.
 
-    Cell ``i`` has label ``labels[i]`` (a Python int of any size) and
-    bounds ``lo[i]``, ``hi[i]``.  A point tagged ``t`` lies in working
-    cell ``remap[t]``; ``remap[t] == len(labels)`` parks it: its cell has
-    retired.  ``remap`` is the identity right after a split step.
+    Working cell ``i`` is the cell ``cells[i]`` of ``store``.  A point
+    tagged ``t`` lies in working cell ``remap[t]``; ``remap[t] ==
+    len(cells)`` parks it: its cell has retired.  ``remap`` is the
+    identity right after a split step.
     """
 
-    labels: list[int]
-    lo: np.ndarray
-    hi: np.ndarray
+    store: CellStore
+    cells: np.ndarray
     shards: tuple[Shard, ...]
     remap: np.ndarray
+
+    @property
+    def labels(self) -> list[int]:
+        """The working cells' labels, in cell order."""
+        labels = self.store.labels
+        return [labels[i] for i in self.cells.tolist()]
 
     @classmethod
     def from_points(cls, points, root_box: Box, shard_count: int = 1) -> "TaggedDataset":
@@ -93,10 +103,9 @@ class TaggedDataset:
             points = points.reshape(0, root_box.dim)
         if shard_count < 1:
             raise ValueError("need at least one shard")
-        root = cell_bounds(root_box, [ROOT])
         shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows, np.array([len(rows)]))
                        for rows in np.array_split(points, shard_count))
-        return cls([ROOT], root.lo, root.hi, shards, np.arange(2))
+        return cls(CellStore(root_box, len(points)), np.array([ROOT]), shards, np.arange(2))
 
 
 def count_by_cell(ds: TaggedDataset) -> np.ndarray:
@@ -114,9 +123,10 @@ def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
     """Working cells whose count strictly exceeds the threshold and that
     can actually be split (depth cap and machine bisectability), as
     ``{label: index}``."""
-    ok = split_plane(ds.lo, ds.hi)[2] & (counts > threshold)
+    ok = ds.store.planes(ds.cells)[2] & (counts > threshold)
     limit = 1 << cfg.max_depth  # a label below it is above the depth cap
-    return {a: i for i in np.flatnonzero(ok).tolist() if (a := ds.labels[i]) < limit}
+    labels = ds.labels
+    return {a: i for i in np.flatnonzero(ok).tolist() if (a := labels[i]) < limit}
 
 
 def apply_splits(ds: TaggedDataset, split: SplitCells,
@@ -128,8 +138,8 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     returns.  A chosen cell with label ``a`` becomes its left child
     ``2a`` and right child ``2a + 1``, in its place in the cell order;
     the other cells stay as they are.  A point below the plane
-    (coordinate < mid) goes left, a point at or above it right.  Each
-    child's bounds are its parent's with one end moved to the plane.
+    (coordinate < mid) goes left, a point at or above it right.  The
+    children join the store in one batch, with their counts.
 
     Each shard takes one step, mapped over the shards by ``pool``: a
     point of cell ``c`` (its tag through ``ds.remap``) is retagged
@@ -140,23 +150,25 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     """
     if not split:
         return ds
-    k = len(ds.labels)
-    axis, mid, _ = split_plane(ds.lo, ds.hi)
+    k = len(ds.cells)
     chosen = np.zeros(k + 1, dtype=bool)  # the last entry: parked
     chosen[list(split.values())] = True
+    rows = np.flatnonzero(chosen)
     width = chosen + 1
     first = np.cumsum(width) - width  # the parked entry gets the new cell count
     cells = int(first[k])
-    tag_first = first[ds.remap]
-    tag_axis = np.append(axis, 0)[ds.remap]
-    tag_mid = np.where(chosen, np.append(mid, 0.0), np.inf)[ds.remap]
+    axis, mid = np.zeros(k + 1, dtype=np.intp), np.full(k + 1, np.inf)
+    axis[rows], mid[rows], _ = ds.store.planes(ds.cells[rows])
+    tag_first, tag_axis, tag_mid = first[ds.remap], axis[ds.remap], mid[ds.remap]
 
     def step(shard: Shard) -> Shard:
         i, points = shard.index, shard.points
         at = np.arange(0, points.size, points.shape[1])  # row starts, then coordinates
         at += tag_axis[i]
-        side = points.reshape(-1)[at] >= tag_mid[i]
-        del at
+        coord = points.reshape(-1)[at]
+        del at  # one per-point temporary fewer at the comparison
+        side = coord >= tag_mid[i]
+        del coord
         tag = tag_first[i]
         tag += side
         counts = np.bincount(tag, minlength=cells + 1)
@@ -165,15 +177,15 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
             tag, points = tag[work], points[work]
         return Shard(tag, points, counts[:cells])
 
-    rows = np.flatnonzero(chosen)
-    lo = np.repeat(ds.lo, width[:k], axis=0)
-    hi = np.repeat(ds.hi, width[:k], axis=0)
-    hi[first[rows], axis[rows]] = mid[rows]
-    lo[first[rows] + 1, axis[rows]] = mid[rows]
-    labels = [child for a, two in zip(ds.labels, chosen.tolist())
-              for child in ((2 * a, 2 * a + 1) if two else (a,))]
     shards = tuple((map if pool is None else pool.map)(step, ds.shards))
-    return TaggedDataset(labels, lo, hi, shards, np.arange(cells + 1))
+    out = TaggedDataset(ds.store, np.repeat(ds.cells, width[:k]), shards,
+                        np.arange(cells + 1))
+    counts = count_by_cell(out)
+    left = first[rows]
+    kid = ds.store.add(ds.cells[rows], counts[left], counts[left + 1])
+    out.cells[left] = kid
+    out.cells[left + 1] = kid + 1
+    return out
 
 
 def prune(ds: TaggedDataset, keep: np.ndarray) -> TaggedDataset:
@@ -190,9 +202,8 @@ def prune(ds: TaggedDataset, keep: np.ndarray) -> TaggedDataset:
         return ds
     kept = int(np.count_nonzero(keep))
     move = np.append(np.where(keep, np.cumsum(keep) - 1, kept), kept)
-    labels = [a for a, k in zip(ds.labels, keep.tolist()) if k]
     shards = tuple(Shard(s.index, s.points, s.counts[keep]) for s in ds.shards)
-    return TaggedDataset(labels, ds.lo[keep], ds.hi[keep], shards, move[ds.remap])
+    return TaggedDataset(ds.store, ds.cells[keep], shards, move[ds.remap])
 
 
 @dataclass(frozen=True)
@@ -205,52 +216,33 @@ class IterationStats:
     nonempty_cells: int
 
 
-@dataclass(frozen=True, eq=False)
-class SebOrder:
-    """A root build's internal nodes in ascending ``(-count, label)``
-    order, the order the SEB chain pops them in, as a
-    :class:`~rphist.pqmc.SplitTable`.
-
-    Row ``r`` splits the cell ``labels[r]``, of count ``count[r]``, into
-    children of counts ``left[r]`` and ``right[r]``; ``parent[r]`` is the
-    row of its parent, ``len(labels)`` for the root.  ``row`` maps a label
-    to its row.  The labels are one Python list, as they can pass 2**63.
-    """
-
-    labels: list[int]
-    count: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    parent: np.ndarray
-    row: dict[int, int]
-
-    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The children's counts of the splits at ``rows``."""
-        return self.left[rows], self.right[rows]
-
-
 @dataclass(frozen=True)
 class BuildResult:
-    """Outcome of a threshold build: the terminal SRP plus diagnostics."""
+    """Outcome of a threshold build: the cells it created plus diagnostics.
 
-    final_srp: SRP
+    ``cells`` holds the root and both children of every split cell, with
+    their counts; its ids rise with their labels.
+    """
+
+    cells: CellStore
     iterations: int
     threshold: float
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
 
     @cached_property
-    def seb_order(self) -> SebOrder:
-        """The final SRP's internal nodes in the SEB chain's pop order."""
-        internal = self.final_srp.tree.internal()  # ascending labels: the sort is stable
-        counts = self.final_srp.counts
-        left = np.array([counts[2 * p] for p in internal], dtype=np.int64)
-        right = np.array([counts[2 * p + 1] for p in internal], dtype=np.int64)
-        order = np.argsort(-(left + right), kind="stable")
-        labels = [internal[i] for i in order.tolist()]
-        row = {p: r for r, p in enumerate(labels)}
-        parent = np.array([row.get(p >> 1, len(labels)) for p in labels], dtype=np.intp)
-        left, right = left[order], right[order]
-        return SebOrder(labels, left + right, left, right, parent, row)
+    def seb_order(self) -> np.ndarray:
+        """The ids of the split cells in the SEB chain's pop order,
+        ascending ``(-count, label)``: a stable sort of the ids, which
+        rise with the labels, by count."""
+        split = np.flatnonzero(np.frombuffer(self.cells.kid, np.int64))
+        return split[np.argsort(-np.frombuffer(self.cells.count, np.int64)[split],
+                                kind="stable")]
+
+    @cached_property
+    def final_srp(self) -> SRP:
+        """The terminal SRP of the build."""
+        return assemble_srp(self.cells.root_box,
+                            dict(zip(self.cells.labels[1:], self.cells.count[1:].tolist())))
 
 
 def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
@@ -258,10 +250,10 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     """Split every cell with count above the threshold, per iteration,
     until none is left.
 
-    The build starts from the root cell.  The returned SRP is the unique
-    tree in which every leaf has count at or below the threshold; it
-    equals the terminal state of the sequential SEB chain run from the
-    root with ``max_psi = threshold`` and no leaf budget, and
+    The build starts from the root cell.  Its cells form the unique tree
+    in which every leaf has count at or below the threshold; it equals
+    the terminal state of the sequential SEB chain run from the root
+    with ``max_psi = threshold`` and no leaf budget, and
     :func:`reconstruct_path` derives from it the path from any launch
     state to any threshold at or above this one.  An over-threshold
     cell that cannot be split (depth cap or machine precision) stays a
@@ -270,14 +262,12 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     iteration.
     """
     ds = TaggedDataset.from_points(points, root_box, shard_count)
-    node_counts: dict[int, int] = {}
     stats: list[IterationStats] = []
     passed = 0
     threads = workers > 1 and shard_count > 1
     with (ThreadPoolExecutor(workers) if threads else nullcontext()) as pool:
         counts = count_by_cell(ds)
         while True:
-            node_counts.update(zip(ds.labels, counts.tolist()))
             keep = counts > threshold
             passed += int(counts[~keep].sum())
             ds, counts = prune(ds, keep), counts[keep]
@@ -285,24 +275,23 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
             if not split:
                 break
             ds = apply_splits(ds, split, pool)
-            counts = count_by_cell(ds)
+            counts = np.frombuffer(ds.store.count, np.int64)[ds.cells]
             stats.append(IterationStats(
                 split_cells=len(split),
                 working_points=int(counts.sum()),
                 passed_points=passed,
                 nonempty_cells=int(np.count_nonzero(counts)),
             ))
-    final = assemble_srp(root_box, node_counts)
-    return BuildResult(final, len(stats), float(threshold), tuple(stats))
+    return BuildResult(ds.store, len(stats), float(threshold), tuple(stats))
 
 
-def assemble_srp(root_box: Box, node_counts: dict[int, int]) -> SRP:
-    """SRP from the node-count table of a finished build.
+def assemble_srp(root_box: Box, counts: dict[int, int]) -> SRP:
+    """SRP from the count of every cell of a finished build, by label.
 
     The table holds the root and both children of every split cell,
     each with its count; a side that received no points has count 0.
     """
-    return SRP(RPTree(root_box, frozenset(node_counts)), node_counts, node_counts[ROOT])
+    return SRP(RPTree(root_box, frozenset(counts)), counts, counts[ROOT])
 
 
 def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
@@ -317,8 +306,9 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
     ``(-count, label)`` order, which is the order the chain pops them
     in, ties included; the child counts come from ``base``.  The base
     build is sorted once (:attr:`BuildResult.seb_order`), so the path is
-    the rows of that order left by a mask of the nodes internal in
-    ``launch``, and a call finds its first tied pop over those rows.
+    the ids of that order left by a mask of the cells internal in
+    ``launch`` (each found by bisecting the build's ascending labels),
+    and a call finds its first tied pop over those ids.
     The threshold of ``base`` stands for the priority of the next pop:
     it decides every flag as that priority would, except that the path
     reports ``max_psi`` where the chain reports ``exhausted`` (every
@@ -331,23 +321,22 @@ def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
     ValueError
         If ``launch`` holds other data than ``base``.
     """
-    src = base.final_srp
+    cells = base.cells
     if launch is None:
-        launch = SRP(RPTree(src.tree.root_box), {ROOT: src.n}, src.n)
-    if launch.tree.root_box != src.tree.root_box or launch.n != src.n:
+        launch = root_srp(cells.root_box, cells.n)
+    if launch.tree.root_box != cells.root_box or launch.n != cells.n:
         raise ValueError("launch state and base build hold different data")
-    order = base.seb_order
-    nodes = launch.tree.nodes
-    keep = np.ones(len(order.labels), dtype=bool)
-    keep[[r for v in nodes if 2 * v in nodes and (r := order.row.get(v)) is not None]] = False
-    rows = np.flatnonzero(keep)
-    return PqmcPath(launch, order, rows, base.threshold, None, base.threshold,
-                    _first_tie(order, rows))
+    labels, order = cells.labels, base.seb_order  # the labels ascend with the ids
+    split = [i for v in launch.tree.internal()  # the build's ids of the cells split in launch
+             if (i := bisect_left(labels, v)) < len(labels) and labels[i] == v]
+    rows = order[~np.isin(order, split)]
+    return PqmcPath(launch, cells, rows, base.threshold, None, base.threshold,
+                    _first_tie(cells, rows))
 
 
-def _first_tie(order: SebOrder, rows: np.ndarray) -> int:
+def _first_tie(cells: CellStore, rows: np.ndarray) -> int:
     """Step of the first tied pop of the whole SEB path through ``rows``
-    of ``order``, or ``len(rows)``.
+    of ``cells``, or ``len(rows)``.
 
     The pop at step ``i`` is tied when a later pop of the same count is
     already a leaf then: a leaf of the launch state (its parent is not
@@ -358,10 +347,11 @@ def _first_tie(order: SebOrder, rows: np.ndarray) -> int:
     m = len(rows)
     if m < 2:
         return m
-    step = np.full(len(order.labels) + 1, -1)
+    step = np.full(len(cells.labels), -1)  # the root's parent is id 0, never split
     step[rows] = np.arange(m)
-    ready = step[order.parent[rows]] + 1  # the step from which the cell is a leaf
-    count = order.count[rows]
+    # the step from which the cell is a leaf
+    ready = step[np.frombuffer(cells.parent, np.int64)[rows >> 1]] + 1
+    count = np.frombuffer(cells.count, np.int64)[rows]
     run = np.concatenate([[0], np.cumsum(count[1:] != count[:-1])])
     # offset each run below the runs after it, so one running minimum
     # from the end restarts at every run

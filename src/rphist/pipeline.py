@@ -25,7 +25,7 @@ import json
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -230,24 +230,11 @@ def _stage(timings: dict[str, float], name: str):
 def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
                     tau_at_grid_edge: bool, candidates, build: dict,
                     timings, skipped_rows) -> None:
+    config = asdict(cfg)
+    del config["out"]
+    config["carve_leaves"] = cfg.effective_carve_leaves
     manifest = {
-        "config": {
-            "input_path": cfg.input_path,
-            "dim": cfg.dim,
-            "shards": cfg.shards,
-            "workers": cfg.workers,
-            "pad": cfg.pad,
-            "carve_leaves": cfg.effective_carve_leaves,
-            "tributaries": cfg.tributaries,
-            "maxpts": list(cfg.maxpts),
-            "maxlvs": cfg.maxlvs,
-            "tau_min": cfg.tau_min,
-            "tau_max": cfg.tau_max,
-            "tau_steps": cfg.tau_steps,
-            "strict": cfg.strict,
-            "sequential": cfg.sequential,
-            "max_depth": cfg.max_depth,
-        },
+        "config": config,
         "n": hist.n,
         "skipped_rows": skipped_rows,
         "root_box": histogram_to_json(hist)["root_box"],

@@ -13,11 +13,13 @@ priorities are provided:
 
 A carving run followed by SEB chains launched from states spread along
 the carve path ("tributaries") yields the candidate states that the
-smoothing stage scores.  The carve and the chains of a run share one
-:class:`CellTable`, which partitions each cell once per run; a chain
-itself keeps only a heap of the priorities of the leaves it may pop,
-the leaves it parks at or below its threshold, and its leaf count.  A
-path is the ids of the cells it split, rows of that table.  A path's
+smoothing stage scores.  The cells a run creates are the rows of a
+:class:`CellStore`, which the sharded builder fills too.  The carve and
+the chains of a run share one :class:`CellTable`, a store over one
+permutation of the points, which partitions each cell once per run; a
+chain itself keeps only a heap of the priorities of the leaves it may
+pop, the leaves it parks at or below its threshold, and its leaf count.
+A path is the ids of the cells it split, rows of that store.  A path's
 stop reason, success and tie flags are read off what it keeps, so a
 path cut from a longer one needs no chain of its own.
 """
@@ -28,7 +30,7 @@ import heapq
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,25 +99,14 @@ class SplitRecord(NamedTuple):
     right_count: int
 
 
-class SplitTable(Protocol):
-    """Splits that paths name by row: row ``r`` splits the cell
-    ``labels[r]``, and ``split_counts(rows)`` gives the children's counts
-    of a batch of rows."""
-
-    labels: list[int]
-
-    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
-
-
 @dataclass(eq=False)
 class PqmcPath:
     """A chain sample path, stored as the initial SRP plus its splits, as
-    rows of a :class:`SplitTable`.
+    ids of the cells split, rows of a :class:`CellStore`.
 
-    ``splits`` is that table: the :class:`CellTable` the chain ran on,
-    whose rows are cell ids, or a root build's sorted internal nodes
-    (:class:`rphist.distributed.SebOrder`).  Paths cut from one path
-    share its table.  ``records`` is the same splits as
+    ``splits`` is that store: the :class:`CellTable` the chain ran on, or
+    the cells of a root build (:attr:`rphist.distributed.BuildResult.cells`).
+    Paths cut from one path share its store.  ``records`` is the same splits as
     :class:`SplitRecord` tuples, built on first use.
 
     ``states()`` materializes every intermediate SRP; ``state(t)``
@@ -129,7 +120,7 @@ class PqmcPath:
     """
 
     initial: SRP
-    splits: SplitTable
+    splits: CellStore
     rows: np.ndarray
     threshold: float | None
     max_leaves: int | None
@@ -216,41 +207,112 @@ def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
     return {v for v, ok in zip(labels, splittable) if ok}
 
 
-class CellTable:
-    """The cells that the chains of one run split, over one point set.
+class CellStore:
+    """The cells a run created, by id: label, count, children, parent,
+    bounds and split plane.
 
-    Each cell is a contiguous range of one permutation of the point
-    indices.  The first split of a cell, by whichever chain, partitions
-    its range in place, left child first; the children's ranges nest in
-    it, so no later split moves a cell.  Per-cell state is flat arrays
-    indexed by cell id: the root is id 1 and a split cell's children get
-    the next two ids, left first, so an id's parity is its side.  Bounds
-    and split planes are found when first needed, in one
-    :func:`split_plane` batch over every cell created since the last
-    (ids from ``planned`` on), each child's bounds from its parent's.
+    The root is id 1 (id 0 is a placeholder) and a split cell's children
+    get the next two ids, left first, so an id's parity is its side and
+    ``parent[i >> 1]`` is the parent of id ``i``.  ``kid[i]`` is the left
+    child's id, 0 until ``i`` is split.  Bounds and split planes are
+    found when first needed, in one :func:`split_plane` batch over every
+    cell created since the last (ids from ``planned`` on), each child's
+    bounds from its parent's: so they are bit-identical to
+    :func:`rphist.tree.cell_bounds` of the cell's label.
 
-    The table is also the table of splits of the chains' paths
-    (:class:`PqmcPath`): a path's rows are the ids of the cells it
-    split, ``labels[i]`` is the label of cell ``i`` and
-    :meth:`split_counts` gives its children's counts.
+    A chain path's splits are rows of a store (:class:`PqmcPath`): row
+    ``i`` splits the cell of label ``labels[i]``, :meth:`split_counts`
+    gives its children's counts and :meth:`split_bounds` its bounds.
     """
 
-    def __init__(self, points, root_box: Box):
-        self.points = points_in_box(root_box, points)
+    def __init__(self, root_box: Box, n: int):
         self.root_box = root_box
-        self.n = len(self.points)
-        self.perm = np.arange(self.n)
-        self.start = array("q", [0, 0])
-        self.count = array("q", [0, self.n])
-        self.kid = array("q", [0, 0])  # the left child's id, 0 until split
+        self.n = n
+        self.count = array("q", [0, n])
+        self.kid = array("q", [0, 0])
         self.parent = array("q", [0])  # per pair of children: the parent's id
         self.labels = [0, ROOT]
-        # bounds, split coordinate, midpoint and bisectability of ids < planned
+        # bounds (lo | hi), split coordinate, midpoint and bisectability of ids < planned
         self.bounds = np.concatenate([root_box.lows(), root_box.highs()])[None].repeat(2, 0)
         axis, mid, ok = split_plane(self.bounds[:, :root_box.dim], self.bounds[:, root_box.dim:])
         self.axis, self.mid = array("q", axis.tolist()), array("d", mid.tolist())
         self.ok = array("b", ok.tolist())
         self.planned = 2
+
+    def splittable(self, i: int) -> bool:
+        if i >= self.planned:
+            self._plan()
+        return bool(self.ok[i])
+
+    def planes(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split coordinate, midpoint and bisectability of the cells ``ids``."""
+        self._plan()
+        return (np.frombuffer(self.axis, np.int64)[ids], np.frombuffer(self.mid)[ids],
+                np.frombuffer(self.ok, np.int8)[ids] != 0)
+
+    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children's counts of the split cells ``rows``."""
+        count = np.frombuffer(self.count, np.int64)
+        kid = np.frombuffer(self.kid, np.int64)[rows]
+        return count[kid], count[kid + 1]
+
+    def split_bounds(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(lo, hi)`` bounds of the cells ``rows``, such as a path's
+        split cells."""
+        self._plan()
+        return tuple(np.hsplit(self.bounds[rows], 2))
+
+    def add(self, cells: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Split the cells ``cells``, none split before, into children of
+        ``left`` and ``right`` points; return the left children's ids."""
+        self._plan()  # a child's bounds come from its parent's plane
+        kid = len(self.count) + 2 * np.arange(len(cells))
+        np.frombuffer(self.kid, np.int64)[cells] = kid
+        self.kid.frombytes(bytes(16 * len(cells)))
+        self.count.frombytes(np.stack([left, right], axis=1).astype(np.int64).tobytes())
+        self.parent.frombytes(np.asarray(cells, dtype=np.int64).tobytes())
+        labels = self.labels
+        self.labels += [c for i in cells.tolist() for c in (2 * labels[i], 2 * labels[i] + 1)]
+        return kid
+
+    def _plan(self) -> None:
+        size = len(self.count)
+        if size == self.planned:
+            return
+        ids = np.arange(self.planned, size)
+        par = np.frombuffer(self.parent, np.int64)[ids >> 1]
+        rows = self.bounds[par]
+        d = rows.shape[1] // 2
+        # a left (even) id moves the parent's column d + axis (hi), a right one axis (lo)
+        cols = np.frombuffer(self.axis, np.int64)[par] + d * (1 - ids % 2)
+        rows[np.arange(len(ids)), cols] = np.frombuffer(self.mid)[par]
+        if len(self.bounds) < size:  # a quarter more: chains plan after almost every split
+            grown = np.empty((size + size // 4, 2 * d))
+            grown[:self.planned] = self.bounds[:self.planned]
+            self.bounds = grown
+        self.bounds[self.planned:size] = rows
+        axis, mid, ok = split_plane(rows[:, :d], rows[:, d:])
+        self.axis.frombytes(axis.astype(np.int64).tobytes())
+        self.mid.frombytes(mid.tobytes())
+        self.ok.frombytes(ok.astype(np.int8).tobytes())
+        self.planned = size
+
+
+class CellTable(CellStore):
+    """The cells that the chains of one run split, over one point set.
+
+    Each cell is a contiguous range of one permutation of the point
+    indices.  The first split of a cell, by whichever chain, partitions
+    its range in place, left child first; the children's ranges nest in
+    it, so no later split moves a cell.  The cells themselves are a
+    :class:`CellStore`, which a split extends by one pair of cells.
+    """
+
+    def __init__(self, points, root_box: Box):
+        self.points = points_in_box(root_box, points)
+        super().__init__(root_box, len(self.points))
+        self.perm = np.arange(self.n)
+        self.start = array("q", [0, 0])
         self.partitioned = 0
 
     def cell(self, label: int) -> int:
@@ -262,41 +324,6 @@ class CellTable:
                 raise NotBisectable(f"cannot bisect along the path to {label}")
             i = self.split(i) + (bit == "1")
         return i
-
-    def splittable(self, i: int) -> bool:
-        if i >= self.planned:
-            self._plan()
-        return bool(self.ok[i])
-
-    def splittable_ids(self, ids: np.ndarray) -> np.ndarray:
-        """:meth:`splittable` of each cell of ``ids``."""
-        if len(ids) and ids.max() >= self.planned:
-            self._plan()
-        return np.frombuffer(self.ok, np.int8)[ids] != 0
-
-    def split_counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The children's counts of the split cells ``rows``."""
-        count = np.frombuffer(self.count, np.int64)
-        kid = np.frombuffer(self.kid, np.int64)[rows]
-        return count[kid], count[kid + 1]
-
-    def _plan(self) -> None:
-        size = len(self.count)
-        ids = np.arange(self.planned, size)
-        par = np.frombuffer(self.parent, np.int64)[ids >> 1]
-        rows = self.bounds[par]
-        d = rows.shape[1] // 2
-        # a left (even) id moves the parent's column d + axis (hi), a right one axis (lo)
-        cols = np.frombuffer(self.axis, np.int64)[par] + d * (1 - ids % 2)
-        rows[np.arange(len(ids)), cols] = np.frombuffer(self.mid)[par]
-        if len(self.bounds) < size:
-            self.bounds = np.concatenate([self.bounds, np.empty((size, 2 * d))])
-        self.bounds[self.planned:size] = rows
-        axis, mid, ok = split_plane(rows[:, :d], rows[:, d:])
-        self.axis.frombytes(axis.astype(np.int64).tobytes())
-        self.mid.frombytes(mid.tobytes())
-        self.ok.frombytes(ok.astype(np.int8).tobytes())
-        self.planned = size
 
     def split(self, i: int) -> int:
         """Id of the left child of splittable cell ``i``."""
@@ -368,7 +395,7 @@ class _LeafPool:
         """The largest priority of a splittable leaf, None if none is left."""
         top = self._peek()
         if top is None and self.parked_cell:
-            ok = self.table.splittable_ids(np.frombuffer(self.parked_cell, np.int64))
+            ok = self.table.planes(np.frombuffer(self.parked_cell, np.int64))[2]
             if ok.any():
                 top = float(np.frombuffer(self.parked_priority)[ok].max())
         return top
@@ -441,12 +468,9 @@ def launch_states(carve: PqmcPath, c: int) -> list[SRP]:
     """
     if c < 1:
         raise ValueError("need at least one launch state")
-    total = len(carve)
-    if c >= total:
-        return carve.states()
     if c == 1:
         return [carve.state(0)]
-    last = total - 1
+    last = len(carve) - 1
     steps = sorted({(i * last) // (c - 1) for i in range(c)})
     return [carve.state(t) for t in steps]
 

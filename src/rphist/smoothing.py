@@ -8,14 +8,14 @@ nearly unbiased estimate of the expected L2 loss, which for a fixed
 partition has the closed form used in :func:`cv_score`.
 
 A split changes the log-likelihood and the two CV leaf sums by amounts
-that depend on the split alone.  A path names its splits by rows of a
-table of splits (a root build's sorted internal nodes, or the cell
+that depend on the split alone.  A path names its splits by ids in a
+:class:`~rphist.pqmc.CellStore` (a root build's cells, or the cell
 table a sequential chain ran on), which paths cut from one another and
-the tributaries of one build share.  So :func:`select` computes those
-deltas once per row of those tables that some path takes
-(:func:`node_table`), and each path's per-state profile is a gather
-from that table plus a cumulative sum (:func:`path_profile`), in
-either builder mode.
+the tributaries of one build share, and the store holds each split
+cell's bounds.  So :func:`select` computes those deltas once per row of
+those stores that some path takes (:func:`node_table`), and each path's
+per-state profile is a gather from that table plus a cumulative sum
+(:func:`path_profile`), in either builder mode.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from .geometry import bounds_volume
-from .pqmc import PqmcPath, SplitTable
+from .geometry import bounds_volume, split_plane
+from .pqmc import CellStore, PqmcPath
 from .srp import SRP, log_likelihood
 from .tree import cell_bounds
 
@@ -129,12 +129,12 @@ class NodeTable:
     alone, so one table serves every path that makes the split.  Each
     of ``log_lik``, ``cv_a`` and ``cv_b`` is ``(N, 3)``: the left and
     right child's term and the negated parent term.  ``row`` maps each
-    table of splits that the paths take rows of to an array that sends
-    those rows to rows of the deltas.  ``launch`` holds the ``(log_lik,
+    store that the paths take rows of to an array that sends those rows
+    to rows of the deltas.  ``launch`` holds the ``(log_lik,
     cv_a, cv_b)`` of each distinct launch state.
     """
 
-    row: dict[SplitTable, np.ndarray]
+    row: dict[CellStore, np.ndarray]
     log_lik: np.ndarray
     cv_a: np.ndarray
     cv_b: np.ndarray
@@ -143,16 +143,15 @@ class NodeTable:
 
 def node_table(paths: list[PqmcPath]) -> NodeTable:
     """The :class:`NodeTable` of paths on one root box and sample size,
-    from one :func:`cell_bounds` batch over the rows their tables of
-    splits hold that some path takes.
+    over the rows of their stores that some path takes, from the bounds
+    the stores hold.
 
     Every term is formed elementwise with the float operations of a
     record-by-record walk, so profiles gathered from the table are
     bit-identical to that walk.
     """
-    s0 = paths[0].initial
-    n, root_box = s0.n, s0.tree.root_box
-    taken: dict[SplitTable, np.ndarray] = {}  # rows some path takes, per table
+    n = paths[0].initial.n
+    taken: dict[CellStore, np.ndarray] = {}  # rows some path takes, per store
     launch: dict[SRP, tuple[float, float, float]] = {}
     for path in paths:
         if path.splits not in taken:
@@ -161,24 +160,22 @@ def node_table(paths: list[PqmcPath]) -> NodeTable:
         s = path.initial
         if s not in launch:
             launch[s] = (log_likelihood(s) if n >= 1 else 0.0, *_leaf_cv_terms(s))
-    row: dict[SplitTable, np.ndarray] = {}
-    labels: list[int] = []
-    left, right = [], []
+    row: dict[CellStore, np.ndarray] = {}
+    parts = []  # per store: the bounds and the children's counts of its rows taken
+    size = 0
     for splits, mask in taken.items():
         rows = np.flatnonzero(mask)
-        row[splits] = np.cumsum(mask) - 1 + len(labels)
-        labels += [splits.labels[r] for r in rows.tolist()]
-        cl, cr = splits.split_counts(rows)
-        left.append(cl)
-        right.append(cr)
-    lo, hi, axis, mid, _ = cell_bounds(root_box, labels)
+        row[splits] = np.cumsum(mask) - 1 + size
+        size += len(rows)
+        parts.append((*splits.split_bounds(rows), *splits.split_counts(rows)))
+    lo, hi, cl, cr = (np.concatenate(part) for part in zip(*parts))
+    axis, mid, _ = split_plane(lo, hi)
     rows = np.arange(len(axis))
     width = hi[rows, axis] - lo[rows, axis]
     vol = bounds_volume(lo, hi)
     vol_l = vol / width * (mid - lo[rows, axis])
     vol_r = vol / width * (hi[rows, axis] - mid)
-    cl = np.concatenate(left, dtype=float)
-    cr = np.concatenate(right, dtype=float)
+    cl, cr = cl.astype(float), cr.astype(float)
     c = cl + cr
 
     def ll_term(c, vol):  # c log(c / (n vol)), 0 for an empty cell

@@ -56,9 +56,6 @@ class SRP:
     counts: dict[int, int]
     n: int
 
-    def count(self, label: int) -> int:
-        return self.counts.get(label, 0)
-
     @property
     def leaf_count(self) -> int:
         return self.tree.leaf_count

@@ -22,6 +22,7 @@ from rphist.distributed import (
 )
 from rphist.geometry import Box, bounding_box
 from rphist.pqmc import (
+    CellStore,
     PqmcConfig,
     PqmcPath,
     SEB_PRIORITY,
@@ -31,7 +32,7 @@ from rphist.pqmc import (
     launch_states,
     run_pqmc,
 )
-from rphist.srp import ingest
+from rphist.srp import ingest, root_srp
 from rphist.tree import RPTree, cell_bounds
 
 from conftest import random_points, seb_instance, unit_box
@@ -41,17 +42,24 @@ CFG = PqmcConfig()
 
 def fig7_dataset(shard_count=2) -> TaggedDataset:
     """Six points in the three-cell paving {2, 6, 7}: three in A=2, two
-    in B=6, one in C=7, tagged with the cells' indices 0, 1 and 2."""
-    labels = [2, 6, 7]
+    in B=6, one in C=7, tagged with the cells' indices 0, 1 and 2.  The
+    store splits the root (ids 2, 3) and then cell 3 (ids 4, 5)."""
     index = np.array([0, 0, 1, 2, 1, 0])
     pts = np.array([
         [0.1, 0.2], [0.3, 0.8], [0.6, 0.1],
         [0.7, 0.9], [0.9, 0.3], [0.2, 0.5],
     ])
-    cells = cell_bounds(unit_box(2), labels)
+    store = CellStore(unit_box(2), 6)
+    store.add(np.array([1]), np.array([3]), np.array([3]))
+    store.add(np.array([3]), np.array([2]), np.array([1]))
     shards = tuple(Shard(index[rows], pts[rows], np.bincount(index[rows], minlength=3))
                    for rows in np.array_split(np.arange(6), shard_count))
-    return TaggedDataset(labels, cells.lo, cells.hi, shards, np.arange(4))
+    return TaggedDataset(store, np.array([2, 4, 5]), shards, np.arange(4))
+
+
+def bounds_of(ds: TaggedDataset) -> np.ndarray:
+    """The ``lo | hi`` bounds the store holds for each working cell."""
+    return np.hstack(ds.store.split_bounds(ds.cells))
 
 
 def cell_of_each_point(ds: TaggedDataset) -> list[int | None]:
@@ -107,7 +115,7 @@ def test_apply_splits_retags_only_split_cells():
     assert out.shards[0].index.tolist() == [0, 1, 2, 3, 2, 1]
     # the children's bounds are their parent's, cut at the plane
     ref = cell_bounds(unit_box(2), out.labels)
-    assert np.array_equal(out.lo, ref.lo) and np.array_equal(out.hi, ref.hi)
+    assert np.array_equal(bounds_of(out), np.hstack([ref.lo, ref.hi]))
     # splitting every cell at once, in one or several shards, agrees
     both = {2: 0, 6: 1, 7: 2}
     for shards in (1, 2, 6):
@@ -136,7 +144,7 @@ def test_prune_moves_counts():
         assert cell_of_each_point(kept) == [2, 2, 6, None, 6, 2]
         assert all(a.points is b.points and a.index is b.index
                    for a, b in zip(kept.shards, ds.shards))
-        assert np.array_equal(kept.lo, ds.lo[keep])
+        assert np.array_equal(bounds_of(kept), bounds_of(ds)[keep])
         assert prune(ds, counts > 0.5) is ds
         gone = prune(ds, counts > 10.0)
         assert gone.labels == [] and cell_of_each_point(gone) == [None] * 6
@@ -220,10 +228,11 @@ def test_build_conservation_every_iteration():
         assert st.working_points + st.passed_points == len(pts)
 
 
-def test_build_computes_cell_bounds_once(monkeypatch):
-    # only the root is located from its label: a child's bounds come
-    # from its parent's
+def test_build_decodes_no_label(monkeypatch):
+    # the store plans every cell's bounds from its parent's: no label,
+    # not even the root's, is located from its bits
     import rphist.distributed as distributed
+    import rphist.pqmc as pqmc
 
     calls = 0
     real = distributed.cell_bounds
@@ -233,12 +242,14 @@ def test_build_computes_cell_bounds_once(monkeypatch):
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(distributed, "cell_bounds", counted)
+    for module in (distributed, pqmc):
+        monkeypatch.setattr(module, "cell_bounds", counted)
     rng = np.random.default_rng(39)
     pts = random_points(rng, 2000, 2)
     res = build_threshold_tree(pts, bounding_box(pts), 20.0, CFG, shard_count=2)
     assert res.iterations > 3
-    assert calls == 1
+    reconstruct_path(res)
+    assert calls == 0
 
 
 def test_build_opens_at_most_one_thread_pool(monkeypatch):
@@ -717,6 +728,46 @@ def _seb_records(base, launch):
     split = sorted(base.final_srp.tree.internal(), key=lambda p: (-counts[p], p))
     return tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split
                  if 2 * p not in launch.tree.nodes)
+
+
+def test_build_store_ids_rise_with_labels_on_tied_rows():
+    # the build's store: ids rise with labels, each split cell's bounds
+    # are those its label decodes to, bit for bit, and the SEB order is
+    # the (-count, label) sort; count the examples with cells stuck at
+    # the depth cap, cells the floats cannot bisect, and labels >= 2**63
+    seen = {"depth_cap": 0, "unbisectable": 0, "labels_past_2**63": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(tied_rows_sample(), st.sampled_from([10, 70]))
+    def check(sample, max_depth):
+        pts, box, threshold = sample
+        hit = set()
+        for shards in (1, 2, 5):
+            res = build_threshold_tree(pts, box, threshold, PqmcConfig(max_depth=max_depth),
+                                       shard_count=shards)
+            cells = res.cells
+            labels = cells.labels
+            assert all(a < b for a, b in zip(labels, labels[1:]))
+            kid = np.frombuffer(cells.kid, np.int64)
+            split = np.flatnonzero(kid)
+            ref = cell_bounds(box, [labels[i] for i in split])
+            lo, hi = cells.split_bounds(split)
+            assert np.array_equal(lo, ref.lo) and np.array_equal(hi, ref.hi)
+            order = res.seb_order
+            records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
+                order.tolist(), *(c.tolist() for c in cells.split_counts(order))))
+            assert records == _seb_records(res, root_srp(box, len(pts)))
+            stuck = (kid == 0) & (np.frombuffer(cells.count, np.int64) > threshold)
+            for i in np.flatnonzero(stuck).tolist():
+                hit.add("depth_cap" if labels[i].bit_length() > max_depth else "unbisectable")
+            if labels[-1] >= 2**63:
+                hit.add("labels_past_2**63")
+        for key in hit:
+            seen[key] += 1
+
+    check()
+    print(seen)
+    assert min(seen.values()) > 0
 
 
 def _first_tie_by_loop(initial, records) -> int:

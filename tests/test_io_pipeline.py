@@ -729,6 +729,17 @@ def test_cli_build_defaults_are_the_runconfig_defaults(monkeypatch):
     assert seen == [RunConfig(input_path="p.csv", dim=2, out="o.json")]
 
 
+def test_cli_build_rejects_a_malformed_maxpts(tmp_path, capsys):
+    # a usage error (exit code 2) before anything is read or written
+    for maxpts in ("50,x", "1.5", "50;500"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["build", "--input", str(tmp_path / "none.csv"), "--dim", "2",
+                      "--maxpts", maxpts, "--out", str(tmp_path / "h.json")])
+        assert exit_info.value.code == 2
+        assert f"invalid thresholds value: '{maxpts}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_build_seed_is_ignored(tmp_path):
     pts = np.random.default_rng(46).integers(0, 8, (400, 2))
     csv = tmp_path / "pts.csv"
