@@ -66,11 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args, cfg: RunConfig) -> int:
     if args.verbose:
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         logging.getLogger("rphist").setLevel(logging.INFO)
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     hist, estimate = run_pipeline(cfg)
     print(f"n={hist.n} leaves={hist.leaf_count} tau={estimate.tau:.6g} "
           f"cv={estimate.cv_score:.6g} -> {args.out}")
@@ -99,10 +98,17 @@ def _cmd_plot(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "build":
-        return _cmd_build(args)
+        try:  # an invalid value is a usage error, found before anything is read
+            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _cmd_build(args, cfg)
     if args.command == "eval":
+        if args.mc < 2:
+            parser.error("argument --mc: need at least two draws per leaf")
         return _cmd_eval(args)
     return _cmd_plot(args)
 

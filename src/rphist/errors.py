@@ -50,5 +50,5 @@ class UnknownReference(RphistError):
     """An evaluation reference density name was not recognized."""
 
 
-class ParseError(RphistError):
-    """A data file could not be parsed."""
+class ParseError(RphistError, ValueError):
+    """A data file could not be parsed (a malformed value, so also a ValueError)."""

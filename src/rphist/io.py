@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, ParseError
+from .errors import DimensionMismatch, EmptyInput, NotBisectable, ParseError
 from .geometry import Box
 from .srp import Histogram
 from .tree import RPTree
@@ -66,6 +66,7 @@ def _ingest_rows(path, d: int, strict: bool) -> tuple[np.ndarray, int]:
     """Row-by-row parse of :func:`ingest_csv`, which names bad lines."""
     rows: list[list[float]] = []
     skipped = 0
+    first_bad = ""  # the line and reason of the first skipped row
     saw_data = False
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -85,11 +86,13 @@ def _ingest_rows(path, d: int, strict: bool) -> tuple[np.ndarray, int]:
                 if strict:
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
                 skipped += 1
+                first_bad = first_bad or f"line {lineno}: {exc}"
                 continue
             saw_data = True
             rows.append(values)
     if not rows:
-        raise EmptyInput(f"no data rows in {path}")
+        why = f"; all {skipped} rows were skipped, the first at {first_bad}" if skipped else ""
+        raise EmptyInput(f"no data rows in {path}{why}")
     return np.array(rows, dtype=float), skipped
 
 
@@ -101,14 +104,6 @@ def _any_number(fields) -> bool:
         except ValueError:
             pass
     return False
-
-
-def _box_to_json(box: Box) -> dict:
-    return {"lo": list(box.lo), "hi": list(box.hi)}
-
-
-def _box_from_json(obj) -> Box:
-    return Box.from_bounds(obj["lo"], obj["hi"])
 
 
 def histogram_to_json(h: Histogram) -> dict:
@@ -124,7 +119,7 @@ def histogram_to_json(h: Histogram) -> dict:
     return {
         "format": HISTOGRAM_FORMAT,
         "version": HISTOGRAM_VERSION,
-        "root_box": _box_to_json(h.root_box),
+        "root_box": {"lo": list(h.root_box.lo), "hi": list(h.root_box.hi)},
         "n": h.n,
         "leaves": leaves,
     }
@@ -140,25 +135,37 @@ def save_histogram(h: Histogram, path) -> None:
 def load_histogram(path) -> Histogram:
     """Load a histogram, revalidating the labels against the root box.
 
-    The leaf labels must form a paving (prefix consistent, zero or two
-    children everywhere), each listed once; boxes are rebuilt from the
-    labels rather than trusted from the file.
+    The root box must be finite, the leaf labels must form a paving
+    (prefix consistent, zero or two children everywhere), each listed
+    once, and the counts must be non-negative integers summing to ``n``;
+    boxes are rebuilt from the labels rather than trusted from the file.
+    Other files raise :class:`ParseError`, except that ``n = 0`` raises
+    :class:`EmptySample` and corners of unequal length DimensionMismatch.
     """
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("format") != HISTOGRAM_FORMAT:
-        raise ParseError(f"{path}: not a {HISTOGRAM_FORMAT} file")
-    if obj.get("version") != HISTOGRAM_VERSION:
-        raise ParseError(f"{path}: unsupported version {obj.get('version')}")
-    root_box = _box_from_json(obj["root_box"])
-    labels = [int(rec["label"]) for rec in obj["leaves"]]
-    if len(set(labels)) < len(labels):
-        raise ParseError(f"{path}: a leaf label is listed more than once")
-    RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
-    n = int(obj["n"])
-    counts = [int(rec["count"]) for rec in obj["leaves"]]
-    if sum(counts) != n:
-        raise ParseError(f"{path}: leaf counts do not sum to n")
-    return Histogram.from_counts(root_box, n, labels, counts)
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if obj.get("format") != HISTOGRAM_FORMAT:
+            raise ParseError(f"{path}: not a {HISTOGRAM_FORMAT} file")
+        if obj.get("version") != HISTOGRAM_VERSION:
+            raise ParseError(f"{path}: unsupported version {obj.get('version')}")
+        root_box = Box.from_bounds(obj["root_box"]["lo"], obj["root_box"]["hi"])
+        if not np.isfinite([*root_box.lo, *root_box.hi]).all():
+            raise ParseError(f"{path}: the root box is not finite")
+        labels = [int(rec["label"]) for rec in obj["leaves"]]
+        if len(set(labels)) < len(labels):
+            raise ParseError(f"{path}: a leaf label is listed more than once")
+        RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
+        n = obj["n"]
+        counts = [rec["count"] for rec in obj["leaves"]]
+        if not all(type(c) is int and c >= 0 for c in (n, *counts)):
+            raise ParseError(f"{path}: n and the counts must be non-negative integers")
+        if sum(counts) != n:
+            raise ParseError(f"{path}: leaf counts do not sum to n")
+        return Histogram.from_counts(root_box, n, labels, counts)
+    except ParseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, NotBisectable) as exc:
+        raise ParseError(f"{path}: malformed histogram: {exc!r}") from exc
 
 
 def export_plot_data(h: Histogram, path) -> str:

@@ -5,7 +5,8 @@ with a short support-carving chain, launches one SEB chain per spread
 launch state and per entry of the stopping-threshold grid, and hands
 every state of every tributary to the smoothing stage.  Each launch
 state gets one whole SEB path to the lowest threshold of the grid, and
-the path to every threshold is a prefix cut from it.  By default the
+the path to every threshold is a prefix cut from it, so the smoothing
+stage scores the states of the whole paths alone.  By default the
 whole paths come from one sharded threshold build from the root, sorted
 once; sequential mode runs one plain sequential chain per launch state
 instead, over the cell table of the carve, so that each cell is
@@ -182,13 +183,13 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                      "passed_points": [st.passed_points for st in base.stats]}
         build["had_ties"] = [w.had_ties for w in wholes]
 
+    # each cut is a prefix of its whole path: it gives the manifest its
+    # candidate row, and the whole paths hold every candidate state
     with _stage(timings, "tributary_paths"):
-        paths = []
         candidates = []
         for maxpts in cfg.maxpts:
             for i, (state, whole) in enumerate(zip(launches, wholes)):
                 path = truncate_path(whole, float(maxpts), cfg.maxlvs)
-                paths.append(path)
                 candidates.append({
                     "maxpts": int(maxpts),
                     "tributary": i,
@@ -197,10 +198,10 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
                     "success": path.success,
                 })
         logger.info("%d tributary paths cut from %d whole paths",
-                    len(paths), len(wholes))
+                    len(candidates), len(wholes))
 
     with _stage(timings, "smoothing"):
-        estimate = select(paths, SmoothingConfig(cfg.tau_grid()))
+        estimate = select(wholes, SmoothingConfig(cfg.tau_grid()))
         hist = histogram(estimate.srp)
     grid_ends = (estimate.cv_curve[0].tau, estimate.cv_curve[-1].tau)
     tau_at_grid_edge = estimate.tau in grid_ends

@@ -7,14 +7,18 @@ picked by minimizing Stone's leave-one-out cross-validation score, a
 nearly unbiased estimate of the expected L2 loss, which for a fixed
 partition has the closed form used in :func:`cv_score`.
 
-A split changes the log-likelihood and the two CV leaf sums by amounts
-that depend on the split alone.  A path names its splits by ids in a
-:class:`~rphist.pqmc.CellStore` (a root build's cells, or the cell
-table a sequential chain ran on), which paths cut from one another and
-the tributaries of one build share, and the store holds each split
-cell's bounds.  So :func:`select` computes those deltas once per row of
-those stores that some path takes (:func:`node_table`), and each path's
-per-state profile is a gather from that table plus a cumulative sum
+The candidate states are the states of a run's whole chain paths: a
+path cut from one holds a prefix of its states, so the pipeline hands
+:func:`select` the whole paths alone, and it scores each of their
+states once.  The paths take their splits from one
+:class:`~rphist.pqmc.CellStore` (the cells of the root build, or the
+cell table the carve and the sequential chains ran on).  A split
+changes the log-likelihood and the two CV leaf sums by amounts that
+depend on the split alone, and the store holds each split cell's
+bounds and split plane.  So :func:`node_table` computes those deltas
+once per row of the store that some path takes, with the per-cell
+formulas of :func:`~rphist.srp.cell_terms`, and each path's per-state
+profile is a gather from that table plus a cumulative sum
 (:func:`path_profile`), in either builder mode.
 """
 
@@ -25,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from .geometry import bounds_volume, split_plane
-from .pqmc import CellStore, PqmcPath
-from .srp import SRP, log_likelihood
-from .tree import cell_bounds
+from .geometry import bounds_volume
+from .pqmc import PqmcPath
+from .srp import SRP, cell_terms, leaf_terms, log_likelihood
+# cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
+from .tree import cell_bounds  # noqa: F401
 
 DEFAULT_TAU_MIN = 0.1
 DEFAULT_TAU_MAX = 1e5
@@ -100,24 +105,13 @@ def cv_score(s: SRP) -> float:
     """
     if s.n < 2:
         raise InsufficientData("leave-one-out needs at least two points")
-    a, b = _leaf_cv_terms(s)
-    return _cv_from_terms(a, b, s.n)
+    _, a, b = leaf_terms(s)
+    return _cv_from_terms(float(a), float(b), s.n)
 
 
 def _cv_from_terms(a: float, b: float, n: int) -> float:
-    return a / (n * n) - 2.0 * b / (n * (n - 1))
-
-
-def _leaf_cv_terms(s: SRP) -> tuple[float, float]:
-    """(sum c^2/v, sum c(c-1)/v) over the leaves of an SRP."""
-    labels = s.nonempty_leaves()
-    lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
-    a = b = 0.0
-    for label, vol in zip(labels, bounds_volume(lo, hi).tolist()):
-        c = s.counts[label]
-        a += c * c / vol
-        b += c * (c - 1) / vol
-    return a, b
+    """The CV score from the two leaf sums; NaN below two points."""
+    return a / (n * n) - 2.0 * b / (n * (n - 1)) if n >= 2 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -126,72 +120,52 @@ class NodeTable:
 
     A split of a cell changes the log-likelihood and the two CV leaf
     sums by amounts that depend on the cell and its two child counts
-    alone, so one table serves every path that makes the split.  Each
-    of ``log_lik``, ``cv_a`` and ``cv_b`` is ``(N, 3)``: the left and
-    right child's term and the negated parent term.  ``row`` maps each
-    store that the paths take rows of to an array that sends those rows
-    to rows of the deltas.  ``launch`` holds the ``(log_lik,
-    cv_a, cv_b)`` of each distinct launch state.
+    alone, so one table serves every path that makes the split.
+    ``deltas`` is ``(3, N, 3)``: per term (log-likelihood, ``cv_a``,
+    ``cv_b``) and row, the left and right child's term and the negated
+    parent term.  ``row`` sends the ids of the paths' cell store to rows
+    of the deltas.  ``launch`` holds the three terms of each distinct
+    launch state (:func:`~rphist.srp.leaf_terms`).
     """
 
-    row: dict[CellStore, np.ndarray]
-    log_lik: np.ndarray
-    cv_a: np.ndarray
-    cv_b: np.ndarray
-    launch: dict[SRP, tuple[float, float, float]]
+    row: np.ndarray
+    deltas: np.ndarray
+    launch: dict[SRP, np.ndarray]
 
 
 def node_table(paths: list[PqmcPath]) -> NodeTable:
-    """The :class:`NodeTable` of paths on one root box and sample size,
-    over the rows of their stores that some path takes, from the bounds
-    the stores hold.
+    """The :class:`NodeTable` of paths over one cell store, over the rows
+    of the store that some path takes, from the bounds and split planes
+    the store holds.
 
     Every term is formed elementwise with the float operations of a
     record-by-record walk, so profiles gathered from the table are
-    bit-identical to that walk.
+    bit-identical to that walk.  Paths over more than one store raise
+    ValueError.
     """
-    n = paths[0].initial.n
-    taken: dict[CellStore, np.ndarray] = {}  # rows some path takes, per store
-    launch: dict[SRP, tuple[float, float, float]] = {}
+    store = paths[0].splits
+    if any(path.splits is not store for path in paths):
+        raise ValueError("the paths are not over one cell store")
+    taken = np.zeros(len(store.labels), dtype=bool)
+    launch: dict[SRP, np.ndarray] = {}
     for path in paths:
-        if path.splits not in taken:
-            taken[path.splits] = np.zeros(len(path.splits.labels), dtype=bool)
-        taken[path.splits][path.rows] = True
-        s = path.initial
-        if s not in launch:
-            launch[s] = (log_likelihood(s) if n >= 1 else 0.0, *_leaf_cv_terms(s))
-    row: dict[CellStore, np.ndarray] = {}
-    parts = []  # per store: the bounds and the children's counts of its rows taken
-    size = 0
-    for splits, mask in taken.items():
-        rows = np.flatnonzero(mask)
-        row[splits] = np.cumsum(mask) - 1 + size
-        size += len(rows)
-        parts.append((*splits.split_bounds(rows), *splits.split_counts(rows)))
-    lo, hi, cl, cr = (np.concatenate(part) for part in zip(*parts))
-    axis, mid, _ = split_plane(lo, hi)
-    rows = np.arange(len(axis))
-    width = hi[rows, axis] - lo[rows, axis]
+        taken[path.rows] = True
+        if path.initial not in launch:
+            launch[path.initial] = leaf_terms(path.initial)
+    rows = np.flatnonzero(taken)
+    lo, hi = store.split_bounds(rows)
+    axis, mid, _ = store.planes(rows)
+    cl, cr = (c.astype(float) for c in store.split_counts(rows))
+    at = np.arange(len(rows))
+    width = hi[at, axis] - lo[at, axis]
     vol = bounds_volume(lo, hi)
-    vol_l = vol / width * (mid - lo[rows, axis])
-    vol_r = vol / width * (hi[rows, axis] - mid)
-    cl, cr = cl.astype(float), cr.astype(float)
-    c = cl + cr
-
-    def ll_term(c, vol):  # c log(c / (n vol)), 0 for an empty cell
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(c > 0, c * np.log(c / (n * vol)), 0.0)
-
-    def deltas(left, right, parent):
-        return np.stack([left, right, -parent], axis=1)
-
-    return NodeTable(
-        row,
-        deltas(ll_term(cl, vol_l), ll_term(cr, vol_r), ll_term(c, vol)),
-        deltas(cl * cl / vol_l, cr * cr / vol_r, c * c / vol),
-        deltas(cl * (cl - 1) / vol_l, cr * (cr - 1) / vol_r, c * (c - 1) / vol),
-        launch,
-    )
+    vol_l = vol / width * (mid - lo[at, axis])
+    vol_r = vol / width * (hi[at, axis] - mid)
+    deltas = np.empty((3, len(rows), 3))
+    deltas[:, :, 0] = cell_terms(cl, vol_l, store.n)
+    deltas[:, :, 1] = cell_terms(cr, vol_r, store.n)
+    deltas[:, :, 2] = -cell_terms(cl + cr, vol, store.n)
+    return NodeTable(np.cumsum(taken) - 1, deltas, launch)
 
 
 @dataclass(frozen=True)
@@ -211,10 +185,7 @@ class PathProfile:
     cv_b: np.ndarray
 
     def cv(self, t: int) -> float:
-        n = self.path.initial.n
-        if n < 2:
-            return float("nan")
-        return _cv_from_terms(float(self.cv_a[t]), float(self.cv_b[t]), n)
+        return _cv_from_terms(float(self.cv_a[t]), float(self.cv_b[t]), self.path.initial.n)
 
 
 def path_profile(path: PqmcPath, table: NodeTable) -> PathProfile:
@@ -224,78 +195,61 @@ def path_profile(path: PqmcPath, table: NodeTable) -> PathProfile:
     State ``t`` adds the left and right child's terms of record ``t``
     and subtracts its parent's, in that order, to state ``t - 1``: one
     cumulative sum over the interleaved sequence
-    ``[x0, left_1, right_1, -parent_1, left_2, ...]``, read at every
-    third entry, so the sums round exactly as a record-by-record walk.
+    ``[x0, left_1, right_1, -parent_1, left_2, ...]`` per term, read at
+    every third entry, so the sums round exactly as a record-by-record
+    walk.
     """
-    ll0, a0, b0 = table.launch[path.initial]
-    idx = table.row[path.splits][path.rows]
-
-    def walk(x0, deltas):
-        seq = np.empty(3 * len(idx) + 1)
-        seq[0] = x0
-        seq[1:] = deltas[idx].ravel()
-        return np.cumsum(seq)[::3]
-
+    idx = table.row[path.rows]
+    seq = np.empty((3, 3 * len(idx) + 1))
+    seq[:, 0] = table.launch[path.initial]
+    seq[:, 1:] = table.deltas[:, idx].reshape(3, -1)
+    log_lik, cv_a, cv_b = np.cumsum(seq, axis=1)[:, ::3]
     m = path.initial.leaf_count + np.arange(len(path), dtype=float)
-    return PathProfile(path, m, walk(ll0, table.log_lik),
-                       walk(a0, table.cv_a), walk(b0, table.cv_b))
-
-
-def _best_state(profiles: list[PathProfile], tau: float):
-    """Argmax of the penalized score across all states of all profiles.
-
-    Ties on the score prefer fewer leaves, then the lexicographically
-    smallest sorted leaf-label sequence, making the result independent
-    of path order.
-    """
-    if tau <= 0:
-        raise InvalidTau(f"tau must be positive, got {tau}")
-    best = None  # (score, m, candidates)
-    for pi, prof in enumerate(profiles):
-        scores = prof.log_lik - prof.m / tau
-        top = float(np.max(scores))
-        if best is not None and top < best[0]:
-            continue
-        for t in np.nonzero(scores == top)[0]:
-            key = (top, float(prof.m[t]))
-            if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
-                best = (key[0], key[1], [(pi, int(t))])
-            elif key[0] == best[0] and key[1] == best[1]:
-                best[2].append((pi, int(t)))
-    if best is None:
-        raise EmptyCandidateSet("no candidate states to select from")
-    score, _, cands = best
-    if len(cands) > 1:
-        cands.sort(key=lambda pt: profiles[pt[0]].path.state(pt[1]).tree.leaves())
-    pi, t = cands[0]
-    return pi, t, score
+    return PathProfile(path, m, log_lik, cv_a, cv_b)
 
 
 def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
-    """Two-stage smoothing: MAP per grid ``tau``, then the candidate with
-    the smallest cross-validation score (ties go to the smaller tau)."""
+    """Two-stage smoothing over every state of ``paths``, chain paths
+    over one cell store: the MAP state per grid ``tau``, then the one
+    with the smallest cross-validation score (ties go to the smaller
+    tau).
+
+    Each state is scored once (:func:`path_profile`).  The MAP state
+    maximizes the penalized score; ties prefer fewer leaves, then the
+    lexicographically smallest sorted leaf-label sequence, then the
+    earlier path, so the selected state does not depend on path order.
+    """
     if not paths:
         raise EmptyCandidateSet("no candidate paths")
+    table = node_table(paths)
+    # each ingredient over every state, in one array; the profiles are not kept
+    m, log_lik, cv_a, cv_b = (np.concatenate(part) for part in zip(*(
+        (prof.m, prof.log_lik, prof.cv_a, prof.cv_b)
+        for prof in (path_profile(p, table) for p in paths))))
+    starts = np.cumsum([0] + [len(p) for p in paths])  # each path's first state
 
-    def data(p):
-        return p.initial.tree.root_box, p.initial.n
+    def state(i: int) -> SRP:
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        return paths[k].state(i - int(starts[k]))
 
-    groups: dict[tuple, list[PqmcPath]] = {}
-    for p in paths:
-        groups.setdefault(data(p), []).append(p)
-    tables = {key: node_table(group) for key, group in groups.items()}
-    profiles = [path_profile(p, tables[data(p)]) for p in paths]
-    best = None  # (cv, tau, pi, t, score)
+    n = paths[0].initial.n
+    scores = np.empty_like(m)
+    best = None  # (cv, tau, state, score)
     curve = []
     for tau in cfg.tau_grid:
-        pi, t, score = _best_state(profiles, tau)
-        cv = profiles[pi].cv(t)
-        curve.append(CurvePoint(float(tau), cv, int(profiles[pi].m[t])))
+        np.subtract(log_lik, np.divide(m, tau, out=scores), out=scores)
+        top = np.flatnonzero(scores == scores.max())
+        top = top[m[top] == m[top].min()].tolist()
+        if len(top) > 1:  # a stable sort: equal leaves keep path order
+            top.sort(key=lambda i: state(i).tree.leaves())
+        i = top[0]
+        cv = _cv_from_terms(float(cv_a[i]), float(cv_b[i]), n)
+        curve.append(CurvePoint(float(tau), cv, int(m[i])))
         if best is None or cv < best[0]:
-            best = (cv, tau, pi, t, score)
-    cv, tau, pi, t, score = best
+            best = (cv, tau, i, float(scores[i]))
+    cv, tau, i, score = best
     return ScoredEstimate(
-        srp=profiles[pi].path.state(t),
+        srp=state(i),
         tau=float(tau),
         penalized_score=score,
         cv_score=cv,

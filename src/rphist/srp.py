@@ -216,18 +216,31 @@ def density_at(h: Histogram, p) -> float:
     return by_label[label].height
 
 
-def log_likelihood(s: SRP) -> float:
-    """Log-likelihood of the data under the SRP's own histogram.
+def cell_terms(counts: np.ndarray, vol: np.ndarray, n: int) -> np.ndarray:
+    """The rows ``c log(c/(n v))`` (0 where ``c = 0``), ``c^2/v`` and
+    ``c(c-1)/v`` for cells of float counts ``c`` of ``n`` points and
+    volumes ``v``: the log-likelihood and leave-one-out CV terms
+    (:func:`rphist.smoothing.cv_score`), written here alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = np.where(counts > 0, counts * np.log(counts / (n * vol)), 0.0)
+    return np.stack([ll, counts * counts / vol, counts * (counts - 1) / vol])
 
-    Sum over non-empty leaves of ``count * log(count / (n * volume))``;
-    empty leaves contribute 0 (the 0*log 0 convention).
-    """
-    if s.n < 1:
-        raise EmptySample("log-likelihood of an empty sample")
+
+def leaf_terms(s: SRP) -> np.ndarray:
+    """The three :func:`cell_terms` of the SRP, each summed left to right
+    over its non-empty leaves in label order."""
     labels = s.nonempty_leaves()
     lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
-    total = 0.0
-    for label, vol in zip(labels, bounds_volume(lo, hi).tolist()):
-        c = s.counts[label]
-        total += c * np.log(c / (s.n * vol))
-    return float(total)
+    terms = np.zeros((3, len(labels) + 1))  # a leading 0: the sums start from 0.0
+    terms[:, 1:] = cell_terms(np.array([s.counts[v] for v in labels], dtype=float),
+                              bounds_volume(lo, hi), s.n)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def log_likelihood(s: SRP) -> float:
+    """Log-likelihood of the data under the SRP's own histogram: the sum
+    of ``count * log(count / (n * volume))`` over its leaves
+    (:func:`leaf_terms`)."""
+    if s.n < 1:
+        raise EmptySample("log-likelihood of an empty sample")
+    return float(leaf_terms(s)[0])

@@ -88,6 +88,14 @@ def test_ingest_csv_empty(tmp_path):
         ingest_csv(f, 2)
 
 
+def test_ingest_csv_says_why_every_row_was_skipped(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_text("x,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+    with pytest.raises(EmptyInput, match="all 3 rows were skipped, the first at "
+                       "line 2: expected 3 fields, got 2"):
+        ingest_csv(f, 3, strict=False)
+
+
 @pytest.mark.parametrize("strict", [True, False])
 def test_ingest_csv_byte_order_mark_keeps_first_row(tmp_path, strict):
     # spreadsheet exports start with a UTF-8 BOM; it is not part of row 1
@@ -125,6 +133,7 @@ def _reference_ingest(path, d, strict):
     its ``np.loadtxt`` pass; it reads a BOM as part of the first row."""
     rows = []
     skipped = 0
+    first_bad = ""
     saw_data = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -144,11 +153,13 @@ def _reference_ingest(path, d, strict):
                 if strict:
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
                 skipped += 1
+                first_bad = first_bad or f"line {lineno}: {exc}"
                 continue
             saw_data = True
             rows.append(values)
     if not rows:
-        raise EmptyInput(f"no data rows in {path}")
+        why = f"; all {skipped} rows were skipped, the first at {first_bad}" if skipped else ""
+        raise EmptyInput(f"no data rows in {path}{why}")
     return np.array(rows, dtype=float), skipped
 
 
@@ -306,6 +317,51 @@ def test_histogram_json_rejects_bad_counts_or_root_box(tmp_path, fig2_srp, edit,
     edit(obj)
     out.write_text(json.dumps(obj))
     with pytest.raises(error):
+        load_histogram(out)
+
+
+def negative_count(obj):
+    first, second = obj["leaves"][:2]  # the counts still sum to n
+    second["count"] += first["count"] + 1
+    first["count"] = -1
+    return obj
+
+
+def fractional_count(obj):
+    obj["leaves"][0]["count"] += 0.5  # int() would truncate it back
+    return obj
+
+
+def no_leaves(obj):
+    del obj["leaves"]
+    return obj
+
+
+def leaf_label(label):
+    def edit(obj):
+        obj["leaves"][0]["label"] = label
+        return obj
+    return edit
+
+
+def root_box(**bounds):
+    def edit(obj):
+        obj["root_box"].update(bounds)
+        return obj
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    negative_count, fractional_count, no_leaves, lambda obj: [obj],
+    leaf_label("0"), leaf_label("x"),
+    root_box(lo=[0.0, 2.0]), root_box(hi=[1.0, float("inf")]),
+], ids=["negative-count", "fractional-count", "no-leaves", "json-array",
+        "label-0", "label-x", "inverted-root-box", "infinite-root-box"])
+def test_load_histogram_raises_parse_error_on_a_malformed_file(tmp_path, fig2_srp, edit):
+    out = tmp_path / "h.json"
+    save_histogram(histogram(fig2_srp), out)
+    out.write_text(json.dumps(edit(json.loads(out.read_text()))))
+    with pytest.raises(ParseError):
         load_histogram(out)
 
 
@@ -737,6 +793,25 @@ def test_cli_build_rejects_a_malformed_maxpts(tmp_path, capsys):
                       "--maxpts", maxpts, "--out", str(tmp_path / "h.json")])
         assert exit_info.value.code == 2
         assert f"invalid thresholds value: '{maxpts}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "--shards", "0"], "shards, workers and tributaries must be >= 1"),
+    (["build", "--tau-min", "0"], "invalid tau grid"),
+    (["build", "--maxpts", "0"], "maxpts entries must be >= 1"),
+    (["build", "--carve-leaves", "0"], "carve_leaves must be >= 1"),
+    (["eval", "--reference", "gaussian", "--mc", "1"], "need at least two draws per leaf"),
+])
+def test_cli_rejects_an_invalid_value_as_a_usage_error(tmp_path, capsys, argv, message):
+    # exit code 2 and a message, no traceback, before anything is read or written
+    paths = (["--input", str(tmp_path / "none.csv"), "--dim", "2", "--out",
+              str(tmp_path / "h.json")] if argv[0] == "build"
+             else ["--hist", str(tmp_path / "none.json")])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv + paths)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,6 +7,7 @@ from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from rphist.geometry import bounding_box, bounds_volume
 from rphist.pqmc import (
+    CellTable,
     PqmcConfig,
     SEB_PRIORITY,
     carve_path,
@@ -15,7 +16,6 @@ from rphist.pqmc import (
 )
 from rphist.smoothing import (
     SmoothingConfig,
-    _leaf_cv_terms,
     cv_score,
     node_table,
     path_profile,
@@ -110,11 +110,22 @@ def test_map_estimate_matches_brute_force_argmax():
 
 
 def test_map_estimate_invariant_under_path_reordering():
-    rng = np.random.default_rng(26)
-    paths = [_grown_path(rng, n=150, maxlvs=10)[0] for _ in range(4)]
+    # chains from the launch states of one carve, over its cell table
+    pts = random_points(np.random.default_rng(26), 150, 2)
+    table = CellTable(pts, bounding_box(pts))
+    carve = carve_path(table, PqmcConfig(max_leaves=8))
+    paths = [run_pqmc(launch, table, SEB_PRIORITY, PqmcConfig(max_leaves=10 + i))
+             for i, launch in enumerate(launch_states(carve, 4))]
     a = select(paths, SmoothingConfig((5.0,)))
     b = select(list(reversed(paths)), SmoothingConfig((5.0,)))
     assert a.srp == b.srp
+
+
+def test_select_rejects_paths_over_two_stores():
+    rng = np.random.default_rng(26)
+    paths = [_grown_path(rng, n=150, maxlvs=10)[0] for _ in range(2)]
+    with pytest.raises(ValueError, match="one cell store"):
+        select(paths, SmoothingConfig((5.0,)))
 
 
 def test_map_estimate_empty():
@@ -181,12 +192,19 @@ def _profile_by_walk(path):
     ll = np.empty(steps)
     a = np.empty(steps)
     b = np.empty(steps)
-    m[0] = s0.leaf_count
-    ll[0] = log_likelihood(s0) if n >= 1 else 0.0
-    a[0], b[0] = _leaf_cv_terms(s0)
 
     def ll_term(c, vol):
         return c * np.log(c / (n * vol)) if c > 0 else 0.0
+
+    m[0] = s0.leaf_count
+    ll[0] = a[0] = b[0] = 0.0
+    labels = s0.nonempty_leaves()
+    lo, hi, *_ = cell_bounds(root_box, labels)
+    for label, v in zip(labels, bounds_volume(lo, hi).tolist()):
+        c = s0.counts[label]
+        ll[0] += ll_term(c, v)
+        a[0] += c * c / v
+        b[0] += c * (c - 1) / v
 
     lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in path.records])
     rows = np.arange(len(axis))
@@ -216,23 +234,59 @@ def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves
     pts = pts.astype(float)
     box = bounding_box(pts)
     max_depth = 40
-    carve = carve_path(pts, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
-                                       max_depth=max_depth), root_box=box)
+    # the sequential chains run on the carve's cell table, as in the pipeline
+    table = CellTable(pts, box)
+    carve = carve_path(table, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
+                                         max_depth=max_depth))
     base = build_threshold_tree(pts, box, float(threshold), PqmcConfig(max_depth=max_depth))
-    paths = []
+    built, chains = [], []  # paths over the build's cells and over the table
     for launch in launch_states(carve, 3):
         for psi in (threshold, threshold + 4):
             cfg = PqmcConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
             whole = truncate_path(reconstruct_path(base, launch), float(psi), None)
-            paths += [whole, truncate_path(whole, float(psi), max_leaves),
-                      run_pqmc(launch, pts, SEB_PRIORITY, cfg)]
-    shared = node_table(paths)
-    for path in paths:
-        want = _profile_by_walk(path)
-        for prof in (path_profile(path, node_table([path])),
-                     path_profile(path, shared)):
-            got = (prof.m, prof.log_lik, prof.cv_a, prof.cv_b)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            built += [whole, truncate_path(whole, float(psi), max_leaves)]
+            chains.append(run_pqmc(launch, table, SEB_PRIORITY, cfg))
+    for paths in (built, chains):
+        shared = node_table(paths)
+        for path in paths:
+            want = _profile_by_walk(path)
+            for prof in (path_profile(path, node_table([path])),
+                         path_profile(path, shared)):
+                got = (prof.m, prof.log_lik, prof.cv_a, prof.cv_b)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 6),
+       st.integers(1, 12), st.one_of(st.none(), st.integers(1, 40)), st.booleans())
+def test_select_over_whole_paths_equals_select_over_their_cuts(seed, d, side, threshold,
+                                                                max_leaves, sequential):
+    # the pipeline's paths, in either mode: a cut is a prefix of its whole
+    # path, so the whole paths alone hold every candidate state
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, side, (int(rng.integers(5, 150)), d))
+    pts = np.vstack([grid, np.repeat(grid[:1], rng.integers(0, 10), axis=0)])
+    pts = pts.astype(float)
+    box = bounding_box(pts)
+    max_depth = 40
+    table = CellTable(pts, box)
+    carve = carve_path(table, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
+                                         max_depth=max_depth))
+    launches = launch_states(carve, 3)
+    low = float(threshold)
+    if sequential:
+        cfg = PqmcConfig(max_psi=low, max_leaves=max_leaves, max_depth=max_depth)
+        wholes = [run_pqmc(launch, table, SEB_PRIORITY, cfg) for launch in launches]
+    else:
+        base = build_threshold_tree(pts, box, low, PqmcConfig(max_depth=max_depth))
+        wholes = [truncate_path(reconstruct_path(base, launch), low, max_leaves)
+                  for launch in launches]
+    cuts = [truncate_path(whole, low + extra, max_leaves)
+            for extra in (0, 4, 20) for whole in wholes]
+    grid_cfg = SmoothingConfig(tau_grid(0.1, 1e5, 12))
+    a, b = select(wholes, grid_cfg), select(wholes + cuts, grid_cfg)
+    assert (a.srp, a.tau, a.penalized_score, a.cv_score, a.cv_curve) == (
+        b.srp, b.tau, b.penalized_score, b.cv_score, b.cv_curve)
 
 
 def test_select_single_tau():
