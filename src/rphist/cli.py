@@ -7,6 +7,7 @@ import logging
 import sys
 from dataclasses import fields
 
+from .errors import RphistError
 from .evaluate import l1_error, make_reference
 from .io import export_plot_data, load_histogram
 from .pipeline import RunConfig, run_pipeline
@@ -51,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--strict", action="store_true",
                    help="fail on malformed CSV rows instead of skipping them")
     b.add_argument("--verbose", action="store_true",
-                   help="log each stage's time and the chains or builds it ran")
+                   help="log each stage's time and the chain or build it ran")
+    b.set_defaults(error=b.error)  # a usage error names its subcommand
 
     e = sub.add_parser("eval", help="L1 error of a histogram vs a reference")
     e.add_argument("--hist", required=True, help="histogram JSON file")
@@ -59,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="gaussian: standard normal; uniform: over the root box")
     e.add_argument("--mc", type=int, default=256, help="Monte Carlo draws per leaf")
     e.add_argument("--seed", type=int, default=0)
+    e.set_defaults(error=e.error)
 
     p = sub.add_parser("plot", help="export leaf rectangles (2-D) or a leaf table")
     p.add_argument("--hist", required=True, help="histogram JSON file")
@@ -98,19 +101,24 @@ def _cmd_plot(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "build":
-        try:  # an invalid value is a usage error, found before anything is read
-            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-        except ValueError as exc:
-            parser.error(str(exc))
-        return _cmd_build(args, cfg)
-    if args.command == "eval":
-        if args.mc < 2:
-            parser.error("argument --mc: need at least two draws per leaf")
-        return _cmd_eval(args)
-    return _cmd_plot(args)
+    """Run one subcommand; a file that cannot be read or a malformed input
+    is reported in one line on stderr, with exit code 1."""
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.command == "build":
+            try:  # an invalid value is a usage error, found before anything is read
+                cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+            except ValueError as exc:
+                args.error(str(exc))
+            return _cmd_build(args, cfg)
+        if args.command == "eval":
+            if args.mc < 2:
+                args.error("argument --mc: need at least two draws per leaf")
+            return _cmd_eval(args)
+        return _cmd_plot(args)
+    except (OSError, RphistError) as exc:
+        print(f"rphist: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

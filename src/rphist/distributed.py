@@ -28,19 +28,19 @@ order (:func:`reconstruct_path`).  In a build that is ascending
 right, and an over-threshold cell that cannot be split is never split,
 so the ids rise with the labels.
 
-One build from the root serves every tributary: the cells with count
+One path from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
-is sorted once (:attr:`BuildResult.seb_order`), and the path from each
-launch state is the ids of that order that the launch state has not
-split, instead of a rebuild or a sort per tributary.  The chain pops in
+is sorted once into the SEB path from the root
+(:attr:`BuildResult.path`, equal to the sequential chain's), and the
+path from each launch state is the rows of either that the launch state
+has not split (:func:`reconstruct_path`).  The chain pops in
 non-increasing count order, so the path to a higher threshold or under
 a leaf budget is a prefix of the path to a lower one
-(:func:`truncate_path`), whether read off a build or run sequentially.
+(:func:`truncate_path`).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -221,7 +221,8 @@ class BuildResult:
     """Outcome of a threshold build: the cells it created plus diagnostics.
 
     ``cells`` holds the root and both children of every split cell, with
-    their counts; its ids rise with their labels.
+    their counts; its ids rise with their labels.  ``path`` is the SEB
+    chain's path from the root to the threshold, read off the cells.
     """
 
     cells: CellStore
@@ -230,13 +231,17 @@ class BuildResult:
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
 
     @cached_property
-    def seb_order(self) -> np.ndarray:
-        """The ids of the split cells in the SEB chain's pop order,
-        ascending ``(-count, label)``: a stable sort of the ids, which
-        rise with the labels, by count."""
-        split = np.flatnonzero(np.frombuffer(self.cells.kid, np.int64))
-        return split[np.argsort(-np.frombuffer(self.cells.count, np.int64)[split],
-                                kind="stable")]
+    def path(self) -> PqmcPath:
+        """The whole SEB path from the root SRP: the ids of the split
+        cells in the chain's pop order, ascending ``(-count, label)``, a
+        stable sort of the ids, which rise with the labels, by count.  No
+        splittable cell is left above the threshold, so the threshold
+        stands for the next pop."""
+        cells = self.cells
+        split = np.flatnonzero(np.frombuffer(cells.kid, np.int64))
+        rows = split[np.argsort(-np.frombuffer(cells.count, np.int64)[split], kind="stable")]
+        return PqmcPath(root_srp(cells.root_box, cells.n), cells, rows, self.threshold, None,
+                        self.threshold, _first_tie(cells, rows))
 
     @cached_property
     def final_srp(self) -> SRP:
@@ -253,13 +258,11 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     The build starts from the root cell.  Its cells form the unique tree
     in which every leaf has count at or below the threshold; it equals
     the terminal state of the sequential SEB chain run from the root
-    with ``max_psi = threshold`` and no leaf budget, and
-    :func:`reconstruct_path` derives from it the path from any launch
-    state to any threshold at or above this one.  An over-threshold
-    cell that cannot be split (depth cap or machine precision) stays a
-    leaf, as in the sequential chain.  With several workers and shards,
-    one thread pool maps the shards of every step, one map per
-    iteration.
+    with ``max_psi = threshold`` and no leaf budget, whose path is
+    :attr:`BuildResult.path`.  An over-threshold cell that cannot be
+    split (depth cap or machine precision) stays a leaf, as in the
+    sequential chain.  With several workers and shards, one thread pool
+    maps the shards of every step, one map per iteration.
     """
     ds = TaggedDataset.from_points(points, root_box, shard_count)
     stats: list[IterationStats] = []
@@ -294,43 +297,31 @@ def assemble_srp(root_box: Box, counts: dict[int, int]) -> SRP:
     return SRP(RPTree(root_box, frozenset(counts)), counts, counts[ROOT])
 
 
-def reconstruct_path(base: BuildResult, launch: SRP | None = None) -> PqmcPath:
-    """The sequential SEB path from ``launch`` to the threshold of
-    ``base``, a root build, read off that build.
+def reconstruct_path(root: PqmcPath, launch: SRP | None = None) -> PqmcPath:
+    """The SEB path from ``launch`` to the threshold of ``root``, read off
+    ``root``: the whole SEB path from the root SRP, a root build's
+    :attr:`BuildResult.path` or the sequential chain's.
 
     Counts never increase down the tree, so the cells with count above
     the threshold form a subtree from the root that every chain splits,
     whatever its launch state.  The chain from ``launch`` (the root SRP
-    when omitted) therefore splits every internal node of ``base`` that
-    is not internal in ``launch``.  It splits them in ascending
-    ``(-count, label)`` order, which is the order the chain pops them
-    in, ties included; the child counts come from ``base``.  The base
-    build is sorted once (:attr:`BuildResult.seb_order`), so the path is
-    the ids of that order left by a mask of the cells internal in
-    ``launch`` (each found by bisecting the build's ascending labels),
-    and a call finds its first tied pop over those ids.
-    The threshold of ``base`` stands for the priority of the next pop:
-    it decides every flag as that priority would, except that the path
-    reports ``max_psi`` where the chain reports ``exhausted`` (every
-    non-empty leaf left is at the depth cap or cannot be bisected).  The
-    path to a higher threshold or under a leaf budget is cut from this
-    one (:func:`truncate_path`).
-
-    Raises
-    ------
-    ValueError
-        If ``launch`` holds other data than ``base``.
+    when omitted) therefore splits the cells of ``root`` that are not
+    internal in ``launch`` (each found in the store by its label), in the
+    order of ``root``, ties included, and stops as ``root`` does; a call
+    finds its first tied pop over those rows.  The path to a higher
+    threshold or under a leaf budget is cut from this one
+    (:func:`truncate_path`).  A ``root`` with a leaf budget or from
+    another state, or a ``launch`` of other data, raises ValueError.
     """
-    cells = base.cells
-    if launch is None:
-        launch = root_srp(cells.root_box, cells.n)
+    cells = root.splits
+    if root.max_leaves is not None or root.initial.leaf_count != 1:
+        raise ValueError("need a whole path from the root with no leaf budget")
+    launch = root.initial if launch is None else launch
     if launch.tree.root_box != cells.root_box or launch.n != cells.n:
-        raise ValueError("launch state and base build hold different data")
-    labels, order = cells.labels, base.seb_order  # the labels ascend with the ids
-    split = [i for v in launch.tree.internal()  # the build's ids of the cells split in launch
-             if (i := bisect_left(labels, v)) < len(labels) and labels[i] == v]
-    rows = order[~np.isin(order, split)]
-    return PqmcPath(launch, cells, rows, base.threshold, None, base.threshold,
+        raise ValueError("launch state and root path hold different data")
+    split = [cells.find(v) for v in launch.tree.internal()]
+    rows = root.rows[~np.isin(root.rows, split)]
+    return PqmcPath(launch, cells, rows, root.threshold, None, root.top,
                     _first_tie(cells, rows))
 
 
@@ -370,9 +361,9 @@ def truncate_path(whole: PqmcPath, threshold: float, max_leaves: int | None) -> 
     non-increasing count order: it takes the pops of ``whole`` with
     count above ``threshold`` (a ``searchsorted``), as many as the budget
     leaves room for.  Its next pop is the first row it does not keep, or
-    that of ``whole``, and its pops tie as in ``whole``.  A lower
-    threshold or another budget than ``whole`` ran under raises
-    ValueError.
+    that of ``whole``, and the threshold if none of those is above it,
+    as in the chain; its pops tie as in ``whole``.  A lower threshold or
+    another budget than ``whole`` ran under raises ValueError.
     """
     if whole.threshold is not None and threshold < whole.threshold:
         raise ValueError(f"threshold {threshold} is below the path's {whole.threshold}")
@@ -384,5 +375,6 @@ def truncate_path(whole: PqmcPath, threshold: float, max_leaves: int | None) -> 
     if max_leaves is not None:
         keep = min(keep, max(0, max_leaves - whole.initial.leaf_count))
     top = whole.top if keep == len(count) else float(count[keep])
+    top = top if top is not None and top > threshold else threshold
     return PqmcPath(whole.initial, whole.splits, whole.rows[:keep], threshold, max_leaves,
                     top, min(whole.first_tie, keep))

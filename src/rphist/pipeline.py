@@ -1,20 +1,20 @@
 """End-to-end estimation pipeline: ingest, carve, explore, smooth, export.
 
 The pipeline bounds the data with a padded box, carves away empty space
-with a short support-carving chain, launches one SEB chain per spread
-launch state and per entry of the stopping-threshold grid, and hands
-every state of every tributary to the smoothing stage.  Each launch
-state gets one whole SEB path to the lowest threshold of the grid, and
-the path to every threshold is a prefix cut from it, so the smoothing
-stage scores the states of the whole paths alone.  By default the
-whole paths come from one sharded threshold build from the root, sorted
-once; sequential mode runs one plain sequential chain per launch state
-instead, over the cell table of the carve, so that each cell is
-partitioned once per run.  Both modes give the same histogram, ties
-included, and no step of either draws a random number.  The selected
-histogram is written as versioned JSON next to a manifest with the
-configuration, per-candidate diagnostics, each whole path's tie flag,
-the threshold build's iteration stats (the chains' split counts and
+with a short support-carving chain, and spreads launch states along the
+carve path.  One SEB path from the root, to the lowest threshold of the
+grid and with no leaf budget, holds every tributary: the whole path from
+each launch state is read off it and cut to the leaf budget, and the
+path to every higher threshold is a prefix cut from that, so the
+smoothing stage scores the states of the whole paths alone.  By default
+the root path comes from one sharded threshold build, sorted once;
+sequential mode runs the plain sequential chain from the root instead,
+over the cell table of the carve, so that each cell is partitioned once
+per run.  Both modes give the same histogram, ties included, and no
+step of either draws a random number.  The selected histogram is
+written as versioned JSON next to a manifest with the configuration,
+per-candidate diagnostics, each whole path's tie flag, the threshold
+build's iteration stats (the whole paths' split counts and the
 partitioned cells in sequential mode) and stage timings.  A selected
 tau at either end of the tau grid is logged as a warning; each stage's
 time is logged at INFO.
@@ -34,7 +34,7 @@ import numpy as np
 from .distributed import build_threshold_tree, reconstruct_path, truncate_path
 from .errors import InsufficientData
 from .geometry import DEFAULT_PAD, bounding_box
-from .io import histogram_to_json, ingest_csv, save_histogram
+from .io import ingest_csv, save_histogram
 from .pqmc import (
     CellTable,
     PqmcConfig,
@@ -150,37 +150,34 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         carve = carve_path(table, carve_cfg)
         launches = launch_states(carve, cfg.tributaries)
 
-    # One whole SEB path per launch state, to the lowest threshold under
-    # the leaf budget; the path to every higher threshold is a prefix of it.
+    # One SEB path from the root to the lowest threshold, with no leaf
+    # budget; each launch state's whole path is read off it, to the budget.
     low = float(min(cfg.maxpts))
     with _stage(timings, "tributary_build"):
         if cfg.sequential:
-            chain_cfg = PqmcConfig(max_psi=low, max_leaves=cfg.maxlvs,
-                                   max_depth=cfg.max_depth)
-            wholes = [run_pqmc(state, table, SEB_PRIORITY, chain_cfg)
-                      for state in launches]
-            build = {"threshold": low,
-                     "splits": [w.split_count for w in wholes],
-                     "partitioned_cells": table.partitioned}
-            logger.info("%d sequential SEB chains to threshold %g: %d splits, "
-                        "%d cells partitioned", len(wholes), low,
-                        sum(build["splits"]), build["partitioned_cells"])
+            root = run_pqmc(carve.initial, table, SEB_PRIORITY,
+                            PqmcConfig(max_psi=low, max_depth=cfg.max_depth))
+            build = {"threshold": low, "partitioned_cells": table.partitioned}
+            logger.info("1 sequential SEB chain to threshold %g: %d splits, "
+                        "%d cells partitioned", low, root.split_count, table.partitioned)
         else:
             del table, carve  # the carve path holds the table; the build tags its own points
             base = build_threshold_tree(
                 points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
                 shard_count=cfg.shards, workers=cfg.workers,
             )
-            # the build has no leaf budget; the sequential chains run under it
-            wholes = [truncate_path(reconstruct_path(base, state), low, cfg.maxlvs)
-                      for state in launches]
+            root = base.path
             logger.info("1 threshold build to threshold %g (%d iterations) "
-                        "for %d launch states", low, base.iterations, len(wholes))
+                        "for %d launch states", low, base.iterations, len(launches))
             build = {"threshold": base.threshold,
                      "iterations": base.iterations,
                      "split_cells": [st.split_cells for st in base.stats],
                      "working_points": [st.working_points for st in base.stats],
                      "passed_points": [st.passed_points for st in base.stats]}
+        wholes = [truncate_path(reconstruct_path(root, s), low, cfg.maxlvs)
+                  for s in launches]
+        if cfg.sequential:
+            build["splits"] = [w.split_count for w in wholes]
         build["had_ties"] = [w.had_ties for w in wholes]
 
     # each cut is a prefix of its whole path: it gives the manifest its
@@ -238,7 +235,7 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
         "config": config,
         "n": hist.n,
         "skipped_rows": skipped_rows,
-        "root_box": histogram_to_json(hist)["root_box"],
+        "root_box": asdict(hist.root_box),
         "candidates": candidates,
         "build": build,
         "selected": {

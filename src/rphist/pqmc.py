@@ -11,17 +11,19 @@ priorities are provided:
   large, nearly empty cells carves away the void around the data
   support, complementing SEB.
 
-A carving run followed by SEB chains launched from states spread along
-the carve path ("tributaries") yields the candidate states that the
-smoothing stage scores.  The cells a run creates are the rows of a
-:class:`CellStore`, which the sharded builder fills too.  The carve and
-the chains of a run share one :class:`CellTable`, a store over one
-permutation of the points, which partitions each cell once per run; a
-chain itself keeps only a heap of the priorities of the leaves it may
-pop, the leaves it parks at or below its threshold, and its leaf count.
-A path is the ids of the cells it split, rows of that store.  A path's
-stop reason, success and tie flags are read off what it keeps, so a
-path cut from a longer one needs no chain of its own.
+A carving run followed by the SEB paths from states spread along the
+carve path ("tributaries") yields the candidate states that the
+smoothing stage scores; a run reads every tributary off one SEB path
+from the root (:func:`rphist.distributed.reconstruct_path`).  The cells
+a run creates are the rows of a :class:`CellStore`, which the sharded
+builder fills too.  The chains of a run, the carve and the root SEB
+chain, share one :class:`CellTable`, a store over one permutation of
+the points, which partitions each cell once per run; a chain itself
+keeps only a heap of the priorities of the leaves it may pop, those
+above its threshold, and its leaf count.  A path is the ids of the
+cells it split, rows of that store.  A path's stop reason, success and
+tie flags are read off what it keeps, so a path cut from a longer one
+needs no chain of its own.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ class PqmcPath:
     consecutive states differ by exactly one split.  The flags derive
     from the ``threshold`` (``max_psi`` if the priority stop was active)
     and ``max_leaves`` the chain ran under, ``top``, the priority of its
-    next pop (None if no splittable leaf is left), and ``first_tie``,
-    the step of its first tied pop (``len(rows)`` if none).  Two paths
+    next pop (the threshold if no splittable leaf is left above it, None
+    if none is left and no threshold is active), and ``first_tie``, the
+    step of its first tied pop (``len(rows)`` if none).  Two paths
     are equal when their launch state, records and these fields are.
     """
 
@@ -174,7 +177,8 @@ class PqmcPath:
     @property
     def stop_reason(self) -> str:
         """Why the chain stopped, checked in the chain's order: no
-        splittable leaf left, the leaf budget, the threshold."""
+        splittable leaf left under no threshold, the leaf budget, no
+        splittable leaf left above the threshold."""
         if self.top is None:
             return "exhausted"
         if self.max_leaves is not None and self.leaf_count >= self.max_leaves:
@@ -222,7 +226,8 @@ class CellStore:
 
     A chain path's splits are rows of a store (:class:`PqmcPath`): row
     ``i`` splits the cell of label ``labels[i]``, :meth:`split_counts`
-    gives its children's counts and :meth:`split_bounds` its bounds.
+    gives its children's counts and :meth:`split_bounds` its bounds;
+    :meth:`find` gives the id of a label.
     """
 
     def __init__(self, root_box: Box, n: int):
@@ -238,6 +243,13 @@ class CellStore:
         self.axis, self.mid = array("q", axis.tolist()), array("d", mid.tolist())
         self.ok = array("b", ok.tolist())
         self.planned = 2
+
+    def find(self, label: int) -> int:
+        """Id of cell ``label``, 0 if the store does not hold it."""
+        i = ROOT
+        for bit in bin(label)[3:]:  # child directions, root first; id 0 has no child
+            i = self.kid[i] and self.kid[i] + (bit == "1")
+        return i
 
     def splittable(self, i: int) -> bool:
         if i >= self.planned:
@@ -351,13 +363,9 @@ class _LeafPool:
     keys over the leaves it may still pop: the top is the largest
     priority, ties towards the lowest label.  A leaf that cannot be
     bisected is dropped when it reaches the top, so the top and the tie
-    check after a pop see the splittable leaves alone.
-
-    Under an active threshold, a leaf whose priority is at or below it
-    is never popped: it is parked, with its priority, outside the heap.
-    Only when the heap runs dry does :meth:`top` look at the parked
-    leaves, for the largest priority of a splittable one, which is the
-    priority the chain stops at."""
+    check after a pop see the splittable leaves alone.  Under an active
+    threshold, a leaf whose priority is at or below it is never popped,
+    so it is not kept at all."""
 
     def __init__(self, s0: SRP, table: CellTable, priority: Priority, cfg: PqmcConfig):
         self.table, self.priority = table, priority
@@ -365,7 +373,6 @@ class _LeafPool:
         self.limit = 1 << cfg.max_depth  # a label below it is above the depth cap
         self.root_volume = table.root_box.volume
         self.heap: list[tuple[float, int, int]] = []
-        self.parked_priority, self.parked_cell = array("d"), array("q")
         self.leaf_count = s0.leaf_count
         for label in s0.tree.leaves():
             cell = table.cell(label)
@@ -379,32 +386,22 @@ class _LeafPool:
             vol = (0.0 if self.priority.kind == SEB
                    else volume_at_depth(self.root_volume, label.bit_length() - 1))
             value = self.priority.value(count, vol, self.table.n)
-            if self.threshold is not None and value <= self.threshold:
-                self.parked_priority.append(value)
-                self.parked_cell.append(cell)
-            else:
+            if self.threshold is None or value > self.threshold:
                 heapq.heappush(self.heap, (-value, label, cell))
 
-    def _peek(self) -> float | None:
-        """The top of the heap, after dropping the leaves that cannot be split."""
+    def top(self) -> float | None:
+        """The largest priority of a splittable leaf, after dropping the
+        leaves that cannot be split; once none is left above the
+        threshold, the threshold (None if no threshold is active)."""
         while self.heap and not self.table.splittable(self.heap[0][2]):
             heapq.heappop(self.heap)
-        return -self.heap[0][0] if self.heap else None
-
-    def top(self) -> float | None:
-        """The largest priority of a splittable leaf, None if none is left."""
-        top = self._peek()
-        if top is None and self.parked_cell:
-            ok = self.table.planes(np.frombuffer(self.parked_cell, np.int64))[2]
-            if ok.any():
-                top = float(np.frombuffer(self.parked_priority)[ok].max())
-        return top
+        return -self.heap[0][0] if self.heap else self.threshold
 
     def split_top(self) -> tuple[int, bool]:
         """Split the top leaf; return its cell id and whether another
-        splittable leaf had the same priority (a parked leaf never has)."""
+        splittable leaf had the same priority."""
         key, label, cell = heapq.heappop(self.heap)
-        tied = self._peek() == -key
+        tied = self.top() == -key  # the threshold is below every popped priority
         kid = self.table.split(cell)
         self._admit(2 * label, kid)
         self._admit(2 * label + 1, kid + 1)
@@ -416,9 +413,9 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     """Run one priority-queued splitting chain from ``s0``.
 
     At every step the splittable leaf with the largest priority is
-    split (ties towards the lowest label) until no splittable leaf remains,
-    the leaf count reaches ``cfg.max_leaves``, or the largest priority
-    is at most ``cfg.max_psi``.  Termination is guaranteed: the leaf
+    split (ties towards the lowest label) until no splittable leaf remains
+    above ``cfg.max_psi`` (or at all, with no priority stop) or the leaf
+    count reaches ``cfg.max_leaves``.  Termination is guaranteed: the leaf
     count strictly increases and splittability is depth-bounded.
     ``points`` is the data of ``s0``, or a run's shared :class:`CellTable`
     over it; a ValueError says that they do not give the counts of ``s0``.
@@ -432,10 +429,9 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     threshold = pool.threshold
     rows = array("q")
     first_tie = None
-    while (top := pool.top()) is not None:
-        if ((cfg.max_leaves is not None and pool.leaf_count >= cfg.max_leaves)
-                or (threshold is not None and top <= threshold)):
-            break
+    budget = cfg.max_leaves or float("inf")
+    # the top is the threshold once no splittable leaf is left above it
+    while (top := pool.top()) != threshold and pool.leaf_count < budget:
         cell, tied = pool.split_top()
         if tied and first_tie is None:
             first_tie = len(rows)

@@ -92,7 +92,7 @@ def test_criterion_3_sequential_parallel_equivalence():
                                    shard_count=int(1 + instances % 4))
         if res.final_srp != seq.final:
             mismatches += 1
-        path = reconstruct_path(res)
+        path = reconstruct_path(res.path)
         if path.had_ties != seq.had_ties:
             mismatches += 1
         path, states = path.states(), seq.states()

@@ -23,6 +23,7 @@ from rphist.distributed import (
 from rphist.geometry import Box, bounding_box
 from rphist.pqmc import (
     CellStore,
+    CellTable,
     PqmcConfig,
     PqmcPath,
     SEB_PRIORITY,
@@ -196,7 +197,7 @@ def test_build_threshold_equals_sequential_random():
         res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=3)
         assert res.final_srp == seq.final
-        path = reconstruct_path(res)
+        path = reconstruct_path(res.path)
         assert path.had_ties == seq.had_ties
         states = path.states()
         assert len(states) == len(seq)
@@ -248,7 +249,7 @@ def test_build_decodes_no_label(monkeypatch):
     pts = random_points(rng, 2000, 2)
     res = build_threshold_tree(pts, bounding_box(pts), 20.0, CFG, shard_count=2)
     assert res.iterations > 3
-    reconstruct_path(res)
+    reconstruct_path(res.path)
     assert calls == 0
 
 
@@ -303,7 +304,7 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
         for launch in launch_states(carve, 3):
             seq = run_pqmc(launch, pts, SEB_PRIORITY,
                            PqmcConfig(max_psi=threshold))
-            path = truncate_path(reconstruct_path(base, launch), threshold, None)
+            path = truncate_path(reconstruct_path(base.path, launch), threshold, None)
             assert path.final == seq.final
             assert path.records == seq.records
             assert path.had_ties == seq.had_ties
@@ -338,7 +339,7 @@ def test_build_labels_past_64_bits_equal_sequential():
     for shards in (1, 3):
         res = build_threshold_tree(pts, box, 1.0, CFG, shard_count=shards)
         assert res.final_srp == seq.final
-        assert reconstruct_path(res).records == seq.records
+        assert reconstruct_path(res.path).records == seq.records
 
 
 def test_order_invariance_random_schedulers():
@@ -368,7 +369,7 @@ def test_order_invariance_random_schedulers():
 def test_backtrack_root_only():
     pts = np.array([[0.5, 0.5]])
     res = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
-    seq = reconstruct_path(res).states()
+    seq = reconstruct_path(res.path).states()
     assert len(seq) == 1
     assert seq[0] == res.final_srp
 
@@ -377,7 +378,7 @@ def test_backtrack_merge_order_ascending_parent_priority():
     pts, box, threshold, _ = seb_instance(0)
     res = build_threshold_tree(pts, box, threshold, CFG)
     # merge order is the reversed path: from the final SRP down to the root
-    states = reconstruct_path(res).states()[::-1]
+    states = reconstruct_path(res.path).states()[::-1]
     merged_counts = []
     for before, after in zip(states, states[1:]):
         gone = before.tree.nodes - after.tree.nodes
@@ -398,11 +399,13 @@ def test_reconstruct_path_from_launch_state():
                        PqmcConfig(max_psi=threshold))
         base = build_threshold_tree(pts, box, threshold, CFG,
                                     shard_count=2)
-        par = reconstruct_path(base, launch)
+        par = reconstruct_path(base.path, launch)
         assert par.final == seq.final
         assert par.records == seq.records
         assert par.initial == seq.initial
         assert par.had_ties == seq.had_ties
+        with pytest.raises(ValueError):  # a path that does not start at the root
+            reconstruct_path(par, launch)
 
 
 def test_reconstruct_never_merges_into_the_launch_state():
@@ -425,7 +428,7 @@ def test_reconstruct_never_merges_into_the_launch_state():
                ((r.left_count, r.right_count) for r in seq.records)) > 3
 
     base = build_threshold_tree(pts, box, 10.0, CFG, shard_count=2)
-    par = reconstruct_path(base, launch)
+    par = reconstruct_path(base.path, launch)
     assert par.records == seq.records
     assert par.final == seq.final
 
@@ -474,7 +477,7 @@ def _tied_grid_paths(sample, max_leaves):
                                  max_depth=max_depth)
             seq = run_pqmc(launch, pts, SEB_PRIORITY, seb_cfg)
             for base in bases:
-                yield truncate_path(reconstruct_path(base, launch), threshold, max_leaves), seq
+                yield truncate_path(reconstruct_path(base.path, launch), threshold, max_leaves), seq
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -486,6 +489,33 @@ def test_reconstruct_path_equals_sequential_on_tied_data(sample):
         assert path.records == seq.records
         assert path.had_ties == seq.had_ties
         assert path.success and seq.success
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tied_grid_sample(), st.sampled_from([6, 12, 40]))
+def test_root_chain_equals_root_build_and_per_launch_chains(sample, max_depth):
+    # the sequential chain from the root, on the carve's shared table, is
+    # the build's path; the path that either gives each launch state, cut
+    # at every threshold and budget, is the chain run from that state
+    pts, low, thresholds, carve_leaves = sample
+    box = bounding_box(pts)
+    table = CellTable(pts, box)
+    carve = carve_path(table, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    roots = [run_pqmc(carve.initial, table, SEB_PRIORITY,
+                      PqmcConfig(max_psi=low, max_depth=max_depth)),
+             build_threshold_tree(pts, box, low, PqmcConfig(max_depth=max_depth),
+                                  shard_count=2).path]
+    assert roots[0] == roots[1]
+    for launch in launch_states(carve, 3):
+        wholes = [reconstruct_path(root, launch) for root in roots]
+        for threshold in thresholds:
+            for max_leaves in (None, launch.leaf_count + 2):
+                seq = run_pqmc(launch, table, SEB_PRIORITY, PqmcConfig(
+                    max_psi=threshold, max_leaves=max_leaves, max_depth=max_depth))
+                for whole in wholes:
+                    assert truncate_path(whole, threshold, max_leaves) == seq
+                if (threshold, max_leaves) == (low, None):
+                    assert wholes[0] == seq == wholes[1]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -542,7 +572,7 @@ def test_cut_path_rejects_lower_threshold():
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = ingest(RPTree(unit_box(2)), pts)
     base = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
-    whole = reconstruct_path(base, launch)
+    whole = reconstruct_path(base.path, launch)
     assert whole.final == base.final_srp
     seq = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=5.0))
     for path in (whole, seq, truncate_path(whole, 8.0, None)):
@@ -550,7 +580,7 @@ def test_cut_path_rejects_lower_threshold():
             truncate_path(path, 4.0, None)
     assert truncate_path(whole, 5.0, None) == whole
     with pytest.raises(ValueError):
-        reconstruct_path(base, ingest(RPTree(unit_box(2)), pts[:-1]))
+        reconstruct_path(base.path, ingest(RPTree(unit_box(2)), pts[:-1]))
 
 
 def test_cut_path_rejects_another_budget():
@@ -565,8 +595,10 @@ def test_cut_path_rejects_another_budget():
         with pytest.raises(ValueError):
             truncate_path(budgeted, 2.0, max_leaves)
     assert truncate_path(budgeted, 2.0, 6) == budgeted
+    with pytest.raises(ValueError):  # a root path under a budget lacks pops
+        reconstruct_path(budgeted)
     # a whole path with no budget can be cut at any
-    whole = reconstruct_path(build_threshold_tree(pts, unit_box(2), 2.0, CFG), launch)
+    whole = reconstruct_path(build_threshold_tree(pts, unit_box(2), 2.0, CFG).path, launch)
     cut = truncate_path(whole, 2.0, 6)
     assert (cut.records, cut.stop_reason, cut.success, cut.had_ties) == (
         budgeted.records, budgeted.stop_reason, budgeted.success, budgeted.had_ties)
@@ -576,7 +608,7 @@ def test_budget_cut_materializes_no_state(monkeypatch):
     # the flags of a cut come from the whole path's records, next pop and
     # first tie; no state of the path is built
     pts, box, threshold, seq = seb_instance(0)
-    whole = reconstruct_path(build_threshold_tree(pts, box, threshold, CFG))
+    whole = reconstruct_path(build_threshold_tree(pts, box, threshold, CFG).path)
     m = len(seq)
     chains = {(t, b): run_pqmc(seq.initial, pts, SEB_PRIORITY,
                                PqmcConfig(max_psi=t, max_leaves=b))
@@ -601,7 +633,7 @@ def test_tie_flag_counts_only_cells_already_leaves():
     # are both leaves, so popping 2 is tied
     pts = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
     base = build_threshold_tree(pts, unit_box(2), 1.0, CFG)
-    path = reconstruct_path(base)
+    path = reconstruct_path(base.path)
     assert [r.label for r in path.records] == [1, 2, 3]
     assert path.had_ties
     seq = run_pqmc(ingest(RPTree(unit_box(2)), pts), pts, SEB_PRIORITY,
@@ -613,7 +645,7 @@ def test_tie_flag_counts_only_cells_already_leaves():
     # a parent and its only non-empty child share a count but never tie:
     # the child becomes a leaf only when the parent is popped
     lone = np.array([[0.1, 0.1], [0.2, 0.2]])
-    path = reconstruct_path(build_threshold_tree(lone, unit_box(2), 1.0, CFG))
+    path = reconstruct_path(build_threshold_tree(lone, unit_box(2), 1.0, CFG).path)
     assert [r.left_count + r.right_count for r in path.records] == [2] * 5
     assert not path.had_ties
 
@@ -631,7 +663,7 @@ def test_truncate_path():
     launch = seq.final
     cfg = PqmcConfig(max_psi=threshold, max_leaves=2)
     base = build_threshold_tree(pts, box, threshold, CFG)
-    over = truncate_path(reconstruct_path(base, launch), threshold, 2)
+    over = truncate_path(reconstruct_path(base.path, launch), threshold, 2)
     chain = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
     assert over.records == chain.records == ()
     assert over.success is chain.success is False
@@ -753,7 +785,7 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
             ref = cell_bounds(box, [labels[i] for i in split])
             lo, hi = cells.split_bounds(split)
             assert np.array_equal(lo, ref.lo) and np.array_equal(hi, ref.hi)
-            order = res.seb_order
+            order = res.path.rows
             records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
                 order.tolist(), *(c.tolist() for c in cells.split_counts(order))))
             assert records == _seb_records(res, root_srp(box, len(pts)))
@@ -801,7 +833,7 @@ def test_row_paths_equal_record_paths_on_tied_data(sample):
     base = build_threshold_tree(pts, box, base_threshold, PqmcConfig(max_depth=max_depth),
                                 shard_count=2)
     for launch in launch_states(carve, 3):
-        whole = reconstruct_path(base, launch)
+        whole = reconstruct_path(base.path, launch)
         records = _seb_records(base, launch)
         assert whole.records == records
         assert whole.first_tie == _first_tie_by_loop(launch, records)

@@ -804,15 +804,41 @@ def test_cli_build_rejects_a_malformed_maxpts(tmp_path, capsys):
     (["eval", "--reference", "gaussian", "--mc", "1"], "need at least two draws per leaf"),
 ])
 def test_cli_rejects_an_invalid_value_as_a_usage_error(tmp_path, capsys, argv, message):
-    # exit code 2 and a message, no traceback, before anything is read or written
+    # exit code 2 and the subcommand's usage and message, no traceback,
+    # before anything is read or written
     paths = (["--input", str(tmp_path / "none.csv"), "--dim", "2", "--out",
               str(tmp_path / "h.json")] if argv[0] == "build"
              else ["--hist", str(tmp_path / "none.json")])
     with pytest.raises(SystemExit) as exit_info:
         cli_main(argv + paths)
     assert exit_info.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rphist {argv[0]} [-h] ")
+    assert f"rphist {argv[0]}: error: " in err and message in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--input", "missing.csv", "--dim", "2", "--out", "h.json"],
+    ["build", "--input", "two.csv", "--dim", "3", "--out", "h.json"],
+    ["eval", "--hist", "missing.json", "--reference", "gaussian"],
+    ["eval", "--hist", "bad.json", "--reference", "gaussian"],
+    ["plot", "--hist", "missing.json", "--out", "p.csv"],
+    ["plot", "--hist", "bad.json", "--out", "p.csv"],
+])
+def test_cli_reports_an_input_error_in_one_line(tmp_path, argv):
+    # a missing file, a CSV with too few columns for --dim, a histogram
+    # that is not one: exit code 1 and one line on stderr, nothing written
+    (tmp_path / "two.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "bad.json").write_text('{"format": "rphist-histogram", "version": 1}\n')
+    src = str(Path(rphist.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "rphist.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("rphist: error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "two.csv"]
 
 
 def test_cli_build_seed_is_ignored(tmp_path):
@@ -853,7 +879,7 @@ def test_cli_build_verbose_logs_each_stage(tmp_path, caplog, sequential):
     for stage in ("ingest", "carve", "tributary_build", "tributary_paths",
                   "smoothing", "export"):
         assert sum(m.startswith(f"stage {stage}: ") for m in info) == 1
-    source = ("2 sequential SEB chains to threshold 10: " if sequential
+    source = ("1 sequential SEB chain to threshold 10: " if sequential
               else "1 threshold build to threshold 10 ")
     assert sum(m.startswith(source) for m in info) == 1
     assert "4 tributary paths cut from 2 whole paths" in info

@@ -28,7 +28,8 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
     """Independent step-by-step simulation: recompute the splittable leaves
     and their priorities from scratch at every step, split the largest
     priority, ties towards the lowest label.  Returns the states, the stop
-    reason, the success flag and whether any pop was tied."""
+    reason, the success flag and whether any pop was tied.  Under an active
+    threshold, no splittable leaf above it is a threshold stop."""
     pts = np.asarray(pts, dtype=float)
     root_volume = s0.tree.root_box.volume
     states, had_ties = [s0], False
@@ -40,13 +41,13 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
             if c > 0 and depth(v) < max_depth and cell_bounds(s.tree.root_box, [v]).splittable[0]:
                 cand[v] = priority.value(c, volume_at_depth(root_volume, depth(v)), s.n)
         best = max(cand.values(), default=None)
-        if best is None:
+        if best is None and not max_psi:
             stop = "exhausted"
             break
         if max_leaves is not None and s.leaf_count >= max_leaves:
             stop = "max_leaves"
             break
-        if max_psi and best <= max_psi:
+        if max_psi and (best is None or best <= max_psi):
             stop = "max_psi"
             break
         tied = [v for v, psi in cand.items() if psi == best]
@@ -140,7 +141,8 @@ def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, c
     if cfg.max_depth > 100 and cfg.max_leaves is None:
         # cells over the threshold are left that cannot be split, and one
         # of them reached the top of the queue before the last pop
-        assert path.stop_reason == "exhausted" and path.success
+        stop = "max_psi" if cfg.priority_stop_active else "exhausted"
+        assert path.stop_reason == stop and path.success
         final = path.final
         assert max(final.counts[v] for v in final.tree.leaves()
                    if not cell_bounds(box, [v]).splittable[0]) == 3
@@ -173,10 +175,9 @@ def outcome(path):
 def test_shared_table_chains_equal_fresh_tables_and_naive():
     # the carve and the chains from its launch states share one table;
     # a second table is shared by the chains alone, run in reverse order.
-    # A chain parks the leaves at or below its threshold outside its heap:
-    # count the stops decided by the parked leaves, at the largest
-    # splittable parked priority or with no parked leaf splittable
-    stops = {"parked_top": 0, "parked_exhausted": 0}
+    # A chain keeps no leaf at or below its threshold: count the stops at
+    # the threshold with a splittable leaf left below it and with none left
+    stops = {"below_threshold": 0, "none_left": 0}
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(shared_table_sample())
@@ -200,19 +201,18 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
                 s0, pts, priority, c.max_psi, c.max_leaves, c.max_depth)
             assert path.states() == states
             assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
-            # the next pop's priority: the largest over the final splittable leaves
+            # the next pop's priority: the largest over the final splittable
+            # leaves, or the threshold if none is above it
             final, vol = path.final, box.volume
-            assert path.top == max((priority.value(final.counts[v], volume_at_depth(vol, depth(v)),
-                                                   final.n)
-                                    for v in splittable_leaves(final, c)), default=None)
+            top = max((priority.value(final.counts[v], volume_at_depth(vol, depth(v)), final.n)
+                       for v in splittable_leaves(final, c)), default=None)
+            if c.priority_stop_active and (top is None or top <= c.max_psi):
+                top = c.max_psi
+            assert path.top == top
         for path in shared:
-            final = path.final
-            if path.top is not None and path.top <= cfg.max_psi:
-                stops["parked_top"] += 1
-            elif path.top is None and any(
-                    0 < final.counts.get(v, 0) <= cfg.max_psi and depth(v) < cfg.max_depth
-                    for v in final.tree.leaves()):
-                stops["parked_exhausted"] += 1
+            if path.top == cfg.max_psi:
+                left = splittable_leaves(path.final, cfg)
+                stops["below_threshold" if left else "none_left"] += 1
         # every cell that the carve or a chain split was partitioned once
         assert table.partitioned == len({r.label for p in [carve, *shared] for r in p.records})
 

@@ -243,7 +243,7 @@ def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves
     for launch in launch_states(carve, 3):
         for psi in (threshold, threshold + 4):
             cfg = PqmcConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
-            whole = truncate_path(reconstruct_path(base, launch), float(psi), None)
+            whole = truncate_path(reconstruct_path(base.path, launch), float(psi), None)
             built += [whole, truncate_path(whole, float(psi), max_leaves)]
             chains.append(run_pqmc(launch, table, SEB_PRIORITY, cfg))
     for paths in (built, chains):
@@ -279,7 +279,7 @@ def test_select_over_whole_paths_equals_select_over_their_cuts(seed, d, side, th
         wholes = [run_pqmc(launch, table, SEB_PRIORITY, cfg) for launch in launches]
     else:
         base = build_threshold_tree(pts, box, low, PqmcConfig(max_depth=max_depth))
-        wholes = [truncate_path(reconstruct_path(base, launch), low, max_leaves)
+        wholes = [truncate_path(reconstruct_path(base.path, launch), low, max_leaves)
                   for launch in launches]
     cuts = [truncate_path(whole, low + extra, max_leaves)
             for extra in (0, 4, 20) for whole in wholes]
