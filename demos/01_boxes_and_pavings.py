@@ -11,9 +11,8 @@ the bounds of any batch of labels are recomputed from the root box.
 
 import numpy as np
 
-from rphist import Box, RPTree, bounding_box, children, depth, parent
+from rphist import Box, RPTree, bounding_box, children, depth, ingest, parent
 from rphist.geometry import bounds_volume, split_plane
-from rphist.srp import assign_leaves
 from rphist.tree import cell_bounds
 
 # A unit square and its split plane: the split runs down the first coordinate.
@@ -28,9 +27,9 @@ for label, lo, hi in zip((2, 3), halves.lo.tolist(), halves.hi.tolist()):
 
 # A point exactly on the splitting plane belongs to the right child.
 tree = RPTree(square).split(1)
-leaf_of = {int(i): v for v, idx in assign_leaves(tree, np.array([[0.5, 0.3]])).items()
-           for i in idx}
-print("the point (0.5, 0.3) on the plane lands in cell", leaf_of[0])
+counts = ingest(tree, [[0.5, 0.3]]).counts
+print("the point (0.5, 0.3) on the plane lands in cell",
+      next(v for v in tree.leaves() if counts[v]))
 
 # Integer labels encode the root-to-node path in binary.
 print("children of 1:", children(1), " children of 5:", children(5))

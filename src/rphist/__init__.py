@@ -19,6 +19,7 @@ from .pqmc import (
     SEB_PRIORITY,
     SPC_PRIORITY,
     carve_path,
+    ingest,
     launch_states,
     run_pqmc,
     splittable_leaves,
@@ -31,7 +32,7 @@ from .smoothing import (
     select,
     tau_grid,
 )
-from .srp import SRP, Histogram, density_at, histogram, ingest, log_likelihood, root_srp
+from .srp import SRP, Histogram, density_at, histogram, log_likelihood, root_srp
 from .tree import RPTree, children, depth, parent
 
 __version__ = "0.1.0"

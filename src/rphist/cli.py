@@ -114,6 +114,8 @@ def main(argv=None) -> int:
         if args.command == "eval":
             if args.mc < 2:
                 args.error("argument --mc: need at least two draws per leaf")
+            if args.seed < 0:
+                args.error("argument --seed: must be >= 0")
             return _cmd_eval(args)
         return _cmd_plot(args)
     except (OSError, RphistError) as exc:

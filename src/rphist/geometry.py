@@ -98,22 +98,25 @@ def bounding_box(points, pad: float = DEFAULT_PAD) -> Box:
     zero-width side gets the absolute half-width ``ZERO_WIDTH_FLOOR``
     instead (only when ``pad > 0``).  With ``pad > 0`` every input point
     is strictly interior, which keeps points off the root-box boundary
-    after round-trips through text formats.
+    after round-trips through text formats.  The bounds are reduced one
+    column at a time; a NaN or infinite point shows in them.  A pad that
+    overflows a side gives an infinite bound.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise EmptyInput("bounding_box of an empty point set")
-    if pad < 0:
+    if not pad >= 0:
         raise ValueError("pad must be >= 0")
-    if not np.isfinite(pts).all():
+    lows = np.array([col.min() for col in pts.T])
+    highs = np.array([col.max() for col in pts.T])
+    if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
         raise ValueError("points must be finite")
-    lows = pts.min(axis=0)
-    highs = pts.max(axis=0)
     if pad > 0:
         widths = highs - lows
-        grow = np.where(widths > 0, pad * widths, ZERO_WIDTH_FLOOR)
-        lows = lows - grow
-        highs = highs + grow
+        with np.errstate(over="ignore"):
+            grow = np.where(widths > 0, pad * widths, ZERO_WIDTH_FLOOR)
+            lows = lows - grow
+            highs = highs + grow
     return Box.from_bounds(lows, highs)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributed import build_threshold_tree, reconstruct_path, truncate_path
-from .errors import InsufficientData
+from .errors import InsufficientData, NotBisectable
 from .geometry import DEFAULT_PAD, bounding_box
 from .io import ingest_csv, save_histogram
 from .pqmc import (
@@ -100,7 +101,11 @@ class RunConfig:
                 raise ValueError("maxlvs must be >= 1")
             if self.effective_carve_leaves > self.maxlvs:
                 raise ValueError("carve_leaves cannot exceed maxlvs")
-        if self.tau_steps < 1 or self.tau_min <= 0 or self.tau_max < self.tau_min:
+        if not 0 <= self.pad < math.inf:
+            raise ValueError("pad must be finite and >= 0")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.tau_steps < 1 or not 0 < self.tau_min <= self.tau_max < math.inf:
             raise ValueError("invalid tau grid")
         SmoothingConfig(self.tau_grid())  # raises unless strictly increasing
 
@@ -123,8 +128,9 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     same points and config give byte-identical histogram JSON in either
     mode; the manifest also records wall-clock timings and is therefore
     not.  The root box bounds every point.  Fewer than two points raise
-    :class:`~rphist.errors.InsufficientData` before anything is built
-    or written.
+    :class:`~rphist.errors.InsufficientData`, and a root box that is not
+    finite or has zero volume :class:`~rphist.errors.NotBisectable`,
+    before anything is built or written.
     """
     timings: dict[str, float] = {}
     skipped_rows = 0
@@ -139,6 +145,9 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         root_box = bounding_box(points, cfg.pad)
         if len(points) < 2:
             raise InsufficientData(f"need at least 2 points, got {len(points)}")
+        if not np.isfinite(root_box.lo + root_box.hi).all() or root_box.volume == 0:
+            raise NotBisectable(f"the root box {root_box} is not finite or has zero "
+                                "volume; pad > 0 widens a constant coordinate")
 
     with _stage(timings, "carve"):
         carve_cfg = PqmcConfig(

@@ -18,7 +18,8 @@ from the root (:func:`rphist.distributed.reconstruct_path`).  The cells
 a run creates are the rows of a :class:`CellStore`, which the sharded
 builder fills too.  The chains of a run, the carve and the root SEB
 chain, share one :class:`CellTable`, a store over one permutation of
-the points, which partitions each cell once per run; a chain itself
+the points, which partitions each cell once per run, and :func:`ingest`
+counts points into a given tree through one; a chain itself
 keeps only a heap of the priorities of the leaves it may pop, those
 above its threshold, and its leaf count.  A path is the ids of the
 cells it split, rows of that store.  A path's stop reason, success and
@@ -356,6 +357,19 @@ class CellTable(CellStore):
         self.labels += (2 * label, 2 * label + 1)
         self.partitioned += 1
         return kid
+
+
+def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
+    """Count points into a tree, filling every node of the SRP, through a
+    :class:`CellTable` over the points in the root box.
+
+    In strict mode a point outside the root box raises
+    :class:`~rphist.errors.PointOutsideRootBox`; otherwise such points
+    are dropped (:func:`~rphist.srp.points_in_box`).  A cell of the tree
+    that has children but cannot be bisected raises :class:`NotBisectable`.
+    """
+    table = CellTable(points_in_box(tree.root_box, points, strict), tree.root_box)
+    return SRP(tree, {v: table.count[table.cell(v)] for v in tree.nodes}, table.n)
 
 
 class _LeafPool:

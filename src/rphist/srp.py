@@ -2,7 +2,9 @@
 
 An SRP is a paving whose every node caches the number of data points
 that fell into its cell, so the count of an internal node always equals
-the sum of its children's counts.  The histogram estimate places the
+the sum of its children's counts.  The counts of a given tree are
+filled in by :func:`rphist.pqmc.ingest`, which routes the points through
+the same cell table as the chains.  The histogram estimate places the
 density ``count / (n * volume)`` on each leaf cell, which is the maximum
 likelihood simple function for the partition given by the leaves.
 """
@@ -13,39 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySample,
-    PointOutsideRootBox,
-)
+from .errors import DimensionMismatch, EmptySample, PointOutsideRootBox
 from .geometry import Box, bounds_volume, split_plane
 from .tree import ROOT, RPTree, cell_bounds
-
-
-def assign_leaves(tree: RPTree, points: np.ndarray) -> dict[int, np.ndarray]:
-    """Partition point indices among the leaves of a tree.
-
-    Vectorized recursive descent: at each internal node the points are
-    routed by comparing the split coordinate against the midpoint, with
-    points exactly on the hyperplane going right.  Points must already
-    lie inside the root box.
-    """
-    points = np.asarray(points, dtype=float)
-    internal = tree.internal()
-    cells = cell_bounds(tree.root_box, internal)
-    planes = dict(zip(internal, zip(cells.axis.tolist(), cells.mid.tolist())))
-    out: dict[int, np.ndarray] = {}
-    stack = [(ROOT, np.arange(len(points)))]
-    while stack:
-        label, idx = stack.pop()
-        if label not in planes:
-            out[label] = idx
-            continue
-        axis, mid = planes[label]
-        right = points[idx, axis] >= mid
-        stack.append((2 * label, idx[~right]))
-        stack.append((2 * label + 1, idx[right]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -113,30 +85,6 @@ def points_in_box(box: Box, points, strict: bool = True) -> np.ndarray:
             f"{dropped} points outside the root box (first at row {bad})"
         )
     return points[inside] if dropped else points
-
-
-def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
-    """Count points into a tree, filling every node of the SRP.
-
-    A point increments the count of its containing leaf and of every
-    ancestor up to the root.  In strict mode a point outside the root
-    box raises :class:`PointOutsideRootBox`; otherwise such points are
-    silently dropped (callers wanting a report can pre-filter with
-    :func:`inside_mask`).
-    """
-    kept = points_in_box(tree.root_box, points, strict)
-    leaf_idx = assign_leaves(tree, kept)
-    counts: dict[int, int] = {}
-    for leaf, idx in leaf_idx.items():
-        c = len(idx)
-        node = leaf
-        counts[node] = counts.get(node, 0) + c
-        while node > ROOT:
-            node >>= 1
-            counts[node] = counts.get(node, 0) + c
-    for v in tree.nodes:
-        counts.setdefault(v, 0)
-    return SRP(tree, counts, len(kept))
 
 
 @dataclass(frozen=True)

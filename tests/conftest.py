@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rphist.geometry import Box, bounding_box
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY, run_pqmc
-from rphist.srp import SRP, ingest
-from rphist.tree import RPTree
+from rphist.pqmc import CellTable, PqmcConfig, SEB_PRIORITY, ingest, run_pqmc
+from rphist.srp import SRP
+from rphist.tree import RPTree, cell_bounds
 
 def unit_box(d: int) -> Box:
     return Box.from_bounds([0.0] * d, [1.0] * d)
@@ -18,6 +20,59 @@ def cell_membership(root_box: Box, lo: np.ndarray, hi: np.ndarray,
     under ``root_box``: closed below, open above except on a root face."""
     pts = np.asarray(points, dtype=float)[:, None]
     return ((pts >= lo) & ((pts < hi) | (hi == root_box.highs()))).all(axis=2)
+
+
+def membership_srp(tree: RPTree, points) -> SRP:
+    """The SRP of ``points`` on ``tree`` by brute force: each node counts
+    the points that :func:`cell_membership` puts in its cell, with no
+    routing down the tree.  Points outside the closed root box count
+    nowhere."""
+    nodes = sorted(tree.nodes)  # the root first
+    cells = cell_bounds(tree.root_box, nodes)
+    pts = np.asarray(points, dtype=float).reshape(-1, tree.dim)
+    pts = pts[((pts >= cells.lo[0]) & (pts <= cells.hi[0])).all(axis=1)]
+    counts = cell_membership(tree.root_box, cells.lo, cells.hi, pts).sum(axis=0)
+    return SRP(tree, dict(zip(nodes, counts.tolist())), int(counts[0]))
+
+
+@st.composite
+def tied_tree_sample(draw):
+    """A random tree and integer-grid rows that tie: repeated rows, rows on
+    splitting planes and, under the grid's box ``[0, side]^d`` or an
+    unpadded bounding box, on the root faces.  A coordinate may be
+    constant, under a padded box too; under the grid's box some rows may
+    lie outside."""
+    d = draw(st.integers(1, 3))
+    side = draw(st.sampled_from([1, 2, 4, 8]))
+    rows = draw(arrays(np.int64, (draw(st.integers(0, 40)), d),
+                       elements=st.integers(-1, side + 1)))
+    pts = np.vstack([rows, np.repeat(rows[:1], draw(st.integers(0, 5)), axis=0)]).astype(float)
+    if draw(st.booleans()):
+        pts[:, draw(st.integers(0, d - 1))] = side / 2
+    if len(pts) and draw(st.booleans()):
+        box = bounding_box(pts, draw(st.sampled_from([0.0, 0.25])))
+    else:
+        box = Box.from_bounds([0.0] * d, [float(side)] * d)
+    tree = RPTree(box)
+    for _ in range(draw(st.integers(0, 12))):
+        leaves = tree.leaves()
+        leaves = [v for v, ok in zip(leaves, cell_bounds(box, leaves).splittable) if ok]
+        if not leaves:
+            break
+        tree = tree.split(draw(st.sampled_from(leaves)))
+    return tree, pts
+
+
+def table_leaf_rows(tree: RPTree, points) -> dict[int, np.ndarray]:
+    """The row indices of ``points`` in each leaf of ``tree``, read off one
+    :class:`CellTable`: the range ``perm[start:start + count]`` of each
+    leaf's cell."""
+    table = CellTable(points, tree.root_box)
+    rows = {}
+    for leaf in tree.leaves():
+        cell = table.cell(leaf)
+        rows[leaf] = table.perm[table.start[cell]:table.start[cell] + table.count[cell]]
+    return rows
 
 
 @pytest.fixture

@@ -23,9 +23,9 @@ from rphist.distributed import (
 from rphist.evaluate import GaussianReference, l1_error
 from rphist.geometry import bounding_box
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig
+from rphist.pqmc import PqmcConfig, ingest
 from rphist.smoothing import cv_score
-from rphist.srp import histogram, ingest
+from rphist.srp import histogram
 from rphist.tree import RPTree
 
 from conftest import fig2_points, random_points, random_srp, seb_instance, unit_box

@@ -30,13 +30,14 @@ from rphist.pqmc import (
     SPC_PRIORITY,
     SplitRecord,
     carve_path,
+    ingest,
     launch_states,
     run_pqmc,
 )
-from rphist.srp import ingest, root_srp
+from rphist.srp import inside_mask, root_srp
 from rphist.tree import RPTree, cell_bounds
 
-from conftest import random_points, seb_instance, unit_box
+from conftest import membership_srp, random_points, seb_instance, tied_tree_sample, unit_box
 
 CFG = PqmcConfig()
 
@@ -131,6 +132,17 @@ def test_apply_splits_point_on_hyperplane_goes_right():
     ds = TaggedDataset.from_points(pts, unit_box(2))
     out = apply_splits(ds, cells_to_split(ds, count_by_cell(ds), 1.0, CFG))
     assert cell_of_each_point(out) == [3, 2]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tied_tree_sample(), st.integers(1, 8), st.sampled_from([1, 3]))
+def test_build_counts_equal_brute_force_membership_on_tied_rows(sample, threshold, shards):
+    # the sharded step's routing against each cell's own half-open bounds
+    tree, pts = sample
+    pts = pts[inside_mask(tree.root_box, pts)]
+    res = build_threshold_tree(pts, tree.root_box, float(threshold),
+                               PqmcConfig(max_depth=30), shard_count=shards)
+    assert res.final_srp == membership_srp(res.final_srp.tree, pts)
 
 
 def test_prune_moves_counts():

@@ -11,10 +11,11 @@ from rphist.geometry import (
     bounds_volume,
     split_plane,
 )
-from rphist.srp import assign_leaves, ingest, inside_mask
+from rphist.pqmc import ingest
+from rphist.srp import inside_mask
 from rphist.tree import RPTree, cell_bounds
 
-from conftest import unit_box
+from conftest import table_leaf_rows, unit_box
 
 
 def plane(box: Box) -> tuple[int, float, bool]:
@@ -103,8 +104,8 @@ def test_zero_width_widest_coordinate_not_bisectable():
 
 def test_contains_half_open_boundary():
     tree = RPTree(unit_box(2)).split(1)
-    leaves = assign_leaves(tree, np.array([[0.5, 0.2]]))  # on the plane x = 0.5
-    assert leaves[2].tolist() == [] and leaves[3].tolist() == [0]
+    s = ingest(tree, [[0.5, 0.2]])  # on the plane x = 0.5
+    assert (s.counts[2], s.counts[3]) == (0, 1)
     corners = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0 + 1e-12], [-1e-300, 0.5]])
     assert inside_mask(unit_box(2), corners).tolist() == [True, True, False, False]
     with pytest.raises(DimensionMismatch):
@@ -116,7 +117,7 @@ def test_child_membership_is_exclusive_and_exhaustive():
     xs = np.linspace(0.0, 1.0, 9)  # includes the 0.5 splitting hyperplane
     pts = np.array([(x, y) for x in xs for y in xs])
     assert inside_mask(box, pts).all()
-    leaf_of = {int(i): v for v, idx in assign_leaves(RPTree(box).split(1), pts).items()
+    leaf_of = {int(i): v for v, idx in table_leaf_rows(RPTree(box).split(1), pts).items()
                for i in idx}
     assert sorted(leaf_of) == list(range(len(pts)))
     # left child [0, 0.5) x [0, 1], right child [0.5, 1] x [0, 1]
@@ -176,6 +177,28 @@ def test_bounding_box_strict_interior():
     box = bounding_box(pts, pad=1e-9)
     assert (box.lows() < pts.min(axis=0)).all()
     assert (box.highs() > pts.max(axis=0)).all()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 7, 39])
+def test_bounding_box_rejects_a_non_finite_value(value, row):
+    pts = np.random.default_rng(3).uniform(-3, 3, size=(40, 3))
+    pts[row, row % 3] = value
+    for pad in (0.0, 1e-9):
+        with pytest.raises(ValueError, match="points must be finite"):
+            bounding_box(pts, pad)
+
+
+@pytest.mark.parametrize("column", [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 0.0],
+                                    [0.0, 1.0, -0.0], [-0.0, -1.0, 0.0, -0.0]])
+def test_bounding_box_keeps_signed_zeros(column):
+    # the bounds are those of numpy's reductions over the whole array,
+    # signs of zero included
+    pts = np.array([column, column[::-1]]).T
+    box = bounding_box(pts, pad=0)
+    ref = Box.from_bounds(pts.min(axis=0), pts.max(axis=0))
+    assert box == ref
+    assert np.signbit(box.lo + box.hi).tolist() == np.signbit(ref.lo + ref.hi).tolist()
 
 
 def test_bounding_box_empty_input():

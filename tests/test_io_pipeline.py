@@ -40,9 +40,9 @@ from rphist.io import (
     save_histogram,
 )
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, launch_states, run_pqmc
+from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, ingest, launch_states, run_pqmc
 from rphist.smoothing import tau_grid
-from rphist.srp import Histogram, histogram, ingest, root_srp
+from rphist.srp import Histogram, histogram, root_srp
 from rphist.tree import RPTree
 
 from conftest import fig2_points, random_points, unit_box
@@ -802,20 +802,31 @@ def test_cli_build_rejects_a_malformed_maxpts(tmp_path, capsys):
     (["build", "--maxpts", "0"], "maxpts entries must be >= 1"),
     (["build", "--carve-leaves", "0"], "carve_leaves must be >= 1"),
     (["eval", "--reference", "gaussian", "--mc", "1"], "need at least two draws per leaf"),
+    (["build", "--pad", "-1"], "pad must be finite and >= 0"),
+    (["build", "--pad", "nan"], "pad must be finite and >= 0"),
+    (["build", "--pad", "inf"], "pad must be finite and >= 0"),
+    (["build", "--tau-min", "nan"], "invalid tau grid"),
+    (["build", "--tau-max", "inf"], "invalid tau grid"),
+    (["build", "--max-depth", "0"], "max_depth must be >= 1"),
+    (["eval", "--reference", "gaussian", "--seed", "-1"], "argument --seed: must be >= 0"),
 ])
 def test_cli_rejects_an_invalid_value_as_a_usage_error(tmp_path, capsys, argv, message):
     # exit code 2 and the subcommand's usage and message, no traceback,
-    # before anything is read or written
-    paths = (["--input", str(tmp_path / "none.csv"), "--dim", "2", "--out",
-              str(tmp_path / "h.json")] if argv[0] == "build"
-             else ["--hist", str(tmp_path / "none.json")])
-    with pytest.raises(SystemExit) as exit_info:
-        cli_main(argv + paths)
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage: rphist {argv[0]} [-h] ")
-    assert f"rphist {argv[0]}: error: " in err and message in err
-    assert list(tmp_path.iterdir()) == []
+    # before anything is read or written; a build in either mode
+    if argv[0] == "build":
+        paths = ["--input", str(tmp_path / "none.csv"), "--dim", "2", "--out",
+                 str(tmp_path / "h.json")]
+        runs = [paths, paths + ["--sequential"]]
+    else:
+        runs = [["--hist", str(tmp_path / "none.json")]]
+    for paths in runs:
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv + paths)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: rphist {argv[0]} [-h] ")
+        assert f"rphist {argv[0]}: error: " in err and message in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -825,20 +836,26 @@ def test_cli_rejects_an_invalid_value_as_a_usage_error(tmp_path, capsys, argv, m
     ["eval", "--hist", "bad.json", "--reference", "gaussian"],
     ["plot", "--hist", "missing.json", "--out", "p.csv"],
     ["plot", "--hist", "bad.json", "--out", "p.csv"],
+    ["build", "--input", "const.csv", "--dim", "2", "--pad", "0", "--out", "h.json"],
+    ["build", "--input", "const.csv", "--dim", "2", "--pad", "1e308", "--out", "h.json"],
 ])
 def test_cli_reports_an_input_error_in_one_line(tmp_path, argv):
     # a missing file, a CSV with too few columns for --dim, a histogram
-    # that is not one: exit code 1 and one line on stderr, nothing written
+    # that is not one, a root box of zero volume or an infinite one: exit
+    # code 1 and one line on stderr, nothing written; a build in either mode
     (tmp_path / "two.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "const.csv").write_text("1,5\n2,5\n3,5\n")
     (tmp_path / "bad.json").write_text('{"format": "rphist-histogram", "version": 1}\n')
     src = str(Path(rphist.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "rphist.cli", *argv], cwd=tmp_path,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("rphist: error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stdout + proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "two.csv"]
+    for mode in ([], ["--sequential"]) if argv[0] == "build" else ([],):
+        proc = subprocess.run([sys.executable, "-m", "rphist.cli", *argv, *mode],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("rphist: error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "const.csv",
+                                                              "two.csv"]
 
 
 def test_cli_build_seed_is_ignored(tmp_path):

@@ -14,14 +14,15 @@ from rphist.pqmc import (
     SEB_PRIORITY,
     SPC_PRIORITY,
     carve_path,
+    ingest,
     launch_states,
     run_pqmc,
     splittable_leaves,
 )
-from rphist.srp import SRP, ingest, root_srp
+from rphist.srp import SRP, root_srp
 from rphist.tree import RPTree, cell_bounds, depth
 
-from conftest import fig2_points, random_points, unit_box
+from conftest import fig2_points, membership_srp, random_points, unit_box
 
 
 def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
@@ -52,7 +53,7 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
             break
         tied = [v for v, psi in cand.items() if psi == best]
         had_ties = had_ties or len(tied) > 1
-        states.append(ingest(s.tree.split(min(tied)), pts))
+        states.append(membership_srp(s.tree.split(min(tied)), pts))
     success = ((max_leaves is None or s.leaf_count <= max_leaves)
                and (not max_psi or best is None or best <= max_psi))
     return states, stop, success, had_ties

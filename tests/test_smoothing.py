@@ -11,6 +11,7 @@ from rphist.pqmc import (
     PqmcConfig,
     SEB_PRIORITY,
     carve_path,
+    ingest,
     launch_states,
     run_pqmc,
 )
@@ -23,7 +24,7 @@ from rphist.smoothing import (
     select,
     tau_grid,
 )
-from rphist.srp import ingest, log_likelihood, root_srp
+from rphist.srp import log_likelihood, root_srp
 from rphist.tree import RPTree, cell_bounds
 
 from conftest import cell_membership, fig2_points, random_points, random_srp, unit_box

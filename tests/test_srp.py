@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from rphist.errors import DimensionMismatch, EmptySample, PointOutsideRootBox
-from rphist.srp import SRP, density_at, histogram, ingest, log_likelihood, root_srp
-from conftest import fig2_points, random_srp, unit_box
+from rphist.errors import (
+    DimensionMismatch,
+    EmptySample,
+    NotBisectable,
+    PointOutsideRootBox,
+)
+from rphist.geometry import Box
+from rphist.pqmc import ingest
+from rphist.srp import SRP, density_at, histogram, log_likelihood, root_srp
+from rphist.tree import RPTree
+from conftest import fig2_points, membership_srp, random_srp, tied_tree_sample, unit_box
 
 # independently computed: 2*log(0.8) + 3*log(1.2) + 5*log(1.0)
 FIG2_LOG_LIK = 0.10067756775344439
@@ -37,6 +46,34 @@ def test_ingest_strict_raises_outside(fig2_tree):
 def test_ingest_dimension_mismatch(fig2_tree):
     with pytest.raises(DimensionMismatch):
         ingest(fig2_tree, [[0.1, 0.2, 0.3]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_tree_sample())
+def test_ingest_equals_brute_force_membership_on_tied_rows(sample):
+    # the cell table's routing against each cell's own half-open bounds
+    tree, pts = sample
+    expected = membership_srp(tree, pts)
+    expected.validate()
+    assert ingest(tree, pts, strict=False) == expected
+    if expected.n == len(pts):
+        assert ingest(tree, pts) == expected
+    else:
+        with pytest.raises(PointOutsideRootBox):
+            ingest(tree, pts)
+
+
+def test_ingest_rejects_a_split_cell_that_cannot_be_bisected():
+    # the split root of a zero-width box: histogram and the chains reject
+    # such a tree, and so does ingest, on any points
+    box = Box.from_bounds([0.0, 0.0], [0.0, 0.0])
+    assert ingest(RPTree(box), [[0.0, 0.0]]).counts == {1: 1}
+    tree = RPTree(box).split(1)
+    for pts in ([[0.0, 0.0]], []):
+        with pytest.raises(NotBisectable):
+            ingest(tree, pts, strict=False)
+    with pytest.raises(NotBisectable):
+        histogram(SRP(tree, {1: 1, 2: 0, 3: 1}, 1))
 
 
 def test_histogram_fig2_heights(fig2_srp):

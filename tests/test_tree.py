@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from rphist.errors import NotALeaf, NotBisectable, RootHasNoParent
 from rphist.geometry import Box, bounds_volume, split_plane, volume_at_depth
-from rphist.srp import assign_leaves
 from rphist.tree import RPTree, cell_bounds, children, depth, parent
 
-from conftest import cell_membership, unit_box
+from conftest import cell_membership, table_leaf_rows, unit_box
 
 
 def test_parent():
@@ -118,7 +117,7 @@ def test_exactly_one_leaf_contains_each_point():
     inside = cell_membership(t.root_box, cells.lo, cells.hi, pts)
     assert (inside.sum(axis=1) == 1).all()
     got = np.full(len(pts), -1)
-    for leaf, idx in assign_leaves(t, pts).items():
+    for leaf, idx in table_leaf_rows(t, pts).items():
         assert (got[idx] == -1).all()
         got[idx] = leaves.index(leaf)
     assert got.tolist() == inside.argmax(axis=1).tolist()
