@@ -8,7 +8,7 @@ class RphistError(Exception):
 class NotBisectable(RphistError):
     """The widest coordinate of a box cannot be split at its midpoint in
     machine arithmetic (zero width, or midpoint not strictly interior),
-    or a root box has a side that never can (zero or infinite width)."""
+    or a root box's volume is zero or not finite."""
 
 
 class DimensionMismatch(RphistError):

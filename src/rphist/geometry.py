@@ -112,8 +112,8 @@ def bounding_box(points, pad: float = DEFAULT_PAD) -> Box:
     if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
         raise ValueError("points must be finite")
     if pad > 0:
-        widths = highs - lows
         with np.errstate(over="ignore"):
+            widths = highs - lows
             grow = np.where(widths > 0, pad * widths, ZERO_WIDTH_FLOOR)
             lows = lows - grow
             highs = highs + grow

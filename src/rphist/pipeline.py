@@ -128,9 +128,9 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     same points and config give byte-identical histogram JSON in either
     mode; the manifest also records wall-clock timings and is therefore
     not.  The root box bounds every point.  Fewer than two points raise
-    :class:`~rphist.errors.InsufficientData`, and a root box that is not
-    finite or has zero volume :class:`~rphist.errors.NotBisectable`,
-    before anything is built or written.
+    :class:`~rphist.errors.InsufficientData`, and a root box whose volume
+    is zero or not finite :class:`~rphist.errors.NotBisectable`, before
+    anything is built or written.
     """
     timings: dict[str, float] = {}
     skipped_rows = 0
@@ -145,9 +145,11 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         root_box = bounding_box(points, cfg.pad)
         if len(points) < 2:
             raise InsufficientData(f"need at least 2 points, got {len(points)}")
-        if not np.isfinite(root_box.lo + root_box.hi).all() or root_box.volume == 0:
-            raise NotBisectable(f"the root box {root_box} is not finite or has zero "
-                                "volume; pad > 0 widens a constant coordinate")
+        with np.errstate(over="ignore", invalid="ignore"):
+            volume = root_box.volume
+        if not 0 < volume < math.inf:
+            raise NotBisectable(f"the root box {root_box} has volume {volume}, not a "
+                                "positive finite one (pad > 0 widens a constant coordinate)")
 
     with _stage(timings, "carve"):
         carve_cfg = PqmcConfig(

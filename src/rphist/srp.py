@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySample, PointOutsideRootBox
+from .errors import (
+    DimensionMismatch,
+    EmptySample,
+    PointOutsideRootBox,
+)
 from .geometry import Box, bounds_volume, split_plane
 from .tree import ROOT, RPTree, cell_bounds
 

@@ -838,13 +838,17 @@ def test_cli_rejects_an_invalid_value_as_a_usage_error(tmp_path, capsys, argv, m
     ["plot", "--hist", "bad.json", "--out", "p.csv"],
     ["build", "--input", "const.csv", "--dim", "2", "--pad", "0", "--out", "h.json"],
     ["build", "--input", "const.csv", "--dim", "2", "--pad", "1e308", "--out", "h.json"],
+    ["build", "--input", "wide.csv", "--dim", "10", "--out", "h.json"],
 ])
 def test_cli_reports_an_input_error_in_one_line(tmp_path, argv):
     # a missing file, a CSV with too few columns for --dim, a histogram
-    # that is not one, a root box of zero volume or an infinite one: exit
-    # code 1 and one line on stderr, nothing written; a build in either mode
+    # that is not one, a root box of zero volume, an infinite one or one
+    # whose volume overflows: exit code 1 and one line on stderr, nothing
+    # written; a build in either mode
     (tmp_path / "two.csv").write_text("1,2\n3,4\n")
     (tmp_path / "const.csv").write_text("1,5\n2,5\n3,5\n")
+    (tmp_path / "wide.csv").write_text(",".join(["1e35"] * 10) + "\n"
+                                       + ",".join(["-1e35"] * 10) + "\n")
     (tmp_path / "bad.json").write_text('{"format": "rphist-histogram", "version": 1}\n')
     src = str(Path(rphist.__file__).resolve().parents[1])
     for mode in ([], ["--sequential"]) if argv[0] == "build" else ([],):
@@ -855,7 +859,7 @@ def test_cli_reports_an_input_error_in_one_line(tmp_path, argv):
         assert proc.stderr.startswith("rphist: error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "const.csv",
-                                                              "two.csv"]
+                                                              "two.csv", "wide.csv"]
 
 
 def test_cli_build_seed_is_ignored(tmp_path):
