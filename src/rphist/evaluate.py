@@ -9,9 +9,13 @@ outside mass comes from the reference's closed-form box probability.
 The estimate is a pure function of the histogram, the reference,
 ``mc_per_leaf`` and ``seed``.  The draws come leaf by leaf, in the
 histogram's leaf order, from one generator seeded by ``seed``; a chunk
-of leaves takes one C-order block of it, scaled to the cells in place,
-which gives the doubles ``Generator.uniform`` gives.  So the result
-does not depend on :data:`MC_CHUNK_LEAVES`.
+of leaves takes one C-order block of it, scaled to the cells into
+coordinate-major order, which gives the doubles ``Generator.uniform``
+gives.  So the result does not depend on :data:`MC_CHUNK_LEAVES`.  A
+reference's ``pdf_columns`` reads the draws one coordinate at a time,
+and the Gaussian sums its squares in the order ``np.sum`` sums a
+point's (:func:`sum_rows`), so each density is the one a point-by-point
+evaluation gives.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnknownReference
 from .geometry import Box
-from .srp import Histogram, inside_mask
+from .srp import Histogram
 
 #: Leaves whose Monte-Carlo draws :func:`l1_error` makes in one batch.
 MC_CHUNK_LEAVES = 64
@@ -32,6 +36,38 @@ MC_CHUNK_LEAVES = 64
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function, accurate in both tails."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def sum_rows(x: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of a ``(m, N)`` float array of
+    non-negative values, bit for bit as ``np.sum(p, axis=1)`` adds the
+    rows of the C-order transpose ``p``: in ``np.add.reduce``'s pairwise
+    order, in place in ``x[0]`` and returned as that row.
+
+    That order adds fewer than 8 terms left to right.  From 8 to 128 terms
+    it keeps 8 running sums, adds each next block of 8 terms to them,
+    joins them as ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))``
+    and adds the terms after the last whole block left to right.  Above
+    128 terms it sums two halves so, the first of a multiple of 8 terms,
+    and adds them."""
+    m = len(x)
+    if m < 8:
+        for j in range(1, m):
+            x[0] += x[j]
+    elif m <= 128:
+        whole = m - m % 8
+        for i in range(8, whole, 8):
+            x[:8] += x[i:i + 8]
+        x[0:8:2] += x[1:8:2]
+        x[0:8:4] += x[2:8:4]
+        x[0] += x[4]
+        for j in range(whole, m):
+            x[0] += x[j]
+    else:
+        half = m // 2 - m // 2 % 8
+        sum_rows(x[:half])
+        x[0] += sum_rows(x[half:])
+    return x[0]
 
 
 class GaussianReference:
@@ -45,9 +81,19 @@ class GaussianReference:
         self.dim = dim
         self._norm = (2.0 * math.pi) ** (-dim / 2.0)
 
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._norm * np.exp(-0.5 * np.sum(points * points, axis=1))
+    def pdf_columns(self, coords: np.ndarray) -> np.ndarray:
+        """The density at the points whose ``j``-th coordinates are
+        ``coords[j]``, for a ``(d, N)`` float array that it overwrites.
+
+        Each point's squared norm is summed as ``np.sum(points * points,
+        axis=1)`` sums it (:func:`sum_rows`), so the values are those of
+        the density evaluated point by point."""
+        coords *= coords
+        sq = sum_rows(coords)
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= self._norm
+        return sq
 
     def box_prob(self, box: Box) -> float:
         if box.dim != self.dim:
@@ -71,9 +117,14 @@ class UniformReference:
             raise ValueError("uniform reference needs a box of positive volume")
         self._height = 1.0 / vol
 
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.where(inside_mask(self.box, points), self._height, 0.0)
+    def pdf_columns(self, coords: np.ndarray) -> np.ndarray:
+        """The density at the points whose ``j``-th coordinates are
+        ``coords[j]``, for a ``(d, N)`` float array."""
+        inside = np.ones(coords.shape[1], dtype=bool)
+        for x, lo, hi in zip(coords, self.box.lo, self.box.hi):
+            inside &= x >= lo
+            inside &= x <= hi
+        return np.where(inside, self._height, 0.0)
 
     def box_prob(self, box: Box) -> float:
         if box.dim != self.dim:
@@ -113,6 +164,8 @@ def l1_error(h: Histogram, reference, mc_per_leaf: int = 256,
              seed: int = 0) -> EvalReport:
     """Estimate ``integral |f_n - f|`` by stratified Monte Carlo.
 
+    ``reference`` is a density with ``dim``, ``box_prob(box)`` and
+    ``pdf_columns(coords)``, such as :func:`make_reference` returns.
     Each leaf contributes its volume times the average of
     ``|height - f(x)|`` over ``mc_per_leaf`` uniform draws in the leaf;
     the reference mass outside the root box is added exactly.  The
@@ -133,26 +186,37 @@ def l1_error(h: Histogram, reference, mc_per_leaf: int = 256,
     widths = h.hi - h.lo
     if not np.isfinite(widths).all():
         raise OverflowError("a leaf's width exceeds the float range")
-    heights = np.array([leaf.height for leaf in h.leaves])
-    volumes = np.array([leaf.volume for leaf in h.leaves])
-    means, stds = np.empty_like(heights), np.empty_like(heights)
+    # coordinate-major bounds: the scaling's inner loops run over the draws
+    widths, lows = widths.T[:, :, None], h.lo.T[:, :, None]
+    means, stds = np.empty_like(h.heights), np.empty_like(h.heights)
     rng = np.random.default_rng(seed)
     outside = 1.0 - reference.box_prob(h.root_box)
     d = h.root_box.dim
+    block = min(MC_CHUNK_LEAVES, h.leaf_count) * mc_per_leaf * d
+    drawn, coords = np.empty(block), np.empty(block)  # reused chunk by chunk
     for start in range(0, h.leaf_count, MC_CHUNK_LEAVES):
         stop = min(start + MC_CHUNK_LEAVES, h.leaf_count)
-        # lo + width * u, as Generator.uniform computes it, from the same
-        # C-order stream: (leaves, mc, d), whatever the chunk size
-        draws = rng.random((stop - start, mc_per_leaf, d))
-        draws *= widths[start:stop, None]
-        draws += h.lo[start:stop, None]
-        pdf = reference.pdf(draws.reshape(-1, d)).reshape(stop - start, mc_per_leaf)
-        dev = np.abs(heights[start:stop, None] - pdf)
-        means[start:stop] = dev.mean(axis=1)
-        stds[start:stop] = dev.std(axis=1, ddof=1)
-    se = volumes * stds / math.sqrt(mc_per_leaf)
+        size = (stop - start) * mc_per_leaf * d
+        # the same C-order stream, (leaves, mc, d), whatever the chunk size,
+        # scaled into (d, leaves, mc) order; lo + width * u, as
+        # Generator.uniform computes it
+        draws = rng.random(out=drawn[:size].reshape(stop - start, mc_per_leaf, d))
+        x = coords[:size].reshape(d, stop - start, mc_per_leaf)
+        np.multiply(draws.transpose(2, 0, 1), widths[:, start:stop], out=x)
+        x += lows[:, start:stop]
+        dev = reference.pdf_columns(x.reshape(d, -1)).reshape(stop - start, mc_per_leaf)
+        dev -= h.heights[start:stop, None]
+        np.abs(dev, out=dev)
+        # the mean and the ddof=1 standard deviation, as np.mean and np.std
+        # compute them, from one sum
+        mean = dev.sum(axis=1) / mc_per_leaf
+        dev -= mean[:, None]
+        dev *= dev
+        means[start:stop] = mean
+        stds[start:stop] = np.sqrt(dev.sum(axis=1) / (mc_per_leaf - 1))
+    se = h.volumes * stds / math.sqrt(mc_per_leaf)
     # cumsum adds left to right: the sums a per-leaf running total gives
-    total = np.cumsum(np.append(outside, volumes * means))[-1]
+    total = np.cumsum(np.append(outside, h.volumes * means))[-1]
     var_sum = np.cumsum(np.append(0.0, se * se))[-1]
     return EvalReport(
         l1_estimate=float(total),

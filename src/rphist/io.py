@@ -8,6 +8,8 @@ depths survive), which makes repeated pipeline runs byte-identical.
 from __future__ import annotations
 
 import json
+import re
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, NotBisectable, ParseError
 from .geometry import Box
 from .srp import Histogram
-from .tree import RPTree
+from .tree import paves
 
 HISTOGRAM_FORMAT = "rphist-histogram"
 HISTOGRAM_VERSION = 1
@@ -106,41 +108,52 @@ def _any_number(fields) -> bool:
     return False
 
 
-def histogram_to_json(h: Histogram) -> dict:
-    leaves = [
-        {
-            "label": str(leaf.label),
-            "count": leaf.count,
-            "volume": leaf.volume,
-            "height": leaf.height,
-        }
-        for leaf in sorted(h.leaves, key=lambda leaf: leaf.label)
-    ]
-    return {
+#: One leaf record of the histogram JSON, as ``json.dumps(..., sort_keys=True,
+#: indent=2)`` writes it, from ``(count, height, label, volume)``.
+_LEAF_RECORD = ('    {\n      "count": %d,\n      "height": %s,\n      "label": "%d",\n'
+                '      "volume": %s\n    }')
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_LABEL = re.compile("[1-9][0-9]*")
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON text of each float, as ``json`` writes it."""
+    text = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_JSON_NON_FINITE.get(t, t) for t in text]
+    return text
+
+
+def save_histogram(h: Histogram, path) -> None:
+    """Write ``h`` as the JSON ``json.dumps(..., sort_keys=True, indent=2)``
+    gives, leaves in ascending label order, with each leaf record
+    formatted from the columns by one template."""
+    doc = json.dumps({
         "format": HISTOGRAM_FORMAT,
         "version": HISTOGRAM_VERSION,
         "root_box": {"lo": list(h.root_box.lo), "hi": list(h.root_box.hi)},
         "n": h.n,
-        "leaves": leaves,
-    }
-
-
-def save_histogram(h: Histogram, path) -> None:
-    Path(path).write_text(
-        json.dumps(histogram_to_json(h), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+        "leaves": [],
+    }, sort_keys=True, indent=2)
+    rows = sorted(zip(h.counts.tolist(), _json_floats(h.heights), h.labels,
+                      _json_floats(h.volumes)), key=itemgetter(2))
+    if rows:
+        leaves = ",\n".join([_LEAF_RECORD % row for row in rows])
+        doc = doc.replace('"leaves": []', f'"leaves": [\n{leaves}\n  ]', 1)
+    Path(path).write_text(doc + "\n", encoding="utf-8")
 
 
 def load_histogram(path) -> Histogram:
     """Load a histogram, revalidating the labels against the root box.
 
-    The root box must be finite, the leaf labels must form a paving
-    (prefix consistent, zero or two children everywhere), each listed
-    once, and the counts must be non-negative integers summing to ``n``;
-    boxes are rebuilt from the labels rather than trusted from the file.
-    Other files raise :class:`ParseError`, except that ``n = 0`` raises
-    :class:`EmptySample` and corners of unequal length DimensionMismatch.
+    The root box must be finite; each leaf label must be a string of
+    ASCII digits with no leading zero, as :func:`save_histogram` writes
+    it; the labels must form a paving (:func:`~rphist.tree.paves`), each
+    listed once; and the counts must be non-negative integers summing to
+    ``n``.  Boxes are rebuilt from the labels rather than trusted from
+    the file.  Other files raise :class:`ParseError`, except that
+    ``n = 0`` raises :class:`EmptySample` and corners of unequal length
+    DimensionMismatch.
     """
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -151,20 +164,27 @@ def load_histogram(path) -> Histogram:
         root_box = Box.from_bounds(obj["root_box"]["lo"], obj["root_box"]["hi"])
         if not np.isfinite([*root_box.lo, *root_box.hi]).all():
             raise ParseError(f"{path}: the root box is not finite")
-        labels = [int(rec["label"]) for rec in obj["leaves"]]
+        texts = [rec["label"] for rec in obj["leaves"]]
+        if not all(type(t) is str and _LABEL.fullmatch(t) for t in texts):
+            raise ParseError(f"{path}: a leaf label is not a string of decimal digits "
+                             "with no leading zero")
+        labels = list(map(int, texts))
         if len(set(labels)) < len(labels):
             raise ParseError(f"{path}: a leaf label is listed more than once")
-        RPTree.from_leaves(root_box, labels)  # raises unless the labels form a paving
+        if not paves(labels):
+            raise ParseError(f"{path}: the leaf labels do not form a paving")
         n = obj["n"]
         counts = [rec["count"] for rec in obj["leaves"]]
-        if not all(type(c) is int and c >= 0 for c in (n, *counts)):
+        if not (type(n) is int and n >= 0 and set(map(type, counts)) <= {int}
+                and min(counts) >= 0):
             raise ParseError(f"{path}: n and the counts must be non-negative integers")
         if sum(counts) != n:
             raise ParseError(f"{path}: leaf counts do not sum to n")
         return Histogram.from_counts(root_box, n, labels, counts)
     except ParseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, NotBisectable) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            NotBisectable) as exc:
         raise ParseError(f"{path}: malformed histogram: {exc!r}") from exc
 
 
@@ -176,18 +196,20 @@ def export_plot_data(h: Histogram, path) -> str:
     """
     out = Path(path)
     rows = []
-    order = sorted(range(h.leaf_count), key=lambda i: h.leaves[i].label)
+    order = sorted(range(h.leaf_count), key=h.labels.__getitem__)
+    heights = h.heights.tolist()
     if h.root_box.dim == 2:
         rows.append("x0,y0,x1,y1,height")
         lo, hi = h.lo.tolist(), h.hi.tolist()
         for i in order:
             (x0, y0), (x1, y1) = lo[i], hi[i]
-            rows.append(f"{x0!r},{y0!r},{x1!r},{y1!r},{h.leaves[i].height!r}")
+            rows.append(f"{x0!r},{y0!r},{x1!r},{y1!r},{heights[i]!r}")
         mode = "rectangles"
     else:
         rows.append("label,count,volume,height")
-        for leaf in (h.leaves[i] for i in order):
-            rows.append(f"{leaf.label},{leaf.count},{leaf.volume!r},{leaf.height!r}")
+        counts, volumes = h.counts.tolist(), h.volumes.tolist()
+        for i in order:
+            rows.append(f"{h.labels[i]},{counts[i]},{volumes[i]!r},{heights[i]!r}")
         mode = "table"
     out.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return mode

@@ -12,6 +12,7 @@ likelihood simple function for the partition given by the leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,38 +100,80 @@ class HistogramLeaf:
     height: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Piecewise-constant density over the leaf cells of an SRP.
+    """Piecewise-constant density over the leaf cells of an SRP, held as
+    columns.
 
-    ``lo[i]`` and ``hi[i]`` are the bounds of ``leaves[i]``'s cell
-    (:func:`~rphist.tree.cell_bounds`).
+    Row ``i`` is the leaf ``labels[i]`` (a Python int, so labels of any
+    depth survive): ``counts[i]`` of the ``n`` points fell into its cell,
+    whose bounds are ``lo[i]`` and ``hi[i]`` (:func:`~rphist.tree.cell_bounds`)
+    and volume ``volumes[i]``, and ``heights[i]`` is its density
+    ``counts[i] / (n * volumes[i])``.  Build one with :meth:`from_counts`.
     """
 
     root_box: Box
     n: int
-    leaves: tuple[HistogramLeaf, ...] = field(repr=False)
-    lo: np.ndarray = field(repr=False, compare=False)
-    hi: np.ndarray = field(repr=False, compare=False)
+    labels: tuple[int, ...] = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    volumes: np.ndarray = field(repr=False)
+    heights: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves)
+        return len(self.labels)
+
+    @cached_property
+    def leaves(self) -> tuple[HistogramLeaf, ...]:
+        """The rows as :class:`HistogramLeaf` objects, built on first access."""
+        return tuple(map(HistogramLeaf, self.labels, self.counts.tolist(),
+                         self.volumes.tolist(), self.heights.tolist()))
+
+    @cached_property
+    def row_of(self) -> dict[int, int]:
+        """The row of each leaf label, built on first access."""
+        return dict(zip(self.labels, range(self.leaf_count)))
 
     def total_mass(self) -> float:
-        return sum(leaf.height * leaf.volume for leaf in self.leaves)
+        """The sum of ``height * volume`` over the rows, left to right."""
+        return float(np.cumsum(np.append(0.0, self.heights * self.volumes))[-1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return (self.root_box == other.root_box and self.n == other.n
+                and self.labels == other.labels
+                and all(np.array_equal(a, b) for a, b in (
+                    (self.counts, other.counts), (self.volumes, other.volumes),
+                    (self.heights, other.heights))))
+
+    def __hash__(self):
+        return hash((self.root_box, self.n, self.labels))
 
     @classmethod
     def from_counts(cls, root_box: Box, n: int, labels, counts) -> "Histogram":
         """Histogram of ``n`` points with ``counts[i]`` in leaf ``labels[i]``:
         the cell of each label under ``root_box`` carries the density
-        ``count / (n * volume)``."""
+        ``count / (n * volume)``.
+
+        Raises
+        ------
+        ZeroDivisionError
+            If some cell's volume underflows to 0.
+        """
         if n < 1:
             raise EmptySample("cannot form a histogram from zero points")
+        labels = tuple(labels)
         lo, hi, *_ = cell_bounds(root_box, labels)
-        leaves = tuple(HistogramLeaf(label, c, vol, c / (n * vol)) for label, c, vol
-                       in zip(labels, counts, bounds_volume(lo, hi).tolist()))
-        return cls(root_box, n, leaves, lo, hi)
+        volumes = bounds_volume(lo, hi)
+        if not volumes.all():
+            raise ZeroDivisionError("a cell's volume underflows to 0")
+        counts = np.array(counts, dtype=np.int64)
+        with np.errstate(over="ignore"):  # an overflowing height is inf
+            heights = counts / (float(n) * volumes)
+        return cls(root_box, n, labels, counts, volumes, heights, lo, hi)
 
 
 def histogram(s: SRP) -> Histogram:
@@ -143,8 +186,10 @@ def histogram(s: SRP) -> Histogram:
 def density_at(h: Histogram, p) -> float:
     """Histogram density at a point; 0 outside the root box.
 
-    A point on an internal splitting hyperplane belongs to the right
-    child (:func:`~rphist.geometry.split_plane`).
+    The walk from the root to the point's leaf looks each label up in
+    :attr:`Histogram.row_of`, so a call costs the leaf's depth.  A point
+    on an internal splitting hyperplane belongs to the right child
+    (:func:`~rphist.geometry.split_plane`).
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size != h.root_box.dim:
@@ -153,11 +198,11 @@ def density_at(h: Histogram, p) -> float:
         )
     if not inside_mask(h.root_box, p[None])[0]:
         return 0.0
-    by_label = {leaf.label: leaf for leaf in h.leaves}
+    row_of = h.row_of
     label = ROOT
     lo = h.root_box.lows()[None]
     hi = h.root_box.highs()[None]
-    while label not in by_label:
+    while label not in row_of:
         (axis,), (mid,), _ = split_plane(lo, hi)
         if p[axis] >= mid:
             label = 2 * label + 1
@@ -165,7 +210,7 @@ def density_at(h: Histogram, p) -> float:
         else:
             label = 2 * label
             hi[0, axis] = mid
-    return by_label[label].height
+    return float(h.heights[row_of[label]])
 
 
 def cell_terms(counts: np.ndarray, vol: np.ndarray, n: int) -> np.ndarray:

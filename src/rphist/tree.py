@@ -101,6 +101,28 @@ def cell_bounds(root_box: Box, labels) -> CellBounds:
     return CellBounds(lo, hi, *split_plane(lo, hi))
 
 
+def paves(labels) -> bool:
+    """Whether the labels, each listed once, are the leaves of a paving.
+
+    Label ``v`` at depth ``k`` stands for the dyadic interval of width
+    ``2**-k`` at its path bits ``v - 2**k``, and labels are the leaves of
+    a paving exactly when their intervals tile ``[0, 1)``: sorted, each
+    starts where the one before ends.  A repeated label, or a label and
+    its ancestor, overlap.  The intervals are scaled to integers at the
+    deepest label's depth, so labels of any size work.
+    """
+    if not labels or min(labels) < ROOT:
+        return False
+    top = max(labels).bit_length()
+    end = 1 << (top - 1)  # intervals scaled to [2**(top-1), 2**top)
+    for start, shift in sorted([(v << (top - v.bit_length()), top - v.bit_length())
+                                for v in labels]):
+        if start != end:
+            return False
+        end = start + (1 << shift)
+    return end == 1 << top
+
+
 @dataclass(frozen=True)
 class RPTree:
     """A regular paving: root box plus a prefix-closed label set.
@@ -116,32 +138,6 @@ class RPTree:
     def __post_init__(self):
         if ROOT not in self.nodes:
             raise ValueError("tree must contain the root label 1")
-
-    @classmethod
-    def from_leaves(cls, root_box: Box, leaves) -> "RPTree":
-        """Tree whose leaf set is ``leaves``; ancestors are filled in.
-
-        Validates that the labels actually form a paving (each node has
-        zero or two children present).
-        """
-        leaves = [int(leaf) for leaf in leaves]
-        nodes = set()
-        for leaf in leaves:
-            n = leaf
-            if n < ROOT:
-                raise ValueError(f"invalid leaf label {leaf}")
-            while n >= ROOT and n not in nodes:
-                nodes.add(n)
-                n >>= 1
-        tree = cls(root_box, frozenset(nodes))
-        for n in nodes:
-            left, right = 2 * n, 2 * n + 1
-            if (left in nodes) != (right in nodes):
-                raise ValueError(f"node {n} has exactly one child present")
-        bad = set(leaves) - set(tree.leaves())
-        if bad:
-            raise ValueError(f"labels {sorted(bad)[:5]} are not leaves of the paving")
-        return tree
 
     @property
     def dim(self) -> int:

@@ -31,6 +31,7 @@ from rphist.evaluate import (
     l1_error,
     make_reference,
     normal_cdf,
+    sum_rows,
 )
 from rphist.geometry import Box, bounding_box
 from rphist.io import (
@@ -365,6 +366,105 @@ def test_load_histogram_raises_parse_error_on_a_malformed_file(tmp_path, fig2_sr
         load_histogram(out)
 
 
+@pytest.mark.parametrize("labels, bad", [
+    ([2, 3], 2.9), ([2, 3], 2), ([1], True), ([2, 3], " 2 "), ([2, 3], "\uff12"),
+    ([2, 3], "\u0662"), ([2, 3], "02"), ([2, 3], "+2"), ([2, 3], "2\n"), ([1], ""),
+    ([1], None), ([1], "0"),
+], ids=["float", "int", "true", "spaces", "full-width", "arabic-indic", "leading-zero",
+        "plus", "newline", "empty", "null", "zero"])
+def test_load_histogram_accepts_only_labels_as_written(tmp_path, labels, bad):
+    # int() reads every one of these but the last three as a label of the
+    # paving (2, or the root for true), so only the text rule rejects them
+    out = tmp_path / "h.json"
+    save_histogram(Histogram.from_counts(unit_box(2), 4, labels, [4 // len(labels)] * len(labels)),
+                   out)
+    load_histogram(out)
+    obj = json.loads(out.read_text())
+    obj["leaves"][0]["label"] = bad
+    out.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="leaf label is not a string of decimal digits"):
+        load_histogram(out)
+
+
+def _histogram_dict(h: Histogram) -> dict:
+    """The histogram JSON as a dict, from the leaf objects."""
+    return {
+        "format": "rphist-histogram",
+        "version": 1,
+        "root_box": {"lo": list(h.root_box.lo), "hi": list(h.root_box.hi)},
+        "n": h.n,
+        "leaves": [{"label": str(leaf.label), "count": leaf.count,
+                    "volume": leaf.volume, "height": leaf.height}
+                   for leaf in sorted(h.leaves, key=lambda leaf: leaf.label)],
+    }
+
+
+@st.composite
+def _histograms(draw):
+    """Histograms in 1, 2, 3 or 10 dimensions on a random paving, leaves in any
+    order, with zero counts, labels past 2**63 down a chain of cells at
+    the origin, and under a root box of volume 1e-300 subnormal volumes and
+    heights that overflow to inf."""
+    d = draw(st.sampled_from([1, 2, 3, 10]))
+    box = draw(st.sampled_from(["unit", "wide", "tiny"]))
+    lo, hi = {"unit": (0.0, 1.0), "wide": (-6.0, 6.0), "tiny": (0.0, 10.0 ** (-300 / d))}[box]
+    leaves = {1}
+    for _ in range(draw(st.integers(0, 12))):
+        v = draw(st.sampled_from(sorted(leaves)))
+        leaves = (leaves - {v}) | {2 * v, 2 * v + 1}
+    for _ in range(draw(st.sampled_from([0, 70])) if lo == 0.0 else 0):
+        v = next(v for v in leaves if v & (v - 1) == 0)  # the cell at the origin
+        leaves = (leaves - {v}) | {2 * v, 2 * v + 1}
+    labels = draw(st.permutations(sorted(leaves)))
+    counts = draw(st.lists(st.integers(0, 5), min_size=len(labels), max_size=len(labels)))
+    counts[0] += 1
+    return Histogram.from_counts(Box.from_bounds([lo] * d, [hi] * d), sum(counts), labels,
+                                 counts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_histograms())
+def test_save_histogram_writes_what_json_dumps_writes(tmp_path_factory, h):
+    out = tmp_path_factory.mktemp("h") / "h.json"
+    save_histogram(h, out)
+    assert out.read_text() == json.dumps(_histogram_dict(h), sort_keys=True, indent=2) + "\n"
+    order = np.argsort(np.array(h.labels, dtype=object), kind="stable")
+    back = load_histogram(out)
+    assert back == Histogram.from_counts(h.root_box, h.n, sorted(h.labels), h.counts[order])
+    save_histogram(back, out)
+    assert out.read_text() == json.dumps(_histogram_dict(h), sort_keys=True, indent=2) + "\n"
+
+
+def test_save_histogram_covers_the_histograms_of_its_test():
+    # the strategy reaches the cases it names
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_histograms())
+    def collect(h):
+        seen.update({f"d={h.root_box.dim}"} if h.root_box.dim in (1, 10) else set())
+        seen.update({"zero count"} if (h.counts == 0).any() else set())
+        seen.update({"label >= 2**63"} if max(h.labels) >= 2**63 else set())
+        seen.update({"subnormal volume"} if (h.volumes < np.finfo(float).tiny).any() else set())
+        seen.update({"infinite height"} if np.isinf(h.heights).any() else set())
+        seen.update({"unsorted"} if list(h.labels) != sorted(h.labels) else set())
+
+    collect()
+    assert seen == {"d=1", "d=10", "zero count", "label >= 2**63", "subnormal volume",
+                    "infinite height", "unsorted"}
+
+
+def test_save_histogram_writes_non_finite_floats_as_json_does(tmp_path):
+    h = histogram(root_srp(unit_box(1), 3))
+    odd = replace(h, labels=(2, 3), counts=np.array([1, 2]), lo=np.zeros((2, 1)),
+                  hi=np.ones((2, 1)), volumes=np.array([math.inf, 5e-324]),
+                  heights=np.array([math.nan, -math.inf]))
+    out = tmp_path / "h.json"
+    save_histogram(odd, out)
+    assert out.read_text() == json.dumps(_histogram_dict(odd), sort_keys=True, indent=2) + "\n"
+    assert "NaN" in out.read_text() and "-Infinity" in out.read_text()
+
+
 # ------------------------------------------------------------ plot export
 
 def test_export_plot_rectangles(tmp_path, fig2_srp):
@@ -445,6 +545,68 @@ def test_l1_error_pinned_for_every_chunk_size(monkeypatch, d, n, max_psi, refere
     for chunk in (1, 64, 10_000):
         monkeypatch.setattr("rphist.evaluate.MC_CHUNK_LEAVES", chunk)
         assert l1_error(h, reference, mc, seed) == expected
+
+
+def _l1_error_by_rows(h, reference, pdf, mc_per_leaf, seed, chunk):
+    """The point-major chunk loop of ``l1_error``: one ``(leaves, mc, d)``
+    block per chunk, scaled in place, and the density ``pdf`` of its rows."""
+    heights = np.array([leaf.height for leaf in h.leaves])
+    volumes = np.array([leaf.volume for leaf in h.leaves])
+    widths = h.hi - h.lo
+    means, stds = np.empty_like(heights), np.empty_like(heights)
+    rng = np.random.default_rng(seed)
+    d = h.root_box.dim
+    for start in range(0, h.leaf_count, chunk):
+        stop = min(start + chunk, h.leaf_count)
+        draws = rng.random((stop - start, mc_per_leaf, d))
+        draws *= widths[start:stop, None]
+        draws += h.lo[start:stop, None]
+        dev = np.abs(heights[start:stop, None]
+                     - pdf(draws.reshape(-1, d)).reshape(stop - start, mc_per_leaf))
+        means[start:stop] = dev.mean(axis=1)
+        stds[start:stop] = dev.std(axis=1, ddof=1)
+    se = volumes * stds / math.sqrt(mc_per_leaf)
+    outside = 1.0 - reference.box_prob(h.root_box)
+    return EvalReport(float(np.cumsum(np.append(outside, volumes * means))[-1]),
+                      math.sqrt(np.cumsum(np.append(0.0, se * se))[-1]), mc_per_leaf,
+                      outside)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 16, 17, 27, 130, 300])
+def test_l1_error_equals_the_point_major_loop(monkeypatch, d):
+    # every branch of np.add.reduce's order over the coordinates: below 8
+    # terms, 8 to 128 with no tail or with one or three terms after the
+    # last block of 8, and halves above 128, twice over at 300; against
+    # both references' densities row by row.  Points of norm about 1 keep
+    # the Gaussian density normal in every dimension.
+    pts = np.random.default_rng(d).standard_normal((300, d)) / math.sqrt(d)
+    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    h = histogram(run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=30.0)).final)
+    assert h.leaf_count > 8
+    box = Box.from_bounds([-1.0] * d, [0.5] * d)
+    references = [
+        (GaussianReference(d), lambda x: ((2.0 * math.pi) ** (-d / 2.0)
+                                          * np.exp(-0.5 * np.sum(x * x, axis=1)))),
+        (UniformReference(box), lambda x: np.where(
+            ((x >= box.lows()) & (x <= box.highs())).all(axis=1), 1.0 / box.volume, 0.0)),
+    ]
+    # in many dimensions a leaf's height dwarfs the Gaussian density, so
+    # the densities are compared on their own too
+    x = np.random.default_rng(d).uniform(h.root_box.lows(), h.root_box.highs(), (4000, d))
+    for reference, pdf in references:
+        assert np.array_equal(reference.pdf_columns(x.T.copy()), pdf(x))
+        for chunk in (1, 64, 10_000):
+            monkeypatch.setattr("rphist.evaluate.MC_CHUNK_LEAVES", chunk)
+            assert l1_error(h, reference, 16, seed=d) == _l1_error_by_rows(
+                h, reference, pdf, 16, d, chunk)
+
+
+@pytest.mark.parametrize("m", [*range(1, 40), 64, 127, 128, 129, 130, 136, 200, 257, 300, 1000])
+def test_sum_rows_adds_as_np_sum_does(m):
+    rng = np.random.default_rng(m)
+    x = rng.random((m, 500)) * 10.0 ** rng.integers(-8, 8, (m, 500))
+    # np.sum of a C-order (N, m) array, the points of l1_error's old loop
+    assert np.array_equal(sum_rows(x.copy()), np.sum(np.ascontiguousarray(x.T), axis=1))
 
 
 @pytest.mark.parametrize("bound", [1e308, math.inf])

@@ -12,7 +12,14 @@ from rphist.geometry import Box
 from rphist.pqmc import ingest
 from rphist.srp import SRP, density_at, histogram, log_likelihood, root_srp
 from rphist.tree import RPTree
-from conftest import fig2_points, membership_srp, random_srp, tied_tree_sample, unit_box
+from conftest import (
+    cell_membership,
+    fig2_points,
+    membership_srp,
+    random_srp,
+    tied_tree_sample,
+    unit_box,
+)
 
 # independently computed: 2*log(0.8) + 3*log(1.2) + 5*log(1.0)
 FIG2_LOG_LIK = 0.10067756775344439
@@ -89,6 +96,13 @@ def test_histogram_root_only_uniform():
     assert h.leaves[0].height == 1.0
 
 
+def test_histogram_raises_where_a_volume_underflows_to_zero():
+    # as count / (n * 0.0) raises in Python floats
+    tiny = Box.from_bounds([0.0, 0.0], [1e-200, 1e-200])
+    with pytest.raises(ZeroDivisionError):
+        histogram(root_srp(tiny, 1))
+
+
 def test_histogram_empty_sample():
     with pytest.raises(EmptySample):
         histogram(root_srp(unit_box(2), 0))
@@ -102,6 +116,29 @@ def test_density_at_examples(fig2_srp):
     assert density_at(h, (0.5, 0.1)) == 1.0
     with pytest.raises(DimensionMismatch):
         density_at(h, (0.5,))
+
+
+def test_density_at_equals_membership_at_random_points_and_on_split_planes():
+    # each coordinate at random or on a face of some leaf cell, the
+    # splitting planes and the root faces included; some points outside
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        s, _ = random_srp(rng)
+        h = histogram(s)
+        box = h.root_box
+        span = box.highs() - box.lows()
+        pts = rng.uniform(box.lows() - span / 8, box.highs() + span / 8, (400, box.dim))
+        on_face = rng.random(pts.shape) < 0.5
+        for j in range(box.dim):
+            faces = np.unique(np.concatenate([h.lo[:, j], h.hi[:, j]]))
+            pts[on_face[:, j], j] = rng.choice(faces, on_face[:, j].sum())
+        inside = ((pts >= box.lows()) & (pts <= box.highs())).all(axis=1)
+        member = cell_membership(box, h.lo, h.hi, pts)
+        assert (member[inside].sum(axis=1) == 1).all()
+        expected = np.where(inside, h.heights[member.argmax(axis=1)], 0.0)
+        got = [density_at(h, p) for p in pts]
+        assert all(type(x) is float for x in got)
+        assert got == expected.tolist()
 
 
 def test_log_likelihood_fig2(fig2_srp):

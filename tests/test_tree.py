@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rphist.errors import NotALeaf, NotBisectable, RootHasNoParent
 from rphist.geometry import Box, bounds_volume, split_plane, volume_at_depth
-from rphist.tree import RPTree, cell_bounds, children, depth, parent
+from rphist.tree import RPTree, cell_bounds, children, depth, parent, paves
 
 from conftest import cell_membership, table_leaf_rows, unit_box
 
@@ -123,14 +123,12 @@ def test_exactly_one_leaf_contains_each_point():
     assert got.tolist() == inside.argmax(axis=1).tolist()
 
 
-def test_from_leaves_roundtrip_and_validation():
+def test_paves_a_random_tree_and_not_broken_label_sets():
     rng = np.random.default_rng(7)
     t = _random_tree(rng)
-    assert RPTree.from_leaves(t.root_box, t.leaves()) == t
-    with pytest.raises(ValueError):
-        RPTree.from_leaves(t.root_box, [2])  # 3 missing
-    with pytest.raises(ValueError):
-        RPTree.from_leaves(t.root_box, [1, 2, 3])  # 1 is not a leaf
+    assert paves(t.leaves())
+    assert not paves([2])  # 3 missing
+    assert not paves([1, 2, 3])  # 1 is not a leaf
 
 
 def test_deep_tree_beyond_word_size():
@@ -255,3 +253,50 @@ def test_volume_at_depth_agrees_with_the_bounds_product(d, data):
     for label, vol in zip(labels, bounds_volume(cells.lo, cells.hi)):
         assert vol == pytest.approx(volume_at_depth(root.volume, depth(label)),
                                     rel=1e-12)
+
+
+@st.composite
+def label_lists(draw):
+    """Leaf labels of a random paving, some past 2**63, left as they are
+    or broken: a leaf dropped, repeated, or joined by an ancestor or a
+    descendant."""
+    leaves = {1}
+    for _ in range(draw(st.integers(0, 10))):
+        v = draw(st.sampled_from(sorted(leaves)))
+        leaves = (leaves - {v}) | {2 * v, 2 * v + 1}
+    for _ in range(draw(st.sampled_from([0, 64]))):
+        v = max(leaves)
+        leaves = (leaves - {v}) | {2 * v, 2 * v + 1}
+    labels = draw(st.permutations(sorted(leaves)))
+    v = draw(st.sampled_from(labels))
+    edit = draw(st.sampled_from(["none", "drop", "repeat", "ancestor", "descendant"]))
+    if edit == "drop":
+        labels.remove(v)
+    elif edit == "repeat":
+        labels.append(v)
+    elif edit == "ancestor" and v > 1:
+        labels.append(v >> draw(st.integers(1, v.bit_length() - 1)))
+    elif edit == "descendant":
+        labels.append(2 * v + draw(st.integers(0, 1)))
+    return labels
+
+
+def paves_by_nodes(labels) -> bool:
+    """Whether labels are the leaves of a paving, by its node set: each
+    label listed once, no label an ancestor of another, and every node
+    with zero or two children."""
+    if not labels or min(labels) < 1 or len(set(labels)) < len(labels):
+        return False
+    nodes = set()
+    for v in labels:
+        while v >= 1 and v not in nodes:
+            nodes.add(v)
+            v >>= 1
+    return (all((2 * v in nodes) == (2 * v + 1 in nodes) for v in nodes)
+            and not any(2 * v in nodes for v in labels))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(label_lists() | st.lists(st.integers(0, 40), max_size=8))
+def test_paves_agrees_with_the_node_set(labels):
+    assert paves(labels) == paves_by_nodes(labels)
