@@ -5,14 +5,17 @@ Boxes, bisection and integer-labelled paving trees
 The building block of everything here: a box is split at the midpoint
 of its first widest coordinate, a point on the splitting plane belongs
 to the right child, and the resulting binary tree is addressed with
-plain integers (root 1, children 2n and 2n+1).  Cells are never stored:
-the bounds of any batch of labels are recomputed from the root box.
+plain integers (root 1, children 2n and 2n+1).  The cells a run splits
+are the rows of a cell store, each with its count and bounds, and a
+state names its leaves among them; the bounds of any batch of labels can
+also be derived from the root box alone.
 """
 
 import numpy as np
 
-from rphist import Box, RPTree, bounding_box, children, depth, ingest, parent
+from rphist import Box, State, bounding_box, children, depth, parent
 from rphist.geometry import bounds_volume, split_plane
+from rphist.pqmc import CellTable
 from rphist.tree import cell_bounds
 
 # A unit square and its split plane: the split runs down the first coordinate.
@@ -26,35 +29,35 @@ for label, lo, hi in zip((2, 3), halves.lo.tolist(), halves.hi.tolist()):
     print(f"cell {label}: lo={lo} hi={hi}")
 
 # A point exactly on the splitting plane belongs to the right child.
-tree = RPTree(square).split(1)
-counts = ingest(tree, [[0.5, 0.3]]).counts
+# A cell table holds the points and splits a cell on demand.
+table = CellTable([[0.5, 0.3]], square)
+halves = State(table, [table.cell(2), table.cell(3)])
 print("the point (0.5, 0.3) on the plane lands in cell",
-      next(v for v in tree.leaves() if counts[v]))
+      next(v for v, c in zip(halves.leaves.labels, halves.leaves.counts) if c))
 
 # Integer labels encode the root-to-node path in binary.
 print("children of 1:", children(1), " children of 5:", children(5))
 print("parent of 5:", parent(5), " depth of 5:", depth(5))
 
-# A paving is a prefix-closed label set; cell bounds are recomputed from
-# the labels, all leaves in one call.
-tree = tree.split(2)
-cells = cell_bounds(tree.root_box, tree.leaves())
-volumes = bounds_volume(cells.lo, cells.hi)
-print("leaves:", tree.leaves())
-for leaf, vol in zip(tree.leaves(), volumes):
+# A state is a paving: its launch leaves, cells of the table, with more
+# cells split in turn.  Its leaves' labels, counts and bounds are read from
+# the table's rows, each planned once from its parent's.
+table.cell(4)  # splits cell 2
+state = State(table, halves.launch, [table.find(2)])
+leaves = state.leaves
+volumes = bounds_volume(leaves.lo, leaves.hi)
+print("leaves:", leaves.labels)
+for leaf, vol in zip(leaves.labels, volumes):
     print(f"  leaf {leaf}: volume {vol:.4g}")
 
 # The leaf cells always partition the root box exactly.
 print("sum of leaf volumes:", volumes.sum())
 
 # Labels are unbounded Python ints, so depth is not capped by a machine
-# word; here is the cell at depth 80 down the leftmost spine.
-deep = RPTree(Box.from_bounds([0.0], [1.0]))
-label = 1
-for _ in range(80):
-    deep = deep.split(label)
-    label *= 2
-cell = cell_bounds(deep.root_box, [label])
+# word; here is the cell at depth 80 down the leftmost spine, its bounds
+# derived from its label and the root box alone.
+label = 1 << 80
+cell = cell_bounds(Box.from_bounds([0.0], [1.0]), [label])
 print("deep label bits:", label.bit_length(), " volume:", bounds_volume(cell.lo, cell.hi)[0])
 
 # The root box of a real run comes from the data, slightly padded so

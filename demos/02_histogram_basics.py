@@ -2,23 +2,25 @@
 From counts to a histogram density
 ==================================
 
-An SRP caches a point count at every node of the paving.  The histogram
-puts the density count/(n * volume) on each leaf cell; it is the
-maximum likelihood piecewise-constant density for that partition and
-integrates to one by construction.
+A statistical regular paving caches a point count at every cell.  A
+state names the leaves of a paving among the cells of a cell table,
+which counts the points into each cell it splits.  The histogram puts
+the density count/(n * volume) on each leaf cell; it is the maximum
+likelihood piecewise-constant density for that partition and integrates
+to one by construction.
 """
 
 import numpy as np
 
 from rphist import (
     Box,
-    RPTree,
+    State,
     density_at,
     histogram,
-    ingest,
     log_likelihood,
     save_histogram,
 )
+from rphist.pqmc import CellTable
 from rphist.smoothing import cv_score, penalized_score
 
 # Ten points on the unit square: 2 in the lower-left quarter, 3 in the
@@ -28,11 +30,11 @@ points = np.array([
     [0.1, 0.6], [0.2, 0.8], [0.4, 0.9],
     [0.6, 0.1], [0.7, 0.3], [0.8, 0.5], [0.9, 0.7], [1.0, 1.0],
 ])
-tree = RPTree(Box.from_bounds([0, 0], [1, 1])).split(1).split(2)
-srp = ingest(tree, points)
-print("per-node counts:", {k: srp.counts[k] for k in sorted(srp.counts)})
+table = CellTable(points, Box.from_bounds([0, 0], [1, 1]))
+state = State(table, [table.cell(v) for v in (3, 4, 5)])
+print("per-cell counts:", dict(zip(table.labels[1:], table.count[1:].tolist())))
 
-h = histogram(srp)
+h = histogram(state)
 for leaf in h.leaves:
     print(f"  leaf {leaf.label}: count {leaf.count}, volume {leaf.volume}, "
           f"height {leaf.height}")
@@ -44,9 +46,9 @@ print("density outside the box:", density_at(h, (3.0, 3.0)))
 
 # Scores used later for smoothing: the data log-likelihood, the
 # penalized version, and the leave-one-out cross-validation score.
-print("log-likelihood:", log_likelihood(srp))
-print("penalized (tau=1):", penalized_score(srp, 1.0))
-print("cross-validation score:", cv_score(srp))
+print("log-likelihood:", log_likelihood(state))
+print("penalized (tau=1):", penalized_score(state, 1.0))
+print("cross-validation score:", cv_score(state))
 
 # Histograms serialize to versioned JSON with decimal-string labels.
 save_histogram(h, "/tmp/rphist_demo_fig.json")

@@ -13,22 +13,22 @@ warm-up stage before SEB refinement.
 
 import numpy as np
 
-from rphist import PqmcConfig, RPTree, SEB_PRIORITY, bounding_box, carve_path, ingest, run_pqmc
-from rphist.tree import cell_bounds
+from rphist import PqmcConfig, SEB_PRIORITY, State, bounding_box, carve_path, run_pqmc
+from rphist.pqmc import CellTable
 
 rng = np.random.default_rng(7)
 x = rng.uniform(0, 1, 2000)
 points = np.column_stack([x, x + rng.normal(0, 0.01, x.size)])
 box = bounding_box(points)
-s0 = ingest(RPTree(box), points)
+table = CellTable(points, box)
+s0 = State(table, [1])
 
 for leaves in (20, 40):
-    seb = run_pqmc(s0, points, SEB_PRIORITY, PqmcConfig(max_leaves=leaves))
-    carve = carve_path(points, PqmcConfig(max_psi=0.0, max_leaves=leaves),
-                       root_box=box)
+    seb = run_pqmc(s0, table, SEB_PRIORITY, PqmcConfig(max_leaves=leaves))
+    carve = carve_path(table, PqmcConfig(max_psi=0.0, max_leaves=leaves))
 
-    def empty_fraction(srp):
-        return sum(1 for v in srp.tree.leaves() if srp.counts[v] == 0) / srp.leaf_count
+    def empty_fraction(state):
+        return (state.leaves.counts == 0).sum() / state.leaf_count
 
     print(f"{leaves} leaves: empty-leaf fraction "
           f"SEB={empty_fraction(seb.final):.2f} "
@@ -45,8 +45,7 @@ try:
     fig, axes = plt.subplots(1, 2, figsize=(10, 5), sharex=True, sharey=True)
     for ax, path, title in ((axes[0], seb, "SEB, 40 leaves"),
                             (axes[1], carve, "carving, 40 leaves")):
-        srp = path.final
-        cells = cell_bounds(srp.tree.root_box, srp.tree.leaves())
+        cells = path.final.leaves
         for (x0, y0), (x1, y1) in zip(cells.lo.tolist(), cells.hi.tolist()):
             ax.add_patch(Rectangle((x0, y0), x1 - x0, y1 - y0,
                                    fill=False, linewidth=0.7))

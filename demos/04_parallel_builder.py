@@ -20,13 +20,13 @@ import numpy as np
 
 from rphist import (
     PqmcConfig,
-    RPTree,
     SEB_PRIORITY,
+    State,
     bounding_box,
     build_threshold_tree,
-    ingest,
     run_pqmc,
 )
+from rphist.pqmc import CellTable
 
 rng = np.random.default_rng(3)
 points = rng.standard_normal((200_000, 2))
@@ -38,7 +38,7 @@ for shards in (1, 4):
     t0 = time.perf_counter()
     result = build_threshold_tree(points, box, 500.0, cfg,
                                   shard_count=shards, workers=shards)
-    print(f"shards={shards}: {result.final_srp.leaf_count} leaves, "
+    print(f"shards={shards}: {result.path.final.leaf_count} leaves, "
           f"{result.iterations} iterations, {time.perf_counter() - t0:.2f}s")
 
 # Per-iteration bookkeeping: pruning conserves the total count, and the
@@ -54,10 +54,10 @@ for i, st in enumerate(result.stats):
 # split for split, with the same next pop and first tied pop.
 small = np.round(points[:3000], 1)
 small_box = bounding_box(small)
-seq = run_pqmc(ingest(RPTree(small_box), small), small, SEB_PRIORITY,
+seq = run_pqmc(State(CellTable(small, small_box), [1]), small, SEB_PRIORITY,
                PqmcConfig(max_psi=30.0))
 par = build_threshold_tree(small, small_box, 30.0, cfg, shard_count=4)
 print(f"sequential chain: {seq.split_count} splits, priority ties: {seq.had_ties}")
-assert par.final_srp == seq.final, "terminal trees differ"
+assert par.path.final == seq.final, "terminal trees differ"
 assert par.path == seq, "paths differ"
 print("terminal trees, paths and tie flags equal")

@@ -18,11 +18,10 @@ from .pqmc import (
     Priority,
     SEB_PRIORITY,
     SPC_PRIORITY,
+    State,
     carve_path,
-    ingest,
     launch_states,
     run_pqmc,
-    splittable_leaves,
 )
 from .smoothing import (
     ScoredEstimate,
@@ -32,7 +31,7 @@ from .smoothing import (
     select,
     tau_grid,
 )
-from .srp import SRP, Histogram, density_at, histogram, log_likelihood, root_srp
-from .tree import RPTree, children, depth, parent
+from .srp import Histogram, density_at, histogram, log_likelihood
+from .tree import children, depth, parent
 
 __version__ = "0.1.0"

@@ -49,10 +49,9 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Box
-from .pqmc import CellStore, PqmcConfig, PqmcPath
-from .srp import SRP, root_srp
+from .pqmc import CellStore, PqmcConfig, PqmcPath, State
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
-from .tree import ROOT, RPTree, cell_bounds  # noqa: F401
+from .tree import ROOT, cell_bounds  # noqa: F401
 
 SplitCells = dict[int, int]  # label -> index of a working cell to split
 
@@ -232,7 +231,7 @@ class BuildResult:
 
     @cached_property
     def path(self) -> PqmcPath:
-        """The whole SEB path from the root SRP: the ids of the split
+        """The whole SEB path from the root state: the ids of the split
         cells in the chain's pop order, ascending ``(-count, label)``, a
         stable sort of the ids, which rise with the labels, by count.  No
         splittable cell is left above the threshold, so the threshold
@@ -240,14 +239,8 @@ class BuildResult:
         cells = self.cells
         split = np.flatnonzero(np.frombuffer(cells.kid, np.int64))
         rows = split[np.argsort(-np.frombuffer(cells.count, np.int64)[split], kind="stable")]
-        return PqmcPath(root_srp(cells.root_box, cells.n), cells, rows, self.threshold, None,
+        return PqmcPath(State(cells, [ROOT]), cells, rows, self.threshold, None,
                         self.threshold, _first_tie(cells, rows))
-
-    @cached_property
-    def final_srp(self) -> SRP:
-        """The terminal SRP of the build."""
-        return assemble_srp(self.cells.root_box,
-                            dict(zip(self.cells.labels[1:], self.cells.count[1:].tolist())))
 
 
 def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
@@ -288,38 +281,43 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
     return BuildResult(ds.store, len(stats), float(threshold), tuple(stats))
 
 
-def assemble_srp(root_box: Box, counts: dict[int, int]) -> SRP:
-    """SRP from the count of every cell of a finished build, by label.
+def assemble_srp(cells: CellStore) -> State:
+    """The terminal state of a finished build: the root with every split
+    cell of ``cells`` split, in id order, which puts each parent before
+    its children.
 
-    The table holds the root and both children of every split cell,
+    The store holds the root and both children of every split cell,
     each with its count; a side that received no points has count 0.
     """
-    return SRP(RPTree(root_box, frozenset(counts)), counts, counts[ROOT])
+    return State(cells, [ROOT], np.flatnonzero(np.frombuffer(cells.kid, np.int64)))
 
 
-def reconstruct_path(root: PqmcPath, launch: SRP | None = None) -> PqmcPath:
+def reconstruct_path(root: PqmcPath, launch: State | None = None) -> PqmcPath:
     """The SEB path from ``launch`` to the threshold of ``root``, read off
-    ``root``: the whole SEB path from the root SRP, a root build's
+    ``root``: the whole SEB path from the root state, a root build's
     :attr:`BuildResult.path` or the sequential chain's.
 
     Counts never increase down the tree, so the cells with count above
     the threshold form a subtree from the root that every chain splits,
-    whatever its launch state.  The chain from ``launch`` (the root SRP
+    whatever its launch state.  The chain from ``launch`` (the root state
     when omitted) therefore splits the cells of ``root`` that are not
-    internal in ``launch`` (each found in the store by its label), in the
-    order of ``root``, ties included, and stops as ``root`` does; a call
-    finds its first tied pop over those rows.  The path to a higher
-    threshold or under a leaf budget is cut from this one
+    internal in ``launch``, the proper prefixes of its leaf labels, each
+    found in the store by its label, in the order of ``root``, ties
+    included, and stops as ``root`` does; a call finds its first tied pop
+    over those rows.  The path's launch leaves stay cells of the launch
+    state's store (:meth:`~rphist.pqmc.State.relaunched`).  The path to
+    a higher threshold or under a leaf budget is cut from this one
     (:func:`truncate_path`).  A ``root`` with a leaf budget or from
     another state, or a ``launch`` of other data, raises ValueError.
     """
     cells = root.splits
     if root.max_leaves is not None or root.initial.leaf_count != 1:
         raise ValueError("need a whole path from the root with no leaf budget")
-    launch = root.initial if launch is None else launch
-    if launch.tree.root_box != cells.root_box or launch.n != cells.n:
+    launch = root.initial if launch is None else launch.relaunched()
+    if launch.root_box != cells.root_box or launch.n != cells.n:
         raise ValueError("launch state and root path hold different data")
-    split = [cells.find(v) for v in launch.tree.internal()]
+    split = [cells.find(v) for v in
+             {v >> k for v in launch.leaves.labels for k in range(1, v.bit_length())}]
     rows = root.rows[~np.isin(root.rows, split)]
     return PqmcPath(launch, cells, rows, root.threshold, None, root.top,
                     _first_tie(cells, rows))

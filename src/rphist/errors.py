@@ -23,16 +23,12 @@ class RootHasNoParent(RphistError):
     """parent() was called on the root label 1."""
 
 
-class NotALeaf(RphistError):
-    """split() targeted a node that is not a leaf of the tree."""
-
-
 class PointOutsideRootBox(RphistError):
     """Strict ingest found a data point outside the root box."""
 
 
 class EmptySample(RphistError):
-    """A histogram or likelihood was requested for an SRP with n = 0."""
+    """A histogram or likelihood was requested for a state with n = 0."""
 
 
 class InsufficientData(RphistError):

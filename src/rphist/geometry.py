@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, EmptyInput, NotBisectable
 
 #: Relative padding applied per side by :func:`bounding_box`.
 DEFAULT_PAD = 1e-9
@@ -89,6 +89,17 @@ def bounds_volume(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for j in range(lo.shape[1]):
         vol *= hi[:, j] - lo[:, j]
     return vol
+
+
+def require_volume(box: Box) -> None:
+    """Check ``box`` as a root box, whose cells need a positive, finite
+    volume: one that is zero or not finite (an infinite bound, or widths
+    whose product overflows) raises :class:`NotBisectable`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        volume = box.volume
+    if not 0 < volume < math.inf:
+        raise NotBisectable(f"the root box {box} has volume {volume}, not a positive "
+                            "finite one")
 
 
 def bounding_box(points, pad: float = DEFAULT_PAD) -> Box:

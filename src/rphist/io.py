@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NotBisectable, ParseError
-from .geometry import Box
+from .geometry import Box, require_volume
 from .srp import Histogram
 from .tree import paves
 
@@ -146,7 +146,8 @@ def save_histogram(h: Histogram, path) -> None:
 def load_histogram(path) -> Histogram:
     """Load a histogram, revalidating the labels against the root box.
 
-    The root box must be finite; each leaf label must be a string of
+    The root box must have a positive, finite volume
+    (:func:`~rphist.geometry.require_volume`); each leaf label must be a string of
     ASCII digits with no leading zero, as :func:`save_histogram` writes
     it; the labels must form a paving (:func:`~rphist.tree.paves`), each
     listed once; and the counts must be non-negative integers summing to
@@ -162,8 +163,7 @@ def load_histogram(path) -> Histogram:
         if obj.get("version") != HISTOGRAM_VERSION:
             raise ParseError(f"{path}: unsupported version {obj.get('version')}")
         root_box = Box.from_bounds(obj["root_box"]["lo"], obj["root_box"]["hi"])
-        if not np.isfinite([*root_box.lo, *root_box.hi]).all():
-            raise ParseError(f"{path}: the root box is not finite")
+        require_volume(root_box)  # NotBisectable, a ParseError below
         texts = [rec["label"] for rec in obj["leaves"]]
         if not all(type(t) is str and _LABEL.fullmatch(t) for t in texts):
             raise ParseError(f"{path}: a leaf label is not a string of decimal digits "

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributed import build_threshold_tree, reconstruct_path, truncate_path
 from .errors import InsufficientData, NotBisectable
-from .geometry import DEFAULT_PAD, bounding_box
+from .geometry import DEFAULT_PAD, bounding_box, require_volume
 from .io import ingest_csv, save_histogram
 from .pqmc import (
     CellTable,
@@ -145,11 +145,10 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
         root_box = bounding_box(points, cfg.pad)
         if len(points) < 2:
             raise InsufficientData(f"need at least 2 points, got {len(points)}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            volume = root_box.volume
-        if not 0 < volume < math.inf:
-            raise NotBisectable(f"the root box {root_box} has volume {volume}, not a "
-                                "positive finite one (pad > 0 widens a constant coordinate)")
+        try:
+            require_volume(root_box)
+        except NotBisectable as exc:
+            raise NotBisectable(f"{exc} (pad > 0 widens a constant coordinate)") from None
 
     with _stage(timings, "carve"):
         carve_cfg = PqmcConfig(
@@ -210,7 +209,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
 
     with _stage(timings, "smoothing"):
         estimate = select(wholes, SmoothingConfig(cfg.tau_grid()))
-        hist = histogram(estimate.srp)
+        hist = histogram(estimate.state)
     grid_ends = (estimate.cv_curve[0].tau, estimate.cv_curve[-1].tau)
     tau_at_grid_edge = estimate.tau in grid_ends
     if tau_at_grid_edge:
@@ -251,7 +250,7 @@ def _write_manifest(cfg: RunConfig, hist: Histogram, estimate: ScoredEstimate,
         "build": build,
         "selected": {
             "tau": estimate.tau,
-            "leaf_count": estimate.srp.leaf_count,
+            "leaf_count": estimate.state.leaf_count,
             "penalized_score": estimate.penalized_score,
             "cv_score": estimate.cv_score,
             "cv_curve": [{"tau": pt.tau, "cv_score": pt.cv_score,

@@ -1,6 +1,6 @@
 """Priority-queued splitting chains over statistical regular pavings.
 
-A chain starts from an SRP and repeatedly splits the splittable leaf of
+A chain starts from a state and repeatedly splits the splittable leaf of
 largest priority until it runs out of splittable leaves, reaches a leaf
 budget, or the largest priority drops to the stopping threshold.  Two
 priorities are provided:
@@ -18,13 +18,14 @@ from the root (:func:`rphist.distributed.reconstruct_path`).  The cells
 a run creates are the rows of a :class:`CellStore`, which the sharded
 builder fills too.  The chains of a run, the carve and the root SEB
 chain, share one :class:`CellTable`, a store over one permutation of
-the points, which partitions each cell once per run, and :func:`ingest`
-counts points into a given tree through one; a chain itself
+the points, which partitions each cell once per run; a chain itself
 keeps only a heap of the priorities of the leaves it may pop, those
 above its threshold, and its leaf count.  A path is the ids of the
-cells it split, rows of that store.  A path's stop reason, success and
-tie flags are read off what it keeps, so a path cut from a longer one
-needs no chain of its own.
+cells it split, rows of that store, and a state is a launch state's
+leaves with a prefix of those rows split (:class:`State`), so every
+label, count and bound is read from the store.  A path's stop reason,
+success and tie flags are read off what it keeps, so a path cut from a
+longer one needs no chain of its own.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ import numpy as np
 
 from .errors import NotBisectable
 from .geometry import DEFAULT_PAD, Box, bounding_box, split_plane, volume_at_depth
-from .srp import SRP, points_in_box, root_srp
-from .tree import ROOT, RPTree, cell_bounds, depth
+from .srp import points_in_box
+# cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
+from .tree import ROOT, cell_bounds  # noqa: F401
 
 SEB = "seb"
 SPC = "spc"
@@ -102,19 +104,113 @@ class SplitRecord(NamedTuple):
     right_count: int
 
 
+class Leaves(NamedTuple):
+    """A state's leaves in ascending label order, one row each."""
+
+    labels: list[int]
+    counts: np.ndarray  # (L,) points per leaf
+    lo: np.ndarray  # (L, d) lower bounds
+    hi: np.ndarray  # (L, d) upper bounds
+
+
+@dataclass(frozen=True, eq=False)
+class State:
+    """A chain state: a paving of the root box, each leaf with its count.
+
+    The launch leaves are the cells ``launch`` of ``origin`` (``store``
+    unless given), and the state's leaves are those with the cells
+    ``rows`` of ``store`` split in turn, each into its two children.  A
+    row splits a launch leaf, matched by label, or a child of an earlier
+    row.  The labels, counts and bounds of the leaves are read from the
+    stores' rows (:attr:`leaves`).  Two states are equal when their root
+    box, point count and leaves with their counts are, whatever the
+    stores and ids.
+    """
+
+    store: CellStore
+    launch: np.ndarray
+    rows: np.ndarray = ()
+    origin: CellStore | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "launch", np.asarray(self.launch, dtype=np.intp))
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.intp))
+        if self.origin is None:
+            object.__setattr__(self, "origin", self.store)
+
+    @property
+    def root_box(self) -> Box:
+        return self.store.root_box
+
+    @property
+    def n(self) -> int:
+        return self.store.n
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.launch) + len(self.rows)
+
+    @cached_property
+    def _ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The leaves as ids: the launch leaves no row splits, cells of
+        ``origin``, and the children of rows that no later row splits,
+        cells of ``store``."""
+        store, rows = self.store, self.rows
+        kid = np.frombuffer(store.kid, np.int64)[rows]
+        if not kid.all():
+            raise ValueError("a row of the state is a cell that the store has not split")
+        kids = np.concatenate([kid, kid + 1])
+        # a row whose parent is no row splits a launch leaf
+        first = rows[~np.isin(np.frombuffer(store.parent, np.int64)[rows >> 1], rows)]
+        split = {store.labels[i] for i in first.tolist()}
+        labels = self.origin.labels
+        launch = self.launch[[labels[i] not in split for i in self.launch.tolist()]]
+        return launch, kids[~np.isin(kids, rows)]
+
+    @cached_property
+    def leaves(self) -> Leaves:
+        launch, kids = self._ids
+        (la, ca, ba), (lk, ck, bk) = self.origin.gather(launch), self.store.gather(kids)
+        labels = la + lk
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        lo, hi = np.hsplit(np.concatenate([ba, bk])[order], 2)
+        return Leaves([labels[i] for i in order], np.concatenate([ca, ck])[order], lo, hi)
+
+    def relaunched(self) -> "State":
+        """The same leaves as the launch leaves of a state with no rows.
+        A state whose leaves lie in two stores raises ValueError."""
+        if not len(self.rows):
+            return self
+        launch, kids = self._ids
+        if len(launch) and self.origin is not self.store:
+            raise ValueError("the state's leaves lie in two cell stores")
+        return State(self.store, np.concatenate([launch, kids]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, State):
+            return NotImplemented
+        a, b = self.leaves, other.leaves
+        return (self.root_box == other.root_box and self.n == other.n
+                and a.labels == b.labels and np.array_equal(a.counts, b.counts))
+
+    def __hash__(self):
+        return hash((self.root_box, self.n, tuple(self.leaves.labels)))
+
+
 @dataclass(eq=False)
 class PqmcPath:
-    """A chain sample path, stored as the initial SRP plus its splits, as
-    ids of the cells split, rows of a :class:`CellStore`.
+    """A chain sample path, stored as its launch state plus its splits,
+    as ids of the cells split, rows of a :class:`CellStore`.
 
-    ``splits`` is that store: the :class:`CellTable` the chain ran on, or
-    the cells of a root build (:attr:`rphist.distributed.BuildResult.cells`).
-    Paths cut from one path share its store.  ``records`` is the same splits as
-    :class:`SplitRecord` tuples, built on first use.
+    ``initial`` is a :class:`State` with no rows, and ``splits`` is the
+    store of the rows: the :class:`CellTable` the chain ran on, or the
+    cells of a root build (:attr:`rphist.distributed.BuildResult.cells`).
+    Paths cut from one path share its store.  ``records`` is the same
+    splits as :class:`SplitRecord` tuples, built on first use.
 
-    ``states()`` materializes every intermediate SRP; ``state(t)``
-    materializes a single one.  The compact form keeps long paths cheap:
-    consecutive states differ by exactly one split.  The flags derive
+    ``state(t)`` is the state after the first ``t`` splits, the launch
+    leaves with a prefix of the rows split; ``states()`` lists them all.
+    Consecutive states differ by exactly one split.  The flags derive
     from the ``threshold`` (``max_psi`` if the priority stop was active)
     and ``max_leaves`` the chain ran under, ``top``, the priority of its
     next pop (the threshold if no splittable leaf is left above it, None
@@ -123,7 +219,7 @@ class PqmcPath:
     are equal when their launch state, records and these fields are.
     """
 
-    initial: SRP
+    initial: State
     splits: CellStore
     rows: np.ndarray
     threshold: float | None
@@ -133,14 +229,10 @@ class PqmcPath:
 
     @cached_property
     def records(self) -> tuple[SplitRecord, ...]:
-        return tuple(SplitRecord(*split) for split in self._splits(len(self.rows)))
-
-    def _splits(self, t: int):
-        """``(label, left count, right count)`` of the first ``t`` splits."""
-        rows = self.rows[:t]
-        left, right = self.splits.split_counts(rows)
+        left, right = self.splits.split_counts(self.rows)
         labels = self.splits.labels
-        return zip([labels[r] for r in rows.tolist()], left.tolist(), right.tolist())
+        return tuple(map(SplitRecord, [labels[r] for r in self.rows.tolist()],
+                         left.tolist(), right.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PqmcPath):
@@ -155,24 +247,16 @@ class PqmcPath:
     def split_count(self) -> int:
         return len(self.rows)
 
-    def state(self, t: int) -> SRP:
+    def state(self, t: int) -> State:
         if not 0 <= t < len(self):
             raise IndexError(f"state {t} of a path of length {len(self)}")
-        nodes = set(self.initial.tree.nodes)
-        counts = dict(self.initial.counts)
-        for label, left, right in self._splits(t):
-            child = 2 * label
-            nodes.add(child)
-            nodes.add(child + 1)
-            counts[child] = left
-            counts[child + 1] = right
-        return SRP(RPTree(self.initial.tree.root_box, frozenset(nodes)), counts, self.initial.n)
+        return State(self.splits, self.initial.launch, self.rows[:t], self.initial.origin)
 
     @cached_property
-    def final(self) -> SRP:
+    def final(self) -> State:
         return self.state(len(self) - 1)
 
-    def states(self) -> list[SRP]:
+    def states(self) -> list[State]:
         return [self.state(t) for t in range(len(self))]
 
     @property
@@ -202,14 +286,6 @@ class PqmcPath:
     def leaf_count(self) -> int:
         """Leaves of the final state."""
         return self.initial.leaf_count + len(self.rows)
-
-
-def splittable_leaves(s: SRP, cfg: PqmcConfig) -> set[int]:
-    """Leaves that the chain may split: non-empty, within the depth cap,
-    and bisectable in machine arithmetic."""
-    labels = [v for v in s.nonempty_leaves() if depth(v) < cfg.max_depth]
-    splittable = cell_bounds(s.tree.root_box, labels).splittable.tolist()
-    return {v for v, ok in zip(labels, splittable) if ok}
 
 
 class CellStore:
@@ -274,6 +350,13 @@ class CellStore:
         split cells."""
         self._plan()
         return tuple(np.hsplit(self.bounds[rows], 2))
+
+    def gather(self, ids: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The labels, counts and ``lo | hi`` bounds of the cells ``ids``."""
+        self._plan()
+        labels = self.labels
+        return ([labels[i] for i in ids.tolist()], np.frombuffer(self.count, np.int64)[ids],
+                self.bounds[ids])
 
     def add(self, cells: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Split the cells ``cells``, none split before, into children of
@@ -359,19 +442,6 @@ class CellTable(CellStore):
         return kid
 
 
-def ingest(tree: RPTree, points, strict: bool = True) -> SRP:
-    """Count points into a tree, filling every node of the SRP, through a
-    :class:`CellTable` over the points in the root box.
-
-    In strict mode a point outside the root box raises
-    :class:`~rphist.errors.PointOutsideRootBox`; otherwise such points
-    are dropped (:func:`~rphist.srp.points_in_box`).  A cell of the tree
-    that has children but cannot be bisected raises :class:`NotBisectable`.
-    """
-    table = CellTable(points_in_box(tree.root_box, points, strict), tree.root_box)
-    return SRP(tree, {v: table.count[table.cell(v)] for v in tree.nodes}, table.n)
-
-
 class _LeafPool:
     """One chain's leaf count and heap of ``(-priority, label, cell id)``
     keys over the leaves it may still pop: the top is the largest
@@ -381,17 +451,18 @@ class _LeafPool:
     threshold, a leaf whose priority is at or below it is never popped,
     so it is not kept at all."""
 
-    def __init__(self, s0: SRP, table: CellTable, priority: Priority, cfg: PqmcConfig):
+    def __init__(self, s0: State, table: CellTable, priority: Priority, cfg: PqmcConfig):
         self.table, self.priority = table, priority
         self.threshold = cfg.max_psi if cfg.priority_stop_active else None
         self.limit = 1 << cfg.max_depth  # a label below it is above the depth cap
         self.root_volume = table.root_box.volume
         self.heap: list[tuple[float, int, int]] = []
         self.leaf_count = s0.leaf_count
-        for label in s0.tree.leaves():
-            cell = table.cell(label)
-            if table.count[cell] != s0.counts.get(label, 0):
-                raise ValueError(f"initial SRP count at leaf {label} does not match the data")
+        labels, counts, *_ = s0.leaves
+        self.launch = [table.cell(label) for label in labels]
+        for label, count, cell in zip(labels, counts.tolist(), self.launch):
+            if table.count[cell] != count:
+                raise ValueError(f"the initial count at leaf {label} does not match the data")
             self._admit(label, cell)
 
     def _admit(self, label: int, cell: int) -> None:
@@ -423,7 +494,7 @@ class _LeafPool:
         return cell, tied
 
 
-def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
+def run_pqmc(s0: State, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     """Run one priority-queued splitting chain from ``s0``.
 
     At every step the splittable leaf with the largest priority is
@@ -433,11 +504,11 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     count strictly increases and splittability is depth-bounded.
     ``points`` is the data of ``s0``, or a run's shared :class:`CellTable`
     over it; a ValueError says that they do not give the counts of ``s0``.
-    The path's rows are the ids of the cells it split in the table.
+    The path's launch leaves and rows are cells of the table.
     """
-    table = points if isinstance(points, CellTable) else CellTable(points, s0.tree.root_box)
-    if table.n != s0.n or table.root_box != s0.tree.root_box:
-        raise ValueError(f"SRP holds {s0.n} points in {s0.tree.root_box}, "
+    table = points if isinstance(points, CellTable) else CellTable(points, s0.root_box)
+    if table.n != s0.n or table.root_box != s0.root_box:
+        raise ValueError(f"the state holds {s0.n} points in {s0.root_box}, "
                          f"the cell table {table.n} in {table.root_box}")
     pool = _LeafPool(s0, table, priority, cfg)
     threshold = pool.threshold
@@ -450,13 +521,14 @@ def run_pqmc(s0: SRP, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
         if tied and first_tie is None:
             first_tie = len(rows)
         rows.append(cell)
-    return PqmcPath(s0, table, np.array(rows, dtype=np.intp), threshold, cfg.max_leaves,
-                    top, len(rows) if first_tie is None else first_tie)
+    return PqmcPath(State(table, pool.launch), table, np.array(rows, dtype=np.intp),
+                    threshold, cfg.max_leaves, top,
+                    len(rows) if first_tie is None else first_tie)
 
 
 def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,
                pad: float = DEFAULT_PAD) -> PqmcPath:
-    """Support-carving chain from the root SRP with a zero threshold.
+    """Support-carving chain from the root state with a zero threshold.
 
     Runs the SPC priority until the leaf budget ``cfg.max_leaves`` is
     reached or no splittable leaf remains; ``cfg.max_psi`` must be 0 or
@@ -467,12 +539,12 @@ def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,
         raise ValueError("the carve chain requires max_psi = 0 (or None)")
     if not isinstance(points, CellTable):
         points = CellTable(points, bounding_box(points, pad) if root_box is None else root_box)
-    return run_pqmc(root_srp(points.root_box, points.n), points, SPC_PRIORITY, cfg)
+    return run_pqmc(State(points, [ROOT]), points, SPC_PRIORITY, cfg)
 
 
-def launch_states(carve: PqmcPath, c: int) -> list[SRP]:
+def launch_states(carve: PqmcPath, c: int) -> list[State]:
     """``c`` states spread evenly along a carve path, always including
-    the path's first state (the root SRP for a root-started carve).
+    the path's first state (the root state for a root-started carve).
 
     If ``c`` is at least the path length, every state is returned.
     """

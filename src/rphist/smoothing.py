@@ -1,6 +1,6 @@
 """Penalized-likelihood scoring and cross-validated smoothing selection.
 
-Candidate SRP states come from chain paths.  For a smoothing parameter
+Candidate states come from chain paths.  For a smoothing parameter
 ``tau`` the winning state maximizes ``log_likelihood - leaf_count/tau``
 (a MAP estimate under a complexity prior).  The parameter itself is
 picked by minimizing Stone's leave-one-out cross-validation score, a
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from .geometry import bounds_volume
-from .pqmc import PqmcPath
-from .srp import SRP, cell_terms, leaf_terms, log_likelihood
+from .pqmc import PqmcPath, State
+from .srp import cell_terms, leaf_terms, log_likelihood
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
 from .tree import cell_bounds  # noqa: F401
 
@@ -74,17 +74,17 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class ScoredEstimate:
-    """A selected SRP state with its smoothing diagnostics; ``cv_curve``
+    """A selected chain state with its smoothing diagnostics; ``cv_curve``
     has one point per grid ``tau``."""
 
-    srp: SRP
+    state: State
     tau: float
     penalized_score: float
     cv_score: float
     cv_curve: tuple[CurvePoint, ...]
 
 
-def penalized_score(s: SRP, tau: float) -> float:
+def penalized_score(s: State, tau: float) -> float:
     """``log_likelihood(s) - leaf_count/tau``: the log-posterior up to a
     constant, under the complexity prior with parameter ``tau``."""
     if tau <= 0:
@@ -92,7 +92,7 @@ def penalized_score(s: SRP, tau: float) -> float:
     return log_likelihood(s) - s.leaf_count / tau
 
 
-def cv_score(s: SRP) -> float:
+def cv_score(s: State) -> float:
     """Stone's leave-one-out cross-validation score, in closed form.
 
     With the partition held fixed, leaving out a point only decrements
@@ -130,7 +130,7 @@ class NodeTable:
 
     row: np.ndarray
     deltas: np.ndarray
-    launch: dict[SRP, np.ndarray]
+    launch: dict[State, np.ndarray]
 
 
 def node_table(paths: list[PqmcPath]) -> NodeTable:
@@ -147,7 +147,7 @@ def node_table(paths: list[PqmcPath]) -> NodeTable:
     if any(path.splits is not store for path in paths):
         raise ValueError("the paths are not over one cell store")
     taken = np.zeros(len(store.labels), dtype=bool)
-    launch: dict[SRP, np.ndarray] = {}
+    launch: dict[State, np.ndarray] = {}
     for path in paths:
         taken[path.rows] = True
         if path.initial not in launch:
@@ -228,7 +228,7 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
         for prof in (path_profile(p, table) for p in paths))))
     starts = np.cumsum([0] + [len(p) for p in paths])  # each path's first state
 
-    def state(i: int) -> SRP:
+    def state(i: int) -> State:
         k = int(np.searchsorted(starts, i, side="right")) - 1
         return paths[k].state(i - int(starts[k]))
 
@@ -241,7 +241,7 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
         top = np.flatnonzero(scores == scores.max())
         top = top[m[top] == m[top].min()].tolist()
         if len(top) > 1:  # a stable sort: equal leaves keep path order
-            top.sort(key=lambda i: state(i).tree.leaves())
+            top.sort(key=lambda i: state(i).leaves.labels)
         i = top[0]
         cv = _cv_from_terms(float(cv_a[i]), float(cv_b[i]), n)
         curve.append(CurvePoint(float(tau), cv, int(m[i])))
@@ -249,7 +249,7 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
             best = (cv, tau, i, float(scores[i]))
     cv, tau, i, score = best
     return ScoredEstimate(
-        srp=state(i),
+        state=state(i),
         tau=float(tau),
         penalized_score=score,
         cv_score=cv,

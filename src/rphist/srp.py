@@ -1,18 +1,20 @@
-"""Statistical regular pavings: per-node counts and the histogram estimate.
+"""Statistical regular pavings: leaf counts and the histogram estimate.
 
-An SRP is a paving whose every node caches the number of data points
-that fell into its cell, so the count of an internal node always equals
-the sum of its children's counts.  The counts of a given tree are
-filled in by :func:`rphist.pqmc.ingest`, which routes the points through
-the same cell table as the chains.  The histogram estimate places the
-density ``count / (n * volume)`` on each leaf cell, which is the maximum
-likelihood simple function for the partition given by the leaves.
+A statistical regular paving caches at every cell the number of data
+points that fell into it, so the count of a split cell always equals
+the sum of its children's counts.  The cells of a run are the rows of
+its cell store, and a chain state names its leaves among them
+(:class:`rphist.pqmc.State`), so everything here reads a state's leaf
+labels, counts and bounds from the store.  The histogram estimate places
+the density ``count / (n * volume)`` on each leaf cell, which is the
+maximum likelihood simple function for the partition given by the leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,46 +24,10 @@ from .errors import (
     PointOutsideRootBox,
 )
 from .geometry import Box, bounds_volume, split_plane
-from .tree import ROOT, RPTree, cell_bounds
+from .tree import ROOT, cell_bounds
 
-
-@dataclass(frozen=True)
-class SRP:
-    """A regular paving with a sample count cached at every node."""
-
-    tree: RPTree
-    counts: dict[int, int]
-    n: int
-
-    @property
-    def leaf_count(self) -> int:
-        return self.tree.leaf_count
-
-    def nonempty_leaves(self) -> list[int]:
-        return [v for v in self.tree.leaves() if self.counts.get(v, 0) > 0]
-
-    def validate(self) -> None:
-        """Check the parent-sum invariant and the root count."""
-        if self.counts.get(ROOT, 0) != self.n:
-            raise ValueError("root count does not equal n")
-        for v in self.tree.internal():
-            if self.counts.get(v, 0) != self.counts.get(2 * v, 0) + self.counts.get(2 * v + 1, 0):
-                raise ValueError(f"count of node {v} does not equal its children's sum")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SRP):
-            return NotImplemented
-        if self.n != other.n or self.tree != other.tree:
-            return False
-        return all(self.counts.get(v, 0) == other.counts.get(v, 0) for v in self.tree.nodes)
-
-    def __hash__(self):
-        return hash((self.tree, self.n))
-
-
-def root_srp(root_box: Box, n_points: int = 0) -> SRP:
-    """The trivial SRP: a root-only tree holding ``n_points`` points."""
-    return SRP(RPTree(root_box), {ROOT: int(n_points)}, int(n_points))
+if TYPE_CHECKING:
+    from .pqmc import State
 
 
 def inside_mask(box: Box, points: np.ndarray) -> np.ndarray:
@@ -72,9 +38,9 @@ def inside_mask(box: Box, points: np.ndarray) -> np.ndarray:
     return inside.all(axis=1)
 
 
-def points_in_box(box: Box, points, strict: bool = True) -> np.ndarray:
-    """The rows of ``points`` in the closed ``box`` as an ``(n, d)`` float
-    array; strict mode raises :class:`PointOutsideRootBox` instead."""
+def points_in_box(box: Box, points) -> np.ndarray:
+    """The rows of ``points`` as an ``(n, d)`` float array, all in the
+    closed ``box``; a row outside it raises :class:`PointOutsideRootBox`."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         points = points.reshape(0, box.dim)
@@ -84,12 +50,12 @@ def points_in_box(box: Box, points, strict: bool = True) -> np.ndarray:
         )
     inside = inside_mask(box, points)
     dropped = int((~inside).sum())
-    if dropped and strict:
+    if dropped:
         bad = int(np.nonzero(~inside)[0][0])
         raise PointOutsideRootBox(
             f"{dropped} points outside the root box (first at row {bad})"
         )
-    return points[inside] if dropped else points
+    return points
 
 
 @dataclass(frozen=True)
@@ -102,14 +68,14 @@ class HistogramLeaf:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Piecewise-constant density over the leaf cells of an SRP, held as
-    columns.
+    """Piecewise-constant density over the leaf cells of a paving, held
+    as columns.
 
     Row ``i`` is the leaf ``labels[i]`` (a Python int, so labels of any
     depth survive): ``counts[i]`` of the ``n`` points fell into its cell,
-    whose bounds are ``lo[i]`` and ``hi[i]`` (:func:`~rphist.tree.cell_bounds`)
-    and volume ``volumes[i]``, and ``heights[i]`` is its density
-    ``counts[i] / (n * volumes[i])``.  Build one with :meth:`from_counts`.
+    whose bounds are ``lo[i]`` and ``hi[i]`` and volume ``volumes[i]``,
+    and ``heights[i]`` is its density ``counts[i] / (n * volumes[i])``.
+    Build one with :meth:`from_counts`.
     """
 
     root_box: Box
@@ -153,10 +119,13 @@ class Histogram:
         return hash((self.root_box, self.n, self.labels))
 
     @classmethod
-    def from_counts(cls, root_box: Box, n: int, labels, counts) -> "Histogram":
+    def from_counts(cls, root_box: Box, n: int, labels, counts,
+                    bounds: tuple[np.ndarray, np.ndarray] | None = None) -> "Histogram":
         """Histogram of ``n`` points with ``counts[i]`` in leaf ``labels[i]``:
         the cell of each label under ``root_box`` carries the density
-        ``count / (n * volume)``.
+        ``count / (n * volume)``.  The cells' ``(lo, hi)`` bounds are
+        derived from the labels (:func:`~rphist.tree.cell_bounds`) unless
+        given.
 
         Raises
         ------
@@ -166,7 +135,7 @@ class Histogram:
         if n < 1:
             raise EmptySample("cannot form a histogram from zero points")
         labels = tuple(labels)
-        lo, hi, *_ = cell_bounds(root_box, labels)
+        lo, hi = cell_bounds(root_box, labels)[:2] if bounds is None else bounds
         volumes = bounds_volume(lo, hi)
         if not volumes.all():
             raise ZeroDivisionError("a cell's volume underflows to 0")
@@ -176,11 +145,11 @@ class Histogram:
         return cls(root_box, n, labels, counts, volumes, heights, lo, hi)
 
 
-def histogram(s: SRP) -> Histogram:
-    """The SRP histogram: density ``count / (n * volume)`` per leaf cell."""
-    labels = s.tree.leaves()
-    return Histogram.from_counts(s.tree.root_box, s.n, labels,
-                                 [s.counts.get(label, 0) for label in labels])
+def histogram(s: State) -> Histogram:
+    """The state's histogram: density ``count / (n * volume)`` per leaf
+    cell, from the labels, counts and bounds its store holds."""
+    labels, counts, lo, hi = s.leaves
+    return Histogram.from_counts(s.root_box, s.n, labels, counts, (lo, hi))
 
 
 def density_at(h: Histogram, p) -> float:
@@ -223,19 +192,18 @@ def cell_terms(counts: np.ndarray, vol: np.ndarray, n: int) -> np.ndarray:
     return np.stack([ll, counts * counts / vol, counts * (counts - 1) / vol])
 
 
-def leaf_terms(s: SRP) -> np.ndarray:
-    """The three :func:`cell_terms` of the SRP, each summed left to right
-    over its non-empty leaves in label order."""
-    labels = s.nonempty_leaves()
-    lo, hi, *_ = cell_bounds(s.tree.root_box, labels)
-    terms = np.zeros((3, len(labels) + 1))  # a leading 0: the sums start from 0.0
-    terms[:, 1:] = cell_terms(np.array([s.counts[v] for v in labels], dtype=float),
-                              bounds_volume(lo, hi), s.n)
+def leaf_terms(s: State) -> np.ndarray:
+    """The three :func:`cell_terms` of the state, each summed left to
+    right over its non-empty leaves in label order."""
+    _, counts, lo, hi = s.leaves
+    full = counts > 0
+    terms = np.zeros((3, np.count_nonzero(full) + 1))  # a leading 0: the sums start from 0.0
+    terms[:, 1:] = cell_terms(counts[full].astype(float), bounds_volume(lo[full], hi[full]), s.n)
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def log_likelihood(s: SRP) -> float:
-    """Log-likelihood of the data under the SRP's own histogram: the sum
+def log_likelihood(s: State) -> float:
+    """Log-likelihood of the data under the state's own histogram: the sum
     of ``count * log(count / (n * volume))`` over its leaves
     (:func:`leaf_terms`)."""
     if s.n < 1:

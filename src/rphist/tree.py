@@ -7,23 +7,22 @@ left and 1 for right), so ancestors are right shifts and the depth is
 the bit length minus one.  Labels are plain Python ints and therefore
 unbounded; nothing caps the depth at a machine word.
 
-A tree stores only its label set, which keeps memory at O(#nodes)
-independent of the dimension and matches the representation used by
-the distributed builder.  A cell's bounds are a pure function of its
-label and the root box; :func:`cell_bounds` computes them for a whole
-batch of labels at once, descending one tree level per numpy step, and
-every caller (histogram, likelihood, cross-validation, the builders)
-asks for all the cells it needs in one call.
+A cell's bounds are a pure function of its label and the root box.
+The cells a run creates are planned once each, from their parent's
+bounds, in its cell store (:class:`rphist.pqmc.CellStore`); a file holds
+only labels, so :func:`cell_bounds` derives the bounds of a whole batch
+of labels at once, descending one tree level per numpy step, for the
+histogram loader.  :func:`paves` checks that a label set is the leaf
+set of a paving.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotALeaf, NotBisectable, RootHasNoParent
+from .errors import NotBisectable, RootHasNoParent
 from .geometry import Box, split_plane
 
 ROOT = 1
@@ -121,48 +120,3 @@ def paves(labels) -> bool:
             return False
         end = start + (1 << shift)
     return end == 1 << top
-
-
-@dataclass(frozen=True)
-class RPTree:
-    """A regular paving: root box plus a prefix-closed label set.
-
-    Every node has zero or two children present, so the leaf boxes
-    partition the root box.  Trees are immutable; :meth:`split` returns
-    a new tree.
-    """
-
-    root_box: Box
-    nodes: frozenset[int] = field(default_factory=lambda: frozenset({ROOT}))
-
-    def __post_init__(self):
-        if ROOT not in self.nodes:
-            raise ValueError("tree must contain the root label 1")
-
-    @property
-    def dim(self) -> int:
-        return self.root_box.dim
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.nodes
-
-    def is_leaf(self, n: int) -> bool:
-        return n in self.nodes and 2 * n not in self.nodes
-
-    def leaves(self) -> list[int]:
-        """Leaf labels in ascending order (the canonical serialization order)."""
-        return sorted(n for n in self.nodes if 2 * n not in self.nodes)
-
-    def internal(self) -> list[int]:
-        return sorted(n for n in self.nodes if 2 * n in self.nodes)
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if 2 * n not in self.nodes)
-
-    def split(self, n: int) -> "RPTree":
-        """New tree with leaf ``n`` split into its two children."""
-        if not self.is_leaf(n):
-            raise NotALeaf(f"node {n} is not a leaf")
-        return RPTree(self.root_box, self.nodes | {2 * n, 2 * n + 1})
-

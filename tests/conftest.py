@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rphist.geometry import Box, bounding_box
-from rphist.pqmc import CellTable, PqmcConfig, SEB_PRIORITY, ingest, run_pqmc
-from rphist.srp import SRP
-from rphist.tree import RPTree, cell_bounds
+from rphist.pqmc import CellStore, CellTable, PqmcConfig, SEB_PRIORITY, State, run_pqmc
+from rphist.srp import inside_mask
+from rphist.tree import ROOT, cell_bounds
 
 def unit_box(d: int) -> Box:
     return Box.from_bounds([0.0] * d, [1.0] * d)
@@ -22,26 +22,71 @@ def cell_membership(root_box: Box, lo: np.ndarray, hi: np.ndarray,
     return ((pts >= lo) & ((pts < hi) | (hi == root_box.highs()))).all(axis=2)
 
 
-def membership_srp(tree: RPTree, points) -> SRP:
-    """The SRP of ``points`` on ``tree`` by brute force: each node counts
-    the points that :func:`cell_membership` puts in its cell, with no
-    routing down the tree.  Points outside the closed root box count
-    nowhere."""
-    nodes = sorted(tree.nodes)  # the root first
-    cells = cell_bounds(tree.root_box, nodes)
-    pts = np.asarray(points, dtype=float).reshape(-1, tree.dim)
-    pts = pts[((pts >= cells.lo[0]) & (pts <= cells.hi[0])).all(axis=1)]
-    counts = cell_membership(tree.root_box, cells.lo, cells.hi, pts).sum(axis=0)
-    return SRP(tree, dict(zip(nodes, counts.tolist())), int(counts[0]))
+def membership_counts(root_box: Box, labels, points) -> dict[int, int]:
+    """The count of each cell of ``labels`` by brute force: the points
+    that :func:`cell_membership` puts in its cell, with no routing down
+    the tree.  Points outside the closed root box count nowhere."""
+    labels = sorted(labels)
+    cells = cell_bounds(root_box, labels)
+    pts = np.asarray(points, dtype=float).reshape(-1, root_box.dim)
+    pts = pts[((pts >= root_box.lows()) & (pts <= root_box.highs())).all(axis=1)]
+    counts = cell_membership(root_box, cells.lo, cells.hi, pts).sum(axis=0)
+    return dict(zip(labels, counts.tolist()))
+
+
+def leaves_of(nodes) -> list[int]:
+    """The leaves of a prefix-closed label set, in ascending order."""
+    return sorted(v for v in nodes if 2 * v not in nodes)
+
+
+def nodes_of(leaves) -> set[int]:
+    """Every node of the paving with these leaves: each leaf and its
+    proper prefixes."""
+    return {v >> k for v in leaves for k in range(v.bit_length())}
+
+
+def split_leaf(nodes, v: int) -> frozenset[int]:
+    """The label set with leaf ``v`` split into its two children."""
+    assert v in nodes and 2 * v not in nodes
+    return frozenset(nodes) | {2 * v, 2 * v + 1}
+
+
+def leaf_counts(s: State) -> dict[int, int]:
+    """The count of each leaf of a state, by label."""
+    return dict(zip(s.leaves.labels, s.leaves.counts.tolist()))
+
+
+def node_counts(s: State) -> dict[int, int]:
+    """The count of every node of a state: its leaves' counts summed up
+    the tree."""
+    counts: dict[int, int] = {}
+    for v, c in leaf_counts(s).items():
+        for k in range(v.bit_length()):
+            counts[v >> k] = counts.get(v >> k, 0) + c
+    return counts
+
+
+def leaf_state(root_box: Box, leaves, points, strict: bool = True) -> State:
+    """The state with these leaves over the points, through a fresh
+    :class:`CellTable`; points outside the root box raise in strict mode
+    and are dropped otherwise."""
+    pts = np.asarray(points, dtype=float).reshape(-1, root_box.dim)
+    table = CellTable(pts if strict else pts[inside_mask(root_box, pts)], root_box)
+    return State(table, [table.cell(v) for v in sorted(leaves)])
+
+
+def root_state(root_box: Box, n: int) -> State:
+    """The root-only state of ``n`` points, over a store with no points."""
+    return State(CellStore(root_box, n), [ROOT])
 
 
 @st.composite
 def tied_tree_sample(draw):
-    """A random tree and integer-grid rows that tie: repeated rows, rows on
-    splitting planes and, under the grid's box ``[0, side]^d`` or an
-    unpadded bounding box, on the root faces.  A coordinate may be
-    constant, under a padded box too; under the grid's box some rows may
-    lie outside."""
+    """A root box, the leaves of a random tree, and integer-grid rows that
+    tie: repeated rows, rows on splitting planes and, under the grid's box
+    ``[0, side]^d`` or an unpadded bounding box, on the root faces.  A
+    coordinate may be constant, under a padded box too; under the grid's
+    box some rows may lie outside."""
     d = draw(st.integers(1, 3))
     side = draw(st.sampled_from([1, 2, 4, 8]))
     rows = draw(arrays(np.int64, (draw(st.integers(0, 40)), d),
@@ -53,32 +98,30 @@ def tied_tree_sample(draw):
         box = bounding_box(pts, draw(st.sampled_from([0.0, 0.25])))
     else:
         box = Box.from_bounds([0.0] * d, [float(side)] * d)
-    tree = RPTree(box)
+    nodes = frozenset({ROOT})
     for _ in range(draw(st.integers(0, 12))):
-        leaves = tree.leaves()
+        leaves = leaves_of(nodes)
         leaves = [v for v, ok in zip(leaves, cell_bounds(box, leaves).splittable) if ok]
         if not leaves:
             break
-        tree = tree.split(draw(st.sampled_from(leaves)))
-    return tree, pts
+        nodes = split_leaf(nodes, draw(st.sampled_from(leaves)))
+    return box, leaves_of(nodes), pts
 
 
-def table_leaf_rows(tree: RPTree, points) -> dict[int, np.ndarray]:
-    """The row indices of ``points`` in each leaf of ``tree``, read off one
-    :class:`CellTable`: the range ``perm[start:start + count]`` of each
-    leaf's cell."""
-    table = CellTable(points, tree.root_box)
+def table_leaf_rows(root_box: Box, leaves, points) -> dict[int, np.ndarray]:
+    """The row indices of ``points`` in each of the ``leaves``, read off
+    one :class:`CellTable`: the range ``perm[start:start + count]`` of
+    each leaf's cell."""
+    table = CellTable(points, root_box)
     rows = {}
-    for leaf in tree.leaves():
+    for leaf in leaves:
         cell = table.cell(leaf)
         rows[leaf] = table.perm[table.start[cell]:table.start[cell] + table.count[cell]]
     return rows
 
 
-@pytest.fixture
-def fig2_tree() -> RPTree:
-    """Unit square split into the three-leaf paving {1,2,3,4,5}."""
-    return RPTree(unit_box(2)).split(1).split(2)
+#: The unit square split into the three-leaf paving {1, 2, 3, 4, 5}.
+FIG2_LEAVES = (3, 4, 5)
 
 
 def fig2_points() -> np.ndarray:
@@ -92,8 +135,8 @@ def fig2_points() -> np.ndarray:
 
 
 @pytest.fixture
-def fig2_srp(fig2_tree) -> SRP:
-    return ingest(fig2_tree, fig2_points())
+def fig2_state() -> State:
+    return leaf_state(unit_box(2), FIG2_LEAVES, fig2_points())
 
 
 def random_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -107,14 +150,14 @@ def random_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return centers[comp] + rng.standard_normal((n, d)) * scales[comp, None]
 
 
-def random_srp(rng: np.random.Generator, n_max: int = 200, d_max: int = 3,
-               max_splits: int = 30) -> tuple[SRP, np.ndarray]:
-    """A random SRP grown by an SEB chain on random clustered data."""
+def random_state(rng: np.random.Generator, n_max: int = 200, d_max: int = 3,
+                 max_splits: int = 30) -> tuple[State, np.ndarray]:
+    """A random state grown by an SEB chain on random clustered data."""
     d = int(rng.integers(1, d_max + 1))
     n = int(rng.integers(2, n_max + 1))
     pts = random_points(rng, n, d)
     box = bounding_box(pts)
-    s0 = ingest(RPTree(box), pts)
+    s0 = leaf_state(box, [ROOT], pts)
     splits = int(rng.integers(0, max_splits + 1))
     cfg = PqmcConfig(max_leaves=1 + splits)
     path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
@@ -130,6 +173,6 @@ def seb_instance(seed: int):
     pts = random_points(rng, n, d)
     threshold = float(rng.integers(max(2, n // 64), max(3, n // 4)))
     box = bounding_box(pts)
-    s0 = ingest(RPTree(box), pts)
+    s0 = leaf_state(box, [ROOT], pts)
     path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=threshold))
     return pts, box, threshold, path

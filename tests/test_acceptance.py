@@ -23,12 +23,19 @@ from rphist.distributed import (
 from rphist.evaluate import GaussianReference, l1_error
 from rphist.geometry import bounding_box
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig, ingest
+from rphist.pqmc import PqmcConfig
 from rphist.smoothing import cv_score
 from rphist.srp import histogram
-from rphist.tree import RPTree
 
-from conftest import fig2_points, random_points, random_srp, seb_instance, unit_box
+from conftest import (
+    FIG2_LEAVES,
+    fig2_points,
+    leaf_state,
+    random_points,
+    random_state,
+    seb_instance,
+    unit_box,
+)
 from test_smoothing import brute_force_cv
 
 CFG = PqmcConfig()
@@ -40,9 +47,7 @@ def report(num: int, detail: str) -> None:
 
 def test_criterion_1_fig2_golden():
     t0 = time.perf_counter()
-    tree = RPTree(unit_box(2)).split(1).split(2)
-    srp = ingest(tree, fig2_points())
-    h = histogram(srp)
+    h = histogram(leaf_state(unit_box(2), FIG2_LEAVES, fig2_points()))
     heights = {leaf.label: leaf.height for leaf in h.leaves}
     assert heights == {4: 0.8, 5: 1.2, 3: 1.0}, "heights must match exactly"
     elapsed = time.perf_counter() - t0
@@ -64,10 +69,9 @@ def test_criterion_2_normalization_and_conservation():
         shards = int(rng.integers(1, 5))
         res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=shards)
-        srp = res.final_srp
-        leaf_total = sum(srp.counts.get(v, 0) for v in srp.tree.leaves())
-        assert leaf_total == n
-        h = histogram(srp)
+        final = assemble_srp(res.cells)
+        assert final.leaves.counts.sum() == n
+        h = histogram(final)
         assert h.total_mass() == pytest.approx(1.0, abs=1e-9)
         for st in res.stats:
             assert st.working_points + st.passed_points == n
@@ -90,7 +94,7 @@ def test_criterion_3_sequential_parallel_equivalence():
         tied += seq.had_ties
         res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=int(1 + instances % 4))
-        if res.final_srp != seq.final:
+        if assemble_srp(res.cells) != seq.final:
             mismatches += 1
         path = reconstruct_path(res.path)
         if path.had_ties != seq.had_ties:
@@ -119,10 +123,8 @@ def test_criterion_4_order_invariance():
         for order in range(10):
             order_rng = np.random.default_rng(instance * 100 + order)
             ds = TaggedDataset.from_points(pts, box, shard_count=2)
-            node_counts = {}
             while True:
                 counts = count_by_cell(ds)
-                node_counts.update(zip(ds.labels, counts.tolist()))
                 eligible = cells_to_split(ds, counts, threshold, CFG)
                 if not eligible:
                     break
@@ -130,8 +132,7 @@ def test_criterion_4_order_invariance():
                 k = int(order_rng.integers(1, len(pool) + 1))
                 pick = order_rng.choice(len(pool), size=k, replace=False)
                 ds = apply_splits(ds, {pool[i]: eligible[pool[i]] for i in pick})
-            final = assemble_srp(box, node_counts)
-            assert final == reference.final_srp
+            assert assemble_srp(ds.store) == assemble_srp(reference.cells)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(4, f"30 instances x 10 random split orders, identical terminal "
@@ -142,11 +143,11 @@ def test_criterion_5_cv_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     for _ in range(100):
-        srp, pts = random_srp(rng, n_max=200, d_max=4)
-        assert cv_score(srp) == pytest.approx(brute_force_cv(srp, pts), abs=1e-10)
+        s, pts = random_state(rng, n_max=200, d_max=4)
+        assert cv_score(s) == pytest.approx(brute_force_cv(s, pts), abs=1e-10)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    report(5, f"100 SRPs, closed form within 1e-10 of brute force, {elapsed:.1f}s")
+    report(5, f"100 states, closed form within 1e-10 of brute force, {elapsed:.1f}s")
 
 
 def test_criterion_6_shard_invariance():
@@ -166,7 +167,7 @@ def test_criterion_6_shard_invariance():
     base = results[1]
     for shards in (2, 4, 8):
         r = results[shards]
-        assert r.final_srp == base.final_srp
+        assert r.path.final == base.path.final
         assert r.stats == base.stats
         assert r.iterations == base.iterations
     ratio = times[4] / times[1]

@@ -30,14 +30,23 @@ from rphist.pqmc import (
     SPC_PRIORITY,
     SplitRecord,
     carve_path,
-    ingest,
     launch_states,
     run_pqmc,
 )
-from rphist.srp import inside_mask, root_srp
-from rphist.tree import RPTree, cell_bounds
+from rphist.srp import Histogram, histogram, inside_mask
+from rphist.tree import cell_bounds
 
-from conftest import membership_srp, random_points, seb_instance, tied_tree_sample, unit_box
+from conftest import (
+    leaf_counts,
+    leaf_state,
+    membership_counts,
+    node_counts,
+    nodes_of,
+    random_points,
+    seb_instance,
+    tied_tree_sample,
+    unit_box,
+)
 
 CFG = PqmcConfig()
 
@@ -138,11 +147,14 @@ def test_apply_splits_point_on_hyperplane_goes_right():
 @given(tied_tree_sample(), st.integers(1, 8), st.sampled_from([1, 3]))
 def test_build_counts_equal_brute_force_membership_on_tied_rows(sample, threshold, shards):
     # the sharded step's routing against each cell's own half-open bounds
-    tree, pts = sample
-    pts = pts[inside_mask(tree.root_box, pts)]
-    res = build_threshold_tree(pts, tree.root_box, float(threshold),
+    box, _, pts = sample
+    pts = pts[inside_mask(box, pts)]
+    res = build_threshold_tree(pts, box, float(threshold),
                                PqmcConfig(max_depth=30), shard_count=shards)
-    assert res.final_srp == membership_srp(res.final_srp.tree, pts)
+    cells = dict(zip(res.cells.labels[1:], res.cells.count[1:].tolist()))
+    assert cells == membership_counts(box, cells, pts)
+    final = assemble_srp(res.cells)
+    assert node_counts(final) == membership_counts(box, nodes_of(final.leaves.labels), pts)
 
 
 def test_prune_moves_counts():
@@ -189,18 +201,17 @@ def test_build_trivial_when_threshold_at_n():
     pts = rng.uniform(0, 1, size=(20, 2))
     res = build_threshold_tree(pts, unit_box(2), 20.0, CFG)
     assert res.iterations == 0
-    assert res.final_srp.leaf_count == 1
-    assert res.final_srp.counts[1] == 20
+    assert assemble_srp(res.cells).leaf_count == 1
+    assert leaf_counts(assemble_srp(res.cells)) == {1: 20}
 
 
 def test_build_fig7_style_matches_sequential():
     pts = fig7_dataset(1).shards[0].points
     res = build_threshold_tree(pts, unit_box(2), 2.0, CFG)
-    s0 = ingest(RPTree(unit_box(2)), pts)
+    s0 = leaf_state(unit_box(2), [1], pts)
     seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0))
-    assert res.final_srp == seq.final
-    for v in res.final_srp.tree.leaves():
-        assert res.final_srp.counts[v] <= 2 or res.final_srp.counts[v] == 0
+    assert assemble_srp(res.cells) == seq.final
+    assert all(c <= 2 for c in leaf_counts(res.path.final).values())
 
 
 def test_build_threshold_equals_sequential_random():
@@ -208,7 +219,7 @@ def test_build_threshold_equals_sequential_random():
         pts, box, threshold, seq = seb_instance(seed)
         res = build_threshold_tree(pts, box, threshold, CFG,
                                    shard_count=3)
-        assert res.final_srp == seq.final
+        assert assemble_srp(res.cells) == seq.final
         path = reconstruct_path(res.path)
         assert path.had_ties == seq.had_ties
         states = path.states()
@@ -226,7 +237,7 @@ def test_build_shard_invariance_small():
         for s in (1, 2, 4, 8)
     ]
     for r in results[1:]:
-        assert r.final_srp == results[0].final_srp
+        assert r.path.final == results[0].path.final
         assert r.stats == results[0].stats
         assert r.iterations == results[0].iterations
 
@@ -283,7 +294,7 @@ def test_build_opens_at_most_one_thread_pool(monkeypatch):
     assert pools == []
     threaded = build_threshold_tree(pts, box, 20.0, CFG, shard_count=3, workers=2)
     assert threaded.iterations > 3 and len(pools) == 1
-    assert threaded.final_srp == serial.final_srp
+    assert threaded.path.final == serial.path.final
     assert threaded.stats == serial.stats
 
 
@@ -293,10 +304,10 @@ def test_build_depth_capped_equals_sequential_terminal_state():
     pts = rng.uniform(0, 1, size=(50, 2))
     cfg = PqmcConfig(max_depth=2)
     res = build_threshold_tree(pts, unit_box(2), 2.0, cfg)
-    s0 = ingest(RPTree(unit_box(2)), pts)
+    s0 = leaf_state(unit_box(2), [1], pts)
     seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_depth=2))
-    assert res.final_srp == seq.final
-    assert max(res.final_srp.counts[v] for v in res.final_srp.tree.leaves()) > 2.0
+    assert assemble_srp(res.cells) == seq.final
+    assert max(leaf_counts(res.path.final).values()) > 2.0
 
 
 def test_build_on_duplicate_rows_equals_sequential_terminal_state():
@@ -309,9 +320,9 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     carve = carve_path(pts, PqmcConfig(max_leaves=20),
                        root_box=box)
     base = build_threshold_tree(pts, box, 50.0, CFG, shard_count=2)
-    leaves = base.final_srp.tree.leaves()
-    assert max(leaves).bit_length() > 100
-    assert max(base.final_srp.counts[v] for v in leaves) == 200
+    final = leaf_counts(base.path.final)
+    assert max(final).bit_length() > 100
+    assert max(final.values()) == 200
     for threshold in (50.0, 500.0):
         for launch in launch_states(carve, 3):
             seq = run_pqmc(launch, pts, SEB_PRIORITY,
@@ -327,14 +338,14 @@ def test_build_big_labels_escape_hatch():
     pts = np.array([[0.0, 0.0], [2.0**-70, 0.0]])
     box = Box.from_bounds([0.0, -0.5], [1.0, 0.5])
     res = build_threshold_tree(pts, box, 1.0, CFG)
-    leaves = res.final_srp.tree.leaves()
-    assert max(leaves) > 2**64
-    nonempty = [v for v in leaves if res.final_srp.counts[v] == 1]
+    final = leaf_counts(res.path.final)
+    assert max(final) > 2**64
+    nonempty = [v for v, c in final.items() if c == 1]
     assert len(nonempty) == 2
-    s0 = ingest(RPTree(box), pts)
+    s0 = leaf_state(box, [1], pts)
     seq = run_pqmc(s0, pts, SEB_PRIORITY,
                    PqmcConfig(max_psi=1.0))
-    assert res.final_srp == seq.final
+    assert assemble_srp(res.cells) == seq.final
 
 
 def test_build_labels_past_64_bits_equal_sequential():
@@ -345,12 +356,12 @@ def test_build_labels_past_64_bits_equal_sequential():
                      [[0.0, 0.0], [2.0**-70, 0.0], [0.0, 2.0**-68]],
                      np.repeat([[0.3, 0.7]], 3, axis=0)])
     box = Box.from_bounds([0.0, -0.5], [1.0, 1.0])
-    seq = run_pqmc(ingest(RPTree(box), pts), pts, SEB_PRIORITY,
+    seq = run_pqmc(leaf_state(box, [1], pts), pts, SEB_PRIORITY,
                    PqmcConfig(max_psi=1.0))
-    assert max(seq.final.tree.leaves()) > 2**64
+    assert max(seq.final.leaves.labels) > 2**64
     for shards in (1, 3):
         res = build_threshold_tree(pts, box, 1.0, CFG, shard_count=shards)
-        assert res.final_srp == seq.final
+        assert assemble_srp(res.cells) == seq.final
         assert reconstruct_path(res.path).records == seq.records
 
 
@@ -362,10 +373,8 @@ def test_order_invariance_random_schedulers():
     for trial in range(6):
         order_rng = np.random.default_rng(1000 + trial)
         ds = TaggedDataset.from_points(pts, box, shard_count=2)
-        node_counts = {}
         while True:
             counts = count_by_cell(ds)
-            node_counts.update(zip(ds.labels, counts.tolist()))
             eligible = cells_to_split(ds, counts, 30.0, CFG)
             if not eligible:
                 break
@@ -374,8 +383,9 @@ def test_order_invariance_random_schedulers():
             chosen = {pool[i]: eligible[pool[i]]
                       for i in order_rng.choice(len(pool), size=k, replace=False)}
             ds = apply_splits(ds, chosen)
-        final = assemble_srp(box, node_counts)
-        assert final == reference.final_srp
+        # the random order's store: parents come before children, not
+        # every id rises with its label
+        assert assemble_srp(ds.store) == assemble_srp(reference.cells)
 
 
 def test_backtrack_root_only():
@@ -383,19 +393,19 @@ def test_backtrack_root_only():
     res = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
     seq = reconstruct_path(res.path).states()
     assert len(seq) == 1
-    assert seq[0] == res.final_srp
+    assert seq[0] == assemble_srp(res.cells)
 
 
 def test_backtrack_merge_order_ascending_parent_priority():
     pts, box, threshold, _ = seb_instance(0)
     res = build_threshold_tree(pts, box, threshold, CFG)
-    # merge order is the reversed path: from the final SRP down to the root
+    # merge order is the reversed path: from the final state down to the root
     states = reconstruct_path(res.path).states()[::-1]
     merged_counts = []
     for before, after in zip(states, states[1:]):
-        gone = before.tree.nodes - after.tree.nodes
+        gone = set(before.leaves.labels) - set(after.leaves.labels)
         p = min(gone) // 2
-        merged_counts.append(before.counts[p])
+        merged_counts.append(leaf_counts(after)[p])
     assert merged_counts == sorted(merged_counts)
 
 
@@ -403,7 +413,7 @@ def test_reconstruct_path_from_launch_state():
     # tributary from a carved state: parallel rebuild equals sequential
     for seed in range(100, 103):
         pts, box, threshold, _ = seb_instance(seed)
-        s0 = ingest(RPTree(box), pts)
+        s0 = leaf_state(box, [1], pts)
         carve = run_pqmc(s0, pts, SPC_PRIORITY,
                          PqmcConfig(max_leaves=4))
         launch = carve.final
@@ -429,9 +439,8 @@ def test_reconstruct_never_merges_into_the_launch_state():
     right = rng.uniform([0.5, 0.0], [1.0, 1.0], size=(100, 2))
     pts = np.vstack([left, right])
     box = unit_box(2)
-    launch_tree = RPTree(box).split(1).split(2)  # cherry at node 2
-    launch = ingest(launch_tree, pts)
-    assert launch.counts[2] == 3 and launch.counts[3] == 100
+    launch = leaf_state(box, [3, 4, 5], pts)  # cherry at node 2
+    assert node_counts(launch)[2] == 3 and leaf_counts(launch)[3] == 100
 
     seq = run_pqmc(launch, pts, SEB_PRIORITY,
                    PqmcConfig(max_psi=10.0))
@@ -496,7 +505,7 @@ def _tied_grid_paths(sample, max_leaves):
 @given(tied_grid_sample())
 def test_reconstruct_path_equals_sequential_on_tied_data(sample):
     for path, seq in _tied_grid_paths(sample, None):
-        assert path.final.tree.nodes == seq.final.tree.nodes
+        assert path.final.leaves.labels == seq.final.leaves.labels
         assert path.final == seq.final
         assert path.records == seq.records
         assert path.had_ties == seq.had_ties
@@ -582,17 +591,17 @@ def test_cut_path_equals_sequential_on_tied_data(sample):
 def test_cut_path_rejects_lower_threshold():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
-    launch = ingest(RPTree(unit_box(2)), pts)
+    launch = leaf_state(unit_box(2), [1], pts)
     base = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
     whole = reconstruct_path(base.path, launch)
-    assert whole.final == base.final_srp
+    assert whole.final == assemble_srp(base.cells)
     seq = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=5.0))
     for path in (whole, seq, truncate_path(whole, 8.0, None)):
         with pytest.raises(ValueError):
             truncate_path(path, 4.0, None)
     assert truncate_path(whole, 5.0, None) == whole
     with pytest.raises(ValueError):
-        reconstruct_path(base.path, ingest(RPTree(unit_box(2)), pts[:-1]))
+        reconstruct_path(base.path, leaf_state(unit_box(2), [1], pts[:-1]))
 
 
 def test_cut_path_rejects_another_budget():
@@ -600,7 +609,7 @@ def test_cut_path_rejects_another_budget():
     # budget, or none, would take
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
-    launch = ingest(RPTree(unit_box(2)), pts)
+    launch = leaf_state(unit_box(2), [1], pts)
     budgeted = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_leaves=6))
     assert budgeted.stop_reason == "max_leaves" and not budgeted.success
     for max_leaves in (None, 5, 7):
@@ -648,7 +657,7 @@ def test_tie_flag_counts_only_cells_already_leaves():
     path = reconstruct_path(base.path)
     assert [r.label for r in path.records] == [1, 2, 3]
     assert path.had_ties
-    seq = run_pqmc(ingest(RPTree(unit_box(2)), pts), pts, SEB_PRIORITY,
+    seq = run_pqmc(leaf_state(unit_box(2), [1], pts), pts, SEB_PRIORITY,
                    PqmcConfig(max_psi=1.0))
     assert path.records == seq.records and seq.had_ties
     # cut before the tied pop: the root pop alone had no rival
@@ -682,25 +691,26 @@ def test_truncate_path():
 
 
 def _stats_of(final, threshold: float) -> tuple[IterationStats, ...]:
-    """The iteration stats of a root build, read off its terminal SRP.
+    """The iteration stats of a root build, read off its terminal state.
 
     Iteration ``t`` splits the internal nodes at depth ``t - 1``.  Then
     the working cells are the nodes at depth ``t`` and the leaves above
     the threshold that could not be split, and the points passed are
     those of the leaves at or below the threshold up to depth ``t - 1``.
     """
-    internal = final.tree.internal()
-    leaves = final.tree.leaves()
+    counts = node_counts(final)
+    leaves = final.leaves.labels
+    internal = set(counts) - set(leaves)
     stats = []
     for t in range(1, max((v.bit_length() for v in internal), default=0) + 1):
-        working = [final.counts[v] for v in final.tree.nodes if v.bit_length() == t + 1]
-        working += [final.counts[v] for v in leaves
-                    if final.counts[v] > threshold and v.bit_length() <= t]
+        working = [counts[v] for v in counts if v.bit_length() == t + 1]
+        working += [counts[v] for v in leaves
+                    if counts[v] > threshold and v.bit_length() <= t]
         stats.append(IterationStats(
             split_cells=sum(1 for v in internal if v.bit_length() == t),
             working_points=sum(working),
-            passed_points=sum(final.counts[v] for v in leaves
-                              if final.counts[v] <= threshold and v.bit_length() <= t),
+            passed_points=sum(counts[v] for v in leaves
+                              if counts[v] <= threshold and v.bit_length() <= t),
             nonempty_cells=sum(1 for c in working if c),
         ))
     return tuple(stats)
@@ -743,7 +753,7 @@ def test_build_equals_sequential_chain_on_tied_rows():
     def check(sample):
         pts, box, threshold = sample
         cfg = PqmcConfig(max_depth=80)
-        seq = run_pqmc(ingest(RPTree(box), pts), pts, SEB_PRIORITY,
+        seq = run_pqmc(leaf_state(box, [1], pts), pts, SEB_PRIORITY,
                        PqmcConfig(max_psi=threshold, max_depth=80))
         stats = _stats_of(seq.final, threshold)
         hit.clear()
@@ -752,9 +762,9 @@ def test_build_equals_sequential_chain_on_tied_rows():
                 for workers in (1, 2):
                     res = build_threshold_tree(pts, box, threshold, cfg,
                                                shard_count=shards, workers=workers)
-                    assert res.final_srp == seq.final
+                    assert assemble_srp(res.cells) == seq.final
                     assert res.stats == stats
-        if max(seq.final.tree.nodes) >= 2**63:
+        if max(seq.final.leaves.labels) >= 2**63:
             hit.add("labels_past_2**63")
         for key in hit:
             seen[key] += 1
@@ -768,10 +778,12 @@ def _seb_records(base, launch):
     """The SEB path from ``launch`` as split records: the base build's
     internal nodes sorted by ``(-count, label)``, without those internal
     in ``launch`` (the record-by-record form that the rows replace)."""
-    counts = base.final_srp.counts
-    split = sorted(base.final_srp.tree.internal(), key=lambda p: (-counts[p], p))
+    counts = node_counts(base.path.final)
+    split = sorted(set(counts) - set(base.path.final.leaves.labels),
+                   key=lambda p: (-counts[p], p))
+    nodes = nodes_of(launch.leaves.labels)
     return tuple(SplitRecord(p, counts[2 * p], counts[2 * p + 1]) for p in split
-                 if 2 * p not in launch.tree.nodes)
+                 if 2 * p not in nodes)
 
 
 def test_build_store_ids_rise_with_labels_on_tied_rows():
@@ -800,7 +812,7 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
             order = res.path.rows
             records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
                 order.tolist(), *(c.tolist() for c in cells.split_counts(order))))
-            assert records == _seb_records(res, root_srp(box, len(pts)))
+            assert records == _seb_records(res, res.path.initial)
             stuck = (kid == 0) & (np.frombuffer(cells.count, np.int64) > threshold)
             for i in np.flatnonzero(stuck).tolist():
                 hit.add("depth_cap" if labels[i].bit_length() > max_depth else "unbisectable")
@@ -818,6 +830,7 @@ def _first_tie_by_loop(initial, records) -> int:
     """Reference for the first tied pop of a whole SEB path: the loop over
     records that the vectorized form replaces."""
     step = {rec.label: i for i, rec in enumerate(records)}
+    nodes = nodes_of(initial.leaves.labels)
     first = len(records)
     count = ready = None  # ready: earliest step a later same-count cell is a leaf
     for i in range(len(records) - 1, -1, -1):
@@ -828,7 +841,7 @@ def _first_tie_by_loop(initial, records) -> int:
         elif ready <= i:
             first = i
         v = rec.label
-        ready = min(ready, 0 if v in initial.tree.nodes else step[v >> 1] + 1)
+        ready = min(ready, 0 if v in nodes else step[v >> 1] + 1)
     return first
 
 
@@ -854,3 +867,49 @@ def test_row_paths_equal_record_paths_on_tied_data(sample):
                 cut = truncate_path(whole, threshold, max_leaves)
                 assert cut.records == records[:cut.split_count]
                 assert all(r.left_count + r.right_count > threshold for r in cut.records)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(tied_tree_sample(), st.integers(1, 6), st.integers(1, 8))
+def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_leaves):
+    # at every step of the carve and of each launch state's whole SEB path,
+    # read off the sequential chain and off the build, the state's leaves
+    # and counts are those of brute-force membership in the cells that its
+    # records split; the two modes' paths are equal though their stores
+    # differ, and so are the histograms of their final states.  The
+    # sample's own tree, over a table of its own, is a launch state too
+    box, leaves, pts = sample
+    pts = pts[inside_mask(box, pts)]
+    if len(pts) < 2:
+        return
+    max_depth = 30
+    table = CellTable(pts, box)
+    carve = carve_path(table, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    roots = [run_pqmc(carve.initial, table, SEB_PRIORITY,
+                      PqmcConfig(max_psi=float(threshold), max_depth=max_depth)),
+             build_threshold_tree(pts, box, float(threshold), PqmcConfig(max_depth=max_depth),
+                                  shard_count=2).path]
+    assert roots[0] == roots[1] and roots[0].splits is not roots[1].splits
+    paths = [carve]
+    for launch in [*launch_states(carve, 3), leaf_state(box, leaves, pts)]:
+        wholes = [reconstruct_path(root, launch) for root in roots]
+        assert wholes[0] == wholes[1]
+        assert wholes[0].initial == launch
+        paths += wholes
+    for path in paths:
+        labels = set(path.initial.leaves.labels)
+        for t, state in enumerate(path.states()):
+            expected = membership_counts(box, labels, pts)
+            assert state.leaf_count == len(labels)
+            assert leaf_counts(state) == expected
+            assert state.leaves.labels == sorted(expected)
+            if t < path.split_count:
+                rec = path.records[t]
+                labels = labels - {rec.label} | {2 * rec.label, 2 * rec.label + 1}
+        final = path.final
+        if not box.volume:
+            continue  # a constant coordinate under an unpadded box: no histogram
+        h = histogram(final)
+        ref = Histogram.from_counts(box, final.n, final.leaves.labels, list(expected.values()))
+        assert h == ref and h.lo.tobytes() == ref.lo.tobytes()
+        assert h.hi.tobytes() == ref.hi.tobytes()

@@ -11,11 +11,11 @@ from rphist.geometry import (
     bounds_volume,
     split_plane,
 )
-from rphist.pqmc import ingest
+from rphist.pqmc import CellTable
 from rphist.srp import inside_mask
-from rphist.tree import RPTree, cell_bounds
+from rphist.tree import cell_bounds
 
-from conftest import table_leaf_rows, unit_box
+from conftest import leaf_counts, leaf_state, table_leaf_rows, unit_box
 
 
 def plane(box: Box) -> tuple[int, float, bool]:
@@ -103,13 +103,12 @@ def test_zero_width_widest_coordinate_not_bisectable():
 
 
 def test_contains_half_open_boundary():
-    tree = RPTree(unit_box(2)).split(1)
-    s = ingest(tree, [[0.5, 0.2]])  # on the plane x = 0.5
-    assert (s.counts[2], s.counts[3]) == (0, 1)
+    s = leaf_state(unit_box(2), [2, 3], [[0.5, 0.2]])  # on the plane x = 0.5
+    assert leaf_counts(s) == {2: 0, 3: 1}
     corners = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0 + 1e-12], [-1e-300, 0.5]])
     assert inside_mask(unit_box(2), corners).tolist() == [True, True, False, False]
     with pytest.raises(DimensionMismatch):
-        ingest(tree, [(0.5,)])
+        CellTable([(0.5,)], unit_box(2))
 
 
 def test_child_membership_is_exclusive_and_exhaustive():
@@ -117,7 +116,7 @@ def test_child_membership_is_exclusive_and_exhaustive():
     xs = np.linspace(0.0, 1.0, 9)  # includes the 0.5 splitting hyperplane
     pts = np.array([(x, y) for x in xs for y in xs])
     assert inside_mask(box, pts).all()
-    leaf_of = {int(i): v for v, idx in table_leaf_rows(RPTree(box).split(1), pts).items()
+    leaf_of = {int(i): v for v, idx in table_leaf_rows(box, [2, 3], pts).items()
                for i in idx}
     assert sorted(leaf_of) == list(range(len(pts)))
     # left child [0, 0.5) x [0, 1], right child [0.5, 1] x [0, 1]

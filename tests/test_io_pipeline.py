@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import rphist
 import rphist.cli
+import rphist.tree
 from rphist.cli import main as cli_main
 from rphist.errors import (
     DimensionMismatch,
@@ -41,12 +42,11 @@ from rphist.io import (
     save_histogram,
 )
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, ingest, launch_states, run_pqmc
+from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, launch_states, run_pqmc
 from rphist.smoothing import tau_grid
-from rphist.srp import Histogram, histogram, root_srp
-from rphist.tree import RPTree
+from rphist.srp import Histogram, histogram
 
-from conftest import fig2_points, random_points, unit_box
+from conftest import fig2_points, leaf_state, random_points, root_state, unit_box
 
 
 # ---------------------------------------------------------------- CSV ingest
@@ -243,8 +243,8 @@ def test_ingest_csv_agrees_with_per_row_rule(tmp_path_factory, d, data):
 
 # ----------------------------------------------------- histogram JSON format
 
-def test_histogram_json_roundtrip(tmp_path, fig2_srp):
-    h = histogram(fig2_srp)
+def test_histogram_json_roundtrip(tmp_path, fig2_state):
+    h = histogram(fig2_state)
     out = tmp_path / "h.json"
     save_histogram(h, out)
     obj = json.loads(out.read_text())
@@ -256,9 +256,9 @@ def test_histogram_json_roundtrip(tmp_path, fig2_srp):
     assert [lf.height for lf in back.leaves] == [lf.height for lf in h.leaves]
 
 
-def test_histogram_json_rejects_wrong_format_or_version(tmp_path, fig2_srp):
+def test_histogram_json_rejects_wrong_format_or_version(tmp_path, fig2_state):
     out = tmp_path / "h.json"
-    save_histogram(histogram(fig2_srp), out)
+    save_histogram(histogram(fig2_state), out)
     obj = json.loads(out.read_text())
     stale = dict(obj, version=99)
     out.write_text(json.dumps(stale))
@@ -270,9 +270,9 @@ def test_histogram_json_rejects_wrong_format_or_version(tmp_path, fig2_srp):
         load_histogram(out)
 
 
-def test_histogram_json_rejects_broken_paving(tmp_path, fig2_srp):
+def test_histogram_json_rejects_broken_paving(tmp_path, fig2_state):
     out = tmp_path / "h.json"
-    save_histogram(histogram(fig2_srp), out)
+    save_histogram(histogram(fig2_state), out)
     obj = json.loads(out.read_text())
     obj["leaves"] = obj["leaves"][1:]  # drop a leaf: labels no longer pave
     out.write_text(json.dumps(obj))
@@ -311,9 +311,9 @@ def no_points(obj):
     (lambda obj: obj["root_box"].update(lo=[0.0, float("nan")]), ValueError),
     (lambda obj: obj["root_box"].update(lo=[0.0]), DimensionMismatch),
 ])
-def test_histogram_json_rejects_bad_counts_or_root_box(tmp_path, fig2_srp, edit, error):
+def test_histogram_json_rejects_bad_counts_or_root_box(tmp_path, fig2_state, edit, error):
     out = tmp_path / "h.json"
-    save_histogram(histogram(fig2_srp), out)
+    save_histogram(histogram(fig2_state), out)
     obj = json.loads(out.read_text())
     edit(obj)
     out.write_text(json.dumps(obj))
@@ -358,12 +358,36 @@ def root_box(**bounds):
     root_box(lo=[0.0, 2.0]), root_box(hi=[1.0, float("inf")]),
 ], ids=["negative-count", "fractional-count", "no-leaves", "json-array",
         "label-0", "label-x", "inverted-root-box", "infinite-root-box"])
-def test_load_histogram_raises_parse_error_on_a_malformed_file(tmp_path, fig2_srp, edit):
+def test_load_histogram_raises_parse_error_on_a_malformed_file(tmp_path, fig2_state, edit):
     out = tmp_path / "h.json"
-    save_histogram(histogram(fig2_srp), out)
+    save_histogram(histogram(fig2_state), out)
     out.write_text(json.dumps(edit(json.loads(out.read_text()))))
     with pytest.raises(ParseError):
         load_histogram(out)
+
+
+@pytest.mark.parametrize("lo, hi", [([-1e200, -1e200], [1e200, 1e200]), ([0.0, 0.0], [0.0, 1.0]),
+                                    ([-1e308, 0.0], [1e308, 1.0])],
+                         ids=["volume-overflows", "zero-width", "width-overflows"])
+def test_load_histogram_rejects_a_root_box_volume_that_is_not_positive_finite(
+        tmp_path, capsys, lo, hi):
+    # the build's rule for a root box: a file whose cells' volumes would be
+    # inf (heights 0, a NaN total mass) or 0 does not load, and eval exits 1
+    pts = np.random.default_rng(5).standard_normal((2000, 2))
+    hist, _ = run_pipeline(RunConfig(dim=2, maxpts=(50, 500), out=str(tmp_path / "h.json")),
+                           points=pts)
+    out = tmp_path / "h.json"
+    assert load_histogram(out).total_mass() == pytest.approx(1.0)
+    obj = json.loads(out.read_text())
+    obj["root_box"] = {"lo": lo, "hi": hi}
+    out.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match="not a positive finite one"):
+        load_histogram(out)
+    capsys.readouterr()
+    assert cli_main(["eval", "--hist", str(out), "--reference", "gaussian"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rphist: error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("labels, bad", [
@@ -455,7 +479,7 @@ def test_save_histogram_covers_the_histograms_of_its_test():
 
 
 def test_save_histogram_writes_non_finite_floats_as_json_does(tmp_path):
-    h = histogram(root_srp(unit_box(1), 3))
+    h = histogram(root_state(unit_box(1), 3))
     odd = replace(h, labels=(2, 3), counts=np.array([1, 2]), lo=np.zeros((2, 1)),
                   hi=np.ones((2, 1)), volumes=np.array([math.inf, 5e-324]),
                   heights=np.array([math.nan, -math.inf]))
@@ -467,8 +491,8 @@ def test_save_histogram_writes_non_finite_floats_as_json_does(tmp_path):
 
 # ------------------------------------------------------------ plot export
 
-def test_export_plot_rectangles(tmp_path, fig2_srp):
-    h = histogram(fig2_srp)
+def test_export_plot_rectangles(tmp_path, fig2_state):
+    h = histogram(fig2_state)
     out = tmp_path / "plot.csv"
     assert export_plot_data(h, out) == "rectangles"
     lines = out.read_text().strip().splitlines()
@@ -479,12 +503,12 @@ def test_export_plot_rectangles(tmp_path, fig2_srp):
 
 def test_export_plot_root_only(tmp_path):
     out = tmp_path / "plot.csv"
-    export_plot_data(histogram(root_srp(unit_box(2), 3)), out)
+    export_plot_data(histogram(root_state(unit_box(2), 3)), out)
     assert len(out.read_text().strip().splitlines()) == 2
 
 
 def test_export_plot_table_fallback(tmp_path):
-    h = histogram(root_srp(unit_box(3), 3))
+    h = histogram(root_state(unit_box(3), 3))
     out = tmp_path / "plot.csv"
     assert export_plot_data(h, out) == "table"
     assert out.read_text().startswith("label,count,volume,height")
@@ -493,7 +517,7 @@ def test_export_plot_table_fallback(tmp_path):
 # ------------------------------------------------------------- evaluation
 
 def test_l1_exact_reference_is_zero():
-    h = histogram(root_srp(unit_box(2), 10))
+    h = histogram(root_state(unit_box(2), 10))
     ref = UniformReference(unit_box(2))
     rep = l1_error(h, ref, mc_per_leaf=64, seed=0)
     assert rep.l1_estimate == 0.0
@@ -505,8 +529,7 @@ def test_l1_disjoint_mass_total_variation():
     # histogram uniform on [0,1], reference uniform on [0,0.5]:
     # the integrand is constant on each half, so the estimate is exact
     pts = np.array([[0.2], [0.7]])
-    tree = RPTree(Box.from_bounds([0.0], [1.0])).split(1)
-    h = histogram(ingest(tree, pts))
+    h = histogram(leaf_state(Box.from_bounds([0.0], [1.0]), [2, 3], pts))
     ref = UniformReference(Box.from_bounds([0.0], [0.5]))
     rep = l1_error(h, ref, mc_per_leaf=32, seed=0)
     assert rep.l1_estimate == pytest.approx(1.0, abs=1e-12)
@@ -516,7 +539,7 @@ def test_l1_gaussian_sane():
     rng = np.random.default_rng(40)
     pts = rng.standard_normal((5000, 2))
     box = bounding_box(pts)
-    s0 = ingest(RPTree(box), pts)
+    s0 = leaf_state(box, [1], pts)
     from rphist.pqmc import PqmcConfig, SEB_PRIORITY, run_pqmc
 
     path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=100.0))
@@ -540,7 +563,7 @@ def test_l1_error_pinned_for_every_chunk_size(monkeypatch, d, n, max_psi, refere
     # and coordinate.  78 leaves in 2-D; 222 in 10-D, not a multiple of the
     # default chunk (64).  The uniform reference sticks out of the root box.
     pts = np.random.default_rng(d).standard_normal((n, d))
-    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    s0 = leaf_state(bounding_box(pts), [1], pts)
     h = histogram(run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=max_psi)).final)
     for chunk in (1, 64, 10_000):
         monkeypatch.setattr("rphist.evaluate.MC_CHUNK_LEAVES", chunk)
@@ -580,7 +603,7 @@ def test_l1_error_equals_the_point_major_loop(monkeypatch, d):
     # both references' densities row by row.  Points of norm about 1 keep
     # the Gaussian density normal in every dimension.
     pts = np.random.default_rng(d).standard_normal((300, d)) / math.sqrt(d)
-    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    s0 = leaf_state(bounding_box(pts), [1], pts)
     h = histogram(run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=30.0)).final)
     assert h.leaf_count > 8
     box = Box.from_bounds([-1.0] * d, [0.5] * d)
@@ -613,7 +636,7 @@ def test_sum_rows_adds_as_np_sum_does(m):
 def test_l1_error_rejects_non_finite_cell_width(bound):
     # hi - lo overflows (or is inf - -inf): no uniform draw in the cell
     with np.errstate(over="ignore", invalid="ignore"):
-        h = histogram(root_srp(Box.from_bounds([-bound], [bound]), 3))
+        h = histogram(root_state(Box.from_bounds([-bound], [bound]), 3))
         with pytest.raises(OverflowError):
             l1_error(h, GaussianReference(1))
 
@@ -726,6 +749,46 @@ def test_pipeline_modes_agree_on_tied_grid_data(tmp_path_factory, seed, shards,
     default, seq = manifests
     assert default["candidates"] == seq["candidates"]
     assert default["build"]["had_ties"] == seq["build"]["had_ties"]
+
+
+def tied_rows(seed: int) -> np.ndarray:
+    """Integer-grid rows, one repeated many times: SEB counts tie, and the
+    repeated row splits until the depth cap."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 6, (300, 2)).astype(float)
+    return np.vstack([pts, np.repeat(pts[:1], 60, axis=0)])
+
+
+@pytest.mark.parametrize("data", ["tied", "normal"])
+@pytest.mark.parametrize("sequential", [False, True])
+def test_pipeline_derives_no_bounds_from_labels(monkeypatch, data, sequential):
+    # the selected histogram is gathered from the rows of the store, which
+    # planned every cell's bounds from its parent's: no module calls
+    # cell_bounds during a build, and the columns are those that
+    # cell_bounds gives the selected labels, bit for bit
+    calls = []
+    real = rphist.tree.cell_bounds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    patched = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("rphist") and getattr(m, "cell_bounds", None) is real]
+    assert {m.__name__ for m in patched} >= {"rphist.tree", "rphist.srp", "rphist.pqmc"}
+    for module in patched:
+        monkeypatch.setattr(module, "cell_bounds", counted)
+    pts = tied_rows(7) if data == "tied" else np.random.default_rng(5).standard_normal((4000, 2))
+    cfg = RunConfig(dim=2, shards=2, maxpts=(5, 20, 80) if data == "tied" else (50, 500),
+                    carve_leaves=20, max_depth=30, sequential=sequential)
+    hist, estimate = run_pipeline(cfg, points=pts)
+    assert calls == []
+    assert hist.leaf_count == estimate.state.leaf_count > 20
+    ref = Histogram.from_counts(hist.root_box, hist.n, hist.labels, hist.counts.tolist())
+    assert hist.labels == ref.labels == tuple(sorted(hist.labels))
+    for column in ("counts", "lo", "hi", "volumes", "heights"):
+        got, want = getattr(hist, column), getattr(ref, column)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
 
 
 @pytest.mark.parametrize("sequential", [False, True])
@@ -1081,7 +1144,7 @@ def test_pipeline_one_dimensional(tmp_path):
 
 
 def test_cli_eval_uniform_reference(tmp_path, capsys):
-    h = histogram(root_srp(unit_box(2), 9))
+    h = histogram(root_state(unit_box(2), 9))
     hist_path = tmp_path / "u.json"
     save_histogram(h, hist_path)
     rc = cli_main(["eval", "--hist", str(hist_path), "--reference", "uniform",
@@ -1093,7 +1156,7 @@ def test_cli_eval_uniform_reference(tmp_path, capsys):
 
 
 def test_cli_plot_table_notice(tmp_path, capsys):
-    h = histogram(root_srp(unit_box(3), 5))
+    h = histogram(root_state(unit_box(3), 5))
     hist_path = tmp_path / "h3.json"
     save_histogram(h, hist_path)
     rc = cli_main(["plot", "--hist", str(hist_path), "--out", str(tmp_path / "t.csv")])

@@ -13,39 +13,54 @@ from rphist.pqmc import (
     PqmcConfig,
     SEB_PRIORITY,
     SPC_PRIORITY,
+    _LeafPool,
     carve_path,
-    ingest,
     launch_states,
     run_pqmc,
-    splittable_leaves,
 )
-from rphist.srp import SRP, root_srp
-from rphist.tree import RPTree, cell_bounds, depth
+from rphist.tree import cell_bounds, depth
 
-from conftest import fig2_points, membership_srp, random_points, unit_box
+from conftest import (
+    FIG2_LEAVES,
+    fig2_points,
+    leaf_counts,
+    leaf_state,
+    leaves_of,
+    membership_counts,
+    nodes_of,
+    random_points,
+    split_leaf,
+    unit_box,
+)
+
+
+def splittable_leaves(counts: dict[int, int], root_box, cfg) -> set[int]:
+    """Reference: the leaves a chain may split, non-empty, within the depth
+    cap and bisectable in machine arithmetic, from each leaf's own bounds."""
+    return {v for v, c in counts.items() if c > 0 and depth(v) < cfg.max_depth
+            and cell_bounds(root_box, [v]).splittable[0]}
 
 
 def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
     """Independent step-by-step simulation: recompute the splittable leaves
     and their priorities from scratch at every step, split the largest
-    priority, ties towards the lowest label.  Returns the states, the stop
-    reason, the success flag and whether any pop was tied.  Under an active
-    threshold, no splittable leaf above it is a threshold stop."""
+    priority, ties towards the lowest label.  Returns the leaf counts of
+    the states, the stop reason, the success flag and whether any pop was
+    tied.  Under an active threshold, no splittable leaf above it is a
+    threshold stop."""
     pts = np.asarray(pts, dtype=float)
-    root_volume = s0.tree.root_box.volume
-    states, had_ties = [s0], False
+    box = s0.root_box
+    nodes = nodes_of(s0.leaves.labels)
+    states, had_ties = [membership_counts(box, leaves_of(nodes), pts)], False
     while True:
-        s = states[-1]
-        cand = {}
-        for v in s.tree.leaves():
-            c = s.counts.get(v, 0)
-            if c > 0 and depth(v) < max_depth and cell_bounds(s.tree.root_box, [v]).splittable[0]:
-                cand[v] = priority.value(c, volume_at_depth(root_volume, depth(v)), s.n)
+        counts = states[-1]
+        cand = {v: priority.value(counts[v], volume_at_depth(box.volume, depth(v)), s0.n)
+                for v in splittable_leaves(counts, box, PqmcConfig(max_depth=max_depth))}
         best = max(cand.values(), default=None)
         if best is None and not max_psi:
             stop = "exhausted"
             break
-        if max_leaves is not None and s.leaf_count >= max_leaves:
+        if max_leaves is not None and len(counts) >= max_leaves:
             stop = "max_leaves"
             break
         if max_psi and (best is None or best <= max_psi):
@@ -53,8 +68,9 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
             break
         tied = [v for v, psi in cand.items() if psi == best]
         had_ties = had_ties or len(tied) > 1
-        states.append(membership_srp(s.tree.split(min(tied)), pts))
-    success = ((max_leaves is None or s.leaf_count <= max_leaves)
+        nodes = split_leaf(nodes, min(tied))
+        states.append(membership_counts(box, leaves_of(nodes), pts))
+    success = ((max_leaves is None or len(counts) <= max_leaves)
                and (not max_psi or best is None or best <= max_psi))
     return states, stop, success, had_ties
 
@@ -63,28 +79,37 @@ def assert_matches_naive(s0, pts, priority, cfg):
     path = run_pqmc(s0, pts, priority, cfg)
     states, stop, success, had_ties = naive_path(
         s0, pts, priority, cfg.max_psi, cfg.max_leaves, cfg.max_depth)
-    assert path.states() == states
+    assert [leaf_counts(s) for s in path.states()] == states
+    assert [s.leaves.labels for s in path.states()] == [sorted(c) for c in states]
     assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
     return path
 
 
-def test_splittable_leaves_fig2(fig2_srp):
+def chain_leaves(s, cfg) -> set[int]:
+    """The leaves a chain from ``s`` may pop: those its heap keeps once the
+    leaves that cannot be split are dropped from the top."""
+    pool = _LeafPool(s, s.store, SEB_PRIORITY, cfg)
+    pool.top()
+    return {label for _, label, cell in pool.heap if s.store.splittable(cell)}
+
+
+def test_splittable_leaves_fig2(fig2_state):
     cfg = PqmcConfig()
-    assert splittable_leaves(fig2_srp, cfg) == {3, 4, 5}
+    assert chain_leaves(fig2_state, cfg) == {3, 4, 5}
 
 
-def test_splittable_excludes_empty_leaf(fig2_tree):
-    s = ingest(fig2_tree, [[0.1, 0.1], [0.7, 0.7]])
-    assert splittable_leaves(s, PqmcConfig()) == {3, 4}
+def test_splittable_excludes_empty_leaf():
+    s = leaf_state(unit_box(2), FIG2_LEAVES, [[0.1, 0.1], [0.7, 0.7]])
+    assert chain_leaves(s, PqmcConfig()) == {3, 4}
 
 
-def test_splittable_excludes_depth_capped(fig2_srp):
-    got = splittable_leaves(fig2_srp, PqmcConfig(max_depth=2))
+def test_splittable_excludes_depth_capped(fig2_state):
+    got = chain_leaves(fig2_state, PqmcConfig(max_depth=2))
     assert got == {3}  # leaves 4 and 5 already sit at depth 2
 
 
-def test_run_pqmc_stops_immediately_at_threshold(fig2_srp):
-    path = run_pqmc(fig2_srp, fig2_points(), SEB_PRIORITY, PqmcConfig(max_psi=5.0))
+def test_run_pqmc_stops_immediately_at_threshold(fig2_state):
+    path = run_pqmc(fig2_state, fig2_points(), SEB_PRIORITY, PqmcConfig(max_psi=5.0))
     assert len(path) == 1
     assert path.stop_reason == "max_psi"
     assert path.success
@@ -93,7 +118,7 @@ def test_run_pqmc_stops_immediately_at_threshold(fig2_srp):
 def test_run_pqmc_max_leaves_one():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 1, size=(10, 2))
-    s0 = ingest(RPTree(unit_box(2)), pts)
+    s0 = leaf_state(unit_box(2), [1], pts)
     path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=1))
     assert len(path) == 1
     assert path.stop_reason == "max_leaves"
@@ -105,7 +130,7 @@ def test_run_pqmc_matches_naive_oracle():
         [0.05, 0.05], [0.1, 0.2], [0.15, 0.3], [0.2, 0.1],
         [0.3, 0.35], [0.35, 0.05], [0.4, 0.3], [0.45, 0.45],
     ])
-    s0 = ingest(RPTree(unit_box(2)), pts)
+    s0 = leaf_state(unit_box(2), [1], pts)
     assert_matches_naive(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0))
 
 
@@ -114,7 +139,7 @@ def test_run_pqmc_oracle_on_random_data():
     for _ in range(5):
         pts = random_points(rng, int(rng.integers(20, 200)), 2)
         box = bounding_box(pts)
-        s0 = ingest(RPTree(box), pts)
+        s0 = leaf_state(box, [1], pts)
         maxlvs = int(rng.integers(2, 20))
         assert_matches_naive(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=maxlvs))
 
@@ -137,16 +162,15 @@ ULP_ROWS = [1.0] * 3 + [1.0 + 2.0**-52] * 2 + [0.3] * 2
 def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, cfg):
     box = Box.from_bounds([0.0], [2.0])
     pts = np.array(rows)[:, None]
-    s0 = ingest(RPTree(box), pts)
+    s0 = leaf_state(box, [1], pts)
     path = assert_matches_naive(s0, pts, priority, cfg)
     if cfg.max_depth > 100 and cfg.max_leaves is None:
         # cells over the threshold are left that cannot be split, and one
         # of them reached the top of the queue before the last pop
         stop = "max_psi" if cfg.priority_stop_active else "exhausted"
         assert path.stop_reason == stop and path.success
-        final = path.final
-        assert max(final.counts[v] for v in final.tree.leaves()
-                   if not cell_bounds(box, [v]).splittable[0]) == 3
+        final = leaf_counts(path.final)
+        assert max(c for v, c in final.items() if not cell_bounds(box, [v]).splittable[0]) == 3
         assert min(r.left_count + r.right_count for r in path.records) == 2
 
 
@@ -192,7 +216,7 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
         backwards = CellTable(pts, box)
         reverse = [run_pqmc(s0, backwards, SEB_PRIORITY, cfg) for s0 in launches[::-1]]
         assert [outcome(p) for p in reverse[::-1]] == [outcome(p) for p in shared]
-        runs = [(carve, root_srp(box, len(pts)), SPC_PRIORITY, carve_cfg)]
+        runs = [(carve, leaf_state(box, [1], pts), SPC_PRIORITY, carve_cfg)]
         runs += [(path, s0, SEB_PRIORITY, cfg) for path, s0 in zip(shared, launches)]
         for path, s0, priority, c in runs:
             fresh = run_pqmc(s0, pts, priority, c)
@@ -200,19 +224,19 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
             assert (path.top, path.first_tie) == (fresh.top, fresh.first_tie)
             states, stop, success, had_ties = naive_path(
                 s0, pts, priority, c.max_psi, c.max_leaves, c.max_depth)
-            assert path.states() == states
+            assert [leaf_counts(s) for s in path.states()] == states
             assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
             # the next pop's priority: the largest over the final splittable
             # leaves, or the threshold if none is above it
-            final, vol = path.final, box.volume
-            top = max((priority.value(final.counts[v], volume_at_depth(vol, depth(v)), final.n)
-                       for v in splittable_leaves(final, c)), default=None)
+            final, vol = leaf_counts(path.final), box.volume
+            top = max((priority.value(final[v], volume_at_depth(vol, depth(v)), len(pts))
+                       for v in splittable_leaves(final, box, c)), default=None)
             if c.priority_stop_active and (top is None or top <= c.max_psi):
                 top = c.max_psi
             assert path.top == top
         for path in shared:
             if path.top == cfg.max_psi:
-                left = splittable_leaves(path.final, cfg)
+                left = splittable_leaves(leaf_counts(path.final), box, cfg)
                 stops["below_threshold" if left else "none_left"] += 1
         # every cell that the carve or a chain split was partitioned once
         assert table.partitioned == len({r.label for p in [carve, *shared] for r in p.records})
@@ -224,20 +248,22 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
 
 def test_run_pqmc_rejects_counts_the_data_do_not_give():
     pts = fig2_points()
-    s = ingest(RPTree(unit_box(2)).split(1), pts)
-    counts = {**s.counts, 2: s.counts[2] + 1, 3: s.counts[3] - 1}
+    other = pts.copy()
+    other[5] = [0.4, 0.1]  # a point of the right half moved to the left one
+    s = leaf_state(unit_box(2), [2, 3], other)
+    assert leaf_counts(s) == {2: 6, 3: 4}
     with pytest.raises(ValueError, match="leaf 2 does not match"):
-        run_pqmc(SRP(s.tree, counts, s.n), pts, SEB_PRIORITY, PqmcConfig())
+        run_pqmc(s, pts, SEB_PRIORITY, PqmcConfig())
 
 
-def test_run_pqmc_rejects_a_table_of_other_data(fig2_srp):
+def test_run_pqmc_rejects_a_table_of_other_data(fig2_state):
     pts = fig2_points()
     other = pts * [1.0, 0.5]  # ten points again, all in the lower half
     for table in (CellTable(other, unit_box(2)),
                   CellTable(pts[:-1], unit_box(2)),
                   CellTable(pts, Box.from_bounds([0.0, 0.0], [1.0, 2.0]))):
         with pytest.raises(ValueError):
-            run_pqmc(fig2_srp, table, SEB_PRIORITY, PqmcConfig())
+            run_pqmc(fig2_state, table, SEB_PRIORITY, PqmcConfig())
     with pytest.raises(PointOutsideRootBox):
         CellTable(pts + 0.5, unit_box(2))
 
@@ -245,7 +271,7 @@ def test_run_pqmc_rejects_a_table_of_other_data(fig2_srp):
 def test_path_leaf_counts_increase_one_per_step():
     rng = np.random.default_rng(14)
     pts = random_points(rng, 300, 2)
-    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    s0 = leaf_state(bounding_box(pts), [1], pts)
     path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=25))
     for t, s in enumerate(path.states()):
         assert s.leaf_count == s0.leaf_count + t
@@ -255,22 +281,22 @@ def test_stop_disjunction_holds_on_every_run():
     rng = np.random.default_rng(15)
     for _ in range(10):
         pts = random_points(rng, int(rng.integers(10, 400)), int(rng.integers(1, 4)))
-        s0 = ingest(RPTree(bounding_box(pts)), pts)
+        s0 = leaf_state(bounding_box(pts), [1], pts)
         cfg = PqmcConfig(
             max_psi=float(rng.integers(0, 20)),
             max_leaves=int(rng.integers(1, 40)),
         )
         path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
-        final = path.final
-        spl = splittable_leaves(final, cfg)
-        priorities = [final.counts[v] for v in spl]
+        final = leaf_counts(path.final)
+        spl = splittable_leaves(final, s0.root_box, cfg)
+        priorities = [final[v] for v in spl]
         assert (
             not spl
-            or final.leaf_count == cfg.max_leaves
+            or len(final) == cfg.max_leaves
             or (cfg.priority_stop_active and max(priorities) <= cfg.max_psi)
         )
         # explicit success flag mirrors the criterion
-        expected_success = (final.leaf_count <= cfg.max_leaves) and (
+        expected_success = (len(final) <= cfg.max_leaves) and (
             not cfg.priority_stop_active
             or not spl
             or max(priorities) <= cfg.max_psi
@@ -281,7 +307,7 @@ def test_stop_disjunction_holds_on_every_run():
 def test_run_pqmc_deterministic_reruns():
     rng = np.random.default_rng(16)
     pts = random_points(rng, 500, 2)
-    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    s0 = leaf_state(bounding_box(pts), [1], pts)
     cfg = PqmcConfig(max_psi=20.0)
     a = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
     b = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
@@ -320,11 +346,10 @@ def test_carve_creates_more_empty_leaves_than_seb():
     box = bounding_box(pts)
     carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=20)
     carve = carve_path(pts, carve_cfg, root_box=box)
-    s0 = ingest(RPTree(box), pts)
+    s0 = leaf_state(box, [1], pts)
     seb = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=20))
     def empty_fraction(s):
-        leaves = s.tree.leaves()
-        return sum(1 for v in leaves if s.counts.get(v, 0) == 0) / len(leaves)
+        return np.count_nonzero(s.leaves.counts == 0) / s.leaf_count
     assert carve.final.leaf_count == seb.final.leaf_count == 20
     assert empty_fraction(carve.final) > empty_fraction(seb.final)
 
@@ -358,7 +383,7 @@ def test_spc_zero_threshold_keeps_splitting():
 
     rng = np.random.default_rng(45)
     pts = rng.uniform(0, 1, size=(50, 2))
-    s0 = ingest(RPTree(unit_box(2)), pts)
+    s0 = leaf_state(unit_box(2), [1], pts)
     cfg = PqmcConfig(max_psi=0.0, max_leaves=8)
     path = run_pqmc(s0, pts, SPC_PRIORITY, cfg)
     assert path.final.leaf_count == 8
@@ -382,16 +407,19 @@ def test_priority_value_ranges():
     for _ in range(20):
         pts = random_points(rng, int(rng.integers(5, 300)), 2)
         box = bounding_box(pts)
-        s = ingest(RPTree(box), pts)
+        table = CellTable(pts, box)
+        leaves = {1}
         for _ in range(int(rng.integers(0, 8))):
-            leaves = [v for v in s.tree.leaves() if s.counts[v] > 0]
-            s = ingest(s.tree.split(int(leaves[rng.integers(len(leaves))])), pts)
+            full = [v for v in sorted(leaves) if table.count[table.find(v)] > 0]
+            v = int(full[rng.integers(len(full))])
+            table.cell(2 * v)
+            leaves = leaves - {v} | {2 * v, 2 * v + 1}
         root_vol = box.volume
-        for v in s.tree.leaves():
-            c = s.counts[v]
+        for v in leaves:
+            c = table.count[table.find(v)]
             vol = math.ldexp(root_vol, -depth(v))
-            assert 0 <= SEB_PRIORITY.value(c, vol, s.n) <= s.n
-            assert 0 <= SPC_PRIORITY.value(c, vol, s.n) <= root_vol + 1e-12
+            assert 0 <= SEB_PRIORITY.value(c, vol, table.n) <= table.n
+            assert 0 <= SPC_PRIORITY.value(c, vol, table.n) <= root_vol + 1e-12
 
 
 def test_config_validation():

@@ -10,8 +10,8 @@ from rphist.pqmc import (
     CellTable,
     PqmcConfig,
     SEB_PRIORITY,
+    State,
     carve_path,
-    ingest,
     launch_states,
     run_pqmc,
 )
@@ -24,70 +24,78 @@ from rphist.smoothing import (
     select,
     tau_grid,
 )
-from rphist.srp import log_likelihood, root_srp
-from rphist.tree import RPTree, cell_bounds
+from rphist.srp import log_likelihood
+from rphist.tree import cell_bounds
 
-from conftest import cell_membership, fig2_points, random_points, random_srp, unit_box
+from conftest import (
+    cell_membership,
+    fig2_points,
+    leaf_counts,
+    leaf_state,
+    random_points,
+    random_state,
+    root_state,
+    unit_box,
+)
 
 FIG2_LOG_LIK = 0.10067756775344439
 
 
-def brute_force_cv(srp, pts) -> float:
+def brute_force_cv(s, pts) -> float:
     """Leave-one-out oracle: hold the partition, find each point's leaf
     by cell membership, and recompute its left-out density directly."""
-    n = srp.n
-    leaves = srp.tree.leaves()
-    cells = cell_bounds(srp.tree.root_box, leaves)
+    n = s.n
+    counts = leaf_counts(s)
+    leaves = sorted(counts)
+    cells = cell_bounds(s.root_box, leaves)
     vols = dict(zip(leaves, bounds_volume(cells.lo, cells.hi).tolist()))
-    integral_f_sq = sum(
-        (srp.counts.get(v, 0) / (n * vols[v])) ** 2 * vols[v] for v in leaves
-    )
+    integral_f_sq = sum((counts[v] / (n * vols[v])) ** 2 * vols[v] for v in leaves)
     loo_sum = 0.0
-    for row in cell_membership(srp.tree.root_box, cells.lo, cells.hi, pts):
+    for row in cell_membership(s.root_box, cells.lo, cells.hi, pts):
         leaf = leaves[int(np.flatnonzero(row)[0])]
-        loo_sum += (srp.counts[leaf] - 1) / ((n - 1) * vols[leaf])
+        loo_sum += (counts[leaf] - 1) / ((n - 1) * vols[leaf])
     return integral_f_sq - 2.0 / n * loo_sum
 
 
 def test_penalized_score_root_only():
-    s = root_srp(unit_box(2), 5)
+    s = root_state(unit_box(2), 5)
     for tau in (0.5, 1.0, 100.0):
         assert penalized_score(s, tau) == pytest.approx(-1.0 / tau)
 
 
-def test_penalized_score_fig2(fig2_srp):
-    assert penalized_score(fig2_srp, 1.0) == pytest.approx(FIG2_LOG_LIK - 3.0, abs=1e-12)
+def test_penalized_score_fig2(fig2_state):
+    assert penalized_score(fig2_state, 1.0) == pytest.approx(FIG2_LOG_LIK - 3.0, abs=1e-12)
 
 
-def test_penalized_score_approaches_log_likelihood(fig2_srp):
-    assert penalized_score(fig2_srp, 1e12) == pytest.approx(
-        log_likelihood(fig2_srp), abs=1e-9
+def test_penalized_score_approaches_log_likelihood(fig2_state):
+    assert penalized_score(fig2_state, 1e12) == pytest.approx(
+        log_likelihood(fig2_state), abs=1e-9
     )
 
 
-def test_penalized_score_invalid_tau(fig2_srp):
+def test_penalized_score_invalid_tau(fig2_state):
     with pytest.raises(InvalidTau):
-        penalized_score(fig2_srp, 0.0)
+        penalized_score(fig2_state, 0.0)
 
 
-def test_penalized_score_monotone_in_tau(fig2_srp):
+def test_penalized_score_monotone_in_tau(fig2_state):
     taus = np.geomspace(0.01, 100, 20)
-    scores = [penalized_score(fig2_srp, t) for t in taus]
+    scores = [penalized_score(fig2_state, t) for t in taus]
     assert all(a < b for a, b in zip(scores, scores[1:]))
 
 
 def _grown_path(rng, n=300, maxlvs=20):
     pts = random_points(rng, n, 2)
-    s0 = ingest(RPTree(bounding_box(pts)), pts)
+    s0 = leaf_state(bounding_box(pts), [1], pts)
     cfg = PqmcConfig(max_leaves=maxlvs)
     return run_pqmc(s0, pts, SEB_PRIORITY, cfg), pts
 
 
 def test_map_estimate_single_state():
-    s = root_srp(unit_box(2), 4)
+    s = root_state(unit_box(2), 4)
     path = run_pqmc(s, np.full((4, 2), 0.5), SEB_PRIORITY, PqmcConfig(max_leaves=1))
     est = select([path], SmoothingConfig((1.0,)))
-    assert est.srp == s
+    assert est.state == s
     assert est.tau == 1.0
 
 
@@ -95,10 +103,10 @@ def test_map_estimate_extreme_taus():
     rng = np.random.default_rng(24)
     path, pts = _grown_path(rng)
     tiny = select([path], SmoothingConfig((1e-9,)))
-    assert tiny.srp.leaf_count == 1  # the penalty dominates
+    assert tiny.state.leaf_count == 1  # the penalty dominates
     huge = select([path], SmoothingConfig((1e12,)))
     best_ll = max(log_likelihood(s) for s in path.states())
-    assert log_likelihood(huge.srp) == pytest.approx(best_ll, abs=1e-9)
+    assert log_likelihood(huge.state) == pytest.approx(best_ll, abs=1e-9)
 
 
 def test_map_estimate_matches_brute_force_argmax():
@@ -119,7 +127,7 @@ def test_map_estimate_invariant_under_path_reordering():
              for i, launch in enumerate(launch_states(carve, 4))]
     a = select(paths, SmoothingConfig((5.0,)))
     b = select(list(reversed(paths)), SmoothingConfig((5.0,)))
-    assert a.srp == b.srp
+    assert a.state == b.state
 
 
 def test_select_rejects_paths_over_two_stores():
@@ -136,30 +144,29 @@ def test_map_estimate_empty():
 
 def test_cv_score_root_only_uniform():
     for n in (2, 5, 100):
-        assert cv_score(root_srp(unit_box(2), n)) == pytest.approx(-1.0)
+        assert cv_score(root_state(unit_box(2), n)) == pytest.approx(-1.0)
 
 
 def test_cv_score_insufficient_data():
     with pytest.raises(InsufficientData):
-        cv_score(root_srp(unit_box(2), 1))
+        cv_score(root_state(unit_box(2), 1))
 
 
-def test_cv_score_fig2_matches_brute_force(fig2_srp):
-    got = cv_score(fig2_srp)
-    want = brute_force_cv(fig2_srp, fig2_points())
+def test_cv_score_fig2_matches_brute_force(fig2_state):
+    got = cv_score(fig2_state)
+    want = brute_force_cv(fig2_state, fig2_points())
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_cv_score_singleton_leaves_nonnegative():
     # every leaf holds 0 or 1 points: the leave-one-out term vanishes
     pts = np.array([[0.1, 0.1], [0.9, 0.9]])
-    tree = RPTree(unit_box(2)).split(1)
-    s = ingest(tree, pts)
-    assert all(s.counts[v] <= 1 for v in s.tree.leaves())
-    cells = cell_bounds(s.tree.root_box, s.tree.leaves())
+    s = leaf_state(unit_box(2), [2, 3], pts)
+    assert all(c <= 1 for c in leaf_counts(s).values())
+    cells = cell_bounds(s.root_box, s.leaves.labels)
     expected = sum(
-        s.counts[v] / (s.n**2 * vol)
-        for v, vol in zip(s.tree.leaves(), bounds_volume(cells.lo, cells.hi))
+        c / (s.n**2 * vol)
+        for c, vol in zip(s.leaves.counts.tolist(), bounds_volume(cells.lo, cells.hi))
     )
     assert cv_score(s) == pytest.approx(expected)
     assert cv_score(s) >= 0.0
@@ -168,7 +175,7 @@ def test_cv_score_singleton_leaves_nonnegative():
 def test_cv_closed_form_equals_brute_force_random():
     rng = np.random.default_rng(27)
     for _ in range(25):
-        s, pts = random_srp(rng, n_max=200)
+        s, pts = random_state(rng, n_max=200)
         assert cv_score(s) == pytest.approx(brute_force_cv(s, pts), abs=1e-10)
 
 
@@ -187,7 +194,7 @@ def _profile_by_walk(path):
     :func:`path_profile` replaces, kept to hold it bit-identical."""
     s0 = path.initial
     n = s0.n
-    root_box = s0.tree.root_box
+    root_box = s0.root_box
     steps = len(path)
     m = np.empty(steps)
     ll = np.empty(steps)
@@ -199,10 +206,11 @@ def _profile_by_walk(path):
 
     m[0] = s0.leaf_count
     ll[0] = a[0] = b[0] = 0.0
-    labels = s0.nonempty_leaves()
+    counts = {v: c for v, c in leaf_counts(s0).items() if c > 0}
+    labels = sorted(counts)
     lo, hi, *_ = cell_bounds(root_box, labels)
     for label, v in zip(labels, bounds_volume(lo, hi).tolist()):
-        c = s0.counts[label]
+        c = counts[label]
         ll[0] += ll_term(c, v)
         a[0] += c * c / v
         b[0] += c * (c - 1) / v
@@ -286,8 +294,8 @@ def test_select_over_whole_paths_equals_select_over_their_cuts(seed, d, side, th
             for extra in (0, 4, 20) for whole in wholes]
     grid_cfg = SmoothingConfig(tau_grid(0.1, 1e5, 12))
     a, b = select(wholes, grid_cfg), select(wholes + cuts, grid_cfg)
-    assert (a.srp, a.tau, a.penalized_score, a.cv_score, a.cv_curve) == (
-        b.srp, b.tau, b.penalized_score, b.cv_score, b.cv_curve)
+    assert (a.state, a.tau, a.penalized_score, a.cv_score, a.cv_curve) == (
+        b.state, b.tau, b.penalized_score, b.cv_score, b.cv_curve)
 
 
 def test_select_single_tau():
@@ -296,9 +304,27 @@ def test_select_single_tau():
     est = select([path], SmoothingConfig((2.5,)))
     states = path.states()
     scores = [penalized_score(s, 2.5) for s in states]
-    assert est.srp == states[int(np.argmax(scores))]
+    assert est.state == states[int(np.argmax(scores))]
     assert est.penalized_score == pytest.approx(max(scores), abs=1e-9)
     assert est.tau == 2.5
+
+
+def test_select_breaks_a_tied_score_by_the_leaf_labels():
+    # rows symmetric about x = 0.5: the states {3, 4, 5} and {2, 6, 7}
+    # have the same leaf count and bit-identical scores at every tau, and
+    # the lexicographically smaller sorted labels win, in either path order
+    pts = np.array([[0.1, 0.2], [0.9, 0.2], [0.3, 0.7], [0.7, 0.7], [0.2, 0.9], [0.8, 0.9]])
+    table = CellTable(pts, unit_box(2))
+    launches = [State(table, [table.cell(v) for v in leaves])
+                for leaves in ((3, 4, 5), (2, 6, 7))]
+    paths = [run_pqmc(s, table, SEB_PRIORITY, PqmcConfig(max_psi=10.0)) for s in launches]
+    assert [p.split_count for p in paths] == [0, 0]
+    profiles = [path_profile(p, node_table(paths)) for p in paths]
+    assert profiles[0].log_lik.tobytes() == profiles[1].log_lik.tobytes()
+    for order in (paths, paths[::-1]):
+        est = select(order, SmoothingConfig(tau_grid(0.1, 1e5, 5)))
+        assert est.state == launches[1]
+        assert est.state.leaves.labels == [2, 6, 7]
 
 
 def test_select_tie_prefers_smaller_tau():
@@ -312,7 +338,7 @@ def test_select_tie_prefers_smaller_tau():
 def test_selected_leaf_count_nondecreasing_in_tau():
     rng = np.random.default_rng(31)
     path, _ = _grown_path(rng, n=500, maxlvs=30)
-    counts = [select([path], SmoothingConfig((t,))).srp.leaf_count
+    counts = [select([path], SmoothingConfig((t,))).state.leaf_count
               for t in tau_grid()]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 

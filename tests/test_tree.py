@@ -3,11 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rphist.errors import NotALeaf, NotBisectable, RootHasNoParent
+from rphist.errors import NotBisectable, RootHasNoParent
 from rphist.geometry import Box, bounds_volume, split_plane, volume_at_depth
-from rphist.tree import RPTree, cell_bounds, children, depth, parent, paves
+from rphist.pqmc import CellTable, State
+from rphist.tree import cell_bounds, children, depth, parent, paves
 
-from conftest import cell_membership, table_leaf_rows, unit_box
+from conftest import (
+    cell_membership,
+    fig2_points,
+    leaf_counts,
+    leaves_of,
+    split_leaf,
+    table_leaf_rows,
+    unit_box,
+)
 
 
 def test_parent():
@@ -50,51 +59,74 @@ def test_cell_bounds_examples():
 
 
 def test_split_and_merge_examples():
-    t = RPTree(unit_box(2))
-    t2 = t.split(1)
-    assert t2.nodes == frozenset({1, 2, 3})
-    t3 = t2.split(2)
-    assert t3.nodes == frozenset({1, 2, 3, 4, 5})
-    with pytest.raises(NotALeaf):
-        t2.split(4)
-    with pytest.raises(NotALeaf):
-        t3.split(2)
-    # removing a split's two children gives the tree back
-    assert RPTree(t.root_box, t2.nodes - {2, 3}) == t
-    assert RPTree(t.root_box, t3.nodes - {4, 5}) == t2
+    # a state is its launch leaves with each row split in turn; dropping
+    # the last row gives the state before it back
+    table = CellTable(fig2_points(), unit_box(2))
+    two = table.cell(2)  # splits the root
+    table.cell(4), table.cell(6)  # split cells 2 and 3
+    root, s2, s3 = (State(table, [1], rows) for rows in ([], [1], [1, two]))
+    assert leaf_counts(s3) == {3: 5, 4: 2, 5: 3}
+    assert State(table, [1], s3.rows[:1]) == s2
+    assert State(table, [1], s3.rows[:0]) == root
+    # equality goes by the leaves and their counts, not by store or ids
+    other = CellTable(fig2_points(), unit_box(2))
+    assert State(other, [other.cell(v) for v in (5, 3, 4)]) == s3
+    assert s3 != s2 and s3 != State(table, [1], [1, two + 1])
+    fewer = CellTable(fig2_points()[:-1], unit_box(2))
+    fewer.cell(2)
+    assert State(fewer, [1], [1]) != s2
+    with pytest.raises(ValueError, match="not split"):
+        State(fewer, [1], [1, fewer.find(2)]).leaves
 
 
 def test_leaves():
-    t = RPTree(unit_box(2))
-    assert t.leaves() == [1]
-    assert t.split(1).leaves() == [2, 3]
-    assert t.split(1).split(2).leaves() == [3, 4, 5]
+    table = CellTable(fig2_points(), unit_box(2))
+    launch = State(table, [table.cell(v) for v in (3, 4, 5)])
+    assert State(table, [1]).leaves.labels == [1]
+    assert State(table, [1], [1]).leaves.labels == [2, 3]
+    assert State(table, [1], [1, table.find(2)]).leaves.labels == [3, 4, 5]
+    # launch leaves of another store, matched by label
+    other = CellTable(fig2_points(), unit_box(2))
+    other.cell(20)  # splits cells 1, 2, 5 and 10
+    s = State(other, launch.launch, [other.find(5), other.find(10)], origin=table)
+    assert s.leaves.labels == [3, 4, 11, 20, 21]
+    assert leaf_counts(s) == {3: 5, 4: 2, 11: 1, 20: 1, 21: 1}
+    assert s == State(other, [other.cell(v) for v in (3, 4, 11, 20, 21)])
+    with pytest.raises(ValueError):
+        s.relaunched()
+    assert State(table, [1], [1, table.find(2)]).relaunched() == launch
 
 
 def test_split_then_merge_is_identity_over_random_edits():
     rng = np.random.default_rng(4)
-    t = RPTree(unit_box(3))
+    pts = rng.uniform(0, 1, size=(500, 3))
+    table = CellTable(pts, unit_box(3))
+    s = State(table, [1])
     for _ in range(200):
-        leaves = t.leaves()
-        v = int(leaves[rng.integers(len(leaves))])
-        t2 = t.split(v)
-        assert t2.nodes - t.nodes == {2 * v, 2 * v + 1}
-        assert RPTree(t.root_box, t2.nodes - {2 * v, 2 * v + 1}) == t
-        assert t2.leaves() == sorted(set(t.leaves()) - {v} | {2 * v, 2 * v + 1})
+        v = int(s.leaves.labels[rng.integers(s.leaf_count)])
+        kid = table.cell(2 * v)  # splits leaf v
+        cell = table.find(v)
+        s2 = State(table, [1], np.append(s.rows, cell))
+        before, after = leaf_counts(s), leaf_counts(s2)
+        assert set(after) == set(before) - {v} | {2 * v, 2 * v + 1}
+        assert after[2 * v] + after[2 * v + 1] == before[v]
+        assert after[2 * v] == table.count[kid]
+        assert State(table, [1], s2.rows[:-1]) == s
+        assert s2.leaves.labels == sorted(after)
         if rng.random() < 0.7:
-            t = t2
+            s = s2
 
 
-def _random_tree(rng, d=2, n_splits=25) -> RPTree:
-    t = RPTree(unit_box(d))
+def _random_tree(rng, d=2, n_splits=25) -> frozenset[int]:
+    nodes = frozenset({1})
     for _ in range(n_splits):
-        leaves = t.leaves()
-        t = t.split(int(leaves[rng.integers(len(leaves))]))
-    return t
+        leaves = leaves_of(nodes)
+        nodes = split_leaf(nodes, int(leaves[rng.integers(len(leaves))]))
+    return nodes
 
 
-def leaf_volumes(t: RPTree) -> np.ndarray:
-    cells = cell_bounds(t.root_box, t.leaves())
+def leaf_volumes(nodes, d: int) -> np.ndarray:
+    cells = cell_bounds(unit_box(d), leaves_of(nodes))
     return bounds_volume(cells.lo, cells.hi)
 
 
@@ -102,22 +134,22 @@ def test_leaf_volumes_partition_root():
     rng = np.random.default_rng(5)
     for d in (1, 2, 4):
         t = _random_tree(rng, d=d)
-        assert leaf_volumes(t).sum() == pytest.approx(t.root_box.volume, rel=1e-9)
+        assert leaf_volumes(t, d).sum() == pytest.approx(unit_box(d).volume, rel=1e-9)
 
 
 def test_exactly_one_leaf_contains_each_point():
     rng = np.random.default_rng(6)
-    t = _random_tree(rng, d=2, n_splits=30)
-    leaves = t.leaves()
-    cells = cell_bounds(t.root_box, leaves)
+    box = unit_box(2)
+    leaves = leaves_of(_random_tree(rng, d=2, n_splits=30))
+    cells = cell_bounds(box, leaves)
     pts = rng.uniform(0, 1, size=(200, 2))
     # include points exactly on split hyperplanes and on the root's faces
     pts = np.vstack([pts, [[0.5, 0.5]], [[0.25, 0.75]], [[0.5, 0.0]], [[1.0, 1.0]],
                      cells.lo, cells.hi])
-    inside = cell_membership(t.root_box, cells.lo, cells.hi, pts)
+    inside = cell_membership(box, cells.lo, cells.hi, pts)
     assert (inside.sum(axis=1) == 1).all()
     got = np.full(len(pts), -1)
-    for leaf, idx in table_leaf_rows(t, pts).items():
+    for leaf, idx in table_leaf_rows(box, leaves, pts).items():
         assert (got[idx] == -1).all()
         got[idx] = leaves.index(leaf)
     assert got.tolist() == inside.argmax(axis=1).tolist()
@@ -126,20 +158,16 @@ def test_exactly_one_leaf_contains_each_point():
 def test_paves_a_random_tree_and_not_broken_label_sets():
     rng = np.random.default_rng(7)
     t = _random_tree(rng)
-    assert paves(t.leaves())
+    assert paves(leaves_of(t))
     assert not paves([2])  # 3 missing
     assert not paves([1, 2, 3])  # 1 is not a leaf
 
 
 def test_deep_tree_beyond_word_size():
-    t = RPTree(unit_box(1))
-    label = 1
-    for _ in range(80):  # depth 80: labels need more than 64 bits
-        t = t.split(label)
-        label = 2 * label
+    label = 1 << 80  # depth 80 down the leftmost spine: more than 64 bits
     assert depth(label) == 80
     assert label > 2**64
-    cells = cell_bounds(t.root_box, [label])
+    cells = cell_bounds(unit_box(1), [label])
     assert bounds_volume(cells.lo, cells.hi)[0] == pytest.approx(2.0**-80, rel=1e-9)
 
 
