@@ -24,8 +24,8 @@ square = Box.from_bounds([0.0, 0.0], [1.0, 1.0])
 print(f"split coordinate {axis} at {mid} (splittable: {ok})")
 
 # Its two children, as rows of bounds: label 2 is the left half, 3 the right.
-halves = cell_bounds(square, [2, 3])
-for label, lo, hi in zip((2, 3), halves.lo.tolist(), halves.hi.tolist()):
+lows, highs = cell_bounds(square, [2, 3])
+for label, lo, hi in zip((2, 3), lows.tolist(), highs.tolist()):
     print(f"cell {label}: lo={lo} hi={hi}")
 
 # A point exactly on the splitting plane belongs to the right child.
@@ -58,7 +58,7 @@ print("sum of leaf volumes:", volumes.sum())
 # derived from its label and the root box alone.
 label = 1 << 80
 cell = cell_bounds(Box.from_bounds([0.0], [1.0]), [label])
-print("deep label bits:", label.bit_length(), " volume:", bounds_volume(cell.lo, cell.hi)[0])
+print("deep label bits:", label.bit_length(), " volume:", bounds_volume(*cell)[0])
 
 # The root box of a real run comes from the data, slightly padded so
 # every point is strictly interior.

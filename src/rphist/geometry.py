@@ -1,12 +1,14 @@
 """Closed boxes and the one rule that splits them.
 
-A box is a pair of float tuples, its lower and upper bounds.  Cells are
-never stored: a cell is the root box split along its label's path
-(:func:`rphist.tree.cell_bounds`), each split at the midpoint of the
-first widest coordinate (:func:`split_plane`, the one place that rule
-is written).  The cells of a paving are half-open: a cell is closed on
-the faces of the root box, and a point on a splitting plane belongs to
-the right child.  So the leaves partition the closed root box.
+A box is a pair of float tuples, its lower and upper bounds.  A cell
+is the root box split along its label's path, each split at the
+midpoint of the first widest coordinate (:func:`split_plane`, the one
+place that rule is written): a run's cell store plans each cell's
+bounds from its parent's (:class:`rphist.pqmc.CellStore`), and
+:func:`rphist.tree.cell_bounds` derives them from the labels of a
+file.  The cells of a paving are half-open: a cell is closed on the
+faces of the root box, and a point on a splitting plane belongs to the
+right child.  So the leaves partition the closed root box.
 """
 
 from __future__ import annotations

@@ -171,7 +171,6 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             logger.info("1 sequential SEB chain to threshold %g: %d splits, "
                         "%d cells partitioned", low, root.split_count, table.partitioned)
         else:
-            del table, carve  # the carve path holds the table; the build tags its own points
             base = build_threshold_tree(
                 points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
                 shard_count=cfg.shards, workers=cfg.workers,

@@ -425,6 +425,8 @@ class CellTable(CellStore):
         """Id of the left child of splittable cell ``i``."""
         if self.kid[i]:
             return self.kid[i]
+        if i >= self.planned:
+            self._plan()
         s, c = self.start[i], self.count[i]
         idx = self.perm[s:s + c]
         right = self.points[idx, self.axis[i]] >= self.mid[i]

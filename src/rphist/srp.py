@@ -23,8 +23,8 @@ from .errors import (
     EmptySample,
     PointOutsideRootBox,
 )
-from .geometry import Box, bounds_volume, split_plane
-from .tree import ROOT, cell_bounds
+from .geometry import Box, bounds_volume
+from .tree import cell_bounds
 
 if TYPE_CHECKING:
     from .pqmc import State
@@ -97,11 +97,6 @@ class Histogram:
         return tuple(map(HistogramLeaf, self.labels, self.counts.tolist(),
                          self.volumes.tolist(), self.heights.tolist()))
 
-    @cached_property
-    def row_of(self) -> dict[int, int]:
-        """The row of each leaf label, built on first access."""
-        return dict(zip(self.labels, range(self.leaf_count)))
-
     def total_mass(self) -> float:
         """The sum of ``height * volume`` over the rows, left to right."""
         return float(np.cumsum(np.append(0.0, self.heights * self.volumes))[-1])
@@ -135,7 +130,7 @@ class Histogram:
         if n < 1:
             raise EmptySample("cannot form a histogram from zero points")
         labels = tuple(labels)
-        lo, hi = cell_bounds(root_box, labels)[:2] if bounds is None else bounds
+        lo, hi = cell_bounds(root_box, labels) if bounds is None else bounds
         volumes = bounds_volume(lo, hi)
         if not volumes.all():
             raise ZeroDivisionError("a cell's volume underflows to 0")
@@ -155,9 +150,10 @@ def histogram(s: State) -> Histogram:
 def density_at(h: Histogram, p) -> float:
     """Histogram density at a point; 0 outside the root box.
 
-    The walk from the root to the point's leaf looks each label up in
-    :attr:`Histogram.row_of`, so a call costs the leaf's depth.  A point
-    on an internal splitting hyperplane belongs to the right child
+    The point's leaf is the one row whose cell holds it, narrowed down
+    one coordinate at a time.  A cell is closed below and open above
+    except on the root box's upper faces, so a point on an internal
+    splitting hyperplane belongs to the right child
     (:func:`~rphist.geometry.split_plane`).
     """
     p = np.asarray(p, dtype=float).ravel()
@@ -167,19 +163,12 @@ def density_at(h: Histogram, p) -> float:
         )
     if not inside_mask(h.root_box, p[None])[0]:
         return 0.0
-    row_of = h.row_of
-    label = ROOT
-    lo = h.root_box.lows()[None]
-    hi = h.root_box.highs()[None]
-    while label not in row_of:
-        (axis,), (mid,), _ = split_plane(lo, hi)
-        if p[axis] >= mid:
-            label = 2 * label + 1
-            lo[0, axis] = mid
-        else:
-            label = 2 * label
-            hi[0, axis] = mid
-    return float(h.heights[row_of[label]])
+    top = h.root_box.highs()
+    rows = np.arange(h.leaf_count)  # the rows holding p in the coordinates so far
+    for j, x in enumerate(p.tolist()):
+        lo, hi = h.lo[rows, j], h.hi[rows, j]
+        rows = rows[(lo <= x) & ((x < hi) | (hi == top[j]))]
+    return float(h.heights[rows[0]])
 
 
 def cell_terms(counts: np.ndarray, vol: np.ndarray, n: int) -> np.ndarray:

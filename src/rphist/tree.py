@@ -18,8 +18,6 @@ set of a paving.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NotBisectable, RootHasNoParent
@@ -47,19 +45,9 @@ def depth(n: int) -> int:
     return n.bit_length() - 1
 
 
-class CellBounds(NamedTuple):
-    """Geometry of a batch of cells, one row per label (see :func:`cell_bounds`)."""
-
-    lo: np.ndarray  # (L, d) lower bounds
-    hi: np.ndarray  # (L, d) upper bounds
-    axis: np.ndarray  # (L,) the cell's own split coordinate
-    mid: np.ndarray  # (L,) the midpoint it splits at
-    splittable: np.ndarray  # (L,) whether that split is valid in floats
-
-
-def cell_bounds(root_box: Box, labels) -> CellBounds:
-    """Bounds and own split planes (:func:`geometry.split_plane`) of the
-    cells of a batch of labels, one row per label.
+def cell_bounds(root_box: Box, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(L, d)`` lower and upper bounds of the cells of a batch of
+    labels, one row per label.
 
     All cells descend from the root together, one tree level per numpy
     step: a left step moves the split coordinate's upper bound to the
@@ -96,8 +84,7 @@ def cell_bounds(root_box: Box, labels) -> CellBounds:
             raise NotBisectable(f"cannot bisect along the path to {bad}")
         flat.put(start[:c] + axis + d * ~right[:c, level], mid)
     back = np.argsort(order)
-    lo, hi = lo[back], hi[back]
-    return CellBounds(lo, hi, *split_plane(lo, hi))
+    return lo[back], hi[back]
 
 
 def paves(labels) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rphist.geometry import Box, bounding_box
+from rphist.geometry import Box, bounding_box, split_plane
 from rphist.pqmc import CellStore, CellTable, PqmcConfig, SEB_PRIORITY, State, run_pqmc
 from rphist.srp import inside_mask
 from rphist.tree import ROOT, cell_bounds
@@ -27,10 +27,10 @@ def membership_counts(root_box: Box, labels, points) -> dict[int, int]:
     that :func:`cell_membership` puts in its cell, with no routing down
     the tree.  Points outside the closed root box count nowhere."""
     labels = sorted(labels)
-    cells = cell_bounds(root_box, labels)
+    lo, hi = cell_bounds(root_box, labels)
     pts = np.asarray(points, dtype=float).reshape(-1, root_box.dim)
     pts = pts[((pts >= root_box.lows()) & (pts <= root_box.highs())).all(axis=1)]
-    counts = cell_membership(root_box, cells.lo, cells.hi, pts).sum(axis=0)
+    counts = cell_membership(root_box, lo, hi, pts).sum(axis=0)
     return dict(zip(labels, counts.tolist()))
 
 
@@ -101,7 +101,7 @@ def tied_tree_sample(draw):
     nodes = frozenset({ROOT})
     for _ in range(draw(st.integers(0, 12))):
         leaves = leaves_of(nodes)
-        leaves = [v for v, ok in zip(leaves, cell_bounds(box, leaves).splittable) if ok]
+        leaves = [v for v, ok in zip(leaves, split_plane(*cell_bounds(box, leaves))[2]) if ok]
         if not leaves:
             break
         nodes = split_leaf(nodes, draw(st.sampled_from(leaves)))

@@ -125,8 +125,7 @@ def test_apply_splits_retags_only_split_cells():
     assert cell_of_each_point(out) == [4, 5, 6, 7, 6, 5]
     assert out.shards[0].index.tolist() == [0, 1, 2, 3, 2, 1]
     # the children's bounds are their parent's, cut at the plane
-    ref = cell_bounds(unit_box(2), out.labels)
-    assert np.array_equal(bounds_of(out), np.hstack([ref.lo, ref.hi]))
+    assert np.array_equal(bounds_of(out), np.hstack(cell_bounds(unit_box(2), out.labels)))
     # splitting every cell at once, in one or several shards, agrees
     both = {2: 0, 6: 1, 7: 2}
     for shards in (1, 2, 6):
@@ -806,9 +805,9 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
             assert all(a < b for a, b in zip(labels, labels[1:]))
             kid = np.frombuffer(cells.kid, np.int64)
             split = np.flatnonzero(kid)
-            ref = cell_bounds(box, [labels[i] for i in split])
+            ref_lo, ref_hi = cell_bounds(box, [labels[i] for i in split])
             lo, hi = cells.split_bounds(split)
-            assert np.array_equal(lo, ref.lo) and np.array_equal(hi, ref.hi)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
             order = res.path.rows
             records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
                 order.tolist(), *(c.tolist() for c in cells.split_counts(order))))

@@ -26,8 +26,8 @@ def plane(box: Box) -> tuple[int, float, bool]:
 
 def rows(box: Box, labels) -> list[tuple[list[float], list[float]]]:
     """``(lo, hi)`` of the cells of ``labels`` under ``box``."""
-    cells = cell_bounds(box, labels)
-    return list(zip(cells.lo.tolist(), cells.hi.tolist()))
+    lo, hi = cell_bounds(box, labels)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 @pytest.mark.parametrize("lo,hi,expected", [(0, 1, 1), (-2, 3, 5), (0.5, 0.5, 0)])
@@ -80,7 +80,7 @@ def test_bisect_unit_square():
 
 def test_bisect_left_child_splits_other_axis():
     # the half-wide child is taller than wide, so the second axis splits
-    assert cell_bounds(unit_box(2), [2]).axis[0] == 1
+    assert split_plane(*cell_bounds(unit_box(2), [2]))[0][0] == 1
     assert rows(unit_box(2), [4, 5]) == [([0.0, 0.0], [0.5, 0.5]),
                                          ([0.0, 0.5], [0.5, 1.0])]
 
@@ -90,7 +90,7 @@ def test_bisect_exhaustion():
     b = np.nextafter(a, 2.0)
     assert plane(Box.from_bounds([a], [b]))[1:] == (a, False)  # mid collapses onto lo
     box = Box.from_bounds([a, 0.0], [b, np.nextafter(0.0, 1.0)])
-    assert not cell_bounds(box, [1]).splittable[0]
+    assert not split_plane(*cell_bounds(box, [1]))[2][0]
     with pytest.raises(NotBisectable):
         cell_bounds(box, [2])
 
@@ -129,8 +129,7 @@ def test_volume_additivity():
         d = int(rng.integers(1, 6))
         lo = rng.uniform(-10, 10, d)
         box = Box.from_bounds(lo, lo + rng.uniform(0.1, 10, d))
-        cells = cell_bounds(box, [2, 3])
-        left, right = bounds_volume(cells.lo, cells.hi)
+        left, right = bounds_volume(*cell_bounds(box, [2, 3]))
         assert left + right == pytest.approx(box.volume, rel=1e-12)
 
 
@@ -138,9 +137,8 @@ def test_volume_additivity():
 def test_repeated_bisection_volume(d):
     box = unit_box(d)
     for k in range(1, 11):
-        cells = cell_bounds(box, [2 ** (d * k)])  # the leftmost cell, d*k deep
-        assert bounds_volume(cells.lo, cells.hi)[0] == pytest.approx(2.0 ** (-d * k),
-                                                                     rel=1e-9)
+        lo, hi = cell_bounds(box, [2 ** (d * k)])  # the leftmost cell, d*k deep
+        assert bounds_volume(lo, hi)[0] == pytest.approx(2.0 ** (-d * k), rel=1e-9)
 
 
 def test_widest_coordinate_permutation_covariant():

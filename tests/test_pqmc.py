@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rphist.errors import PointOutsideRootBox
-from rphist.geometry import Box, bounding_box, volume_at_depth
+from rphist.geometry import Box, bounding_box, split_plane, volume_at_depth
 from rphist.pqmc import (
     CellTable,
     PqmcConfig,
@@ -38,7 +38,7 @@ def splittable_leaves(counts: dict[int, int], root_box, cfg) -> set[int]:
     """Reference: the leaves a chain may split, non-empty, within the depth
     cap and bisectable in machine arithmetic, from each leaf's own bounds."""
     return {v for v, c in counts.items() if c > 0 and depth(v) < cfg.max_depth
-            and cell_bounds(root_box, [v]).splittable[0]}
+            and split_plane(*cell_bounds(root_box, [v]))[2][0]}
 
 
 def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
@@ -170,7 +170,8 @@ def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, c
         stop = "max_psi" if cfg.priority_stop_active else "exhausted"
         assert path.stop_reason == stop and path.success
         final = leaf_counts(path.final)
-        assert max(c for v, c in final.items() if not cell_bounds(box, [v]).splittable[0]) == 3
+        stuck = [c for v, c in final.items() if not split_plane(*cell_bounds(box, [v]))[2][0]]
+        assert max(stuck) == 3
         assert min(r.left_count + r.right_count for r in path.records) == 2
 
 
@@ -266,6 +267,19 @@ def test_run_pqmc_rejects_a_table_of_other_data(fig2_state):
             run_pqmc(fig2_state, table, SEB_PRIORITY, PqmcConfig())
     with pytest.raises(PointOutsideRootBox):
         CellTable(pts + 0.5, unit_box(2))
+
+
+def test_table_splits_a_cell_created_since_it_last_planned():
+    # cell 2 is made by the first split and split before any plan reads it
+    pts = fig2_points()
+    t, ref = CellTable(pts, unit_box(2)), CellTable(pts, unit_box(2))
+    i = t.split(t.split(1))
+    assert i == ref.cell(4)
+    ids = np.array([i, i + 1])
+    (labels, counts, bounds), (ref_labels, ref_counts, ref_bounds) = t.gather(ids), ref.gather(ids)
+    assert labels == ref_labels == [4, 5]
+    assert counts.tolist() == ref_counts.tolist() == [2, 3]
+    assert np.array_equal(bounds, ref_bounds)
 
 
 def test_path_leaf_counts_increase_one_per_step():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from rphist.geometry import bounding_box, bounds_volume
+from rphist.geometry import bounding_box, bounds_volume, split_plane
 from rphist.pqmc import (
     CellTable,
     PqmcConfig,
@@ -47,11 +47,11 @@ def brute_force_cv(s, pts) -> float:
     n = s.n
     counts = leaf_counts(s)
     leaves = sorted(counts)
-    cells = cell_bounds(s.root_box, leaves)
-    vols = dict(zip(leaves, bounds_volume(cells.lo, cells.hi).tolist()))
+    lo, hi = cell_bounds(s.root_box, leaves)
+    vols = dict(zip(leaves, bounds_volume(lo, hi).tolist()))
     integral_f_sq = sum((counts[v] / (n * vols[v])) ** 2 * vols[v] for v in leaves)
     loo_sum = 0.0
-    for row in cell_membership(s.root_box, cells.lo, cells.hi, pts):
+    for row in cell_membership(s.root_box, lo, hi, pts):
         leaf = leaves[int(np.flatnonzero(row)[0])]
         loo_sum += (counts[leaf] - 1) / ((n - 1) * vols[leaf])
     return integral_f_sq - 2.0 / n * loo_sum
@@ -163,10 +163,10 @@ def test_cv_score_singleton_leaves_nonnegative():
     pts = np.array([[0.1, 0.1], [0.9, 0.9]])
     s = leaf_state(unit_box(2), [2, 3], pts)
     assert all(c <= 1 for c in leaf_counts(s).values())
-    cells = cell_bounds(s.root_box, s.leaves.labels)
+    lo, hi = cell_bounds(s.root_box, s.leaves.labels)
     expected = sum(
         c / (s.n**2 * vol)
-        for c, vol in zip(s.leaves.counts.tolist(), bounds_volume(cells.lo, cells.hi))
+        for c, vol in zip(s.leaves.counts.tolist(), bounds_volume(lo, hi))
     )
     assert cv_score(s) == pytest.approx(expected)
     assert cv_score(s) >= 0.0
@@ -208,14 +208,15 @@ def _profile_by_walk(path):
     ll[0] = a[0] = b[0] = 0.0
     counts = {v: c for v, c in leaf_counts(s0).items() if c > 0}
     labels = sorted(counts)
-    lo, hi, *_ = cell_bounds(root_box, labels)
+    lo, hi = cell_bounds(root_box, labels)
     for label, v in zip(labels, bounds_volume(lo, hi).tolist()):
         c = counts[label]
         ll[0] += ll_term(c, v)
         a[0] += c * c / v
         b[0] += c * (c - 1) / v
 
-    lo, hi, axis, mid, _ = cell_bounds(root_box, [rec.label for rec in path.records])
+    lo, hi = cell_bounds(root_box, [rec.label for rec in path.records])
+    axis, mid, _ = split_plane(lo, hi)
     rows = np.arange(len(axis))
     width = hi[rows, axis] - lo[rows, axis]
     vol = bounds_volume(lo, hi)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rphist.errors import (
     DimensionMismatch,
@@ -9,7 +11,7 @@ from rphist.errors import (
     PointOutsideRootBox,
 )
 from rphist.geometry import Box
-from rphist.pqmc import CellTable, State
+from rphist.pqmc import SEB_PRIORITY, CellTable, PqmcConfig, State, run_pqmc
 from rphist.srp import Histogram, density_at, histogram, log_likelihood
 from conftest import (
     FIG2_LEAVES,
@@ -155,6 +157,60 @@ def test_density_at_equals_membership_at_random_points_and_on_split_planes():
         got = [density_at(h, p) for p in pts]
         assert all(type(x) is float for x in got)
         assert got == expected.tolist()
+
+
+@st.composite
+def deep_tied_sample(draw):
+    """Rows on a 5-step grid in 1-3 dimensions with one row repeated, in
+    the box of the grid, so rows at its last step lie on the root box's
+    upper faces, and a threshold.  With step 1 in ``[1, 5]^d`` a cell of
+    copies splits until the floats run out, past 63-bit labels from
+    ``d = 2``; with an ulp of 1.0 as the step it runs out after a few
+    splits."""
+    d = draw(st.integers(1, 3))
+    grid = draw(arrays(np.int64, (draw(st.integers(1, 60)), d),
+                       elements=st.integers(0, 4), fill=st.nothing()))
+    pts = np.vstack([grid, np.repeat(grid[:1], draw(st.integers(0, 30)), axis=0)])
+    step = draw(st.sampled_from([1.0, 2.0**-52]))
+    box = Box.from_bounds([1.0] * d, [1.0 + 4 * step] * d)
+    return 1.0 + pts * step, box, float(draw(st.integers(1, 12)))
+
+
+def test_density_at_equals_membership_on_deep_tied_histograms():
+    # at every row, at points whose coordinates lie on leaf faces, and
+    # just outside the root box; count the examples with labels past
+    # 2**63, rows on an upper root face, and leaves the floats cannot
+    # bisect
+    seen = {"labels_past_2**63": 0, "rows_on_upper_faces": 0, "unbisectable": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(deep_tied_sample(), st.data())
+    def check(sample, data):
+        pts, box, threshold = sample
+        path = run_pqmc(leaf_state(box, [1], pts), pts, SEB_PRIORITY,
+                        PqmcConfig(max_psi=threshold))
+        h = histogram(path.final)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        faces = np.vstack([h.lo, h.hi])
+        mixed = faces[rng.integers(len(faces), size=(200, box.dim)), np.arange(box.dim)]
+        probes = np.vstack([pts, faces, mixed])
+        member = cell_membership(box, h.lo, h.hi, probes)
+        assert (member.sum(axis=1) == 1).all()
+        assert [density_at(h, p) for p in probes] == h.heights[member.argmax(axis=1)].tolist()
+        for j in range(box.dim):
+            for edge, away in ((box.lows(), -np.inf), (box.highs(), np.inf)):
+                p = probes[rng.integers(len(probes))].copy()
+                p[j] = np.nextafter(edge[j], away)
+                assert density_at(h, p) == 0.0
+        if max(h.labels) >= 2**63:
+            seen["labels_past_2**63"] += 1
+        if (pts == box.highs()).any():
+            seen["rows_on_upper_faces"] += 1
+        if any(c > threshold for c in h.counts.tolist()):
+            seen["unbisectable"] += 1
+
+    check()
+    assert min(seen.values()) > 0
 
 
 def test_log_likelihood_fig2(fig2_state):

@@ -51,11 +51,12 @@ def test_label_identities_on_big_labels():
 
 
 def test_cell_bounds_examples():
-    cells = cell_bounds(unit_box(2), [1, 3, 5])
-    assert cells.lo.tolist() == [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
-    assert cells.hi.tolist() == [[1.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
-    assert cells.axis.tolist() == [0, 1, 0]
-    assert cells.mid.tolist() == [0.5, 0.5, 0.25]
+    lo, hi = cell_bounds(unit_box(2), [1, 3, 5])
+    assert lo.tolist() == [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+    assert hi.tolist() == [[1.0, 1.0], [1.0, 1.0], [0.5, 1.0]]
+    axis, mid, _ = split_plane(lo, hi)
+    assert axis.tolist() == [0, 1, 0]
+    assert mid.tolist() == [0.5, 0.5, 0.25]
 
 
 def test_split_and_merge_examples():
@@ -126,8 +127,7 @@ def _random_tree(rng, d=2, n_splits=25) -> frozenset[int]:
 
 
 def leaf_volumes(nodes, d: int) -> np.ndarray:
-    cells = cell_bounds(unit_box(d), leaves_of(nodes))
-    return bounds_volume(cells.lo, cells.hi)
+    return bounds_volume(*cell_bounds(unit_box(d), leaves_of(nodes)))
 
 
 def test_leaf_volumes_partition_root():
@@ -141,12 +141,11 @@ def test_exactly_one_leaf_contains_each_point():
     rng = np.random.default_rng(6)
     box = unit_box(2)
     leaves = leaves_of(_random_tree(rng, d=2, n_splits=30))
-    cells = cell_bounds(box, leaves)
+    lo, hi = cell_bounds(box, leaves)
     pts = rng.uniform(0, 1, size=(200, 2))
     # include points exactly on split hyperplanes and on the root's faces
-    pts = np.vstack([pts, [[0.5, 0.5]], [[0.25, 0.75]], [[0.5, 0.0]], [[1.0, 1.0]],
-                     cells.lo, cells.hi])
-    inside = cell_membership(box, cells.lo, cells.hi, pts)
+    pts = np.vstack([pts, [[0.5, 0.5]], [[0.25, 0.75]], [[0.5, 0.0]], [[1.0, 1.0]], lo, hi])
+    inside = cell_membership(box, lo, hi, pts)
     assert (inside.sum(axis=1) == 1).all()
     got = np.full(len(pts), -1)
     for leaf, idx in table_leaf_rows(box, leaves, pts).items():
@@ -167,8 +166,8 @@ def test_deep_tree_beyond_word_size():
     label = 1 << 80  # depth 80 down the leftmost spine: more than 64 bits
     assert depth(label) == 80
     assert label > 2**64
-    cells = cell_bounds(unit_box(1), [label])
-    assert bounds_volume(cells.lo, cells.hi)[0] == pytest.approx(2.0**-80, rel=1e-9)
+    assert bounds_volume(*cell_bounds(unit_box(1), [label]))[0] == pytest.approx(2.0**-80,
+                                                                                rel=1e-9)
 
 
 @st.composite
@@ -219,30 +218,30 @@ def test_cell_bounds_equals_box_by_box_bisection(root, labels):
         with pytest.raises(NotBisectable):
             cell_bounds(root, labels)
     keep = [i for i, box in enumerate(boxes) if box is not None]
-    cells = cell_bounds(root, [labels[i] for i in keep])
-    volumes = bounds_volume(cells.lo, cells.hi)
+    cells_lo, cells_hi = cell_bounds(root, [labels[i] for i in keep])
+    cells_axis, cells_mid, cells_ok = split_plane(cells_lo, cells_hi)
+    volumes = bounds_volume(cells_lo, cells_hi)
     for row, (lo, hi) in enumerate(boxes[i] for i in keep):
         (axis,), (mid,), (ok,) = split_plane(lo, hi)
-        assert bits(cells.lo[row]) == bits(lo[0])
-        assert bits(cells.hi[row]) == bits(hi[0])
-        assert cells.axis[row] == axis
-        assert bits(cells.mid[row]) == bits(mid)
-        assert cells.splittable[row] == ok
+        assert bits(cells_lo[row]) == bits(lo[0])
+        assert bits(cells_hi[row]) == bits(hi[0])
+        assert cells_axis[row] == axis
+        assert bits(cells_mid[row]) == bits(mid)
+        assert cells_ok[row] == ok
         assert bits(volumes[row]) == bits(bounds_volume(lo, hi))
 
 
 def test_cell_bounds_raises_on_a_subnormal_width():
     root = Box.from_bounds([0.0, 0.0], [5e-324, 5e-324])
-    cells = cell_bounds(root, [1])
-    assert not cells.splittable[0]
+    assert not split_plane(*cell_bounds(root, [1]))[2][0]
     for labels in ([2], [3, 1], [1, 2**70]):
         with pytest.raises(NotBisectable):
             cell_bounds(root, labels)
 
 
 def test_cell_bounds_empty_batch_and_invalid_label():
-    cells = cell_bounds(unit_box(3), [])
-    assert cells.lo.shape == (0, 3) and cells.mid.shape == (0,)
+    lo, hi = cell_bounds(unit_box(3), [])
+    assert lo.shape == hi.shape == (0, 3) and split_plane(lo, hi)[1].shape == (0,)
     with pytest.raises(ValueError):
         cell_bounds(unit_box(3), [2, 0])
 
@@ -277,8 +276,7 @@ def test_volume_at_depth_agrees_with_the_bounds_product(d, data):
     root = Box.from_bounds(lows, [a + w for a, w in zip(lows, widths)])
     labels = data.draw(st.lists(st.integers(1, 2 ** (6 * d + 1) - 1),
                                 min_size=1, max_size=20))
-    cells = cell_bounds(root, labels)
-    for label, vol in zip(labels, bounds_volume(cells.lo, cells.hi)):
+    for label, vol in zip(labels, bounds_volume(*cell_bounds(root, labels))):
         assert vol == pytest.approx(volume_at_depth(root.volume, depth(label)),
                                     rel=1e-12)
 
