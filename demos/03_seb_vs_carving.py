@@ -25,7 +25,7 @@ s0 = State(table, [1])
 
 for leaves in (20, 40):
     seb = run_pqmc(s0, table, SEB_PRIORITY, PqmcConfig(max_leaves=leaves))
-    carve = carve_path(table, PqmcConfig(max_psi=0.0, max_leaves=leaves))
+    carve = carve_path(table, PqmcConfig(max_leaves=leaves))
 
     def empty_fraction(state):
         return (state.leaves.counts == 0).sum() / state.leaf_count

@@ -30,14 +30,14 @@ from rphist.pqmc import CellTable
 
 rng = np.random.default_rng(3)
 points = rng.standard_normal((200_000, 2))
-box = bounding_box(points)
-cfg = PqmcConfig()
+# Every builder takes the points as a cell table, which checks them
+# against the root box once.
+table = CellTable(points, bounding_box(points))
 
 # The same terminal tree regardless of how the work is sharded.
 for shards in (1, 4):
     t0 = time.perf_counter()
-    result = build_threshold_tree(points, box, 500.0, cfg,
-                                  shard_count=shards, workers=shards)
+    result = build_threshold_tree(table, 500.0, shard_count=shards, workers=shards)
     print(f"shards={shards}: {result.path.final.leaf_count} leaves, "
           f"{result.iterations} iterations, {time.perf_counter() - t0:.2f}s")
 
@@ -53,10 +53,9 @@ for i, st in enumerate(result.stats):
 # chain's tree, and the build's sorted path is the sequential path,
 # split for split, with the same next pop and first tied pop.
 small = np.round(points[:3000], 1)
-small_box = bounding_box(small)
-seq = run_pqmc(State(CellTable(small, small_box), [1]), small, SEB_PRIORITY,
-               PqmcConfig(max_psi=30.0))
-par = build_threshold_tree(small, small_box, 30.0, cfg, shard_count=4)
+small_table = CellTable(small, bounding_box(small))
+seq = run_pqmc(State(small_table, [1]), small_table, SEB_PRIORITY, PqmcConfig(max_psi=30.0))
+par = build_threshold_tree(small_table, 30.0, shard_count=4)
 print(f"sequential chain: {seq.split_count} splits, priority ties: {seq.had_ties}")
 assert par.path.final == seq.final, "terminal trees differ"
 assert par.path == seq, "paths differ"

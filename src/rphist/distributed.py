@@ -1,12 +1,13 @@
 """Data-parallel count-threshold splitting over sharded tagged points.
 
 The working representation is the tagged dataset: a list of working
-cells, ids in a :class:`~rphist.pqmc.CellStore`, and the points, spread
-over shards that never exchange points, each tagged with a working
-cell's index.  One iteration retires every cell whose count is at or
-below the threshold ("pruning") and splits the others; one shard-local
-step per shard then moves each point to the child on its side of the
-splitting hyperplane and counts the points per new cell (a
+cells, ids in a :class:`~rphist.pqmc.CellStore`, and the points of the
+run's :class:`~rphist.pqmc.CellTable`, checked against the root box
+there, spread over shards that never exchange points, each tagged with
+a working cell's index.  One iteration retires every cell whose count
+is at or below the threshold ("pruning") and splits the others; one
+shard-local step per shard then moves each point to the child on its
+side of the splitting hyperplane and counts the points per new cell (a
 ``bincount``; the shards' counts are merged by adding the arrays).
 Counts never grow down the tree, so a retired cell could not have been
 split later.  Its points are parked, not copied out: its index maps
@@ -48,8 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Box
-from .pqmc import CellStore, PqmcConfig, PqmcPath, State
+from .pqmc import CellStore, CellTable, PqmcPath, State
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
 from .tree import ROOT, cell_bounds  # noqa: F401
 
@@ -91,20 +91,19 @@ class TaggedDataset:
         return [labels[i] for i in self.cells.tolist()]
 
     @classmethod
-    def from_points(cls, points, root_box: Box, shard_count: int = 1) -> "TaggedDataset":
-        """Tag every point with the root cell and cut into shards.
+    def from_table(cls, table: CellTable, shard_count: int = 1) -> "TaggedDataset":
+        """Tag every point of ``table``, the run's checked points, with the
+        root cell of a new store and cut them into shards.
 
         Shards are contiguous row ranges; the assignment never changes
         afterwards.
         """
-        points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-        if points.size == 0:
-            points = points.reshape(0, root_box.dim)
         if shard_count < 1:
             raise ValueError("need at least one shard")
         shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows, np.array([len(rows)]))
-                       for rows in np.array_split(points, shard_count))
-        return cls(CellStore(root_box, len(points)), np.array([ROOT]), shards, np.arange(2))
+                       for rows in np.array_split(np.ascontiguousarray(table.points),
+                                                  shard_count))
+        return cls(CellStore(table.root_box, table.n), np.array([ROOT]), shards, np.arange(2))
 
 
 def count_by_cell(ds: TaggedDataset) -> np.ndarray:
@@ -118,12 +117,12 @@ def count_by_cell(ds: TaggedDataset) -> np.ndarray:
 
 
 def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
-                   cfg: PqmcConfig) -> SplitCells:
+                   max_depth: int) -> SplitCells:
     """Working cells whose count strictly exceeds the threshold and that
     can actually be split (depth cap and machine bisectability), as
     ``{label: index}``."""
     ok = ds.store.planes(ds.cells)[2] & (counts > threshold)
-    limit = 1 << cfg.max_depth  # a label below it is above the depth cap
+    limit = 1 << max_depth  # a label below it is above the depth cap
     labels = ds.labels
     return {a: i for i in np.flatnonzero(ok).tolist() if (a := labels[i]) < limit}
 
@@ -243,21 +242,23 @@ class BuildResult:
                         self.threshold, _first_tie(cells, rows))
 
 
-def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfig,
+def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 1000,
                          shard_count: int = 1, workers: int = 1) -> BuildResult:
     """Split every cell with count above the threshold, per iteration,
     until none is left.
 
-    The build starts from the root cell.  Its cells form the unique tree
-    in which every leaf has count at or below the threshold; it equals
-    the terminal state of the sequential SEB chain run from the root
-    with ``max_psi = threshold`` and no leaf budget, whose path is
-    :attr:`BuildResult.path`.  An over-threshold cell that cannot be
-    split (depth cap or machine precision) stays a leaf, as in the
-    sequential chain.  With several workers and shards, one thread pool
-    maps the shards of every step, one map per iteration.
+    The build starts from the root cell of ``table``, the run's checked
+    points, in a store of its own.  Its cells form the unique tree in
+    which every leaf has count at or below the threshold; it equals the
+    terminal state of the sequential SEB chain run from the root over
+    the same table with ``max_psi = threshold``, the same ``max_depth``
+    and no leaf budget, whose path is :attr:`BuildResult.path`.  An
+    over-threshold cell that cannot be split (depth cap or machine
+    precision) stays a leaf, as in the sequential chain.  With several
+    workers and shards, one thread pool maps the shards of every step,
+    one map per iteration.
     """
-    ds = TaggedDataset.from_points(points, root_box, shard_count)
+    ds = TaggedDataset.from_table(table, shard_count)
     stats: list[IterationStats] = []
     passed = 0
     threads = workers > 1 and shard_count > 1
@@ -267,7 +268,7 @@ def build_threshold_tree(points, root_box: Box, threshold: float, cfg: PqmcConfi
             keep = counts > threshold
             passed += int(counts[~keep].sum())
             ds, counts = prune(ds, keep), counts[keep]
-            split = cells_to_split(ds, counts, threshold, cfg)
+            split = cells_to_split(ds, counts, threshold, max_depth)
             if not split:
                 break
             ds = apply_splits(ds, split, pool)

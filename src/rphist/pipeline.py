@@ -6,11 +6,13 @@ carve path.  One SEB path from the root, to the lowest threshold of the
 grid and with no leaf budget, holds every tributary: the whole path from
 each launch state is read off it and cut to the leaf budget, and the
 path to every higher threshold is a prefix cut from that, so the
-smoothing stage scores the states of the whole paths alone.  By default
-the root path comes from one sharded threshold build, sorted once;
+smoothing stage scores the states of the whole paths alone.  The run
+checks its points against the root box once, in one cell table, which
+the carve and either root builder take.  By default the root path comes
+from one sharded threshold build over the table's points, sorted once;
 sequential mode runs the plain sequential chain from the root instead,
-over the cell table of the carve, so that each cell is partitioned once
-per run.  Both modes give the same histogram, ties included, and no
+on the table the carve split, so that each cell is partitioned once per
+run.  Both modes give the same histogram, ties included, and no
 step of either draws a random number.  The selected histogram is
 written as versioned JSON next to a manifest with the configuration,
 per-candidate diagnostics, each whole path's tie flag, the threshold
@@ -151,11 +153,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             raise NotBisectable(f"{exc} (pad > 0 widens a constant coordinate)") from None
 
     with _stage(timings, "carve"):
-        carve_cfg = PqmcConfig(
-            max_psi=0.0,
-            max_leaves=cfg.effective_carve_leaves,
-            max_depth=cfg.max_depth,
-        )
+        carve_cfg = PqmcConfig(max_leaves=cfg.effective_carve_leaves, max_depth=cfg.max_depth)
         table = CellTable(points, root_box)
         carve = carve_path(table, carve_cfg)
         launches = launch_states(carve, cfg.tributaries)
@@ -171,10 +169,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             logger.info("1 sequential SEB chain to threshold %g: %d splits, "
                         "%d cells partitioned", low, root.split_count, table.partitioned)
         else:
-            base = build_threshold_tree(
-                points, root_box, low, PqmcConfig(max_depth=cfg.max_depth),
-                shard_count=cfg.shards, workers=cfg.workers,
-            )
+            base = build_threshold_tree(table, low, cfg.max_depth,
+                                        shard_count=cfg.shards, workers=cfg.workers)
             root = base.path
             logger.info("1 threshold build to threshold %g (%d iterations) "
                         "for %d launch states", low, base.iterations, len(launches))

@@ -16,9 +16,11 @@ carve path ("tributaries") yields the candidate states that the
 smoothing stage scores; a run reads every tributary off one SEB path
 from the root (:func:`rphist.distributed.reconstruct_path`).  The cells
 a run creates are the rows of a :class:`CellStore`, which the sharded
-builder fills too.  The chains of a run, the carve and the root SEB
-chain, share one :class:`CellTable`, a store over one permutation of
-the points, which partitions each cell once per run; a chain itself
+builder fills too.  Every builder of a run takes its one
+:class:`CellTable`, which checks the points against the root box once.
+The chains, the carve and the root SEB chain, share it as a store over
+one permutation of the points, which partitions each cell once per run;
+the sharded build cuts its shards from its points.  A chain itself
 keeps only a heap of the priorities of the leaves it may pop, those
 above its threshold, and its leaf count.  A path is the ids of the
 cells it split, rows of that store, and a state is a launch state's
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBisectable
-from .geometry import DEFAULT_PAD, Box, bounding_box, split_plane, volume_at_depth
+from .geometry import Box, split_plane, volume_at_depth
 from .srp import points_in_box
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
 from .tree import ROOT, cell_bounds  # noqa: F401
@@ -74,11 +76,9 @@ SPC_PRIORITY = Priority(SPC)
 class PqmcConfig:
     """Stopping thresholds of a splitting chain.
 
-    ``max_psi`` stops the chain once the largest splittable priority is
-    no bigger than it; ``None`` or ``0.0`` disables that stop (a zero
-    threshold can never bind for SEB, and for SPC the zero-threshold
-    carve is defined to run until the leaf budget).  ``max_leaves=None``
-    removes the leaf budget.
+    ``max_psi``, ``None`` or above 0, stops the chain once the largest
+    splittable priority is no bigger than it; ``None`` disables that
+    stop.  ``max_leaves=None`` removes the leaf budget.
     """
 
     max_psi: float | None = None
@@ -86,14 +86,12 @@ class PqmcConfig:
     max_depth: int = 1000
 
     def __post_init__(self):
+        if self.max_psi is not None and not self.max_psi > 0.0:  # NaN fails too
+            raise ValueError("max_psi must be None or > 0")
         if self.max_leaves is not None and self.max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-
-    @property
-    def priority_stop_active(self) -> bool:
-        return self.max_psi is not None and self.max_psi > 0.0
 
 
 class SplitRecord(NamedTuple):
@@ -211,7 +209,7 @@ class PqmcPath:
     ``state(t)`` is the state after the first ``t`` splits, the launch
     leaves with a prefix of the rows split; ``states()`` lists them all.
     Consecutive states differ by exactly one split.  The flags derive
-    from the ``threshold`` (``max_psi`` if the priority stop was active)
+    from the ``threshold`` (``max_psi``, None with no priority stop)
     and ``max_leaves`` the chain ran under, ``top``, the priority of its
     next pop (the threshold if no splittable leaf is left above it, None
     if none is left and no threshold is active), and ``first_tie``, the
@@ -455,7 +453,7 @@ class _LeafPool:
 
     def __init__(self, s0: State, table: CellTable, priority: Priority, cfg: PqmcConfig):
         self.table, self.priority = table, priority
-        self.threshold = cfg.max_psi if cfg.priority_stop_active else None
+        self.threshold = cfg.max_psi
         self.limit = 1 << cfg.max_depth  # a label below it is above the depth cap
         self.root_volume = table.root_box.volume
         self.heap: list[tuple[float, int, int]] = []
@@ -496,7 +494,7 @@ class _LeafPool:
         return cell, tied
 
 
-def run_pqmc(s0: State, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
+def run_pqmc(s0: State, table: CellTable, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
     """Run one priority-queued splitting chain from ``s0``.
 
     At every step the splittable leaf with the largest priority is
@@ -504,11 +502,10 @@ def run_pqmc(s0: State, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath
     above ``cfg.max_psi`` (or at all, with no priority stop) or the leaf
     count reaches ``cfg.max_leaves``.  Termination is guaranteed: the leaf
     count strictly increases and splittability is depth-bounded.
-    ``points`` is the data of ``s0``, or a run's shared :class:`CellTable`
-    over it; a ValueError says that they do not give the counts of ``s0``.
-    The path's launch leaves and rows are cells of the table.
+    ``table`` is the run's :class:`CellTable` over the data of ``s0``; a
+    ValueError says that it does not give the counts of ``s0``.  The
+    path's launch leaves and rows are cells of the table.
     """
-    table = points if isinstance(points, CellTable) else CellTable(points, s0.root_box)
     if table.n != s0.n or table.root_box != s0.root_box:
         raise ValueError(f"the state holds {s0.n} points in {s0.root_box}, "
                          f"the cell table {table.n} in {table.root_box}")
@@ -528,20 +525,16 @@ def run_pqmc(s0: State, points, priority: Priority, cfg: PqmcConfig) -> PqmcPath
                     len(rows) if first_tie is None else first_tie)
 
 
-def carve_path(points, cfg: PqmcConfig, root_box: Box | None = None,
-               pad: float = DEFAULT_PAD) -> PqmcPath:
-    """Support-carving chain from the root state with a zero threshold.
+def carve_path(table: CellTable, cfg: PqmcConfig) -> PqmcPath:
+    """Support-carving chain from the root state of ``table``, the run's
+    :class:`CellTable`, with no priority stop.
 
     Runs the SPC priority until the leaf budget ``cfg.max_leaves`` is
-    reached or no splittable leaf remains; ``cfg.max_psi`` must be 0 or
-    None (the zero-threshold carve never stops on priority).  A
-    :class:`CellTable` as ``points`` brings its own root box.
+    reached or no splittable leaf remains; ``cfg.max_psi`` must be None.
     """
-    if cfg.max_psi not in (None, 0, 0.0):
-        raise ValueError("the carve chain requires max_psi = 0 (or None)")
-    if not isinstance(points, CellTable):
-        points = CellTable(points, bounding_box(points, pad) if root_box is None else root_box)
-    return run_pqmc(State(points, [ROOT]), points, SPC_PRIORITY, cfg)
+    if cfg.max_psi is not None:
+        raise ValueError("the carve chain requires max_psi = None")
+    return run_pqmc(State(table, [ROOT]), table, SPC_PRIORITY, cfg)
 
 
 def launch_states(carve: PqmcPath, c: int) -> list[State]:

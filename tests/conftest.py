@@ -160,7 +160,7 @@ def random_state(rng: np.random.Generator, n_max: int = 200, d_max: int = 3,
     s0 = leaf_state(box, [ROOT], pts)
     splits = int(rng.integers(0, max_splits + 1))
     cfg = PqmcConfig(max_leaves=1 + splits)
-    path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
     return path.final, pts
 
 
@@ -174,5 +174,5 @@ def seb_instance(seed: int):
     threshold = float(rng.integers(max(2, n // 64), max(3, n // 4)))
     box = bounding_box(pts)
     s0 = leaf_state(box, [ROOT], pts)
-    path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=threshold))
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_psi=threshold))
     return pts, box, threshold, path

@@ -23,7 +23,7 @@ from rphist.distributed import (
 from rphist.evaluate import GaussianReference, l1_error
 from rphist.geometry import bounding_box
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig
+from rphist.pqmc import CellTable
 from rphist.smoothing import cv_score
 from rphist.srp import histogram
 
@@ -37,8 +37,6 @@ from conftest import (
     unit_box,
 )
 from test_smoothing import brute_force_cv
-
-CFG = PqmcConfig()
 
 
 def report(num: int, detail: str) -> None:
@@ -67,7 +65,7 @@ def test_criterion_2_normalization_and_conservation():
         box = bounding_box(pts)
         threshold = float(rng.integers(1, max(2, n // 4)))
         shards = int(rng.integers(1, 5))
-        res = build_threshold_tree(pts, box, threshold, CFG,
+        res = build_threshold_tree(CellTable(pts, box), threshold,
                                    shard_count=shards)
         final = assemble_srp(res.cells)
         assert final.leaves.counts.sum() == n
@@ -92,7 +90,7 @@ def test_criterion_3_sequential_parallel_equivalence():
     for seed in range(50):
         pts, box, threshold, seq = seb_instance(seed)
         tied += seq.had_ties
-        res = build_threshold_tree(pts, box, threshold, CFG,
+        res = build_threshold_tree(CellTable(pts, box), threshold,
                                    shard_count=int(1 + instances % 4))
         if assemble_srp(res.cells) != seq.final:
             mismatches += 1
@@ -119,13 +117,13 @@ def test_criterion_4_order_invariance():
         pts = random_points(rng, n, d)
         box = bounding_box(pts)
         threshold = float(rng.integers(2, max(3, n // 8)))
-        reference = build_threshold_tree(pts, box, threshold, CFG)
+        reference = build_threshold_tree(CellTable(pts, box), threshold)
         for order in range(10):
             order_rng = np.random.default_rng(instance * 100 + order)
-            ds = TaggedDataset.from_points(pts, box, shard_count=2)
+            ds = TaggedDataset.from_table(CellTable(pts, box), shard_count=2)
             while True:
                 counts = count_by_cell(ds)
-                eligible = cells_to_split(ds, counts, threshold, CFG)
+                eligible = cells_to_split(ds, counts, threshold, 1000)
                 if not eligible:
                     break
                 pool = sorted(eligible)
@@ -155,14 +153,13 @@ def test_criterion_6_shard_invariance():
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((1_000_000, 2))
     box = bounding_box(pts)
+    table = CellTable(pts, box)
     times = {}
     results = {}
     for shards, workers in ((1, 1), (2, 2), (4, 4), (8, 4)):
         t1 = time.perf_counter()
-        results[shards] = build_threshold_tree(
-            pts, box, 500.0, CFG, shard_count=shards,
-            workers=workers,
-        )
+        results[shards] = build_threshold_tree(table, 500.0, shard_count=shards,
+                                               workers=workers)
         times[shards] = time.perf_counter() - t1
     base = results[1]
     for shards in (2, 4, 8):
@@ -230,7 +227,7 @@ def test_criterion_8_ten_dimensional_run(tmp_path):
     assert sum(leaf.count for leaf in hist.leaves) == 1_000_000
     # prune-phase conservation at the same scale
     box = bounding_box(pts)
-    res = build_threshold_tree(pts, box, 2000.0, CFG,
+    res = build_threshold_tree(CellTable(pts, box), 2000.0,
                                shard_count=4, workers=2)
     assert res.stats
     for st in res.stats:

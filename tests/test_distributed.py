@@ -48,7 +48,6 @@ from conftest import (
     unit_box,
 )
 
-CFG = PqmcConfig()
 
 
 def fig7_dataset(shard_count=2) -> TaggedDataset:
@@ -84,7 +83,7 @@ def test_count_by_cell_fig7():
 
 
 def test_count_by_cell_empty():
-    ds = TaggedDataset.from_points(np.empty((0, 2)), unit_box(2))
+    ds = TaggedDataset.from_table(CellTable(np.empty((0, 2)), unit_box(2)))
     assert count_by_cell(ds).tolist() == [0]
 
 
@@ -94,22 +93,22 @@ def test_count_by_cell_shard_invariant():
 
 
 def test_cells_to_split_threshold_strict():
-    ds = TaggedDataset.from_points(np.full((10, 2), 0.3), unit_box(2))
+    ds = TaggedDataset.from_table(CellTable(np.full((10, 2), 0.3), unit_box(2)))
     counts = count_by_cell(ds)
     assert counts.tolist() == [10]
-    assert cells_to_split(ds, counts, 5.0, CFG) == {1: 0}
-    assert cells_to_split(ds, counts, 10.0, CFG) == {}
+    assert cells_to_split(ds, counts, 5.0, 1000) == {1: 0}
+    assert cells_to_split(ds, counts, 10.0, 1000) == {}
     # fig7: A (count 3) alone exceeds 2, and keeps its own index
     ds = fig7_dataset()
-    assert cells_to_split(ds, count_by_cell(ds), 2.0, CFG) == {2: 0}
-    assert cells_to_split(ds, count_by_cell(ds), 1.0, CFG) == {2: 0, 6: 1}
+    assert cells_to_split(ds, count_by_cell(ds), 2.0, 1000) == {2: 0}
+    assert cells_to_split(ds, count_by_cell(ds), 1.0, 1000) == {2: 0, 6: 1}
 
 
 def test_cells_to_split_depth_capped():
     ds = fig7_dataset()  # A is at depth 1, B and C at depth 2
     counts = count_by_cell(ds)
-    assert cells_to_split(ds, counts, 0.0, PqmcConfig(max_depth=2)) == {2: 0}
-    assert cells_to_split(ds, counts, 0.0, PqmcConfig(max_depth=1)) == {}
+    assert cells_to_split(ds, counts, 0.0, 2) == {2: 0}
+    assert cells_to_split(ds, counts, 0.0, 1) == {}
 
 
 def test_apply_splits_empty_set_is_identity():
@@ -137,8 +136,8 @@ def test_apply_splits_retags_only_split_cells():
 
 def test_apply_splits_point_on_hyperplane_goes_right():
     pts = np.array([[0.5, 0.25], [0.49, 0.25]])
-    ds = TaggedDataset.from_points(pts, unit_box(2))
-    out = apply_splits(ds, cells_to_split(ds, count_by_cell(ds), 1.0, CFG))
+    ds = TaggedDataset.from_table(CellTable(pts, unit_box(2)))
+    out = apply_splits(ds, cells_to_split(ds, count_by_cell(ds), 1.0, 1000))
     assert cell_of_each_point(out) == [3, 2]
 
 
@@ -148,8 +147,8 @@ def test_build_counts_equal_brute_force_membership_on_tied_rows(sample, threshol
     # the sharded step's routing against each cell's own half-open bounds
     box, _, pts = sample
     pts = pts[inside_mask(box, pts)]
-    res = build_threshold_tree(pts, box, float(threshold),
-                               PqmcConfig(max_depth=30), shard_count=shards)
+    res = build_threshold_tree(CellTable(pts, box), float(threshold), max_depth=30,
+                               shard_count=shards)
     cells = dict(zip(res.cells.labels[1:], res.cells.count[1:].tolist()))
     assert cells == membership_counts(box, cells, pts)
     final = assemble_srp(res.cells)
@@ -198,7 +197,7 @@ def test_apply_splits_compacts_a_shard_below_half():
 def test_build_trivial_when_threshold_at_n():
     rng = np.random.default_rng(32)
     pts = rng.uniform(0, 1, size=(20, 2))
-    res = build_threshold_tree(pts, unit_box(2), 20.0, CFG)
+    res = build_threshold_tree(CellTable(pts, unit_box(2)), 20.0)
     assert res.iterations == 0
     assert assemble_srp(res.cells).leaf_count == 1
     assert leaf_counts(assemble_srp(res.cells)) == {1: 20}
@@ -206,9 +205,9 @@ def test_build_trivial_when_threshold_at_n():
 
 def test_build_fig7_style_matches_sequential():
     pts = fig7_dataset(1).shards[0].points
-    res = build_threshold_tree(pts, unit_box(2), 2.0, CFG)
+    res = build_threshold_tree(CellTable(pts, unit_box(2)), 2.0)
     s0 = leaf_state(unit_box(2), [1], pts)
-    seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0))
+    seq = run_pqmc(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY, PqmcConfig(max_psi=2.0))
     assert assemble_srp(res.cells) == seq.final
     assert all(c <= 2 for c in leaf_counts(res.path.final).values())
 
@@ -216,7 +215,7 @@ def test_build_fig7_style_matches_sequential():
 def test_build_threshold_equals_sequential_random():
     for seed in range(8):
         pts, box, threshold, seq = seb_instance(seed)
-        res = build_threshold_tree(pts, box, threshold, CFG,
+        res = build_threshold_tree(CellTable(pts, box), threshold,
                                    shard_count=3)
         assert assemble_srp(res.cells) == seq.final
         path = reconstruct_path(res.path)
@@ -232,7 +231,7 @@ def test_build_shard_invariance_small():
     pts = random_points(rng, 2000, 2)
     box = bounding_box(pts)
     results = [
-        build_threshold_tree(pts, box, 50.0, CFG, shard_count=s)
+        build_threshold_tree(CellTable(pts, box), 50.0, shard_count=s)
         for s in (1, 2, 4, 8)
     ]
     for r in results[1:]:
@@ -245,7 +244,7 @@ def test_build_conservation_every_iteration():
     rng = np.random.default_rng(35)
     pts = random_points(rng, 3000, 3)
     box = bounding_box(pts)
-    res = build_threshold_tree(pts, box, 25.0, CFG, shard_count=4)
+    res = build_threshold_tree(CellTable(pts, box), 25.0, shard_count=4)
     assert res.stats, "expected at least one iteration"
     for st in res.stats:
         assert st.working_points + st.passed_points == len(pts)
@@ -269,7 +268,7 @@ def test_build_decodes_no_label(monkeypatch):
         monkeypatch.setattr(module, "cell_bounds", counted)
     rng = np.random.default_rng(39)
     pts = random_points(rng, 2000, 2)
-    res = build_threshold_tree(pts, bounding_box(pts), 20.0, CFG, shard_count=2)
+    res = build_threshold_tree(CellTable(pts, bounding_box(pts)), 20.0, shard_count=2)
     assert res.iterations > 3
     reconstruct_path(res.path)
     assert calls == 0
@@ -289,9 +288,9 @@ def test_build_opens_at_most_one_thread_pool(monkeypatch):
     rng = np.random.default_rng(41)
     pts = random_points(rng, 2000, 2)
     box = bounding_box(pts)
-    serial = build_threshold_tree(pts, box, 20.0, CFG, shard_count=3)
+    serial = build_threshold_tree(CellTable(pts, box), 20.0, shard_count=3)
     assert pools == []
-    threaded = build_threshold_tree(pts, box, 20.0, CFG, shard_count=3, workers=2)
+    threaded = build_threshold_tree(CellTable(pts, box), 20.0, shard_count=3, workers=2)
     assert threaded.iterations > 3 and len(pools) == 1
     assert threaded.path.final == serial.path.final
     assert threaded.stats == serial.stats
@@ -301,10 +300,10 @@ def test_build_depth_capped_equals_sequential_terminal_state():
     # over-threshold cells at the depth cap stay leaves, as in the chain
     rng = np.random.default_rng(36)
     pts = rng.uniform(0, 1, size=(50, 2))
-    cfg = PqmcConfig(max_depth=2)
-    res = build_threshold_tree(pts, unit_box(2), 2.0, cfg)
+    res = build_threshold_tree(CellTable(pts, unit_box(2)), 2.0, max_depth=2)
     s0 = leaf_state(unit_box(2), [1], pts)
-    seq = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_depth=2))
+    seq = run_pqmc(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY,
+                   PqmcConfig(max_psi=2.0, max_depth=2))
     assert assemble_srp(res.cells) == seq.final
     assert max(leaf_counts(res.path.final).values()) > 2.0
 
@@ -316,15 +315,14 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     pts = np.vstack([rng.standard_normal((5000, 2)),
                      np.repeat([[0.3, -0.7]], 200, axis=0)])
     box = bounding_box(pts)
-    carve = carve_path(pts, PqmcConfig(max_leaves=20),
-                       root_box=box)
-    base = build_threshold_tree(pts, box, 50.0, CFG, shard_count=2)
+    carve = carve_path(CellTable(pts, box), PqmcConfig(max_leaves=20))
+    base = build_threshold_tree(CellTable(pts, box), 50.0, shard_count=2)
     final = leaf_counts(base.path.final)
     assert max(final).bit_length() > 100
     assert max(final.values()) == 200
     for threshold in (50.0, 500.0):
         for launch in launch_states(carve, 3):
-            seq = run_pqmc(launch, pts, SEB_PRIORITY,
+            seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
                            PqmcConfig(max_psi=threshold))
             path = truncate_path(reconstruct_path(base.path, launch), threshold, None)
             assert path.final == seq.final
@@ -336,13 +334,13 @@ def test_build_big_labels_escape_hatch():
     # two points closer than 2**-64 apart force splits past 64-bit labels
     pts = np.array([[0.0, 0.0], [2.0**-70, 0.0]])
     box = Box.from_bounds([0.0, -0.5], [1.0, 0.5])
-    res = build_threshold_tree(pts, box, 1.0, CFG)
+    res = build_threshold_tree(CellTable(pts, box), 1.0)
     final = leaf_counts(res.path.final)
     assert max(final) > 2**64
     nonempty = [v for v, c in final.items() if c == 1]
     assert len(nonempty) == 2
     s0 = leaf_state(box, [1], pts)
-    seq = run_pqmc(s0, pts, SEB_PRIORITY,
+    seq = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
                    PqmcConfig(max_psi=1.0))
     assert assemble_srp(res.cells) == seq.final
 
@@ -355,11 +353,11 @@ def test_build_labels_past_64_bits_equal_sequential():
                      [[0.0, 0.0], [2.0**-70, 0.0], [0.0, 2.0**-68]],
                      np.repeat([[0.3, 0.7]], 3, axis=0)])
     box = Box.from_bounds([0.0, -0.5], [1.0, 1.0])
-    seq = run_pqmc(leaf_state(box, [1], pts), pts, SEB_PRIORITY,
+    seq = run_pqmc(leaf_state(box, [1], pts), CellTable(pts, box), SEB_PRIORITY,
                    PqmcConfig(max_psi=1.0))
     assert max(seq.final.leaves.labels) > 2**64
     for shards in (1, 3):
-        res = build_threshold_tree(pts, box, 1.0, CFG, shard_count=shards)
+        res = build_threshold_tree(CellTable(pts, box), 1.0, shard_count=shards)
         assert assemble_srp(res.cells) == seq.final
         assert reconstruct_path(res.path).records == seq.records
 
@@ -368,13 +366,13 @@ def test_order_invariance_random_schedulers():
     rng = np.random.default_rng(37)
     pts = random_points(rng, 800, 2)
     box = bounding_box(pts)
-    reference = build_threshold_tree(pts, box, 30.0, CFG)
+    reference = build_threshold_tree(CellTable(pts, box), 30.0)
     for trial in range(6):
         order_rng = np.random.default_rng(1000 + trial)
-        ds = TaggedDataset.from_points(pts, box, shard_count=2)
+        ds = TaggedDataset.from_table(CellTable(pts, box), shard_count=2)
         while True:
             counts = count_by_cell(ds)
-            eligible = cells_to_split(ds, counts, 30.0, CFG)
+            eligible = cells_to_split(ds, counts, 30.0, 1000)
             if not eligible:
                 break
             pool = sorted(eligible)
@@ -389,7 +387,7 @@ def test_order_invariance_random_schedulers():
 
 def test_backtrack_root_only():
     pts = np.array([[0.5, 0.5]])
-    res = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
+    res = build_threshold_tree(CellTable(pts, unit_box(2)), 5.0)
     seq = reconstruct_path(res.path).states()
     assert len(seq) == 1
     assert seq[0] == assemble_srp(res.cells)
@@ -397,7 +395,7 @@ def test_backtrack_root_only():
 
 def test_backtrack_merge_order_ascending_parent_priority():
     pts, box, threshold, _ = seb_instance(0)
-    res = build_threshold_tree(pts, box, threshold, CFG)
+    res = build_threshold_tree(CellTable(pts, box), threshold)
     # merge order is the reversed path: from the final state down to the root
     states = reconstruct_path(res.path).states()[::-1]
     merged_counts = []
@@ -413,12 +411,12 @@ def test_reconstruct_path_from_launch_state():
     for seed in range(100, 103):
         pts, box, threshold, _ = seb_instance(seed)
         s0 = leaf_state(box, [1], pts)
-        carve = run_pqmc(s0, pts, SPC_PRIORITY,
+        carve = run_pqmc(s0, CellTable(pts, s0.root_box), SPC_PRIORITY,
                          PqmcConfig(max_leaves=4))
         launch = carve.final
-        seq = run_pqmc(launch, pts, SEB_PRIORITY,
+        seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
                        PqmcConfig(max_psi=threshold))
-        base = build_threshold_tree(pts, box, threshold, CFG,
+        base = build_threshold_tree(CellTable(pts, box), threshold,
                                     shard_count=2)
         par = reconstruct_path(base.path, launch)
         assert par.final == seq.final
@@ -441,13 +439,13 @@ def test_reconstruct_never_merges_into_the_launch_state():
     launch = leaf_state(box, [3, 4, 5], pts)  # cherry at node 2
     assert node_counts(launch)[2] == 3 and leaf_counts(launch)[3] == 100
 
-    seq = run_pqmc(launch, pts, SEB_PRIORITY,
+    seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
                    PqmcConfig(max_psi=10.0))
     assert not seq.had_ties, "layout should give distinct counts"
     assert min(cl + cr for cl, cr in
                ((r.left_count, r.right_count) for r in seq.records)) > 3
 
-    base = build_threshold_tree(pts, box, 10.0, CFG, shard_count=2)
+    base = build_threshold_tree(CellTable(pts, box), 10.0, shard_count=2)
     par = reconstruct_path(base.path, launch)
     assert par.records == seq.records
     assert par.final == seq.final
@@ -486,16 +484,16 @@ def _tied_grid_paths(sample, max_leaves):
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40  # repeated rows hit the cap fast instead of machine precision
     box = bounding_box(pts)
-    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth),
-                       root_box=box)
-    cfg = PqmcConfig(max_depth=max_depth)
-    bases = [build_threshold_tree(pts, box, base_threshold, cfg,
-                                  shard_count=shards) for shards in (1, 2, 3)]
+    carve = carve_path(CellTable(pts, box),
+                       PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    table = CellTable(pts, box)
+    bases = [build_threshold_tree(table, base_threshold, max_depth, shard_count=shards)
+             for shards in (1, 2, 3)]
     for launch in launch_states(carve, 3):
         for threshold in thresholds:
             seb_cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
                                  max_depth=max_depth)
-            seq = run_pqmc(launch, pts, SEB_PRIORITY, seb_cfg)
+            seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, seb_cfg)
             for base in bases:
                 yield truncate_path(reconstruct_path(base.path, launch), threshold, max_leaves), seq
 
@@ -523,8 +521,7 @@ def test_root_chain_equals_root_build_and_per_launch_chains(sample, max_depth):
     carve = carve_path(table, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
     roots = [run_pqmc(carve.initial, table, SEB_PRIORITY,
                       PqmcConfig(max_psi=low, max_depth=max_depth)),
-             build_threshold_tree(pts, box, low, PqmcConfig(max_depth=max_depth),
-                                  shard_count=2).path]
+             build_threshold_tree(table, low, max_depth=max_depth, shard_count=2).path]
     assert roots[0] == roots[1]
     for launch in launch_states(carve, 3):
         wholes = [reconstruct_path(root, launch) for root in roots]
@@ -562,23 +559,23 @@ def test_cut_path_equals_sequential_on_tied_data(sample):
     # above the launch state's leaf count, and none
     pts, low, _, carve_leaves = sample
     max_depth = 40
-    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth),
-                       root_box=bounding_box(pts))
+    carve = carve_path(CellTable(pts, bounding_box(pts)),
+                       PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
     for launch in launch_states(carve, 3):
         m0 = launch.leaf_count
-        unbudgeted = run_pqmc(launch, pts, SEB_PRIORITY,
+        unbudgeted = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
                               PqmcConfig(max_psi=low, max_depth=max_depth))
         # a path only depends on which of the counts it pops exceed the
         # threshold: the counts themselves stand for every threshold
         thresholds = sorted({low, *(float(r.left_count + r.right_count)
                                     for r in unbudgeted.records)})
         for max_leaves in (None, max(1, m0 - 1), m0, m0 + 1, m0 + 4):
-            whole = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(
+            whole = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, PqmcConfig(
                 max_psi=low, max_leaves=max_leaves, max_depth=max_depth))
             for threshold in thresholds:
                 cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
                                  max_depth=max_depth)
-                seq = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
+                seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
                 for path in (truncate_path(whole, threshold, max_leaves),
                              truncate_path(unbudgeted, threshold, max_leaves)):
                     assert path.records == seq.records
@@ -591,10 +588,10 @@ def test_cut_path_rejects_lower_threshold():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = leaf_state(unit_box(2), [1], pts)
-    base = build_threshold_tree(pts, unit_box(2), 5.0, CFG)
+    base = build_threshold_tree(CellTable(pts, unit_box(2)), 5.0)
     whole = reconstruct_path(base.path, launch)
     assert whole.final == assemble_srp(base.cells)
-    seq = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=5.0))
+    seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, PqmcConfig(max_psi=5.0))
     for path in (whole, seq, truncate_path(whole, 8.0, None)):
         with pytest.raises(ValueError):
             truncate_path(path, 4.0, None)
@@ -609,7 +606,8 @@ def test_cut_path_rejects_another_budget():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = leaf_state(unit_box(2), [1], pts)
-    budgeted = run_pqmc(launch, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0, max_leaves=6))
+    budgeted = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
+                        PqmcConfig(max_psi=2.0, max_leaves=6))
     assert budgeted.stop_reason == "max_leaves" and not budgeted.success
     for max_leaves in (None, 5, 7):
         with pytest.raises(ValueError):
@@ -618,7 +616,7 @@ def test_cut_path_rejects_another_budget():
     with pytest.raises(ValueError):  # a root path under a budget lacks pops
         reconstruct_path(budgeted)
     # a whole path with no budget can be cut at any
-    whole = reconstruct_path(build_threshold_tree(pts, unit_box(2), 2.0, CFG).path, launch)
+    whole = reconstruct_path(build_threshold_tree(CellTable(pts, unit_box(2)), 2.0).path, launch)
     cut = truncate_path(whole, 2.0, 6)
     assert (cut.records, cut.stop_reason, cut.success, cut.had_ties) == (
         budgeted.records, budgeted.stop_reason, budgeted.success, budgeted.had_ties)
@@ -628,9 +626,9 @@ def test_budget_cut_materializes_no_state(monkeypatch):
     # the flags of a cut come from the whole path's records, next pop and
     # first tie; no state of the path is built
     pts, box, threshold, seq = seb_instance(0)
-    whole = reconstruct_path(build_threshold_tree(pts, box, threshold, CFG).path)
+    whole = reconstruct_path(build_threshold_tree(CellTable(pts, box), threshold).path)
     m = len(seq)
-    chains = {(t, b): run_pqmc(seq.initial, pts, SEB_PRIORITY,
+    chains = {(t, b): run_pqmc(seq.initial, CellTable(pts, seq.initial.root_box), SEB_PRIORITY,
                                PqmcConfig(max_psi=t, max_leaves=b))
               for t in (threshold, 2 * threshold) for b in (2, m // 2, m, m + 1)}
     assert {c.success for c in chains.values()} == {True, False}
@@ -652,11 +650,11 @@ def test_tie_flag_counts_only_cells_already_leaves():
     # the root (count 4) has no rival, then halves 2 and 3 (count 2 each)
     # are both leaves, so popping 2 is tied
     pts = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
-    base = build_threshold_tree(pts, unit_box(2), 1.0, CFG)
+    base = build_threshold_tree(CellTable(pts, unit_box(2)), 1.0)
     path = reconstruct_path(base.path)
     assert [r.label for r in path.records] == [1, 2, 3]
     assert path.had_ties
-    seq = run_pqmc(leaf_state(unit_box(2), [1], pts), pts, SEB_PRIORITY,
+    seq = run_pqmc(leaf_state(unit_box(2), [1], pts), CellTable(pts, unit_box(2)), SEB_PRIORITY,
                    PqmcConfig(max_psi=1.0))
     assert path.records == seq.records and seq.had_ties
     # cut before the tied pop: the root pop alone had no rival
@@ -665,7 +663,7 @@ def test_tie_flag_counts_only_cells_already_leaves():
     # a parent and its only non-empty child share a count but never tie:
     # the child becomes a leaf only when the parent is popped
     lone = np.array([[0.1, 0.1], [0.2, 0.2]])
-    path = reconstruct_path(build_threshold_tree(lone, unit_box(2), 1.0, CFG).path)
+    path = reconstruct_path(build_threshold_tree(CellTable(lone, unit_box(2)), 1.0).path)
     assert [r.left_count + r.right_count for r in path.records] == [2] * 5
     assert not path.had_ties
 
@@ -682,9 +680,9 @@ def test_truncate_path():
     # with no leaf left over the threshold
     launch = seq.final
     cfg = PqmcConfig(max_psi=threshold, max_leaves=2)
-    base = build_threshold_tree(pts, box, threshold, CFG)
+    base = build_threshold_tree(CellTable(pts, box), threshold)
     over = truncate_path(reconstruct_path(base.path, launch), threshold, 2)
-    chain = run_pqmc(launch, pts, SEB_PRIORITY, cfg)
+    chain = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
     assert over.records == chain.records == ()
     assert over.success is chain.success is False
 
@@ -751,15 +749,15 @@ def test_build_equals_sequential_chain_on_tied_rows():
     @given(tied_rows_sample())
     def check(sample):
         pts, box, threshold = sample
-        cfg = PqmcConfig(max_depth=80)
-        seq = run_pqmc(leaf_state(box, [1], pts), pts, SEB_PRIORITY,
+        table = CellTable(pts, box)
+        seq = run_pqmc(leaf_state(box, [1], pts), table, SEB_PRIORITY,
                        PqmcConfig(max_psi=threshold, max_depth=80))
         stats = _stats_of(seq.final, threshold)
         hit.clear()
         with mock.patch.object(distributed, "apply_splits", spy):
             for shards in (1, 2, 5):
                 for workers in (1, 2):
-                    res = build_threshold_tree(pts, box, threshold, cfg,
+                    res = build_threshold_tree(table, threshold, max_depth=80,
                                                shard_count=shards, workers=workers)
                     assert assemble_srp(res.cells) == seq.final
                     assert res.stats == stats
@@ -798,7 +796,7 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
         pts, box, threshold = sample
         hit = set()
         for shards in (1, 2, 5):
-            res = build_threshold_tree(pts, box, threshold, PqmcConfig(max_depth=max_depth),
+            res = build_threshold_tree(CellTable(pts, box), threshold, max_depth=max_depth,
                                        shard_count=shards)
             cells = res.cells
             labels = cells.labels
@@ -852,9 +850,9 @@ def test_row_paths_equal_record_paths_on_tied_data(sample):
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40
     box = bounding_box(pts)
-    carve = carve_path(pts, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth),
-                       root_box=box)
-    base = build_threshold_tree(pts, box, base_threshold, PqmcConfig(max_depth=max_depth),
+    carve = carve_path(CellTable(pts, box),
+                       PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    base = build_threshold_tree(CellTable(pts, box), base_threshold, max_depth=max_depth,
                                 shard_count=2)
     for launch in launch_states(carve, 3):
         whole = reconstruct_path(base.path, launch)
@@ -886,7 +884,7 @@ def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_le
     carve = carve_path(table, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
     roots = [run_pqmc(carve.initial, table, SEB_PRIORITY,
                       PqmcConfig(max_psi=float(threshold), max_depth=max_depth)),
-             build_threshold_tree(pts, box, float(threshold), PqmcConfig(max_depth=max_depth),
+             build_threshold_tree(table, float(threshold), max_depth=max_depth,
                                   shard_count=2).path]
     assert roots[0] == roots[1] and roots[0].splits is not roots[1].splits
     paths = [carve]

@@ -42,7 +42,14 @@ from rphist.io import (
     save_histogram,
 )
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import PqmcConfig, SEB_PRIORITY, carve_path, launch_states, run_pqmc
+from rphist.pqmc import (
+    CellTable,
+    PqmcConfig,
+    SEB_PRIORITY,
+    carve_path,
+    launch_states,
+    run_pqmc,
+)
 from rphist.smoothing import tau_grid
 from rphist.srp import Histogram, histogram
 
@@ -542,7 +549,7 @@ def test_l1_gaussian_sane():
     s0 = leaf_state(box, [1], pts)
     from rphist.pqmc import PqmcConfig, SEB_PRIORITY, run_pqmc
 
-    path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=100.0))
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_psi=100.0))
     rep = l1_error(histogram(path.final), GaussianReference(2), 128, seed=1)
     assert 0.0 < rep.l1_estimate < 0.6
     assert rep.l1_std_error < 0.05
@@ -564,7 +571,8 @@ def test_l1_error_pinned_for_every_chunk_size(monkeypatch, d, n, max_psi, refere
     # default chunk (64).  The uniform reference sticks out of the root box.
     pts = np.random.default_rng(d).standard_normal((n, d))
     s0 = leaf_state(bounding_box(pts), [1], pts)
-    h = histogram(run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=max_psi)).final)
+    h = histogram(run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
+                           PqmcConfig(max_psi=max_psi)).final)
     for chunk in (1, 64, 10_000):
         monkeypatch.setattr("rphist.evaluate.MC_CHUNK_LEAVES", chunk)
         assert l1_error(h, reference, mc, seed) == expected
@@ -604,7 +612,8 @@ def test_l1_error_equals_the_point_major_loop(monkeypatch, d):
     # the Gaussian density normal in every dimension.
     pts = np.random.default_rng(d).standard_normal((300, d)) / math.sqrt(d)
     s0 = leaf_state(bounding_box(pts), [1], pts)
-    h = histogram(run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=30.0)).final)
+    h = histogram(run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
+                           PqmcConfig(max_psi=30.0)).final)
     assert h.leaf_count > 8
     box = Box.from_bounds([-1.0] * d, [0.5] * d)
     references = [
@@ -873,9 +882,8 @@ def test_pipeline_manifest(tmp_path):
     seq_man = json.loads((tmp_path / "seq.json.manifest.json").read_text())
     # one chain per launch state, to the lowest threshold; each cell that
     # the carve or a chain splits is partitioned once
-    carve = carve_path(pts, PqmcConfig(max_psi=0.0, max_leaves=5),
-                       root_box=bounding_box(pts, cfg.pad))
-    whole = [run_pqmc(state, pts, SEB_PRIORITY,
+    carve = carve_path(CellTable(pts, bounding_box(pts, cfg.pad)), PqmcConfig(max_leaves=5))
+    whole = [run_pqmc(state, CellTable(pts, state.root_box), SEB_PRIORITY,
                       PqmcConfig(max_psi=30.0, max_depth=cfg.max_depth))
              for state in launch_states(carve, 2)]
     split = {r.label for p in [carve, *whole] for r in p.records}

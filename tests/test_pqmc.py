@@ -76,7 +76,7 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
 
 
 def assert_matches_naive(s0, pts, priority, cfg):
-    path = run_pqmc(s0, pts, priority, cfg)
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), priority, cfg)
     states, stop, success, had_ties = naive_path(
         s0, pts, priority, cfg.max_psi, cfg.max_leaves, cfg.max_depth)
     assert [leaf_counts(s) for s in path.states()] == states
@@ -109,7 +109,8 @@ def test_splittable_excludes_depth_capped(fig2_state):
 
 
 def test_run_pqmc_stops_immediately_at_threshold(fig2_state):
-    path = run_pqmc(fig2_state, fig2_points(), SEB_PRIORITY, PqmcConfig(max_psi=5.0))
+    path = run_pqmc(fig2_state, CellTable(fig2_points(), unit_box(2)), SEB_PRIORITY,
+                    PqmcConfig(max_psi=5.0))
     assert len(path) == 1
     assert path.stop_reason == "max_psi"
     assert path.success
@@ -119,7 +120,7 @@ def test_run_pqmc_max_leaves_one():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 1, size=(10, 2))
     s0 = leaf_state(unit_box(2), [1], pts)
-    path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=1))
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_leaves=1))
     assert len(path) == 1
     assert path.stop_reason == "max_leaves"
 
@@ -156,8 +157,8 @@ ULP_ROWS = [1.0] * 3 + [1.0 + 2.0**-52] * 2 + [0.3] * 2
     (SEB_PRIORITY, PqmcConfig(max_psi=1.0)),
     (SEB_PRIORITY, PqmcConfig(max_psi=1.0, max_leaves=58)),
     (SEB_PRIORITY, PqmcConfig(max_psi=1.0, max_depth=6)),
-    (SPC_PRIORITY, PqmcConfig(max_psi=0.0)),
-    (SPC_PRIORITY, PqmcConfig(max_psi=0.0, max_leaves=70, max_depth=8)),
+    (SPC_PRIORITY, PqmcConfig()),
+    (SPC_PRIORITY, PqmcConfig(max_leaves=70, max_depth=8)),
 ])
 def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, cfg):
     box = Box.from_bounds([0.0], [2.0])
@@ -167,7 +168,7 @@ def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, c
     if cfg.max_depth > 100 and cfg.max_leaves is None:
         # cells over the threshold are left that cannot be split, and one
         # of them reached the top of the queue before the last pop
-        stop = "max_psi" if cfg.priority_stop_active else "exhausted"
+        stop = "max_psi" if cfg.max_psi is not None else "exhausted"
         assert path.stop_reason == stop and path.success
         final = leaf_counts(path.final)
         stuck = [c for v, c in final.items() if not split_plane(*cell_bounds(box, [v]))[2][0]]
@@ -209,7 +210,7 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
     @given(shared_table_sample())
     def check(sample):
         pts, box, carve_leaves, cfg = sample
-        carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=carve_leaves, max_depth=cfg.max_depth)
+        carve_cfg = PqmcConfig(max_leaves=carve_leaves, max_depth=cfg.max_depth)
         table = CellTable(pts, box)
         carve = carve_path(table, carve_cfg)
         launches = launch_states(carve, 3)
@@ -220,7 +221,7 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
         runs = [(carve, leaf_state(box, [1], pts), SPC_PRIORITY, carve_cfg)]
         runs += [(path, s0, SEB_PRIORITY, cfg) for path, s0 in zip(shared, launches)]
         for path, s0, priority, c in runs:
-            fresh = run_pqmc(s0, pts, priority, c)
+            fresh = run_pqmc(s0, CellTable(pts, s0.root_box), priority, c)
             assert outcome(path) == outcome(fresh)
             assert (path.top, path.first_tie) == (fresh.top, fresh.first_tie)
             states, stop, success, had_ties = naive_path(
@@ -232,7 +233,7 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
             final, vol = leaf_counts(path.final), box.volume
             top = max((priority.value(final[v], volume_at_depth(vol, depth(v)), len(pts))
                        for v in splittable_leaves(final, box, c)), default=None)
-            if c.priority_stop_active and (top is None or top <= c.max_psi):
+            if c.max_psi is not None and (top is None or top <= c.max_psi):
                 top = c.max_psi
             assert path.top == top
         for path in shared:
@@ -254,7 +255,7 @@ def test_run_pqmc_rejects_counts_the_data_do_not_give():
     s = leaf_state(unit_box(2), [2, 3], other)
     assert leaf_counts(s) == {2: 6, 3: 4}
     with pytest.raises(ValueError, match="leaf 2 does not match"):
-        run_pqmc(s, pts, SEB_PRIORITY, PqmcConfig())
+        run_pqmc(s, CellTable(pts, s.root_box), SEB_PRIORITY, PqmcConfig())
 
 
 def test_run_pqmc_rejects_a_table_of_other_data(fig2_state):
@@ -286,7 +287,7 @@ def test_path_leaf_counts_increase_one_per_step():
     rng = np.random.default_rng(14)
     pts = random_points(rng, 300, 2)
     s0 = leaf_state(bounding_box(pts), [1], pts)
-    path = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=25))
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_leaves=25))
     for t, s in enumerate(path.states()):
         assert s.leaf_count == s0.leaf_count + t
 
@@ -297,21 +298,21 @@ def test_stop_disjunction_holds_on_every_run():
         pts = random_points(rng, int(rng.integers(10, 400)), int(rng.integers(1, 4)))
         s0 = leaf_state(bounding_box(pts), [1], pts)
         cfg = PqmcConfig(
-            max_psi=float(rng.integers(0, 20)),
+            max_psi=float(rng.integers(0, 20)) or None,
             max_leaves=int(rng.integers(1, 40)),
         )
-        path = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
+        path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
         final = leaf_counts(path.final)
         spl = splittable_leaves(final, s0.root_box, cfg)
         priorities = [final[v] for v in spl]
         assert (
             not spl
             or len(final) == cfg.max_leaves
-            or (cfg.priority_stop_active and max(priorities) <= cfg.max_psi)
+            or (cfg.max_psi is not None and max(priorities) <= cfg.max_psi)
         )
         # explicit success flag mirrors the criterion
         expected_success = (len(final) <= cfg.max_leaves) and (
-            not cfg.priority_stop_active
+            cfg.max_psi is None
             or not spl
             or max(priorities) <= cfg.max_psi
         )
@@ -323,21 +324,21 @@ def test_run_pqmc_deterministic_reruns():
     pts = random_points(rng, 500, 2)
     s0 = leaf_state(bounding_box(pts), [1], pts)
     cfg = PqmcConfig(max_psi=20.0)
-    a = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
-    b = run_pqmc(s0, pts, SEB_PRIORITY, cfg)
+    a = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
+    b = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
     assert a.records == b.records
 
 
 def test_carve_requires_zero_threshold():
     with pytest.raises(ValueError):
-        carve_path(np.zeros((3, 2)), PqmcConfig(max_psi=1.0))
+        carve_path(CellTable(np.zeros((3, 2)), unit_box(2)), PqmcConfig(max_psi=1.0))
 
 
 def test_carve_single_split_on_uniform_data():
     rng = np.random.default_rng(17)
     pts = rng.uniform(0, 1, size=(64, 2))
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=2)
-    path = carve_path(pts, cfg)
+    cfg = PqmcConfig(max_leaves=2)
+    path = carve_path(CellTable(pts, bounding_box(pts)), cfg)
     assert len(path) == 2
     assert path.records[0].label == 1
 
@@ -345,10 +346,10 @@ def test_carve_single_split_on_uniform_data():
 def test_carve_prefix_property():
     rng = np.random.default_rng(18)
     pts = random_points(rng, 500, 2)
-    cfg20 = PqmcConfig(max_psi=0.0, max_leaves=20)
-    cfg40 = PqmcConfig(max_psi=0.0, max_leaves=40)
-    p20 = carve_path(pts, cfg20)
-    p40 = carve_path(pts, cfg40)
+    cfg20 = PqmcConfig(max_leaves=20)
+    cfg40 = PqmcConfig(max_leaves=40)
+    p20 = carve_path(CellTable(pts, bounding_box(pts)), cfg20)
+    p40 = carve_path(CellTable(pts, bounding_box(pts)), cfg40)
     assert p40.state(p20.split_count) == p20.final
 
 
@@ -358,10 +359,10 @@ def test_carve_creates_more_empty_leaves_than_seb():
     x = rng.uniform(0, 1, 400)
     pts = np.column_stack([x, x + rng.normal(0, 0.01, 400)])
     box = bounding_box(pts)
-    carve_cfg = PqmcConfig(max_psi=0.0, max_leaves=20)
-    carve = carve_path(pts, carve_cfg, root_box=box)
+    carve_cfg = PqmcConfig(max_leaves=20)
+    carve = carve_path(CellTable(pts, box), carve_cfg)
     s0 = leaf_state(box, [1], pts)
-    seb = run_pqmc(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=20))
+    seb = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_leaves=20))
     def empty_fraction(s):
         return np.count_nonzero(s.leaves.counts == 0) / s.leaf_count
     assert carve.final.leaf_count == seb.final.leaf_count == 20
@@ -371,8 +372,8 @@ def test_carve_creates_more_empty_leaves_than_seb():
 def test_launch_states_even_spacing():
     rng = np.random.default_rng(20)
     pts = random_points(rng, 2000, 2)
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=41)
-    carve = carve_path(pts, cfg)
+    cfg = PqmcConfig(max_leaves=41)
+    carve = carve_path(CellTable(pts, bounding_box(pts)), cfg)
     assert carve.split_count == 40
     states = launch_states(carve, 5)
     assert [s.leaf_count - 1 for s in states] == [0, 10, 20, 30, 40]
@@ -382,8 +383,8 @@ def test_launch_states_even_spacing():
 def test_launch_states_degenerate_cases():
     rng = np.random.default_rng(21)
     pts = random_points(rng, 100, 2)
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=4)
-    carve = carve_path(pts, cfg)
+    cfg = PqmcConfig(max_leaves=4)
+    carve = carve_path(CellTable(pts, bounding_box(pts)), cfg)
     assert [s.leaf_count for s in launch_states(carve, 1)] == [1]
     everything = launch_states(carve, 99)
     assert len(everything) == len(carve)
@@ -391,15 +392,15 @@ def test_launch_states_degenerate_cases():
 
 def test_spc_zero_threshold_keeps_splitting():
     # the root's carving priority is exactly 0, so a literal "stop when
-    # max priority <= 0" would never leave the root; the zero threshold
-    # must instead be inert and let the leaf budget do the stopping
+    # max priority <= 0" would never leave the root; a carve runs with no
+    # priority stop (max_psi=None) and lets the leaf budget do the stopping
     from rphist.pqmc import SPC_PRIORITY
 
     rng = np.random.default_rng(45)
     pts = rng.uniform(0, 1, size=(50, 2))
     s0 = leaf_state(unit_box(2), [1], pts)
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=8)
-    path = run_pqmc(s0, pts, SPC_PRIORITY, cfg)
+    cfg = PqmcConfig(max_leaves=8)
+    path = run_pqmc(s0, CellTable(pts, s0.root_box), SPC_PRIORITY, cfg)
     assert path.final.leaf_count == 8
     assert path.stop_reason == "max_leaves"
 
@@ -408,8 +409,8 @@ def test_carve_identical_points_stops_by_exhaustion():
     # coincident points can never be separated; the chain must stop on
     # machine-precision exhaustion instead of hitting the leaf budget
     pts = np.tile([[0.25, 0.25]], (5, 1))
-    cfg = PqmcConfig(max_psi=0.0, max_leaves=10_000, max_depth=80)
-    path = carve_path(pts, cfg, root_box=unit_box(2))
+    cfg = PqmcConfig(max_leaves=10_000, max_depth=80)
+    path = carve_path(CellTable(pts, unit_box(2)), cfg)
     assert path.stop_reason == "exhausted"
     assert path.final.leaf_count < 10_000
 
@@ -437,6 +438,10 @@ def test_priority_value_ranges():
 
 
 def test_config_validation():
+    # None is the one way to ask for no priority stop
+    for max_psi in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="max_psi"):
+            PqmcConfig(max_psi=max_psi)
     with pytest.raises(ValueError):
         PqmcConfig(max_leaves=0)
     with pytest.raises(ValueError):

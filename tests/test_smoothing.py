@@ -88,12 +88,13 @@ def _grown_path(rng, n=300, maxlvs=20):
     pts = random_points(rng, n, 2)
     s0 = leaf_state(bounding_box(pts), [1], pts)
     cfg = PqmcConfig(max_leaves=maxlvs)
-    return run_pqmc(s0, pts, SEB_PRIORITY, cfg), pts
+    return run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg), pts
 
 
 def test_map_estimate_single_state():
     s = root_state(unit_box(2), 4)
-    path = run_pqmc(s, np.full((4, 2), 0.5), SEB_PRIORITY, PqmcConfig(max_leaves=1))
+    path = run_pqmc(s, CellTable(np.full((4, 2), 0.5), unit_box(2)), SEB_PRIORITY,
+                    PqmcConfig(max_leaves=1))
     est = select([path], SmoothingConfig((1.0,)))
     assert est.state == s
     assert est.tau == 1.0
@@ -248,7 +249,7 @@ def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves
     table = CellTable(pts, box)
     carve = carve_path(table, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
                                          max_depth=max_depth))
-    base = build_threshold_tree(pts, box, float(threshold), PqmcConfig(max_depth=max_depth))
+    base = build_threshold_tree(table, float(threshold), max_depth=max_depth)
     built, chains = [], []  # paths over the build's cells and over the table
     for launch in launch_states(carve, 3):
         for psi in (threshold, threshold + 4):
@@ -288,7 +289,7 @@ def test_select_over_whole_paths_equals_select_over_their_cuts(seed, d, side, th
         cfg = PqmcConfig(max_psi=low, max_leaves=max_leaves, max_depth=max_depth)
         wholes = [run_pqmc(launch, table, SEB_PRIORITY, cfg) for launch in launches]
     else:
-        base = build_threshold_tree(pts, box, low, PqmcConfig(max_depth=max_depth))
+        base = build_threshold_tree(table, low, max_depth=max_depth)
         wholes = [truncate_path(reconstruct_path(base.path, launch), low, max_leaves)
                   for launch in launches]
     cuts = [truncate_path(whole, low + extra, max_leaves)

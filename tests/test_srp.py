@@ -187,7 +187,7 @@ def test_density_at_equals_membership_on_deep_tied_histograms():
     @given(deep_tied_sample(), st.data())
     def check(sample, data):
         pts, box, threshold = sample
-        path = run_pqmc(leaf_state(box, [1], pts), pts, SEB_PRIORITY,
+        path = run_pqmc(leaf_state(box, [1], pts), CellTable(pts, box), SEB_PRIORITY,
                         PqmcConfig(max_psi=threshold))
         h = histogram(path.final)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
