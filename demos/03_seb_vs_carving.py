@@ -13,7 +13,7 @@ warm-up stage before SEB refinement.
 
 import numpy as np
 
-from rphist import PqmcConfig, SEB_PRIORITY, State, bounding_box, carve_path, run_pqmc
+from rphist import bounding_box, carve_path, run_pqmc
 from rphist.pqmc import CellTable
 
 rng = np.random.default_rng(7)
@@ -21,17 +21,19 @@ x = rng.uniform(0, 1, 2000)
 points = np.column_stack([x, x + rng.normal(0, 0.01, x.size)])
 box = bounding_box(points)
 table = CellTable(points, box)
-s0 = State(table, [1])
+# The SEB chain runs to a count threshold; its state after t splits has
+# t + 1 leaves.  The carve runs to a leaf budget.  Both share the table.
+seb = run_pqmc(table, 30.0)
 
 for leaves in (20, 40):
-    seb = run_pqmc(s0, table, SEB_PRIORITY, PqmcConfig(max_leaves=leaves))
-    carve = carve_path(table, PqmcConfig(max_leaves=leaves))
+    seb_state = seb.state(leaves - 1)
+    carve = carve_path(table, leaves)
 
     def empty_fraction(state):
         return (state.leaves.counts == 0).sum() / state.leaf_count
 
     print(f"{leaves} leaves: empty-leaf fraction "
-          f"SEB={empty_fraction(seb.final):.2f} "
+          f"SEB={empty_fraction(seb_state):.2f} "
           f"carve={empty_fraction(carve.final):.2f}")
 
 # Optional picture: leaf rectangles of both partitions at 40 leaves.
@@ -43,9 +45,9 @@ try:
     from matplotlib.patches import Rectangle
 
     fig, axes = plt.subplots(1, 2, figsize=(10, 5), sharex=True, sharey=True)
-    for ax, path, title in ((axes[0], seb, "SEB, 40 leaves"),
-                            (axes[1], carve, "carving, 40 leaves")):
-        cells = path.final.leaves
+    for ax, state, title in ((axes[0], seb_state, "SEB, 40 leaves"),
+                             (axes[1], carve.final, "carving, 40 leaves")):
+        cells = state.leaves
         for (x0, y0), (x1, y1) in zip(cells.lo.tolist(), cells.hi.tolist()):
             ax.add_patch(Rectangle((x0, y0), x1 - x0, y1 - y0,
                                    fill=False, linewidth=0.7))

@@ -18,14 +18,7 @@ import time
 
 import numpy as np
 
-from rphist import (
-    PqmcConfig,
-    SEB_PRIORITY,
-    State,
-    bounding_box,
-    build_threshold_tree,
-    run_pqmc,
-)
+from rphist import bounding_box, build_threshold_tree, run_pqmc
 from rphist.pqmc import CellTable
 
 rng = np.random.default_rng(3)
@@ -54,7 +47,7 @@ for i, st in enumerate(result.stats):
 # split for split, with the same next pop and first tied pop.
 small = np.round(points[:3000], 1)
 small_table = CellTable(small, bounding_box(small))
-seq = run_pqmc(State(small_table, [1]), small_table, SEB_PRIORITY, PqmcConfig(max_psi=30.0))
+seq = run_pqmc(small_table, 30.0)
 par = build_threshold_tree(small_table, 30.0, shard_count=4)
 print(f"sequential chain: {seq.split_count} splits, priority ties: {seq.had_ties}")
 assert par.path.final == seq.final, "terminal trees differ"

@@ -12,17 +12,7 @@ from .evaluate import EvalReport, GaussianReference, UniformReference, l1_error,
 from .geometry import Box, bounding_box
 from .io import export_plot_data, ingest_csv, load_histogram, save_histogram
 from .pipeline import RunConfig, run_pipeline
-from .pqmc import (
-    PqmcConfig,
-    PqmcPath,
-    Priority,
-    SEB_PRIORITY,
-    SPC_PRIORITY,
-    State,
-    carve_path,
-    launch_states,
-    run_pqmc,
-)
+from .pqmc import PqmcPath, State, carve_path, launch_states, run_pqmc
 from .smoothing import (
     ScoredEstimate,
     SmoothingConfig,

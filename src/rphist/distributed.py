@@ -20,24 +20,24 @@ plans each cell's bounds and split plane once, from its parent's.
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
 split, so the result coincides with the tree the sequential chain
-reaches when run to the same threshold.  The sequential path itself is
-a sort: a parent's count is no smaller and its label is smaller than
-its children's, so a chain that pops the largest count, ties towards
-the lowest label, splits the cells in ascending ``(-count, label)``
-order (:func:`reconstruct_path`).  In a build that is ascending
-``(-count, id)``: each iteration splits cells of one depth, left to
-right, and an over-threshold cell that cannot be split is never split,
-so the ids rise with the labels.
+(:func:`~rphist.pqmc.run_pqmc`) reaches when run to the same
+threshold.  The sequential path itself is a sort: a parent's count is
+no smaller and its label is smaller than its children's, so a chain
+that pops the largest count, ties towards the lowest label, splits the
+cells in ascending ``(-count, label)`` order (:func:`reconstruct_path`).
+In a build that is ascending ``(-count, id)``: each iteration splits
+cells of one depth, left to right, and an over-threshold cell that
+cannot be split is never split, so the ids rise with the labels.
 
 One path from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
 a higher threshold.  So a single build at the lowest threshold of a run
 is sorted once into the SEB path from the root
 (:attr:`BuildResult.path`, equal to the sequential chain's), and the
-path from each launch state is the rows of either that the launch state
-has not split (:func:`reconstruct_path`).  The chain pops in
-non-increasing count order, so the path to a higher threshold or under
-a leaf budget is a prefix of the path to a lower one
+path that an SEB chain launched from a state would take is the rows of
+either that the state has not split (:func:`reconstruct_path`).  The
+chain pops in non-increasing count order, so the path to a higher
+threshold or under a leaf budget is a prefix of the path to a lower one
 (:func:`truncate_path`).
 """
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .pqmc import CellStore, CellTable, PqmcPath, State
 from .tree import ROOT, cell_bounds  # noqa: F401
 
 SplitCells = dict[int, int]  # label -> index of a working cell to split
+STEP_BLOCK = 1 << 18  # rows per block of a shard step, which sizes its temporaries
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,9 @@ def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
     can actually be split (depth cap and machine bisectability), as
     ``{label: index}``."""
     ok = ds.store.planes(ds.cells)[2] & (counts > threshold)
-    limit = 1 << max_depth  # a label below it is above the depth cap
     labels = ds.labels
-    return {a: i for i in np.flatnonzero(ok).tolist() if (a := labels[i]) < limit}
+    return {a: i for i in np.flatnonzero(ok).tolist()
+            if (a := labels[i]).bit_length() <= max_depth}
 
 
 def apply_splits(ds: TaggedDataset, split: SplitCells,
@@ -143,8 +144,10 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     point of cell ``c`` (its tag through ``ds.remap``) is retagged
     ``first[c] + side``, its new cell's index or past the end if
     parked.  A point of a cell not split compares against ``+inf``, so
-    its side is 0 (points are finite).  A shard whose working points
-    fall below half of its rows drops its parked points.
+    its side is 0 (points are finite).  A shard steps through its rows
+    in blocks of ``STEP_BLOCK``, which bounds the per-point temporaries.
+    A shard whose working points fall below half of its rows drops its
+    parked points.
     """
     if not split:
         return ds
@@ -160,20 +163,18 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     tag_first, tag_axis, tag_mid = first[ds.remap], axis[ds.remap], mid[ds.remap]
 
     def step(shard: Shard) -> Shard:
-        i, points = shard.index, shard.points
-        at = np.arange(0, points.size, points.shape[1])  # row starts, then coordinates
-        at += tag_axis[i]
-        coord = points.reshape(-1)[at]
-        del at  # one per-point temporary fewer at the comparison
-        side = coord >= tag_mid[i]
-        del coord
-        tag = tag_first[i]
-        tag += side
+        tag = np.empty_like(shard.index)
+        for s in range(0, len(tag), STEP_BLOCK):
+            i, points = shard.index[s:s + STEP_BLOCK], shard.points[s:s + STEP_BLOCK]
+            at = np.arange(0, points.size, points.shape[1])  # row starts, then coordinates
+            at += tag_axis[i]
+            side = points.reshape(-1)[at] >= tag_mid[i]
+            np.add(tag_first[i], side, out=tag[s:s + STEP_BLOCK])
         counts = np.bincount(tag, minlength=cells + 1)
         if 2 * counts[cells] > len(tag):
             work = tag < cells
-            tag, points = tag[work], points[work]
-        return Shard(tag, points, counts[:cells])
+            return Shard(tag[work], shard.points[work], counts[:cells])
+        return Shard(tag, shard.points, counts[:cells])
 
     shards = tuple((map if pool is None else pool.map)(step, ds.shards))
     out = TaggedDataset(ds.store, np.repeat(ds.cells, width[:k]), shards,
@@ -250,11 +251,12 @@ def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 10
     The build starts from the root cell of ``table``, the run's checked
     points, in a store of its own.  Its cells form the unique tree in
     which every leaf has count at or below the threshold; it equals the
-    terminal state of the sequential SEB chain run from the root over
-    the same table with ``max_psi = threshold``, the same ``max_depth``
-    and no leaf budget, whose path is :attr:`BuildResult.path`.  An
-    over-threshold cell that cannot be split (depth cap or machine
-    precision) stays a leaf, as in the sequential chain.  With several
+    terminal state of the sequential SEB chain
+    (:func:`~rphist.pqmc.run_pqmc`) over the same table to the same
+    threshold and ``max_depth``, whose path is
+    :attr:`BuildResult.path`.  An over-threshold cell that cannot be
+    split (depth cap or machine precision) stays a leaf, as in the
+    sequential chain.  With several
     workers and shards, one thread pool maps the shards of every step,
     one map per iteration.
     """
@@ -296,7 +298,7 @@ def assemble_srp(cells: CellStore) -> State:
 def reconstruct_path(root: PqmcPath, launch: State | None = None) -> PqmcPath:
     """The SEB path from ``launch`` to the threshold of ``root``, read off
     ``root``: the whole SEB path from the root state, a root build's
-    :attr:`BuildResult.path` or the sequential chain's.
+    :attr:`BuildResult.path` or :func:`~rphist.pqmc.run_pqmc`'s.
 
     Counts never increase down the tree, so the cells with count above
     the threshold form a subtree from the root that every chain splits,

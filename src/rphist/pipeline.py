@@ -38,14 +38,7 @@ from .distributed import build_threshold_tree, reconstruct_path, truncate_path
 from .errors import InsufficientData, NotBisectable
 from .geometry import DEFAULT_PAD, bounding_box, require_volume
 from .io import ingest_csv, save_histogram
-from .pqmc import (
-    CellTable,
-    PqmcConfig,
-    SEB_PRIORITY,
-    carve_path,
-    launch_states,
-    run_pqmc,
-)
+from .pqmc import CellTable, carve_path, launch_states, run_pqmc
 from .smoothing import (
     DEFAULT_TAU_MAX,
     DEFAULT_TAU_MIN,
@@ -153,9 +146,8 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             raise NotBisectable(f"{exc} (pad > 0 widens a constant coordinate)") from None
 
     with _stage(timings, "carve"):
-        carve_cfg = PqmcConfig(max_leaves=cfg.effective_carve_leaves, max_depth=cfg.max_depth)
         table = CellTable(points, root_box)
-        carve = carve_path(table, carve_cfg)
+        carve = carve_path(table, cfg.effective_carve_leaves, cfg.max_depth)
         launches = launch_states(carve, cfg.tributaries)
 
     # One SEB path from the root to the lowest threshold, with no leaf
@@ -163,8 +155,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
     low = float(min(cfg.maxpts))
     with _stage(timings, "tributary_build"):
         if cfg.sequential:
-            root = run_pqmc(carve.initial, table, SEB_PRIORITY,
-                            PqmcConfig(max_psi=low, max_depth=cfg.max_depth))
+            root = run_pqmc(table, low, cfg.max_depth)
             build = {"threshold": low, "partitioned_cells": table.partitioned}
             logger.info("1 sequential SEB chain to threshold %g: %d splits, "
                         "%d cells partitioned", low, root.split_count, table.partitioned)

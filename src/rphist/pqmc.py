@@ -1,39 +1,40 @@
-"""Priority-queued splitting chains over statistical regular pavings.
+"""The two priority-queued splitting chains of a run, over its cell table.
 
-A chain starts from a state and repeatedly splits the splittable leaf of
-largest priority until it runs out of splittable leaves, reaches a leaf
-budget, or the largest priority drops to the stopping threshold.  Two
-priorities are provided:
+A chain starts from the root of the run's :class:`CellTable` and
+repeatedly splits the splittable leaf of largest priority, ties towards
+the lowest label.  A run makes two chains:
 
-* ``SEB`` (statistically equivalent blocks): the leaf's point count.
-  Splitting the fullest cells drives all cells towards equal counts.
-* ``SPC`` (support carving): ``(1 - count/n) * volume``.  Splitting
-  large, nearly empty cells carves away the void around the data
-  support, complementing SEB.
+* the support-carving chain (:func:`carve_path`), whose priority is
+  ``(1 - count/n) * volume``: splitting large, nearly empty cells carves
+  away the void around the data support.  It stops at a leaf budget or
+  when no splittable leaf is left.
+* the SEB (statistically equivalent blocks) chain (:func:`run_pqmc`),
+  whose priority is the leaf's point count: splitting the fullest cells
+  drives all cells towards equal counts.  It stops when no splittable
+  leaf is left above a count threshold.
 
-A carving run followed by the SEB paths from states spread along the
-carve path ("tributaries") yields the candidate states that the
-smoothing stage scores; a run reads every tributary off one SEB path
-from the root (:func:`rphist.distributed.reconstruct_path`).  The cells
-a run creates are the rows of a :class:`CellStore`, which the sharded
-builder fills too.  Every builder of a run takes its one
-:class:`CellTable`, which checks the points against the root box once.
-The chains, the carve and the root SEB chain, share it as a store over
-one permutation of the points, which partitions each cell once per run;
-the sharded build cuts its shards from its points.  A chain itself
-keeps only a heap of the priorities of the leaves it may pop, those
-above its threshold, and its leaf count.  A path is the ids of the
-cells it split, rows of that store, and a state is a launch state's
-leaves with a prefix of those rows split (:class:`State`), so every
-label, count and bound is read from the store.  A path's stop reason,
-success and tie flags are read off what it keeps, so a path cut from a
-longer one needs no chain of its own.
+States spread along the carve path (:func:`launch_states`) launch the
+tributaries whose states the smoothing stage scores; a run reads every
+tributary off one SEB path from the root, the SEB chain's or the
+sharded build's (:func:`rphist.distributed.reconstruct_path`).  The cells a run
+creates are the rows of a :class:`CellStore`, which the sharded builder
+fills too.  Both chains share the run's one :class:`CellTable`, which
+checks the points against the root box once and is a store over one
+permutation of the points, which partitions each cell once per run; the
+sharded build cuts its shards from its points.  A chain itself keeps
+only a heap of the priorities of the leaves it may pop, those above its
+threshold, and its leaf count.  A path is the ids of the cells it split,
+rows of that store, and a state is a launch state's leaves with a prefix
+of those rows split (:class:`State`), so every label, count and bound is
+read from the store.  A path's success and tie flags are read off what
+it keeps, so a path cut from a longer one needs no chain of its own.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -45,61 +46,6 @@ from .geometry import Box, split_plane, volume_at_depth
 from .srp import points_in_box
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
 from .tree import ROOT, cell_bounds  # noqa: F401
-
-SEB = "seb"
-SPC = "spc"
-
-
-@dataclass(frozen=True)
-class Priority:
-    """A priority function over leaves, evaluated from count and volume."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (SEB, SPC):
-            raise ValueError(f"unknown priority kind {self.kind!r}")
-
-    def value(self, count: int, volume: float, n: int) -> float:
-        if self.kind == SEB:
-            return float(count)
-        if n == 0:
-            return volume
-        return (1.0 - count / n) * volume
-
-
-SEB_PRIORITY = Priority(SEB)
-SPC_PRIORITY = Priority(SPC)
-
-
-@dataclass(frozen=True)
-class PqmcConfig:
-    """Stopping thresholds of a splitting chain.
-
-    ``max_psi``, ``None`` or above 0, stops the chain once the largest
-    splittable priority is no bigger than it; ``None`` disables that
-    stop.  ``max_leaves=None`` removes the leaf budget.
-    """
-
-    max_psi: float | None = None
-    max_leaves: int | None = None
-    max_depth: int = 1000
-
-    def __post_init__(self):
-        if self.max_psi is not None and not self.max_psi > 0.0:  # NaN fails too
-            raise ValueError("max_psi must be None or > 0")
-        if self.max_leaves is not None and self.max_leaves < 1:
-            raise ValueError("max_leaves must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
-class SplitRecord(NamedTuple):
-    """One chain transition: leaf ``label`` split into counts (left, right)."""
-
-    label: int
-    left_count: int
-    right_count: int
 
 
 class Leaves(NamedTuple):
@@ -203,18 +149,18 @@ class PqmcPath:
     ``initial`` is a :class:`State` with no rows, and ``splits`` is the
     store of the rows: the :class:`CellTable` the chain ran on, or the
     cells of a root build (:attr:`rphist.distributed.BuildResult.cells`).
-    Paths cut from one path share its store.  ``records`` is the same
-    splits as :class:`SplitRecord` tuples, built on first use.
+    Paths cut from one path share its store.
 
     ``state(t)`` is the state after the first ``t`` splits, the launch
     leaves with a prefix of the rows split; ``states()`` lists them all.
     Consecutive states differ by exactly one split.  The flags derive
-    from the ``threshold`` (``max_psi``, None with no priority stop)
-    and ``max_leaves`` the chain ran under, ``top``, the priority of its
+    from the ``threshold`` (None with no priority stop) and
+    ``max_leaves`` the chain ran under, ``top``, the priority of its
     next pop (the threshold if no splittable leaf is left above it, None
     if none is left and no threshold is active), and ``first_tie``, the
-    step of its first tied pop (``len(rows)`` if none).  Two paths
-    are equal when their launch state, records and these fields are.
+    step of its first tied pop (``len(rows)`` if none).  Two paths are
+    equal when their launch state, the labels of their split cells with
+    the children's counts, and these fields are.
     """
 
     initial: State
@@ -225,18 +171,17 @@ class PqmcPath:
     top: float | None
     first_tie: int
 
-    @cached_property
-    def records(self) -> tuple[SplitRecord, ...]:
+    def _split_cells(self) -> tuple[list[int], list[int], list[int]]:
         left, right = self.splits.split_counts(self.rows)
         labels = self.splits.labels
-        return tuple(map(SplitRecord, [labels[r] for r in self.rows.tolist()],
-                         left.tolist(), right.tolist()))
+        return [labels[r] for r in self.rows.tolist()], left.tolist(), right.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PqmcPath):
             return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in
-                   ("initial", "records", "threshold", "max_leaves", "top", "first_tie"))
+        return (self.initial == other.initial and self._split_cells() == other._split_cells()
+                and all(getattr(self, f) == getattr(other, f) for f in
+                        ("threshold", "max_leaves", "top", "first_tie")))
 
     def __len__(self) -> int:
         return len(self.rows) + 1
@@ -256,17 +201,6 @@ class PqmcPath:
 
     def states(self) -> list[State]:
         return [self.state(t) for t in range(len(self))]
-
-    @property
-    def stop_reason(self) -> str:
-        """Why the chain stopped, checked in the chain's order: no
-        splittable leaf left under no threshold, the leaf budget, no
-        splittable leaf left above the threshold."""
-        if self.top is None:
-            return "exhausted"
-        if self.max_leaves is not None and self.leaf_count >= self.max_leaves:
-            return "max_leaves"
-        return "max_psi"
 
     @property
     def success(self) -> bool:
@@ -442,104 +376,95 @@ class CellTable(CellStore):
         return kid
 
 
-class _LeafPool:
-    """One chain's leaf count and heap of ``(-priority, label, cell id)``
-    keys over the leaves it may still pop: the top is the largest
-    priority, ties towards the lowest label.  A leaf that cannot be
-    bisected is dropped when it reaches the top, so the top and the tie
-    check after a pop see the splittable leaves alone.  Under an active
-    threshold, a leaf whose priority is at or below it is never popped,
-    so it is not kept at all."""
+def _chain(table: CellTable, priority: Callable[[int, int], float], threshold: float | None,
+           max_leaves: int | None, max_depth: int) -> PqmcPath:
+    """The chain from the root of ``table`` under ``priority(label,
+    count)``.
 
-    def __init__(self, s0: State, table: CellTable, priority: Priority, cfg: PqmcConfig):
-        self.table, self.priority = table, priority
-        self.threshold = cfg.max_psi
-        self.limit = 1 << cfg.max_depth  # a label below it is above the depth cap
-        self.root_volume = table.root_box.volume
-        self.heap: list[tuple[float, int, int]] = []
-        self.leaf_count = s0.leaf_count
-        labels, counts, *_ = s0.leaves
-        self.launch = [table.cell(label) for label in labels]
-        for label, count, cell in zip(labels, counts.tolist(), self.launch):
-            if table.count[cell] != count:
-                raise ValueError(f"the initial count at leaf {label} does not match the data")
-            self._admit(label, cell)
+    The chain keeps its leaf count and a heap of ``(-priority, label,
+    cell id)`` keys over the leaves it may still pop: the top is the
+    largest priority, ties towards the lowest label.  A leaf that cannot
+    be bisected is dropped when it reaches the top, so the top and the
+    tie check after a pop see the splittable leaves alone.  A leaf that
+    is empty, at the depth cap, or at or below an active threshold is
+    never popped, so it is not kept at all.  The chain stops when no
+    splittable leaf is left above the threshold (or at all, with no
+    threshold) or the leaf count reaches ``max_leaves``.  Termination is
+    guaranteed: the leaf count strictly increases and splittability is
+    depth-bounded.
+    """
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    heap: list[tuple[float, int, int]] = []
 
-    def _admit(self, label: int, cell: int) -> None:
-        count = self.table.count[cell]
-        if count and label < self.limit:
-            vol = (0.0 if self.priority.kind == SEB
-                   else volume_at_depth(self.root_volume, label.bit_length() - 1))
-            value = self.priority.value(count, vol, self.table.n)
-            if self.threshold is None or value > self.threshold:
-                heapq.heappush(self.heap, (-value, label, cell))
+    def admit(label: int, cell: int) -> None:
+        count = table.count[cell]
+        if count and label.bit_length() <= max_depth:
+            value = priority(label, count)
+            if threshold is None or value > threshold:
+                heapq.heappush(heap, (-value, label, cell))
 
-    def top(self) -> float | None:
+    def top() -> float | None:
         """The largest priority of a splittable leaf, after dropping the
         leaves that cannot be split; once none is left above the
         threshold, the threshold (None if no threshold is active)."""
-        while self.heap and not self.table.splittable(self.heap[0][2]):
-            heapq.heappop(self.heap)
-        return -self.heap[0][0] if self.heap else self.threshold
+        while heap and not table.splittable(heap[0][2]):
+            heapq.heappop(heap)
+        return -heap[0][0] if heap else threshold
 
-    def split_top(self) -> tuple[int, bool]:
-        """Split the top leaf; return its cell id and whether another
-        splittable leaf had the same priority."""
-        key, label, cell = heapq.heappop(self.heap)
-        tied = self.top() == -key  # the threshold is below every popped priority
-        kid = self.table.split(cell)
-        self._admit(2 * label, kid)
-        self._admit(2 * label + 1, kid + 1)
-        self.leaf_count += 1
-        return cell, tied
-
-
-def run_pqmc(s0: State, table: CellTable, priority: Priority, cfg: PqmcConfig) -> PqmcPath:
-    """Run one priority-queued splitting chain from ``s0``.
-
-    At every step the splittable leaf with the largest priority is
-    split (ties towards the lowest label) until no splittable leaf remains
-    above ``cfg.max_psi`` (or at all, with no priority stop) or the leaf
-    count reaches ``cfg.max_leaves``.  Termination is guaranteed: the leaf
-    count strictly increases and splittability is depth-bounded.
-    ``table`` is the run's :class:`CellTable` over the data of ``s0``; a
-    ValueError says that it does not give the counts of ``s0``.  The
-    path's launch leaves and rows are cells of the table.
-    """
-    if table.n != s0.n or table.root_box != s0.root_box:
-        raise ValueError(f"the state holds {s0.n} points in {s0.root_box}, "
-                         f"the cell table {table.n} in {table.root_box}")
-    pool = _LeafPool(s0, table, priority, cfg)
-    threshold = pool.threshold
+    admit(1, ROOT)
     rows = array("q")
     first_tie = None
-    budget = cfg.max_leaves or float("inf")
+    budget = max_leaves or float("inf")
     # the top is the threshold once no splittable leaf is left above it
-    while (top := pool.top()) != threshold and pool.leaf_count < budget:
-        cell, tied = pool.split_top()
-        if tied and first_tie is None:
+    while (next_pop := top()) != threshold and len(rows) + 1 < budget:
+        key, label, cell = heapq.heappop(heap)
+        # another splittable leaf has the same priority; the threshold is
+        # below every popped priority
+        if first_tie is None and top() == -key:
             first_tie = len(rows)
+        kid = table.split(cell)
+        admit(2 * label, kid)
+        admit(2 * label + 1, kid + 1)
         rows.append(cell)
-    return PqmcPath(State(table, pool.launch), table, np.array(rows, dtype=np.intp),
-                    threshold, cfg.max_leaves, top,
+    return PqmcPath(State(table, [ROOT]), table, np.array(rows, dtype=np.intp),
+                    threshold, max_leaves, next_pop,
                     len(rows) if first_tie is None else first_tie)
 
 
-def carve_path(table: CellTable, cfg: PqmcConfig) -> PqmcPath:
-    """Support-carving chain from the root state of ``table``, the run's
+def run_pqmc(table: CellTable, threshold: float, max_depth: int = 1000) -> PqmcPath:
+    """The SEB chain from the root of ``table``, the run's
+    :class:`CellTable`, to ``threshold``, with no leaf budget.
+
+    The priority of a leaf is its point count, and the chain stops once
+    no splittable leaf holds more than ``threshold`` points.  The path's
+    launch leaf and rows are cells of the table.
+    """
+    if not threshold > 0.0:  # NaN fails too
+        raise ValueError("threshold must be > 0")
+    return _chain(table, lambda label, count: float(count), float(threshold), None, max_depth)
+
+
+def carve_path(table: CellTable, max_leaves: int, max_depth: int = 1000) -> PqmcPath:
+    """The support-carving chain from the root of ``table``, the run's
     :class:`CellTable`, with no priority stop.
 
-    Runs the SPC priority until the leaf budget ``cfg.max_leaves`` is
-    reached or no splittable leaf remains; ``cfg.max_psi`` must be None.
+    The priority of a leaf is ``(1 - count/n) * volume``; the chain
+    stops at ``max_leaves`` leaves or when no splittable leaf remains.
     """
-    if cfg.max_psi is not None:
-        raise ValueError("the carve chain requires max_psi = None")
-    return run_pqmc(State(table, [ROOT]), table, SPC_PRIORITY, cfg)
+    if max_leaves < 1:
+        raise ValueError("max_leaves must be >= 1")
+    n, root_volume = table.n, table.root_box.volume
+
+    def priority(label: int, count: int) -> float:
+        return (1.0 - count / n) * volume_at_depth(root_volume, label.bit_length() - 1)
+
+    return _chain(table, priority, None, max_leaves, max_depth)
 
 
 def launch_states(carve: PqmcPath, c: int) -> list[State]:
     """``c`` states spread evenly along a carve path, always including
-    the path's first state (the root state for a root-started carve).
+    the path's first state, the root state.
 
     If ``c`` is at least the path length, every state is returned.
     """

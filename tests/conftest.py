@@ -1,14 +1,153 @@
 """Shared fixtures and generators for the test suite."""
 
+import heapq
+from array import array
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rphist.geometry import Box, bounding_box, split_plane
-from rphist.pqmc import CellStore, CellTable, PqmcConfig, SEB_PRIORITY, State, run_pqmc
+from rphist.geometry import Box, bounding_box, split_plane, volume_at_depth
+from rphist.pqmc import CellStore, CellTable, PqmcPath, State
 from rphist.srp import inside_mask
 from rphist.tree import ROOT, cell_bounds
+
+SEB = "seb"
+SPC = "spc"
+
+
+@dataclass(frozen=True)
+class Priority:
+    """A chain priority over leaves, evaluated from count and volume:
+    ``SEB``, the count, or ``SPC``, ``(1 - count/n) * volume``."""
+
+    kind: str
+
+    def value(self, count: int, volume: float, n: int) -> float:
+        if self.kind == SEB:
+            return float(count)
+        return (1.0 - count / n) * volume
+
+
+SEB_PRIORITY = Priority(SEB)
+SPC_PRIORITY = Priority(SPC)
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    """Stopping rules of the reference chain: a threshold ``max_psi``
+    (None: no priority stop), a leaf budget ``max_leaves`` (None: no
+    budget) and a depth cap."""
+
+    max_psi: float | None = None
+    max_leaves: int | None = None
+    max_depth: int = 1000
+
+
+class SplitRecord(NamedTuple):
+    """One chain transition: leaf ``label`` split into counts (left, right)."""
+
+    label: int
+    left_count: int
+    right_count: int
+
+
+def records(path: PqmcPath) -> tuple[SplitRecord, ...]:
+    """A path's splits: each split cell's label and its children's counts."""
+    left, right = path.splits.split_counts(path.rows)
+    labels = path.splits.labels
+    return tuple(map(SplitRecord, [labels[r] for r in path.rows.tolist()],
+                     left.tolist(), right.tolist()))
+
+
+def stop_reason(path: PqmcPath) -> str:
+    """Why a chain stopped, checked in the chain's order: no splittable
+    leaf left under no threshold, the leaf budget, no splittable leaf
+    left above the threshold."""
+    if path.top is None:
+        return "exhausted"
+    if path.max_leaves is not None and path.leaf_count >= path.max_leaves:
+        return "max_leaves"
+    return "max_psi"
+
+
+class LeafPool:
+    """The reference chain's leaf count and heap of ``(-priority, label,
+    cell id)`` keys over the leaves it may still pop, launched from the
+    leaves of ``s0``, each found in ``table`` by its label: the top is
+    the largest priority, ties towards the lowest label.  A leaf that
+    cannot be bisected is dropped when it reaches the top.  Under an
+    active threshold, a leaf at or below it is not kept."""
+
+    def __init__(self, s0: State, table: CellTable, priority: Priority, cfg: ChainConfig):
+        self.table, self.priority, self.cfg = table, priority, cfg
+        self.threshold = cfg.max_psi
+        self.heap: list[tuple[float, int, int]] = []
+        self.leaf_count = s0.leaf_count
+        labels, counts, *_ = s0.leaves
+        self.launch = [table.cell(label) for label in labels]
+        for label, count, cell in zip(labels, counts.tolist(), self.launch):
+            if table.count[cell] != count:
+                raise ValueError(f"the initial count at leaf {label} does not match the data")
+            self.admit(label, cell)
+
+    def admit(self, label: int, cell: int) -> None:
+        count = self.table.count[cell]
+        if count and label.bit_length() <= self.cfg.max_depth:
+            vol = volume_at_depth(self.table.root_box.volume, label.bit_length() - 1)
+            value = self.priority.value(count, vol, self.table.n)
+            if self.threshold is None or value > self.threshold:
+                heapq.heappush(self.heap, (-value, label, cell))
+
+    def top(self) -> float | None:
+        """The largest priority of a splittable leaf, or once none is left
+        above the threshold, the threshold (None with no threshold)."""
+        while self.heap and not self.table.splittable(self.heap[0][2]):
+            heapq.heappop(self.heap)
+        return -self.heap[0][0] if self.heap else self.threshold
+
+    def split_top(self) -> tuple[int, bool]:
+        """Split the top leaf; return its cell id and whether another
+        splittable leaf had the same priority."""
+        key, label, cell = heapq.heappop(self.heap)
+        tied = self.top() == -key
+        kid = self.table.split(cell)
+        self.admit(2 * label, kid)
+        self.admit(2 * label + 1, kid + 1)
+        self.leaf_count += 1
+        return cell, tied
+
+
+def chain(s0: State, table: CellTable, priority: Priority, cfg: ChainConfig) -> PqmcPath:
+    """The general priority-queued chain, the reference for the chains a
+    run makes (:func:`rphist.pqmc.carve_path`, :func:`rphist.pqmc.run_pqmc`)
+    and for the paths read off a root path
+    (:func:`rphist.distributed.reconstruct_path`, :func:`truncate_path`).
+
+    From any launch state ``s0`` over the data of ``table``, it splits
+    the splittable leaf of largest priority, ties towards the lowest
+    label, until no splittable leaf is left above ``cfg.max_psi`` (or at
+    all, with no threshold) or the leaf count reaches ``cfg.max_leaves``.
+    A ValueError says that ``table`` does not give the counts of ``s0``.
+    """
+    if table.n != s0.n or table.root_box != s0.root_box:
+        raise ValueError(f"the state holds {s0.n} points in {s0.root_box}, "
+                         f"the cell table {table.n} in {table.root_box}")
+    pool = LeafPool(s0, table, priority, cfg)
+    rows = array("q")
+    first_tie = None
+    budget = cfg.max_leaves or float("inf")
+    while (top := pool.top()) != pool.threshold and pool.leaf_count < budget:
+        cell, tied = pool.split_top()
+        if tied and first_tie is None:
+            first_tie = len(rows)
+        rows.append(cell)
+    return PqmcPath(State(table, pool.launch), table, np.array(rows, dtype=np.intp),
+                    pool.threshold, cfg.max_leaves, top,
+                    len(rows) if first_tie is None else first_tie)
 
 def unit_box(d: int) -> Box:
     return Box.from_bounds([0.0] * d, [1.0] * d)
@@ -159,8 +298,7 @@ def random_state(rng: np.random.Generator, n_max: int = 200, d_max: int = 3,
     box = bounding_box(pts)
     s0 = leaf_state(box, [ROOT], pts)
     splits = int(rng.integers(0, max_splits + 1))
-    cfg = PqmcConfig(max_leaves=1 + splits)
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
+    path = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, ChainConfig(max_leaves=1 + splits))
     return path.final, pts
 
 
@@ -174,5 +312,5 @@ def seb_instance(seed: int):
     threshold = float(rng.integers(max(2, n // 64), max(3, n // 4)))
     box = bounding_box(pts)
     s0 = leaf_state(box, [ROOT], pts)
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_psi=threshold))
+    path = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, ChainConfig(max_psi=threshold))
     return pts, box, threshold, path

@@ -21,29 +21,25 @@ from rphist.distributed import (
     truncate_path,
 )
 from rphist.geometry import Box, bounding_box
-from rphist.pqmc import (
-    CellStore,
-    CellTable,
-    PqmcConfig,
-    PqmcPath,
-    SEB_PRIORITY,
-    SPC_PRIORITY,
-    SplitRecord,
-    carve_path,
-    launch_states,
-    run_pqmc,
-)
+from rphist.pqmc import CellStore, CellTable, PqmcPath, carve_path, launch_states, run_pqmc
 from rphist.srp import Histogram, histogram, inside_mask
 from rphist.tree import cell_bounds
 
 from conftest import (
+    SEB_PRIORITY,
+    SPC_PRIORITY,
+    ChainConfig,
+    SplitRecord,
+    chain,
     leaf_counts,
     leaf_state,
     membership_counts,
     node_counts,
     nodes_of,
     random_points,
+    records,
     seb_instance,
+    stop_reason,
     tied_tree_sample,
     unit_box,
 )
@@ -207,7 +203,7 @@ def test_build_fig7_style_matches_sequential():
     pts = fig7_dataset(1).shards[0].points
     res = build_threshold_tree(CellTable(pts, unit_box(2)), 2.0)
     s0 = leaf_state(unit_box(2), [1], pts)
-    seq = run_pqmc(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY, PqmcConfig(max_psi=2.0))
+    seq = chain(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY, ChainConfig(max_psi=2.0))
     assert assemble_srp(res.cells) == seq.final
     assert all(c <= 2 for c in leaf_counts(res.path.final).values())
 
@@ -296,14 +292,40 @@ def test_build_opens_at_most_one_thread_pool(monkeypatch):
     assert threaded.stats == serial.stats
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_shard_step_in_blocks_routes_as_one_block(monkeypatch, block):
+    # a shard steps through its rows in blocks: blocks of a few rows, some
+    # shorter than a shard and none aligned with it, give every step the
+    # tags, points and counts of one block per shard, parking included
+    rows = np.round(np.random.default_rng(42).standard_normal((400, 2)), 1)
+    pts = np.vstack([rows, np.repeat(rows[:1], 40, axis=0)])
+    table = CellTable(pts, bounding_box(pts))
+    steps = {}
+    real = distributed.apply_splits
+
+    def record(ds, split, pool=None):
+        out = real(ds, split, pool)
+        steps.setdefault(distributed.STEP_BLOCK, []).append(
+            [(s.index.tolist(), s.points.tolist(), s.counts.tolist()) for s in out.shards])
+        return out
+
+    monkeypatch.setattr(distributed, "apply_splits", record)
+    whole = build_threshold_tree(table, 5.0, max_depth=40, shard_count=3, workers=2)
+    monkeypatch.setattr(distributed, "STEP_BLOCK", block)
+    blocked = build_threshold_tree(table, 5.0, max_depth=40, shard_count=3, workers=2)
+    assert steps[block] == steps[1 << 18] and len(steps[block]) > 3
+    assert sum(len(shard[1]) for shard in steps[block][-1]) < len(pts)  # parked rows dropped
+    assert blocked.path == whole.path and blocked.stats == whole.stats
+
+
 def test_build_depth_capped_equals_sequential_terminal_state():
     # over-threshold cells at the depth cap stay leaves, as in the chain
     rng = np.random.default_rng(36)
     pts = rng.uniform(0, 1, size=(50, 2))
     res = build_threshold_tree(CellTable(pts, unit_box(2)), 2.0, max_depth=2)
     s0 = leaf_state(unit_box(2), [1], pts)
-    seq = run_pqmc(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY,
-                   PqmcConfig(max_psi=2.0, max_depth=2))
+    seq = chain(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY,
+                ChainConfig(max_psi=2.0, max_depth=2))
     assert assemble_srp(res.cells) == seq.final
     assert max(leaf_counts(res.path.final).values()) > 2.0
 
@@ -315,18 +337,18 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     pts = np.vstack([rng.standard_normal((5000, 2)),
                      np.repeat([[0.3, -0.7]], 200, axis=0)])
     box = bounding_box(pts)
-    carve = carve_path(CellTable(pts, box), PqmcConfig(max_leaves=20))
+    carve = carve_path(CellTable(pts, box), 20)
     base = build_threshold_tree(CellTable(pts, box), 50.0, shard_count=2)
     final = leaf_counts(base.path.final)
     assert max(final).bit_length() > 100
     assert max(final.values()) == 200
     for threshold in (50.0, 500.0):
         for launch in launch_states(carve, 3):
-            seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
-                           PqmcConfig(max_psi=threshold))
+            seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
+                        ChainConfig(max_psi=threshold))
             path = truncate_path(reconstruct_path(base.path, launch), threshold, None)
             assert path.final == seq.final
-            assert path.records == seq.records
+            assert records(path) == records(seq)
             assert path.had_ties == seq.had_ties
 
 
@@ -340,8 +362,8 @@ def test_build_big_labels_escape_hatch():
     nonempty = [v for v, c in final.items() if c == 1]
     assert len(nonempty) == 2
     s0 = leaf_state(box, [1], pts)
-    seq = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
-                   PqmcConfig(max_psi=1.0))
+    seq = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
+                ChainConfig(max_psi=1.0))
     assert assemble_srp(res.cells) == seq.final
 
 
@@ -353,13 +375,13 @@ def test_build_labels_past_64_bits_equal_sequential():
                      [[0.0, 0.0], [2.0**-70, 0.0], [0.0, 2.0**-68]],
                      np.repeat([[0.3, 0.7]], 3, axis=0)])
     box = Box.from_bounds([0.0, -0.5], [1.0, 1.0])
-    seq = run_pqmc(leaf_state(box, [1], pts), CellTable(pts, box), SEB_PRIORITY,
-                   PqmcConfig(max_psi=1.0))
+    seq = chain(leaf_state(box, [1], pts), CellTable(pts, box), SEB_PRIORITY,
+                ChainConfig(max_psi=1.0))
     assert max(seq.final.leaves.labels) > 2**64
     for shards in (1, 3):
         res = build_threshold_tree(CellTable(pts, box), 1.0, shard_count=shards)
         assert assemble_srp(res.cells) == seq.final
-        assert reconstruct_path(res.path).records == seq.records
+        assert records(reconstruct_path(res.path)) == records(seq)
 
 
 def test_order_invariance_random_schedulers():
@@ -411,16 +433,16 @@ def test_reconstruct_path_from_launch_state():
     for seed in range(100, 103):
         pts, box, threshold, _ = seb_instance(seed)
         s0 = leaf_state(box, [1], pts)
-        carve = run_pqmc(s0, CellTable(pts, s0.root_box), SPC_PRIORITY,
-                         PqmcConfig(max_leaves=4))
+        carve = chain(s0, CellTable(pts, s0.root_box), SPC_PRIORITY,
+                      ChainConfig(max_leaves=4))
         launch = carve.final
-        seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
-                       PqmcConfig(max_psi=threshold))
+        seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
+                    ChainConfig(max_psi=threshold))
         base = build_threshold_tree(CellTable(pts, box), threshold,
                                     shard_count=2)
         par = reconstruct_path(base.path, launch)
         assert par.final == seq.final
-        assert par.records == seq.records
+        assert records(par) == records(seq)
         assert par.initial == seq.initial
         assert par.had_ties == seq.had_ties
         with pytest.raises(ValueError):  # a path that does not start at the root
@@ -439,15 +461,15 @@ def test_reconstruct_never_merges_into_the_launch_state():
     launch = leaf_state(box, [3, 4, 5], pts)  # cherry at node 2
     assert node_counts(launch)[2] == 3 and leaf_counts(launch)[3] == 100
 
-    seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
-                   PqmcConfig(max_psi=10.0))
+    seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
+                ChainConfig(max_psi=10.0))
     assert not seq.had_ties, "layout should give distinct counts"
     assert min(cl + cr for cl, cr in
-               ((r.left_count, r.right_count) for r in seq.records)) > 3
+               ((r.left_count, r.right_count) for r in records(seq))) > 3
 
     base = build_threshold_tree(CellTable(pts, box), 10.0, shard_count=2)
     par = reconstruct_path(base.path, launch)
-    assert par.records == seq.records
+    assert records(par) == records(seq)
     assert par.final == seq.final
 
 
@@ -484,16 +506,15 @@ def _tied_grid_paths(sample, max_leaves):
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40  # repeated rows hit the cap fast instead of machine precision
     box = bounding_box(pts)
-    carve = carve_path(CellTable(pts, box),
-                       PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    carve = carve_path(CellTable(pts, box), carve_leaves, max_depth)
     table = CellTable(pts, box)
     bases = [build_threshold_tree(table, base_threshold, max_depth, shard_count=shards)
              for shards in (1, 2, 3)]
     for launch in launch_states(carve, 3):
         for threshold in thresholds:
-            seb_cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
-                                 max_depth=max_depth)
-            seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, seb_cfg)
+            seb_cfg = ChainConfig(max_psi=threshold, max_leaves=max_leaves,
+                                  max_depth=max_depth)
+            seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, seb_cfg)
             for base in bases:
                 yield truncate_path(reconstruct_path(base.path, launch), threshold, max_leaves), seq
 
@@ -504,7 +525,7 @@ def test_reconstruct_path_equals_sequential_on_tied_data(sample):
     for path, seq in _tied_grid_paths(sample, None):
         assert path.final.leaves.labels == seq.final.leaves.labels
         assert path.final == seq.final
-        assert path.records == seq.records
+        assert records(path) == records(seq)
         assert path.had_ties == seq.had_ties
         assert path.success and seq.success
 
@@ -518,16 +539,15 @@ def test_root_chain_equals_root_build_and_per_launch_chains(sample, max_depth):
     pts, low, thresholds, carve_leaves = sample
     box = bounding_box(pts)
     table = CellTable(pts, box)
-    carve = carve_path(table, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
-    roots = [run_pqmc(carve.initial, table, SEB_PRIORITY,
-                      PqmcConfig(max_psi=low, max_depth=max_depth)),
+    carve = carve_path(table, carve_leaves, max_depth)
+    roots = [run_pqmc(table, low, max_depth),
              build_threshold_tree(table, low, max_depth=max_depth, shard_count=2).path]
     assert roots[0] == roots[1]
     for launch in launch_states(carve, 3):
         wholes = [reconstruct_path(root, launch) for root in roots]
         for threshold in thresholds:
             for max_leaves in (None, launch.leaf_count + 2):
-                seq = run_pqmc(launch, table, SEB_PRIORITY, PqmcConfig(
+                seq = chain(launch, table, SEB_PRIORITY, ChainConfig(
                     max_psi=threshold, max_leaves=max_leaves, max_depth=max_depth))
                 for whole in wholes:
                     assert truncate_path(whole, threshold, max_leaves) == seq
@@ -546,7 +566,7 @@ def test_tie_flag_equals_sequential_on_tied_data(seed, side, threshold, max_leav
     sample = (pts, float(threshold), [float(threshold), threshold + 3.0],
               int(rng.integers(1, 8)))
     for path, seq in _tied_grid_paths(sample, max_leaves):
-        assert path.records == seq.records
+        assert records(path) == records(seq)
         assert path.had_ties == seq.had_ties
         assert path.success == seq.success
 
@@ -559,29 +579,28 @@ def test_cut_path_equals_sequential_on_tied_data(sample):
     # above the launch state's leaf count, and none
     pts, low, _, carve_leaves = sample
     max_depth = 40
-    carve = carve_path(CellTable(pts, bounding_box(pts)),
-                       PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    carve = carve_path(CellTable(pts, bounding_box(pts)), carve_leaves, max_depth)
     for launch in launch_states(carve, 3):
         m0 = launch.leaf_count
-        unbudgeted = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
-                              PqmcConfig(max_psi=low, max_depth=max_depth))
+        unbudgeted = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
+                           ChainConfig(max_psi=low, max_depth=max_depth))
         # a path only depends on which of the counts it pops exceed the
         # threshold: the counts themselves stand for every threshold
         thresholds = sorted({low, *(float(r.left_count + r.right_count)
-                                    for r in unbudgeted.records)})
+                                    for r in records(unbudgeted))})
         for max_leaves in (None, max(1, m0 - 1), m0, m0 + 1, m0 + 4):
-            whole = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, PqmcConfig(
+            whole = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, ChainConfig(
                 max_psi=low, max_leaves=max_leaves, max_depth=max_depth))
             for threshold in thresholds:
-                cfg = PqmcConfig(max_psi=threshold, max_leaves=max_leaves,
-                                 max_depth=max_depth)
-                seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
+                cfg = ChainConfig(max_psi=threshold, max_leaves=max_leaves,
+                                  max_depth=max_depth)
+                seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
                 for path in (truncate_path(whole, threshold, max_leaves),
                              truncate_path(unbudgeted, threshold, max_leaves)):
-                    assert path.records == seq.records
+                    assert records(path) == records(seq)
                     assert path.success == seq.success
                     assert path.had_ties == seq.had_ties
-                    assert path.stop_reason == seq.stop_reason
+                    assert stop_reason(path) == stop_reason(seq)
 
 
 def test_cut_path_rejects_lower_threshold():
@@ -591,7 +610,7 @@ def test_cut_path_rejects_lower_threshold():
     base = build_threshold_tree(CellTable(pts, unit_box(2)), 5.0)
     whole = reconstruct_path(base.path, launch)
     assert whole.final == assemble_srp(base.cells)
-    seq = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, PqmcConfig(max_psi=5.0))
+    seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, ChainConfig(max_psi=5.0))
     for path in (whole, seq, truncate_path(whole, 8.0, None)):
         with pytest.raises(ValueError):
             truncate_path(path, 4.0, None)
@@ -606,9 +625,9 @@ def test_cut_path_rejects_another_budget():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = leaf_state(unit_box(2), [1], pts)
-    budgeted = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
-                        PqmcConfig(max_psi=2.0, max_leaves=6))
-    assert budgeted.stop_reason == "max_leaves" and not budgeted.success
+    budgeted = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
+                     ChainConfig(max_psi=2.0, max_leaves=6))
+    assert stop_reason(budgeted) == "max_leaves" and not budgeted.success
     for max_leaves in (None, 5, 7):
         with pytest.raises(ValueError):
             truncate_path(budgeted, 2.0, max_leaves)
@@ -618,8 +637,8 @@ def test_cut_path_rejects_another_budget():
     # a whole path with no budget can be cut at any
     whole = reconstruct_path(build_threshold_tree(CellTable(pts, unit_box(2)), 2.0).path, launch)
     cut = truncate_path(whole, 2.0, 6)
-    assert (cut.records, cut.stop_reason, cut.success, cut.had_ties) == (
-        budgeted.records, budgeted.stop_reason, budgeted.success, budgeted.had_ties)
+    assert (records(cut), stop_reason(cut), cut.success, cut.had_ties) == (
+        records(budgeted), stop_reason(budgeted), budgeted.success, budgeted.had_ties)
 
 
 def test_budget_cut_materializes_no_state(monkeypatch):
@@ -628,8 +647,8 @@ def test_budget_cut_materializes_no_state(monkeypatch):
     pts, box, threshold, seq = seb_instance(0)
     whole = reconstruct_path(build_threshold_tree(CellTable(pts, box), threshold).path)
     m = len(seq)
-    chains = {(t, b): run_pqmc(seq.initial, CellTable(pts, seq.initial.root_box), SEB_PRIORITY,
-                               PqmcConfig(max_psi=t, max_leaves=b))
+    chains = {(t, b): chain(seq.initial, CellTable(pts, seq.initial.root_box), SEB_PRIORITY,
+                            ChainConfig(max_psi=t, max_leaves=b))
               for t in (threshold, 2 * threshold) for b in (2, m // 2, m, m + 1)}
     assert {c.success for c in chains.values()} == {True, False}
 
@@ -637,12 +656,12 @@ def test_budget_cut_materializes_no_state(monkeypatch):
         raise AssertionError("the cut materialized a state")
 
     monkeypatch.setattr(PqmcPath, "state", no_state)
-    for (t, b), chain in chains.items():
+    for (t, b), ref in chains.items():
         for path in (truncate_path(seq, t, b), truncate_path(whole, t, b)):
-            assert path.records == chain.records
-            assert path.success == chain.success
-            assert path.had_ties == chain.had_ties
-            assert path.stop_reason == chain.stop_reason
+            assert records(path) == records(ref)
+            assert path.success == ref.success
+            assert path.had_ties == ref.had_ties
+            assert stop_reason(path) == stop_reason(ref)
 
 
 def test_tie_flag_counts_only_cells_already_leaves():
@@ -652,11 +671,11 @@ def test_tie_flag_counts_only_cells_already_leaves():
     pts = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
     base = build_threshold_tree(CellTable(pts, unit_box(2)), 1.0)
     path = reconstruct_path(base.path)
-    assert [r.label for r in path.records] == [1, 2, 3]
+    assert [r.label for r in records(path)] == [1, 2, 3]
     assert path.had_ties
-    seq = run_pqmc(leaf_state(unit_box(2), [1], pts), CellTable(pts, unit_box(2)), SEB_PRIORITY,
-                   PqmcConfig(max_psi=1.0))
-    assert path.records == seq.records and seq.had_ties
+    seq = chain(leaf_state(unit_box(2), [1], pts), CellTable(pts, unit_box(2)), SEB_PRIORITY,
+                ChainConfig(max_psi=1.0))
+    assert records(path) == records(seq) and seq.had_ties
     # cut before the tied pop: the root pop alone had no rival
     assert not truncate_path(path, 1.0, 2).had_ties
     assert truncate_path(path, 1.0, 3).had_ties
@@ -664,7 +683,7 @@ def test_tie_flag_counts_only_cells_already_leaves():
     # the child becomes a leaf only when the parent is popped
     lone = np.array([[0.1, 0.1], [0.2, 0.2]])
     path = reconstruct_path(build_threshold_tree(CellTable(lone, unit_box(2)), 1.0).path)
-    assert [r.left_count + r.right_count for r in path.records] == [2] * 5
+    assert [r.left_count + r.right_count for r in records(path)] == [2] * 5
     assert not path.had_ties
 
 
@@ -673,18 +692,18 @@ def test_truncate_path():
     cut = truncate_path(seq, threshold, 3)
     assert cut.final.leaf_count == min(3, seq.final.leaf_count)
     if seq.final.leaf_count > 3:
-        assert cut.stop_reason == "max_leaves"
+        assert stop_reason(cut) == "max_leaves"
         assert not cut.success  # over-threshold splittable leaves remain
     assert truncate_path(seq, threshold, None) == seq
     # a launch state already over the budget fails, as in the chain, even
     # with no leaf left over the threshold
     launch = seq.final
-    cfg = PqmcConfig(max_psi=threshold, max_leaves=2)
+    cfg = ChainConfig(max_psi=threshold, max_leaves=2)
     base = build_threshold_tree(CellTable(pts, box), threshold)
     over = truncate_path(reconstruct_path(base.path, launch), threshold, 2)
-    chain = run_pqmc(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
-    assert over.records == chain.records == ()
-    assert over.success is chain.success is False
+    ref = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
+    assert records(over) == records(ref) == ()
+    assert over.success is ref.success is False
 
 
 def _stats_of(final, threshold: float) -> tuple[IterationStats, ...]:
@@ -750,8 +769,8 @@ def test_build_equals_sequential_chain_on_tied_rows():
     def check(sample):
         pts, box, threshold = sample
         table = CellTable(pts, box)
-        seq = run_pqmc(leaf_state(box, [1], pts), table, SEB_PRIORITY,
-                       PqmcConfig(max_psi=threshold, max_depth=80))
+        seq = chain(leaf_state(box, [1], pts), table, SEB_PRIORITY,
+                    ChainConfig(max_psi=threshold, max_depth=80))
         stats = _stats_of(seq.final, threshold)
         hit.clear()
         with mock.patch.object(distributed, "apply_splits", spy):
@@ -807,9 +826,9 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
             lo, hi = cells.split_bounds(split)
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
             order = res.path.rows
-            records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
+            split_records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
                 order.tolist(), *(c.tolist() for c in cells.split_counts(order))))
-            assert records == _seb_records(res, res.path.initial)
+            assert split_records == _seb_records(res, res.path.initial)
             stuck = (kid == 0) & (np.frombuffer(cells.count, np.int64) > threshold)
             for i in np.flatnonzero(stuck).tolist():
                 hit.add("depth_cap" if labels[i].bit_length() > max_depth else "unbisectable")
@@ -850,20 +869,19 @@ def test_row_paths_equal_record_paths_on_tied_data(sample):
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40
     box = bounding_box(pts)
-    carve = carve_path(CellTable(pts, box),
-                       PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
+    carve = carve_path(CellTable(pts, box), carve_leaves, max_depth)
     base = build_threshold_tree(CellTable(pts, box), base_threshold, max_depth=max_depth,
                                 shard_count=2)
     for launch in launch_states(carve, 3):
         whole = reconstruct_path(base.path, launch)
-        records = _seb_records(base, launch)
-        assert whole.records == records
-        assert whole.first_tie == _first_tie_by_loop(launch, records)
+        expected = _seb_records(base, launch)
+        assert records(whole) == expected
+        assert whole.first_tie == _first_tie_by_loop(launch, expected)
         for threshold in thresholds:
             for max_leaves in (None, launch.leaf_count + 2):
                 cut = truncate_path(whole, threshold, max_leaves)
-                assert cut.records == records[:cut.split_count]
-                assert all(r.left_count + r.right_count > threshold for r in cut.records)
+                assert records(cut) == expected[:cut.split_count]
+                assert all(r.left_count + r.right_count > threshold for r in records(cut))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -881,9 +899,8 @@ def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_le
         return
     max_depth = 30
     table = CellTable(pts, box)
-    carve = carve_path(table, PqmcConfig(max_leaves=carve_leaves, max_depth=max_depth))
-    roots = [run_pqmc(carve.initial, table, SEB_PRIORITY,
-                      PqmcConfig(max_psi=float(threshold), max_depth=max_depth)),
+    carve = carve_path(table, carve_leaves, max_depth)
+    roots = [run_pqmc(table, float(threshold), max_depth),
              build_threshold_tree(table, float(threshold), max_depth=max_depth,
                                   shard_count=2).path]
     assert roots[0] == roots[1] and roots[0].splits is not roots[1].splits
@@ -895,13 +912,14 @@ def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_le
         paths += wholes
     for path in paths:
         labels = set(path.initial.leaves.labels)
+        recs = records(path)
         for t, state in enumerate(path.states()):
             expected = membership_counts(box, labels, pts)
             assert state.leaf_count == len(labels)
             assert leaf_counts(state) == expected
             assert state.leaves.labels == sorted(expected)
             if t < path.split_count:
-                rec = path.records[t]
+                rec = recs[t]
                 labels = labels - {rec.label} | {2 * rec.label, 2 * rec.label + 1}
         final = path.final
         if not box.volume:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -42,18 +43,21 @@ from rphist.io import (
     save_histogram,
 )
 from rphist.pipeline import RunConfig, run_pipeline
-from rphist.pqmc import (
-    CellTable,
-    PqmcConfig,
-    SEB_PRIORITY,
-    carve_path,
-    launch_states,
-    run_pqmc,
-)
+from rphist.pqmc import CellTable, carve_path, launch_states, run_pqmc
 from rphist.smoothing import tau_grid
 from rphist.srp import Histogram, histogram
 
-from conftest import fig2_points, leaf_state, random_points, root_state, unit_box
+from conftest import (
+    SEB_PRIORITY,
+    ChainConfig,
+    chain,
+    fig2_points,
+    leaf_state,
+    random_points,
+    records,
+    root_state,
+    unit_box,
+)
 
 
 # ---------------------------------------------------------------- CSV ingest
@@ -545,11 +549,7 @@ def test_l1_disjoint_mass_total_variation():
 def test_l1_gaussian_sane():
     rng = np.random.default_rng(40)
     pts = rng.standard_normal((5000, 2))
-    box = bounding_box(pts)
-    s0 = leaf_state(box, [1], pts)
-    from rphist.pqmc import PqmcConfig, SEB_PRIORITY, run_pqmc
-
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_psi=100.0))
+    path = run_pqmc(CellTable(pts, bounding_box(pts)), 100.0)
     rep = l1_error(histogram(path.final), GaussianReference(2), 128, seed=1)
     assert 0.0 < rep.l1_estimate < 0.6
     assert rep.l1_std_error < 0.05
@@ -570,9 +570,7 @@ def test_l1_error_pinned_for_every_chunk_size(monkeypatch, d, n, max_psi, refere
     # and coordinate.  78 leaves in 2-D; 222 in 10-D, not a multiple of the
     # default chunk (64).  The uniform reference sticks out of the root box.
     pts = np.random.default_rng(d).standard_normal((n, d))
-    s0 = leaf_state(bounding_box(pts), [1], pts)
-    h = histogram(run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
-                           PqmcConfig(max_psi=max_psi)).final)
+    h = histogram(run_pqmc(CellTable(pts, bounding_box(pts)), max_psi).final)
     for chunk in (1, 64, 10_000):
         monkeypatch.setattr("rphist.evaluate.MC_CHUNK_LEAVES", chunk)
         assert l1_error(h, reference, mc, seed) == expected
@@ -611,9 +609,7 @@ def test_l1_error_equals_the_point_major_loop(monkeypatch, d):
     # both references' densities row by row.  Points of norm about 1 keep
     # the Gaussian density normal in every dimension.
     pts = np.random.default_rng(d).standard_normal((300, d)) / math.sqrt(d)
-    s0 = leaf_state(bounding_box(pts), [1], pts)
-    h = histogram(run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
-                           PqmcConfig(max_psi=30.0)).final)
+    h = histogram(run_pqmc(CellTable(pts, bounding_box(pts)), 30.0).final)
     assert h.leaf_count > 8
     box = Box.from_bounds([-1.0] * d, [0.5] * d)
     references = [
@@ -801,6 +797,25 @@ def test_pipeline_derives_no_bounds_from_labels(monkeypatch, data, sequential):
 
 
 @pytest.mark.parametrize("sequential", [False, True])
+def test_huge_max_depth_builds_no_integer_of_that_many_bits(tmp_path, sequential):
+    # the depth cap is compared with each label's bit length: a cap of
+    # 10**9 gives the bytes of the default cap, with no 10**9-bit integer
+    # (125 MB) made for the comparison
+    pts = np.random.default_rng(8).standard_normal((400, 2))
+    cfg = RunConfig(dim=2, shards=2, carve_leaves=8, tributaries=3, maxpts=(10, 40),
+                    tau_steps=4, sequential=sequential)
+    run_pipeline(replace(cfg, out=str(tmp_path / "capped.json")), points=pts)
+    tracemalloc.start()
+    try:
+        run_pipeline(replace(cfg, max_depth=10**9, out=str(tmp_path / "deep.json")), points=pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "deep.json").read_bytes() == (tmp_path / "capped.json").read_bytes()
+    assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("sequential", [False, True])
 def test_pipeline_checks_points_against_the_root_box_once(monkeypatch, sequential):
     # the root box is the points' padded bounding box: only the cell
     # table checks that they lie in it
@@ -882,11 +897,11 @@ def test_pipeline_manifest(tmp_path):
     seq_man = json.loads((tmp_path / "seq.json.manifest.json").read_text())
     # one chain per launch state, to the lowest threshold; each cell that
     # the carve or a chain splits is partitioned once
-    carve = carve_path(CellTable(pts, bounding_box(pts, cfg.pad)), PqmcConfig(max_leaves=5))
-    whole = [run_pqmc(state, CellTable(pts, state.root_box), SEB_PRIORITY,
-                      PqmcConfig(max_psi=30.0, max_depth=cfg.max_depth))
+    carve = carve_path(CellTable(pts, bounding_box(pts, cfg.pad)), 5)
+    whole = [chain(state, CellTable(pts, state.root_box), SEB_PRIORITY,
+                   ChainConfig(max_psi=30.0, max_depth=cfg.max_depth))
              for state in launch_states(carve, 2)]
-    split = {r.label for p in [carve, *whole] for r in p.records}
+    split = {r.label for p in [carve, *whole] for r in records(p)}
     assert seq_man["build"] == {"threshold": 30.0,
                                 "splits": [p.split_count for p in whole],
                                 "partitioned_cells": len(split),

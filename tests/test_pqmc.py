@@ -8,20 +8,16 @@ from hypothesis.extra.numpy import arrays
 
 from rphist.errors import PointOutsideRootBox
 from rphist.geometry import Box, bounding_box, split_plane, volume_at_depth
-from rphist.pqmc import (
-    CellTable,
-    PqmcConfig,
-    SEB_PRIORITY,
-    SPC_PRIORITY,
-    _LeafPool,
-    carve_path,
-    launch_states,
-    run_pqmc,
-)
+from rphist.pqmc import CellTable, carve_path, launch_states, run_pqmc
 from rphist.tree import cell_bounds, depth
 
 from conftest import (
     FIG2_LEAVES,
+    SEB_PRIORITY,
+    SPC_PRIORITY,
+    ChainConfig,
+    LeafPool,
+    chain,
     fig2_points,
     leaf_counts,
     leaf_state,
@@ -29,7 +25,9 @@ from conftest import (
     membership_counts,
     nodes_of,
     random_points,
+    records,
     split_leaf,
+    stop_reason,
     unit_box,
 )
 
@@ -55,7 +53,7 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
     while True:
         counts = states[-1]
         cand = {v: priority.value(counts[v], volume_at_depth(box.volume, depth(v)), s0.n)
-                for v in splittable_leaves(counts, box, PqmcConfig(max_depth=max_depth))}
+                for v in splittable_leaves(counts, box, ChainConfig(max_depth=max_depth))}
         best = max(cand.values(), default=None)
         if best is None and not max_psi:
             stop = "exhausted"
@@ -75,44 +73,60 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
     return states, stop, success, had_ties
 
 
+def run_chain(s0, pts, priority, cfg):
+    """The chain of a run that the reference chain stands for, from the
+    root: the SEB chain to a threshold with no leaf budget, or the carve
+    under a leaf budget with no threshold; None for any other chain."""
+    if s0.leaf_count != 1:
+        return None
+    table = CellTable(pts, s0.root_box)
+    if priority == SEB_PRIORITY and cfg.max_psi is not None and cfg.max_leaves is None:
+        return run_pqmc(table, cfg.max_psi, cfg.max_depth)
+    if priority == SPC_PRIORITY and cfg.max_psi is None and cfg.max_leaves is not None:
+        return carve_path(table, cfg.max_leaves, cfg.max_depth)
+    return None
+
+
 def assert_matches_naive(s0, pts, priority, cfg):
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), priority, cfg)
+    path = chain(s0, CellTable(pts, s0.root_box), priority, cfg)
     states, stop, success, had_ties = naive_path(
         s0, pts, priority, cfg.max_psi, cfg.max_leaves, cfg.max_depth)
     assert [leaf_counts(s) for s in path.states()] == states
     assert [s.leaves.labels for s in path.states()] == [sorted(c) for c in states]
-    assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
+    assert (stop_reason(path), path.success, path.had_ties) == (stop, success, had_ties)
+    own = run_chain(s0, pts, priority, cfg)
+    assert own is None or own == path
     return path
 
 
 def chain_leaves(s, cfg) -> set[int]:
     """The leaves a chain from ``s`` may pop: those its heap keeps once the
     leaves that cannot be split are dropped from the top."""
-    pool = _LeafPool(s, s.store, SEB_PRIORITY, cfg)
+    pool = LeafPool(s, s.store, SEB_PRIORITY, cfg)
     pool.top()
     return {label for _, label, cell in pool.heap if s.store.splittable(cell)}
 
 
 def test_splittable_leaves_fig2(fig2_state):
-    cfg = PqmcConfig()
+    cfg = ChainConfig()
     assert chain_leaves(fig2_state, cfg) == {3, 4, 5}
 
 
 def test_splittable_excludes_empty_leaf():
     s = leaf_state(unit_box(2), FIG2_LEAVES, [[0.1, 0.1], [0.7, 0.7]])
-    assert chain_leaves(s, PqmcConfig()) == {3, 4}
+    assert chain_leaves(s, ChainConfig()) == {3, 4}
 
 
 def test_splittable_excludes_depth_capped(fig2_state):
-    got = chain_leaves(fig2_state, PqmcConfig(max_depth=2))
+    got = chain_leaves(fig2_state, ChainConfig(max_depth=2))
     assert got == {3}  # leaves 4 and 5 already sit at depth 2
 
 
 def test_run_pqmc_stops_immediately_at_threshold(fig2_state):
-    path = run_pqmc(fig2_state, CellTable(fig2_points(), unit_box(2)), SEB_PRIORITY,
-                    PqmcConfig(max_psi=5.0))
+    path = chain(fig2_state, CellTable(fig2_points(), unit_box(2)), SEB_PRIORITY,
+                 ChainConfig(max_psi=5.0))
     assert len(path) == 1
-    assert path.stop_reason == "max_psi"
+    assert stop_reason(path) == "max_psi"
     assert path.success
 
 
@@ -120,9 +134,9 @@ def test_run_pqmc_max_leaves_one():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 1, size=(10, 2))
     s0 = leaf_state(unit_box(2), [1], pts)
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_leaves=1))
+    path = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, ChainConfig(max_leaves=1))
     assert len(path) == 1
-    assert path.stop_reason == "max_leaves"
+    assert stop_reason(path) == "max_leaves"
 
 
 def test_run_pqmc_matches_naive_oracle():
@@ -132,7 +146,7 @@ def test_run_pqmc_matches_naive_oracle():
         [0.3, 0.35], [0.35, 0.05], [0.4, 0.3], [0.45, 0.45],
     ])
     s0 = leaf_state(unit_box(2), [1], pts)
-    assert_matches_naive(s0, pts, SEB_PRIORITY, PqmcConfig(max_psi=2.0))
+    assert_matches_naive(s0, pts, SEB_PRIORITY, ChainConfig(max_psi=2.0))
 
 
 def test_run_pqmc_oracle_on_random_data():
@@ -142,7 +156,7 @@ def test_run_pqmc_oracle_on_random_data():
         box = bounding_box(pts)
         s0 = leaf_state(box, [1], pts)
         maxlvs = int(rng.integers(2, 20))
-        assert_matches_naive(s0, pts, SEB_PRIORITY, PqmcConfig(max_leaves=maxlvs))
+        assert_matches_naive(s0, pts, SEB_PRIORITY, ChainConfig(max_leaves=maxlvs))
 
 
 # 1-D rows one ulp (2**-52) apart at 1.0, each repeated: the cells around
@@ -154,11 +168,11 @@ ULP_ROWS = [1.0] * 3 + [1.0 + 2.0**-52] * 2 + [0.3] * 2
 
 @pytest.mark.parametrize("rows", [ULP_ROWS, ULP_ROWS + [1.7] * 2])
 @pytest.mark.parametrize("priority, cfg", [
-    (SEB_PRIORITY, PqmcConfig(max_psi=1.0)),
-    (SEB_PRIORITY, PqmcConfig(max_psi=1.0, max_leaves=58)),
-    (SEB_PRIORITY, PqmcConfig(max_psi=1.0, max_depth=6)),
-    (SPC_PRIORITY, PqmcConfig()),
-    (SPC_PRIORITY, PqmcConfig(max_leaves=70, max_depth=8)),
+    (SEB_PRIORITY, ChainConfig(max_psi=1.0)),
+    (SEB_PRIORITY, ChainConfig(max_psi=1.0, max_leaves=58)),
+    (SEB_PRIORITY, ChainConfig(max_psi=1.0, max_depth=6)),
+    (SPC_PRIORITY, ChainConfig()),
+    (SPC_PRIORITY, ChainConfig(max_leaves=70, max_depth=8)),
 ])
 def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, cfg):
     box = Box.from_bounds([0.0], [2.0])
@@ -169,11 +183,11 @@ def test_run_pqmc_matches_naive_oracle_when_cells_cannot_split(rows, priority, c
         # cells over the threshold are left that cannot be split, and one
         # of them reached the top of the queue before the last pop
         stop = "max_psi" if cfg.max_psi is not None else "exhausted"
-        assert path.stop_reason == stop and path.success
+        assert stop_reason(path) == stop and path.success
         final = leaf_counts(path.final)
         stuck = [c for v, c in final.items() if not split_plane(*cell_bounds(box, [v]))[2][0]]
         assert max(stuck) == 3
-        assert min(r.left_count + r.right_count for r in path.records) == 2
+        assert min(r.left_count + r.right_count for r in records(path)) == 2
 
 
 @st.composite
@@ -189,14 +203,14 @@ def shared_table_sample(draw):
     lo, step = draw(st.sampled_from([(0.0, 1.0), (1.0, 2.0**-52)]))
     pts = lo + pts * step
     box = Box.from_bounds([lo] * d, [lo + 4 * step] * d)
-    cfg = PqmcConfig(max_psi=float(draw(st.integers(1, 6))),
-                     max_leaves=draw(st.one_of(st.none(), st.integers(1, 30))),
-                     max_depth=draw(st.sampled_from([3, 8, 20])))
+    cfg = ChainConfig(max_psi=float(draw(st.integers(1, 6))),
+                      max_leaves=draw(st.one_of(st.none(), st.integers(1, 30))),
+                      max_depth=draw(st.sampled_from([3, 8, 20])))
     return pts, box, draw(st.integers(1, 10)), cfg
 
 
 def outcome(path):
-    return path.records, path.had_ties, path.stop_reason, path.success
+    return records(path), path.had_ties, stop_reason(path), path.success
 
 
 def test_shared_table_chains_equal_fresh_tables_and_naive():
@@ -210,24 +224,27 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
     @given(shared_table_sample())
     def check(sample):
         pts, box, carve_leaves, cfg = sample
-        carve_cfg = PqmcConfig(max_leaves=carve_leaves, max_depth=cfg.max_depth)
+        carve_cfg = ChainConfig(max_leaves=carve_leaves, max_depth=cfg.max_depth)
+        root_cfg = ChainConfig(max_psi=cfg.max_psi, max_depth=cfg.max_depth)
         table = CellTable(pts, box)
-        carve = carve_path(table, carve_cfg)
+        carve = carve_path(table, carve_leaves, cfg.max_depth)
         launches = launch_states(carve, 3)
-        shared = [run_pqmc(s0, table, SEB_PRIORITY, cfg) for s0 in launches]
+        shared = [chain(s0, table, SEB_PRIORITY, cfg) for s0 in launches]
+        root = run_pqmc(table, cfg.max_psi, cfg.max_depth)
         backwards = CellTable(pts, box)
-        reverse = [run_pqmc(s0, backwards, SEB_PRIORITY, cfg) for s0 in launches[::-1]]
+        reverse = [chain(s0, backwards, SEB_PRIORITY, cfg) for s0 in launches[::-1]]
         assert [outcome(p) for p in reverse[::-1]] == [outcome(p) for p in shared]
-        runs = [(carve, leaf_state(box, [1], pts), SPC_PRIORITY, carve_cfg)]
+        s0 = leaf_state(box, [1], pts)
+        runs = [(carve, s0, SPC_PRIORITY, carve_cfg), (root, s0, SEB_PRIORITY, root_cfg)]
         runs += [(path, s0, SEB_PRIORITY, cfg) for path, s0 in zip(shared, launches)]
         for path, s0, priority, c in runs:
-            fresh = run_pqmc(s0, CellTable(pts, s0.root_box), priority, c)
-            assert outcome(path) == outcome(fresh)
+            fresh = chain(s0, CellTable(pts, s0.root_box), priority, c)
+            assert path == fresh and outcome(path) == outcome(fresh)
             assert (path.top, path.first_tie) == (fresh.top, fresh.first_tie)
             states, stop, success, had_ties = naive_path(
                 s0, pts, priority, c.max_psi, c.max_leaves, c.max_depth)
             assert [leaf_counts(s) for s in path.states()] == states
-            assert (path.stop_reason, path.success, path.had_ties) == (stop, success, had_ties)
+            assert (stop_reason(path), path.success, path.had_ties) == (stop, success, had_ties)
             # the next pop's priority: the largest over the final splittable
             # leaves, or the threshold if none is above it
             final, vol = leaf_counts(path.final), box.volume
@@ -241,7 +258,8 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
                 left = splittable_leaves(leaf_counts(path.final), box, cfg)
                 stops["below_threshold" if left else "none_left"] += 1
         # every cell that the carve or a chain split was partitioned once
-        assert table.partitioned == len({r.label for p in [carve, *shared] for r in p.records})
+        assert table.partitioned == len({r.label for p in [carve, root, *shared]
+                                         for r in records(p)})
 
     check()
     print(stops)
@@ -255,7 +273,7 @@ def test_run_pqmc_rejects_counts_the_data_do_not_give():
     s = leaf_state(unit_box(2), [2, 3], other)
     assert leaf_counts(s) == {2: 6, 3: 4}
     with pytest.raises(ValueError, match="leaf 2 does not match"):
-        run_pqmc(s, CellTable(pts, s.root_box), SEB_PRIORITY, PqmcConfig())
+        chain(s, CellTable(pts, s.root_box), SEB_PRIORITY, ChainConfig())
 
 
 def test_run_pqmc_rejects_a_table_of_other_data(fig2_state):
@@ -265,7 +283,7 @@ def test_run_pqmc_rejects_a_table_of_other_data(fig2_state):
                   CellTable(pts[:-1], unit_box(2)),
                   CellTable(pts, Box.from_bounds([0.0, 0.0], [1.0, 2.0]))):
         with pytest.raises(ValueError):
-            run_pqmc(fig2_state, table, SEB_PRIORITY, PqmcConfig())
+            chain(fig2_state, table, SEB_PRIORITY, ChainConfig())
     with pytest.raises(PointOutsideRootBox):
         CellTable(pts + 0.5, unit_box(2))
 
@@ -287,7 +305,7 @@ def test_path_leaf_counts_increase_one_per_step():
     rng = np.random.default_rng(14)
     pts = random_points(rng, 300, 2)
     s0 = leaf_state(bounding_box(pts), [1], pts)
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_leaves=25))
+    path = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, ChainConfig(max_leaves=25))
     for t, s in enumerate(path.states()):
         assert s.leaf_count == s0.leaf_count + t
 
@@ -297,11 +315,11 @@ def test_stop_disjunction_holds_on_every_run():
     for _ in range(10):
         pts = random_points(rng, int(rng.integers(10, 400)), int(rng.integers(1, 4)))
         s0 = leaf_state(bounding_box(pts), [1], pts)
-        cfg = PqmcConfig(
+        cfg = ChainConfig(
             max_psi=float(rng.integers(0, 20)) or None,
             max_leaves=int(rng.integers(1, 40)),
         )
-        path = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
+        path = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
         final = leaf_counts(path.final)
         spl = splittable_leaves(final, s0.root_box, cfg)
         priorities = [final[v] for v in spl]
@@ -323,33 +341,33 @@ def test_run_pqmc_deterministic_reruns():
     rng = np.random.default_rng(16)
     pts = random_points(rng, 500, 2)
     s0 = leaf_state(bounding_box(pts), [1], pts)
-    cfg = PqmcConfig(max_psi=20.0)
-    a = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
-    b = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
-    assert a.records == b.records
+    cfg = ChainConfig(max_psi=20.0)
+    a = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
+    b = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg)
+    assert records(a) == records(b)
 
 
-def test_carve_requires_zero_threshold():
+def test_carve_runs_with_no_threshold():
+    # the carve takes a leaf budget, no threshold: its path stands under none
+    carve = carve_path(CellTable(np.zeros((3, 2)), unit_box(2)), 4)
+    assert carve.threshold is None and carve.max_leaves == 4
     with pytest.raises(ValueError):
-        carve_path(CellTable(np.zeros((3, 2)), unit_box(2)), PqmcConfig(max_psi=1.0))
+        carve_path(CellTable(np.zeros((3, 2)), unit_box(2)), 0)
 
 
 def test_carve_single_split_on_uniform_data():
     rng = np.random.default_rng(17)
     pts = rng.uniform(0, 1, size=(64, 2))
-    cfg = PqmcConfig(max_leaves=2)
-    path = carve_path(CellTable(pts, bounding_box(pts)), cfg)
+    path = carve_path(CellTable(pts, bounding_box(pts)), 2)
     assert len(path) == 2
-    assert path.records[0].label == 1
+    assert records(path)[0].label == 1
 
 
 def test_carve_prefix_property():
     rng = np.random.default_rng(18)
     pts = random_points(rng, 500, 2)
-    cfg20 = PqmcConfig(max_leaves=20)
-    cfg40 = PqmcConfig(max_leaves=40)
-    p20 = carve_path(CellTable(pts, bounding_box(pts)), cfg20)
-    p40 = carve_path(CellTable(pts, bounding_box(pts)), cfg40)
+    p20 = carve_path(CellTable(pts, bounding_box(pts)), 20)
+    p40 = carve_path(CellTable(pts, bounding_box(pts)), 40)
     assert p40.state(p20.split_count) == p20.final
 
 
@@ -359,10 +377,9 @@ def test_carve_creates_more_empty_leaves_than_seb():
     x = rng.uniform(0, 1, 400)
     pts = np.column_stack([x, x + rng.normal(0, 0.01, 400)])
     box = bounding_box(pts)
-    carve_cfg = PqmcConfig(max_leaves=20)
-    carve = carve_path(CellTable(pts, box), carve_cfg)
+    carve = carve_path(CellTable(pts, box), 20)
     s0 = leaf_state(box, [1], pts)
-    seb = run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, PqmcConfig(max_leaves=20))
+    seb = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, ChainConfig(max_leaves=20))
     def empty_fraction(s):
         return np.count_nonzero(s.leaves.counts == 0) / s.leaf_count
     assert carve.final.leaf_count == seb.final.leaf_count == 20
@@ -372,8 +389,7 @@ def test_carve_creates_more_empty_leaves_than_seb():
 def test_launch_states_even_spacing():
     rng = np.random.default_rng(20)
     pts = random_points(rng, 2000, 2)
-    cfg = PqmcConfig(max_leaves=41)
-    carve = carve_path(CellTable(pts, bounding_box(pts)), cfg)
+    carve = carve_path(CellTable(pts, bounding_box(pts)), 41)
     assert carve.split_count == 40
     states = launch_states(carve, 5)
     assert [s.leaf_count - 1 for s in states] == [0, 10, 20, 30, 40]
@@ -383,8 +399,7 @@ def test_launch_states_even_spacing():
 def test_launch_states_degenerate_cases():
     rng = np.random.default_rng(21)
     pts = random_points(rng, 100, 2)
-    cfg = PqmcConfig(max_leaves=4)
-    carve = carve_path(CellTable(pts, bounding_box(pts)), cfg)
+    carve = carve_path(CellTable(pts, bounding_box(pts)), 4)
     assert [s.leaf_count for s in launch_states(carve, 1)] == [1]
     everything = launch_states(carve, 99)
     assert len(everything) == len(carve)
@@ -393,31 +408,24 @@ def test_launch_states_degenerate_cases():
 def test_spc_zero_threshold_keeps_splitting():
     # the root's carving priority is exactly 0, so a literal "stop when
     # max priority <= 0" would never leave the root; a carve runs with no
-    # priority stop (max_psi=None) and lets the leaf budget do the stopping
-    from rphist.pqmc import SPC_PRIORITY
-
+    # priority stop and lets the leaf budget do the stopping
     rng = np.random.default_rng(45)
     pts = rng.uniform(0, 1, size=(50, 2))
-    s0 = leaf_state(unit_box(2), [1], pts)
-    cfg = PqmcConfig(max_leaves=8)
-    path = run_pqmc(s0, CellTable(pts, s0.root_box), SPC_PRIORITY, cfg)
+    path = carve_path(CellTable(pts, unit_box(2)), 8)
     assert path.final.leaf_count == 8
-    assert path.stop_reason == "max_leaves"
+    assert stop_reason(path) == "max_leaves"
 
 
 def test_carve_identical_points_stops_by_exhaustion():
     # coincident points can never be separated; the chain must stop on
     # machine-precision exhaustion instead of hitting the leaf budget
     pts = np.tile([[0.25, 0.25]], (5, 1))
-    cfg = PqmcConfig(max_leaves=10_000, max_depth=80)
-    path = carve_path(CellTable(pts, unit_box(2)), cfg)
-    assert path.stop_reason == "exhausted"
+    path = carve_path(CellTable(pts, unit_box(2)), 10_000, 80)
+    assert stop_reason(path) == "exhausted"
     assert path.final.leaf_count < 10_000
 
 
 def test_priority_value_ranges():
-    from rphist.pqmc import SPC_PRIORITY
-
     rng = np.random.default_rng(44)
     for _ in range(20):
         pts = random_points(rng, int(rng.integers(5, 300)), 2)
@@ -438,11 +446,15 @@ def test_priority_value_ranges():
 
 
 def test_config_validation():
-    # None is the one way to ask for no priority stop
-    for max_psi in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="max_psi"):
-            PqmcConfig(max_psi=max_psi)
+    # the SEB chain needs a threshold above 0, the carve a leaf budget
+    table = CellTable(fig2_points(), unit_box(2))
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            run_pqmc(table, threshold)
     with pytest.raises(ValueError):
-        PqmcConfig(max_leaves=0)
+        carve_path(table, 0)
     with pytest.raises(ValueError):
-        PqmcConfig(max_depth=0)
+        run_pqmc(table, 1.0, max_depth=0)
+    with pytest.raises(ValueError):
+        carve_path(table, 1, max_depth=0)
+    assert table.partitioned == 0

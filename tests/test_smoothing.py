@@ -6,15 +6,7 @@ from hypothesis import strategies as st
 from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from rphist.geometry import bounding_box, bounds_volume, split_plane
-from rphist.pqmc import (
-    CellTable,
-    PqmcConfig,
-    SEB_PRIORITY,
-    State,
-    carve_path,
-    launch_states,
-    run_pqmc,
-)
+from rphist.pqmc import CellTable, State, carve_path, launch_states
 from rphist.smoothing import (
     SmoothingConfig,
     cv_score,
@@ -28,12 +20,16 @@ from rphist.srp import log_likelihood
 from rphist.tree import cell_bounds
 
 from conftest import (
+    SEB_PRIORITY,
+    ChainConfig,
     cell_membership,
+    chain,
     fig2_points,
     leaf_counts,
     leaf_state,
     random_points,
     random_state,
+    records,
     root_state,
     unit_box,
 )
@@ -87,14 +83,14 @@ def test_penalized_score_monotone_in_tau(fig2_state):
 def _grown_path(rng, n=300, maxlvs=20):
     pts = random_points(rng, n, 2)
     s0 = leaf_state(bounding_box(pts), [1], pts)
-    cfg = PqmcConfig(max_leaves=maxlvs)
-    return run_pqmc(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg), pts
+    cfg = ChainConfig(max_leaves=maxlvs)
+    return chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY, cfg), pts
 
 
 def test_map_estimate_single_state():
     s = root_state(unit_box(2), 4)
-    path = run_pqmc(s, CellTable(np.full((4, 2), 0.5), unit_box(2)), SEB_PRIORITY,
-                    PqmcConfig(max_leaves=1))
+    path = chain(s, CellTable(np.full((4, 2), 0.5), unit_box(2)), SEB_PRIORITY,
+                 ChainConfig(max_leaves=1))
     est = select([path], SmoothingConfig((1.0,)))
     assert est.state == s
     assert est.tau == 1.0
@@ -123,8 +119,8 @@ def test_map_estimate_invariant_under_path_reordering():
     # chains from the launch states of one carve, over its cell table
     pts = random_points(np.random.default_rng(26), 150, 2)
     table = CellTable(pts, bounding_box(pts))
-    carve = carve_path(table, PqmcConfig(max_leaves=8))
-    paths = [run_pqmc(launch, table, SEB_PRIORITY, PqmcConfig(max_leaves=10 + i))
+    carve = carve_path(table, 8)
+    paths = [chain(launch, table, SEB_PRIORITY, ChainConfig(max_leaves=10 + i))
              for i, launch in enumerate(launch_states(carve, 4))]
     a = select(paths, SmoothingConfig((5.0,)))
     b = select(list(reversed(paths)), SmoothingConfig((5.0,)))
@@ -216,7 +212,7 @@ def _profile_by_walk(path):
         a[0] += c * c / v
         b[0] += c * (c - 1) / v
 
-    lo, hi = cell_bounds(root_box, [rec.label for rec in path.records])
+    lo, hi = cell_bounds(root_box, [rec.label for rec in records(path)])
     axis, mid, _ = split_plane(lo, hi)
     rows = np.arange(len(axis))
     width = hi[rows, axis] - lo[rows, axis]
@@ -224,7 +220,7 @@ def _profile_by_walk(path):
     vol_l = vol / width * (mid - lo[rows, axis])
     vol_r = vol / width * (hi[rows, axis] - mid)
     for t, (rec, v, vl, vr) in enumerate(
-            zip(path.records, vol.tolist(), vol_l.tolist(), vol_r.tolist()), start=1):
+            zip(records(path), vol.tolist(), vol_l.tolist(), vol_r.tolist()), start=1):
         cl, cr = rec.left_count, rec.right_count
         c = cl + cr
         m[t] = m[t - 1] + 1
@@ -247,16 +243,15 @@ def test_path_profile_bit_identical_to_walk(seed, d, side, threshold, max_leaves
     max_depth = 40
     # the sequential chains run on the carve's cell table, as in the pipeline
     table = CellTable(pts, box)
-    carve = carve_path(table, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
-                                         max_depth=max_depth))
+    carve = carve_path(table, int(rng.integers(1, 8)), max_depth)
     base = build_threshold_tree(table, float(threshold), max_depth=max_depth)
     built, chains = [], []  # paths over the build's cells and over the table
     for launch in launch_states(carve, 3):
         for psi in (threshold, threshold + 4):
-            cfg = PqmcConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
+            cfg = ChainConfig(max_psi=float(psi), max_leaves=max_leaves, max_depth=max_depth)
             whole = truncate_path(reconstruct_path(base.path, launch), float(psi), None)
             built += [whole, truncate_path(whole, float(psi), max_leaves)]
-            chains.append(run_pqmc(launch, table, SEB_PRIORITY, cfg))
+            chains.append(chain(launch, table, SEB_PRIORITY, cfg))
     for paths in (built, chains):
         shared = node_table(paths)
         for path in paths:
@@ -281,13 +276,12 @@ def test_select_over_whole_paths_equals_select_over_their_cuts(seed, d, side, th
     box = bounding_box(pts)
     max_depth = 40
     table = CellTable(pts, box)
-    carve = carve_path(table, PqmcConfig(max_leaves=int(rng.integers(1, 8)),
-                                         max_depth=max_depth))
+    carve = carve_path(table, int(rng.integers(1, 8)), max_depth)
     launches = launch_states(carve, 3)
     low = float(threshold)
     if sequential:
-        cfg = PqmcConfig(max_psi=low, max_leaves=max_leaves, max_depth=max_depth)
-        wholes = [run_pqmc(launch, table, SEB_PRIORITY, cfg) for launch in launches]
+        cfg = ChainConfig(max_psi=low, max_leaves=max_leaves, max_depth=max_depth)
+        wholes = [chain(launch, table, SEB_PRIORITY, cfg) for launch in launches]
     else:
         base = build_threshold_tree(table, low, max_depth=max_depth)
         wholes = [truncate_path(reconstruct_path(base.path, launch), low, max_leaves)
@@ -319,7 +313,7 @@ def test_select_breaks_a_tied_score_by_the_leaf_labels():
     table = CellTable(pts, unit_box(2))
     launches = [State(table, [table.cell(v) for v in leaves])
                 for leaves in ((3, 4, 5), (2, 6, 7))]
-    paths = [run_pqmc(s, table, SEB_PRIORITY, PqmcConfig(max_psi=10.0)) for s in launches]
+    paths = [chain(s, table, SEB_PRIORITY, ChainConfig(max_psi=10.0)) for s in launches]
     assert [p.split_count for p in paths] == [0, 0]
     profiles = [path_profile(p, node_table(paths)) for p in paths]
     assert profiles[0].log_lik.tobytes() == profiles[1].log_lik.tobytes()

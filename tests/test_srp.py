@@ -11,7 +11,7 @@ from rphist.errors import (
     PointOutsideRootBox,
 )
 from rphist.geometry import Box
-from rphist.pqmc import SEB_PRIORITY, CellTable, PqmcConfig, State, run_pqmc
+from rphist.pqmc import CellTable, State, run_pqmc
 from rphist.srp import Histogram, density_at, histogram, log_likelihood
 from conftest import (
     FIG2_LEAVES,
@@ -187,8 +187,7 @@ def test_density_at_equals_membership_on_deep_tied_histograms():
     @given(deep_tied_sample(), st.data())
     def check(sample, data):
         pts, box, threshold = sample
-        path = run_pqmc(leaf_state(box, [1], pts), CellTable(pts, box), SEB_PRIORITY,
-                        PqmcConfig(max_psi=threshold))
+        path = run_pqmc(CellTable(pts, box), threshold)
         h = histogram(path.final)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         faces = np.vstack([h.lo, h.hi])
