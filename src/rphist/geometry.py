@@ -6,9 +6,11 @@ midpoint of the first widest coordinate (:func:`split_plane`, the one
 place that rule is written): a run's cell store plans each cell's
 bounds from its parent's (:class:`rphist.pqmc.CellStore`), and
 :func:`rphist.tree.cell_bounds` derives them from the labels of a
-file.  The cells of a paving are half-open: a cell is closed on the
-faces of the root box, and a point on a splitting plane belongs to the
-right child.  So the leaves partition the closed root box.
+file.  The store holds each cell's volume too, its widths' product
+(:func:`bounds_volume`), computed once beside its bounds.  The cells of
+a paving are half-open: a cell is closed on the faces of the root box,
+and a point on a splitting plane belongs to the right child.  So the
+leaves partition the closed root box.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ def split_plane(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
 def bounds_volume(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Volume of each box in a batch of ``(L, d)`` bounds: the widths'
     product, left to right, so every caller gets the same float."""
-    vol = np.ones(len(lo))
-    for j in range(lo.shape[1]):
-        vol *= hi[:, j] - lo[:, j]
+    widths = hi - lo
+    vol = widths[:, 0].copy()
+    for j in range(1, widths.shape[1]):
+        vol *= widths[:, j]
     return vol
 
 
@@ -132,11 +135,3 @@ def bounding_box(points, pad: float = DEFAULT_PAD) -> Box:
             highs = highs + grow
     return Box.from_bounds(lows, highs)
 
-
-def volume_at_depth(root_volume: float, depth: int) -> float:
-    """Volume of any cell at a given depth: ``root_volume * 2**-depth``.
-
-    Uses ``math.ldexp`` so deep cells degrade gracefully through the
-    subnormal range instead of overflowing ``2**depth``.
-    """
-    return math.ldexp(root_volume, -depth)

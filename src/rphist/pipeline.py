@@ -160,6 +160,7 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             logger.info("1 sequential SEB chain to threshold %g: %d splits, "
                         "%d cells partitioned", low, root.split_count, table.partitioned)
         else:
+            table.drop_permutation()  # the build reads the table's points and store alone
             base = build_threshold_tree(table, low, cfg.max_depth,
                                         shard_count=cfg.shards, workers=cfg.workers)
             root = base.path

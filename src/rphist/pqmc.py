@@ -16,16 +16,15 @@ the lowest label.  A run makes two chains:
 States spread along the carve path (:func:`launch_states`) launch the
 tributaries whose states the smoothing stage scores; a run reads every
 tributary off one SEB path from the root, the SEB chain's or the
-sharded build's (:func:`rphist.distributed.reconstruct_path`).  The cells a run
-creates are the rows of a :class:`CellStore`, which the sharded builder
-fills too.  Both chains share the run's one :class:`CellTable`, which
-checks the points against the root box once and is a store over one
-permutation of the points, which partitions each cell once per run; the
-sharded build cuts its shards from its points.  A chain itself keeps
-only a heap of the priorities of the leaves it may pop, those above its
-threshold, and its leaf count.  A path is the ids of the cells it split,
-rows of that store, and a state is a launch state's leaves with a prefix
-of those rows split (:class:`State`), so every label, count and bound is
+sharded build's (:func:`rphist.distributed.reconstruct_path`).  The
+cells a run creates are the rows of a :class:`CellStore`, which the
+sharded builder fills too.  Both chains share the run's one
+:class:`CellTable`, which checks the points against the root box once
+and is a store over one permutation of the points, which partitions
+each cell once per run; the sharded build cuts its shards from its
+points.  A path is the ids of the cells it split, rows of that store,
+and a state is a launch state's leaves with a prefix of those rows
+split (:class:`State`), so every label, count, bound and volume is
 read from the store.  A path's success and tie flags are read off what
 it keeps, so a path cut from a longer one needs no chain of its own.
 """
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBisectable
-from .geometry import Box, split_plane, volume_at_depth
+from .geometry import Box, bounds_volume, split_plane
 from .srp import points_in_box
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
 from .tree import ROOT, cell_bounds  # noqa: F401
@@ -55,6 +54,7 @@ class Leaves(NamedTuple):
     counts: np.ndarray  # (L,) points per leaf
     lo: np.ndarray  # (L, d) lower bounds
     hi: np.ndarray  # (L, d) upper bounds
+    volumes: np.ndarray  # (L,) cell volumes
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +65,10 @@ class State:
     unless given), and the state's leaves are those with the cells
     ``rows`` of ``store`` split in turn, each into its two children.  A
     row splits a launch leaf, matched by label, or a child of an earlier
-    row.  The labels, counts and bounds of the leaves are read from the
-    stores' rows (:attr:`leaves`).  Two states are equal when their root
-    box, point count and leaves with their counts are, whatever the
-    stores and ids.
+    row.  The labels, counts, bounds and volumes of the leaves are read
+    from the stores' rows (:attr:`leaves`).  Two states are equal when
+    their root box, point count and leaves with their counts are,
+    whatever the stores and ids.
     """
 
     store: CellStore
@@ -114,11 +114,11 @@ class State:
     @cached_property
     def leaves(self) -> Leaves:
         launch, kids = self._ids
-        (la, ca, ba), (lk, ck, bk) = self.origin.gather(launch), self.store.gather(kids)
-        labels = la + lk
+        (labels, *a), (more, *b) = self.origin.gather(launch), self.store.gather(kids)
+        labels += more
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        lo, hi = np.hsplit(np.concatenate([ba, bk])[order], 2)
-        return Leaves([labels[i] for i in order], np.concatenate([ca, ck])[order], lo, hi)
+        counts, bounds, volumes = (np.concatenate([x, y])[order] for x, y in zip(a, b))
+        return Leaves([labels[i] for i in order], counts, *np.hsplit(bounds, 2), volumes)
 
     def relaunched(self) -> "State":
         """The same leaves as the launch leaves of a state with no rows.
@@ -222,21 +222,21 @@ class PqmcPath:
 
 class CellStore:
     """The cells a run created, by id: label, count, children, parent,
-    bounds and split plane.
+    bounds, volume and split plane.
 
     The root is id 1 (id 0 is a placeholder) and a split cell's children
     get the next two ids, left first, so an id's parity is its side and
     ``parent[i >> 1]`` is the parent of id ``i``.  ``kid[i]`` is the left
-    child's id, 0 until ``i`` is split.  Bounds and split planes are
-    found when first needed, in one :func:`split_plane` batch over every
-    cell created since the last (ids from ``planned`` on), each child's
-    bounds from its parent's: so they are bit-identical to
-    :func:`rphist.tree.cell_bounds` of the cell's label.
+    child's id, 0 until ``i`` is split.  Bounds, volumes (their
+    :func:`~rphist.geometry.bounds_volume`) and split planes are found
+    when first needed, in one batch over every cell created since the
+    last (ids from ``planned`` on), each child's bounds from its
+    parent's: so they are bit-identical to those of the cell's label.
 
     A chain path's splits are rows of a store (:class:`PqmcPath`): row
     ``i`` splits the cell of label ``labels[i]``, :meth:`split_counts`
-    gives its children's counts and :meth:`split_bounds` its bounds;
-    :meth:`find` gives the id of a label.
+    gives its children's counts and :meth:`gather` its bounds and
+    volume; :meth:`find` gives the id of a label.
     """
 
     def __init__(self, root_box: Box, n: int):
@@ -246,8 +246,9 @@ class CellStore:
         self.kid = array("q", [0, 0])
         self.parent = array("q", [0])  # per pair of children: the parent's id
         self.labels = [0, ROOT]
-        # bounds (lo | hi), split coordinate, midpoint and bisectability of ids < planned
+        # bounds (lo | hi), volume, split coordinate, midpoint and bisectability of ids < planned
         self.bounds = np.concatenate([root_box.lows(), root_box.highs()])[None].repeat(2, 0)
+        self.volume = array("d", [root_box.volume] * 2)
         axis, mid, ok = split_plane(self.bounds[:, :root_box.dim], self.bounds[:, root_box.dim:])
         self.axis, self.mid = array("q", axis.tolist()), array("d", mid.tolist())
         self.ok = array("b", ok.tolist())
@@ -277,18 +278,17 @@ class CellStore:
         kid = np.frombuffer(self.kid, np.int64)[rows]
         return count[kid], count[kid + 1]
 
-    def split_bounds(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(lo, hi)`` bounds of the cells ``rows``, such as a path's
-        split cells."""
+    def volumes(self, ids) -> np.ndarray:
+        """The volumes of the cells ``ids``."""
         self._plan()
-        return tuple(np.hsplit(self.bounds[rows], 2))
+        return np.frombuffer(self.volume)[ids]
 
-    def gather(self, ids: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """The labels, counts and ``lo | hi`` bounds of the cells ``ids``."""
+    def gather(self, ids: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """The labels, counts, ``lo | hi`` bounds and volumes of cells ``ids``."""
         self._plan()
         labels = self.labels
         return ([labels[i] for i in ids.tolist()], np.frombuffer(self.count, np.int64)[ids],
-                self.bounds[ids])
+                self.bounds[ids], np.frombuffer(self.volume)[ids])
 
     def add(self, cells: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Split the cells ``cells``, none split before, into children of
@@ -315,10 +315,9 @@ class CellStore:
         cols = np.frombuffer(self.axis, np.int64)[par] + d * (1 - ids % 2)
         rows[np.arange(len(ids)), cols] = np.frombuffer(self.mid)[par]
         if len(self.bounds) < size:  # a quarter more: chains plan after almost every split
-            grown = np.empty((size + size // 4, 2 * d))
-            grown[:self.planned] = self.bounds[:self.planned]
-            self.bounds = grown
+            self.bounds = np.resize(self.bounds, (size + size // 4, 2 * d))
         self.bounds[self.planned:size] = rows
+        self.volume.frombytes(bounds_volume(rows[:, :d], rows[:, d:]).tobytes())
         axis, mid, ok = split_plane(rows[:, :d], rows[:, d:])
         self.axis.frombytes(axis.astype(np.int64).tobytes())
         self.mid.frombytes(mid.tobytes())
@@ -334,6 +333,7 @@ class CellTable(CellStore):
     its range in place, left child first; the children's ranges nest in
     it, so no later split moves a cell.  The cells themselves are a
     :class:`CellStore`, which a split extends by one pair of cells.
+    :meth:`drop_permutation` frees the permutation and keeps the store.
     """
 
     def __init__(self, points, root_box: Box):
@@ -353,10 +353,16 @@ class CellTable(CellStore):
             i = self.split(i) + (bit == "1")
         return i
 
+    def drop_permutation(self) -> None:
+        """Free the permutation (16 bytes a point): a new split then raises RuntimeError."""
+        self.perm = self.start = None
+
     def split(self, i: int) -> int:
         """Id of the left child of splittable cell ``i``."""
         if self.kid[i]:
             return self.kid[i]
+        if self.perm is None:
+            raise RuntimeError(f"cell {self.labels[i]}: the table dropped its permutation")
         if i >= self.planned:
             self._plan()
         s, c = self.start[i], self.count[i]
@@ -378,8 +384,8 @@ class CellTable(CellStore):
 
 def _chain(table: CellTable, priority: Callable[[int, int], float], threshold: float | None,
            max_leaves: int | None, max_depth: int) -> PqmcPath:
-    """The chain from the root of ``table`` under ``priority(label,
-    count)``.
+    """The chain from the root of ``table`` under ``priority(cell,
+    count)`` of a cell id and its count.
 
     The chain keeps its leaf count and a heap of ``(-priority, label,
     cell id)`` keys over the leaves it may still pop: the top is the
@@ -400,7 +406,7 @@ def _chain(table: CellTable, priority: Callable[[int, int], float], threshold: f
     def admit(label: int, cell: int) -> None:
         count = table.count[cell]
         if count and label.bit_length() <= max_depth:
-            value = priority(label, count)
+            value = priority(cell, count)
             if threshold is None or value > threshold:
                 heapq.heappush(heap, (-value, label, cell))
 
@@ -442,22 +448,22 @@ def run_pqmc(table: CellTable, threshold: float, max_depth: int = 1000) -> PqmcP
     """
     if not threshold > 0.0:  # NaN fails too
         raise ValueError("threshold must be > 0")
-    return _chain(table, lambda label, count: float(count), float(threshold), None, max_depth)
+    return _chain(table, lambda cell, count: float(count), float(threshold), None, max_depth)
 
 
 def carve_path(table: CellTable, max_leaves: int, max_depth: int = 1000) -> PqmcPath:
     """The support-carving chain from the root of ``table``, the run's
     :class:`CellTable`, with no priority stop.
 
-    The priority of a leaf is ``(1 - count/n) * volume``; the chain
-    stops at ``max_leaves`` leaves or when no splittable leaf remains.
+    The priority of a leaf is ``(1 - count/n) * volume`` (the table's
+    volume); it stops at ``max_leaves`` leaves or when none can split.
     """
     if max_leaves < 1:
         raise ValueError("max_leaves must be >= 1")
-    n, root_volume = table.n, table.root_box.volume
 
-    def priority(label: int, count: int) -> float:
-        return (1.0 - count / n) * volume_at_depth(root_volume, label.bit_length() - 1)
+    def priority(cell: int, count: int) -> float:
+        table._plan()  # the children of the last pop
+        return (1.0 - count / table.n) * table.volume[cell]
 
     return _chain(table, priority, None, max_leaves, max_depth)
 

@@ -18,11 +18,11 @@ states once.  The paths take their splits from one
 :class:`~rphist.pqmc.CellStore` (the cells of the root build, or the
 cell table the carve and the sequential root chain ran on).  A split
 changes the log-likelihood and the two CV leaf sums by amounts that
-depend on the split alone, and the store holds each split cell's
-bounds and split plane.  So :func:`node_table` computes those deltas
-once per row of the store that some path takes, with the per-cell
-formulas of :func:`~rphist.srp.cell_terms`, and each path's per-state
-profile is a gather from that table plus a cumulative sum
+depend on the split alone, and the store holds the counts and volumes
+of each split cell and its children.  So :func:`node_table` computes
+those deltas once per row of the store that some path takes, with the
+per-cell formulas of :func:`~rphist.srp.cell_terms`, and each path's
+per-state profile is a gather from that table plus a cumulative sum
 (:func:`path_profile`), in either builder mode.
 """
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from .geometry import bounds_volume
 from .pqmc import PqmcPath, State
 from .srp import cell_terms, leaf_terms, log_likelihood
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
@@ -113,8 +112,8 @@ def cv_score(s: State) -> float:
     return _cv_from_terms(float(a), float(b), s.n)
 
 
-def _cv_from_terms(a: float, b: float, n: int) -> float:
-    """The CV score from the two leaf sums; NaN below two points."""
+def _cv_from_terms(a, b, n: int):
+    """The CV score from the two leaf sums, floats or arrays; NaN below two points."""
     return a / (n * n) - 2.0 * b / (n * (n - 1)) if n >= 2 else float("nan")
 
 
@@ -139,8 +138,8 @@ class NodeTable:
 
 def node_table(paths: list[PqmcPath]) -> NodeTable:
     """The :class:`NodeTable` of paths over one cell store, over the rows
-    of the store that some path takes, from the bounds and split planes
-    the store holds.
+    of the store that some path takes, from the counts and volumes the
+    store holds for each row and its two children.
 
     Every term is formed elementwise with the float operations of a
     record-by-record walk, so profiles gathered from the table are
@@ -157,14 +156,9 @@ def node_table(paths: list[PqmcPath]) -> NodeTable:
         if path.initial not in launch:
             launch[path.initial] = leaf_terms(path.initial)
     rows = np.flatnonzero(taken)
-    lo, hi = store.split_bounds(rows)
-    axis, mid, _ = store.planes(rows)
+    kid = np.frombuffer(store.kid, np.int64)[rows]
+    vol, vol_l, vol_r = store.volumes(np.stack([rows, kid, kid + 1]))
     cl, cr = (c.astype(float) for c in store.split_counts(rows))
-    at = np.arange(len(rows))
-    width = hi[at, axis] - lo[at, axis]
-    vol = bounds_volume(lo, hi)
-    vol_l = vol / width * (mid - lo[at, axis])
-    vol_r = vol / width * (hi[at, axis] - mid)
     deltas = np.empty((3, len(rows), 3))
     deltas[:, :, 0] = cell_terms(cl, vol_l, store.n)
     deltas[:, :, 1] = cell_terms(cr, vol_r, store.n)
@@ -223,21 +217,28 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
     not over every pruning of the store's cells; ties prefer fewer leaves, then the
     lexicographically smallest sorted leaf-label sequence, then the
     earlier path, so the selected state does not depend on path order.
+    A state whose scores are not finite (``c^2/v`` overflows in cells of
+    tiny volume) is no candidate; with none left, EmptyCandidateSet.
     """
     if not paths:
         raise EmptyCandidateSet("no candidate paths")
-    table = node_table(paths)
-    # each ingredient over every state, in one array; the profiles are not kept
-    m, log_lik, cv_a, cv_b = (np.concatenate(part) for part in zip(*(
-        (prof.m, prof.log_lik, prof.cv_a, prof.cv_b)
-        for prof in (path_profile(p, table) for p in paths))))
+    with np.errstate(all="ignore"):  # scores that overflow are no candidates
+        table = node_table(paths)
+        # each ingredient over every state, in one array; the profiles are not kept
+        m, log_lik, cv_a, cv_b = (np.concatenate(part) for part in zip(*(
+            (prof.m, prof.log_lik, prof.cv_a, prof.cv_b)
+            for prof in (path_profile(p, table) for p in paths))))
+        cvs = _cv_from_terms(cv_a, cv_b, paths[0].initial.n)
     starts = np.cumsum([0] + [len(p) for p in paths])  # each path's first state
 
     def state(i: int) -> State:
         k = int(np.searchsorted(starts, i, side="right")) - 1
         return paths[k].state(i - int(starts[k]))
 
-    n = paths[0].initial.n
+    finite = np.isfinite(log_lik) & np.isfinite(cvs)
+    if not finite.any():
+        raise EmptyCandidateSet(f"no finite score in {len(m)} states: cells too small for floats")
+    log_lik[~finite] = -np.inf
     scores = np.empty_like(m)
     best = None  # (cv, tau, state, score)
     curve = []
@@ -248,15 +249,10 @@ def select(paths: list[PqmcPath], cfg: SmoothingConfig) -> ScoredEstimate:
         if len(top) > 1:  # a stable sort: equal leaves keep path order
             top.sort(key=lambda i: state(i).leaves.labels)
         i = top[0]
-        cv = _cv_from_terms(float(cv_a[i]), float(cv_b[i]), n)
+        cv = float(cvs[i])
         curve.append(CurvePoint(float(tau), cv, int(m[i])))
         if best is None or cv < best[0]:
             best = (cv, tau, i, float(scores[i]))
     cv, tau, i, score = best
-    return ScoredEstimate(
-        state=state(i),
-        tau=float(tau),
-        penalized_score=score,
-        cv_score=cv,
-        cv_curve=tuple(curve),
-    )
+    return ScoredEstimate(state=state(i), tau=float(tau), penalized_score=score, cv_score=cv,
+                          cv_curve=tuple(curve))

@@ -5,9 +5,10 @@ points that fell into it, so the count of a split cell always equals
 the sum of its children's counts.  The cells of a run are the rows of
 its cell store, and a chain state names its leaves among them
 (:class:`rphist.pqmc.State`), so everything here reads a state's leaf
-labels, counts and bounds from the store.  The histogram estimate places
-the density ``count / (n * volume)`` on each leaf cell, which is the
-maximum likelihood simple function for the partition given by the leaves.
+labels, counts, bounds and volumes from the store.  The histogram
+estimate places the density ``count / (n * volume)`` on each leaf cell,
+which is the maximum likelihood simple function for the partition given
+by the leaves.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class Histogram:
 def histogram(s: State) -> Histogram:
     """The state's histogram: density ``count / (n * volume)`` per leaf
     cell, from the labels, counts and bounds its store holds."""
-    labels, counts, lo, hi = s.leaves
+    labels, counts, lo, hi, _ = s.leaves
     return Histogram.from_counts(s.root_box, s.n, labels, counts, (lo, hi))
 
 
@@ -184,10 +185,10 @@ def cell_terms(counts: np.ndarray, vol: np.ndarray, n: int) -> np.ndarray:
 def leaf_terms(s: State) -> np.ndarray:
     """The three :func:`cell_terms` of the state, each summed left to
     right over its non-empty leaves in label order."""
-    _, counts, lo, hi = s.leaves
+    counts, volumes = s.leaves.counts, s.leaves.volumes
     full = counts > 0
     terms = np.zeros((3, np.count_nonzero(full) + 1))  # a leading 0: the sums start from 0.0
-    terms[:, 1:] = cell_terms(counts[full].astype(float), bounds_volume(lo[full], hi[full]), s.n)
+    terms[:, 1:] = cell_terms(counts[full].astype(float), volumes[full], s.n)
     return np.cumsum(terms, axis=1)[:, -1]
 
 

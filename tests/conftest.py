@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rphist.geometry import Box, bounding_box, split_plane, volume_at_depth
+from rphist.geometry import Box, bounding_box, split_plane
 from rphist.pqmc import CellStore, CellTable, PqmcPath, State
 from rphist.srp import inside_mask
 from rphist.tree import ROOT, cell_bounds
@@ -97,7 +97,7 @@ class LeafPool:
     def admit(self, label: int, cell: int) -> None:
         count = self.table.count[cell]
         if count and label.bit_length() <= self.cfg.max_depth:
-            vol = volume_at_depth(self.table.root_box.volume, label.bit_length() - 1)
+            vol = float(self.table.volumes(cell))
             value = self.priority.value(count, vol, self.table.n)
             if self.threshold is None or value > self.threshold:
                 heapq.heappush(self.heap, (-value, label, cell))

@@ -20,7 +20,7 @@ from rphist.distributed import (
     reconstruct_path,
     truncate_path,
 )
-from rphist.geometry import Box, bounding_box
+from rphist.geometry import Box, bounding_box, bounds_volume
 from rphist.pqmc import CellStore, CellTable, PqmcPath, carve_path, launch_states, run_pqmc
 from rphist.srp import Histogram, histogram, inside_mask
 from rphist.tree import cell_bounds
@@ -65,7 +65,7 @@ def fig7_dataset(shard_count=2) -> TaggedDataset:
 
 def bounds_of(ds: TaggedDataset) -> np.ndarray:
     """The ``lo | hi`` bounds the store holds for each working cell."""
-    return np.hstack(ds.store.split_bounds(ds.cells))
+    return ds.store.gather(ds.cells)[2]
 
 
 def cell_of_each_point(ds: TaggedDataset) -> list[int | None]:
@@ -823,8 +823,9 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
             kid = np.frombuffer(cells.kid, np.int64)
             split = np.flatnonzero(kid)
             ref_lo, ref_hi = cell_bounds(box, [labels[i] for i in split])
-            lo, hi = cells.split_bounds(split)
-            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+            _, _, bounds, vols = cells.gather(split)
+            assert np.array_equal(bounds, np.hstack([ref_lo, ref_hi]))
+            assert vols.tobytes() == bounds_volume(ref_lo, ref_hi).tobytes()
             order = res.path.rows
             split_records = tuple(SplitRecord(labels[i], cl, cr) for i, cl, cr in zip(
                 order.tolist(), *(c.tolist() for c in cells.split_counts(order))))

@@ -1110,6 +1110,52 @@ def test_cli_reports_an_input_error_in_one_line(tmp_path, argv):
                                                               "two.csv", "wide.csv"]
 
 
+@pytest.mark.parametrize("scale", [1e-152, 1e-156, 1e-162])
+def test_cli_build_fails_in_one_line_when_no_state_has_a_finite_score(tmp_path, scale):
+    # 5000 standard-normal rows scaled down until c^2/v overflows in every
+    # candidate state, the root state's too, though the root box's volume
+    # is positive: both modes exit 1 with the same typed one-line error
+    # and write nothing, where they wrote NaN scores (1e-152) or raised
+    # from an empty argmax (1e-156); at 1e-162 some cell volumes are 0
+    pts = np.random.default_rng(1).standard_normal((5000, 2)) * scale
+    np.savetxt(tmp_path / "tiny.csv", pts, fmt="%.17g", delimiter=",")
+    src = str(Path(rphist.__file__).resolve().parents[1])
+    errors = set()
+    for mode in ([], ["--sequential"]):
+        proc = subprocess.run([sys.executable, "-m", "rphist.cli", "build", "--input", "tiny.csv",
+                               "--dim", "2", "--out", "h.json", *mode],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("rphist: error: ") and proc.stderr.count("\n") == 1
+        assert "finite" in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
+        errors.add(proc.stderr)
+    assert len(errors) == 1
+
+
+def test_pipeline_selects_among_the_states_with_finite_scores(tmp_path):
+    # at scale 1e-151 only 7 of the 629 candidate states have a finite CV
+    # score: the others are no candidates, so no NaN reaches the manifest,
+    # and both modes write the same bytes
+    pts = np.random.default_rng(1).standard_normal((5000, 2)) * 1e-151
+
+    def reject(name):
+        raise ValueError(f"{name} in the manifest")
+
+    written = []
+    for sequential in (False, True):
+        out = tmp_path / f"h-{sequential}.json"
+        _, est = run_pipeline(RunConfig(dim=2, out=str(out), sequential=sequential), pts)
+        selected = json.loads(Path(f"{out}.manifest.json").read_text(),
+                              parse_constant=reject)["selected"]
+        assert math.isfinite(selected["cv_score"]) and math.isfinite(selected["penalized_score"])
+        assert all(math.isfinite(pt["cv_score"]) for pt in selected["cv_curve"])
+        assert selected["leaf_count"] == est.state.leaf_count
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cli_build_seed_is_ignored(tmp_path):
     pts = np.random.default_rng(46).integers(0, 8, (400, 2))
     csv = tmp_path / "pts.csv"

@@ -1,13 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rphist.distributed import build_threshold_tree
 from rphist.errors import PointOutsideRootBox
-from rphist.geometry import Box, bounding_box, split_plane, volume_at_depth
+from rphist.geometry import Box, bounding_box, bounds_volume, split_plane
 from rphist.pqmc import CellTable, carve_path, launch_states, run_pqmc
 from rphist.tree import cell_bounds, depth
 
@@ -39,6 +38,11 @@ def splittable_leaves(counts: dict[int, int], root_box, cfg) -> set[int]:
             and split_plane(*cell_bounds(root_box, [v]))[2][0]}
 
 
+def cell_volume(root_box, label: int) -> float:
+    """Reference: the volume of cell ``label``, from its own bounds."""
+    return float(bounds_volume(*cell_bounds(root_box, [label]))[0])
+
+
 def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
     """Independent step-by-step simulation: recompute the splittable leaves
     and their priorities from scratch at every step, split the largest
@@ -52,7 +56,7 @@ def naive_path(s0, pts, priority, max_psi, max_leaves, max_depth=1000):
     states, had_ties = [membership_counts(box, leaves_of(nodes), pts)], False
     while True:
         counts = states[-1]
-        cand = {v: priority.value(counts[v], volume_at_depth(box.volume, depth(v)), s0.n)
+        cand = {v: priority.value(counts[v], cell_volume(box, v), s0.n)
                 for v in splittable_leaves(counts, box, ChainConfig(max_depth=max_depth))}
         best = max(cand.values(), default=None)
         if best is None and not max_psi:
@@ -247,8 +251,8 @@ def test_shared_table_chains_equal_fresh_tables_and_naive():
             assert (stop_reason(path), path.success, path.had_ties) == (stop, success, had_ties)
             # the next pop's priority: the largest over the final splittable
             # leaves, or the threshold if none is above it
-            final, vol = leaf_counts(path.final), box.volume
-            top = max((priority.value(final[v], volume_at_depth(vol, depth(v)), len(pts))
+            final = leaf_counts(path.final)
+            top = max((priority.value(final[v], cell_volume(box, v), len(pts))
                        for v in splittable_leaves(final, box, c)), default=None)
             if c.max_psi is not None and (top is None or top <= c.max_psi):
                 top = c.max_psi
@@ -295,10 +299,60 @@ def test_table_splits_a_cell_created_since_it_last_planned():
     i = t.split(t.split(1))
     assert i == ref.cell(4)
     ids = np.array([i, i + 1])
-    (labels, counts, bounds), (ref_labels, ref_counts, ref_bounds) = t.gather(ids), ref.gather(ids)
+    (labels, counts, bounds, vols), (ref_labels, ref_counts, ref_bounds, ref_vols) = (
+        t.gather(ids), ref.gather(ids))
     assert labels == ref_labels == [4, 5]
     assert counts.tolist() == ref_counts.tolist() == [2, 3]
-    assert np.array_equal(bounds, ref_bounds)
+    assert np.array_equal(bounds, ref_bounds) and np.array_equal(vols, ref_vols)
+
+
+def test_table_splits_no_new_cell_after_dropping_its_permutation():
+    pts = fig2_points()
+    t = CellTable(pts, unit_box(2))
+    kid = t.cell(4)
+    t.drop_permutation()
+    assert t.perm is None and t.start is None
+    # the cells split before stay, with their counts, bounds and volumes
+    assert t.split(1) == t.cell(2) and t.cell(5) == kid + 1
+    ref = CellTable(pts, unit_box(2))
+    ids = np.array([kid, kid + 1])
+    for got, want in zip(t.gather(ids), ref.gather(np.array([ref.cell(4), ref.cell(5)]))):
+        assert np.array_equal(got, want)
+    with pytest.raises(RuntimeError, match="dropped its permutation"):
+        t.split(kid + 1)
+    with pytest.raises(RuntimeError, match="dropped its permutation"):
+        t.cell(6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.data())
+def test_store_volume_is_each_cells_bounds_product(d, data):
+    # root boxes whose sides differ, widths 1-10 with some equal, and rows
+    # on a grid of the box with one row repeated: tied counts, rows on the
+    # planes and on the faces, and cells of copies split until the floats
+    # run out, far past the depth where the halvings' rounding shows
+    lows = data.draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d))
+    widths = data.draw(st.lists(st.one_of(st.sampled_from([1.0, 3.0, 10.0]), st.floats(1, 10)),
+                                min_size=d, max_size=d))
+    box = Box.from_bounds(lows, [a + w for a, w in zip(lows, widths)])
+    grid = data.draw(arrays(np.int64, (data.draw(st.integers(2, 80)), d),
+                            elements=st.integers(0, 4), fill=st.nothing()))
+    grid = np.vstack([grid, np.repeat(grid[:1], data.draw(st.integers(0, 20)), axis=0)])
+    lo, hi = box.lows(), box.highs()
+    pts = np.clip(lo + grid / 4 * (hi - lo), lo, hi)
+    threshold = float(data.draw(st.integers(1, 6)))
+    table = CellTable(pts, box)
+    carve = carve_path(table, data.draw(st.integers(1, 25)))
+    run_pqmc(table, threshold)
+    build = build_threshold_tree(CellTable(pts, box), threshold, shard_count=2, workers=2)
+    for store in (table, build.cells):
+        want = bounds_volume(*cell_bounds(box, store.labels[1:]))
+        assert store.volumes(np.arange(1, len(store.labels))).tobytes() == want.tobytes()
+    # the carve's priorities read those volumes: the reference chain and
+    # the naive oracle, from each cell's own bounds, make the same path
+    s0 = leaf_state(box, [1], pts)
+    assert carve == assert_matches_naive(s0, pts, SPC_PRIORITY,
+                                         ChainConfig(max_leaves=carve.max_leaves))
 
 
 def test_path_leaf_counts_increase_one_per_step():
@@ -440,7 +494,7 @@ def test_priority_value_ranges():
         root_vol = box.volume
         for v in leaves:
             c = table.count[table.find(v)]
-            vol = math.ldexp(root_vol, -depth(v))
+            vol = float(table.volumes(table.find(v)))
             assert 0 <= SEB_PRIORITY.value(c, vol, table.n) <= table.n
             assert 0 <= SPC_PRIORITY.value(c, vol, table.n) <= root_vol + 1e-12
 

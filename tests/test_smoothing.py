@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
-from rphist.geometry import bounding_box, bounds_volume, split_plane
+from rphist.geometry import bounding_box, bounds_volume
 from rphist.pqmc import CellTable, State, carve_path, launch_states
 from rphist.smoothing import (
     SmoothingConfig,
@@ -212,13 +212,9 @@ def _profile_by_walk(path):
         a[0] += c * c / v
         b[0] += c * (c - 1) / v
 
-    lo, hi = cell_bounds(root_box, [rec.label for rec in records(path)])
-    axis, mid, _ = split_plane(lo, hi)
-    rows = np.arange(len(axis))
-    width = hi[rows, axis] - lo[rows, axis]
-    vol = bounds_volume(lo, hi)
-    vol_l = vol / width * (mid - lo[rows, axis])
-    vol_r = vol / width * (hi[rows, axis] - mid)
+    split = [rec.label for rec in records(path)]
+    vol, vol_l, vol_r = (bounds_volume(*cell_bounds(root_box, labels)) for labels in
+                         (split, [2 * v for v in split], [2 * v + 1 for v in split]))
     for t, (rec, v, vl, vr) in enumerate(
             zip(records(path), vol.tolist(), vol_l.tolist(), vol_r.tolist()), start=1):
         cl, cr = rec.left_count, rec.right_count

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rphist.errors import NotBisectable, RootHasNoParent
-from rphist.geometry import Box, bounds_volume, split_plane, volume_at_depth
+from rphist.geometry import Box, bounds_volume, split_plane
 from rphist.pqmc import CellTable, State
 from rphist.tree import cell_bounds, children, depth, parent, paves
 
@@ -262,23 +262,6 @@ def test_split_plane_is_the_first_widest_midpoint(d, data):
     assert axis[0] == best
     assert bits(mid[0]) == bits(a + (b - a) / 2.0)
     assert ok[0] == (a < a + (b - a) / 2.0 < b)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 4), st.data())
-def test_volume_at_depth_agrees_with_the_bounds_product(d, data):
-    # Priorities use volume_at_depth; the histogram, likelihood and CV use
-    # the product of the cell bounds, which carries the rounding of every
-    # midpoint.  Six halvings per coordinate of a width >= 1 within 10 of
-    # the origin keep that rounding below 1e-12.
-    lows = data.draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d))
-    widths = data.draw(st.lists(st.floats(1, 10), min_size=d, max_size=d))
-    root = Box.from_bounds(lows, [a + w for a, w in zip(lows, widths)])
-    labels = data.draw(st.lists(st.integers(1, 2 ** (6 * d + 1) - 1),
-                                min_size=1, max_size=20))
-    for label, vol in zip(labels, bounds_volume(*cell_bounds(root, labels))):
-        assert vol == pytest.approx(volume_at_depth(root.volume, depth(label)),
-                                    rel=1e-12)
 
 
 @st.composite
