@@ -7,8 +7,8 @@ of its first widest coordinate, a point on the splitting plane belongs
 to the right child, and the resulting binary tree is addressed with
 plain integers (root 1, children 2n and 2n+1).  The cells a run splits
 are the rows of a cell store, each with its count and bounds, and a
-state names its leaves among them; the bounds of any batch of labels can
-also be derived from the root box alone.
+state is the root with some of those rows split; the bounds of any
+batch of labels can also be derived from the root box alone.
 """
 
 import numpy as np
@@ -31,7 +31,7 @@ for label, lo, hi in zip((2, 3), lows.tolist(), highs.tolist()):
 # A point exactly on the splitting plane belongs to the right child.
 # A cell table holds the points and splits a cell on demand.
 table = CellTable([[0.5, 0.3]], square)
-halves = State(table, [table.cell(2), table.cell(3)])
+halves = table.state([2, 3])
 print("the point (0.5, 0.3) on the plane lands in cell",
       next(v for v, c in zip(halves.leaves.labels, halves.leaves.counts) if c))
 
@@ -39,11 +39,11 @@ print("the point (0.5, 0.3) on the plane lands in cell",
 print("children of 1:", children(1), " children of 5:", children(5))
 print("parent of 5:", parent(5), " depth of 5:", depth(5))
 
-# A state is a paving: its launch leaves, cells of the table, with more
-# cells split in turn.  Its leaves' labels, counts and bounds are read from
+# A state is a paving: the root with some cells of the table split, each
+# a row of the table.  Its leaves' labels, counts and bounds are read from
 # the table's rows, each planned once from its parent's.
 table.cell(4)  # splits cell 2
-state = State(table, halves.launch, [table.find(2)])
+state = State(table, [*halves.rows, table.cell(2)])
 leaves = state.leaves
 volumes = bounds_volume(leaves.lo, leaves.hi)
 print("leaves:", leaves.labels)

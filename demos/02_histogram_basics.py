@@ -3,8 +3,8 @@ From counts to a histogram density
 ==================================
 
 A statistical regular paving caches a point count at every cell.  A
-state names the leaves of a paving among the cells of a cell table,
-which counts the points into each cell it splits.  The histogram puts
+state is the root of a cell table with some of its cells split, and the
+table counts the points into each cell it splits.  The histogram puts
 the density count/(n * volume) on each leaf cell; it is the maximum
 likelihood piecewise-constant density for that partition and integrates
 to one by construction.
@@ -14,7 +14,6 @@ import numpy as np
 
 from rphist import (
     Box,
-    State,
     density_at,
     histogram,
     log_likelihood,
@@ -31,7 +30,7 @@ points = np.array([
     [0.6, 0.1], [0.7, 0.3], [0.8, 0.5], [0.9, 0.7], [1.0, 1.0],
 ])
 table = CellTable(points, Box.from_bounds([0, 0], [1, 1]))
-state = State(table, [table.cell(v) for v in (3, 4, 5)])
+state = table.state([3, 4, 5])  # splits cells 1 and 2
 print("per-cell counts:", dict(zip(table.labels[1:], table.count[1:].tolist())))
 
 h = histogram(state)

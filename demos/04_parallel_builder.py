@@ -11,7 +11,9 @@ once with a shard-local map, and retires settled cells early.  Sorting the
 resulting tree's internal nodes by (-count, label) recovers the exact
 sequential path, ties included, without touching the data again: a
 parent always has at least its children's count and a smaller label,
-so the chain pops cells in exactly that order.
+so the chain pops cells in exactly that order.  The builder adds its
+cells to the run's one cell table, so a cell that a chain split there
+keeps its id and its children.
 """
 
 import time
@@ -24,10 +26,11 @@ from rphist.pqmc import CellTable
 rng = np.random.default_rng(3)
 points = rng.standard_normal((200_000, 2))
 # Every builder takes the points as a cell table, which checks them
-# against the root box once.
+# against the root box once and holds every cell the builders split.
 table = CellTable(points, bounding_box(points))
 
-# The same terminal tree regardless of how the work is sharded.
+# The same terminal tree regardless of how the work is sharded; the
+# second build finds every cell it splits in the table already.
 for shards in (1, 4):
     t0 = time.perf_counter()
     result = build_threshold_tree(table, 500.0, shard_count=shards, workers=shards)
@@ -44,12 +47,15 @@ for i, st in enumerate(result.stats):
 # On a smaller burst of rounded (so often tied) points, check the
 # headline equivalence directly: the builder's tree is the sequential
 # chain's tree, and the build's sorted path is the sequential path,
-# split for split, with the same next pop and first tied pop.
+# split for split, with the same next pop and first tied pop.  The build
+# runs on the table the chain split and adds no cell to it.
 small = np.round(points[:3000], 1)
 small_table = CellTable(small, bounding_box(small))
 seq = run_pqmc(small_table, 30.0)
+cells = len(small_table.labels)
 par = build_threshold_tree(small_table, 30.0, shard_count=4)
 print(f"sequential chain: {seq.split_count} splits, priority ties: {seq.had_ties}")
 assert par.path.final == seq.final, "terminal trees differ"
 assert par.path == seq, "paths differ"
-print("terminal trees, paths and tie flags equal")
+assert len(small_table.labels) == cells, "the build added cells the chain had split"
+print("terminal trees, paths and tie flags equal; the build reused the chain's cells")

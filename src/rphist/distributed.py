@@ -1,11 +1,11 @@
 """Data-parallel count-threshold splitting over sharded tagged points.
 
 The working representation is the tagged dataset: a list of working
-cells, ids in a :class:`~rphist.pqmc.CellStore`, and the points of the
-run's :class:`~rphist.pqmc.CellTable`, checked against the root box
-there, spread over shards that never exchange points, each tagged with
-a working cell's index.  One iteration retires every cell whose count
-is at or below the threshold ("pruning") and splits the others; one
+cells, ids in the run's :class:`~rphist.pqmc.CellTable`, and the
+table's points, checked against the root box there, spread over
+shards that never exchange points, each tagged with a working cell's
+index.  One iteration retires every cell whose count is at or below
+the threshold ("pruning") and splits the others; one
 shard-local step per shard then moves each point to the child on its
 side of the splitting hyperplane and counts the points per new cell (a
 ``bincount``; the shards' counts are merged by adding the arrays).
@@ -14,8 +14,9 @@ split later.  Its points are parked, not copied out: its index maps
 past the last working cell, so a point's new tag is one gather,
 ``first[i] + side``, and a shard drops its parked points only once its
 working points fall below half of its rows.  Each iteration adds the
-children it made, with their counts, to the store in one batch, which
-plans each cell's bounds and split plane once, from its parent's.
+children of the cells it split, with their counts, to the table in one
+batch, which plans each cell's bounds and split plane once, from its
+parent's; a cell that a chain split there already keeps its children.
 
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
@@ -25,9 +26,10 @@ threshold.  The sequential path itself is a sort: a parent's count is
 no smaller and its label is smaller than its children's, so a chain
 that pops the largest count, ties towards the lowest label, splits the
 cells in ascending ``(-count, label)`` order (:func:`reconstruct_path`).
-In a build that is ascending ``(-count, id)``: each iteration splits
+A build splits cells in ascending label order: each iteration splits
 cells of one depth, left to right, and an over-threshold cell that
-cannot be split is never split, so the ids rise with the labels.
+cannot be split is never split.  So its path is a stable sort of the
+cells in the order it split them, by count (:attr:`BuildResult.split`).
 
 One path from the root serves every tributary: the cells with count
 above a threshold are the same whatever the launch state, and fewer for
@@ -35,10 +37,10 @@ a higher threshold.  So a single build at the lowest threshold of a run
 is sorted once into the SEB path from the root
 (:attr:`BuildResult.path`, equal to the sequential chain's), and the
 path that an SEB chain launched from a state would take is the rows of
-either that the state has not split (:func:`reconstruct_path`).  The
-chain pops in non-increasing count order, so the path to a higher
-threshold or under a leaf budget is a prefix of the path to a lower one
-(:func:`truncate_path`).
+either that the state has not split (:func:`reconstruct_path`), both
+rows of the run's one table.  The chain pops in non-increasing count
+order, so the path to a higher threshold or under a leaf budget is a
+prefix of the path to a lower one (:func:`truncate_path`).
 """
 from __future__ import annotations
 
@@ -74,10 +76,10 @@ class Shard:
 class TaggedDataset:
     """Working cells and the sharded points that lie in them.
 
-    Working cell ``i`` is the cell ``cells[i]`` of ``store``.  A point
-    tagged ``t`` lies in working cell ``remap[t]``; ``remap[t] ==
-    len(cells)`` parks it: its cell has retired.  ``remap`` is the
-    identity right after a split step.
+    Working cell ``i`` is the cell ``cells[i]`` of ``store``, the run's
+    table in a build.  A point tagged ``t`` lies in working cell
+    ``remap[t]``; ``remap[t] == len(cells)`` parks it: its cell has
+    retired.  ``remap`` is the identity right after a split step.
     """
 
     store: CellStore
@@ -93,18 +95,20 @@ class TaggedDataset:
 
     @classmethod
     def from_table(cls, table: CellTable, shard_count: int = 1) -> "TaggedDataset":
-        """Tag every point of ``table``, the run's checked points, with the
-        root cell of a new store and cut them into shards.
+        """Tag every point of ``table``, the run's checked points and the
+        dataset's store, with its root cell and cut them into shards.
 
         Shards are contiguous row ranges; the assignment never changes
-        afterwards.
+        afterwards.  The table's permutation is freed: the cells the
+        dataset adds have no range in it.
         """
         if shard_count < 1:
             raise ValueError("need at least one shard")
+        table.drop_permutation()
         shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows, np.array([len(rows)]))
                        for rows in np.array_split(np.ascontiguousarray(table.points),
                                                   shard_count))
-        return cls(CellStore(table.root_box, table.n), np.array([ROOT]), shards, np.arange(2))
+        return cls(table, np.array([ROOT]), shards, np.arange(2))
 
 
 def count_by_cell(ds: TaggedDataset) -> np.ndarray:
@@ -137,8 +141,10 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     returns.  A chosen cell with label ``a`` becomes its left child
     ``2a`` and right child ``2a + 1``, in its place in the cell order;
     the other cells stay as they are.  A point below the plane
-    (coordinate < mid) goes left, a point at or above it right.  The
-    children join the store in one batch, with their counts.
+    (coordinate < mid) goes left, a point at or above it right.  A cell
+    that the store has split already, by a chain on the same table,
+    keeps its children; the others' children join the store in one
+    batch, with their counts.
 
     Each shard takes one step, mapped over the shards by ``pool``: a
     point of cell ``c`` (its tag through ``ds.remap``) is retagged
@@ -181,7 +187,12 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
                         np.arange(cells + 1))
     counts = count_by_cell(out)
     left = first[rows]
-    kid = ds.store.add(ds.cells[rows], counts[left], counts[left + 1])
+    cells = ds.cells[rows]
+    kid = np.frombuffer(ds.store.kid, np.int64)[cells]
+    new = kid == 0
+    if new.any():
+        at = left[new]
+        kid[new] = ds.store.add(cells[new], counts[at], counts[at + 1])
     out.cells[left] = kid
     out.cells[left + 1] = kid + 1
     return out
@@ -217,14 +228,17 @@ class IterationStats:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """Outcome of a threshold build: the cells it created plus diagnostics.
+    """Outcome of a threshold build: the cells it split plus diagnostics.
 
-    ``cells`` holds the root and both children of every split cell, with
-    their counts; its ids rise with their labels.  ``path`` is the SEB
-    chain's path from the root to the threshold, read off the cells.
+    ``cells`` is the run's table, which holds both children of every
+    split cell, with their counts.  ``split`` is the ids the build split
+    in iteration order, ascending by label: each iteration splits cells
+    of one depth, left to right.  ``path`` is the SEB chain's path from
+    the root to the threshold, read off them.
     """
 
-    cells: CellStore
+    cells: CellTable
+    split: np.ndarray
     iterations: int
     threshold: float
     stats: tuple[IterationStats, ...] = field(default=(), repr=False)
@@ -233,14 +247,13 @@ class BuildResult:
     def path(self) -> PqmcPath:
         """The whole SEB path from the root state: the ids of the split
         cells in the chain's pop order, ascending ``(-count, label)``, a
-        stable sort of the ids, which rise with the labels, by count.  No
-        splittable cell is left above the threshold, so the threshold
-        stands for the next pop."""
-        cells = self.cells
-        split = np.flatnonzero(np.frombuffer(cells.kid, np.int64))
+        stable sort of :attr:`split` by count.  No splittable cell is
+        left above the threshold, so the threshold stands for the next
+        pop."""
+        cells, split = self.cells, self.split
         rows = split[np.argsort(-np.frombuffer(cells.count, np.int64)[split], kind="stable")]
-        return PqmcPath(State(cells, [ROOT]), cells, rows, self.threshold, None,
-                        self.threshold, _first_tie(cells, rows))
+        return PqmcPath(State(cells), rows, self.threshold, None, self.threshold,
+                        _first_tie(cells, rows))
 
 
 def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 1000,
@@ -249,19 +262,21 @@ def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 10
     until none is left.
 
     The build starts from the root cell of ``table``, the run's checked
-    points, in a store of its own.  Its cells form the unique tree in
-    which every leaf has count at or below the threshold; it equals the
-    terminal state of the sequential SEB chain
+    points, and adds its cells to the table: a cell that a chain has
+    split already keeps its children, and the table's permutation is
+    freed (:meth:`TaggedDataset.from_table`).  Its cells form the unique
+    tree in which every leaf has count at or below the threshold; it
+    equals the terminal state of the sequential SEB chain
     (:func:`~rphist.pqmc.run_pqmc`) over the same table to the same
     threshold and ``max_depth``, whose path is
     :attr:`BuildResult.path`.  An over-threshold cell that cannot be
     split (depth cap or machine precision) stays a leaf, as in the
-    sequential chain.  With several
-    workers and shards, one thread pool maps the shards of every step,
-    one map per iteration.
+    sequential chain.  With several workers and shards, one thread pool
+    maps the shards of every step, one map per iteration.
     """
     ds = TaggedDataset.from_table(table, shard_count)
     stats: list[IterationStats] = []
+    split_ids = [np.zeros(0, dtype=np.intp)]  # the ids each iteration splits
     passed = 0
     threads = workers > 1 and shard_count > 1
     with (ThreadPoolExecutor(workers) if threads else nullcontext()) as pool:
@@ -273,6 +288,7 @@ def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 10
             split = cells_to_split(ds, counts, threshold, max_depth)
             if not split:
                 break
+            split_ids.append(ds.cells[list(split.values())])
             ds = apply_splits(ds, split, pool)
             counts = np.frombuffer(ds.store.count, np.int64)[ds.cells]
             stats.append(IterationStats(
@@ -281,18 +297,18 @@ def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 10
                 passed_points=passed,
                 nonempty_cells=int(np.count_nonzero(counts)),
             ))
-    return BuildResult(ds.store, len(stats), float(threshold), tuple(stats))
+    return BuildResult(table, np.concatenate(split_ids), len(stats), float(threshold),
+                       tuple(stats))
 
 
-def assemble_srp(cells: CellStore) -> State:
-    """The terminal state of a finished build: the root with every split
-    cell of ``cells`` split, in id order, which puts each parent before
-    its children.
+def assemble_srp(result: BuildResult) -> State:
+    """The terminal state of a finished build: the root of the run's
+    table with the rows :attr:`BuildResult.split`.
 
-    The store holds the root and both children of every split cell,
+    The table holds the root and both children of every split cell,
     each with its count; a side that received no points has count 0.
     """
-    return State(cells, [ROOT], np.flatnonzero(np.frombuffer(cells.kid, np.int64)))
+    return State(result.cells, result.split)
 
 
 def reconstruct_path(root: PqmcPath, launch: State | None = None) -> PqmcPath:
@@ -303,27 +319,22 @@ def reconstruct_path(root: PqmcPath, launch: State | None = None) -> PqmcPath:
     Counts never increase down the tree, so the cells with count above
     the threshold form a subtree from the root that every chain splits,
     whatever its launch state.  The chain from ``launch`` (the root state
-    when omitted) therefore splits the cells of ``root`` that are not
-    internal in ``launch``, the proper prefixes of its leaf labels, each
-    found in the store by its label, in the order of ``root``, ties
-    included, and stops as ``root`` does; a call finds its first tied pop
-    over those rows.  The path's launch leaves stay cells of the launch
-    state's store (:meth:`~rphist.pqmc.State.relaunched`).  The path to
-    a higher threshold or under a leaf budget is cut from this one
-    (:func:`truncate_path`).  A ``root`` with a leaf budget or from
-    another state, or a ``launch`` of other data, raises ValueError.
+    when omitted), a state over the same store, therefore splits the
+    rows of ``root`` that ``launch`` has not split, in the order of
+    ``root``, ties included, and stops as ``root`` does; a call finds
+    its first tied pop over those rows.  The path to a higher threshold
+    or under a leaf budget is cut from this one (:func:`truncate_path`).
+    A ``root`` with a leaf budget or from another state, or a ``launch``
+    over another store, raises ValueError.
     """
-    cells = root.splits
     if root.max_leaves is not None or root.initial.leaf_count != 1:
         raise ValueError("need a whole path from the root with no leaf budget")
-    launch = root.initial if launch is None else launch.relaunched()
-    if launch.root_box != cells.root_box or launch.n != cells.n:
-        raise ValueError("launch state and root path hold different data")
-    split = [cells.find(v) for v in
-             {v >> k for v in launch.leaves.labels for k in range(1, v.bit_length())}]
-    rows = root.rows[~np.isin(root.rows, split)]
-    return PqmcPath(launch, cells, rows, root.threshold, None, root.top,
-                    _first_tie(cells, rows))
+    launch = root.initial if launch is None else launch
+    if launch.store is not root.splits:
+        raise ValueError("the launch state and the root path are over different cell stores")
+    rows = root.rows[~np.isin(root.rows, launch.rows)]
+    return PqmcPath(launch, rows, root.threshold, None, root.top,
+                    _first_tie(root.splits, rows))
 
 
 def _first_tie(cells: CellStore, rows: np.ndarray) -> int:
@@ -377,5 +388,5 @@ def truncate_path(whole: PqmcPath, threshold: float, max_leaves: int | None) -> 
         keep = min(keep, max(0, max_leaves - whole.initial.leaf_count))
     top = whole.top if keep == len(count) else float(count[keep])
     top = top if top is not None and top > threshold else threshold
-    return PqmcPath(whole.initial, whole.splits, whole.rows[:keep], threshold, max_leaves,
+    return PqmcPath(whole.initial, whole.rows[:keep], threshold, max_leaves,
                     top, min(whole.first_tie, keep))

@@ -7,14 +7,14 @@ grid and with no leaf budget, holds every tributary: the whole path from
 each launch state is read off it and cut to the leaf budget, and the
 path to every higher threshold is a prefix cut from that, so the
 smoothing stage scores the states of the whole paths alone.  The run
-checks its points against the root box once, in one cell table, which
-the carve and either root builder take.  By default the root path comes
-from one sharded threshold build over the table's points, sorted once;
-sequential mode runs the plain sequential chain from the root instead,
-on the table the carve split, so that each cell is partitioned once per
-run.  Both modes give the same histogram, ties included, and no
-step of either draws a random number.  The selected histogram is
-written as versioned JSON next to a manifest with the configuration,
+checks its points against the root box once, in one cell table that
+holds every cell the run splits: the carve and either root builder
+split cells there.  By default the root path comes from one sharded
+threshold build over the table's points, sorted once; sequential mode
+runs the plain sequential chain from the root instead, so that each
+cell is partitioned once per run.  Both modes give the same histogram,
+ties included, and no step of either draws a random number.  The
+selected histogram is written as versioned JSON next to a manifest with the configuration,
 per-candidate diagnostics, each whole path's tie flag, the threshold
 build's iteration stats (the whole paths' split counts and the
 partitioned cells in sequential mode) and stage timings.  A selected
@@ -160,7 +160,6 @@ def run_pipeline(cfg: RunConfig, points=None) -> tuple[Histogram, ScoredEstimate
             logger.info("1 sequential SEB chain to threshold %g: %d splits, "
                         "%d cells partitioned", low, root.split_count, table.partitioned)
         else:
-            table.drop_permutation()  # the build reads the table's points and store alone
             base = build_threshold_tree(table, low, cfg.max_depth,
                                         shard_count=cfg.shards, workers=cfg.workers)
             root = base.path

@@ -17,16 +17,17 @@ States spread along the carve path (:func:`launch_states`) launch the
 tributaries whose states the smoothing stage scores; a run reads every
 tributary off one SEB path from the root, the SEB chain's or the
 sharded build's (:func:`rphist.distributed.reconstruct_path`).  The
-cells a run creates are the rows of a :class:`CellStore`, which the
-sharded builder fills too.  Both chains share the run's one
-:class:`CellTable`, which checks the points against the root box once
-and is a store over one permutation of the points, which partitions
-each cell once per run; the sharded build cuts its shards from its
-points.  A path is the ids of the cells it split, rows of that store,
-and a state is a launch state's leaves with a prefix of those rows
-split (:class:`State`), so every label, count, bound and volume is
-read from the store.  A path's success and tie flags are read off what
-it keeps, so a path cut from a longer one needs no chain of its own.
+cells a run creates are the rows of its one :class:`CellTable`, a
+:class:`CellStore`: both chains split cells there, and the sharded
+build adds the cells that no chain split.  The table checks the points
+against the root box once and holds one permutation of the points,
+which partitions each cell once per run; the sharded build cuts its
+shards from its points.  A path is the ids of the cells it split, rows
+of the table, and a state is the root with some rows split
+(:class:`State`): a launch state's rows, then a prefix of a path's.  So
+every label, count, bound and volume is read from the one store.  A
+path's success and tie flags are read off what it keeps, so a path cut
+from a longer one needs no chain of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import NotBisectable
 from .geometry import Box, bounds_volume, split_plane
 from .srp import points_in_box
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
-from .tree import ROOT, cell_bounds  # noqa: F401
+from .tree import ROOT, cell_bounds, paves  # noqa: F401
 
 
 class Leaves(NamedTuple):
@@ -61,26 +62,19 @@ class Leaves(NamedTuple):
 class State:
     """A chain state: a paving of the root box, each leaf with its count.
 
-    The launch leaves are the cells ``launch`` of ``origin`` (``store``
-    unless given), and the state's leaves are those with the cells
-    ``rows`` of ``store`` split in turn, each into its two children.  A
-    row splits a launch leaf, matched by label, or a child of an earlier
-    row.  The labels, counts, bounds and volumes of the leaves are read
-    from the stores' rows (:attr:`leaves`).  Two states are equal when
-    their root box, point count and leaves with their counts are,
-    whatever the stores and ids.
+    The state is the root cell of ``store`` with the cells ``rows`` of
+    that store split, each into its two children; every row is the root
+    or a child of another row.  The labels, counts, bounds and volumes
+    of the leaves are read from the store's rows (:attr:`leaves`).  Two
+    states are equal when their root box, point count and leaves with
+    their counts are, whatever the stores and ids.
     """
 
     store: CellStore
-    launch: np.ndarray
     rows: np.ndarray = ()
-    origin: CellStore | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "launch", np.asarray(self.launch, dtype=np.intp))
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.intp))
-        if self.origin is None:
-            object.__setattr__(self, "origin", self.store)
 
     @property
     def root_box(self) -> Box:
@@ -92,43 +86,19 @@ class State:
 
     @property
     def leaf_count(self) -> int:
-        return len(self.launch) + len(self.rows)
-
-    @cached_property
-    def _ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The leaves as ids: the launch leaves no row splits, cells of
-        ``origin``, and the children of rows that no later row splits,
-        cells of ``store``."""
-        store, rows = self.store, self.rows
-        kid = np.frombuffer(store.kid, np.int64)[rows]
-        if not kid.all():
-            raise ValueError("a row of the state is a cell that the store has not split")
-        kids = np.concatenate([kid, kid + 1])
-        # a row whose parent is no row splits a launch leaf
-        first = rows[~np.isin(np.frombuffer(store.parent, np.int64)[rows >> 1], rows)]
-        split = {store.labels[i] for i in first.tolist()}
-        labels = self.origin.labels
-        launch = self.launch[[labels[i] not in split for i in self.launch.tolist()]]
-        return launch, kids[~np.isin(kids, rows)]
+        return 1 + len(self.rows)
 
     @cached_property
     def leaves(self) -> Leaves:
-        launch, kids = self._ids
-        (labels, *a), (more, *b) = self.origin.gather(launch), self.store.gather(kids)
-        labels += more
+        """The root and the rows' children, less the rows, in label order."""
+        kid = np.frombuffer(self.store.kid, np.int64)[self.rows]
+        if not kid.all():
+            raise ValueError("a row of the state is a cell that the store has not split")
+        ids = np.concatenate([[ROOT], kid, kid + 1])
+        labels, counts, bounds, volumes = self.store.gather(ids[~np.isin(ids, self.rows)])
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        counts, bounds, volumes = (np.concatenate([x, y])[order] for x, y in zip(a, b))
-        return Leaves([labels[i] for i in order], counts, *np.hsplit(bounds, 2), volumes)
-
-    def relaunched(self) -> "State":
-        """The same leaves as the launch leaves of a state with no rows.
-        A state whose leaves lie in two stores raises ValueError."""
-        if not len(self.rows):
-            return self
-        launch, kids = self._ids
-        if len(launch) and self.origin is not self.store:
-            raise ValueError("the state's leaves lie in two cell stores")
-        return State(self.store, np.concatenate([launch, kids]))
+        return Leaves([labels[i] for i in order], counts[order], *np.hsplit(bounds[order], 2),
+                      volumes[order])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, State):
@@ -144,32 +114,35 @@ class State:
 @dataclass(eq=False)
 class PqmcPath:
     """A chain sample path, stored as its launch state plus its splits,
-    as ids of the cells split, rows of a :class:`CellStore`.
+    as ids of the cells split, rows of the launch state's store.
 
-    ``initial`` is a :class:`State` with no rows, and ``splits`` is the
-    store of the rows: the :class:`CellTable` the chain ran on, or the
-    cells of a root build (:attr:`rphist.distributed.BuildResult.cells`).
-    Paths cut from one path share its store.
+    ``initial`` is the launch :class:`State`, the root with the cells
+    ``initial.rows`` split, and ``splits`` is its store, the run's
+    :class:`CellTable`, which the chains and the root build grow.  Paths
+    cut from one path share its store.
 
-    ``state(t)`` is the state after the first ``t`` splits, the launch
-    leaves with a prefix of the rows split; ``states()`` lists them all.
-    Consecutive states differ by exactly one split.  The flags derive
-    from the ``threshold`` (None with no priority stop) and
-    ``max_leaves`` the chain ran under, ``top``, the priority of its
-    next pop (the threshold if no splittable leaf is left above it, None
-    if none is left and no threshold is active), and ``first_tie``, the
-    step of its first tied pop (``len(rows)`` if none).  Two paths are
-    equal when their launch state, the labels of their split cells with
-    the children's counts, and these fields are.
+    ``state(t)`` is the state after the first ``t`` splits: the root
+    with the launch state's rows and then the first ``t`` rows split;
+    ``states()`` lists them all.  Consecutive states differ by exactly
+    one split.  The flags derive from the ``threshold`` (None with no
+    priority stop) and ``max_leaves`` the chain ran under, ``top``, the
+    priority of its next pop (the threshold if no splittable leaf is
+    left above it, None if none is left and no threshold is active), and
+    ``first_tie``, the step of its first tied pop (``len(rows)`` if
+    none).  Two paths are equal when their launch state, the labels of
+    their split cells with the children's counts, and these fields are.
     """
 
     initial: State
-    splits: CellStore
     rows: np.ndarray
     threshold: float | None
     max_leaves: int | None
     top: float | None
     first_tie: int
+
+    @property
+    def splits(self) -> CellStore:
+        return self.initial.store
 
     def _split_cells(self) -> tuple[list[int], list[int], list[int]]:
         left, right = self.splits.split_counts(self.rows)
@@ -193,7 +166,7 @@ class PqmcPath:
     def state(self, t: int) -> State:
         if not 0 <= t < len(self):
             raise IndexError(f"state {t} of a path of length {len(self)}")
-        return State(self.splits, self.initial.launch, self.rows[:t], self.initial.origin)
+        return State(self.splits, np.concatenate([self.initial.rows, self.rows[:t]]))
 
     @cached_property
     def final(self) -> State:
@@ -236,7 +209,7 @@ class CellStore:
     A chain path's splits are rows of a store (:class:`PqmcPath`): row
     ``i`` splits the cell of label ``labels[i]``, :meth:`split_counts`
     gives its children's counts and :meth:`gather` its bounds and
-    volume; :meth:`find` gives the id of a label.
+    volume.
     """
 
     def __init__(self, root_box: Box, n: int):
@@ -253,13 +226,6 @@ class CellStore:
         self.axis, self.mid = array("q", axis.tolist()), array("d", mid.tolist())
         self.ok = array("b", ok.tolist())
         self.planned = 2
-
-    def find(self, label: int) -> int:
-        """Id of cell ``label``, 0 if the store does not hold it."""
-        i = ROOT
-        for bit in bin(label)[3:]:  # child directions, root first; id 0 has no child
-            i = self.kid[i] and self.kid[i] + (bit == "1")
-        return i
 
     def splittable(self, i: int) -> bool:
         if i >= self.planned:
@@ -326,14 +292,16 @@ class CellStore:
 
 
 class CellTable(CellStore):
-    """The cells that the chains of one run split, over one point set.
+    """The cells that the chains and the root build of one run split,
+    over one point set.
 
-    Each cell is a contiguous range of one permutation of the point
-    indices.  The first split of a cell, by whichever chain, partitions
-    its range in place, left child first; the children's ranges nest in
-    it, so no later split moves a cell.  The cells themselves are a
-    :class:`CellStore`, which a split extends by one pair of cells.
-    :meth:`drop_permutation` frees the permutation and keeps the store.
+    Each cell a chain splits is a contiguous range of one permutation of
+    the point indices.  The first split of a cell, by whichever chain,
+    partitions its range in place, left child first; the children's
+    ranges nest in it, so no later split moves a cell.  The cells
+    themselves are a :class:`CellStore`, which a split extends by one
+    pair of cells.  :meth:`drop_permutation`, which the root build
+    calls, frees the permutation and keeps the store.
     """
 
     def __init__(self, points, root_box: Box):
@@ -344,14 +312,29 @@ class CellTable(CellStore):
         self.partitioned = 0
 
     def cell(self, label: int) -> int:
-        """Id of cell ``label``; raises :class:`NotBisectable` if an
-        ancestor cannot be split."""
+        """Id of cell ``label``, splitting its ancestors as needed; raises
+        :class:`NotBisectable` if one cannot be split, ValueError for a
+        label below 1."""
+        if label < ROOT:
+            raise ValueError(f"invalid node label {label}")
         i = ROOT
         for bit in bin(label)[3:]:  # child directions, root first
             if not self.kid[i] and not self.splittable(i):
                 raise NotBisectable(f"cannot bisect along the path to {label}")
             i = self.split(i) + (bit == "1")
         return i
+
+    def state(self, leaves) -> State:
+        """The state whose leaves are the cells ``leaves``, splitting the
+        cells it needs; raises ValueError unless the labels are the
+        leaves of a paving (:func:`~rphist.tree.paves`)."""
+        leaves = [int(v) for v in leaves]
+        if not paves(leaves):
+            raise ValueError("the labels are not the leaves of a paving")
+        for v in leaves:
+            self.cell(v)
+        internal = {v >> k for v in leaves for k in range(1, v.bit_length())}
+        return State(self, [self.cell(v) for v in sorted(internal)])
 
     def drop_permutation(self) -> None:
         """Free the permutation (16 bytes a point): a new split then raises RuntimeError."""
@@ -433,7 +416,7 @@ def _chain(table: CellTable, priority: Callable[[int, int], float], threshold: f
         admit(2 * label, kid)
         admit(2 * label + 1, kid + 1)
         rows.append(cell)
-    return PqmcPath(State(table, [ROOT]), table, np.array(rows, dtype=np.intp),
+    return PqmcPath(State(table), np.array(rows, dtype=np.intp),
                     threshold, max_leaves, next_pop,
                     len(rows) if first_tie is None else first_tie)
 
@@ -444,7 +427,8 @@ def run_pqmc(table: CellTable, threshold: float, max_depth: int = 1000) -> PqmcP
 
     The priority of a leaf is its point count, and the chain stops once
     no splittable leaf holds more than ``threshold`` points.  The path's
-    launch leaf and rows are cells of the table.
+    launch state is the table's root, and its rows are cells of the
+    table.
     """
     if not threshold > 0.0:  # NaN fails too
         raise ValueError("threshold must be > 0")

@@ -14,16 +14,16 @@ partition has the closed form used in :func:`cv_score`.
 The candidate states are the states of a run's whole chain paths: a
 path cut from one holds a prefix of its states, so the pipeline hands
 :func:`select` the whole paths alone, and it scores each of their
-states once.  The paths take their splits from one
-:class:`~rphist.pqmc.CellStore` (the cells of the root build, or the
-cell table the carve and the sequential root chain ran on).  A split
-changes the log-likelihood and the two CV leaf sums by amounts that
-depend on the split alone, and the store holds the counts and volumes
-of each split cell and its children.  So :func:`node_table` computes
-those deltas once per row of the store that some path takes, with the
-per-cell formulas of :func:`~rphist.srp.cell_terms`, and each path's
-per-state profile is a gather from that table plus a cumulative sum
-(:func:`path_profile`), in either builder mode.
+states once.  The paths take their splits from the run's one
+:class:`~rphist.pqmc.CellTable`, which the carve and either root
+builder split.  A split changes the log-likelihood and the two CV leaf
+sums by amounts that depend on the split alone, and the store holds
+the counts and volumes of each split cell and its children.  So
+:func:`node_table` computes those deltas once per row of the store
+that some path takes, with the per-cell formulas of
+:func:`~rphist.srp.cell_terms`, and each path's per-state profile is a
+gather from that table plus a cumulative sum (:func:`path_profile`), in
+either builder mode.
 """
 
 from __future__ import annotations

@@ -77,10 +77,11 @@ def stop_reason(path: PqmcPath) -> str:
 class LeafPool:
     """The reference chain's leaf count and heap of ``(-priority, label,
     cell id)`` keys over the leaves it may still pop, launched from the
-    leaves of ``s0``, each found in ``table`` by its label: the top is
-    the largest priority, ties towards the lowest label.  A leaf that
-    cannot be bisected is dropped when it reaches the top.  Under an
-    active threshold, a leaf at or below it is not kept."""
+    leaves of ``s0``, each found in ``table`` by its label (``initial``,
+    the launch state over ``table``): the top is the largest priority,
+    ties towards the lowest label.  A leaf that cannot be bisected is
+    dropped when it reaches the top.  Under an active threshold, a leaf
+    at or below it is not kept."""
 
     def __init__(self, s0: State, table: CellTable, priority: Priority, cfg: ChainConfig):
         self.table, self.priority, self.cfg = table, priority, cfg
@@ -88,8 +89,9 @@ class LeafPool:
         self.heap: list[tuple[float, int, int]] = []
         self.leaf_count = s0.leaf_count
         labels, counts, *_ = s0.leaves
-        self.launch = [table.cell(label) for label in labels]
-        for label, count, cell in zip(labels, counts.tolist(), self.launch):
+        self.initial = table.state(labels)
+        for label, count in zip(labels, counts.tolist()):
+            cell = table.cell(label)
             if table.count[cell] != count:
                 raise ValueError(f"the initial count at leaf {label} does not match the data")
             self.admit(label, cell)
@@ -145,7 +147,7 @@ def chain(s0: State, table: CellTable, priority: Priority, cfg: ChainConfig) -> 
         if tied and first_tie is None:
             first_tie = len(rows)
         rows.append(cell)
-    return PqmcPath(State(table, pool.launch), table, np.array(rows, dtype=np.intp),
+    return PqmcPath(pool.initial, np.array(rows, dtype=np.intp),
                     pool.threshold, cfg.max_leaves, top,
                     len(rows) if first_tie is None else first_tie)
 
@@ -211,12 +213,18 @@ def leaf_state(root_box: Box, leaves, points, strict: bool = True) -> State:
     and are dropped otherwise."""
     pts = np.asarray(points, dtype=float).reshape(-1, root_box.dim)
     table = CellTable(pts if strict else pts[inside_mask(root_box, pts)], root_box)
-    return State(table, [table.cell(v) for v in sorted(leaves)])
+    return table.state(leaves)
+
+
+def terminal_state(store: CellStore) -> State:
+    """The root of ``store`` with the rows of every cell that has
+    children there: the terminal state of a build over a fresh table."""
+    return State(store, np.flatnonzero(np.frombuffer(store.kid, np.int64)))
 
 
 def root_state(root_box: Box, n: int) -> State:
     """The root-only state of ``n`` points, over a store with no points."""
-    return State(CellStore(root_box, n), [ROOT])
+    return State(CellStore(root_box, n))
 
 
 @st.composite

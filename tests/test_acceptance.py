@@ -34,6 +34,7 @@ from conftest import (
     random_points,
     random_state,
     seb_instance,
+    terminal_state,
     unit_box,
 )
 from test_smoothing import brute_force_cv
@@ -67,7 +68,7 @@ def test_criterion_2_normalization_and_conservation():
         shards = int(rng.integers(1, 5))
         res = build_threshold_tree(CellTable(pts, box), threshold,
                                    shard_count=shards)
-        final = assemble_srp(res.cells)
+        final = assemble_srp(res)
         assert final.leaves.counts.sum() == n
         h = histogram(final)
         assert h.total_mass() == pytest.approx(1.0, abs=1e-9)
@@ -92,7 +93,7 @@ def test_criterion_3_sequential_parallel_equivalence():
         tied += seq.had_ties
         res = build_threshold_tree(CellTable(pts, box), threshold,
                                    shard_count=int(1 + instances % 4))
-        if assemble_srp(res.cells) != seq.final:
+        if assemble_srp(res) != seq.final:
             mismatches += 1
         path = reconstruct_path(res.path)
         if path.had_ties != seq.had_ties:
@@ -130,7 +131,7 @@ def test_criterion_4_order_invariance():
                 k = int(order_rng.integers(1, len(pool) + 1))
                 pick = order_rng.choice(len(pool), size=k, replace=False)
                 ds = apply_splits(ds, {pool[i]: eligible[pool[i]] for i in pick})
-            assert assemble_srp(ds.store) == assemble_srp(reference.cells)
+            assert terminal_state(ds.store) == assemble_srp(reference)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(4, f"30 instances x 10 random split orders, identical terminal "

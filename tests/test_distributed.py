@@ -40,6 +40,7 @@ from conftest import (
     records,
     seb_instance,
     stop_reason,
+    terminal_state,
     tied_tree_sample,
     unit_box,
 )
@@ -147,7 +148,7 @@ def test_build_counts_equal_brute_force_membership_on_tied_rows(sample, threshol
                                shard_count=shards)
     cells = dict(zip(res.cells.labels[1:], res.cells.count[1:].tolist()))
     assert cells == membership_counts(box, cells, pts)
-    final = assemble_srp(res.cells)
+    final = assemble_srp(res)
     assert node_counts(final) == membership_counts(box, nodes_of(final.leaves.labels), pts)
 
 
@@ -195,8 +196,8 @@ def test_build_trivial_when_threshold_at_n():
     pts = rng.uniform(0, 1, size=(20, 2))
     res = build_threshold_tree(CellTable(pts, unit_box(2)), 20.0)
     assert res.iterations == 0
-    assert assemble_srp(res.cells).leaf_count == 1
-    assert leaf_counts(assemble_srp(res.cells)) == {1: 20}
+    assert assemble_srp(res).leaf_count == 1
+    assert leaf_counts(assemble_srp(res)) == {1: 20}
 
 
 def test_build_fig7_style_matches_sequential():
@@ -204,7 +205,7 @@ def test_build_fig7_style_matches_sequential():
     res = build_threshold_tree(CellTable(pts, unit_box(2)), 2.0)
     s0 = leaf_state(unit_box(2), [1], pts)
     seq = chain(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY, ChainConfig(max_psi=2.0))
-    assert assemble_srp(res.cells) == seq.final
+    assert assemble_srp(res) == seq.final
     assert all(c <= 2 for c in leaf_counts(res.path.final).values())
 
 
@@ -213,7 +214,7 @@ def test_build_threshold_equals_sequential_random():
         pts, box, threshold, seq = seb_instance(seed)
         res = build_threshold_tree(CellTable(pts, box), threshold,
                                    shard_count=3)
-        assert assemble_srp(res.cells) == seq.final
+        assert assemble_srp(res) == seq.final
         path = reconstruct_path(res.path)
         assert path.had_ties == seq.had_ties
         states = path.states()
@@ -326,7 +327,7 @@ def test_build_depth_capped_equals_sequential_terminal_state():
     s0 = leaf_state(unit_box(2), [1], pts)
     seq = chain(s0, CellTable(pts, unit_box(2)), SEB_PRIORITY,
                 ChainConfig(max_psi=2.0, max_depth=2))
-    assert assemble_srp(res.cells) == seq.final
+    assert assemble_srp(res) == seq.final
     assert max(leaf_counts(res.path.final).values()) > 2.0
 
 
@@ -337,8 +338,9 @@ def test_build_on_duplicate_rows_equals_sequential_terminal_state():
     pts = np.vstack([rng.standard_normal((5000, 2)),
                      np.repeat([[0.3, -0.7]], 200, axis=0)])
     box = bounding_box(pts)
-    carve = carve_path(CellTable(pts, box), 20)
-    base = build_threshold_tree(CellTable(pts, box), 50.0, shard_count=2)
+    table = CellTable(pts, box)
+    carve = carve_path(table, 20)
+    base = build_threshold_tree(table, 50.0, shard_count=2)
     final = leaf_counts(base.path.final)
     assert max(final).bit_length() > 100
     assert max(final.values()) == 200
@@ -364,7 +366,7 @@ def test_build_big_labels_escape_hatch():
     s0 = leaf_state(box, [1], pts)
     seq = chain(s0, CellTable(pts, s0.root_box), SEB_PRIORITY,
                 ChainConfig(max_psi=1.0))
-    assert assemble_srp(res.cells) == seq.final
+    assert assemble_srp(res) == seq.final
 
 
 def test_build_labels_past_64_bits_equal_sequential():
@@ -380,7 +382,7 @@ def test_build_labels_past_64_bits_equal_sequential():
     assert max(seq.final.leaves.labels) > 2**64
     for shards in (1, 3):
         res = build_threshold_tree(CellTable(pts, box), 1.0, shard_count=shards)
-        assert assemble_srp(res.cells) == seq.final
+        assert assemble_srp(res) == seq.final
         assert records(reconstruct_path(res.path)) == records(seq)
 
 
@@ -404,7 +406,7 @@ def test_order_invariance_random_schedulers():
             ds = apply_splits(ds, chosen)
         # the random order's store: parents come before children, not
         # every id rises with its label
-        assert assemble_srp(ds.store) == assemble_srp(reference.cells)
+        assert terminal_state(ds.store) == assemble_srp(reference)
 
 
 def test_backtrack_root_only():
@@ -412,7 +414,7 @@ def test_backtrack_root_only():
     res = build_threshold_tree(CellTable(pts, unit_box(2)), 5.0)
     seq = reconstruct_path(res.path).states()
     assert len(seq) == 1
-    assert seq[0] == assemble_srp(res.cells)
+    assert seq[0] == assemble_srp(res)
 
 
 def test_backtrack_merge_order_ascending_parent_priority():
@@ -433,13 +435,12 @@ def test_reconstruct_path_from_launch_state():
     for seed in range(100, 103):
         pts, box, threshold, _ = seb_instance(seed)
         s0 = leaf_state(box, [1], pts)
-        carve = chain(s0, CellTable(pts, s0.root_box), SPC_PRIORITY,
-                      ChainConfig(max_leaves=4))
+        table = CellTable(pts, box)
+        carve = chain(s0, table, SPC_PRIORITY, ChainConfig(max_leaves=4))
         launch = carve.final
         seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
                     ChainConfig(max_psi=threshold))
-        base = build_threshold_tree(CellTable(pts, box), threshold,
-                                    shard_count=2)
+        base = build_threshold_tree(table, threshold, shard_count=2)
         par = reconstruct_path(base.path, launch)
         assert par.final == seq.final
         assert records(par) == records(seq)
@@ -458,7 +459,8 @@ def test_reconstruct_never_merges_into_the_launch_state():
     right = rng.uniform([0.5, 0.0], [1.0, 1.0], size=(100, 2))
     pts = np.vstack([left, right])
     box = unit_box(2)
-    launch = leaf_state(box, [3, 4, 5], pts)  # cherry at node 2
+    table = CellTable(pts, box)
+    launch = table.state([3, 4, 5])  # cherry at node 2
     assert node_counts(launch)[2] == 3 and leaf_counts(launch)[3] == 100
 
     seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY,
@@ -467,7 +469,7 @@ def test_reconstruct_never_merges_into_the_launch_state():
     assert min(cl + cr for cl, cr in
                ((r.left_count, r.right_count) for r in records(seq))) > 3
 
-    base = build_threshold_tree(CellTable(pts, box), 10.0, shard_count=2)
+    base = build_threshold_tree(table, 10.0, shard_count=2)
     par = reconstruct_path(base.path, launch)
     assert records(par) == records(seq)
     assert par.final == seq.final
@@ -502,21 +504,25 @@ def tied_grid_sample(draw):
 
 def _tied_grid_paths(sample, max_leaves):
     """(reconstructed, sequential) path pairs for every launch state,
-    threshold and base-build shard count of a tied-grid sample."""
+    threshold and base-build shard count of a tied-grid sample.  Each
+    shard count builds on a table of its own, after the carve there."""
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40  # repeated rows hit the cap fast instead of machine precision
     box = bounding_box(pts)
-    carve = carve_path(CellTable(pts, box), carve_leaves, max_depth)
-    table = CellTable(pts, box)
-    bases = [build_threshold_tree(table, base_threshold, max_depth, shard_count=shards)
-             for shards in (1, 2, 3)]
-    for launch in launch_states(carve, 3):
-        for threshold in thresholds:
-            seb_cfg = ChainConfig(max_psi=threshold, max_leaves=max_leaves,
-                                  max_depth=max_depth)
-            seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, seb_cfg)
-            for base in bases:
-                yield truncate_path(reconstruct_path(base.path, launch), threshold, max_leaves), seq
+    refs = {}
+    for shards in (1, 2, 3):
+        table = CellTable(pts, box)
+        carve = carve_path(table, carve_leaves, max_depth)
+        base = build_threshold_tree(table, base_threshold, max_depth, shard_count=shards)
+        for i, launch in enumerate(launch_states(carve, 3)):
+            for threshold in thresholds:
+                if (i, threshold) not in refs:
+                    seb_cfg = ChainConfig(max_psi=threshold, max_leaves=max_leaves,
+                                          max_depth=max_depth)
+                    refs[i, threshold] = chain(launch, CellTable(pts, box), SEB_PRIORITY,
+                                               seb_cfg)
+                path = reconstruct_path(base.path, launch)
+                yield truncate_path(path, threshold, max_leaves), refs[i, threshold]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -607,9 +613,9 @@ def test_cut_path_rejects_lower_threshold():
     rng = np.random.default_rng(38)
     pts = rng.uniform(0, 1, size=(40, 2))
     launch = leaf_state(unit_box(2), [1], pts)
-    base = build_threshold_tree(CellTable(pts, unit_box(2)), 5.0)
+    base = build_threshold_tree(launch.store, 5.0)
     whole = reconstruct_path(base.path, launch)
-    assert whole.final == assemble_srp(base.cells)
+    assert whole.final == assemble_srp(base)
     seq = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, ChainConfig(max_psi=5.0))
     for path in (whole, seq, truncate_path(whole, 8.0, None)):
         with pytest.raises(ValueError):
@@ -635,7 +641,7 @@ def test_cut_path_rejects_another_budget():
     with pytest.raises(ValueError):  # a root path under a budget lacks pops
         reconstruct_path(budgeted)
     # a whole path with no budget can be cut at any
-    whole = reconstruct_path(build_threshold_tree(CellTable(pts, unit_box(2)), 2.0).path, launch)
+    whole = reconstruct_path(build_threshold_tree(launch.store, 2.0).path, launch)
     cut = truncate_path(whole, 2.0, 6)
     assert (records(cut), stop_reason(cut), cut.success, cut.had_ties) == (
         records(budgeted), stop_reason(budgeted), budgeted.success, budgeted.had_ties)
@@ -699,7 +705,7 @@ def test_truncate_path():
     # with no leaf left over the threshold
     launch = seq.final
     cfg = ChainConfig(max_psi=threshold, max_leaves=2)
-    base = build_threshold_tree(CellTable(pts, box), threshold)
+    base = build_threshold_tree(seq.splits, threshold)  # reuses the chain's cells
     over = truncate_path(reconstruct_path(base.path, launch), threshold, 2)
     ref = chain(launch, CellTable(pts, launch.root_box), SEB_PRIORITY, cfg)
     assert records(over) == records(ref) == ()
@@ -778,7 +784,7 @@ def test_build_equals_sequential_chain_on_tied_rows():
                 for workers in (1, 2):
                     res = build_threshold_tree(table, threshold, max_depth=80,
                                                shard_count=shards, workers=workers)
-                    assert assemble_srp(res.cells) == seq.final
+                    assert assemble_srp(res) == seq.final
                     assert res.stats == stats
         if max(seq.final.leaves.labels) >= 2**63:
             hit.add("labels_past_2**63")
@@ -803,10 +809,11 @@ def _seb_records(base, launch):
 
 
 def test_build_store_ids_rise_with_labels_on_tied_rows():
-    # the build's store: ids rise with labels, each split cell's bounds
-    # are those its label decodes to, bit for bit, and the SEB order is
-    # the (-count, label) sort; count the examples with cells stuck at
-    # the depth cap, cells the floats cannot bisect, and labels >= 2**63
+    # the ids the build split rise with their labels in iteration order,
+    # each split cell's bounds are those its label decodes to, bit for
+    # bit, and the SEB order is the (-count, label) sort; count the
+    # examples with cells stuck at the depth cap, cells the floats cannot
+    # bisect, and labels >= 2**63
     seen = {"depth_cap": 0, "unbisectable": 0, "labels_past_2**63": 0}
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -819,11 +826,11 @@ def test_build_store_ids_rise_with_labels_on_tied_rows():
                                        shard_count=shards)
             cells = res.cells
             labels = cells.labels
-            assert all(a < b for a, b in zip(labels, labels[1:]))
+            split = [labels[i] for i in res.split.tolist()]
+            assert all(a < b for a, b in zip(split, split[1:]))
             kid = np.frombuffer(cells.kid, np.int64)
-            split = np.flatnonzero(kid)
-            ref_lo, ref_hi = cell_bounds(box, [labels[i] for i in split])
-            _, _, bounds, vols = cells.gather(split)
+            ref_lo, ref_hi = cell_bounds(box, split)
+            _, _, bounds, vols = cells.gather(res.split)
             assert np.array_equal(bounds, np.hstack([ref_lo, ref_hi]))
             assert vols.tobytes() == bounds_volume(ref_lo, ref_hi).tobytes()
             order = res.path.rows
@@ -870,9 +877,9 @@ def test_row_paths_equal_record_paths_on_tied_data(sample):
     pts, base_threshold, thresholds, carve_leaves = sample
     max_depth = 40
     box = bounding_box(pts)
-    carve = carve_path(CellTable(pts, box), carve_leaves, max_depth)
-    base = build_threshold_tree(CellTable(pts, box), base_threshold, max_depth=max_depth,
-                                shard_count=2)
+    table = CellTable(pts, box)
+    carve = carve_path(table, carve_leaves, max_depth)
+    base = build_threshold_tree(table, base_threshold, max_depth=max_depth, shard_count=2)
     for launch in launch_states(carve, 3):
         whole = reconstruct_path(base.path, launch)
         expected = _seb_records(base, launch)
@@ -891,9 +898,9 @@ def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_le
     # at every step of the carve and of each launch state's whole SEB path,
     # read off the sequential chain and off the build, the state's leaves
     # and counts are those of brute-force membership in the cells that its
-    # records split; the two modes' paths are equal though their stores
-    # differ, and so are the histograms of their final states.  The
-    # sample's own tree, over a table of its own, is a launch state too
+    # records split; the two modes' paths are equal, over the run's one
+    # table, and so are the histograms of their final states.  The
+    # sample's own tree, split in the same table, is a launch state too
     box, leaves, pts = sample
     pts = pts[inside_mask(box, pts)]
     if len(pts) < 2:
@@ -901,12 +908,13 @@ def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_le
     max_depth = 30
     table = CellTable(pts, box)
     carve = carve_path(table, carve_leaves, max_depth)
+    own = table.state(leaves)
     roots = [run_pqmc(table, float(threshold), max_depth),
              build_threshold_tree(table, float(threshold), max_depth=max_depth,
                                   shard_count=2).path]
-    assert roots[0] == roots[1] and roots[0].splits is not roots[1].splits
+    assert roots[0] == roots[1] and roots[0].splits is roots[1].splits
     paths = [carve]
-    for launch in [*launch_states(carve, 3), leaf_state(box, leaves, pts)]:
+    for launch in [*launch_states(carve, 3), own]:
         wholes = [reconstruct_path(root, launch) for root in roots]
         assert wholes[0] == wholes[1]
         assert wholes[0].initial == launch
@@ -929,3 +937,59 @@ def test_states_equal_membership_counts_on_tied_rows(sample, threshold, carve_le
         ref = Histogram.from_counts(box, final.n, final.leaves.labels, list(expected.values()))
         assert h == ref and h.lo.tobytes() == ref.lo.tobytes()
         assert h.hi.tobytes() == ref.hi.tobytes()
+
+
+def test_build_grows_the_carved_table_on_tied_rows():
+    # one table per run: the carve, the SEB chain and the build split it,
+    # the chain before the build or after it.  The build keeps every cell
+    # a chain split, with its id and its children, adds two rows per split
+    # of a cell no chain split, and gives the chain's path; every count is
+    # brute-force membership.  Count the examples whose carve splits cells
+    # at or below the threshold, and those whose build adds cells
+    seen = {"carve_below_threshold": 0, "build_adds_cells": 0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 200),
+           st.integers(1, 600), st.booleans())
+    def check(seed, d, carve_leaves, threshold, chain_first):
+        # up to 600 rows on a small integer grid, one row repeated
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(0, rng.integers(2, 9), (int(rng.integers(2, 500)), d))
+        pts = np.vstack([grid, np.repeat(grid[:1], int(rng.integers(0, 100)), axis=0)])
+        pts = pts.astype(float)
+        threshold = float(min(threshold, len(pts)))
+        box = bounding_box(pts)
+        max_depth = 40
+        table = CellTable(pts, box)
+        carve = carve_path(table, carve_leaves, max_depth)
+        seq = run_pqmc(table, threshold, max_depth) if chain_first else None
+        kid_before = np.frombuffer(table.kid, np.int64).copy()
+        split_before = np.flatnonzero(kid_before)
+        res = build_threshold_tree(table, threshold, max_depth,
+                                   shard_count=int(rng.integers(1, 4)))
+        kid = np.frombuffer(table.kid, np.int64)[split_before]
+        assert np.array_equal(kid, kid_before[split_before])
+        added = np.count_nonzero(~np.isin(res.split, split_before))
+        assert len(table.labels) == len(kid_before) + 2 * added
+        if not chain_first:  # the chain finds every cell it splits split
+            seq = run_pqmc(table, threshold, max_depth)
+        assert res.path == seq
+        labels = table.labels[1:]
+        assert dict(zip(labels, table.count[1:].tolist())) == membership_counts(box, labels, pts)
+        # a second build on the same table adds no row
+        rows = len(table.labels)
+        again = build_threshold_tree(table, threshold, max_depth, shard_count=2)
+        assert len(table.labels) == rows and again.path == res.path
+        # a launch state with the same leaves, over another table
+        elsewhere = carve_path(CellTable(pts, box), carve_leaves, max_depth).final
+        assert elsewhere == carve.final
+        with pytest.raises(ValueError, match="cell stores"):
+            reconstruct_path(res.path, elsewhere)
+        if (np.frombuffer(table.count, np.int64)[carve.rows] <= threshold).any():
+            seen["carve_below_threshold"] += 1
+        if added:
+            seen["build_adds_cells"] += 1
+
+    check()
+    print(seen)
+    assert min(seen.values()) > 0

@@ -487,14 +487,14 @@ def test_priority_value_ranges():
         table = CellTable(pts, box)
         leaves = {1}
         for _ in range(int(rng.integers(0, 8))):
-            full = [v for v in sorted(leaves) if table.count[table.find(v)] > 0]
+            full = [v for v in sorted(leaves) if table.count[table.cell(v)] > 0]
             v = int(full[rng.integers(len(full))])
             table.cell(2 * v)
             leaves = leaves - {v} | {2 * v, 2 * v + 1}
         root_vol = box.volume
         for v in leaves:
-            c = table.count[table.find(v)]
-            vol = float(table.volumes(table.find(v)))
+            c = table.count[table.cell(v)]
+            vol = float(table.volumes(table.cell(v)))
             assert 0 <= SEB_PRIORITY.value(c, vol, table.n) <= table.n
             assert 0 <= SPC_PRIORITY.value(c, vol, table.n) <= root_vol + 1e-12
 

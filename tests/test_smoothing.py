@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rphist.distributed import build_threshold_tree, reconstruct_path, truncate_path
 from rphist.errors import EmptyCandidateSet, InsufficientData, InvalidTau
 from rphist.geometry import bounding_box, bounds_volume
-from rphist.pqmc import CellTable, State, carve_path, launch_states
+from rphist.pqmc import CellTable, carve_path, launch_states
 from rphist.smoothing import (
     SmoothingConfig,
     cv_score,
@@ -307,8 +307,7 @@ def test_select_breaks_a_tied_score_by_the_leaf_labels():
     # the lexicographically smaller sorted labels win, in either path order
     pts = np.array([[0.1, 0.2], [0.9, 0.2], [0.3, 0.7], [0.7, 0.7], [0.2, 0.9], [0.8, 0.9]])
     table = CellTable(pts, unit_box(2))
-    launches = [State(table, [table.cell(v) for v in leaves])
-                for leaves in ((3, 4, 5), (2, 6, 7))]
+    launches = [table.state(leaves) for leaves in ((3, 4, 5), (2, 6, 7))]
     paths = [chain(s, table, SEB_PRIORITY, ChainConfig(max_psi=10.0)) for s in launches]
     assert [p.split_count for p in paths] == [0, 0]
     profiles = [path_profile(p, node_table(paths)) for p in paths]

@@ -80,7 +80,7 @@ def test_ingest_equals_brute_force_membership_on_tied_rows(sample):
     expected = membership_counts(box, nodes_of(leaves), pts)
     s = leaf_state(box, leaves, pts, strict=False)
     assert node_counts(s) == expected
-    assert {v: s.store.count[s.store.find(v)] for v in expected} == expected
+    assert {v: s.store.count[s.store.cell(v)] for v in expected} == expected
     assert_counts_add_up(s.store)
     if expected[1] == len(pts):
         assert leaf_state(box, leaves, pts) == s
@@ -260,7 +260,7 @@ def test_split_never_decreases_log_likelihood():
         candidates = [v for v, c in leaf_counts(s).items() if c > 0]
         v = int(candidates[rng.integers(len(candidates))])
         s.store.cell(2 * v)  # splits leaf v
-        refined = State(s.store, s.launch, np.append(s.rows, s.store.find(v)))
+        refined = State(s.store, np.append(s.rows, s.store.cell(v)))
         assert_counts_add_up(s.store)  # parent-sum invariant survives the edit
         nodes = nodes_of(refined.leaves.labels)
         assert node_counts(refined) == membership_counts(s.root_box, nodes, pts)
@@ -271,9 +271,9 @@ def test_srp_equality_ignores_extra_count_keys(fig2_state):
     # cells of the store that are not leaves of the state do not count
     table = fig2_state.store
     table.cell(2**9)  # splits cells under leaf 4
-    other = State(table, [table.find(v) for v in FIG2_LEAVES])
+    other = table.state(FIG2_LEAVES)
     assert other == fig2_state and hash(other) == hash(fig2_state)
-    assert State(table, other.launch, [table.find(4)]) != fig2_state
+    assert State(table, [*other.rows, table.cell(4)]) != fig2_state
 
 
 def test_ingest_parallel_shard_independent():

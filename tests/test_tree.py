@@ -60,59 +60,71 @@ def test_cell_bounds_examples():
 
 
 def test_split_and_merge_examples():
-    # a state is its launch leaves with each row split in turn; dropping
-    # the last row gives the state before it back
+    # a state is the root with each row split in turn; dropping the last
+    # row gives the state before it back
     table = CellTable(fig2_points(), unit_box(2))
     two = table.cell(2)  # splits the root
     table.cell(4), table.cell(6)  # split cells 2 and 3
-    root, s2, s3 = (State(table, [1], rows) for rows in ([], [1], [1, two]))
+    root, s2, s3 = (State(table, rows) for rows in ([], [1], [1, two]))
     assert leaf_counts(s3) == {3: 5, 4: 2, 5: 3}
-    assert State(table, [1], s3.rows[:1]) == s2
-    assert State(table, [1], s3.rows[:0]) == root
+    assert State(table, s3.rows[:1]) == s2
+    assert State(table, s3.rows[:0]) == root
     # equality goes by the leaves and their counts, not by store or ids
     other = CellTable(fig2_points(), unit_box(2))
-    assert State(other, [other.cell(v) for v in (5, 3, 4)]) == s3
-    assert s3 != s2 and s3 != State(table, [1], [1, two + 1])
+    assert other.state([5, 3, 4]) == s3
+    assert s3 != s2 and s3 != State(table, [1, two + 1])
     fewer = CellTable(fig2_points()[:-1], unit_box(2))
     fewer.cell(2)
-    assert State(fewer, [1], [1]) != s2
+    assert State(fewer, [1]) != s2
     with pytest.raises(ValueError, match="not split"):
-        State(fewer, [1], [1, fewer.find(2)]).leaves
+        State(fewer, [1, fewer.cell(2)]).leaves
 
 
 def test_leaves():
     table = CellTable(fig2_points(), unit_box(2))
-    launch = State(table, [table.cell(v) for v in (3, 4, 5)])
-    assert State(table, [1]).leaves.labels == [1]
-    assert State(table, [1], [1]).leaves.labels == [2, 3]
-    assert State(table, [1], [1, table.find(2)]).leaves.labels == [3, 4, 5]
-    # launch leaves of another store, matched by label
-    other = CellTable(fig2_points(), unit_box(2))
-    other.cell(20)  # splits cells 1, 2, 5 and 10
-    s = State(other, launch.launch, [other.find(5), other.find(10)], origin=table)
+    launch = table.state([3, 4, 5])
+    assert State(table).leaves.labels == [1]
+    assert State(table, [1]).leaves.labels == [2, 3]
+    assert State(table, [1, table.cell(2)]).leaves.labels == [3, 4, 5]
+    assert launch == State(table, [1, table.cell(2)])
+    # rows split after the launch state's, in the same store
+    table.cell(20)  # splits cells 5 and 10
+    s = State(table, [*launch.rows, table.cell(5), table.cell(10)])
     assert s.leaves.labels == [3, 4, 11, 20, 21]
     assert leaf_counts(s) == {3: 5, 4: 2, 11: 1, 20: 1, 21: 1}
-    assert s == State(other, [other.cell(v) for v in (3, 4, 11, 20, 21)])
-    with pytest.raises(ValueError):
-        s.relaunched()
-    assert State(table, [1], [1, table.find(2)]).relaunched() == launch
+    assert s == table.state([3, 4, 11, 20, 21])
+
+
+def test_cell_and_state_reject_labels_that_name_no_cell():
+    # no label below 1 names a cell: not 0 (the root's bits are empty),
+    # nor -2, whose digits after the sign read as label 6
+    table = CellTable(fig2_points(), unit_box(2))
+    for label in (0, -1, -2):
+        with pytest.raises(ValueError, match="invalid node label"):
+            table.cell(label)
+    # a state's labels pave the root box: no gap, overlap or repeat
+    for leaves in ([], [2], [2, 3, 4], [1, 2, 3], [2, 6], [2, 3, 3], [0, 1], [-2, 3]):
+        with pytest.raises(ValueError, match="paving"):
+            table.state(leaves)
+    assert table.labels == [0, 1]  # nothing was split
+    assert table.state([3, 2]) == State(table, [1])
 
 
 def test_split_then_merge_is_identity_over_random_edits():
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 1, size=(500, 3))
     table = CellTable(pts, unit_box(3))
-    s = State(table, [1])
+    s = State(table)
     for _ in range(200):
         v = int(s.leaves.labels[rng.integers(s.leaf_count)])
         kid = table.cell(2 * v)  # splits leaf v
-        cell = table.find(v)
-        s2 = State(table, [1], np.append(s.rows, cell))
+        cell = table.cell(v)
+        s2 = State(table, np.append(s.rows, cell))
         before, after = leaf_counts(s), leaf_counts(s2)
         assert set(after) == set(before) - {v} | {2 * v, 2 * v + 1}
         assert after[2 * v] + after[2 * v + 1] == before[v]
         assert after[2 * v] == table.count[kid]
-        assert State(table, [1], s2.rows[:-1]) == s
+        assert State(table, s2.rows[:-1]) == s
         assert s2.leaves.labels == sorted(after)
         if rng.random() < 0.7:
             s = s2
