@@ -5,9 +5,10 @@ Threshold splitting on sharded tagged points
 The sequential chain must split the single highest-priority cell before
 it knows the next one, but the tree reached once every cell is at or
 below a fixed threshold does not depend on the split order.  So the
-builder tags each point with the index of its current cell, counts
-cells with a per-shard bincount, splits every over-threshold cell at
-once with a shard-local map, and retires settled cells early.  Sorting the
+builder tags each point with the id of its current cell in the run's
+cell table, splits every over-threshold cell at once with a
+shard-local map, counts the new cells with a per-shard bincount, and
+retires settled cells early.  Sorting the
 resulting tree's internal nodes by (-count, label) recovers the exact
 sequential path, ties included, without touching the data again: a
 parent always has at least its children's count and a smaller label,
@@ -38,7 +39,7 @@ for shards in (1, 4):
           f"{result.iterations} iterations, {time.perf_counter() - t0:.2f}s")
 
 # Per-iteration bookkeeping: pruning conserves the total count, and the
-# merged counts hold one entry per working cell, empty children included.
+# table holds a count for every working cell, empty children included.
 for i, st in enumerate(result.stats):
     print(f"  iter {i}: split {st.split_cells:4d} cells, "
           f"{st.working_points:6d} working + {st.passed_points:6d} passed, "

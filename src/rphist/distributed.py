@@ -3,20 +3,21 @@
 The working representation is the tagged dataset: a list of working
 cells, ids in the run's :class:`~rphist.pqmc.CellTable`, and the
 table's points, checked against the root box there, spread over
-shards that never exchange points, each tagged with a working cell's
-index.  One iteration retires every cell whose count is at or below
-the threshold ("pruning") and splits the others; one
-shard-local step per shard then moves each point to the child on its
-side of the splitting hyperplane and counts the points per new cell (a
-``bincount``; the shards' counts are merged by adding the arrays).
-Counts never grow down the tree, so a retired cell could not have been
-split later.  Its points are parked, not copied out: its index maps
-past the last working cell, so a point's new tag is one gather,
-``first[i] + side``, and a shard drops its parked points only once its
+shards that never exchange points, each tagged with the id of the cell
+that holds it.  A cell's count lives in the table alone.  One
+iteration retires every cell whose count is at or below the threshold
+("pruning") and splits the others; one shard-local step per shard then
+moves each point to the child on its side of the splitting hyperplane
+and counts the points per cell (a ``bincount``; the shards' counts are
+added once, and the new children's go to the table).  Counts never
+grow down the tree, so a retired cell could not have been split later.
+Its points are parked, not copied out: they keep its id, which the
+step maps to itself, so a point's new tag is one gather,
+``first[t] + side``, and a shard drops its parked points only once its
 working points fall below half of its rows.  Each iteration adds the
-children of the cells it split, with their counts, to the table in one
-batch, which plans each cell's bounds and split plane once, from its
-parent's; a cell that a chain split there already keeps its children.
+children of the cells it split to the table in one batch, which plans
+each cell's bounds and split plane once, from its parent's; a cell
+that a chain split there already keeps its children.
 
 This is the SEB chain, whose priority is a cell's count.  Its terminal
 tree only depends on the threshold, not on the order in which cells are
@@ -55,37 +56,31 @@ from .pqmc import CellStore, CellTable, PqmcPath, State
 # cell_bounds is not called here; perfbench/run.py's layer_tracer counts its calls per module
 from .tree import ROOT, cell_bounds  # noqa: F401
 
-SplitCells = dict[int, int]  # label -> index of a working cell to split
+SplitCells = dict[int, int]  # label -> id of a working cell to split
 STEP_BLOCK = 1 << 18  # rows per block of a shard step, which sizes its temporaries
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One shard of tagged points and its point count per working cell.
+    """One shard of points, each tagged with its cell's id in the store:
+    ``tag[j]`` is the id of the cell that holds row ``j`` of ``points``."""
 
-    ``index[j]`` is the tag of row ``j`` of ``points``; the tags are read
-    through the dataset's ``remap``.
-    """
-
-    index: np.ndarray
+    tag: np.ndarray
     points: np.ndarray
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
 class TaggedDataset:
     """Working cells and the sharded points that lie in them.
 
-    Working cell ``i`` is the cell ``cells[i]`` of ``store``, the run's
-    table in a build.  A point tagged ``t`` lies in working cell
-    ``remap[t]``; ``remap[t] == len(cells)`` parks it: its cell has
-    retired.  ``remap`` is the identity right after a split step.
+    ``cells`` are the ids of the working cells in ``store``, the run's
+    table in a build, which holds their counts.  A point whose tag is
+    not a working cell is parked: its cell has retired.
     """
 
     store: CellStore
     cells: np.ndarray
     shards: tuple[Shard, ...]
-    remap: np.ndarray
 
     @property
     def labels(self) -> list[int]:
@@ -105,37 +100,36 @@ class TaggedDataset:
         if shard_count < 1:
             raise ValueError("need at least one shard")
         table.drop_permutation()
-        shards = tuple(Shard(np.zeros(len(rows), dtype=np.intp), rows, np.array([len(rows)]))
+        shards = tuple(Shard(np.full(len(rows), ROOT), rows)
                        for rows in np.array_split(np.ascontiguousarray(table.points),
                                                   shard_count))
-        return cls(table, np.array([ROOT]), shards, np.arange(2))
+        return cls(table, np.array([ROOT]), shards)
 
 
 def count_by_cell(ds: TaggedDataset) -> np.ndarray:
-    """Exact point count of every working cell, in cell order: the
-    shards' counts merged by addition.
+    """Exact point count of every working cell, in cell order, as the
+    store holds it.
 
-    Addition is associative and commutative, so the counts do not
-    depend on the shard count or merge order.
+    The build writes each new cell's count once, the shards' counts
+    added; addition is associative and commutative, so the counts do
+    not depend on the shard count or merge order.
     """
-    return np.sum([s.counts for s in ds.shards], axis=0)
+    return np.frombuffer(ds.store.count, np.int64)[ds.cells]
 
 
-def cells_to_split(ds: TaggedDataset, counts: np.ndarray, threshold: float,
-                   max_depth: int) -> SplitCells:
+def cells_to_split(ds: TaggedDataset, threshold: float, max_depth: int) -> SplitCells:
     """Working cells whose count strictly exceeds the threshold and that
     can actually be split (depth cap and machine bisectability), as
-    ``{label: index}``."""
-    ok = ds.store.planes(ds.cells)[2] & (counts > threshold)
-    labels = ds.labels
-    return {a: i for i in np.flatnonzero(ok).tolist()
-            if (a := labels[i]).bit_length() <= max_depth}
+    ``{label: id}``, in cell order."""
+    ok = ds.store.planes(ds.cells)[2] & (count_by_cell(ds) > threshold)
+    labels = ds.store.labels
+    return {a: i for i in ds.cells[ok].tolist() if (a := labels[i]).bit_length() <= max_depth}
 
 
 def apply_splits(ds: TaggedDataset, split: SplitCells,
                  pool: Executor | None = None) -> TaggedDataset:
     """Split the chosen working cells, move their points to the child on
-    their side, and count the points per new cell.
+    their side, and count the points of the new children.
 
     ``split`` holds any subset of the cells :func:`cells_to_split`
     returns.  A chosen cell with label ``a`` becomes its left child
@@ -144,64 +138,64 @@ def apply_splits(ds: TaggedDataset, split: SplitCells,
     (coordinate < mid) goes left, a point at or above it right.  A cell
     that the store has split already, by a chain on the same table,
     keeps its children; the others' children join the store in one
-    batch, with their counts.
+    batch, and their counts are written there.
 
     Each shard takes one step, mapped over the shards by ``pool``: a
-    point of cell ``c`` (its tag through ``ds.remap``) is retagged
-    ``first[c] + side``, its new cell's index or past the end if
-    parked.  A point of a cell not split compares against ``+inf``, so
-    its side is 0 (points are finite).  A shard steps through its rows
-    in blocks of ``STEP_BLOCK``, which bounds the per-point temporaries.
-    A shard whose working points fall below half of its rows drops its
-    parked points.
+    point tagged ``t`` is retagged ``first[t] + side``, with one lookup
+    over the store's ids, where a chosen cell maps to its left child and
+    every other cell, working or retired, to itself.  A cell not split
+    compares against ``+inf``, so its side is 0 (points are finite).  A
+    shard steps through its rows in blocks of ``STEP_BLOCK``, which
+    bounds the per-point temporaries, and a shard whose working points
+    fall below half of its rows drops its parked points.
     """
     if not split:
         return ds
-    k = len(ds.cells)
-    chosen = np.zeros(k + 1, dtype=bool)  # the last entry: parked
-    chosen[list(split.values())] = True
-    rows = np.flatnonzero(chosen)
-    width = chosen + 1
-    first = np.cumsum(width) - width  # the parked entry gets the new cell count
-    cells = int(first[k])
-    axis, mid = np.zeros(k + 1, dtype=np.intp), np.full(k + 1, np.inf)
-    axis[rows], mid[rows], _ = ds.store.planes(ds.cells[rows])
-    tag_first, tag_axis, tag_mid = first[ds.remap], axis[ds.remap], mid[ds.remap]
-
-    def step(shard: Shard) -> Shard:
-        tag = np.empty_like(shard.index)
-        for s in range(0, len(tag), STEP_BLOCK):
-            i, points = shard.index[s:s + STEP_BLOCK], shard.points[s:s + STEP_BLOCK]
-            at = np.arange(0, points.size, points.shape[1])  # row starts, then coordinates
-            at += tag_axis[i]
-            side = points.reshape(-1)[at] >= tag_mid[i]
-            np.add(tag_first[i], side, out=tag[s:s + STEP_BLOCK])
-        counts = np.bincount(tag, minlength=cells + 1)
-        if 2 * counts[cells] > len(tag):
-            work = tag < cells
-            return Shard(tag[work], shard.points[work], counts[:cells])
-        return Shard(tag, shard.points, counts[:cells])
-
-    shards = tuple((map if pool is None else pool.map)(step, ds.shards))
-    out = TaggedDataset(ds.store, np.repeat(ds.cells, width[:k]), shards,
-                        np.arange(cells + 1))
-    counts = count_by_cell(out)
-    left = first[rows]
-    cells = ds.cells[rows]
-    kid = np.frombuffer(ds.store.kid, np.int64)[cells]
+    store = ds.store
+    ids = len(store.labels)  # every tag is below it
+    picked = np.zeros(ids, dtype=bool)
+    picked[list(split.values())] = True
+    chosen = picked[ds.cells]
+    cells = ds.cells[chosen]
+    kid = np.frombuffer(store.kid, np.int64)[cells]
     new = kid == 0
-    if new.any():
-        at = left[new]
-        kid[new] = ds.store.add(cells[new], counts[at], counts[at + 1])
-    out.cells[left] = kid
-    out.cells[left + 1] = kid + 1
-    return out
+    kid[new] = store.add(cells[new])
+    out = np.repeat(ds.cells, chosen + 1)
+    left = np.flatnonzero(chosen) + np.arange(len(cells))
+    out[left], out[left + 1] = kid, kid + 1
+    size = len(store.labels)  # with the new children
+    # every point gathers from these at random, so each is as narrow as its values allow
+    first = np.arange(ids, dtype=np.min_scalar_type(size))
+    axis = np.zeros(ids, dtype=np.min_scalar_type(store.root_box.dim))
+    mid = np.full(ids, np.inf)
+    first[cells] = kid
+    axis[cells], mid[cells], _ = store.planes(cells)
+    working = np.zeros(size, dtype=bool)
+    working[out] = True
+
+    def step(shard: Shard) -> tuple[Shard, np.ndarray]:
+        tag = np.empty_like(shard.tag)
+        for s in range(0, len(tag), STEP_BLOCK):
+            t, points = shard.tag[s:s + STEP_BLOCK], shard.points[s:s + STEP_BLOCK]
+            at = np.arange(0, points.size, points.shape[1])  # row starts, then coordinates
+            at += axis[t]
+            side = points.reshape(-1)[at] >= mid[t]
+            np.add(first[t], side, out=tag[s:s + STEP_BLOCK])
+        counts = np.bincount(tag, minlength=size)
+        if 2 * int(counts[out].sum()) < len(tag):
+            work = working[tag]
+            return Shard(tag[work], shard.points[work]), counts
+        return Shard(tag, shard.points), counts
+
+    steps = list((map if pool is None else pool.map)(step, ds.shards))
+    born = np.concatenate([kid[new], kid[new] + 1])
+    np.frombuffer(store.count, np.int64)[born] = sum(counts[born] for _, counts in steps)
+    return TaggedDataset(store, out, tuple(shard for shard, _ in steps))
 
 
 def prune(ds: TaggedDataset, keep: np.ndarray) -> TaggedDataset:
     """Retire the working cells where ``keep`` is False, parking their
-    points: no point moves, ``remap`` sends the retired cells past the
-    end.
+    points: no point moves or changes its tag.
 
     The build retires every cell whose count is at or below the
     threshold: the threshold never changes and counts never grow down
@@ -210,10 +204,7 @@ def prune(ds: TaggedDataset, keep: np.ndarray) -> TaggedDataset:
     """
     if keep.all():
         return ds
-    kept = int(np.count_nonzero(keep))
-    move = np.append(np.where(keep, np.cumsum(keep) - 1, kept), kept)
-    shards = tuple(Shard(s.index, s.points, s.counts[keep]) for s in ds.shards)
-    return TaggedDataset(ds.store, ds.cells[keep], shards, move[ds.remap])
+    return TaggedDataset(ds.store, ds.cells[keep], ds.shards)
 
 
 @dataclass(frozen=True)
@@ -284,13 +275,13 @@ def build_threshold_tree(table: CellTable, threshold: float, max_depth: int = 10
         while True:
             keep = counts > threshold
             passed += int(counts[~keep].sum())
-            ds, counts = prune(ds, keep), counts[keep]
-            split = cells_to_split(ds, counts, threshold, max_depth)
+            ds = prune(ds, keep)
+            split = cells_to_split(ds, threshold, max_depth)
             if not split:
                 break
-            split_ids.append(ds.cells[list(split.values())])
+            split_ids.append(np.fromiter(split.values(), np.intp, len(split)))
             ds = apply_splits(ds, split, pool)
-            counts = np.frombuffer(ds.store.count, np.int64)[ds.cells]
+            counts = count_by_cell(ds)
             stats.append(IterationStats(
                 split_cells=len(split),
                 working_points=int(counts.sum()),

@@ -256,14 +256,15 @@ class CellStore:
         return ([labels[i] for i in ids.tolist()], np.frombuffer(self.count, np.int64)[ids],
                 self.bounds[ids], np.frombuffer(self.volume)[ids])
 
-    def add(self, cells: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Split the cells ``cells``, none split before, into children of
-        ``left`` and ``right`` points; return the left children's ids."""
+    def add(self, cells: np.ndarray) -> np.ndarray:
+        """Split the cells ``cells``, none split before; return the left
+        children's ids.  The children's counts are 0 until the caller
+        writes them."""
         self._plan()  # a child's bounds come from its parent's plane
         kid = len(self.count) + 2 * np.arange(len(cells))
         np.frombuffer(self.kid, np.int64)[cells] = kid
         self.kid.frombytes(bytes(16 * len(cells)))
-        self.count.frombytes(np.stack([left, right], axis=1).astype(np.int64).tobytes())
+        self.count.frombytes(bytes(16 * len(cells)))
         self.parent.frombytes(np.asarray(cells, dtype=np.int64).tobytes())
         labels = self.labels
         self.labels += [c for i in cells.tolist() for c in (2 * labels[i], 2 * labels[i] + 1)]
@@ -273,21 +274,20 @@ class CellStore:
         size = len(self.count)
         if size == self.planned:
             return
-        ids = np.arange(self.planned, size)
-        par = np.frombuffer(self.parent, np.int64)[ids >> 1]
-        rows = self.bounds[par]
+        if len(self.bounds) < size:  # room to spare: chains plan after almost every split
+            self.bounds = np.resize(self.bounds, (size + size // 4 + 64, self.bounds.shape[1]))
+        rows = self.bounds[self.planned:size]  # pairs of children, left (even id) first
         d = rows.shape[1] // 2
-        # a left (even) id moves the parent's column d + axis (hi), a right one axis (lo)
-        cols = np.frombuffer(self.axis, np.int64)[par] + d * (1 - ids % 2)
-        rows[np.arange(len(ids)), cols] = np.frombuffer(self.mid)[par]
-        if len(self.bounds) < size:  # a quarter more: chains plan after almost every split
-            self.bounds = np.resize(self.bounds, (size + size // 4, 2 * d))
-        self.bounds[self.planned:size] = rows
-        self.volume.frombytes(bounds_volume(rows[:, :d], rows[:, d:]).tobytes())
-        axis, mid, ok = split_plane(rows[:, :d], rows[:, d:])
-        self.axis.frombytes(axis.astype(np.int64).tobytes())
-        self.mid.frombytes(mid.tobytes())
-        self.ok.frombytes(ok.astype(np.int8).tobytes())
+        par = np.frombuffer(self.parent, np.int64)[self.planned // 2:]
+        rows[::2] = rows[1::2] = self.bounds[par]
+        # the plane moves the left child's upper bound (column d + axis) and the right's lower
+        left = np.arange(0, len(rows), 2)
+        axis = np.frombuffer(self.axis, np.int64)[par]
+        rows[left, d + axis] = rows[left + 1, axis] = np.frombuffer(self.mid)[par]
+        lo, hi = rows[:, :d], rows[:, d:]
+        self.volume.frombytes(bounds_volume(lo, hi).tobytes())
+        for column, values in zip((self.axis, self.mid, self.ok), split_plane(lo, hi)):
+            column.frombytes(values.tobytes())
         self.planned = size
 
 

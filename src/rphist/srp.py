@@ -115,24 +115,28 @@ class Histogram:
         return hash((self.root_box, self.n, self.labels))
 
     @classmethod
-    def from_counts(cls, root_box: Box, n: int, labels, counts,
-                    bounds: tuple[np.ndarray, np.ndarray] | None = None) -> "Histogram":
+    def from_counts(cls, root_box: Box, n: int, labels, counts) -> "Histogram":
         """Histogram of ``n`` points with ``counts[i]`` in leaf ``labels[i]``:
-        the cell of each label under ``root_box`` carries the density
-        ``count / (n * volume)``.  The cells' ``(lo, hi)`` bounds are
-        derived from the labels (:func:`~rphist.tree.cell_bounds`) unless
-        given.
+        the cell of each label under ``root_box``, its bounds derived from
+        the label (:func:`~rphist.tree.cell_bounds`) and its volume from
+        its bounds, carries the density ``count / (n * volume)``.
 
         Raises
         ------
         ZeroDivisionError
             If some cell's volume underflows to 0.
         """
+        labels = tuple(labels)
+        lo, hi = cell_bounds(root_box, labels)
+        return cls._of_cells(root_box, n, labels, counts, lo, hi, bounds_volume(lo, hi))
+
+    @classmethod
+    def _of_cells(cls, root_box: Box, n: int, labels: tuple[int, ...], counts,
+                  lo: np.ndarray, hi: np.ndarray, volumes: np.ndarray) -> "Histogram":
+        """The histogram of leaf cells with these bounds and volumes: the
+        one place the heights are computed."""
         if n < 1:
             raise EmptySample("cannot form a histogram from zero points")
-        labels = tuple(labels)
-        lo, hi = cell_bounds(root_box, labels) if bounds is None else bounds
-        volumes = bounds_volume(lo, hi)
         if not volumes.all():
             raise ZeroDivisionError("a cell's volume underflows to 0")
         counts = np.array(counts, dtype=np.int64)
@@ -143,9 +147,9 @@ class Histogram:
 
 def histogram(s: State) -> Histogram:
     """The state's histogram: density ``count / (n * volume)`` per leaf
-    cell, from the labels, counts and bounds its store holds."""
-    labels, counts, lo, hi, _ = s.leaves
-    return Histogram.from_counts(s.root_box, s.n, labels, counts, (lo, hi))
+    cell, from the labels, counts, bounds and volumes its store holds."""
+    labels, counts, lo, hi, volumes = s.leaves
+    return Histogram._of_cells(s.root_box, s.n, tuple(labels), counts, lo, hi, volumes)
 
 
 def density_at(h: Histogram, p) -> float:

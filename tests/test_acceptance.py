@@ -17,7 +17,6 @@ from rphist.distributed import (
     assemble_srp,
     build_threshold_tree,
     cells_to_split,
-    count_by_cell,
     reconstruct_path,
 )
 from rphist.evaluate import GaussianReference, l1_error
@@ -123,8 +122,7 @@ def test_criterion_4_order_invariance():
             order_rng = np.random.default_rng(instance * 100 + order)
             ds = TaggedDataset.from_table(CellTable(pts, box), shard_count=2)
             while True:
-                counts = count_by_cell(ds)
-                eligible = cells_to_split(ds, counts, threshold, 1000)
+                eligible = cells_to_split(ds, threshold, 1000)
                 if not eligible:
                     break
                 pool = sorted(eligible)

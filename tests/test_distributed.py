@@ -30,6 +30,7 @@ from conftest import (
     SPC_PRIORITY,
     ChainConfig,
     SplitRecord,
+    cell_membership,
     chain,
     leaf_counts,
     leaf_state,
@@ -49,19 +50,19 @@ from conftest import (
 
 def fig7_dataset(shard_count=2) -> TaggedDataset:
     """Six points in the three-cell paving {2, 6, 7}: three in A=2, two
-    in B=6, one in C=7, tagged with the cells' indices 0, 1 and 2.  The
-    store splits the root (ids 2, 3) and then cell 3 (ids 4, 5)."""
-    index = np.array([0, 0, 1, 2, 1, 0])
+    in B=6, one in C=7.  The store splits the root (ids 2, 3) and then
+    cell 3 (ids 4, 5), so the points are tagged with ids 2, 4 and 5."""
+    tag = np.array([2, 2, 4, 5, 4, 2])
     pts = np.array([
         [0.1, 0.2], [0.3, 0.8], [0.6, 0.1],
         [0.7, 0.9], [0.9, 0.3], [0.2, 0.5],
     ])
     store = CellStore(unit_box(2), 6)
-    store.add(np.array([1]), np.array([3]), np.array([3]))
-    store.add(np.array([3]), np.array([2]), np.array([1]))
-    shards = tuple(Shard(index[rows], pts[rows], np.bincount(index[rows], minlength=3))
-                   for rows in np.array_split(np.arange(6), shard_count))
-    return TaggedDataset(store, np.array([2, 4, 5]), shards, np.arange(4))
+    store.add(np.array([1]))
+    store.add(np.array([3]))
+    np.frombuffer(store.count, np.int64)[2:] = [3, 3, 2, 1]
+    shards = tuple(Shard(tag[rows], pts[rows]) for rows in np.array_split(np.arange(6), shard_count))
+    return TaggedDataset(store, np.array([2, 4, 5]), shards)
 
 
 def bounds_of(ds: TaggedDataset) -> np.ndarray:
@@ -71,8 +72,8 @@ def bounds_of(ds: TaggedDataset) -> np.ndarray:
 
 def cell_of_each_point(ds: TaggedDataset) -> list[int | None]:
     """The label of each stored point's working cell, None if parked."""
-    labels = ds.labels + [None]
-    return [labels[c] for s in ds.shards for c in ds.remap[s.index].tolist()]
+    working, labels = set(ds.cells.tolist()), ds.store.labels
+    return [labels[t] if t in working else None for s in ds.shards for t in s.tag.tolist()]
 
 
 def test_count_by_cell_fig7():
@@ -91,21 +92,19 @@ def test_count_by_cell_shard_invariant():
 
 def test_cells_to_split_threshold_strict():
     ds = TaggedDataset.from_table(CellTable(np.full((10, 2), 0.3), unit_box(2)))
-    counts = count_by_cell(ds)
-    assert counts.tolist() == [10]
-    assert cells_to_split(ds, counts, 5.0, 1000) == {1: 0}
-    assert cells_to_split(ds, counts, 10.0, 1000) == {}
-    # fig7: A (count 3) alone exceeds 2, and keeps its own index
+    assert count_by_cell(ds).tolist() == [10]
+    assert cells_to_split(ds, 5.0, 1000) == {1: 1}
+    assert cells_to_split(ds, 10.0, 1000) == {}
+    # fig7: A (count 3) alone exceeds 2, and keeps its own id
     ds = fig7_dataset()
-    assert cells_to_split(ds, count_by_cell(ds), 2.0, 1000) == {2: 0}
-    assert cells_to_split(ds, count_by_cell(ds), 1.0, 1000) == {2: 0, 6: 1}
+    assert cells_to_split(ds, 2.0, 1000) == {2: 2}
+    assert cells_to_split(ds, 1.0, 1000) == {2: 2, 6: 4}
 
 
 def test_cells_to_split_depth_capped():
     ds = fig7_dataset()  # A is at depth 1, B and C at depth 2
-    counts = count_by_cell(ds)
-    assert cells_to_split(ds, counts, 0.0, 2) == {2: 0}
-    assert cells_to_split(ds, counts, 0.0, 1) == {}
+    assert cells_to_split(ds, 0.0, 2) == {2: 2}
+    assert cells_to_split(ds, 0.0, 1) == {}
 
 
 def test_apply_splits_empty_set_is_identity():
@@ -115,15 +114,16 @@ def test_apply_splits_empty_set_is_identity():
 
 def test_apply_splits_retags_only_split_cells():
     ds = fig7_dataset(1)
-    out = apply_splits(ds, {2: 0})
+    out = apply_splits(ds, {2: 2})
     # cell 2 is [0, 0.5) x [0, 1], split on y at 0.5: below -> 4, at/above -> 5
     assert out.labels == [4, 5, 6, 7]
     assert cell_of_each_point(out) == [4, 5, 6, 7, 6, 5]
-    assert out.shards[0].index.tolist() == [0, 1, 2, 3, 2, 1]
+    # the children get the store's next ids, 6 and 7; no other tag changes
+    assert out.shards[0].tag.tolist() == [6, 7, 4, 5, 4, 7]
     # the children's bounds are their parent's, cut at the plane
     assert np.array_equal(bounds_of(out), np.hstack(cell_bounds(unit_box(2), out.labels)))
     # splitting every cell at once, in one or several shards, agrees
-    both = {2: 0, 6: 1, 7: 2}
+    both = {2: 2, 6: 4, 7: 5}
     for shards in (1, 2, 6):
         out = apply_splits(fig7_dataset(shards), both)
         assert out.labels == [4, 5, 12, 13, 14, 15]
@@ -134,7 +134,7 @@ def test_apply_splits_retags_only_split_cells():
 def test_apply_splits_point_on_hyperplane_goes_right():
     pts = np.array([[0.5, 0.25], [0.49, 0.25]])
     ds = TaggedDataset.from_table(CellTable(pts, unit_box(2)))
-    out = apply_splits(ds, cells_to_split(ds, count_by_cell(ds), 1.0, 1000))
+    out = apply_splits(ds, cells_to_split(ds, 1.0, 1000))
     assert cell_of_each_point(out) == [3, 2]
 
 
@@ -162,7 +162,7 @@ def test_prune_moves_counts():
         assert count_by_cell(kept).tolist() == counts[keep].tolist()
         # no point moves: the point of the retired cell 7 is parked
         assert cell_of_each_point(kept) == [2, 2, 6, None, 6, 2]
-        assert all(a.points is b.points and a.index is b.index
+        assert all(a.points is b.points and a.tag is b.tag
                    for a, b in zip(kept.shards, ds.shards))
         assert np.array_equal(bounds_of(kept), bounds_of(ds)[keep])
         assert prune(ds, counts > 0.5) is ds
@@ -171,7 +171,7 @@ def test_prune_moves_counts():
         assert count_by_cell(gone).tolist() == []
         # the next split leaves the parked point parked, unless its shard
         # (of one point, with 6 shards) then holds no working point
-        out = apply_splits(kept, {2: 0})
+        out = apply_splits(kept, {2: 2})
         assert out.labels == [4, 5, 6]
         parked = [] if shards == 6 else [None]
         assert cell_of_each_point(out) == [4, 5, 6, *parked, 6, 5]
@@ -182,13 +182,13 @@ def test_apply_splits_compacts_a_shard_below_half():
     # only B (label 6) is kept: two of the six points stay working
     for shards, rows in ((1, [2]), (2, [1, 1]), (6, [0, 0, 1, 0, 1, 0])):
         ds = prune(fig7_dataset(shards), np.array([False, True, False]))
-        out = apply_splits(ds, {6: 0})
+        out = apply_splits(ds, {6: 4})
         assert out.labels == [12, 13]
         assert count_by_cell(out).tolist() == [1, 1]
         # every shard held fewer working points than half its rows
         assert [len(s.points) for s in out.shards] == rows
         assert cell_of_each_point(out) == [12, 13]
-        assert np.array_equal(out.remap, np.arange(3))
+        assert [t for s in out.shards for t in s.tag.tolist()] == out.cells.tolist()
 
 
 def test_build_trivial_when_threshold_at_n():
@@ -198,6 +198,77 @@ def test_build_trivial_when_threshold_at_n():
     assert res.iterations == 0
     assert assemble_srp(res).leaf_count == 1
     assert leaf_counts(assemble_srp(res)) == {1: 20}
+
+
+def test_tags_are_store_ids_of_the_cells_holding_the_points_on_tied_rows():
+    # after every prune and every split step of a build, each point's tag
+    # is the id of a cell that holds it (closed-face rule), each working
+    # cell's count in the store is brute-force membership, and the parked
+    # points are those of retired cells and no other.  A carve on the same
+    # table first gives the build cells whose children it keeps; count the
+    # examples that route points through them, park points and compact
+    seen = {"kept_children": 0, "parked": 0, "compacted": 0}
+    real_prune, real_apply = distributed.prune, distributed.apply_splits
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.data())
+    def check(d, data):
+        grid = data.draw(arrays(np.int64, (data.draw(st.integers(1, 120)), d),
+                                elements=st.integers(0, data.draw(st.integers(1, 5))),
+                                fill=st.nothing()))
+        copies = data.draw(st.integers(0, 30))
+        pts = np.vstack([grid, np.repeat(grid[:1], copies, axis=0)]).astype(float)
+        box = bounding_box(pts, data.draw(st.sampled_from([0.0, 0.1])))
+        if not box.volume:
+            return
+        shards = data.draw(st.integers(1, 4))
+        carve_leaves = data.draw(st.integers(0, 30))
+        threshold = float(data.draw(st.integers(1, max(1, len(pts) // 3))))
+        table = CellTable(pts, box)
+        if carve_leaves:
+            carve_path(table, carve_leaves, 40)
+        chain_split = set(np.flatnonzero(np.frombuffer(table.kid, np.int64)).tolist())
+        retired, hit = set(), set()
+
+        def invariants(ds):
+            tags = np.concatenate([s.tag for s in ds.shards])
+            rows = np.concatenate([s.points for s in ds.shards])
+            bounds = ds.store.gather(tags)[2]  # point j against the cell of tag j
+            assert cell_membership(box, bounds[:, :d], bounds[:, d:], rows).diagonal().all()
+            _, counts, bounds, _ = ds.store.gather(ds.cells)
+            member = cell_membership(box, bounds[:, :d], bounds[:, d:], pts)
+            assert counts.tolist() == member.sum(axis=0).tolist()
+            working = np.isin(tags, ds.cells)
+            assert np.count_nonzero(working) == counts.sum()
+            assert set(tags[~working].tolist()) <= retired
+            if not working.all():
+                hit.add("parked")
+            if len(rows) < len(pts):
+                hit.add("compacted")
+
+        def prune(ds, keep):
+            retired.update(ds.cells[~keep].tolist())
+            out = real_prune(ds, keep)
+            invariants(out)
+            return out
+
+        def apply_splits(ds, split, pool=None):
+            if chain_split & set(split.values()):
+                hit.add("kept_children")
+            out = real_apply(ds, split, pool)
+            invariants(out)
+            return out
+
+        with mock.patch.object(distributed, "prune", prune), \
+                mock.patch.object(distributed, "apply_splits", apply_splits):
+            res = build_threshold_tree(table, threshold, 40, shard_count=shards)
+        assert res.path == run_pqmc(CellTable(pts, box), threshold, 40)
+        for key in hit:
+            seen[key] += 1
+
+    check()
+    print(seen)
+    assert min(seen.values()) > 0
 
 
 def test_build_fig7_style_matches_sequential():
@@ -297,25 +368,29 @@ def test_build_opens_at_most_one_thread_pool(monkeypatch):
 def test_shard_step_in_blocks_routes_as_one_block(monkeypatch, block):
     # a shard steps through its rows in blocks: blocks of a few rows, some
     # shorter than a shard and none aligned with it, give every step the
-    # tags, points and counts of one block per shard, parking included
+    # tags, points and counts of one block per shard, parking included.
+    # Each build has a table of its own, so each counts every cell it adds
     rows = np.round(np.random.default_rng(42).standard_normal((400, 2)), 1)
     pts = np.vstack([rows, np.repeat(rows[:1], 40, axis=0)])
-    table = CellTable(pts, bounding_box(pts))
+    box = bounding_box(pts)
     steps = {}
     real = distributed.apply_splits
 
     def record(ds, split, pool=None):
         out = real(ds, split, pool)
         steps.setdefault(distributed.STEP_BLOCK, []).append(
-            [(s.index.tolist(), s.points.tolist(), s.counts.tolist()) for s in out.shards])
+            ([(s.tag.tolist(), s.points.tolist()) for s in out.shards],
+             count_by_cell(out).tolist()))
         return out
 
     monkeypatch.setattr(distributed, "apply_splits", record)
-    whole = build_threshold_tree(table, 5.0, max_depth=40, shard_count=3, workers=2)
+    whole = build_threshold_tree(CellTable(pts, box), 5.0, max_depth=40, shard_count=3,
+                                 workers=2)
     monkeypatch.setattr(distributed, "STEP_BLOCK", block)
-    blocked = build_threshold_tree(table, 5.0, max_depth=40, shard_count=3, workers=2)
+    blocked = build_threshold_tree(CellTable(pts, box), 5.0, max_depth=40, shard_count=3,
+                                   workers=2)
     assert steps[block] == steps[1 << 18] and len(steps[block]) > 3
-    assert sum(len(shard[1]) for shard in steps[block][-1]) < len(pts)  # parked rows dropped
+    assert sum(len(shard[1]) for shard in steps[block][-1][0]) < len(pts)  # parked rows dropped
     assert blocked.path == whole.path and blocked.stats == whole.stats
 
 
@@ -395,8 +470,7 @@ def test_order_invariance_random_schedulers():
         order_rng = np.random.default_rng(1000 + trial)
         ds = TaggedDataset.from_table(CellTable(pts, box), shard_count=2)
         while True:
-            counts = count_by_cell(ds)
-            eligible = cells_to_split(ds, counts, 30.0, 1000)
+            eligible = cells_to_split(ds, 30.0, 1000)
             if not eligible:
                 break
             pool = sorted(eligible)
@@ -766,7 +840,7 @@ def test_build_equals_sequential_chain_on_tied_rows():
         for before, after in zip(ds.shards, out.shards):
             if len(after.points) < len(before.points):
                 hit.add("compacted")
-            if len(before.points) and not after.counts.any():
+            if len(before.points) and not np.isin(after.tag, out.cells).any():
                 hit.add("shard_without_work")
         return out
 

@@ -489,6 +489,30 @@ def test_save_histogram_covers_the_histograms_of_its_test():
                     "infinite height", "unsorted"}
 
 
+@pytest.mark.parametrize("d", [2, 10])
+def test_state_histogram_takes_the_store_volumes_bit_for_bit(tmp_path, monkeypatch, d):
+    # a state's histogram reads each leaf's volume from the store, which
+    # planned it once from the cell's bounds; the file loaded back derives
+    # the same bits from the labels
+    import rphist.srp
+
+    def no_volume(*args):
+        raise AssertionError("the histogram recomputed a volume")
+
+    pts = np.random.default_rng(9).standard_normal((3000, d)) * np.arange(1, d + 1)
+    table = CellTable(pts, bounding_box(pts))
+    for s in (carve_path(table, 40).final, run_pqmc(table, 20.0).final):
+        with monkeypatch.context() as m:
+            m.setattr(rphist.srp, "bounds_volume", no_volume)
+            h = histogram(s)
+        assert h.volumes.tobytes() == s.leaves.volumes.tobytes()
+        out = tmp_path / "h.json"
+        save_histogram(h, out)
+        back = load_histogram(out)
+        assert back.volumes.tobytes() == h.volumes.tobytes()
+        assert back == h
+
+
 def test_save_histogram_writes_non_finite_floats_as_json_does(tmp_path):
     h = histogram(root_state(unit_box(1), 3))
     odd = replace(h, labels=(2, 3), counts=np.array([1, 2]), lo=np.zeros((2, 1)),
